@@ -541,6 +541,3 @@ def iv_expi(x: Interval) -> ComplexInterval:
     """Enclosure of exp(i x) for real interval x."""
     return ComplexInterval(iv_cos(x), iv_sin(x))
 
-
-def iv_pi() -> Interval:
-    return _from_mpiv(mpmath.iv.pi)

@@ -172,10 +172,6 @@ class RArr:
     def scale(self, c: float) -> "RArr":
         return RArr(*ri_scale(self.lo, self.hi, float(c)))
 
-    def scale_iv(self, c: Interval) -> "RArr":
-        lo, hi = ri_mul(self.lo, self.hi, np.full_like(self.lo, c.lo), np.full_like(self.hi, c.hi))
-        return RArr(lo, hi)
-
     def mag(self):
         return ri_mag(self.lo, self.hi)
 
@@ -465,17 +461,6 @@ def cmat_abs_up(am, ar):
     if ar is None:
         return base
     return base + ar
-
-
-def rmat_abs_up(am, ar):
-    base = np.abs(np.asarray(am, dtype=float))
-    if ar is None:
-        return base
-    return base + ar
-
-
-def carr_to_midrad(a: CArr):
-    return a.mid(), a.rad()
 
 
 # -- verified convolutions at BLAS speed --------------------------------

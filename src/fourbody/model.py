@@ -10,13 +10,18 @@ This module supplies the geometry (closed-form primary positions), the
 classical 6D vector field, a polynomial 9D embedding obtained by appending
 the three reciprocal distances as new variables, the Jacobi integral in both
 coordinate systems, and the coefficient-space versions of the embedded field
-that act on Fourier and Fourier-Taylor data: the per-order field map, its
-derivative at an order-zero sequence, the order-alpha remainder (everything
-in the alpha layer not involving the alpha coefficient itself), the two
-unfolding terms, and the scalar phase/initialization conditions.
+that act on Fourier and Fourier-Taylor data.
 
-Everything here is evaluated in interval arithmetic over immutable inputs,
-so all operations are safe to run in parallel across Taylor orders.
+The degree-5 embedded field is written once, in `embedded_field`, and its
+order-zero derivative once, in `field_derivative`.  Both run over a
+pluggable arithmetic: endpoint intervals here (`IntervalArith`), floats in
+`numerics`, and the midpoint-radius and norm/radius grids of `stages`.  On
+top of the interval arithmetic sit the per-order field map, its derivative
+at an order-zero sequence, the order-alpha remainder (everything in the
+alpha layer not involving the alpha coefficient itself), the orbit
+unfolding term, and the scalar phase/initialization conditions.  Inputs are
+immutable, so all operations are safe to run in parallel across Taylor
+orders.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .interval import (
     ZERO,
     _as_iv,
 )
-from .ivarray import down_sum, up_sum
+from .ivarray import CArr, down_sum, up_sum
 from .seqspace import (
     FourierSeq,
     FourierTaylorSeq,
@@ -58,6 +63,9 @@ __all__ = [
     "field_F",
     "jacobi",
     "jacobi_embedded",
+    "IntervalArith",
+    "embedded_field",
+    "field_derivative",
     "field_F_grid",
     "field_F_seq",
     "DF0",
@@ -65,7 +73,6 @@ __all__ = [
     "dF0_apply",
     "remainder_Ralpha",
     "unfold_orbit_G",
-    "unfold_dissipative_Gbeta",
     "eta_phase",
     "xi_phase",
 ]
@@ -340,83 +347,160 @@ def jacobi_embedded(u, cfg: PrimaryConfig) -> Interval:
 # coefficient-space field
 
 
-def _grid9(a):
+def _nine(a, what: str):
+    """The 9 components of a coefficient vector, checked to share one nu."""
     if len(a) != 9:
-        raise ValueError("expected 9 coefficient grids")
-    nu = a[0].nu
-    for f in a:
-        if f.nu != nu:
-            raise WeightMismatch("grid components disagree on nu")
+        raise ValueError("expected 9 coefficient %ss" % what)
+    if any(f.nu != a[0].nu for f in a):
+        raise WeightMismatch("%s components disagree on nu" % what)
     return tuple(a)
 
 
-def _seq9(a):
-    if len(a) != 9:
-        raise ValueError("expected 9 coefficient sequences")
-    nu = a[0].nu
-    for f in a:
-        if f.nu != nu:
-            raise WeightMismatch("sequence components disagree on nu")
-    return tuple(a)
+def _const_seq(c, nu: float) -> FourierSeq:
+    """The constant sequence c (an Interval, a ComplexInterval or a complex)."""
+    if isinstance(c, Interval):
+        c = ComplexInterval(c, ZERO)
+    elif not isinstance(c, ComplexInterval):
+        c = ComplexInterval.point(complex(c))
+    return FourierSeq(CArr.from_civ_list([c]), nu)
 
 
-def _const_seq(c: Interval, nu: float) -> FourierSeq:
-    return FourierSeq.from_entries({0: ComplexInterval(c, ZERO)}, nu)
+# An arithmetic is an object with the operations the embedded field is built
+# from, each acting on coefficient grids in its own representation:
+#
+#   zero                the empty grid; every sum starts from it
+#   mul(b, c, cap)      Cauchy product without the layers above order cap
+#   sum(*grids)         sum, accumulated from left to right
+#   scale(g, c)         multiple by a mass of `masses` or a float constant
+#   shift(g, p)         g minus the constant p (a coordinate of `positions`)
+#   neg(g), truncate(g, cap), layer(g, alpha)
+#   masses, positions   the three masses and primary positions as constants
+#
+# Each arithmetic keeps its own rounding for every step (the float lane
+# rounds to nearest, the others round outward), and nothing below asks which
+# arithmetic it runs in.
 
 
-def _shift0(f: FourierTaylorSeq, c: Interval) -> FourierTaylorSeq:
-    """Subtract the constant c from the mean mode of the order-zero layer."""
-    base = f.layer(0, 0)
-    return f.with_layer(0, 0, base.sub(_const_seq(c, f.nu)))
+class IntervalArith:
+    """Endpoint-interval FourierTaylorSeq grids: the reference semantics."""
+
+    def __init__(self, cfg: PrimaryConfig, nu: float):
+        self.masses = tuple(cfg.masses)
+        self.positions = tuple(cfg.position(j) for j in range(3))
+        self.zero = FourierTaylorSeq.zeros(nu)
+
+    mul = staticmethod(ft_conv)
+
+    @staticmethod
+    def sum(*grids):
+        out = grids[0]
+        for g in grids[1:]:
+            out = out.add(g)
+        return out
+
+    @staticmethod
+    def scale(g, c):
+        return g.scale(c)
+
+    @staticmethod
+    def shift(g, p):
+        return g.with_layer(0, 0, g.layer(0, 0).sub(_const_seq(p, g.nu)))
+
+    @staticmethod
+    def neg(g):
+        return g.neg()
+
+    @staticmethod
+    def truncate(g, cap):
+        return g.truncate(cap)
+
+    @staticmethod
+    def layer(g, alpha):
+        return g.layer(*alpha)
+
+
+def embedded_field(ar, a, cap: int):
+    """All Taylor layers through total order cap of the embedded field map.
+
+    a is a 9-tuple of grids of the arithmetic ar.  With u = (x, x', y, y',
+    z, z', w_1, w_2, w_3), d_j = (x, y, z) - p_j and s = sum_j m_j d_j w_j^3
+    the field is (x', x + 2 y' - s_x, y', y - 2 x' - s_y, z', -s_z, t_1,
+    t_2, t_3) with t_j = -(d_j . (x', y', z')) w_j^3.
+    """
+    s2 = s4 = s6 = ar.zero
+    tails = []
+    for j in range(3):
+        px, py, pz = ar.positions[j]
+        mj = ar.masses[j]
+        w = a[6 + j]
+        w3 = ar.mul(ar.mul(w, w, cap), w, cap)
+        qx = ar.mul(ar.shift(a[0], px), w3, cap)
+        qy = ar.mul(ar.shift(a[2], py), w3, cap)
+        qz = ar.mul(ar.shift(a[4], pz), w3, cap)
+        s2 = ar.sum(s2, ar.scale(qx, mj))
+        s4 = ar.sum(s4, ar.scale(qy, mj))
+        s6 = ar.sum(s6, ar.scale(qz, mj))
+        tails.append(ar.neg(ar.sum(ar.mul(qx, a[1], cap), ar.mul(qy, a[3], cap),
+                                   ar.mul(qz, a[5], cap))))
+    lin = [ar.truncate(f, cap) for f in a]
+    return (
+        lin[1],
+        ar.sum(ar.scale(lin[3], 2.0), lin[0], ar.neg(s2)),
+        lin[3],
+        ar.sum(ar.scale(lin[1], -2.0), lin[2], ar.neg(s4)),
+        lin[5],
+        ar.neg(s6),
+        *tails,
+    )
+
+
+# (row, column, value) of the constant part of the field derivative
+_DF_CONST = ((0, 1, 1.0), (1, 0, 1.0), (1, 3, 2.0), (2, 3, 1.0),
+             (3, 1, -2.0), (3, 2, 1.0), (4, 5, 1.0))
+
+
+def field_derivative(ar, a0):
+    """(const, kernels) of the derivative of the order-zero field map at a0.
+
+    a0 is a 9-tuple of order-zero grids of the arithmetic ar.  Entry (i, j)
+    acts as const[i][j] h_j + kernels[i][j] * h_j, where the kernel is a
+    layer-zero sequence of ar (None when absent).
+    """
+    const = [[0.0] * 9 for _ in range(9)]
+    for i, j, c in _DF_CONST:
+        const[i][j] = c
+    kernels = [[None] * 9 for _ in range(9)]
+    csum = ar.zero
+    for j in range(3):
+        mj = ar.masses[j]
+        w = a0[6 + j]
+        sq = ar.mul(w, w, 0)
+        cube = ar.mul(sq, w, 0)
+        d = [ar.shift(a0[2 * c], p) for c, p in enumerate(ar.positions[j])]
+        v = (a0[1], a0[3], a0[5])
+        csum = ar.sum(csum, ar.scale(cube, mj))
+        for c in range(3):
+            kernels[1 + 2 * c][6 + j] = ar.scale(ar.mul(d[c], sq, 0), mj * -3.0)
+            kernels[6 + j][2 * c] = ar.neg(ar.mul(v[c], cube, 0))
+            kernels[6 + j][2 * c + 1] = ar.neg(ar.mul(d[c], cube, 0))
+        wv = ar.sum(*[ar.mul(d[c], v[c], 0) for c in range(3)])
+        kernels[6 + j][6 + j] = ar.scale(ar.mul(wv, sq, 0), -3.0)
+    for i in (1, 3, 5):
+        kernels[i][i - 1] = ar.neg(csum)
+    kernels = [[None if k is None else ar.layer(k, (0, 0)) for k in row]
+               for row in kernels]
+    return const, kernels
 
 
 def field_F_grid(a, cfg: PrimaryConfig, cap: int):
-    """All Taylor layers of the embedded field map through total order cap.
-
-    The difference coordinates (position minus primary) are formed on the
-    fly; no shifted copies of the input grids are retained.
-    """
-    a = _grid9(a)
-    nu = a[0].nu
-    s2 = FourierTaylorSeq.zeros(nu)
-    s4 = FourierTaylorSeq.zeros(nu)
-    s6 = FourierTaylorSeq.zeros(nu)
-    tail = []
-    for j in range(3):
-        px, py, pz = cfg.position(j)
-        w = a[6 + j]
-        w3 = ft_conv(ft_conv(w, w, cap), w, cap)
-        dx = _shift0(a[0], px)
-        dy = _shift0(a[2], py)
-        dz = _shift0(a[4], pz)
-        qx = ft_conv(dx, w3, cap)
-        qy = ft_conv(dy, w3, cap)
-        qz = ft_conv(dz, w3, cap)
-        mj = cfg.masses[j]
-        s2 = s2.add(qx.scale(mj))
-        s4 = s4.add(qy.scale(mj))
-        s6 = s6.add(qz.scale(mj))
-        tj = ft_conv(qx, a[1], cap)
-        tj = tj.add(ft_conv(qy, a[3], cap))
-        tj = tj.add(ft_conv(qz, a[5], cap))
-        tail.append(tj.neg())
-    lin = [f.truncate(cap) for f in a]
-    return (
-        lin[1],
-        lin[3].scale(2.0).add(lin[0]).sub(s2),
-        lin[3],
-        lin[1].scale(-2.0).add(lin[2]).sub(s4),
-        lin[5],
-        s6.neg(),
-        tail[0],
-        tail[1],
-        tail[2],
-    )
+    """All Taylor layers of the embedded field map through total order cap."""
+    a = _nine(a, "grid")
+    return embedded_field(IntervalArith(cfg, a[0].nu), a, cap)
 
 
 def field_F_seq(a, alpha, cfg: PrimaryConfig):
     """Layer alpha of the embedded field map on a Fourier-Taylor grid."""
-    a = _grid9(a)
+    a = _nine(a, "grid")
     mo, no = int(alpha[0]), int(alpha[1])
     order = mo + no
     if max(f.order() for f in a) < order:
@@ -443,7 +527,7 @@ class DF0:
         self.nu = nu
 
     def apply(self, h):
-        h = _seq9(h)
+        h = _nine(h, "sequence")
         if h[0].nu != self.nu:
             raise WeightMismatch("argument nu differs from derivative nu")
         out = []
@@ -462,42 +546,10 @@ class DF0:
 
 def dF0(a0, cfg: PrimaryConfig) -> DF0:
     """Assemble the derivative table of the order-zero field map at a0."""
-    a0 = _seq9(a0)
+    a0 = _nine(a0, "sequence")
     nu = a0[0].nu
-    const = [[0.0] * 9 for _ in range(9)]
-    kernels = [[None] * 9 for _ in range(9)]
-    const[0][1] = 1.0
-    const[1][0] = 1.0
-    const[1][3] = 2.0
-    const[2][3] = 1.0
-    const[3][1] = -2.0
-    const[3][2] = 1.0
-    const[4][5] = 1.0
-    csum = FourierSeq.zeros(1, nu)
-    for j in range(3):
-        px, py, pz = cfg.position(j)
-        mj = cfg.masses[j]
-        w = a0[6 + j]
-        sq = conv(w, w)
-        cube = conv(sq, w)
-        dx = a0[0].sub(_const_seq(px, nu))
-        dy = a0[2].sub(_const_seq(py, nu))
-        dz = a0[4].sub(_const_seq(pz, nu))
-        csum = csum.add(cube.scale(mj))
-        kernels[1][6 + j] = conv(dx, sq).scale(mj * (-3.0))
-        kernels[3][6 + j] = conv(dy, sq).scale(mj * (-3.0))
-        kernels[5][6 + j] = conv(dz, sq).scale(mj * (-3.0))
-        kernels[6 + j][0] = conv(a0[1], cube).neg()
-        kernels[6 + j][1] = conv(dx, cube).neg()
-        kernels[6 + j][2] = conv(a0[3], cube).neg()
-        kernels[6 + j][3] = conv(dy, cube).neg()
-        kernels[6 + j][4] = conv(a0[5], cube).neg()
-        kernels[6 + j][5] = conv(dz, cube).neg()
-        wv = conv(dx, a0[1]).add(conv(dy, a0[3])).add(conv(dz, a0[5]))
-        kernels[6 + j][6 + j] = conv(wv, sq).scale(-3.0)
-    kernels[1][0] = csum.neg()
-    kernels[3][2] = csum.neg()
-    kernels[5][4] = csum.neg()
+    grids = [FourierTaylorSeq({(0, 0): s}, nu) for s in a0]
+    const, kernels = field_derivative(IntervalArith(cfg, nu), grids)
     return DF0(const, kernels, nu)
 
 
@@ -517,7 +569,7 @@ def remainder_Ralpha(a, alpha, cfg: PrimaryConfig):
 
     and is bitwise independent of whatever a_alpha the input carried.
     """
-    a = _grid9(a)
+    a = _nine(a, "grid")
     mo, no = int(alpha[0]), int(alpha[1])
     order = mo + no
     if order < 2:
@@ -537,7 +589,7 @@ def unfold_orbit_G(y, a0):
     Slot 2 carries y1 times the second component; slots 7..9 carry y2..y4
     times the cubes of the reciprocal-distance components.
     """
-    a0 = _seq9(a0)
+    a0 = _nine(a0, "sequence")
     if len(y) != 4:
         raise ValueError("expected 4 unfolding parameters")
     nu = a0[0].nu
@@ -547,35 +599,6 @@ def unfold_orbit_G(y, a0):
     for j in range(3):
         w = a0[6 + j]
         out[6 + j] = conv(conv(w, w), w).scale(y[1 + j])
-    return tuple(out)
-
-
-def _scaled(v, c):
-    if hasattr(v, "scale"):
-        return v.scale(c)
-    return v * c
-
-
-def _zero_like(v):
-    if isinstance(v, FourierSeq):
-        return FourierSeq.zeros(1, v.nu)
-    if hasattr(v, "scale"):
-        # one-sided sequence types share the zeros(n, nu) constructor
-        return type(v).zeros(1, v.nu)
-    return v * 0.0
-
-
-def unfold_dissipative_Gbeta(beta, u):
-    """Dissipative unfolding (0, b u2, 0, b u4, 0, b u6, 0, 0, 0).
-
-    Works on any 9-vector whose entries are scalars, intervals, or
-    coefficient sequences.
-    """
-    if len(u) != 9:
-        raise ValueError("expected a 9-vector")
-    out = []
-    for i in range(9):
-        out.append(_scaled(u[i], beta) if i in (1, 3, 5) else _zero_like(u[i]))
     return tuple(out)
 
 
@@ -620,7 +643,7 @@ def eta_phase(a0, anchor: PhaseAnchor, cfg: PrimaryConfig):
     normal u1; entries 2..4 require the reciprocal-distance components to
     actually invert the distances at angle zero.
     """
-    a0 = _seq9(a0)
+    a0 = _nine(a0, "sequence")
     g = [_mode_sum(s) for s in a0]
     e1 = CZERO
     for i in range(9):
@@ -640,7 +663,7 @@ def xi_phase(a_alpha, k0: int, xi0: float) -> ComplexInterval:
     """Bundle-phase scalar fixing the scaling of a first-order layer."""
     if k0 < 1:
         raise ValueError("k0 must be at least 1")
-    a_alpha = _seq9(a_alpha)
+    a_alpha = _nine(a_alpha, "sequence")
     tot = CZERO
     for s in a_alpha:
         part = CZERO

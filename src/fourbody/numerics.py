@@ -1,15 +1,20 @@
-"""Floating-point twins of the sequence-space operators.
+"""Floating-point lane of the stages: Newton residuals, Jacobians, operator.
 
 Newton iterations only need fast approximate residuals and Jacobians; the
 rigorous interval lane re-derives every bound afterwards.  Arrays here are
 plain complex numpy vectors over the Fourier window k = -(K-1)..K-1, and
 Fourier-Taylor grids are dicts (m, n) -> array.  Convolutions keep their
-full support; equations project back to the window when assembled.
+full support; equations project back to the window when assembled.  The
+embedded field and its derivative are the ones of `model`, evaluated in the
+float arithmetic `FloatArith`; `base_block` assembles the window block of
+the linear operator that every stage shares.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from . import model
 
 __all__ = [
     "NewtonDivergence",
@@ -19,8 +24,9 @@ __all__ = [
     "pad_sum",
     "conv_full",
     "toeplitz_window",
-    "field_rows",
+    "FloatArith",
     "derivative_kernels",
+    "base_block",
     "eta_rows",
     "eta_jacobian_entries",
     "ft_truncate",
@@ -92,76 +98,34 @@ def toeplitz_window(ker, K: int):
     return np.where(inside, np.asarray(ker)[idx], 0.0)
 
 
-def _primary_pieces(A, ms, pos, j):
-    w = A[6 + j]
-    sq = conv_full(w, w)
-    cube = conv_full(sq, w)
-    dx = pad_sum(A[0], _delta(-pos[j][0], 1))
-    dy = pad_sum(A[2], _delta(-pos[j][1], 1))
-    dz = A[4]
-    return w, sq, cube, dx, dy, dz
-
-
-def field_rows(A, ms, pos):
-    """Full-support rows of the embedded polynomial field at a 9-window A."""
-    s2, s4, s6 = [], [], []
-    tails = []
-    for j in range(3):
-        _, _, cube, dx, dy, dz = _primary_pieces(A, ms, pos, j)
-        qx = conv_full(dx, cube)
-        qy = conv_full(dy, cube)
-        qz = conv_full(dz, cube)
-        s2.append(ms[j] * qx)
-        s4.append(ms[j] * qy)
-        s6.append(ms[j] * qz)
-        tails.append(-pad_sum(conv_full(qx, A[1]), conv_full(qy, A[3]),
-                              conv_full(qz, A[5])))
-    out = [None] * 9
-    out[0] = A[1]
-    out[1] = pad_sum(2.0 * A[3], A[0], -pad_sum(*s2))
-    out[2] = A[3]
-    out[3] = pad_sum(-2.0 * A[1], A[2], -pad_sum(*s4))
-    out[4] = A[5]
-    out[5] = -pad_sum(*s6)
-    out[6:] = tails
-    return out
-
-
 def derivative_kernels(A, ms, pos):
-    """(const, kernels): finite part of the field derivative at A.
+    """(const, kernels): finite part of the field derivative at a 9-window A.
 
     Entry (i, j) acts as const[i][j] * h_j + kernels[i][j] * h_j with the
     kernel a full-support centered array (None when absent).
     """
-    const = [[0.0] * 9 for _ in range(9)]
-    kernels = [[None] * 9 for _ in range(9)]
-    const[0][1] = 1.0
-    const[1][0] = 1.0
-    const[1][3] = 2.0
-    const[2][3] = 1.0
-    const[3][1] = -2.0
-    const[3][2] = 1.0
-    const[4][5] = 1.0
-    csum = np.zeros(1, dtype=complex)
-    for j in range(3):
-        _, sq, cube, dx, dy, dz = _primary_pieces(A, ms, pos, j)
-        csum = pad_sum(csum, ms[j] * cube)
-        kernels[1][6 + j] = -3.0 * ms[j] * conv_full(dx, sq)
-        kernels[3][6 + j] = -3.0 * ms[j] * conv_full(dy, sq)
-        kernels[5][6 + j] = -3.0 * ms[j] * conv_full(dz, sq)
-        kernels[6 + j][0] = -conv_full(A[1], cube)
-        kernels[6 + j][1] = -conv_full(dx, cube)
-        kernels[6 + j][2] = -conv_full(A[3], cube)
-        kernels[6 + j][3] = -conv_full(dy, cube)
-        kernels[6 + j][4] = -conv_full(A[5], cube)
-        kernels[6 + j][5] = -conv_full(dz, cube)
-        wv = pad_sum(conv_full(dx, A[1]), conv_full(dy, A[3]),
-                     conv_full(dz, A[5]))
-        kernels[6 + j][6 + j] = -3.0 * conv_full(wv, sq)
-    kernels[1][0] = -csum
-    kernels[3][2] = -csum
-    kernels[5][4] = -csum
-    return const, kernels
+    return model.field_derivative(FloatArith(ms, pos), [{(0, 0): a} for a in A])
+
+
+def base_block(const, kernels, K: int, diag, out=None):
+    """Window block (9n x 9n) of h -> diag h + const h + kernels * h.
+
+    diag is the diagonal of one component (length n = 2K-1), shared by all
+    nine; const and kernels are the tables of `derivative_kernels`.  The
+    block is added into out (a zero 9n x 9n view) when one is given.
+    """
+    n = 2 * K - 1
+    base = np.zeros((9 * n, 9 * n), dtype=complex) if out is None else out
+    for i in range(9):
+        rs = slice(i * n, (i + 1) * n)
+        base[rs, rs] += np.diag(diag)
+        for j in range(9):
+            cs = slice(j * n, (j + 1) * n)
+            if const[i][j] != 0.0:
+                base[rs, cs] += const[i][j] * np.eye(n)
+            if kernels[i][j] is not None:
+                base[rs, cs] += toeplitz_window(kernels[i][j], K)
+    return base
 
 
 def eta_rows(A, anchor, pos):
@@ -237,36 +201,35 @@ def _grid_shift(grid, c: complex):
     return out
 
 
+class FloatArith:
+    """Float Fourier-Taylor grids for `model.embedded_field`."""
+
+    def __init__(self, ms, pos):
+        self.masses = tuple(ms)
+        self.positions = tuple(tuple(p) for p in pos)
+        self.zero = {}
+
+    mul = staticmethod(ft_conv_grid)
+    sum = staticmethod(_grid_sum)
+    scale = staticmethod(_grid_scale)
+    truncate = staticmethod(ft_truncate)
+
+    @staticmethod
+    def shift(grid, p):
+        return _grid_shift(grid, -p)
+
+    @staticmethod
+    def neg(grid):
+        return {a: -v for a, v in grid.items()}
+
+    @staticmethod
+    def layer(grid, alpha):
+        return grid.get(alpha, np.zeros(1, dtype=complex))
+
+
 def field_grid(A, ms, pos, cap: int):
     """Embedded field applied to a 9-tuple of Fourier-Taylor grids."""
-    s2, s4, s6 = {}, {}, {}
-    tails = []
-    for j in range(3):
-        w = A[6 + j]
-        sq = ft_conv_grid(w, w, cap)
-        cube = ft_conv_grid(sq, w, cap)
-        dx = _grid_shift(A[0], -pos[j][0])
-        dy = _grid_shift(A[2], -pos[j][1])
-        dz = A[4]
-        qx = ft_conv_grid(dx, cube, cap)
-        qy = ft_conv_grid(dy, cube, cap)
-        qz = ft_conv_grid(dz, cube, cap)
-        s2 = _grid_sum(s2, _grid_scale(qx, ms[j]))
-        s4 = _grid_sum(s4, _grid_scale(qy, ms[j]))
-        s6 = _grid_sum(s6, _grid_scale(qz, ms[j]))
-        tails.append(_grid_scale(_grid_sum(
-            ft_conv_grid(qx, A[1], cap),
-            ft_conv_grid(qy, A[3], cap),
-            ft_conv_grid(qz, A[5], cap)), -1.0))
-    out = [None] * 9
-    out[0] = A[1]
-    out[1] = _grid_sum(_grid_scale(A[3], 2.0), A[0], _grid_scale(s2, -1.0))
-    out[2] = A[3]
-    out[3] = _grid_sum(_grid_scale(A[1], -2.0), A[2], _grid_scale(s4, -1.0))
-    out[4] = A[5]
-    out[5] = _grid_scale(s6, -1.0)
-    out[6:] = tails
-    return out
+    return model.embedded_field(FloatArith(ms, pos), A, cap)
 
 
 def remainder_layer(A, alpha, ms, pos):

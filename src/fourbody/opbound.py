@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ivarray import _up, up_sum, mm_up_nonneg
+from .ivarray import _up, up_sum
 from .seqspace import nu_weights
 
 __all__ = [
@@ -123,7 +123,3 @@ def group_vec_norms(absv, layout: SpaceLayout, nu: float):
             out.append(up_sum(weighted[sl]))
     return np.array(out)
 
-
-def mat_absvec_up(absM, absv):
-    """Upper bound of |M| |v| for nonnegative data."""
-    return mm_up_nonneg(absM, absv)

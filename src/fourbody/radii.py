@@ -32,7 +32,6 @@ __all__ = [
     "poly_eval_iv",
     "verify_negative",
     "radii_newton",
-    "radii_fixedpoint",
     "content_digest",
 ]
 
@@ -191,22 +190,6 @@ def radii_newton(b: NKBounds, stage: str = "", inputs_digest: str = "") -> Certi
     upper = b.r_star if b.r_star is not None else 1.0
     return _scan(
         poly, upper, b.r_star, stage, "newton", inputs_digest, invertible=True
-    )
-
-
-def radii_fixedpoint(Y, Z, r_star: float, stage: str = "",
-                     inputs_digest: str = "") -> Certificate:
-    """Smallest verified radius for the fixed-point polynomial Z(r) - r + Y."""
-    if not r_star > 0.0:
-        raise ValueError("r_star must be positive")
-    Y = _as_iv_coeff(Y)
-    Z = tuple(_as_iv_coeff(c) for c in Z)
-    z0 = Z[0] if Z else Interval.point(0.0)
-    z1 = Z[1] if len(Z) > 1 else Interval.point(0.0)
-    poly = (Y + z0, z1 - 1.0) + Z[2:]
-    return _scan(
-        poly, r_star, r_star, stage, "fixedpoint", inputs_digest,
-        invertible=False,
     )
 
 

@@ -140,10 +140,6 @@ def _anchor_from_coeffs(cfg, coeffs: np.ndarray) -> model.PhaseAnchor:
     return model.PhaseAnchor.from_u0(tuple(float(t) for t in u0), cfg)
 
 
-def _orbit_amp(coeffs: np.ndarray, K: int) -> float:
-    return float(2.0 * abs(coeffs[4, K]))
-
-
 def _pinned_problem(cfg, K: int, amp: float, anchor: model.PhaseAnchor):
     """Square system for the family walk: unknowns (omega, y, A).
 
@@ -156,54 +152,18 @@ def _pinned_problem(cfg, K: int, amp: float, anchor: model.PhaseAnchor):
     ms, pos = numerics.cfg_floats(cfg)
     kv = numerics.kvals(K)
     n = 2 * K - 1
+    N = 5 + 9 * n
 
     def residual(z):
-        w_, y, A = z[0], z[1:5], z[5:].reshape(9, n)
-        F = numerics.field_rows(A, ms, pos)
-        diag = -1j * w_ * kv
-        rows = np.zeros((9, n), dtype=complex)
-        for i in range(9):
-            rows[i] = numerics.crop(F[i], K) + diag * A[i]
-        rows[1] += y[0] * A[1]
-        for j in range(3):
-            wslot = A[6 + j]
-            cube = np.convolve(np.convolve(wslot, wslot), wslot)
-            rows[6 + j] += y[1 + j] * numerics.crop(cube, K)
-        eta = numerics.eta_rows(A, anchor, pos)
-        sc = np.concatenate([[A[4, K] - amp / 2.0], eta])
-        return np.concatenate([sc, rows.ravel()])
+        pin = z[5 + 4 * n + K] - amp / 2.0
+        return np.concatenate(
+            [[pin], stages._orbit_residual(z[1:], z[0], anchor, K, ms, pos)])
 
     def jacobian(z):
-        w_, y, A = z[0], z[1:5], z[5:].reshape(9, n)
-        N = 5 + 9 * n
         J = np.zeros((N, N), dtype=complex)
         J[0, 5 + 4 * n + K] = 1.0
-        ent = numerics.eta_jacobian_entries(A, anchor, pos)
-        for r in range(4):
-            for j in range(9):
-                J[1 + r, 5 + j * n:5 + (j + 1) * n] = ent[r, j]
-        const, kers = numerics.derivative_kernels(A, ms, pos)
-        diag = -1j * w_ * kv
-        for i in range(9):
-            rs = slice(5 + i * n, 5 + (i + 1) * n)
-            J[rs, rs] += np.diag(diag)
-            J[rs, 0] = -1j * kv * A[i]
-            for j in range(9):
-                cs = slice(5 + j * n, 5 + (j + 1) * n)
-                if const[i][j] != 0.0:
-                    J[rs, cs] += const[i][j] * np.eye(n)
-                if kers[i][j] is not None:
-                    J[rs, cs] += numerics.toeplitz_window(kers[i][j], K)
-        r1 = slice(5 + 1 * n, 5 + 2 * n)
-        J[r1, r1] += y[0] * np.eye(n)
-        J[r1, 1] = A[1]
-        for j in range(3):
-            wslot = A[6 + j]
-            sq = np.convolve(wslot, wslot)
-            cube = np.convolve(sq, wslot)
-            bj = slice(5 + (6 + j) * n, 5 + (7 + j) * n)
-            J[bj, bj] += y[1 + j] * numerics.toeplitz_window(3.0 * sq, K)
-            J[bj, 2 + j] = numerics.crop(cube, K)
+        stages._orbit_jacobian(z[1:], z[0], anchor, K, ms, pos, out=J[1:, 1:])
+        J[5:, 0] = (-1j * kv * z[5:].reshape(9, n)).ravel()
         return J
 
     return residual, jacobian

@@ -1,15 +1,12 @@
 """Weighted coefficient spaces and their rigorous algebra.
 
-Three sequence families share the same weighted-l1 geometry:
+Two sequence families share the same weighted-l1 geometry:
 
 * two-sided complex Fourier windows a = (a_k), |k| <= K-1, with norm
   sum_k |a_k| nu^|k| (a Banach algebra under discrete convolution),
 * order-capped grids of Fourier windows indexed by alpha = (m, n) in N^2,
   normed by the sum of the layer norms (Taylor in two variables on top of
-  Fourier), again an algebra under the Cauchy-convolution product,
-* one-sided real Chebyshev windows with the doubled norm
-  |a_0| + 2 sum_{k>=1} |a_k| nu^k, multiplied through the even bi-infinite
-  extension a_{-k} = a_k.
+  Fourier), again an algebra under the Cauchy-convolution product.
 
 All norms and products return rigorous enclosures built on the interval
 kernels in ivarray; nothing here rounds to nearest.  Ball elements pair a
@@ -26,31 +23,22 @@ from .interval import (
     Interval,
     add_down,
     add_up,
-    div_up,
     mul_down,
     mul_up,
     iv_expi,
 )
 from .ivarray import (
     CArr,
-    RArr,
     carr_conv,
     down_sum,
-    rarr_conv,
-    ri_mig,
     up_sum,
     zero_masked_up,
     _dn,
-    _up,
 )
 
 
 class WeightMismatch(ValueError):
     """Operands live in spaces with different weights nu."""
-
-
-class ZeroOrderRequest(ValueError):
-    """hat_conv is only defined for |alpha| > 0."""
 
 
 class DomainExceeded(ValueError):
@@ -213,20 +201,6 @@ class FourierSeq:
         ik = CArr(np.zeros_like(k), np.zeros_like(k), k, k.copy())
         return FourierSeq(self.c.mul(ik), self.nu)
 
-    def inflate_ball(self, r: float) -> "FourierSeq":
-        """Entrywise enclosure of {a + e : norm(e) <= r}.
-
-        Any such e has |e_k| <= r nu^{-|k|}, so widening each rectangle by
-        that amount in both components covers the whole ball.
-        """
-        if r < 0:
-            raise ValueError("radius must be >= 0")
-        K = self.K
-        w_dn, _ = nu_weights(self.nu, K)
-        e = np.abs(self.k_values())
-        bump = _up(r / w_dn[e])
-        return FourierSeq(self.c.widen(bump), self.nu)
-
     # -- norms ---------------------------------------------------------------
 
     def norm(self) -> Interval:
@@ -241,18 +215,6 @@ class FourierSeq:
 
     def norm_upper(self) -> float:
         return self.norm().hi
-
-    def weighted_sup(self, k: int) -> float:
-        """Upper bound on sup_i |a_i| / nu^{|k-i|} (zero entries drop out)."""
-        K = self.K
-        mags = self.c.mag()
-        exps = np.abs(int(k) - self.k_values())
-        w_dn, _ = nu_weights(self.nu, int(exps.max()) + 1)
-        best = 0.0
-        for m, e in zip(mags, exps):
-            if m != 0.0:
-                best = max(best, div_up(float(m), float(w_dn[e])))
-        return best
 
     # -- serialization ---------------------------------------------------------
 
@@ -291,38 +253,6 @@ def conv(a: FourierSeq, b: FourierSeq) -> FourierSeq:
     if a.nu != b.nu:
         raise WeightMismatch("nu mismatch: %r vs %r" % (a.nu, b.nu))
     return FourierSeq(carr_conv(a.c, b.c), a.nu)
-
-
-def _norm_upper_of(b) -> float:
-    if isinstance(b, BallElement):
-        return b.norm_upper()
-    if isinstance(b, (FourierSeq, FourierTaylorSeq, ChebSeq)):
-        return b.norm().hi
-    return float(b)
-
-
-def dual_pair_bound(a: FourierSeq, b, k: int) -> Interval:
-    """Upper bound on |(a*b)_k| <= norm(b) * sup_i |a_i| / nu^{|k-i|}.
-
-    b may be a FourierSeq, a BallElement, or a plain norm bound; only its
-    norm enters.
-    """
-    bound = mul_up(_norm_upper_of(b), a.weighted_sup(k))
-    return Interval(0.0, bound)
-
-
-def split_tail(a: FourierSeq, K: int):
-    """Exact split a = head + tail with head supported on |k| < K."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    head = FourierSeq(a.c.copy(), a.nu)
-    tail = FourierSeq(a.c.copy(), a.nu)
-    mask = np.abs(a.k_values()) < K
-    for arr in (head.c.rl, head.c.rh, head.c.il, head.c.ih):
-        arr[~mask] = 0.0
-    for arr in (tail.c.rl, tail.c.rh, tail.c.il, tail.c.ih):
-        arr[mask] = 0.0
-    return head, BallElement(tail, 0.0)
 
 
 def project(a: FourierSeq, M: int) -> FourierSeq:
@@ -410,26 +340,6 @@ class FourierTaylorSeq:
             {k: s for k, s in self.entries.items() if k[0] + k[1] <= cap}, self.nu
         )
 
-    def conj_reflect_sym(self) -> "FourierTaylorSeq":
-        """Grid with layer (m,n) replaced by conj-reflect of layer (n,m)."""
-        return FourierTaylorSeq(
-            {(m, n): self.layer(n, m).conj_reflect() for (m, n) in self.entries},
-            self.nu,
-        )
-
-    def is_conj_symmetric(self) -> bool:
-        for (m, n), seq in self.entries.items():
-            r = self.layer(n, m).conj_reflect()
-            a, b = seq._align(r)
-            if not (
-                np.array_equal(a.c.rl, b.c.rl)
-                and np.array_equal(a.c.rh, b.c.rh)
-                and np.array_equal(a.c.il, b.c.il)
-                and np.array_equal(a.c.ih, b.c.ih)
-            ):
-                return False
-        return True
-
     def norm(self) -> Interval:
         his = []
         los = []
@@ -486,176 +396,6 @@ def ft_conv(b: FourierTaylorSeq, c: FourierTaylorSeq, cap: int | None = None) ->
             prev = out.get(key)
             out[key] = p if prev is None else prev.add(p)
     return FourierTaylorSeq(out, b.nu)
-
-
-def hat_conv(b: FourierTaylorSeq, c: FourierTaylorSeq, alpha) -> FourierSeq:
-    """Layer alpha of the product restricted to splits with both orders > 0.
-
-    Satisfies (b*c)_alpha = b_0 * c_alpha + b_alpha * c_0 + hat_conv(b,c,alpha)
-    and never reads layer alpha of either factor.
-    """
-    if b.nu != c.nu:
-        raise WeightMismatch
-    am, an = int(alpha[0]), int(alpha[1])
-    if am + an == 0:
-        raise ZeroOrderRequest("hat product undefined at alpha = 0")
-    acc = None
-    for (m1, n1), s1 in b.entries.items():
-        if m1 + n1 == 0:
-            continue
-        m2, n2 = am - m1, an - n1
-        if m2 < 0 or n2 < 0 or m2 + n2 == 0:
-            continue
-        s2 = c.entries.get((m2, n2))
-        if s2 is None:
-            continue
-        p = conv(s1, s2)
-        acc = p if acc is None else acc.add(p)
-    if acc is None:
-        return FourierSeq.zeros(1, b.nu)
-    return acc
-
-
-def ft_dual_pair_bound(a: FourierTaylorSeq, b, alpha, k: int) -> Interval:
-    """|(a*b)_{alpha,k}| <= norm(b) * max_{|beta|<=|alpha|} sup_i |a_{beta,k-i}|/nu^|i|."""
-    cap = int(alpha[0]) + int(alpha[1])
-    best = 0.0
-    for (m, n), seq in a.entries.items():
-        if m + n <= cap:
-            best = max(best, seq.weighted_sup(k))
-    return Interval(0.0, mul_up(_norm_upper_of(b), best))
-
-
-# -- Chebyshev windows -------------------------------------------------------
-
-
-class ChebSeq:
-    """One-sided real Chebyshev coefficients a_k, k = 0..n-1.
-
-    The function convention is f = a_0 + 2 sum_{k>=1} a_k T_k, so the norm
-    doubles every positive index and the product works through the even
-    extension a_{-k} = a_k.
-    """
-
-    __slots__ = ("c", "nu")
-
-    def __init__(self, c: RArr, nu: float):
-        if len(c) < 1:
-            raise ValueError("need at least the constant coefficient")
-        self.c = c
-        self.nu = _check_nu(nu)
-
-    @classmethod
-    def zeros(cls, n: int, nu: float) -> "ChebSeq":
-        return cls(RArr.zeros(n), nu)
-
-    @classmethod
-    def point(cls, coeffs, nu: float) -> "ChebSeq":
-        return cls(RArr.point(np.asarray(coeffs, dtype=float)), nu)
-
-    def __len__(self):
-        return len(self.c)
-
-    def at(self, k: int) -> Interval:
-        if 0 <= k < len(self.c):
-            return self.c.at(k)
-        return Interval.point(0.0)
-
-    def _align(self, o: "ChebSeq"):
-        if self.nu != o.nu:
-            raise WeightMismatch
-        n = max(len(self), len(o))
-        return self.pad_to(n), o.pad_to(n)
-
-    def pad_to(self, n: int) -> "ChebSeq":
-        if n <= len(self):
-            return self
-        z = np.zeros(n - len(self))
-        return ChebSeq(
-            RArr(np.concatenate([self.c.lo, z]), np.concatenate([self.c.hi, z])),
-            self.nu,
-        )
-
-    def add(self, o: "ChebSeq") -> "ChebSeq":
-        a, b = self._align(o)
-        return ChebSeq(a.c.add(b.c), self.nu)
-
-    def sub(self, o: "ChebSeq") -> "ChebSeq":
-        a, b = self._align(o)
-        return ChebSeq(a.c.sub(b.c), self.nu)
-
-    def neg(self) -> "ChebSeq":
-        return ChebSeq(self.c.neg(), self.nu)
-
-    def scale(self, t) -> "ChebSeq":
-        if isinstance(t, Interval):
-            return ChebSeq(self.c.scale_iv(t), self.nu)
-        return ChebSeq(self.c.scale(float(t)), self.nu)
-
-    def norm(self) -> Interval:
-        """Enclosure of |a_0| + 2 sum_{k>=1} |a_k| nu^k."""
-        n = len(self)
-        w_dn, w_up = nu_weights(self.nu, n)
-        mags_up = self.c.mag()
-        mags_dn = ri_mig(self.c.lo, self.c.hi)
-        dbl = np.full(n, 2.0)
-        dbl[0] = 1.0
-        hi = up_sum(zero_masked_up(mags_up * w_up * dbl, mags_up))
-        lo = max(down_sum(_dn(mags_dn * w_dn * dbl)), 0.0)
-        return Interval(min(lo, hi), hi)
-
-    def norm_upper(self) -> float:
-        return self.norm().hi
-
-    def to_json_obj(self):
-        return {
-            "nu": float(self.nu).hex(),
-            "entries": [
-                [k, float(self.c.lo[k]).hex(), float(self.c.hi[k]).hex()]
-                for k in range(len(self))
-            ],
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "ChebSeq":
-        nu = float.fromhex(obj["nu"])
-        n = len(obj["entries"])
-        out = cls.zeros(n, nu)
-        for k, lo, hi in obj["entries"]:
-            out.c.lo[int(k)] = float.fromhex(lo)
-            out.c.hi[int(k)] = float.fromhex(hi)
-        return cls(RArr(out.c.lo, out.c.hi), nu)
-
-    def __repr__(self):
-        return "ChebSeq(n=%d, nu=%g, |a|<=%g)" % (len(self), self.nu, self.norm().hi)
-
-
-def cheb_norm(a: ChebSeq) -> Interval:
-    return a.norm()
-
-
-def cheb_conv(a: ChebSeq, b: ChebSeq) -> ChebSeq:
-    """Product through the even extension: fold conv(ext a, ext b) to k >= 0.
-
-    With ext(a)_k = a_{|k|} this reproduces
-    (a*b)_k = a_0 b_k + sum_{j>=1} a_j (b_{|k-j|} + b_{k+j}).
-    """
-    if a.nu != b.nu:
-        raise WeightMismatch
-    ea = _even_extend(a.c)
-    eb = _even_extend(b.c)
-    full = rarr_conv(ea, eb)
-    mid = (len(full) - 1) // 2
-    return ChebSeq(full.slice(slice(mid, len(full))), a.nu)
-
-
-def _even_extend(c: RArr) -> RArr:
-    if len(c) == 1:
-        return c
-    rev = RArr(c.lo[:0:-1].copy(), c.hi[:0:-1].copy())
-    return RArr(
-        np.concatenate([rev.lo, c.lo]), np.concatenate([rev.hi, c.hi])
-    )
 
 
 # -- ball elements and evaluation -------------------------------------------

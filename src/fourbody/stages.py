@@ -33,19 +33,17 @@ certificates with a digest chain binding each stage to its predecessors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .interval import ComplexInterval, Interval
+from .interval import ComplexInterval, Interval, _as_iv
 from .ivarray import (
     CArr,
     cconv_mr,
     cmat_abs_up,
     cmm,
     conv_up_nonneg,
-    down_sum,
     mm_up_nonneg,
     up_sum,
     _dn,
@@ -92,20 +90,6 @@ class UnfoldingNotZero(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # small verified helpers
-
-
-def _mode_sum(s: FourierSeq) -> ComplexInterval:
-    re = Interval(down_sum(s.c.rl), up_sum(s.c.rh))
-    im = Interval(down_sum(s.c.il), up_sum(s.c.ih))
-    return ComplexInterval(re, im)
-
-
-def _const_seq(c, nu: float) -> FourierSeq:
-    if isinstance(c, Interval):
-        c = ComplexInterval(c, Interval.point(0.0))
-    if not isinstance(c, ComplexInterval):
-        c = ComplexInterval.point(complex(c))
-    return FourierSeq(CArr.from_civ_list([c]), nu)
 
 
 def _civ_ball(z: complex, r: float) -> ComplexInterval:
@@ -333,10 +317,7 @@ class _EnclMat:
         idx_c = np.arange(csl.start, csl.stop)
         self._add(idx_r, idx_c, c.re.lo, c.re.hi, c.im.lo, c.im.hi)
 
-    def add_row_const(self, row: int, csl: slice, c: ComplexInterval):
-        self._add(row, csl, c.re.lo, c.re.hi, c.im.lo, c.im.hi)
-
-    def add_row_entries(self, row: int, cols, c: ComplexInterval):
+    def add_row_const(self, row: int, cols, c: ComplexInterval):
         self._add(row, cols, c.re.lo, c.re.hi, c.im.lo, c.im.hi)
 
     def add_col_carr(self, rsl: slice, col: int, c: CArr):
@@ -386,24 +367,19 @@ class _StageContext:
                 if ker is not None:
                     self.kmags[i][j] = ker.c.mag()
                     self.knorms[i, j] = ker.norm_upper()
-        self.const = np.zeros((9, 9))
-        for i in range(9):
-            for j in range(9):
-                self.const[i, j] = self.df0.const[i][j]
+        self.const = np.array(self.df0.const)
         self._build_monomials()
 
     def _build_monomials(self):
         a0n = [s.norm_upper() for s in self.a0]
         monos = []
-        self.dx_norms = []
         for j in range(3):
             px, py, pz = self.cfg.position(j)
             mj = self.cfg.masses[j].mag()
             wn = a0n[6 + j]
-            dxn = self.a0[0].sub(_const_seq(px, self.nu)).norm_upper()
-            dyn = self.a0[2].sub(_const_seq(py, self.nu)).norm_upper()
-            dzn = self.a0[4].sub(_const_seq(pz, self.nu)).norm_upper()
-            self.dx_norms.append((dxn, dyn, dzn))
+            dxn = self.a0[0].sub(model._const_seq(px, self.nu)).norm_upper()
+            dyn = self.a0[2].sub(model._const_seq(py, self.nu)).norm_upper()
+            dzn = self.a0[4].sub(model._const_seq(pz, self.nu)).norm_upper()
             monos.append((("seq", 1), mj, (dxn, wn, wn, wn)))
             monos.append((("seq", 3), mj, (dyn, wn, wn, wn)))
             monos.append((("seq", 5), mj, (dzn, wn, wn, wn)))
@@ -460,60 +436,61 @@ def _unpack(z, ns: int, K: int):
     return z[:ns], z[ns:].reshape(9, n)
 
 
+def _orbit_residual(z, omega, anchor, K: int, ms, pos):
+    """Order-zero residual [eta, F(a) - i omega k a + G(y, a) on the window]."""
+    y, A = _unpack(z, 4, K)
+    n = 2 * K - 1
+    diag = -1j * omega * numerics.kvals(K)
+    F = numerics.field_grid([{(0, 0): a} for a in A], ms, pos, cap=0)
+    rows = np.zeros((9, n), dtype=complex)
+    for i in range(9):
+        rows[i] = numerics.crop(F[i][(0, 0)], K) + diag * A[i]
+    rows[1] += y[0] * A[1]
+    for j in range(3):
+        w = A[6 + j]
+        cube = np.convolve(np.convolve(w, w), w)
+        rows[6 + j] += y[1 + j] * numerics.crop(cube, K)
+    eta = numerics.eta_rows(A, anchor, pos)
+    return _pack(eta, rows)
+
+
+def _orbit_jacobian(z, omega, anchor, K: int, ms, pos, out=None):
+    """Jacobian of `_orbit_residual` in (y, a) at fixed omega.
+
+    Written into out (a zero square view of the same order) when given.
+    """
+    y, A = _unpack(z, 4, K)
+    n = 2 * K - 1
+    N = 4 + 9 * n
+    J = np.zeros((N, N), dtype=complex) if out is None else out
+    ent = numerics.eta_jacobian_entries(A, anchor, pos)
+    for r in range(4):
+        for j in range(9):
+            J[r, 4 + j * n:4 + (j + 1) * n] = ent[r, j]
+    const, kers = numerics.derivative_kernels(A, ms, pos)
+    numerics.base_block(const, kers, K, -1j * omega * numerics.kvals(K), out=J[4:, 4:])
+    b1 = slice(4 + n, 4 + 2 * n)
+    J[b1, b1] += y[0] * np.eye(n)
+    J[b1, 0] = A[1]
+    for j in range(3):
+        w = A[6 + j]
+        sq = np.convolve(w, w)
+        cube = np.convolve(sq, w)
+        bj = slice(4 + (6 + j) * n, 4 + (7 + j) * n)
+        J[bj, bj] += y[1 + j] * numerics.toeplitz_window(3.0 * sq, K)
+        J[bj, 1 + j] = numerics.crop(cube, K)
+    return J
+
+
 def orbit_problem(cfg, omega: float, anchor, K: int, nu: float,
                   tol: float = 1e-13) -> StageProblem:
     """Periodic orbit stage: unknowns (y in C^4, a_0); fixed frequency."""
     ms, pos = numerics.cfg_floats(cfg)
-    kv = numerics.kvals(K)
-    n = 2 * K - 1
-    diag = -1j * omega * kv
-
-    def residual(z):
-        y, A = _unpack(z, 4, K)
-        F = numerics.field_rows(A, ms, pos)
-        rows = np.zeros((9, n), dtype=complex)
-        for i in range(9):
-            rows[i] = numerics.crop(F[i], K) + diag * A[i]
-        rows[1] += y[0] * A[1]
-        for j in range(3):
-            w = A[6 + j]
-            cube = np.convolve(np.convolve(w, w), w)
-            rows[6 + j] += y[1 + j] * numerics.crop(cube, K)
-        eta = numerics.eta_rows(A, anchor, pos)
-        return _pack(eta, rows)
-
-    def jacobian(z):
-        y, A = _unpack(z, 4, K)
-        N = 4 + 9 * n
-        J = np.zeros((N, N), dtype=complex)
-        ent = numerics.eta_jacobian_entries(A, anchor, pos)
-        for r in range(4):
-            for j in range(9):
-                J[r, 4 + j * n:4 + (j + 1) * n] = ent[r, j]
-        const, kers = numerics.derivative_kernels(A, ms, pos)
-        for i in range(9):
-            rs = slice(4 + i * n, 4 + (i + 1) * n)
-            J[rs, rs] += np.diag(diag)
-            for j in range(9):
-                cs = slice(4 + j * n, 4 + (j + 1) * n)
-                if const[i][j] != 0.0:
-                    J[rs, cs] += const[i][j] * np.eye(n)
-                if kers[i][j] is not None:
-                    J[rs, cs] += numerics.toeplitz_window(kers[i][j], K)
-        b1 = slice(4 + n, 4 + 2 * n)
-        J[b1, b1] += y[0] * np.eye(n)
-        J[b1, 0] = A[1]
-        for j in range(3):
-            w = A[6 + j]
-            sq = np.convolve(w, w)
-            cube = np.convolve(sq, w)
-            bj = slice(4 + (6 + j) * n, 4 + (7 + j) * n)
-            J[bj, bj] += y[1 + j] * numerics.toeplitz_window(3.0 * sq, K)
-            J[bj, 1 + j] = numerics.crop(cube, K)
-        return J
-
-    return StageProblem((0, 0), 4, K, nu, omega, 0.0 + 0.0j,
-                        residual, jacobian, "order0", tol)
+    return StageProblem(
+        (0, 0), 4, K, nu, omega, 0.0 + 0.0j,
+        lambda z: _orbit_residual(z, omega, anchor, K, ms, pos),
+        lambda z: _orbit_jacobian(z, omega, anchor, K, ms, pos),
+        "order0", tol)
 
 
 def _window_sum(A: np.ndarray, K: int, k0: int) -> np.ndarray:
@@ -523,24 +500,29 @@ def _window_sum(A: np.ndarray, K: int, k0: int) -> np.ndarray:
     return A[:, lo:hi].sum(axis=1)
 
 
+def _bundle_jacobian(base: np.ndarray, z, K: int, k0: int) -> np.ndarray:
+    """Jacobian of the bundle residual in (lambda, a_1) around the base block."""
+    n = 2 * K - 1
+    lam, A = z[0], z[1:].reshape(9, n)
+    N = 1 + 9 * n
+    J = np.zeros((N, N), dtype=complex)
+    J[1:, 1:] = base - lam * np.eye(9 * n)
+    J[1:, 0] = -A.ravel()
+    S = _window_sum(A, K, k0)
+    lo = max(K - 1 - (k0 - 1), 0)
+    hi = min(K - 1 + k0, n)
+    for i in range(9):
+        J[0, 1 + i * n + lo:1 + i * n + hi] = 2.0 * S[i]
+    return J
+
+
 def bundle_problem(cfg, omega: float, A0: np.ndarray, k0: int, xi0: float,
                    K: int, nu: float, tol: float = 1e-13) -> StageProblem:
     """Floquet bundle stage: unknowns (lambda, a_1) at a frozen orbit center."""
     ms, pos = numerics.cfg_floats(cfg)
-    kv = numerics.kvals(K)
     n = 2 * K - 1
-    diag = -1j * omega * kv
     const, kers = numerics.derivative_kernels(np.asarray(A0, dtype=complex), ms, pos)
-    base = np.zeros((9 * n, 9 * n), dtype=complex)
-    for i in range(9):
-        rs = slice(i * n, (i + 1) * n)
-        base[rs, rs] += np.diag(diag)
-        for j in range(9):
-            cs = slice(j * n, (j + 1) * n)
-            if const[i][j] != 0.0:
-                base[rs, cs] += const[i][j] * np.eye(n)
-            if kers[i][j] is not None:
-                base[rs, cs] += numerics.toeplitz_window(kers[i][j], K)
+    base = numerics.base_block(const, kers, K, -1j * omega * numerics.kvals(K))
 
     def residual(z):
         lam, A = z[0], z[1:].reshape(9, n)
@@ -549,21 +531,17 @@ def bundle_problem(cfg, omega: float, A0: np.ndarray, k0: int, xi0: float,
         xi = np.sum(S * S) - xi0
         return _pack([xi], rows)
 
-    def jacobian(z):
-        lam, A = z[0], z[1:].reshape(9, n)
-        N = 1 + 9 * n
-        J = np.zeros((N, N), dtype=complex)
-        J[1:, 1:] = base - lam * np.eye(9 * n)
-        J[1:, 0] = -A.ravel()
-        S = _window_sum(A, K, k0)
-        lo = max(K - 1 - (k0 - 1), 0)
-        hi = min(K - 1 + k0, n)
-        for i in range(9):
-            J[0, 1 + i * n + lo:1 + i * n + hi] = 2.0 * S[i]
-        return J
+    return StageProblem((1, 0), 1, K, nu, omega, 0.0 + 0.0j, residual,
+                        lambda z: _bundle_jacobian(base, z, K, k0), "order1", tol)
 
-    return StageProblem((1, 0), 1, K, nu, omega, 0.0 + 0.0j,
-                        residual, jacobian, "order1", tol)
+
+def _lower_grids(jet: "JetTable", order: int, entry):
+    """Per component, the grid beta -> entry(seq, beta) over |beta| < order.
+
+    Sorted, so accumulation order does not depend on table insertion history.
+    """
+    return [{beta: entry(seqs[i], beta) for beta, seqs in sorted(jet.orders.items())
+             if beta[0] + beta[1] < order} for i in range(9)]
 
 
 def jet_problem(alpha, jet: "JetTable", cfg, tol: float = 1e-13) -> StageProblem:
@@ -573,29 +551,13 @@ def jet_problem(alpha, jet: "JetTable", cfg, tol: float = 1e-13) -> StageProblem
         raise ValueError("jet stages start at |alpha| = 2")
     K, nu, omega = jet.K, jet.nu, jet.omega
     ms, pos = numerics.cfg_floats(cfg)
-    kv = numerics.kvals(K)
     n = 2 * K - 1
     lam = jet.lambda_bar
     s = complex((m_ + n_) * lam.real, (m_ - n_) * lam.imag)
     A0 = np.array([sq.c.mid() for sq in jet.orders[(0, 0)]])
     const, kers = numerics.derivative_kernels(A0, ms, pos)
-    diag = -1j * omega * kv - s
-    base = np.zeros((9 * n, 9 * n), dtype=complex)
-    for i in range(9):
-        rs = slice(i * n, (i + 1) * n)
-        base[rs, rs] += np.diag(diag)
-        for j in range(9):
-            cs = slice(j * n, (j + 1) * n)
-            if const[i][j] != 0.0:
-                base[rs, cs] += const[i][j] * np.eye(n)
-            if kers[i][j] is not None:
-                base[rs, cs] += numerics.toeplitz_window(kers[i][j], K)
-    # sorted: accumulation order must not depend on table insertion history
-    grids = [
-        {beta: seqs[i].c.mid() for beta, seqs in sorted(jet.orders.items())
-         if beta[0] + beta[1] <= m_ + n_ - 1}
-        for i in range(9)
-    ]
+    base = numerics.base_block(const, kers, K, -1j * omega * numerics.kvals(K) - s)
+    grids = _lower_grids(jet, m_ + n_, lambda seq, beta: seq.c.mid())
     R = numerics.remainder_layer(grids, alpha, ms, pos)
     Rwin = np.array([numerics.crop(r, K) for r in R])
 
@@ -781,9 +743,7 @@ def _assemble_orbit(sol: "OrbitSolution", cfg) -> _Assembled:
     anchor = sol.anchor
     y = np.asarray(sol.y, dtype=complex)
 
-    prob = orbit_problem(cfg, omega, anchor, K, nu)
-    z = _pack(y, sol.coeffs)
-    J = prob.jacobian(z)
+    J = _orbit_jacobian(_pack(y, sol.coeffs), omega, anchor, K, ctx.ms, ctx.pos)
 
     E = _base_encl(ctx, ns, 0.0 + 0.0j)
     b1 = slice(ns + n, ns + 2 * n)
@@ -804,7 +764,7 @@ def _assemble_orbit(sol: "OrbitSolution", cfg) -> _Assembled:
         E.add_col_carr(bj, 1 + j, project(cube, K).c)
     E.add_col_carr(b1, 0, ctx.a0[1].c)
 
-    gs = [_mode_sum(sq) for sq in ctx.a0]
+    gs = [model._mode_sum(sq) for sq in ctx.a0]
     u1 = anchor.u1
     for i in range(9):
         cs = slice(ns + i * n, ns + (i + 1) * n)
@@ -877,9 +837,10 @@ def _assemble_bundle(sol: "BundleSolution", ctx: _StageContext, r0: float) -> _A
     lam = complex(sol.lam)
     a1 = [FourierSeq.point(row, nu) for row in sol.coeffs]
 
-    prob = bundle_problem(ctx.cfg, omega, ctx.A0, sol.k0, sol.xi0, K, nu)
     z = np.concatenate([[lam], np.asarray(sol.coeffs, dtype=complex).ravel()])
-    J = prob.jacobian(z)
+    base = numerics.base_block(ctx.fconst, ctx.fkers, K,
+                               -1j * omega * numerics.kvals(K))
+    J = _bundle_jacobian(base, z, K, sol.k0)
 
     E = _base_encl(ctx, ns, lam)
     for i in range(9):
@@ -889,10 +850,10 @@ def _assemble_bundle(sol: "BundleSolution", ctx: _StageContext, r0: float) -> _A
     Smags = []
     for i in range(9):
         win = project(a1[i], k0)
-        Si = _mode_sum(win)
+        Si = model._mode_sum(win)
         Smags.append(Si.mag())
         cols = ns + i * n + (K - 1) + np.arange(-(k0 - 1), k0)
-        E.add_row_entries(0, cols, Si * 2.0)
+        E.add_row_const(0, cols, Si * 2.0)
 
     resid_seqs = []
     Dapp = ctx.df0.apply(a1)
@@ -925,8 +886,8 @@ def _assemble_jet(alpha, centers, ctx: _StageContext, jet: "JetTable") -> _Assem
     lam = jet.lambda_bar
     s = complex(p * lam.real, (m_ - n_) * lam.imag)
 
-    prob = jet_problem(alpha, jet, ctx.cfg)
-    J = prob.jacobian(None)
+    J = numerics.base_block(ctx.fconst, ctx.fkers, K,
+                            -1j * omega * numerics.kvals(K) - s)
     E = _base_encl(ctx, ns, s)
 
     for row in centers:
@@ -971,113 +932,87 @@ def _is_point(seq: FourierSeq) -> bool:
 # fast verified remainder enclosures (midpoint-radius Fourier-Taylor grids)
 
 
-def _mr_scale_iv(vm, vr, c: Interval):
-    cm, crad = c.mid, _iv_rad_up(c)
-    am = _up(np.abs(vm) * (1.0 + 4.0 * 2.0 ** -53))
-    m2 = vm * cm
-    am2 = _up(np.abs(m2) * (1.0 + 4.0 * 2.0 ** -53))
-    r2 = _up(am2 * (2.0 ** -52))
-    r2 = _up(r2 + _up(am * crad) + _up(vr * _up(abs(cm) + crad)))
-    return m2, r2
+def _mr_add(qm, qr, vm, vr):
+    """Centered midpoint-radius sum of two odd-length disc arrays."""
+    nlen = max(len(qm), len(vm))
+    zm = np.zeros(nlen, dtype=complex)
+    zr = np.zeros(nlen)
+    for sm, sr in ((qm, qr), (vm, vr)):
+        off = (nlen - len(sm)) // 2
+        zm[off:off + len(sm)] += sm
+        zr[off:off + len(sr)] = _up(zr[off:off + len(sr)] + sr)
+    return [zm, _up(zr + _up(np.abs(zm) * (2.0 ** -52)))]
 
 
-def _mr_grid_conv(b, c, cap):
-    out = {}
-    for (m1, n1), (vm1, vr1) in b.items():
-        for (m2, n2), (vm2, vr2) in c.items():
-            m, n = m1 + m2, n1 + n2
-            if m + n > cap:
-                continue
-            pm, pr = cconv_mr(vm1, vr1, vm2, vr2)
-            prev = out.get((m, n))
-            if prev is None:
-                out[(m, n)] = [pm, pr]
-            else:
-                qm, qr = prev
-                nlen = max(len(qm), len(pm))
-                zm = np.zeros(nlen, dtype=complex)
-                zr = np.zeros(nlen)
-                for sm, sr in ((qm, qr), (pm, pr)):
-                    off = (nlen - len(sm)) // 2
-                    zm[off:off + len(sm)] += sm
-                    zr[off:off + len(sr)] = _up(zr[off:off + len(sr)] + sr)
-                zr = _up(zr + _up(np.abs(zm) * (2.0 ** -52)))
-                out[(m, n)] = [zm, zr]
-    return out
+class _MidRad:
+    """Midpoint-radius grids (m, n) -> [mid, rad] for `model.embedded_field`.
 
+    Each radius bounds the complex modulus of the error of its coefficient.
+    """
 
-def _mr_grid_sum(*grids):
-    out = {}
-    for g in grids:
+    truncate = staticmethod(numerics.ft_truncate)
+
+    def __init__(self, cfg):
+        self.masses = tuple(cfg.masses)
+        self.positions = tuple(cfg.position(j) for j in range(3))
+        self.zero = {}
+
+    @staticmethod
+    def mul(b, c, cap):
+        out = {}
+        for (m1, n1), (vm1, vr1) in b.items():
+            for (m2, n2), (vm2, vr2) in c.items():
+                m, n = m1 + m2, n1 + n2
+                if m + n > cap:
+                    continue
+                pm, pr = cconv_mr(vm1, vr1, vm2, vr2)
+                prev = out.get((m, n))
+                out[(m, n)] = [pm, pr] if prev is None else _mr_add(*prev, pm, pr)
+        return out
+
+    @staticmethod
+    def sum(*grids):
+        out = {}
+        for g in grids:
+            for a, (vm, vr) in g.items():
+                prev = out.get(a)
+                out[a] = [vm.copy(), vr.copy()] if prev is None else _mr_add(*prev, vm, vr)
+        return out
+
+    @staticmethod
+    def scale(g, c):
+        c = _as_iv(c)
+        cm, crad = c.mid, _iv_rad_up(c)
+        out = {}
         for a, (vm, vr) in g.items():
-            prev = out.get(a)
-            if prev is None:
-                out[a] = [vm.copy(), vr.copy()]
-            else:
-                qm, qr = prev
-                nlen = max(len(qm), len(vm))
-                zm = np.zeros(nlen, dtype=complex)
-                zr = np.zeros(nlen)
-                for sm, sr in ((qm, qr), (vm, vr)):
-                    off = (nlen - len(sm)) // 2
-                    zm[off:off + len(sm)] += sm
-                    zr[off:off + len(sr)] = _up(zr[off:off + len(sr)] + sr)
-                zr = _up(zr + _up(np.abs(zm) * (2.0 ** -52)))
-                out[a] = [zm, zr]
-    return out
+            am = _up(np.abs(vm) * (1.0 + 4.0 * 2.0 ** -53))
+            m2 = vm * cm
+            am2 = _up(np.abs(m2) * (1.0 + 4.0 * 2.0 ** -53))
+            r2 = _up(am2 * (2.0 ** -52))
+            out[a] = [m2, _up(r2 + _up(am * crad) + _up(vr * _up(abs(cm) + crad)))]
+        return out
 
+    @staticmethod
+    def shift(g, p: Interval):
+        out = {a: [vm.copy(), vr.copy()] for a, (vm, vr) in g.items()}
+        c = -p
+        ent = out.get((0, 0))
+        if ent is None:
+            out[(0, 0)] = [np.array([complex(c.mid)]), np.array([_iv_rad_up(c)])]
+        else:
+            vm, vr = ent
+            mid = len(vm) // 2
+            vm[mid] += complex(c.mid)
+            vr[mid] = _up(_up(vr[mid] + _iv_rad_up(c)) + _up(abs(vm[mid]) * (2.0 ** -52)))
+        return out
 
-def _mr_grid_scale(g, c: Interval):
-    return {a: list(_mr_scale_iv(vm, vr, c)) for a, (vm, vr) in g.items()}
-
-
-def _mr_grid_shift(g, c: Interval):
-    out = {a: [vm.copy(), vr.copy()] for a, (vm, vr) in g.items()}
-    ent = out.get((0, 0))
-    if ent is None:
-        out[(0, 0)] = [np.array([complex(c.mid)]), np.array([_iv_rad_up(c)])]
-    else:
-        vm, vr = ent
-        mid = len(vm) // 2
-        vm[mid] += complex(c.mid)
-        vr[mid] = _up(_up(vr[mid] + _iv_rad_up(c)) + _up(abs(vm[mid]) * (2.0 ** -52)))
-    return out
+    @staticmethod
+    def neg(g):
+        return _MidRad.scale(g, Interval.point(-1.0))
 
 
 def _mr_field_grid(G, cfg, cap: int):
-    s2, s4, s6 = {}, {}, {}
-    tails = []
-    for j in range(3):
-        px, py, pz = cfg.position(j)
-        w = G[6 + j]
-        sq = _mr_grid_conv(w, w, cap)
-        w3 = _mr_grid_conv(sq, w, cap)
-        dx = _mr_grid_shift(G[0], -px)
-        dy = _mr_grid_shift(G[2], -py)
-        dz = _mr_grid_shift(G[4], -pz)
-        qx = _mr_grid_conv(dx, w3, cap)
-        qy = _mr_grid_conv(dy, w3, cap)
-        qz = _mr_grid_conv(dz, w3, cap)
-        mj = cfg.masses[j]
-        s2 = _mr_grid_sum(s2, _mr_grid_scale(qx, mj))
-        s4 = _mr_grid_sum(s4, _mr_grid_scale(qy, mj))
-        s6 = _mr_grid_sum(s6, _mr_grid_scale(qz, mj))
-        tj = _mr_grid_sum(_mr_grid_conv(qx, G[1], cap),
-                          _mr_grid_conv(qy, G[3], cap),
-                          _mr_grid_conv(qz, G[5], cap))
-        tails.append(_mr_grid_scale(tj, Interval.point(-1.0)))
-    neg = Interval.point(-1.0)
-    two = Interval.point(2.0)
-    out = [None] * 9
-    out[0] = G[1]
-    out[1] = _mr_grid_sum(_mr_grid_scale(G[3], two), G[0], _mr_grid_scale(s2, neg))
-    out[2] = G[3]
-    out[3] = _mr_grid_sum(_mr_grid_scale(G[1], Interval.point(-2.0)), G[2],
-                          _mr_grid_scale(s4, neg))
-    out[4] = G[5]
-    out[5] = _mr_grid_scale(s6, neg)
-    out[6:] = tails
-    return out
+    return model.embedded_field(_MidRad(cfg), G, cap)
 
 
 def _remainder_enclosure(jet: "JetTable", cfg, alpha):
@@ -1085,14 +1020,7 @@ def _remainder_enclosure(jet: "JetTable", cfg, alpha):
     m_, n_ = int(alpha[0]), int(alpha[1])
     order = m_ + n_
     nu = jet.nu
-    grids = []
-    for i in range(9):
-        d = {}
-        for beta, seqs in sorted(jet.orders.items()):
-            if beta[0] + beta[1] <= order - 1:
-                c = seqs[i].c
-                d[beta] = [c.mid(), c.rad()]
-        grids.append(d)
+    grids = _lower_grids(jet, order, lambda seq, beta: [seq.c.mid(), seq.c.rad()])
     outs = _mr_field_grid(grids, cfg, cap=order)
     res = []
     for i in range(9):
@@ -1110,76 +1038,70 @@ def _remainder_enclosure(jet: "JetTable", cfg, alpha):
 # -- norm/error propagation for the lower-order data feeding a remainder ----
 
 
-def _nr_conv(b, c, cap):
-    out = {}
-    for (m1, n1), (N1, r1) in b.items():
-        for (m2, n2), (N2, r2) in c.items():
-            m, n = m1 + m2, n1 + n2
-            if m + n > cap:
-                continue
-            Np = _up(N1 * N2)
-            rp = _up(_up(_up(N1 * r2) + _up(r1 * N2)) + _up(r1 * r2))
-            prev = out.get((m, n), (0.0, 0.0))
-            out[(m, n)] = (float(_up(prev[0] + Np)), float(_up(prev[1] + rp)))
-    return out
+class _NormRad:
+    """Grids (m, n) -> (N, r) for `model.embedded_field`.
 
+    A layer stands for every sequence within norm distance r of a center of
+    norm at most N; the field outputs bound how far each layer of the field
+    moves as its inputs range over those balls.  Constants enter by their
+    modulus and negation is the identity.
+    """
 
-def _nr_sum(*grids):
-    out = {}
-    for g in grids:
-        for a, (Nv, rv) in g.items():
-            prev = out.get(a, (0.0, 0.0))
-            out[a] = (float(_up(prev[0] + Nv)), float(_up(prev[1] + rv)))
-    return out
+    truncate = staticmethod(numerics.ft_truncate)
 
+    def __init__(self, cfg):
+        self.masses = tuple(m.mag() for m in cfg.masses)
+        self.positions = tuple(tuple(c.mag() for c in cfg.position(j))
+                               for j in range(3))
+        self.zero = {}
 
-def _nr_scale(g, c: float):
-    return {a: (float(_up(Nv * c)), float(_up(rv * c))) for a, (Nv, rv) in g.items()}
+    @staticmethod
+    def mul(b, c, cap):
+        out = {}
+        for (m1, n1), (N1, r1) in b.items():
+            for (m2, n2), (N2, r2) in c.items():
+                m, n = m1 + m2, n1 + n2
+                if m + n > cap:
+                    continue
+                Np = _up(N1 * N2)
+                rp = _up(_up(_up(N1 * r2) + _up(r1 * N2)) + _up(r1 * r2))
+                prev = out.get((m, n), (0.0, 0.0))
+                out[(m, n)] = (float(_up(prev[0] + Np)), float(_up(prev[1] + rp)))
+        return out
 
+    @staticmethod
+    def sum(*grids):
+        out = {}
+        for g in grids:
+            for a, (Nv, rv) in g.items():
+                prev = out.get(a, (0.0, 0.0))
+                out[a] = (float(_up(prev[0] + Nv)), float(_up(prev[1] + rv)))
+        return out
 
-def _nr_shift(g, cmag: float):
-    out = dict(g)
-    Nv, rv = out.get((0, 0), (0.0, 0.0))
-    out[(0, 0)] = (float(_up(Nv + cmag)), rv)
-    return out
+    @staticmethod
+    def scale(g, c):
+        c = abs(c)
+        return {a: (float(_up(Nv * c)), float(_up(rv * c))) for a, (Nv, rv) in g.items()}
+
+    @staticmethod
+    def shift(g, cmag: float):
+        out = dict(g)
+        Nv, rv = out.get((0, 0), (0.0, 0.0))
+        out[(0, 0)] = (float(_up(Nv + cmag)), rv)
+        return out
+
+    @staticmethod
+    def neg(g):
+        return g
 
 
 def _remainder_error_budget(jet: "JetTable", cfg, alpha) -> float:
     """Bound on the remainder shift caused by the radii of all lower orders."""
     m_, n_ = int(alpha[0]), int(alpha[1])
     order = m_ + n_
-    grids = []
-    for i in range(9):
-        d = {}
-        for beta, seqs in sorted(jet.orders.items()):
-            if beta[0] + beta[1] <= order - 1:
-                d[beta] = (seqs[i].norm_upper(), jet.radii[beta])
-        grids.append(d)
-    s2, s4, s6 = {}, {}, {}
-    tails = []
-    for j in range(3):
-        px, py, pz = cfg.position(j)
-        w = grids[6 + j]
-        sq = _nr_conv(w, w, order)
-        w3 = _nr_conv(sq, w, order)
-        dx = _nr_shift(grids[0], px.mag())
-        dy = _nr_shift(grids[2], py.mag())
-        dz = _nr_shift(grids[4], pz.mag())
-        qx = _nr_conv(dx, w3, order)
-        qy = _nr_conv(dy, w3, order)
-        qz = _nr_conv(dz, w3, order)
-        mj = cfg.masses[j].mag()
-        s2 = _nr_sum(s2, _nr_scale(qx, mj))
-        s4 = _nr_sum(s4, _nr_scale(qy, mj))
-        s6 = _nr_sum(s6, _nr_scale(qz, mj))
-        tails.append(_nr_sum(_nr_conv(qx, grids[1], order),
-                             _nr_conv(qy, grids[3], order),
-                             _nr_conv(qz, grids[5], order)))
-    rows = [grids[1],
-            _nr_sum(_nr_scale(grids[3], 2.0), grids[0], s2),
-            grids[3],
-            _nr_sum(_nr_scale(grids[1], 2.0), grids[2], s4),
-            grids[5], s6] + tails
+    grids = _lower_grids(jet, order,
+                         lambda seq, beta: (seq.norm_upper(), jet.radii[beta]))
+    rows = model.embedded_field(_NormRad(cfg), grids, order)
     return max(r.get((m_, n_), (0.0, 0.0))[1] for r in rows)
 
 

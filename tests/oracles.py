@@ -47,31 +47,6 @@ def conv_exact(a, b):
     return out
 
 
-def conv_real_exact(a, b):
-    n, m = len(a), len(b)
-    out = [Fraction(0)] * (n + m - 1)
-    for i in range(n):
-        for j in range(m):
-            out[i + j] += a[i] * b[j]
-    return out
-
-
-def cheb_conv_exact(a, b):
-    """Chebyshev product coefficients from the defining identity.
-
-    Inputs are one-sided rational coefficient lists in the convention
-    f = a_0 + 2 sum_{k>=1} a_k T_k.  Computed by extending to symmetric
-    two-sided sequences, convolving, and reading off the one-sided part.
-    """
-    n, m = len(a), len(b)
-    ae = [a[abs(k)] for k in range(-(n - 1), n)] if n > 0 else []
-    be = [b[abs(k)] for k in range(-(m - 1), m)] if m > 0 else []
-    full = conv_real_exact(ae, be) if ae and be else []
-    # full index runs over k = -(n+m-2) .. (n+m-2); centre at n+m-2
-    c0 = n + m - 2
-    return [full[c0 + k] for k in range(0, n + m - 1)]
-
-
 def ft_conv_exact(a, b, cap):
     """Cauchy-convolution of two Fourier-Taylor grids of complex rationals.
 
@@ -82,33 +57,6 @@ def ft_conv_exact(a, b, cap):
     out = {}
     for (m1, n1), s1 in a.items():
         for (m2, n2), s2 in b.items():
-            mo, no = m1 + m2, n1 + n2
-            if mo + no > cap:
-                continue
-            c = conv_exact(s1, s2)
-            if (mo, no) in out:
-                prev = out[(mo, no)]
-                L = max(len(prev), len(c))
-                merged = []
-                for i in range(L):
-                    x = prev[i] if i < len(prev) else (Fraction(0), Fraction(0))
-                    y = c[i] if i < len(c) else (Fraction(0), Fraction(0))
-                    merged.append(cq_add(x, y))
-                out[(mo, no)] = merged
-            else:
-                out[(mo, no)] = c
-    return out
-
-
-def hat_conv_exact(a, b, cap):
-    """Like ft_conv_exact but keeping only splits with both orders nonzero."""
-    out = {}
-    for (m1, n1), s1 in a.items():
-        if m1 + n1 == 0:
-            continue
-        for (m2, n2), s2 in b.items():
-            if m2 + n2 == 0:
-                continue
             mo, no = m1 + m2, n1 + n2
             if mo + no > cap:
                 continue

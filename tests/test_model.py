@@ -29,7 +29,6 @@ from fourbody.model import (
     mass_combination,
     primaries,
     remainder_Ralpha,
-    unfold_dissipative_Gbeta,
     unfold_orbit_G,
     xi_phase,
 )
@@ -417,46 +416,6 @@ def test_energy_decreases_with_dissipation():
     )
     h0 = [jacobi_float(sol0.y[:, i], prim, masses) for i in range(len(ts))]
     assert max(abs(v - h0[0]) for v in h0) < 1e-8
-
-
-def test_unfold_dissipative_energy_rate():
-    cfg = primaries(UNEQUAL)
-    prim, masses = float_config(cfg)
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        u6 = rand_state6(rng, prim)
-        u9 = mids(embed_R(u6, cfg))
-        beta = rng.uniform(-0.8, 0.8)
-        fu = mids(field_F(u9, cfg))
-        gu = [float(t) for t in unfold_dissipative_Gbeta(beta, u9)]
-        v = [a + b for a, b in zip(fu, gu)]
-        h = 1e-6
-        up = [a + h * b for a, b in zip(u9, v)]
-        dn = [a - h * b for a, b in zip(u9, v)]
-        rate = (
-            jacobi_embedded_float(up, prim, masses)
-            - jacobi_embedded_float(dn, prim, masses)
-        ) / (2 * h)
-        speed2 = u9[1] ** 2 + u9[3] ** 2 + u9[5] ** 2
-        assert abs(rate + 2 * beta * speed2) < 1e-5
-
-
-def jacobi_embedded_float(u, prim, masses):
-    pot = masses[0] * u[6] + masses[1] * u[7] + masses[2] * u[8]
-    return u[0] ** 2 + u[2] ** 2 + 2 * pot - u[1] ** 2 - u[3] ** 2 - u[5] ** 2
-
-
-def test_unfold_dissipative_values():
-    out = unfold_dissipative_Gbeta(0.0, list(range(1, 10)))
-    assert all(v == 0.0 for v in out)
-    e2 = [0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-    out = unfold_dissipative_Gbeta(1.0, e2)
-    assert list(out) == e2
-    ivs = unfold_dissipative_Gbeta(0.5, [Interval.point(1.0)] * 9)
-    assert ivs[1].contains(0.5) and ivs[0].contains(0.0)
-    seqs = unfold_dissipative_Gbeta(2.0, [FourierSeq.point([1.0], 1.5)] * 9)
-    assert seqs[3].at(0).re.contains(2.0)
-    assert seqs[0].norm().hi == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from fourbody.radii import (
     NoNegativeRadius,
     content_digest,
     poly_eval_iv,
-    radii_fixedpoint,
     radii_newton,
     verify_negative,
 )
@@ -83,32 +82,6 @@ def test_newton_respects_domain_cap():
     cert = radii_newton(loose)
     assert cert.r0 < 0.5 and cert.r_max < 0.5
     assert cert.r_star == 0.5
-
-
-def test_fixedpoint_basic_certificate():
-    # P(r) = 0.01 - 0.5 r, negative for r > 0.02
-    assert verify_negative((Interval.point(0.01), Interval.point(-0.5)), 0.05)
-    cert = radii_fixedpoint(
-        Interval.point(0.01), (Interval.point(0.0), Interval.point(0.5)),
-        r_star=1.0, stage="tail",
-    )
-    assert 0.02 < cert.r0 < 0.03
-    assert cert.kind == "fixedpoint"
-    assert not cert.derivative_invertible
-    assert cert.recheck()
-
-
-def test_fixedpoint_identity_map_fails():
-    with pytest.raises(NoNegativeRadius):
-        radii_fixedpoint(
-            Interval.point(0.01), (Interval.point(0.0), Interval.point(1.0)),
-            r_star=1.0,
-        )
-
-
-def test_fixedpoint_requires_positive_cap():
-    with pytest.raises(ValueError):
-        radii_fixedpoint(Interval.point(0.0), (Interval.point(0.0),), r_star=0.0)
 
 
 def test_bounds_reject_negative_inputs():

@@ -10,34 +10,25 @@ from hypothesis import given, settings, strategies as st
 from fourbody.interval import ComplexInterval, Interval
 from fourbody.seqspace import (
     BallElement,
-    ChebSeq,
     DomainExceeded,
     FourierSeq,
     FourierTaylorSeq,
     WeightMismatch,
-    ZeroOrderRequest,
-    cheb_conv,
-    cheb_norm,
     conv,
-    dual_pair_bound,
     eval_series,
     ft_conv,
     ft_norm,
-    hat_conv,
     include,
     norm_l1nu,
     project,
-    split_tail,
 )
 
 from oracles import (
-    cheb_conv_exact,
     conv_exact,
     cq_add,
     cq_conj,
     cq_mul,
     ft_conv_exact,
-    hat_conv_exact,
     l1nu_norm_exact,
 )
 
@@ -184,75 +175,7 @@ def test_real_symmetry_closure():
         assert_seq_contains(sym, want, -(2 * K - 2))
 
 
-# -- dual pair bound ----------------------------------------------------------
-
-
-def test_dual_pair_identity_weight():
-    a = FourierSeq.from_entries({0: 1.0}, 2.0)
-    bd = dual_pair_bound(a, 1.0, 0)
-    assert 1.0 <= bd.hi <= 1.0 + 1e-12
-
-
-def test_dual_pair_offset_scan():
-    # a_1 = 1 at nu = 2, k = 3: sup_i |a_i|/nu^{|3-i|} = 1/4
-    a = FourierSeq.from_entries({1: 1.0}, 2.0)
-    bd = dual_pair_bound(a, 1.0, 3)
-    assert 0.25 <= bd.hi <= 0.25 + 1e-12
-
-
-def test_dual_pair_zero():
-    a = FourierSeq.zeros(4, 2.0)
-    bd = dual_pair_bound(a, 7.0, 2)
-    assert bd.lo == 0.0 and bd.hi == 0.0
-
-
-def test_dual_pair_dominates_true_coefficient():
-    for _ in range(25):
-        na = int(rng.integers(1, 5)) * 2 - 1
-        nb = int(rng.integers(1, 5)) * 2 - 1
-        ta, tb = rand_table(na), rand_table(nb)
-        a, b = seq_of(ta, 1.5), seq_of(tb, 1.5)
-        want = conv_exact(ta, tb)
-        kmin = -((na - 1) // 2 + (nb - 1) // 2)
-        for i, (re, im) in enumerate(want):
-            k = kmin + i
-            bd = dual_pair_bound(a, b, k)
-            assert Fraction(bd.hi) ** 2 >= re * re + im * im
-
-
 # -- split / project / include -------------------------------------------------
-
-
-def test_split_tail_recombines():
-    table = rand_table(11)
-    a = seq_of(table, 1.5)
-    head, ball = split_tail(a, 3)
-    assert ball.radius == 0.0
-    back = head.add(ball.center)
-    assert np.array_equal(back.c.rl, a.c.rl) or max_width(back) < 1e-12
-    assert_seq_contains(back, table, -5)
-    # head supported strictly below K, tail at and above
-    for k in range(-5, 6):
-        if abs(k) < 3:
-            c = ball.center.at(k)
-            assert c.re.lo == 0.0 == c.re.hi and c.im.lo == 0.0 == c.im.hi
-        else:
-            c = head.at(k)
-            assert c.re.lo == 0.0 == c.re.hi and c.im.lo == 0.0 == c.im.hi
-
-
-def test_split_tail_all_below():
-    a = seq_of(rand_table(5), 1.5)
-    head, ball = split_tail(a, 10)
-    assert ball.center.norm().hi == 0.0
-    assert ball.norm_upper() == 0.0
-
-
-def test_split_tail_boundary_index():
-    a = FourierSeq.from_entries({4: 2.0}, 1.0, K=5)
-    head, ball = split_tail(a, 4)
-    assert head.norm().hi == 0.0
-    assert ball.center.at(4).contains(complex(2.0, 0.0))
 
 
 def test_project_keeps_only_low_modes():
@@ -350,143 +273,6 @@ def test_ft_banach_algebra_law():
     a = rand_grid([(0, 0), (1, 0), (0, 2)], 3, 2.0)
     b = rand_grid([(0, 0), (1, 1)], 3, 2.0)
     assert ft_conv(a, b).norm().hi <= a.norm().hi * b.norm().hi * (1 + 1e-12)
-
-
-# -- hat product -----------------------------------------------------------------
-
-
-def test_hat_conv_zero_order_raises():
-    g = rand_grid([(0, 0), (1, 0)], 2, 1.5)
-    with pytest.raises(ZeroOrderRequest):
-        hat_conv(g, g, (0, 0))
-
-
-def test_hat_conv_no_admissible_split():
-    g = rand_grid([(0, 0), (1, 0), (0, 1)], 2, 1.5)
-    out = hat_conv(g, g, (1, 0))
-    assert out.norm().hi == 0.0
-
-
-def test_hat_conv_alpha11_two_splits():
-    b = rand_grid([(0, 0), (1, 0), (0, 1), (1, 1)], 2, 1.5)
-    c = rand_grid([(0, 0), (1, 0), (0, 1), (1, 1)], 2, 1.5)
-    out = hat_conv(b, c, (1, 1))
-    tb, tc = grid_tables(b), grid_tables(c)
-    want = conv_exact(tb[(1, 0)], tc[(0, 1)])
-    other = conv_exact(tb[(0, 1)], tc[(1, 0)])
-    want = [cq_add(x, y) for x, y in zip(want, other)]
-    assert_seq_contains(out, want, -2)
-
-
-def test_hat_conv_ignores_alpha_layer():
-    b = rand_grid([(0, 0), (1, 0), (0, 1), (2, 1)], 2, 1.5)
-    c = rand_grid([(0, 0), (1, 0), (1, 1)], 2, 1.5)
-    alpha = (2, 1)
-    out1 = hat_conv(b, c, alpha)
-    b2 = b.with_layer(2, 1, seq_of(rand_table(3), 1.5))
-    c2 = c.with_layer(2, 1, seq_of(rand_table(3), 1.5))
-    out2 = hat_conv(b2, c2, alpha)
-    assert np.array_equal(out1.c.rl, out2.c.rl)
-    assert np.array_equal(out1.c.ih, out2.c.ih)
-
-
-def test_hat_conv_decomposition_identity():
-    # (b*c)_alpha = b_0 * c_alpha + b_alpha * c_0 + (b hat* c)_alpha,
-    # checked exactly in rational arithmetic via the oracles
-    for _ in range(6):
-        orders = [(m, n) for m in range(3) for n in range(3) if m + n <= 3]
-        K = 2
-        b = rand_grid(orders, K, 1.5)
-        c = rand_grid(orders, K, 1.5)
-        tb, tc = grid_tables(b), grid_tables(c)
-        full = ft_conv_exact(tb, tc, 4)
-        hat = hat_conv_exact(tb, tc, 4)
-        for alpha in [(1, 0), (1, 1), (2, 1), (0, 2)]:
-            want = full[alpha]
-            lhs = hat.get(alpha, [(Fraction(0), Fraction(0))])
-            t0a = conv_exact(tb[(0, 0)], tc[alpha])
-            ta0 = conv_exact(tb[alpha], tc[(0, 0)])
-            L = len(want)
-
-            def pad(t):
-                missing = L - len(t)
-                off = missing // 2
-                return (
-                    [(Fraction(0), Fraction(0))] * off
-                    + t
-                    + [(Fraction(0), Fraction(0))] * (missing - off)
-                )
-
-            total = [
-                cq_add(cq_add(x, y), z)
-                for x, y, z in zip(pad(lhs), pad(t0a), pad(ta0))
-            ]
-            assert total == want
-            # and the package's hat enclosure contains the oracle hat value
-            got = hat_conv(b, c, alpha)
-            assert_seq_contains(got, lhs, -(len(lhs) // 2))
-
-
-# -- Chebyshev -----------------------------------------------------------------
-
-
-def rand_cheb(n, nu):
-    table = [Fraction(int(rng.integers(-500, 501)), 64) for _ in range(n)]
-    return table, ChebSeq.point(np.array([float(t) for t in table]), nu)
-
-
-def test_cheb_norm_examples():
-    e0 = ChebSeq.point([1.0], 2.0)
-    assert e0.norm().contains(1.0)
-    e1 = ChebSeq.point([0.0, 1.0], 2.0)
-    nm = e1.norm()
-    assert nm.contains(4.0)
-    assert nm.hi - nm.lo < 1e-13
-
-
-def test_cheb_conv_doubling_convention():
-    # with f = a_0 + 2 sum a_k T_k, the square of e_1 is 2 e_0 + e_2
-    e1 = ChebSeq.point([0.0, 1.0], 1.5)
-    out = cheb_conv(e1, e1)
-    assert out.at(0).contains(2.0)
-    assert out.at(1).contains(0.0)
-    assert out.at(2).contains(1.0)
-    assert out.norm().hi <= e1.norm().hi ** 2 * (1 + 1e-12)
-
-
-def test_cheb_conv_matches_rational_oracle():
-    for _ in range(25):
-        na = int(rng.integers(1, 7))
-        nb = int(rng.integers(1, 7))
-        ta, a = rand_cheb(na, 1.25)
-        tb, b = rand_cheb(nb, 1.25)
-        out = cheb_conv(a, b)
-        want = cheb_conv_exact(ta, tb)
-        assert len(out) == len(want)
-        for k, w in enumerate(want):
-            c = out.at(k)
-            assert Fraction(c.lo) <= w <= Fraction(c.hi)
-
-
-def test_cheb_conv_cross_representation():
-    # same product through the two-sided complex route
-    ta, a = rand_cheb(5, 1.5)
-    tb, b = rand_cheb(4, 1.5)
-    fa = FourierSeq.from_entries({k: float(ta[abs(k)]) for k in range(-4, 5)}, 1.5)
-    fb = FourierSeq.from_entries({k: float(tb[abs(k)]) for k in range(-3, 4)}, 1.5)
-    two_sided = conv(fa, fb)
-    folded = cheb_conv(a, b)
-    for k in range(len(folded)):
-        c = folded.at(k)
-        f = two_sided.at(k)
-        assert max(c.lo, f.re.lo) <= min(c.hi, f.re.hi)
-
-
-def test_cheb_norm_dominates_product():
-    for _ in range(10):
-        _, a = rand_cheb(int(rng.integers(1, 6)), 2.0)
-        _, b = rand_cheb(int(rng.integers(1, 6)), 2.0)
-        assert cheb_norm(cheb_conv(a, b)).hi <= a.norm().hi * b.norm().hi * (1 + 1e-12)
 
 
 # -- evaluation ------------------------------------------------------------------
@@ -592,13 +378,6 @@ def test_grid_roundtrip():
         assert np.array_equal(back.entries[key].c.rl, g.entries[key].c.rl)
 
 
-def test_cheb_roundtrip():
-    _, a = rand_cheb(6, 2.0)
-    blob = json.dumps(a.to_json_obj(), sort_keys=True)
-    back = ChebSeq.from_json_obj(json.loads(blob))
-    assert np.array_equal(back.c.lo, a.c.lo) and np.array_equal(back.c.hi, a.c.hi)
-
-
 # -- hypothesis sweeps ---------------------------------------------------------------
 
 
@@ -622,17 +401,3 @@ def test_hyp_conv_containment(la, lb):
     want = conv_exact(ta, tb)
     kmin = -((len(ta) - 1) // 2 + (len(tb) - 1) // 2)
     assert_seq_contains(out, want, kmin)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(coeff, min_size=1, max_size=5), st.lists(coeff, min_size=1, max_size=5))
-def test_hyp_cheb_conv_containment(la, lb):
-    ta = [Fraction(x, 32) for x in la]
-    tb = [Fraction(x, 32) for x in lb]
-    a = ChebSeq.point(np.array([float(t) for t in ta]), 1.25)
-    b = ChebSeq.point(np.array([float(t) for t in tb]), 1.25)
-    out = cheb_conv(a, b)
-    want = cheb_conv_exact(ta, tb)
-    for k, w in enumerate(want):
-        c = out.at(k)
-        assert Fraction(c.lo) <= w <= Fraction(c.hi)
