@@ -1015,13 +1015,35 @@ def _mr_field_grid(G, cfg, cap: int):
     return model.embedded_field(_MidRad(cfg), G, cap)
 
 
+# The jets of one order all read the same lower orders, so each remainder
+# arithmetic keeps its last field evaluation and reuses it while the inputs
+# are the same: the same cfg, the same center objects, the same radii.
+_LAST_LOWER_FIELD = {}
+
+
+def _lower_field(jet: "JetTable", cfg, arith, order: int, entry):
+    """`model.embedded_field` in `arith(cfg)` of the orders below `order`."""
+    lower = [(beta, seqs, jet.radii.get(beta))
+             for beta, seqs in sorted(jet.orders.items())
+             if beta[0] + beta[1] < order]
+    last = _LAST_LOWER_FIELD.get(arith)
+    if (last is not None and last[0] is cfg and last[1] == order
+            and len(last[2]) == len(lower)
+            and all(a == b and s is t and r == q
+                    for (a, s, r), (b, t, q) in zip(last[2], lower))):
+        return last[3]
+    out = model.embedded_field(arith(cfg), _lower_grids(jet, order, entry), order)
+    _LAST_LOWER_FIELD[arith] = (cfg, order, lower, out)
+    return out
+
+
 def _remainder_enclosure(jet: "JetTable", cfg, alpha):
     """Layer alpha of the field applied to the strictly-lower-order centers."""
     m_, n_ = int(alpha[0]), int(alpha[1])
     order = m_ + n_
     nu = jet.nu
-    grids = _lower_grids(jet, order, lambda seq, beta: [seq.c.mid(), seq.c.rad()])
-    outs = _mr_field_grid(grids, cfg, cap=order)
+    outs = _lower_field(jet, cfg, _MidRad, order,
+                        lambda seq, beta: [seq.c.mid(), seq.c.rad()])
     res = []
     for i in range(9):
         ent = outs[i].get((m_, n_))
@@ -1099,9 +1121,8 @@ def _remainder_error_budget(jet: "JetTable", cfg, alpha) -> float:
     """Bound on the remainder shift caused by the radii of all lower orders."""
     m_, n_ = int(alpha[0]), int(alpha[1])
     order = m_ + n_
-    grids = _lower_grids(jet, order,
-                         lambda seq, beta: (seq.norm_upper(), jet.radii[beta]))
-    rows = model.embedded_field(_NormRad(cfg), grids, order)
+    rows = _lower_field(jet, cfg, _NormRad, order,
+                        lambda seq, beta: (seq.norm_upper(), jet.radii[beta]))
     return max(r.get((m_, n_), (0.0, 0.0))[1] for r in rows)
 
 

@@ -5,7 +5,8 @@ One random Fourier-Taylor grid (K = 5, orders <= 3) goes through
 and norm/radius pairs.  The float values must lie in both enclosures, and
 moving the float inputs within given radii must move the outputs by no more
 than the norm/radius bound.  The remainder wrappers of `stages` and the
-derivative kernels get the same checks.
+derivative kernels get the same checks, and a remainder served from the
+last field evaluation must equal a fresh one.
 """
 
 from types import SimpleNamespace
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from fourbody import model, numerics, stages
+from fourbody.interval import Interval
 from fourbody.seqspace import FourierSeq, FourierTaylorSeq
 
 NU = 1.3
@@ -130,14 +132,19 @@ def test_norm_radius_bounds_the_float_field(cfg, data):
                 assert 0.0 < nu_norm(diff) <= r
 
 
-def test_remainder_wrappers_against_float(cfg, data):
-    grid, radii = data
+def lower_jet(grid, radii):
+    """A table stand-in holding the centers and radii of the orders below CAP."""
     low = [p for p in ORDERS if p[0] + p[1] < CAP]
-    jet = SimpleNamespace(
+    return SimpleNamespace(
         nu=NU,
         orders={b: tuple(FourierSeq.point(grid[i][b], NU) for i in range(9)) for b in low},
         radii={b: radii[b] for b in low},
     )
+
+
+def test_remainder_wrappers_against_float(cfg, data):
+    grid, radii = data
+    jet = lower_jet(grid, radii)
     ms, pos = numerics.cfg_floats(cfg)
     rng = np.random.default_rng(11)
     for alpha in [(3, 0), (2, 1)]:
@@ -151,6 +158,44 @@ def test_remainder_wrappers_against_float(cfg, data):
                 perturbed(grid, lambda i, beta: radii[beta], rng), alpha, ms, pos)
             moved = max(nu_norm(a - b) for a, b in zip(Rp, R))
             assert 0.0 < moved <= rho
+
+
+def remainders(jet, cfg, alpha, fresh):
+    if fresh:
+        stages._LAST_LOWER_FIELD.clear()
+    enc = stages._remainder_enclosure(jet, cfg, alpha)
+    bounds = [(s.c.rl, s.c.rh, s.c.il, s.c.ih) for s in enc]
+    if fresh:
+        stages._LAST_LOWER_FIELD.clear()
+    return bounds, stages._remainder_error_budget(jet, cfg, alpha)
+
+
+def assert_same(a, b):
+    (ea, ra), (eb, rb) = a, b
+    assert ra == rb
+    for x, y in zip(ea, eb):
+        for u, v in zip(x, y):
+            assert np.array_equal(u, v)
+
+
+def test_remainder_reuse_matches_fresh_evaluation(cfg, data):
+    grid, radii = data
+    jet = lower_jet(grid, radii)
+    remainders(jet, cfg, (3, 0), fresh=False)
+    # the second jet of the order reuses the field of the first
+    assert_same(remainders(jet, cfg, (2, 1), fresh=False),
+                remainders(jet, cfg, (2, 1), fresh=True))
+    before = remainders(jet, cfg, (2, 1), fresh=False)
+    # rescaled centers of one lower order, then a wider radius: both re-evaluate
+    jet.orders[(1, 0)] = tuple(s.scale(Interval.point(0.5))
+                               for s in jet.orders[(1, 0)])
+    moved = remainders(jet, cfg, (2, 1), fresh=False)
+    assert_same(moved, remainders(jet, cfg, (2, 1), fresh=True))
+    assert moved[1] != before[1]
+    jet.radii[(0, 1)] *= 2.0
+    wider = remainders(jet, cfg, (2, 1), fresh=False)
+    assert_same(wider, remainders(jet, cfg, (2, 1), fresh=True))
+    assert wider[1] > moved[1]
 
 
 def test_float_kernels_inside_interval_kernels(cfg, data):
