@@ -6,7 +6,11 @@ Two representations are used:
   float64 pairs, complex interval arrays are the 4-tuple (rl, rh, il, ih)
   wrapped in CArr.  Every elementary operation rounds outward by one ulp
   (numpy.nextafter), which is sound because binary64 arithmetic rounds to
-  nearest.
+  nearest.  Convolutions run through one batched kernel, carr_conv_batch:
+  it stacks many (a, b) pairs, forms the products of a block of shifts at
+  once, and adds them into each output coefficient in increasing shift
+  order, so the result is bit for bit that of a loop over one coefficient
+  at a time.  Its temporaries are bounded by a fixed block size.
 
 * midpoint-radius form for matrices: real matrices as (mid, rad), complex
   matrices as (mid complex128, rad float64) where rad bounds the complex
@@ -353,33 +357,87 @@ class CArr:
         )
 
 
-def carr_conv(a: CArr, b: CArr) -> CArr:
-    """Full convolution: out_k = sum_i a_i b_{k-i}."""
-    n, m = len(a), len(b)
-    if n == 0 or m == 0:
-        return CArr.zeros(0)
-    if n > m:
-        a, b = b, a
-        n, m = m, n
-    out = CArr.zeros(n + m - 1)
-    if not (b.rl.any() or b.rh.any() or b.il.any() or b.ih.any()):
-        return out
-    for i in range(n):
-        if a.rl[i] == 0.0 and a.rh[i] == 0.0 and a.il[i] == 0.0 and a.ih[i] == 0.0:
-            # the point zero annihilates; skipping keeps exact zeros exact
+# products per lane in one block of carr_conv_batch: about a dozen
+# temporaries of 4 * _CONV_BLOCK floats, near 12 MB, are live at a time
+_CONV_BLOCK = 1 << 15
+
+
+def carr_conv_batch(pairs) -> list:
+    """Full convolutions out_k = sum_i a_i b_{k-i} of many (a, b) pairs.
+
+    Each pair is ordered so that a is the shorter operand, then the pairs
+    are zero-padded to common lengths and stacked, so one numpy call works
+    on every pair at once.  Products b_j a_i come from the broadcast
+    ri_mul/ri_sub/ri_add over (pair, i, j) for a block of shifts i at a
+    time; each shift's row is then added into the output with ri_add in
+    increasing i.  So every output coefficient sees the same IEEE
+    operations, in the same order and with the same point-zero masks, as a
+    loop over i for a single pair: the padding and a point-zero a_i give
+    point-zero products, and ri_add leaves a sum exactly as it is when one
+    operand is the point zero.  A block holds at most _CONV_BLOCK products
+    per lane (a single shift when one shift of all pairs has more), which
+    bounds the temporaries.  Raises IntervalDomainError when a product or a
+    sum is not finite.
+    """
+    out = [None] * len(pairs)
+    live = []
+    for p, (a, b) in enumerate(pairs):
+        n, m = len(a), len(b)
+        if n == 0 or m == 0:
+            out[p] = CArr.zeros(0)
             continue
-        term = b.mul(
-            CArr(
-                np.full(m, a.rl[i]), np.full(m, a.rh[i]),
-                np.full(m, a.il[i]), np.full(m, a.ih[i]),
-            )
-        )
-        seg = slice(i, i + m)
-        rlo, rhi = ri_add(out.rl[seg], out.rh[seg], term.rl, term.rh)
-        ilo, ihi = ri_add(out.il[seg], out.ih[seg], term.il, term.ih)
-        out.rl[seg], out.rh[seg] = rlo, rhi
-        out.il[seg], out.ih[seg] = ilo, ihi
+        if n > m:
+            a, b = b, a
+            n, m = m, n
+        if not (b.rl.any() or b.rh.any() or b.il.any() or b.ih.any()):
+            out[p] = CArr.zeros(n + m - 1)
+            continue
+        live.append((p, a, b))
+    if not live:
+        return out
+    P = len(live)
+    N = max(len(a) for _, a, _ in live)
+    M = max(len(b) for _, _, b in live)
+    # lanes rl, rh, il, ih of every pair, padded with point zeros
+    A = np.zeros((4, P, N))
+    B = np.zeros((4, P, M))
+    for q, (_, a, b) in enumerate(live):
+        A[:, q, :len(a)] = (a.rl, a.rh, a.il, a.ih)
+        B[:, q, :len(b)] = (b.rl, b.rh, b.il, b.ih)
+    # b * a_i as in CArr.mul: the four real products t1 = re b re a,
+    # t2 = im b im a, t3 = re b im a, t4 = im b re a share one ri_mul
+    blo = B[[0, 2, 0, 2], :, None, :]
+    bhi = B[[1, 3, 1, 3], :, None, :]
+    alo_all = A[[0, 2, 2, 0]]
+    ahi_all = A[[1, 3, 3, 1]]
+    # accumulated sums: [re, im] lanes of the lower and the upper endpoints
+    lo = np.zeros((2, P, N + M - 1))
+    hi = np.zeros((2, P, N + M - 1))
+    step = max(1, _CONV_BLOCK // (P * M))
+    for i0 in range(0, N, step):
+        i1 = min(N, i0 + step)
+        tlo, thi = ri_mul(blo, bhi, alo_all[:, :, i0:i1, None],
+                          ahi_all[:, :, i0:i1, None])
+        rlo, rhi = ri_sub(tlo[0], thi[0], tlo[1], thi[1])
+        ilo, ihi = ri_add(tlo[2], thi[2], tlo[3], thi[3])
+        plo, phi = np.stack((rlo, ilo)), np.stack((rhi, ihi))
+        if not (np.isfinite(plo).all() and np.isfinite(phi).all()):
+            raise IntervalDomainError("non-finite product in carr_conv")
+        if (plo > phi).any():
+            raise IntervalDomainError("inverted product in carr_conv")
+        for t in range(i1 - i0):
+            seg = slice(i0 + t, i0 + t + M)
+            lo[:, :, seg], hi[:, :, seg] = ri_add(
+                lo[:, :, seg], hi[:, :, seg], plo[:, :, t], phi[:, :, t])
+    for q, (p, a, b) in enumerate(live):
+        L = len(a) + len(b) - 1
+        out[p] = CArr(lo[0, q, :L], hi[0, q, :L], lo[1, q, :L], hi[1, q, :L])
     return out
+
+
+def carr_conv(a: CArr, b: CArr) -> CArr:
+    """Full convolution out_k = sum_i a_i b_{k-i}: carr_conv_batch of one pair."""
+    return carr_conv_batch([(a, b)])[0]
 
 
 # -- midpoint-radius matrices -------------------------------------------

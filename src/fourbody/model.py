@@ -38,7 +38,7 @@ from .interval import (
     ZERO,
     _as_iv,
 )
-from .ivarray import CArr, down_sum, up_sum
+from .ivarray import CArr, carr_conv_batch, down_sum, up_sum
 from .seqspace import (
     FourierSeq,
     FourierTaylorSeq,
@@ -530,6 +530,11 @@ class DF0:
         h = _nine(h, "sequence")
         if h[0].nu != self.nu:
             raise WeightMismatch("argument nu differs from derivative nu")
+        # every kernel product in one batched convolution, then each row
+        # sums its entries in the order (constant, kernel) per column j
+        prods = iter(carr_conv_batch([
+            (ker.c, h[j].c) for row in self.kernels
+            for j, ker in enumerate(row) if ker is not None]))
         out = []
         for i in range(9):
             acc = FourierSeq.zeros(1, self.nu)
@@ -537,9 +542,8 @@ class DF0:
                 c = self.const[i][j]
                 if c != 0.0:
                     acc = acc.add(h[j].scale(c))
-                ker = self.kernels[i][j]
-                if ker is not None:
-                    acc = acc.add(conv(ker, h[j]))
+                if self.kernels[i][j] is not None:
+                    acc = acc.add(FourierSeq(next(prods), self.nu))
             out.append(acc)
         return tuple(out)
 

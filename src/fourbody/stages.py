@@ -454,10 +454,12 @@ def _orbit_residual(z, omega, anchor, K: int, ms, pos):
     return _pack(eta, rows)
 
 
-def _orbit_jacobian(z, omega, anchor, K: int, ms, pos, out=None):
+def _orbit_jacobian(z, omega, anchor, K: int, ms, pos, out=None, kernels=None):
     """Jacobian of `_orbit_residual` in (y, a) at fixed omega.
 
     Written into out (a zero square view of the same order) when given.
+    kernels is (const, kers) of `numerics.derivative_kernels` at the rows
+    of z, when the caller already has them.
     """
     y, A = _unpack(z, 4, K)
     n = 2 * K - 1
@@ -467,7 +469,9 @@ def _orbit_jacobian(z, omega, anchor, K: int, ms, pos, out=None):
     for r in range(4):
         for j in range(9):
             J[r, 4 + j * n:4 + (j + 1) * n] = ent[r, j]
-    const, kers = numerics.derivative_kernels(A, ms, pos)
+    if kernels is None:
+        kernels = numerics.derivative_kernels(A, ms, pos)
+    const, kers = kernels
     numerics.base_block(const, kers, K, -1j * omega * numerics.kvals(K), out=J[4:, 4:])
     b1 = slice(4 + n, 4 + 2 * n)
     J[b1, b1] += y[0] * np.eye(n)
@@ -734,16 +738,16 @@ def _base_encl(ctx: _StageContext, ns: int, s: complex) -> _EnclMat:
     return E
 
 
-def _assemble_orbit(sol: "OrbitSolution", cfg) -> _Assembled:
-    ctx = _StageContext([FourierSeq.point(row, sol.nu) for row in sol.coeffs],
-                        cfg, sol.omega, sol.K, sol.nu)
+def _assemble_orbit(sol: "OrbitSolution", ctx: _StageContext) -> _Assembled:
+    cfg = ctx.cfg
     K, nu, omega = ctx.K, ctx.nu, ctx.omega
     n = 2 * K - 1
     ns = 4
     anchor = sol.anchor
     y = np.asarray(sol.y, dtype=complex)
 
-    J = _orbit_jacobian(_pack(y, sol.coeffs), omega, anchor, K, ctx.ms, ctx.pos)
+    J = _orbit_jacobian(_pack(y, sol.coeffs), omega, anchor, K, ctx.ms, ctx.pos,
+                        kernels=(ctx.fconst, ctx.fkers))
 
     E = _base_encl(ctx, ns, 0.0 + 0.0j)
     b1 = slice(ns + n, ns + 2 * n)
@@ -1159,6 +1163,8 @@ class Order0Result:
     r0: float
     cert: Certificate
     bounds: dict
+    # (solution, cfg, _StageContext) of the validation, for start_jet_table
+    context: object = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -1192,7 +1198,9 @@ def _seqs_digest_obj(seqs):
 
 def validate_order0(solution: OrbitSolution, cfg, *, r_star: float = 1e-2) -> Order0Result:
     """Certify the periodic orbit; the unfolding enclosure must contain zero."""
-    asm = _assemble_orbit(solution, cfg)
+    ctx = _StageContext(solution.seqs(), cfg, solution.omega, solution.K,
+                        solution.nu)
+    asm = _assemble_orbit(solution, ctx)
     digest = content_digest({
         "stage": "order0",
         "omega": float(solution.omega).hex(),
@@ -1214,7 +1222,8 @@ def validate_order0(solution: OrbitSolution, cfg, *, r_star: float = 1e-2) -> Or
             )
     balls = tuple(BallElement(sq, r0) for sq in solution.seqs())
     yenc = tuple(_civ_ball(complex(t), r0) for t in solution.y)
-    return Order0Result(balls, yenc, r0, cert, report)
+    return Order0Result(balls, yenc, r0, cert, report,
+                        context=(solution, cfg, ctx))
 
 
 def _context_for(jet: "JetTable", cfg) -> _StageContext:
@@ -1444,6 +1453,9 @@ def start_jet_table(kind: str, sol: OrbitSolution, res: Order0Result, cfg,
     jet.radii[(0, 0)] = res.r0
     jet.certs["order0"] = res.cert
     jet.digests["order0"] = content_digest(res.cert.to_json_obj())
+    if res.context is not None and res.context[0] is sol and res.context[1] is cfg:
+        # the order-0 context of validate_order0 is the one the table needs
+        jet.ctx_cache = res.context[1:]
 
     prob = bundle_problem(cfg, sol.omega, sol.coeffs, k0, xi0, sol.K, sol.nu,
                           tol=tol)

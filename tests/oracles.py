@@ -1,13 +1,20 @@
-"""Independent exact-arithmetic oracles used to freeze expected values.
+"""Independent oracles used to freeze expected values.
 
-Everything here works over rationals (fractions.Fraction), so the results
-are exact and make no reference to the code under test.  Complex rationals
-are (re, im) Fraction pairs.
+Everything here but `carr_conv_reference` works over rationals
+(fractions.Fraction), so the results are exact and make no reference to the
+code under test.  Complex rationals are (re, im) Fraction pairs.
+`carr_conv_reference` is the plain per-coefficient loop of the endpoint
+interval convolution, the bit-level definition the batched kernel must
+reproduce.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+import numpy as np
+
+from fourbody.ivarray import CArr, ri_add
 
 
 def q(x) -> Fraction:
@@ -115,4 +122,33 @@ def primaries_geometric(m1: Fraction, m2: Fraction, m3: Fraction, sqrt3: Fractio
         xr = x * (-x0) + y * (-y0)  # = r^2 * (rotated x)/r
         yr = -x * (-y0) + y * (-x0)
         out.append((xr, yr, r2))  # rotated coords are (xr/r, yr/r), r=sqrt(r2)
+    return out
+
+
+def carr_conv_reference(a: CArr, b: CArr) -> CArr:
+    """Full convolution out_k = sum_i a_i b_{k-i}, one shift i at a time."""
+    n, m = len(a), len(b)
+    if n == 0 or m == 0:
+        return CArr.zeros(0)
+    if n > m:
+        a, b = b, a
+        n, m = m, n
+    out = CArr.zeros(n + m - 1)
+    if not (b.rl.any() or b.rh.any() or b.il.any() or b.ih.any()):
+        return out
+    for i in range(n):
+        if a.rl[i] == 0.0 and a.rh[i] == 0.0 and a.il[i] == 0.0 and a.ih[i] == 0.0:
+            # the point zero annihilates; skipping keeps exact zeros exact
+            continue
+        term = b.mul(
+            CArr(
+                np.full(m, a.rl[i]), np.full(m, a.rh[i]),
+                np.full(m, a.il[i]), np.full(m, a.ih[i]),
+            )
+        )
+        seg = slice(i, i + m)
+        rlo, rhi = ri_add(out.rl[seg], out.rh[seg], term.rl, term.rh)
+        ilo, ihi = ri_add(out.il[seg], out.ih[seg], term.il, term.ih)
+        out.rl[seg], out.rh[seg] = rlo, rhi
+        out.il[seg], out.ih[seg] = ilo, ihi
     return out

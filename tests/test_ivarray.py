@@ -3,14 +3,16 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fourbody.interval import ComplexInterval, Interval
+from fourbody.interval import ComplexInterval, Interval, IntervalDomainError
 from fourbody.ivarray import (
     CArr,
     RArr,
     carr_conv,
+    carr_conv_batch,
     cmat_abs_up,
     cmm,
     mm_up_nonneg,
@@ -18,7 +20,7 @@ from fourbody.ivarray import (
     rmm,
     up_sum,
 )
-from oracles import cq_mul, cq_add, conv_exact
+from oracles import carr_conv_reference, cq_mul, cq_add, conv_exact
 
 rng = np.random.default_rng(20260814)
 
@@ -207,3 +209,95 @@ def test_cmat_abs_up_dominates():
     Ar = np.abs(rng.standard_normal((8, 8))) * 1e-10
     m = cmat_abs_up(Am, Ar)
     assert (m >= np.abs(Am)).all()
+
+
+# -- the batched convolution against the per-coefficient loop, bit for bit
+
+
+def assert_same_bits(got: CArr, want: CArr):
+    for lane in ("rl", "rh", "il", "ih"):
+        g, w = getattr(got, lane), getattr(want, lane)
+        assert g.shape == w.shape, lane
+        assert np.array_equal(g, w), lane
+        assert np.array_equal(np.signbit(g), np.signbit(w)), lane
+
+
+# one scale puts products of two entries below the normal range
+_SCALES = (1.0, 1e3, 1e-3, 1e-160)
+_KINDS = ("zero", "signed_zero", "point", "interval", "half_zero")
+_mant = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False,
+                  allow_subnormal=False)
+
+
+@st.composite
+def endpoint_entry(draw):
+    kind = draw(st.sampled_from(_KINDS))
+    if kind == "zero":
+        return (0.0, 0.0, 0.0, 0.0)
+    if kind == "signed_zero":
+        return tuple(draw(st.sampled_from((0.0, -0.0))) for _ in range(4))
+    scale = draw(st.sampled_from(_SCALES))
+    x, y = draw(_mant) * scale, draw(_mant) * scale
+    if kind == "point":
+        return (x, x, y, y)
+    if kind == "half_zero":
+        return (x, x, 0.0, 0.0) if draw(st.booleans()) else (0.0, 0.0, y, y)
+    xr, yr = draw(_mant) * scale, draw(_mant) * scale
+    return (min(x, xr), max(x, xr), min(y, yr), max(y, yr))
+
+
+@st.composite
+def endpoint_carr(draw):
+    n = draw(st.integers(min_value=0, max_value=7))
+    if n and draw(st.integers(min_value=0, max_value=5)) == 0:
+        return CArr.zeros(n)
+    entries = [draw(endpoint_entry()) for _ in range(n)]
+    return CArr(*np.array(entries, dtype=float).reshape(n, 4).T)
+
+
+@given(st.lists(st.tuples(endpoint_carr(), endpoint_carr()), min_size=1,
+                max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_carr_conv_batch_matches_reference_bits(pairs):
+    got = carr_conv_batch(pairs)
+    assert len(got) == len(pairs)
+    for (a, b), r in zip(pairs, got):
+        want = carr_conv_reference(a, b)
+        assert_same_bits(r, want)
+        assert_same_bits(carr_conv(a, b), want)
+
+
+def test_carr_conv_batch_named_cases():
+    point = CArr.point(rng.standard_normal(6) + 1j * rng.standard_normal(6))
+    wide = random_carr(4, width=1e-3)
+    zero_rows = point.copy()
+    for lane in (zero_rows.rl, zero_rows.rh, zero_rows.il, zero_rows.ih):
+        lane[[0, 3]] = 0.0
+    zero_rows.rl[1] = zero_rows.rh[1] = -0.0
+    tiny = CArr.point((rng.standard_normal(5) + 1j * rng.standard_normal(5)) * 1e-160)
+    pairs = [
+        (point, wide),                      # n > m: the operands swap
+        (wide, point),
+        (zero_rows, wide),                  # point-zero rows of a
+        (wide, CArr.zeros(7)),              # all-zero b
+        (tiny, tiny),                       # subnormal products
+        (tiny, wide),
+        (CArr.zeros(0), point),             # empty operand
+        (point, CArr.zeros(0)),
+    ]
+    mags = np.abs(tiny.mul(tiny).rl)
+    assert ((mags > 0.0) & (mags < 2.2e-308)).any()
+    for (a, b), r in zip(pairs, carr_conv_batch(pairs)):
+        assert_same_bits(r, carr_conv_reference(a, b))
+    assert len(carr_conv_batch([])) == 0
+
+
+def test_carr_conv_overflow_raises():
+    big = CArr.point(np.array([1e200, -1e200j, 3e199]))
+    small = random_carr(3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for conv in (carr_conv, carr_conv_reference):
+            with pytest.raises(IntervalDomainError):
+                conv(big, big)
+        with pytest.raises(IntervalDomainError):
+            carr_conv_batch([(small, small), (big, small), (big, big)])

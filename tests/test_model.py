@@ -17,6 +17,7 @@ from fourbody.model import (
     OrderTooLow,
     PhaseAnchor,
     PrimaryConfig,
+    dF0,
     dF0_apply,
     embed_R,
     eta_phase,
@@ -34,7 +35,7 @@ from fourbody.model import (
 )
 from fourbody.seqspace import FourierSeq, FourierTaylorSeq
 
-from oracles import conv_exact, cq, primaries_geometric
+from oracles import carr_conv_reference, conv_exact, cq, primaries_geometric
 
 EQUAL = MassTriple.of("1/3", "1/3", "1/3")
 UNEQUAL = MassTriple.of(0.4, 0.33, 0.27)
@@ -561,6 +562,33 @@ def test_dF0_zero_and_linearity():
             got.re.intersect(want.re)
             got.im.intersect(want.im)
             assert abs(got.mid - want.mid) < 1e-13
+
+
+def test_dF0_apply_matches_entrywise_chain_bits():
+    rng = np.random.default_rng(43)
+    cfg = primaries(MassTriple.of("1/2", "3/10", "1/5"))
+    nu = 1.5
+    K = 5
+    a0 = rand_seq9(rng, nu, K=K, scale=0.2, offset=[0.1, 0, -0.2, 0, 0.05, 0, 1.2, 0.8, 1.0])
+    D = dF0(a0, cfg)
+    h = rand_seq9(rng, nu, K=K, scale=0.5)
+    h[2] = h[2].add(FourierSeq.point(np.full(2 * K - 1, 1e-9 + 0j), nu))
+    h[3] = FourierSeq.zeros(K, nu)
+    h[7] = FourierSeq(h[7].c.widen(1e-12), nu)
+    got = D.apply(h)
+    for i in range(9):
+        acc = FourierSeq.zeros(1, nu)
+        for j in range(9):
+            c = D.const[i][j]
+            if c != 0.0:
+                acc = acc.add(h[j].scale(c))
+            ker = D.kernels[i][j]
+            if ker is not None:
+                acc = acc.add(FourierSeq(carr_conv_reference(ker.c, h[j].c), nu))
+        for lane in ("rl", "rh", "il", "ih"):
+            g, w = getattr(got[i].c, lane), getattr(acc.c, lane)
+            assert np.array_equal(g, w), (i, lane)
+            assert np.array_equal(np.signbit(g), np.signbit(w)), (i, lane)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,15 @@ def test_real_part_of_lambda_excludes_zero(run):
     assert table.re_lambda_mig() > 0.0
 
 
+def test_jet_table_reuses_the_order0_context(run):
+    cfg, res0, start, _ = run
+    sol, res_cfg, ctx = res0.context
+    assert res_cfg is cfg
+    assert start.ctx_cache[0] is cfg and start.ctx_cache[1] is ctx
+    for seq, row in zip(ctx.a0, sol.coeffs):
+        assert np.array_equal(seq.c.mid(), row)
+
+
 def test_json_roundtrip_keeps_digest(run):
     _, _, _, table = run
     blob = json.dumps(table.to_json_obj())
