@@ -206,12 +206,6 @@ class Interval:
             return self.lo <= x.lo and x.hi <= self.hi
         return self.lo <= x <= self.hi
 
-    def interior_contains(self, x: float) -> bool:
-        return self.lo < x < self.hi
-
-    def is_subset(self, other: "Interval") -> bool:
-        return other.lo <= self.lo and self.hi <= other.hi
-
     def straddles_zero(self) -> bool:
         return self.lo <= 0.0 <= self.hi
 
@@ -463,9 +457,6 @@ class ComplexInterval:
         i = self.im.mig()
         s = add_down(mul_down(r, r), mul_down(i, i))
         return sqrt_down(max(s, 0.0))
-
-    def abs2(self) -> Interval:
-        return self.re.pow_int(2) + self.im.pow_int(2)
 
     def hex_quad(self):
         return self.re.hex_pair() + self.im.hex_pair()

@@ -2,19 +2,19 @@
 
 Two representations are used:
 
-* endpoint form for 1-D coefficient data: real interval arrays are (lo, hi)
-  float64 pairs, complex interval arrays are the 4-tuple (rl, rh, il, ih)
-  wrapped in CArr.  Every elementary operation rounds outward by one ulp
-  (numpy.nextafter), which is sound because binary64 arithmetic rounds to
-  nearest.  Convolutions run through one batched kernel, carr_conv_batch:
+* endpoint form for 1-D coefficient data: complex interval arrays are the
+  4-tuple (rl, rh, il, ih) wrapped in CArr, and the ri_* kernels act on
+  the (lo, hi) float64 lane pairs of its real and imaginary parts.  Every
+  elementary operation rounds outward by one ulp (numpy.nextafter), which
+  is sound because binary64 arithmetic rounds to nearest.  Convolutions run through one batched kernel, carr_conv_batch:
   it stacks many (a, b) pairs, forms the products of a block of shifts at
   once, and adds them into each output coefficient in increasing shift
   order, so the result is bit for bit that of a loop over one coefficient
   at a time.  Its temporaries are bounded by a fixed block size.
 
-* midpoint-radius form for matrices: real matrices as (mid, rad), complex
-  matrices as (mid complex128, rad float64) where rad bounds the complex
-  modulus of the error (disc enclosure).  Products use the standard
+* midpoint-radius form for matrices and convolutions: complex data as
+  (mid complex128, rad float64) where rad bounds the complex modulus of
+  the error (disc enclosure).  Products use the standard
   floating-point gemm error bound; the inflation constants below are
   deliberately generous.
 
@@ -68,7 +68,7 @@ def down_sum(values) -> float:
     return math.nextafter(s, -math.inf)
 
 
-# -- real interval arrays (lo, hi) -------------------------------------
+# -- real interval lanes (lo, hi) --------------------------------------
 
 
 def ri_add(alo, ahi, blo, bhi):
@@ -108,106 +108,10 @@ def ri_mul(alo, ahi, blo, bhi):
     return np.where(zz, 0.0, lo), np.where(zz, 0.0, hi)
 
 
-def ri_scale(alo, ahi, c: float):
-    if c >= 0.0:
-        return _dn(alo * c), _up(ahi * c)
-    return _dn(ahi * c), _up(alo * c)
-
-
-def ri_mag(alo, ahi):
-    return np.maximum(np.abs(alo), np.abs(ahi))
-
-
 def ri_mig(alo, ahi):
     """Entrywise lower bound on |x| over the interval (0 when it straddles 0)."""
     m = np.minimum(np.abs(alo), np.abs(ahi))
     return np.where((alo <= 0.0) & (0.0 <= ahi), 0.0, m)
-
-
-class RArr:
-    """1-D array of real intervals in endpoint form."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo, hi):
-        self.lo = np.asarray(lo, dtype=float)
-        self.hi = np.asarray(hi, dtype=float)
-        if self.lo.shape != self.hi.shape:
-            raise ValueError("endpoint shape mismatch")
-        if not (np.isfinite(self.lo).all() and np.isfinite(self.hi).all()):
-            raise IntervalDomainError("non-finite endpoints in RArr")
-        if (self.lo > self.hi).any():
-            raise IntervalDomainError("inverted interval in RArr")
-
-    @classmethod
-    def point(cls, x):
-        x = np.asarray(x, dtype=float)
-        return cls(x.copy(), x.copy())
-
-    @classmethod
-    def zeros(cls, n: int):
-        z = np.zeros(n)
-        return cls(z, z.copy())
-
-    def __len__(self):
-        return self.lo.shape[0]
-
-    def copy(self):
-        return RArr(self.lo.copy(), self.hi.copy())
-
-    def at(self, i: int) -> Interval:
-        return Interval(float(self.lo[i]), float(self.hi[i]))
-
-    def slice(self, sl) -> "RArr":
-        return RArr(self.lo[sl], self.hi[sl])
-
-    def add(self, o: "RArr") -> "RArr":
-        return RArr(*ri_add(self.lo, self.hi, o.lo, o.hi))
-
-    def sub(self, o: "RArr") -> "RArr":
-        return RArr(*ri_sub(self.lo, self.hi, o.lo, o.hi))
-
-    def neg(self) -> "RArr":
-        return RArr(-self.hi, -self.lo)
-
-    def mul(self, o: "RArr") -> "RArr":
-        return RArr(*ri_mul(self.lo, self.hi, o.lo, o.hi))
-
-    def scale(self, c: float) -> "RArr":
-        return RArr(*ri_scale(self.lo, self.hi, float(c)))
-
-    def mag(self):
-        return ri_mag(self.lo, self.hi)
-
-    def widen(self, r) -> "RArr":
-        r = np.asarray(r, dtype=float)
-        return RArr(_dn(self.lo - r), _up(self.hi + r))
-
-    def contains(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool((self.lo <= x).all() and (x <= self.hi).all())
-
-
-def rarr_conv(a: RArr, b: RArr) -> RArr:
-    """Full convolution of two real interval arrays."""
-    n, m = len(a), len(b)
-    if n > m:
-        a, b = b, a
-        n, m = m, n
-    out = RArr.zeros(n + m - 1)
-    if not (b.lo.any() or b.hi.any()):
-        return out
-    lo, hi = out.lo, out.hi
-    for i in range(n):
-        if a.lo[i] == 0.0 and a.hi[i] == 0.0:
-            # the point zero annihilates; skipping keeps exact zeros exact
-            continue
-        plo, phi = ri_mul(
-            np.full(m, a.lo[i]), np.full(m, a.hi[i]), b.lo, b.hi
-        )
-        seg = slice(i, i + m)
-        lo[seg], hi[seg] = ri_add(lo[seg], hi[seg], plo, phi)
-    return RArr(lo, hi)
 
 
 # -- complex interval arrays (rl, rh, il, ih) ---------------------------
@@ -458,30 +362,6 @@ def mm_up_nonneg(a, b):
     n = a.shape[-1]
     p = a @ b
     return p * _up_factor(n) + _ETA * n
-
-
-def rmm(am, ar, bm, br):
-    """Real midpoint-radius matrix product enclosure."""
-    am = np.asarray(am, dtype=float)
-    bm = np.asarray(bm, dtype=float)
-    n = am.shape[-1]
-    g = _gemm_gamma(n)
-    cm = am @ bm
-    absa = np.abs(am)
-    absb = np.abs(bm)
-    p = absa @ absb
-    if ar is None and br is None:
-        cr = g * p
-    else:
-        if ar is None:
-            ar = np.zeros_like(am)
-        if br is None:
-            br = np.zeros_like(bm)
-        cr = g * p + absa @ br + ar @ absb + ar @ br
-    cr = cr * _up_factor(n) + _ETA * n
-    if not (np.isfinite(cm).all() and np.isfinite(cr).all()):
-        raise IntervalDomainError("overflow in interval matrix product")
-    return cm, cr
 
 
 def cmm(am, ar, bm, br):

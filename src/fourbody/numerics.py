@@ -246,17 +246,22 @@ def remainder_layer(A, alpha, ms, pos):
 # Newton driver
 
 
-def newton_polish(residual, jacobian, x0, tol: float = 1e-13,
-                  itmax: int = 50, damping: int = 8, floor_slack: float = 100.0):
+# at most _NEWTON_ITMAX steps, each halved at most _NEWTON_DAMPING times
+_NEWTON_ITMAX = 50
+_NEWTON_DAMPING = 8
+_FLOOR_SLACK = 100.0
+
+
+def newton_polish(residual, jacobian, x0, tol: float):
     """Damped Newton on a complex vector map; returns the polished point.
 
     Convergence to the rounding floor above tol is accepted (within
-    floor_slack * tol) once damping stops producing progress.
+    _FLOOR_SLACK * tol) once damping stops producing progress.
     """
     x = np.asarray(x0, dtype=complex).copy()
     r = residual(x)
     best = float(np.abs(r).max())
-    for _ in range(itmax):
+    for _ in range(_NEWTON_ITMAX):
         if best < tol:
             return x
         J = jacobian(x)
@@ -270,7 +275,7 @@ def newton_polish(residual, jacobian, x0, tol: float = 1e-13,
             step = np.linalg.lstsq(J, -r, rcond=None)[0]
         scale = 1.0
         accepted = False
-        for _ in range(damping):
+        for _ in range(_NEWTON_DAMPING):
             cand = x + scale * step
             rc = residual(cand)
             nc = float(np.abs(rc).max())
@@ -279,10 +284,10 @@ def newton_polish(residual, jacobian, x0, tol: float = 1e-13,
                 break
             scale *= 0.5
         if not accepted:
-            if best < floor_slack * tol:
+            if best < _FLOOR_SLACK * tol:
                 return x
             raise NewtonDivergence("damping failed to reduce the residual")
         x, r, best = cand, rc, nc
-    if best < floor_slack * tol:
+    if best < _FLOOR_SLACK * tol:
         return x
-    raise NewtonDivergence("no convergence in %d iterations" % itmax)
+    raise NewtonDivergence("no convergence in %d iterations" % _NEWTON_ITMAX)

@@ -25,13 +25,28 @@ __all__ = [
     "jacobi_mid",
     "orbit_guess_vector",
     "walk_family",
-    "orbit_to_omega",
     "orbit_to_jacobi",
     "monodromy",
     "floquet_exponents",
     "bundle_guess",
     "SeedFailure",
 ]
+
+
+# rest points are searched from a grid of _EQ_GRID^2 starts on [-_EQ_SPAN, _EQ_SPAN]^2
+_EQ_SPAN = 1.6
+_EQ_GRID = 13
+# the family walk: first amplitude, growth factor per step, amplitude cap
+_AMP0 = 4e-3
+_GROWTH = 1.35
+_AMP_MAX = 2.5
+# Newton tolerance of the amplitude-pinned solves
+_PIN_TOL = 1e-12
+# bisection of the walk's bracket: stop when |stop(...)| < _CROSS_TOL
+_CROSS_TOL = 1e-12
+_CROSS_ITMAX = 80
+# samples of the variational flow over one period
+_N_OUT = 256
 
 
 class SeedFailure(RuntimeError):
@@ -54,11 +69,11 @@ def _grad_planar(p, ms, pos):
     return np.array([gx, gy])
 
 
-def planar_equilibria(cfg, span: float = 1.6, n_grid: int = 13) -> np.ndarray:
+def planar_equilibria(cfg) -> np.ndarray:
     """All in-plane rest points, deduplicated and sorted for determinism."""
     ms, pos = numerics.cfg_floats(cfg)
     found = []
-    grid = np.linspace(-span, span, n_grid)
+    grid = np.linspace(-_EQ_SPAN, _EQ_SPAN, _EQ_GRID)
     for x0 in grid:
         for y0 in grid:
             if min((x0 - p[0]) ** 2 + (y0 - p[1]) ** 2 for p in pos) < 1e-4:
@@ -169,12 +184,11 @@ def _pinned_problem(cfg, K: int, amp: float, anchor: model.PhaseAnchor):
     return residual, jacobian
 
 
-def _solve_pinned(cfg, K: int, amp: float, guess: np.ndarray,
-                  tol: float = 1e-12):
+def _solve_pinned(cfg, K: int, amp: float, guess: np.ndarray):
     n = 2 * K - 1
     anchor = _anchor_from_coeffs(cfg, guess[5:].reshape(9, n))
     residual, jacobian = _pinned_problem(cfg, K, amp, anchor)
-    return numerics.newton_polish(residual, jacobian, guess, tol=tol)
+    return numerics.newton_polish(residual, jacobian, guess, tol=_PIN_TOL)
 
 
 def _pinned_guess(cfg, eq_xy, amp: float, K: int) -> np.ndarray:
@@ -183,23 +197,22 @@ def _pinned_guess(cfg, eq_xy, amp: float, K: int) -> np.ndarray:
     return np.concatenate([[complex(wz)], np.zeros(4, dtype=complex), g[4:]])
 
 
-def walk_family(cfg, eq_xy, K: int, stop, amp0: float = 4e-3,
-                growth: float = 1.35, amp_max: float = 2.5,
-                tol: float = 1e-12):
+def walk_family(cfg, eq_xy, K: int, stop):
     """Walk the vertical family outward in amplitude until stop(...) crosses.
 
     stop maps (omega, coeffs) to a signed scalar; the walk returns the
     bracketing states ((amp_a, z_a), (amp_b, z_b)) where the sign changed.
     """
-    amp = amp0
-    z = _solve_pinned(cfg, K, amp, _pinned_guess(cfg, eq_xy, amp, K), tol)
+    amp = _AMP0
+    growth = _GROWTH
+    z = _solve_pinned(cfg, K, amp, _pinned_guess(cfg, eq_xy, amp, K))
     n = 2 * K - 1
     val = stop(z[0].real, z[5:].reshape(9, n))
     prev = (amp, z, val)
-    while amp < amp_max:
+    while amp < _AMP_MAX:
         amp_next = amp * growth
         try:
-            z_next = _solve_pinned(cfg, K, amp_next, z.copy(), tol)
+            z_next = _solve_pinned(cfg, K, amp_next, z.copy())
         except numerics.NewtonDivergence:
             growth = 1.0 + (growth - 1.0) * 0.5
             if growth < 1.0 + 1e-4:
@@ -213,17 +226,16 @@ def walk_family(cfg, eq_xy, K: int, stop, amp0: float = 4e-3,
     raise SeedFailure("family walk hit the amplitude cap without a crossing")
 
 
-def _refine_crossing(cfg, K: int, a, b, stop, tol_val: float,
-                     tol: float = 1e-12, itmax: int = 80):
+def _refine_crossing(cfg, K: int, a, b, stop):
     (amp_a, z_a, v_a), (amp_b, z_b, v_b) = a, b
     n = 2 * K - 1
-    for _ in range(itmax):
-        if abs(v_b) < tol_val:
+    for _ in range(_CROSS_ITMAX):
+        if abs(v_b) < _CROSS_TOL:
             return amp_b, z_b
-        if abs(v_a) < tol_val:
+        if abs(v_a) < _CROSS_TOL:
             return amp_a, z_a
         amp_m = amp_a + (amp_b - amp_a) * 0.5
-        z_m = _solve_pinned(cfg, K, amp_m, z_a.copy(), tol)
+        z_m = _solve_pinned(cfg, K, amp_m, z_a.copy())
         v_m = stop(z_m[0].real, z_m[5:].reshape(9, n))
         if v_a * v_m <= 0.0:
             amp_b, z_b, v_b = amp_m, z_m, v_m
@@ -232,32 +244,19 @@ def _refine_crossing(cfg, K: int, a, b, stop, tol_val: float,
     return amp_b, z_b
 
 
-def _freeze(cfg, omega: float, z: np.ndarray, K: int, nu: float,
-            tol: float = 1e-13) -> stages.OrbitSolution:
+def _freeze(cfg, omega: float, z: np.ndarray, K: int,
+            nu: float) -> stages.OrbitSolution:
     """Re-anchor and polish at a fixed frequency; the certified formulation."""
     coeffs = z[5:].reshape(9, 2 * K - 1)
     anchor = _anchor_from_coeffs(cfg, coeffs)
     guess = np.concatenate([np.zeros(4, dtype=complex), coeffs.ravel()])
-    prob = stages.orbit_problem(cfg, float(omega), anchor, K, nu, tol=tol)
+    prob = stages.orbit_problem(cfg, float(omega), anchor, K)
     zz = stages.newton_stage(prob, guess)
     return stages.OrbitSolution(float(omega), K, nu, anchor, zz[:4].copy(),
                                 zz[4:].reshape(9, 2 * K - 1).copy())
 
 
-def orbit_to_omega(cfg, eq_xy, omega_target: float, K: int, nu: float,
-                   tol: float = 1e-13) -> stages.OrbitSolution:
-    """Member of the vertical family with the given frequency, re-anchored."""
-
-    def stop(w_, coeffs):
-        return w_ - omega_target
-
-    a, b = walk_family(cfg, eq_xy, K, stop)
-    _, z = _refine_crossing(cfg, K, a, b, stop, tol_val=1e-13)
-    return _freeze(cfg, omega_target, z, K, nu, tol)
-
-
-def orbit_to_jacobi(cfg, eq_xy, H_target: float, K: int, nu: float,
-                    tol: float = 1e-13):
+def orbit_to_jacobi(cfg, eq_xy, H_target: float, K: int, nu: float):
     """Member of the vertical family at a Jacobi level; returns (sol, H)."""
 
     def stop(w_, coeffs):
@@ -265,8 +264,8 @@ def orbit_to_jacobi(cfg, eq_xy, H_target: float, K: int, nu: float,
         return jacobi_mid(cfg, u0) - H_target
 
     a, b = walk_family(cfg, eq_xy, K, stop)
-    _, z = _refine_crossing(cfg, K, a, b, stop, tol_val=1e-12)
-    sol = _freeze(cfg, float(z[0].real), z, K, nu, tol)
+    _, z = _refine_crossing(cfg, K, a, b, stop)
+    sol = _freeze(cfg, float(z[0].real), z, K, nu)
     u0 = sol.coeffs.sum(axis=1).real
     return sol, jacobi_mid(cfg, u0)
 
@@ -320,7 +319,7 @@ def _jac6(u, ms, pos):
     return J
 
 
-def _flow_with_variation(cfg, u0six, T: float, n_out: int):
+def _flow_with_variation(cfg, u0six, T: float):
     ms, pos = numerics.cfg_floats(cfg)
 
     def rhs(t, yv):
@@ -331,7 +330,7 @@ def _flow_with_variation(cfg, u0six, T: float, n_out: int):
         return np.concatenate([du, dPhi.ravel()])
 
     y0 = np.concatenate([u0six, np.eye(6).ravel()])
-    ts = np.linspace(0.0, T, n_out)
+    ts = np.linspace(0.0, T, _N_OUT)
     out = integrate.solve_ivp(rhs, (0.0, T), y0, method="DOP853",
                               rtol=3e-13, atol=1e-13, t_eval=ts,
                               dense_output=False)
@@ -340,11 +339,11 @@ def _flow_with_variation(cfg, u0six, T: float, n_out: int):
     return ts, out.y
 
 
-def monodromy(cfg, sol: stages.OrbitSolution, n_out: int = 256):
+def monodromy(cfg, sol: stages.OrbitSolution):
     """Time grid, state samples, and transition matrices over one period."""
     u0 = sol.coeffs.sum(axis=1).real[:6]
     T = 2.0 * np.pi / sol.omega
-    ts, Y = _flow_with_variation(cfg, u0, T, n_out)
+    ts, Y = _flow_with_variation(cfg, u0, T)
     states = Y[:6]
     Phis = Y[6:].reshape(6, 6, -1)
     return ts, states, Phis

@@ -25,7 +25,12 @@ Stages:
   phase scalar xi; resonances are excluded by checking that the enclosure
   of Re(lambda) omits zero.
 * orders 2..N_t: the jets a_alpha, affine problems (Z2 = 0) whose data
-  uncertainty (radii of all lower orders) is folded into Y and Z1.
+  uncertainty (radii of all lower orders) is folded into Y and Z1.  Only
+  the jets with m >= n are solved; a_(n,m) is the conjugate reflection of
+  a_(m,n) with the same radius.
+
+Every stage solves its truncated map by Newton's method to the residual
+tolerance NEWTON_TOL and looks for its radius r below the cap R_STAR.
 
 The jet table collects centers, radii, eigenvalue enclosures, and the
 certificates with a digest chain binding each stage to its predecessors.
@@ -58,7 +63,6 @@ from . import numerics
 __all__ = [
     "ResonantExponents",
     "UnfoldingNotZero",
-    "StageProblem",
     "OrbitSolution",
     "BundleSolution",
     "Order0Result",
@@ -73,11 +77,14 @@ __all__ = [
     "validate_order1",
     "validate_jet",
     "rescale_jets",
-    "certified_orbit",
     "start_jet_table",
     "extend_with_jets",
-    "build_jet_table",
 ]
+
+# the largest radius any stage certificate may use
+R_STAR = 1e-2
+# residual tolerance of the Newton solve of every stage
+NEWTON_TOL = 1e-13
 
 
 class ResonantExponents(ArithmeticError):
@@ -398,32 +405,15 @@ class _StageContext:
 # float-lane residual/Jacobian closures (Newton and the window block of A_dag)
 
 
-@dataclass
-class StageProblem:
-    """One stage of the order-by-order scheme.
+def newton_stage(problem, guess) -> np.ndarray:
+    """Damped Newton on a stage's truncated map.
 
-    residual/jacobian act on packed complex vectors [scalars, a_0 rows
-    flattened]; shift is the constant s of the exact diagonal tail
-    -i omega k - s shared by A_dag and (reciprocally) by A.
+    problem is the (residual, jacobian) pair of `orbit_problem`,
+    `bundle_problem` or `jet_problem`; both act on packed complex vectors
+    [scalars, window rows flattened].
     """
-
-    order: tuple
-    n_scalars: int
-    K: int
-    nu: float
-    omega: float
-    shift: complex
-    residual: callable
-    jacobian: callable
-    tag: str
-    tol: float = 1e-13
-
-
-def newton_stage(problem: StageProblem, guess) -> np.ndarray:
-    """Damped Newton on the stage's truncated map."""
-    return numerics.newton_polish(
-        problem.residual, problem.jacobian, guess, tol=problem.tol
-    )
+    residual, jacobian = problem
+    return numerics.newton_polish(residual, jacobian, guess, tol=NEWTON_TOL)
 
 
 def _pack(scalars, A):
@@ -486,15 +476,11 @@ def _orbit_jacobian(z, omega, anchor, K: int, ms, pos, out=None, kernels=None):
     return J
 
 
-def orbit_problem(cfg, omega: float, anchor, K: int, nu: float,
-                  tol: float = 1e-13) -> StageProblem:
+def orbit_problem(cfg, omega: float, anchor, K: int):
     """Periodic orbit stage: unknowns (y in C^4, a_0); fixed frequency."""
     ms, pos = numerics.cfg_floats(cfg)
-    return StageProblem(
-        (0, 0), 4, K, nu, omega, 0.0 + 0.0j,
-        lambda z: _orbit_residual(z, omega, anchor, K, ms, pos),
-        lambda z: _orbit_jacobian(z, omega, anchor, K, ms, pos),
-        "order0", tol)
+    return (lambda z: _orbit_residual(z, omega, anchor, K, ms, pos),
+            lambda z: _orbit_jacobian(z, omega, anchor, K, ms, pos))
 
 
 def _window_sum(A: np.ndarray, K: int, k0: int) -> np.ndarray:
@@ -521,7 +507,7 @@ def _bundle_jacobian(base: np.ndarray, z, K: int, k0: int) -> np.ndarray:
 
 
 def bundle_problem(cfg, omega: float, A0: np.ndarray, k0: int, xi0: float,
-                   K: int, nu: float, tol: float = 1e-13) -> StageProblem:
+                   K: int):
     """Floquet bundle stage: unknowns (lambda, a_1) at a frozen orbit center."""
     ms, pos = numerics.cfg_floats(cfg)
     n = 2 * K - 1
@@ -535,8 +521,7 @@ def bundle_problem(cfg, omega: float, A0: np.ndarray, k0: int, xi0: float,
         xi = np.sum(S * S) - xi0
         return _pack([xi], rows)
 
-    return StageProblem((1, 0), 1, K, nu, omega, 0.0 + 0.0j, residual,
-                        lambda z: _bundle_jacobian(base, z, K, k0), "order1", tol)
+    return residual, lambda z: _bundle_jacobian(base, z, K, k0)
 
 
 def _lower_grids(jet: "JetTable", order: int, entry):
@@ -548,32 +533,21 @@ def _lower_grids(jet: "JetTable", order: int, entry):
              if beta[0] + beta[1] < order} for i in range(9)]
 
 
-def jet_problem(alpha, jet: "JetTable", cfg, tol: float = 1e-13) -> StageProblem:
+def jet_problem(alpha, jet: "JetTable", cfg):
     """Homological stage for a single alpha with |alpha| >= 2 (linear)."""
     m_, n_ = int(alpha[0]), int(alpha[1])
     if m_ + n_ < 2:
         raise ValueError("jet stages start at |alpha| = 2")
-    K, nu, omega = jet.K, jet.nu, jet.omega
-    ms, pos = numerics.cfg_floats(cfg)
-    n = 2 * K - 1
+    ctx = _context_for(jet, cfg)
+    K = jet.K
     lam = jet.lambda_bar
     s = complex((m_ + n_) * lam.real, (m_ - n_) * lam.imag)
-    A0 = np.array([sq.c.mid() for sq in jet.orders[(0, 0)]])
-    const, kers = numerics.derivative_kernels(A0, ms, pos)
-    base = numerics.base_block(const, kers, K, -1j * omega * numerics.kvals(K) - s)
+    base = numerics.base_block(ctx.fconst, ctx.fkers, K,
+                               -1j * jet.omega * numerics.kvals(K) - s)
     grids = _lower_grids(jet, m_ + n_, lambda seq, beta: seq.c.mid())
-    R = numerics.remainder_layer(grids, alpha, ms, pos)
-    Rwin = np.array([numerics.crop(r, K) for r in R])
-
-    def residual(z):
-        A = z.reshape(9, n)
-        return (base @ A.ravel()) + Rwin.ravel()
-
-    def jacobian(z):
-        return base
-
-    return StageProblem((m_, n_), 0, K, nu, omega, s,
-                        residual, jacobian, "jet:%d,%d" % (m_, n_), tol)
+    R = numerics.remainder_layer(grids, alpha, ctx.ms, ctx.pos)
+    Rwin = np.array([numerics.crop(r, K) for r in R]).ravel()
+    return (lambda z: base @ z + Rwin), (lambda z: base)
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +590,7 @@ def _resid_mid_rad(asm: _Assembled):
     return np.concatenate(parts_m), np.concatenate(parts_r)
 
 
-def _certify(asm: _Assembled, r_star: float, digest: str):
+def _certify(asm: _Assembled, digest: str):
     K, nu, ns, omega, s = asm.K, asm.nu, asm.ns, asm.omega, asm.s
     layout = SpaceLayout.mixed(ns, 9, K)
     N = layout.n
@@ -704,7 +678,7 @@ def _certify(asm: _Assembled, r_star: float, digest: str):
     coeffs = _polys_max_coeffs(rows)
     Z2 = tuple(float(_up(normA * c)) for c in coeffs)
 
-    bounds = NKBounds(Y=Y, Z0=Z0, Z1=Z1, Z2=Z2, r_star=r_star)
+    bounds = NKBounds(Y=Y, Z0=Z0, Z1=Z1, Z2=Z2, r_star=R_STAR)
     cert = radii_newton(bounds, stage=asm.tag, inputs_digest=digest)
     report = {
         "Y": Y, "Z0": Z0, "Z1": Z1, "Z2": list(Z2), "normA": normA,
@@ -1015,10 +989,6 @@ class _MidRad:
         return _MidRad.scale(g, Interval.point(-1.0))
 
 
-def _mr_field_grid(G, cfg, cap: int):
-    return model.embedded_field(_MidRad(cfg), G, cap)
-
-
 # The jets of one order all read the same lower orders, so each remainder
 # arithmetic keeps its last field evaluation and reuses it while the inputs
 # are the same: the same cfg, the same center objects, the same radii.
@@ -1196,7 +1166,7 @@ def _seqs_digest_obj(seqs):
     return [s.to_json_obj() for s in seqs]
 
 
-def validate_order0(solution: OrbitSolution, cfg, *, r_star: float = 1e-2) -> Order0Result:
+def validate_order0(solution: OrbitSolution, cfg) -> Order0Result:
     """Certify the periodic orbit; the unfolding enclosure must contain zero."""
     ctx = _StageContext(solution.seqs(), cfg, solution.omega, solution.K,
                         solution.nu)
@@ -1212,7 +1182,7 @@ def validate_order0(solution: OrbitSolution, cfg, *, r_star: float = 1e-2) -> Or
         "y": [[float(t.real).hex(), float(t.imag).hex()] for t in solution.y],
         "coeffs": _seqs_digest_obj(solution.seqs()),
     })
-    cert, report = _certify(asm, r_star, digest)
+    cert, report = _certify(asm, digest)
     r0 = cert.r0
     for t in solution.y:
         if abs(complex(t)) > r0:
@@ -1235,8 +1205,7 @@ def _context_for(jet: "JetTable", cfg) -> _StageContext:
     return ctx
 
 
-def validate_order1(solution: BundleSolution, jet: "JetTable", cfg, *,
-                    r_star: float = 1e-2) -> Order1Result:
+def validate_order1(solution: BundleSolution, jet: "JetTable", cfg) -> Order1Result:
     """Certify the Floquet eigenpair at an already-certified orbit."""
     ctx = _context_for(jet, cfg)
     r0 = jet.radii[(0, 0)]
@@ -1251,7 +1220,7 @@ def validate_order1(solution: BundleSolution, jet: "JetTable", cfg, *,
         "coeffs": _seqs_digest_obj(
             FourierSeq.point(row, jet.nu) for row in solution.coeffs),
     })
-    cert, report = _certify(asm, r_star, digest)
+    cert, report = _certify(asm, digest)
     r1 = cert.r0
     lam = complex(solution.lam)
     if abs(lam.real) <= r1:
@@ -1265,7 +1234,7 @@ def validate_order1(solution: BundleSolution, jet: "JetTable", cfg, *,
     return Order1Result(lam_enc, balls, r1, cert, report)
 
 
-def validate_jet(alpha, jet: "JetTable", cfg, *, r_star: float = 1e-2) -> JetResult:
+def validate_jet(alpha, jet: "JetTable", cfg) -> JetResult:
     """Certify one homological jet whose center is staged in the table."""
     alpha = (int(alpha[0]), int(alpha[1]))
     if alpha[0] + alpha[1] < 2:
@@ -1279,7 +1248,7 @@ def validate_jet(alpha, jet: "JetTable", cfg, *, r_star: float = 1e-2) -> JetRes
         "prev": jet.digests.get("order1", ""),
         "coeffs": _seqs_digest_obj(centers),
     })
-    cert, report = _certify(asm, r_star, digest)
+    cert, report = _certify(asm, digest)
     balls = tuple(BallElement(sq, cert.r0) for sq in centers)
     return JetResult(alpha, balls, cert.r0, cert, report)
 
@@ -1309,9 +1278,6 @@ class JetTable:
     certs: dict = field(default_factory=dict)
     digests: dict = field(default_factory=dict)
     ctx_cache: object = field(default=None, repr=False, compare=False)
-
-    def lambda2(self) -> ComplexInterval:
-        return self.lambda1.conj()
 
     def re_lambda_mig(self) -> float:
         """Lower bound of |Re lambda| over the certified enclosure."""
@@ -1428,21 +1394,9 @@ def rescale_jets(jet: JetTable, gamma: float) -> JetTable:
 # orchestration
 
 
-def certified_orbit(cfg, omega: float, anchor, guess: np.ndarray, K: int,
-                    nu: float, *, r_star: float = 1e-2, tol: float = 1e-13):
-    """Solve and certify the order-zero stage; returns (solution, result)."""
-    prob = orbit_problem(cfg, omega, anchor, K, nu, tol=tol)
-    z = newton_stage(prob, guess)
-    sol = OrbitSolution(omega, K, nu, anchor,
-                        z[:4].copy(), z[4:].reshape(9, 2 * K - 1).copy())
-    res = validate_order0(sol, cfg, r_star=r_star)
-    return sol, res
-
-
 def start_jet_table(kind: str, sol: OrbitSolution, res: Order0Result, cfg,
                     lam_guess: complex, v_guess: np.ndarray, k0: int,
-                    xi0: float, N_t: int, *, r_star: float = 1e-2,
-                    tol: float = 1e-13) -> JetTable:
+                    xi0: float, N_t: int) -> JetTable:
     """Solve/certify one Floquet bundle on top of a certified orbit."""
     jet = JetTable(
         kind=kind, omega=sol.omega, K=sol.K, nu=sol.nu, N_t=N_t, k0=k0,
@@ -1457,15 +1411,14 @@ def start_jet_table(kind: str, sol: OrbitSolution, res: Order0Result, cfg,
         # the order-0 context of validate_order0 is the one the table needs
         jet.ctx_cache = res.context[1:]
 
-    prob = bundle_problem(cfg, sol.omega, sol.coeffs, k0, xi0, sol.K, sol.nu,
-                          tol=tol)
+    prob = bundle_problem(cfg, sol.omega, sol.coeffs, k0, xi0, sol.K)
     guess = np.concatenate([[complex(lam_guess)],
                             np.asarray(v_guess, dtype=complex).ravel()])
     z = newton_stage(prob, guess)
     bsol = BundleSolution(kind, complex(z[0]),
                           z[1:].reshape(9, 2 * sol.K - 1).copy(), k0, xi0)
     jet.lambda_bar = bsol.lam
-    r1 = validate_order1(bsol, jet, cfg, r_star=r_star)
+    r1 = validate_order1(bsol, jet, cfg)
     a1 = tuple(FourierSeq.point(row, sol.nu) for row in bsol.coeffs)
     jet.orders[(1, 0)] = a1
     jet.orders[(0, 1)] = tuple(s.conj_reflect() for s in a1)
@@ -1477,25 +1430,23 @@ def start_jet_table(kind: str, sol: OrbitSolution, res: Order0Result, cfg,
     return jet
 
 
-def _level_alphas(p: int, symmetry: bool):
-    if symmetry:
-        return [(m, p - m) for m in range(p, (p - 1) // 2, -1)]
-    return [(m, p - m) for m in range(p, -1, -1)]
+def _level_alphas(p: int):
+    """The jets of order p that are solved: (m, p - m) with m >= p - m."""
+    return [(m, p - m) for m in range(p, (p - 1) // 2, -1)]
 
 
-def _jet_task(jet: "JetTable", cfg, alpha, r_star: float, tol: float):
+def _jet_task(jet: "JetTable", cfg, alpha):
     """Solve and certify one jet against a fixed lower-order table."""
-    prob = jet_problem(alpha, jet, cfg, tol=tol)
+    prob = jet_problem(alpha, jet, cfg)
     z = newton_stage(prob, np.zeros(9 * (2 * jet.K - 1), dtype=complex))
     centers = tuple(FourierSeq.point(row, jet.nu)
                     for row in z.reshape(9, 2 * jet.K - 1))
     jet.orders[alpha] = centers
-    res = validate_jet(alpha, jet, cfg, r_star=r_star)
+    res = validate_jet(alpha, jet, cfg)
     return alpha, centers, res
 
 
-def _level_parallel(jet: "JetTable", cfg, alphas, r_star: float, tol: float,
-                    jobs: int):
+def _level_parallel(jet: "JetTable", cfg, alphas, jobs: int):
     """Run one level's independent jets on a process pool.
 
     Inputs to each task are a snapshot of the lower orders, and results are
@@ -1506,42 +1457,38 @@ def _level_parallel(jet: "JetTable", cfg, alphas, r_star: float, tol: float,
     snap = _strip_unvalidated(jet)
     snap.ctx_cache = None
     with ProcessPoolExecutor(max_workers=min(jobs, len(alphas))) as ex:
-        futs = [ex.submit(_jet_task, snap, cfg, a, r_star, tol)
-                for a in alphas]
+        futs = [ex.submit(_jet_task, snap, cfg, a) for a in alphas]
         return [f.result() for f in futs]
 
 
 def extend_with_jets(jet: JetTable, cfg, *, gamma: float = 0.7,
-                     symmetry: bool = True, r_star: float = 1e-2,
-                     tol: float = 1e-13, jobs: int = 1,
-                     _retried: bool = False) -> JetTable:
+                     jobs: int = 1, _retried: bool = False) -> JetTable:
     """Solve and certify all jets through order N_t (one rescale retry).
 
     Jets of equal order are independent; jobs > 1 validates each level
     concurrently."""
     for p in range(2, jet.N_t + 1):
-        alphas = [a for a in _level_alphas(p, symmetry) if a not in jet.radii]
+        alphas = [a for a in _level_alphas(p) if a not in jet.radii]
         try:
             if jobs > 1 and len(alphas) > 1:
-                results = _level_parallel(jet, cfg, alphas, r_star, tol, jobs)
+                results = _level_parallel(jet, cfg, alphas, jobs)
             else:
-                results = [_jet_task(jet, cfg, a, r_star, tol) for a in alphas]
+                results = [_jet_task(jet, cfg, a) for a in alphas]
         except NoNegativeRadius:
             if _retried:
                 raise
             for a in alphas:
                 jet.orders.pop(a, None)
             scaled = rescale_jets(_strip_unvalidated(jet), gamma)
-            return extend_with_jets(scaled, cfg, gamma=gamma,
-                                    symmetry=symmetry, r_star=r_star,
-                                    tol=tol, jobs=jobs, _retried=True)
+            return extend_with_jets(scaled, cfg, gamma=gamma, jobs=jobs,
+                                    _retried=True)
         for alpha, centers, res in results:
             jet.orders[alpha] = centers
             jet.radii[alpha] = res.r
             jet.certs[res.cert.stage] = res.cert
             jet.digests[res.cert.stage] = content_digest(res.cert.to_json_obj())
             mirror = (alpha[1], alpha[0])
-            if symmetry and mirror != alpha:
+            if mirror != alpha:
                 jet.orders[mirror] = tuple(s.conj_reflect() for s in centers)
                 jet.radii[mirror] = res.r
     return jet
@@ -1551,17 +1498,3 @@ def _strip_unvalidated(jet: JetTable) -> JetTable:
     orders = {a: s for a, s in jet.orders.items() if a in jet.radii}
     return replace(jet, orders=orders, radii=dict(jet.radii),
                    certs=dict(jet.certs), digests=dict(jet.digests))
-
-
-def build_jet_table(kind: str, cfg, omega: float, anchor, orbit_guess,
-                    lam_guess: complex, v_guess, K: int, nu: float, N_t: int,
-                    k0: int, xi0: float, *, gamma: float = 0.7,
-                    symmetry: bool = True, r_star: float = 1e-2,
-                    tol: float = 1e-13, jobs: int = 1) -> JetTable:
-    """Orbit, bundle, and jets in one call; see the stagewise entry points."""
-    sol, res = certified_orbit(cfg, omega, anchor, orbit_guess, K, nu,
-                               r_star=r_star, tol=tol)
-    jet = start_jet_table(kind, sol, res, cfg, lam_guess, v_guess, k0, xi0,
-                          N_t, r_star=r_star, tol=tol)
-    return extend_with_jets(jet, cfg, gamma=gamma, symmetry=symmetry,
-                            r_star=r_star, tol=tol, jobs=jobs)

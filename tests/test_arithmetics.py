@@ -94,8 +94,9 @@ def test_float_field_inside_interval_and_midrad(cfg, data):
     iv_grid = [FourierTaylorSeq({b: FourierSeq.point(c, NU) for b, c in comp.items()}, NU)
                for comp in grid]
     iv = model.embedded_field(model.IntervalArith(cfg, NU), iv_grid, CAP)
-    mr = stages._mr_field_grid(
-        [{b: [c, np.zeros(len(c))] for b, c in comp.items()} for comp in grid], cfg, CAP)
+    mr = model.embedded_field(
+        stages._MidRad(cfg),
+        [{b: [c, np.zeros(len(c))] for b, c in comp.items()} for comp in grid], CAP)
     for i in range(9):
         assert set(fl[i]) == set(iv[i].entries) == set(mr[i])
         for alpha, arr in fl[i].items():

@@ -10,14 +10,11 @@ from hypothesis import strategies as st
 from fourbody.interval import ComplexInterval, Interval, IntervalDomainError
 from fourbody.ivarray import (
     CArr,
-    RArr,
     carr_conv,
     carr_conv_batch,
     cmat_abs_up,
     cmm,
     mm_up_nonneg,
-    rarr_conv,
-    rmm,
     up_sum,
 )
 from oracles import carr_conv_reference, cq_mul, cq_add, conv_exact
@@ -88,24 +85,6 @@ def test_carr_conv_widths_stay_small():
     assert rad.max() < 1e-10
 
 
-def test_rarr_conv_contains_exact():
-    for _ in range(25):
-        n = int(rng.integers(1, 9))
-        m = int(rng.integers(1, 9))
-        av = rng.standard_normal(n)
-        bv = rng.standard_normal(m)
-        a = RArr.point(av)
-        b = RArr.point(bv)
-        exact = np.zeros(n + m - 1, dtype=object)
-        exact[:] = Fraction(0)
-        for i in range(n):
-            for j in range(m):
-                exact[i + j] += Fraction(av[i]) * Fraction(bv[j])
-        r = rarr_conv(a, b)
-        for k in range(n + m - 1):
-            assert Fraction(r.lo[k]) <= exact[k] <= Fraction(r.hi[k])
-
-
 def scalar_matmul(A, B):
     """Reference interval matmul using scalar ComplexInterval arithmetic."""
     n, m = len(A), len(A[0])
@@ -152,19 +131,6 @@ def test_cmm_contains_exact_sample_products():
                 dim = im - Fraction(cm[i, j].imag)
                 # |exact - mid|^2 <= cr^2 (exact rational comparison)
                 assert dre * dre + dim * dim <= Fraction(cr[i, j]) ** 2
-
-
-def test_rmm_point_product_error_bound():
-    n = 40
-    A = rng.standard_normal((n, n))
-    B = rng.standard_normal((n, n))
-    cm, cr = rmm(A, None, B, None)
-    # exact rational check on a few entries
-    for _ in range(5):
-        i = int(rng.integers(0, n))
-        j = int(rng.integers(0, n))
-        exact = sum(Fraction(A[i, k]) * Fraction(B[k, j]) for k in range(n))
-        assert abs(exact - Fraction(cm[i, j])) <= Fraction(cr[i, j])
 
 
 def test_mm_up_nonneg_dominates():

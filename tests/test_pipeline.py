@@ -69,6 +69,16 @@ def test_jet_table_reuses_the_order0_context(run):
         assert np.array_equal(seq.c.mid(), row)
 
 
+def test_radii_no_larger_than_reference(run):
+    # the radii of this run when every stage was first certified; unlike the
+    # digest they do not depend on the BLAS build or its thread count
+    _, _, _, table = run
+    assert table.radii[(0, 0)] <= 9.6411088049075e-10
+    assert table.radii[(1, 0)] <= 1.9306977288832455e-06
+    assert max(r for a, r in table.radii.items() if sum(a) >= 2) <= 2.07711392596645e-05
+    assert table.E_total().hi <= 7.829448631201738e-05
+
+
 def test_json_roundtrip_keeps_digest(run):
     _, _, _, table = run
     blob = json.dumps(table.to_json_obj())
