@@ -233,7 +233,13 @@ def field_grid(A, ms, pos, cap: int):
 
 
 def remainder_layer(A, alpha, ms, pos):
-    """Layer alpha of the field applied to the orders-below-|alpha| data."""
+    """Layer alpha of the field applied to the orders-below-|alpha| data.
+
+    No stage calls this: the jets take their float right-hand side from the
+    midpoint lane of the remainder enclosure in `stages`, which repeats
+    these operations.  It stays as the float oracle the tests compare that
+    lane against, and as a layer the benchmark tracer wraps.
+    """
     m, n = int(alpha[0]), int(alpha[1])
     order = m + n
     low = [ft_truncate(g, order - 1) for g in A]

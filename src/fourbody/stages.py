@@ -32,6 +32,19 @@ Stages:
 Every stage solves its truncated map by Newton's method to the residual
 tolerance NEWTON_TOL and looks for its radius r below the cap R_STAR.
 
+The right-hand side of a jet of order p is layer alpha of the field on the
+orders below p: the midpoint-radius evaluation (`_MidRad`) gives both the
+float right-hand side of the Newton solve (its midpoint lane) and the
+enclosure in the certificate, and a norm/radius evaluation (`_NormRad`)
+bounds how far the radii of the lower orders move it.  Each is made once
+per order and kept in a memo on the table (`JetTable.field_memo`): the next
+order reuses every product layer below p - 1, completes layer p - 1 and
+computes layer p only for the jets the level solves.  The memo is used only
+while the inputs it read are still in the table (the same cfg, the same
+center objects, the same radii), and a table made by `replace` (a rescale,
+a pool snapshot) starts without it; it is not part of the table's JSON or
+digest.
+
 The jet table collects centers, radii, eigenvalue enclosures, and the
 certificates with a digest chain binding each stage to its predecessors.
 """
@@ -39,6 +52,7 @@ certificates with a digest chain binding each stage to its predecessors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -376,6 +390,19 @@ class _StageContext:
                     self.knorms[i, j] = ker.norm_upper()
         self.const = np.array(self.df0.const)
         self._build_monomials()
+        self._block = None
+
+    def window_block(self, s: complex) -> np.ndarray:
+        """Float window block of h -> DF0 h - i omega k h - s h.
+
+        The last block is kept: a stage's Newton solve and its certificate
+        ask for the same s one after the other.
+        """
+        if self._block is None or self._block[0] != s:
+            diag = -1j * self.omega * numerics.kvals(self.K) - s
+            self._block = (s, numerics.base_block(self.fconst, self.fkers,
+                                                  self.K, diag))
+        return self._block[1]
 
     def _build_monomials(self):
         a0n = [s.norm_upper() for s in self.a0]
@@ -506,13 +533,11 @@ def _bundle_jacobian(base: np.ndarray, z, K: int, k0: int) -> np.ndarray:
     return J
 
 
-def bundle_problem(cfg, omega: float, A0: np.ndarray, k0: int, xi0: float,
-                   K: int):
-    """Floquet bundle stage: unknowns (lambda, a_1) at a frozen orbit center."""
-    ms, pos = numerics.cfg_floats(cfg)
+def bundle_problem(jet: "JetTable", cfg):
+    """Floquet bundle stage: unknowns (lambda, a_1) at the table's orbit center."""
+    K, k0, xi0 = jet.K, jet.k0, jet.xi0
     n = 2 * K - 1
-    const, kers = numerics.derivative_kernels(np.asarray(A0, dtype=complex), ms, pos)
-    base = numerics.base_block(const, kers, K, -1j * omega * numerics.kvals(K))
+    base = _context_for(jet, cfg).window_block(0j)
 
     def residual(z):
         lam, A = z[0], z[1:].reshape(9, n)
@@ -524,29 +549,24 @@ def bundle_problem(cfg, omega: float, A0: np.ndarray, k0: int, xi0: float,
     return residual, lambda z: _bundle_jacobian(base, z, K, k0)
 
 
-def _lower_grids(jet: "JetTable", order: int, entry):
-    """Per component, the grid beta -> entry(seq, beta) over |beta| < order.
-
-    Sorted, so accumulation order does not depend on table insertion history.
-    """
-    return [{beta: entry(seqs[i], beta) for beta, seqs in sorted(jet.orders.items())
-             if beta[0] + beta[1] < order} for i in range(9)]
+def _jet_shift(alpha, lam: complex) -> complex:
+    """The float diagonal shift <alpha, lambda> of jet alpha."""
+    m_, n_ = alpha
+    return complex((m_ + n_) * lam.real, (m_ - n_) * lam.imag)
 
 
 def jet_problem(alpha, jet: "JetTable", cfg):
-    """Homological stage for a single alpha with |alpha| >= 2 (linear)."""
-    m_, n_ = int(alpha[0]), int(alpha[1])
-    if m_ + n_ < 2:
-        raise ValueError("jet stages start at |alpha| = 2")
-    ctx = _context_for(jet, cfg)
+    """Homological stage for a single alpha with |alpha| >= 2 (linear).
+
+    The right-hand side is the midpoint lane of the remainder enclosure
+    that the certificate of the jet reads.
+    """
+    alpha = _solved_jet(alpha)
     K = jet.K
-    lam = jet.lambda_bar
-    s = complex((m_ + n_) * lam.real, (m_ - n_) * lam.imag)
-    base = numerics.base_block(ctx.fconst, ctx.fkers, K,
-                               -1j * jet.omega * numerics.kvals(K) - s)
-    grids = _lower_grids(jet, m_ + n_, lambda seq, beta: seq.c.mid())
-    R = numerics.remainder_layer(grids, alpha, ctx.ms, ctx.pos)
-    Rwin = np.array([numerics.crop(r, K) for r in R]).ravel()
+    base = _context_for(jet, cfg).window_block(_jet_shift(alpha, jet.lambda_bar))
+    Rwin = np.array([np.zeros(2 * K - 1, dtype=complex) if d is None
+                     else numerics.crop(d[0], K)
+                     for d in _remainder_discs(jet, cfg, alpha)]).ravel()
     return (lambda z: base @ z + Rwin), (lambda z: base)
 
 
@@ -816,9 +836,7 @@ def _assemble_bundle(sol: "BundleSolution", ctx: _StageContext, r0: float) -> _A
     a1 = [FourierSeq.point(row, nu) for row in sol.coeffs]
 
     z = np.concatenate([[lam], np.asarray(sol.coeffs, dtype=complex).ravel()])
-    base = numerics.base_block(ctx.fconst, ctx.fkers, K,
-                               -1j * omega * numerics.kvals(K))
-    J = _bundle_jacobian(base, z, K, sol.k0)
+    J = _bundle_jacobian(ctx.window_block(0j), z, K, sol.k0)
 
     E = _base_encl(ctx, ns, lam)
     for i in range(9):
@@ -862,10 +880,9 @@ def _assemble_jet(alpha, centers, ctx: _StageContext, jet: "JetTable") -> _Assem
     m_, n_ = int(alpha[0]), int(alpha[1])
     p = m_ + n_
     lam = jet.lambda_bar
-    s = complex(p * lam.real, (m_ - n_) * lam.imag)
+    s = _jet_shift((m_, n_), lam)
 
-    J = numerics.base_block(ctx.fconst, ctx.fkers, K,
-                            -1j * omega * numerics.kvals(K) - s)
+    J = ctx.window_block(s)
     E = _base_encl(ctx, ns, s)
 
     for row in centers:
@@ -907,7 +924,26 @@ def _is_point(seq: FourierSeq) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# fast verified remainder enclosures (midpoint-radius Fourier-Taylor grids)
+# verified remainder enclosures: the field on the lower orders, by layer
+
+
+def _product_keys(b, c, cap: int):
+    """The layers of the Cauchy product b*c through order cap, sorted."""
+    return sorted({(m1 + m2, n1 + n2) for (m1, n1) in b for (m2, n2) in c
+                   if m1 + n1 + m2 + n2 <= cap})
+
+
+def _cauchy_terms(b, c, alpha):
+    """The factor pairs (b_beta, c_(alpha - beta)) of layer alpha of b*c.
+
+    beta runs in lexicographic order, so a layer is the same fold whichever
+    other layers are computed with it.  It is also the order in which
+    `numerics.ft_conv_grid` meets the contributions on sorted lower-order
+    grids, so the midpoint lane repeats the float lane's operations.
+    """
+    m, n = alpha
+    return [(b[beta], c[(m - beta[0], n - beta[1])]) for beta in sorted(b)
+            if beta[0] <= m and beta[1] <= n and (m - beta[0], n - beta[1]) in c]
 
 
 def _mr_add(qm, qr, vm, vr):
@@ -922,13 +958,25 @@ def _mr_add(qm, qr, vm, vr):
     return [zm, _up(zr + _up(np.abs(zm) * (2.0 ** -52)))]
 
 
-class _MidRad:
+class _ByLayer:
+    """An arithmetic whose Cauchy product is made one layer at a time.
+
+    Subclasses give `product_layer(b, c, alpha)`, the fold of the pairs of
+    `_cauchy_terms`, and `entry(seq, radius)`, the grid value of one
+    lower-order center and its radius.
+    """
+
+    truncate = staticmethod(numerics.ft_truncate)
+
+    def mul(self, b, c, cap):
+        return {g: self.product_layer(b, c, g) for g in _product_keys(b, c, cap)}
+
+
+class _MidRad(_ByLayer):
     """Midpoint-radius grids (m, n) -> [mid, rad] for `model.embedded_field`.
 
     Each radius bounds the complex modulus of the error of its coefficient.
     """
-
-    truncate = staticmethod(numerics.ft_truncate)
 
     def __init__(self, cfg):
         self.masses = tuple(cfg.masses)
@@ -936,16 +984,15 @@ class _MidRad:
         self.zero = {}
 
     @staticmethod
-    def mul(b, c, cap):
-        out = {}
-        for (m1, n1), (vm1, vr1) in b.items():
-            for (m2, n2), (vm2, vr2) in c.items():
-                m, n = m1 + m2, n1 + n2
-                if m + n > cap:
-                    continue
-                pm, pr = cconv_mr(vm1, vr1, vm2, vr2)
-                prev = out.get((m, n))
-                out[(m, n)] = [pm, pr] if prev is None else _mr_add(*prev, pm, pr)
+    def entry(seq, radius):
+        return [seq.c.mid(), seq.c.rad()]
+
+    @staticmethod
+    def product_layer(b, c, alpha):
+        out = None
+        for (vm1, vr1), (vm2, vr2) in _cauchy_terms(b, c, alpha):
+            pm, pr = cconv_mr(vm1, vr1, vm2, vr2)
+            out = [pm, pr] if out is None else _mr_add(*out, pm, pr)
         return out
 
     @staticmethod
@@ -989,52 +1036,7 @@ class _MidRad:
         return _MidRad.scale(g, Interval.point(-1.0))
 
 
-# The jets of one order all read the same lower orders, so each remainder
-# arithmetic keeps its last field evaluation and reuses it while the inputs
-# are the same: the same cfg, the same center objects, the same radii.
-_LAST_LOWER_FIELD = {}
-
-
-def _lower_field(jet: "JetTable", cfg, arith, order: int, entry):
-    """`model.embedded_field` in `arith(cfg)` of the orders below `order`."""
-    lower = [(beta, seqs, jet.radii.get(beta))
-             for beta, seqs in sorted(jet.orders.items())
-             if beta[0] + beta[1] < order]
-    last = _LAST_LOWER_FIELD.get(arith)
-    if (last is not None and last[0] is cfg and last[1] == order
-            and len(last[2]) == len(lower)
-            and all(a == b and s is t and r == q
-                    for (a, s, r), (b, t, q) in zip(last[2], lower))):
-        return last[3]
-    out = model.embedded_field(arith(cfg), _lower_grids(jet, order, entry), order)
-    _LAST_LOWER_FIELD[arith] = (cfg, order, lower, out)
-    return out
-
-
-def _remainder_enclosure(jet: "JetTable", cfg, alpha):
-    """Layer alpha of the field applied to the strictly-lower-order centers."""
-    m_, n_ = int(alpha[0]), int(alpha[1])
-    order = m_ + n_
-    nu = jet.nu
-    outs = _lower_field(jet, cfg, _MidRad, order,
-                        lambda seq, beta: [seq.c.mid(), seq.c.rad()])
-    res = []
-    for i in range(9):
-        ent = outs[i].get((m_, n_))
-        if ent is None:
-            res.append(FourierSeq.zeros(1, nu))
-            continue
-        vm, vr = ent
-        c = CArr(_dn(vm.real - vr), _up(vm.real + vr),
-                 _dn(vm.imag - vr), _up(vm.imag + vr))
-        res.append(FourierSeq(c, nu))
-    return res
-
-
-# -- norm/error propagation for the lower-order data feeding a remainder ----
-
-
-class _NormRad:
+class _NormRad(_ByLayer):
     """Grids (m, n) -> (N, r) for `model.embedded_field`.
 
     A layer stands for every sequence within norm distance r of a center of
@@ -1043,8 +1045,6 @@ class _NormRad:
     modulus and negation is the identity.
     """
 
-    truncate = staticmethod(numerics.ft_truncate)
-
     def __init__(self, cfg):
         self.masses = tuple(m.mag() for m in cfg.masses)
         self.positions = tuple(tuple(c.mag() for c in cfg.position(j))
@@ -1052,18 +1052,17 @@ class _NormRad:
         self.zero = {}
 
     @staticmethod
-    def mul(b, c, cap):
-        out = {}
-        for (m1, n1), (N1, r1) in b.items():
-            for (m2, n2), (N2, r2) in c.items():
-                m, n = m1 + m2, n1 + n2
-                if m + n > cap:
-                    continue
-                Np = _up(N1 * N2)
-                rp = _up(_up(_up(N1 * r2) + _up(r1 * N2)) + _up(r1 * r2))
-                prev = out.get((m, n), (0.0, 0.0))
-                out[(m, n)] = (float(_up(prev[0] + Np)), float(_up(prev[1] + rp)))
-        return out
+    def entry(seq, radius):
+        return (seq.norm_upper(), radius)
+
+    @staticmethod
+    def product_layer(b, c, alpha):
+        Nacc, racc = 0.0, 0.0
+        for (N1, r1), (N2, r2) in _cauchy_terms(b, c, alpha):
+            Np = _up(N1 * N2)
+            rp = _up(_up(_up(N1 * r2) + _up(r1 * N2)) + _up(r1 * r2))
+            Nacc, racc = float(_up(Nacc + Np)), float(_up(racc + rp))
+        return (Nacc, racc)
 
     @staticmethod
     def sum(*grids):
@@ -1091,13 +1090,124 @@ class _NormRad:
         return g
 
 
+class _Incremental:
+    """One evaluation of the field at order `order` in `base` (a `_ByLayer`).
+
+    `model.embedded_field` makes its products in a fixed sequence, so the
+    k-th `mul` of every evaluation is the same product node, and layer gamma
+    of a node reads only the inputs of order <= |gamma|.  The node layers
+    below `keep` are taken from `old` (one dict per node, from an evaluation
+    on the same lower orders), the layers keep..order-1 are computed in
+    full, and of the order-`order` layers only the jets the level solves:
+    layer alpha of a product reads no other layer of its own order.
+    `nodes` collects each node's layers below `order`, all complete.  Every
+    operation but `mul` is the base arithmetic's.
+    """
+
+    def __init__(self, base, order: int, old, keep: int):
+        self.base = base
+        self.order = order
+        self.top = set(_level_alphas(order))
+        self.old = old
+        self.keep = keep
+        self.nodes = []
+
+    def __getattr__(self, name):
+        return getattr(self.base, name)
+
+    def mul(self, b, c, cap):
+        old = self.old[len(self.nodes)] if self.keep else None
+        out, done = {}, {}
+        for g in _product_keys(b, c, cap):
+            p = g[0] + g[1]
+            if p < self.keep:
+                out[g] = done[g] = old[g]
+            elif p < self.order:
+                out[g] = done[g] = self.base.product_layer(b, c, g)
+            elif g in self.top:
+                out[g] = self.base.product_layer(b, c, g)
+        self.nodes.append(done)
+        return out
+
+
+class _FieldMemo(NamedTuple):
+    """The last field evaluation of one arithmetic on a table."""
+
+    cfg: object
+    order: int
+    lower: list    # (beta, centers, radius) of the orders below `order`
+    nodes: list    # per product node, its layers below `order`
+    outs: tuple    # the nine field grids
+
+
+def _same_inputs(u, v) -> bool:
+    return len(u) == len(v) and all(
+        a == b and s is t and r == q for (a, s, r), (b, t, q) in zip(u, v))
+
+
+def _lower_field(jet: "JetTable", cfg, arith, order: int):
+    """`model.embedded_field` in `arith(cfg)` of the orders below `order`.
+
+    Its layers of order `order` are those of the jets the level solves.  One
+    evaluation per order and table: the table's memo serves the other jets
+    of the order and hands its product layers to the next order, while the
+    cfg, the center objects and the radii it read are unchanged.
+    """
+    lower = [(beta, seqs, jet.radii.get(beta))
+             for beta, seqs in sorted(jet.orders.items())
+             if beta[0] + beta[1] < order]
+    memos = jet.field_memo or {}
+    memo = memos.get(arith)
+    old, keep = (), 0
+    if (memo is not None and memo.cfg is cfg and memo.order <= order
+            and _same_inputs(memo.lower, [e for e in lower
+                                          if e[0][0] + e[0][1] < memo.order])):
+        if memo.order == order:
+            return memo.outs
+        old, keep = memo.nodes, memo.order
+    ar = _Incremental(arith(cfg), order, old, keep)
+    grids = [{beta: arith.entry(seqs[i], r) for beta, seqs, r in lower}
+             for i in range(9)]
+    outs = model.embedded_field(ar, grids, order)
+    jet.field_memo = {**memos, arith: _FieldMemo(cfg, order, lower, ar.nodes, outs)}
+    return outs
+
+
+def _solved_jet(alpha):
+    """alpha as a pair of ints; only the jets with m >= n are solved."""
+    m_, n_ = int(alpha[0]), int(alpha[1])
+    if m_ + n_ < 2:
+        raise ValueError("jet stages start at |alpha| = 2")
+    if m_ < n_:
+        raise ValueError("jet (%d,%d) is the reflection of (%d,%d)" % (m_, n_, n_, m_))
+    return (m_, n_)
+
+
+def _remainder_discs(jet: "JetTable", cfg, alpha):
+    """Layer alpha of the field on the lower orders: nine [mid, rad] or None."""
+    alpha = _solved_jet(alpha)
+    return [o.get(alpha) for o in _lower_field(jet, cfg, _MidRad, sum(alpha))]
+
+
+def _remainder_enclosure(jet: "JetTable", cfg, alpha):
+    """Layer alpha of the field applied to the strictly-lower-order centers."""
+    res = []
+    for ent in _remainder_discs(jet, cfg, alpha):
+        if ent is None:
+            res.append(FourierSeq.zeros(1, jet.nu))
+            continue
+        vm, vr = ent
+        c = CArr(_dn(vm.real - vr), _up(vm.real + vr),
+                 _dn(vm.imag - vr), _up(vm.imag + vr))
+        res.append(FourierSeq(c, jet.nu))
+    return res
+
+
 def _remainder_error_budget(jet: "JetTable", cfg, alpha) -> float:
     """Bound on the remainder shift caused by the radii of all lower orders."""
-    m_, n_ = int(alpha[0]), int(alpha[1])
-    order = m_ + n_
-    rows = _lower_field(jet, cfg, _NormRad, order,
-                        lambda seq, beta: (seq.norm_upper(), jet.radii[beta]))
-    return max(r.get((m_, n_), (0.0, 0.0))[1] for r in rows)
+    alpha = _solved_jet(alpha)
+    rows = _lower_field(jet, cfg, _NormRad, sum(alpha))
+    return max(r.get(alpha, (0.0, 0.0))[1] for r in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -1236,9 +1346,7 @@ def validate_order1(solution: BundleSolution, jet: "JetTable", cfg) -> Order1Res
 
 def validate_jet(alpha, jet: "JetTable", cfg) -> JetResult:
     """Certify one homological jet whose center is staged in the table."""
-    alpha = (int(alpha[0]), int(alpha[1]))
-    if alpha[0] + alpha[1] < 2:
-        raise ValueError("jet validation starts at |alpha| = 2")
+    alpha = _solved_jet(alpha)
     centers = jet.orders[alpha]
     ctx = _context_for(jet, cfg)
     asm = _assemble_jet(alpha, centers, ctx, jet)
@@ -1278,6 +1386,12 @@ class JetTable:
     certs: dict = field(default_factory=dict)
     digests: dict = field(default_factory=dict)
     ctx_cache: object = field(default=None, repr=False, compare=False)
+
+    # arithmetic -> _FieldMemo of its last remainder field evaluation, set
+    # by `_lower_field`.  Not a dataclass field: it stays out of repr,
+    # comparison and JSON, and a table made by `replace` (a rescale, a pool
+    # snapshot) starts without it.
+    field_memo = None
 
     def re_lambda_mig(self) -> float:
         """Lower bound of |Re lambda| over the certified enclosure."""
@@ -1411,7 +1525,7 @@ def start_jet_table(kind: str, sol: OrbitSolution, res: Order0Result, cfg,
         # the order-0 context of validate_order0 is the one the table needs
         jet.ctx_cache = res.context[1:]
 
-    prob = bundle_problem(cfg, sol.omega, sol.coeffs, k0, xi0, sol.K)
+    prob = bundle_problem(jet, cfg)
     guess = np.concatenate([[complex(lam_guess)],
                             np.asarray(v_guess, dtype=complex).ravel()])
     z = newton_stage(prob, guess)

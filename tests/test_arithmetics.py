@@ -5,8 +5,11 @@ One random Fourier-Taylor grid (K = 5, orders <= 3) goes through
 and norm/radius pairs.  The float values must lie in both enclosures, and
 moving the float inputs within given radii must move the outputs by no more
 than the norm/radius bound.  The remainder wrappers of `stages` and the
-derivative kernels get the same checks, and a remainder served from the
-last field evaluation must equal a fresh one.
+derivative kernels get the same checks.  The remainders of `stages` are
+evaluated order by order with product layers carried between orders: each
+must equal a fresh evaluation byte for byte, their midpoint lane must equal
+the float remainder, and a change to the lower orders must discard what was
+carried.
 """
 
 from types import SimpleNamespace
@@ -133,13 +136,14 @@ def test_norm_radius_bounds_the_float_field(cfg, data):
                 assert 0.0 < nu_norm(diff) <= r
 
 
-def lower_jet(grid, radii):
-    """A table stand-in holding the centers and radii of the orders below CAP."""
-    low = [p for p in ORDERS if p[0] + p[1] < CAP]
+def lower_jet(grid, radii, top=CAP - 1):
+    """A table stand-in holding the centers and radii of the orders <= top."""
+    low = [p for p in ORDERS if p[0] + p[1] <= top]
     return SimpleNamespace(
         nu=NU,
         orders={b: tuple(FourierSeq.point(grid[i][b], NU) for i in range(9)) for b in low},
         radii={b: radii[b] for b in low},
+        field_memo=None,
     )
 
 
@@ -163,11 +167,9 @@ def test_remainder_wrappers_against_float(cfg, data):
 
 def remainders(jet, cfg, alpha, fresh):
     if fresh:
-        stages._LAST_LOWER_FIELD.clear()
+        jet.field_memo = None
     enc = stages._remainder_enclosure(jet, cfg, alpha)
     bounds = [(s.c.rl, s.c.rh, s.c.il, s.c.ih) for s in enc]
-    if fresh:
-        stages._LAST_LOWER_FIELD.clear()
     return bounds, stages._remainder_error_budget(jet, cfg, alpha)
 
 
@@ -179,17 +181,20 @@ def assert_same(a, b):
             assert np.array_equal(u, v)
 
 
+def halve(jet, beta):
+    jet.orders[beta] = tuple(s.scale(Interval.point(0.5)) for s in jet.orders[beta])
+
+
 def test_remainder_reuse_matches_fresh_evaluation(cfg, data):
     grid, radii = data
-    jet = lower_jet(grid, radii)
+    jet = lower_jet(grid, radii, top=CAP)
     remainders(jet, cfg, (3, 0), fresh=False)
     # the second jet of the order reuses the field of the first
     assert_same(remainders(jet, cfg, (2, 1), fresh=False),
                 remainders(jet, cfg, (2, 1), fresh=True))
     before = remainders(jet, cfg, (2, 1), fresh=False)
     # rescaled centers of one lower order, then a wider radius: both re-evaluate
-    jet.orders[(1, 0)] = tuple(s.scale(Interval.point(0.5))
-                               for s in jet.orders[(1, 0)])
+    halve(jet, (1, 0))
     moved = remainders(jet, cfg, (2, 1), fresh=False)
     assert_same(moved, remainders(jet, cfg, (2, 1), fresh=True))
     assert moved[1] != before[1]
@@ -197,6 +202,61 @@ def test_remainder_reuse_matches_fresh_evaluation(cfg, data):
     wider = remainders(jet, cfg, (2, 1), fresh=False)
     assert_same(wider, remainders(jet, cfg, (2, 1), fresh=True))
     assert wider[1] > moved[1]
+    # the same at the next order, which would otherwise take its product
+    # layers from the order-3 evaluation
+    for change in (lambda: halve(jet, (0, 1)),
+                   lambda: jet.radii.__setitem__((1, 1), 2.0 * jet.radii[(1, 1)])):
+        remainders(jet, cfg, (2, 1), fresh=False)
+        change()
+        assert_same(remainders(jet, cfg, (3, 1), fresh=False),
+                    remainders(jet, cfg, (3, 1), fresh=True))
+
+
+def as_bytes(value):
+    """The bytes of a [mid, rad] disc layer or an (N, r) pair, sign bits included."""
+    return [np.asarray(v).tobytes() for v in value]
+
+
+@pytest.mark.parametrize("arith", [stages._MidRad, stages._NormRad])
+def test_incremental_field_equals_a_fresh_one(cfg, data, arith):
+    grid, radii = data
+    jet = lower_jet(grid, radii, top=CAP)
+    prev = None
+    for p in range(2, CAP + 2):
+        got = stages._lower_field(jet, cfg, arith, p)
+        memo = jet.field_memo[arith]
+        assert memo.order == p and memo.outs is got
+        if prev is not None:
+            # the layers below p - 1 were carried over, not recomputed
+            assert len(memo.nodes) == len(prev.nodes) == 24
+            for new, old in zip(memo.nodes, prev.nodes):
+                assert all(new[g] is old[g] for g in old if g[0] + g[1] < p - 1)
+        prev = memo
+        low = [b for b in ORDERS if b[0] + b[1] < p]
+        fresh = model.embedded_field(
+            arith(cfg), [{b: arith.entry(jet.orders[b][i], jet.radii[b]) for b in low}
+                         for i in range(9)], p)
+        level = set(stages._level_alphas(p))
+        for i in range(9):
+            assert set(got[i]) == {a for a in fresh[i] if a[0] + a[1] < p or a in level}
+            for alpha, value in got[i].items():
+                assert as_bytes(value) == as_bytes(fresh[i][alpha]), (p, i, alpha)
+
+
+def test_midpoint_lane_is_the_float_remainder(cfg, data):
+    grid, radii = data
+    jet = lower_jet(grid, radii, top=CAP)
+    ms, pos = numerics.cfg_floats(cfg)
+    for p in range(2, CAP + 2):
+        # the lower orders sorted, as the jets read them from their table
+        mids = [{b: jet.orders[b][i].c.mid() for b in sorted(ORDERS) if b[0] + b[1] < p}
+                for i in range(9)]
+        for alpha in stages._level_alphas(p):
+            R = numerics.remainder_layer(mids, alpha, ms, pos)
+            discs = stages._remainder_discs(jet, cfg, alpha)
+            for r, d in zip(R, discs):
+                vm = np.zeros(1, dtype=complex) if d is None else d[0]
+                assert vm.tobytes() == r.tobytes(), (alpha,)
 
 
 def test_float_kernels_inside_interval_kernels(cfg, data):

@@ -10,7 +10,8 @@ import json
 import numpy as np
 import pytest
 
-from fourbody import model, seeding, stages
+from fourbody import cli, model, numerics, seeding, stages
+from fourbody.radii import content_digest
 
 K = 24
 N_T = 3
@@ -91,3 +92,60 @@ def test_process_pool_matches_sequential(run):
     cfg, _, start, table = run
     pooled = stages.extend_with_jets(stages.rescale_jets(start, 1.0), cfg, jobs=2)
     assert pooled.digest() == table.digest()
+
+
+def test_jets_evaluate_each_remainder_field_once(run, monkeypatch):
+    # counts, not timings: the jets never call the float remainder, and each
+    # arithmetic evaluates the field once per order, the orders after the
+    # first taking the product layers of the order before
+    cfg, _, start, table = run
+
+    def float_remainder(*args):
+        raise AssertionError("numerics.remainder_layer on the jet path")
+
+    evaluations = []
+    init = stages._Incremental.__init__
+
+    def counted(self, base, order, old, keep):
+        evaluations.append((type(base).__name__, order, keep))
+        init(self, base, order, old, keep)
+
+    monkeypatch.setattr(numerics, "remainder_layer", float_remainder)
+    monkeypatch.setattr(stages._Incremental, "__init__", counted)
+    again = stages.extend_with_jets(stages.rescale_jets(start, 1.0), cfg)
+    assert again.digest() == table.digest()
+    # the memo stays with its table: pool snapshots and rescales start without it
+    assert again.field_memo and stages._strip_unvalidated(again).field_memo is None
+    assert sorted(evaluations) == sorted(
+        (arith, p, 0 if p == 2 else p - 1)
+        for arith in ("_MidRad", "_NormRad") for p in range(2, N_T + 1))
+
+
+def test_recheck_command(run, tmp_path, capsys):
+    _, _, _, table = run
+    good = tmp_path / "table.json"
+    good.write_text(json.dumps(table.to_json_obj()))
+    assert cli.main(["recheck", str(good)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(table.certs)
+    assert all(line.startswith("ok ") for line in lines)
+
+    stage = "jet:3,0:%s" % KIND
+    # a digest that no longer names the certificate
+    obj = json.loads(good.read_text())
+    obj["digests"][stage] = obj["digests"]["order0"]
+    bad = tmp_path / "digest.json"
+    bad.write_text(json.dumps(obj))
+    assert cli.main(["recheck", str(bad)]) == 1
+    assert [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("FAIL")] == [
+        "FAIL %s  r0=%.3e  digest" % (stage, table.certs[stage].r0)]
+    # a radius at the cap, with its digest chained again
+    obj = json.loads(good.read_text())
+    obj["certs"][stage]["r0"] = obj["certs"][stage]["r_star"]
+    obj["digests"][stage] = content_digest(obj["certs"][stage])
+    bad = tmp_path / "radius.json"
+    bad.write_text(json.dumps(obj))
+    assert cli.main(["recheck", str(bad)]) == 1
+    assert [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("FAIL")] == ["FAIL %s  r0=1.000e-02  recheck" % stage]
