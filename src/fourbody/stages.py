@@ -41,9 +41,24 @@ per order and kept in a memo on the table (`JetTable.field_memo`): the next
 order reuses every product layer below p - 1, completes layer p - 1 and
 computes layer p only for the jets the level solves.  The memo is used only
 while the inputs it read are still in the table (the same cfg, the same
-center objects, the same radii), and a table made by `replace` (a rescale,
-a pool snapshot) starts without it; it is not part of the table's JSON or
-digest.
+center objects, the same radii), and a table made by `replace` (a rescale)
+starts without it; it is not part of the table's JSON or digest.
+
+A jet reads its table only through a `_JetLayer`: its layer of the
+remainder field, the budget rho, and a few scalars (lambda_bar, the radii
+of orders 0 and 1, the kind, the order-1 digest).  One task body,
+`_jet_task`, solves and certifies a jet from its layer and the order-0
+context.  With jobs = 1 it runs in process; with jobs > 1 the jets of a
+level run on one process pool per `extend_with_jets` call.  Its initializer
+hands each worker the order-0 context once, the parent evaluates each
+level's remainder fields once, as jobs = 1 does, and each task carries only
+its layer.  Results are applied in the fixed level order, so both paths give
+the same table bit for bit.  That promise holds only while the workers run
+the parent's BLAS thread count: the float centers (a dense inverse, for
+one) round differently with another count, and the digests move with them.
+Forked workers (the default on Linux) inherit the count; a worker started
+fresh reads it from the environment, so a count the parent sets while it
+runs does not reach it.
 
 The jet table collects centers, radii, eigenvalue enclosures, and the
 certificates with a digest chain binding each stage to its predecessors.
@@ -51,6 +66,7 @@ certificates with a digest chain binding each stage to its predecessors.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -556,17 +572,18 @@ def _jet_shift(alpha, lam: complex) -> complex:
 
 
 def jet_problem(alpha, jet: "JetTable", cfg):
-    """Homological stage for a single alpha with |alpha| >= 2 (linear).
+    """Homological stage for a single alpha with |alpha| >= 2 (linear)."""
+    return _layer_problem(_context_for(jet, cfg), _jet_layer(jet, cfg, alpha))
 
-    The right-hand side is the midpoint lane of the remainder enclosure
-    that the certificate of the jet reads.
-    """
-    alpha = _solved_jet(alpha)
-    K = jet.K
-    base = _context_for(jet, cfg).window_block(_jet_shift(alpha, jet.lambda_bar))
+
+def _layer_problem(ctx: _StageContext, layer: "_JetLayer"):
+    """The jet's problem; its right-hand side is the midpoint lane of the
+    remainder enclosure that the certificate of the jet reads."""
+    K = ctx.K
+    base = ctx.window_block(_jet_shift(layer.alpha, layer.lambda_bar))
     Rwin = np.array([np.zeros(2 * K - 1, dtype=complex) if d is None
                      else numerics.crop(d[0], K)
-                     for d in _remainder_discs(jet, cfg, alpha)]).ravel()
+                     for d in layer.discs]).ravel()
     return (lambda z: base @ z + Rwin), (lambda z: base)
 
 
@@ -874,12 +891,12 @@ def _assemble_bundle(sol: "BundleSolution", ctx: _StageContext, r0: float) -> _A
     return asm
 
 
-def _assemble_jet(alpha, centers, ctx: _StageContext, jet: "JetTable") -> _Assembled:
+def _assemble_jet(layer: "_JetLayer", centers, ctx: _StageContext) -> _Assembled:
     K, nu, omega = ctx.K, ctx.nu, ctx.omega
     ns = 0
-    m_, n_ = int(alpha[0]), int(alpha[1])
+    m_, n_ = layer.alpha
     p = m_ + n_
-    lam = jet.lambda_bar
+    lam = layer.lambda_bar
     s = _jet_shift((m_, n_), lam)
 
     J = ctx.window_block(s)
@@ -890,7 +907,7 @@ def _assemble_jet(alpha, centers, ctx: _StageContext, jet: "JetTable") -> _Assem
             raise ValueError("jet centers must be point sequences")
     aset = list(centers)
     Dapp = ctx.df0.apply(aset)
-    Renc = _remainder_enclosure(jet, ctx.cfg, alpha)
+    Renc = _disc_seqs(layer.discs, nu)
     lam_shift = ComplexInterval.point(-s)
     resid_seqs = []
     for i in range(9):
@@ -902,18 +919,16 @@ def _assemble_jet(alpha, centers, ctx: _StageContext, jet: "JetTable") -> _Assem
     lre = Interval.point(lam.real) * float(p)
     lim = Interval.point(lam.imag) * float(m_ - n_)
     ds = ComplexInterval(lre - s.real, lim - s.imag).mag()
-    r_lam = jet.radii.get((1, 0), 0.0)
-    dd = ctx.field_dd(jet.radii.get((0, 0), 0.0))
-    shift_err = float(_up(dd + _up(p * r_lam + ds)))
-    rho = _remainder_error_budget(jet, ctx.cfg, alpha)
+    dd = ctx.field_dd(layer.r_orbit)
+    shift_err = float(_up(dd + _up(p * layer.r_bundle + ds)))
     maxn = max(sq.norm_upper() for sq in aset)
     asm = _Assembled(
-        tag="jet:%d,%d:%s" % (m_, n_, jet.kind), ns=ns, K=K, nu=nu,
+        tag="jet:%d,%d:%s" % (m_, n_, layer.kind), ns=ns, K=K, nu=nu,
         omega=omega, s=s, J=J, encl=E, resid_scalars=[],
         resid_seqs=resid_seqs, tail_mags=[list(row) for row in ctx.kmags],
         tail_norms=ctx.knorms.copy(), tail_consts=np.abs(ctx.const),
         scalar_tail_sup=np.zeros((0, 9)), ycol_tail_seqs=[], monomials=[],
-        pre_Z1=shift_err, pre_Y=float(_up(_up(shift_err * maxn) + rho)),
+        pre_Z1=shift_err, pre_Y=float(_up(_up(shift_err * maxn) + layer.rho)),
     )
     return asm
 
@@ -1189,18 +1204,23 @@ def _remainder_discs(jet: "JetTable", cfg, alpha):
     return [o.get(alpha) for o in _lower_field(jet, cfg, _MidRad, sum(alpha))]
 
 
-def _remainder_enclosure(jet: "JetTable", cfg, alpha):
-    """Layer alpha of the field applied to the strictly-lower-order centers."""
+def _disc_seqs(discs, nu: float):
+    """Interval sequences enclosing nine [mid, rad] disc arrays (None is zero)."""
     res = []
-    for ent in _remainder_discs(jet, cfg, alpha):
+    for ent in discs:
         if ent is None:
-            res.append(FourierSeq.zeros(1, jet.nu))
+            res.append(FourierSeq.zeros(1, nu))
             continue
         vm, vr = ent
         c = CArr(_dn(vm.real - vr), _up(vm.real + vr),
                  _dn(vm.imag - vr), _up(vm.imag + vr))
-        res.append(FourierSeq(c, jet.nu))
+        res.append(FourierSeq(c, nu))
     return res
+
+
+def _remainder_enclosure(jet: "JetTable", cfg, alpha):
+    """Layer alpha of the field applied to the strictly-lower-order centers."""
+    return _disc_seqs(_remainder_discs(jet, cfg, alpha), jet.nu)
 
 
 def _remainder_error_budget(jet: "JetTable", cfg, alpha) -> float:
@@ -1208,6 +1228,31 @@ def _remainder_error_budget(jet: "JetTable", cfg, alpha) -> float:
     alpha = _solved_jet(alpha)
     rows = _lower_field(jet, cfg, _NormRad, sum(alpha))
     return max(r.get(alpha, (0.0, 0.0))[1] for r in rows)
+
+
+class _JetLayer(NamedTuple):
+    """All that the solve and the certificate of one jet read, besides the
+    order-0 context: the remainder is already evaluated, so a pool task
+    carries this and not the table."""
+
+    alpha: tuple
+    discs: list        # layer alpha of the field on the lower orders (`_remainder_discs`)
+    rho: float         # `_remainder_error_budget`
+    lambda_bar: complex
+    r_orbit: float     # radius of order 0
+    r_bundle: float    # radius of order 1
+    kind: str
+    prev: str          # digest of the order-1 certificate
+
+
+def _jet_layer(jet: "JetTable", cfg, alpha) -> _JetLayer:
+    """The `_JetLayer` of a jet of the table, from its memoized remainder fields."""
+    alpha = _solved_jet(alpha)
+    return _JetLayer(
+        alpha, _remainder_discs(jet, cfg, alpha),
+        _remainder_error_budget(jet, cfg, alpha), jet.lambda_bar,
+        jet.radii.get((0, 0), 0.0), jet.radii.get((1, 0), 0.0), jet.kind,
+        jet.digests.get("order1", ""))
 
 
 # ---------------------------------------------------------------------------
@@ -1347,18 +1392,21 @@ def validate_order1(solution: BundleSolution, jet: "JetTable", cfg) -> Order1Res
 def validate_jet(alpha, jet: "JetTable", cfg) -> JetResult:
     """Certify one homological jet whose center is staged in the table."""
     alpha = _solved_jet(alpha)
-    centers = jet.orders[alpha]
-    ctx = _context_for(jet, cfg)
-    asm = _assemble_jet(alpha, centers, ctx, jet)
+    return _validate_layer(_context_for(jet, cfg), _jet_layer(jet, cfg, alpha),
+                           jet.orders[alpha])
+
+
+def _validate_layer(ctx: _StageContext, layer: _JetLayer, centers) -> JetResult:
+    asm = _assemble_jet(layer, centers, ctx)
     digest = content_digest({
-        "stage": "jet:%d,%d" % alpha,
-        "kind": jet.kind,
-        "prev": jet.digests.get("order1", ""),
+        "stage": "jet:%d,%d" % layer.alpha,
+        "kind": layer.kind,
+        "prev": layer.prev,
         "coeffs": _seqs_digest_obj(centers),
     })
     cert, report = _certify(asm, digest)
     balls = tuple(BallElement(sq, cert.r0) for sq in centers)
-    return JetResult(alpha, balls, cert.r0, cert, report)
+    return JetResult(layer.alpha, balls, cert.r0, cert, report)
 
 
 # ---------------------------------------------------------------------------
@@ -1549,54 +1597,77 @@ def _level_alphas(p: int):
     return [(m, p - m) for m in range(p, (p - 1) // 2, -1)]
 
 
-def _jet_task(jet: "JetTable", cfg, alpha):
-    """Solve and certify one jet against a fixed lower-order table."""
-    prob = jet_problem(alpha, jet, cfg)
-    z = newton_stage(prob, np.zeros(9 * (2 * jet.K - 1), dtype=complex))
-    centers = tuple(FourierSeq.point(row, jet.nu)
-                    for row in z.reshape(9, 2 * jet.K - 1))
-    jet.orders[alpha] = centers
-    res = validate_jet(alpha, jet, cfg)
-    return alpha, centers, res
+def _jet_task(ctx: _StageContext, layer: _JetLayer) -> JetResult:
+    """Solve and certify one jet: the body of every jet task, run in process
+    when jobs = 1 and in a pool worker otherwise."""
+    n = 2 * ctx.K - 1
+    z = newton_stage(_layer_problem(ctx, layer), np.zeros(9 * n, dtype=complex))
+    centers = tuple(FourierSeq.point(row, ctx.nu) for row in z.reshape(9, n))
+    return _validate_layer(ctx, layer, centers)
 
 
-def _level_parallel(jet: "JetTable", cfg, alphas, jobs: int):
-    """Run one level's independent jets on a process pool.
+# the order-0 context of a pool worker, handed over by `_init_worker`
+_worker_ctx = None
 
-    Inputs to each task are a snapshot of the lower orders, and results are
-    applied in the fixed level order, so the outcome matches the sequential
-    path bit for bit."""
+
+def _init_worker(ctx: _StageContext):
+    global _worker_ctx
+    _worker_ctx = ctx
+
+
+def _pool_task(layer: _JetLayer) -> JetResult:
+    return _jet_task(_worker_ctx, layer)
+
+
+def _jet_pool(jet: JetTable, cfg, jobs: int):
+    """Context of the one process pool of an `extend_with_jets` call; it
+    gives None when there is nothing to run in parallel.
+
+    Its initializer gives each worker the table's order-0 context (which
+    holds cfg) once; a rescale keeps order 0, so the pool serves the retry
+    too.
+    """
+    if jobs <= 1 or jet.N_t < 2:
+        return contextlib.nullcontext()
     from concurrent.futures import ProcessPoolExecutor
 
-    snap = _strip_unvalidated(jet)
-    snap.ctx_cache = None
-    with ProcessPoolExecutor(max_workers=min(jobs, len(alphas))) as ex:
-        futs = [ex.submit(_jet_task, snap, cfg, a) for a in alphas]
+    return ProcessPoolExecutor(max_workers=min(jobs, len(_level_alphas(jet.N_t))),
+                               initializer=_init_worker,
+                               initargs=(_context_for(jet, cfg),))
+
+
+def _level_parallel(jet: "JetTable", cfg, alphas, pool):
+    """Run one level's independent jets on the pool of `extend_with_jets`.
+
+    The pool's workers hold the order-0 context from its initializer.  The
+    parent evaluates the level's remainder fields once, as jobs = 1 does,
+    and each task carries only its own `_JetLayer`: no table is sent and no
+    worker evaluates the field.  Results come back in the fixed level order,
+    so the outcome matches the sequential path bit for bit, provided the
+    workers run the parent's BLAS thread count (see the module docstring).
+    When a task raises, the tasks of the level that have not started are
+    dropped.
+    """
+    futs = [pool.submit(_pool_task, _jet_layer(jet, cfg, a)) for a in alphas]
+    try:
         return [f.result() for f in futs]
+    finally:
+        for f in futs:
+            f.cancel()
 
 
-def extend_with_jets(jet: JetTable, cfg, *, gamma: float = 0.7,
-                     jobs: int = 1, _retried: bool = False) -> JetTable:
-    """Solve and certify all jets through order N_t (one rescale retry).
-
-    Jets of equal order are independent; jobs > 1 validates each level
-    concurrently."""
+def _extend(jet: JetTable, cfg, pool) -> JetTable:
+    """Solve and certify the jets the table lacks, level by level."""
     for p in range(2, jet.N_t + 1):
         alphas = [a for a in _level_alphas(p) if a not in jet.radii]
-        try:
-            if jobs > 1 and len(alphas) > 1:
-                results = _level_parallel(jet, cfg, alphas, jobs)
-            else:
-                results = [_jet_task(jet, cfg, a) for a in alphas]
-        except NoNegativeRadius:
-            if _retried:
-                raise
-            for a in alphas:
-                jet.orders.pop(a, None)
-            scaled = rescale_jets(_strip_unvalidated(jet), gamma)
-            return extend_with_jets(scaled, cfg, gamma=gamma, jobs=jobs,
-                                    _retried=True)
-        for alpha, centers, res in results:
+        if pool is not None and len(alphas) > 1:
+            results = _level_parallel(jet, cfg, alphas, pool)
+        else:
+            ctx = _context_for(jet, cfg)
+            results = [_jet_task(ctx, _jet_layer(jet, cfg, a)) for a in alphas]
+        for res in results:
+            alpha = res.alpha
+            centers = tuple(b.center for b in res.balls)
             jet.orders[alpha] = centers
             jet.radii[alpha] = res.r
             jet.certs[res.cert.stage] = res.cert
@@ -1606,6 +1677,20 @@ def extend_with_jets(jet: JetTable, cfg, *, gamma: float = 0.7,
                 jet.orders[mirror] = tuple(s.conj_reflect() for s in centers)
                 jet.radii[mirror] = res.r
     return jet
+
+
+def extend_with_jets(jet: JetTable, cfg, *, gamma: float = 0.7,
+                     jobs: int = 1) -> JetTable:
+    """Solve and certify all jets through order N_t (one rescale retry).
+
+    Jets of equal order are independent; jobs > 1 solves each level on one
+    process pool that lives as long as this call, the retry included."""
+    with _jet_pool(jet, cfg, jobs) as pool:
+        try:
+            return _extend(jet, cfg, pool)
+        except NoNegativeRadius:
+            scaled = rescale_jets(_strip_unvalidated(jet), gamma)
+        return _extend(scaled, cfg, pool)
 
 
 def _strip_unvalidated(jet: JetTable) -> JetTable:

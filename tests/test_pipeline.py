@@ -5,13 +5,16 @@ Jacobi level H0 - 0.3; nu = 1.5; the unstable Floquet bundle with k0 = 3 and
 xi0 = 1e-4.  K = 24 and N_t = 3 keep the run to a few seconds.
 """
 
+import concurrent.futures
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
 from fourbody import cli, model, numerics, seeding, stages
-from fourbody.radii import content_digest
+from fourbody.radii import NoNegativeRadius, content_digest
 
 K = 24
 N_T = 3
@@ -119,6 +122,80 @@ def test_jets_evaluate_each_remainder_field_once(run, monkeypatch):
     assert sorted(evaluations) == sorted(
         (arith, p, 0 if p == 2 else p - 1)
         for arith in ("_MidRad", "_NormRad") for p in range(2, N_T + 1))
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The process pools opened while the test runs."""
+    made = []
+
+    class Counted(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    return made
+
+
+def test_pool_sends_layers_not_tables(run, monkeypatch, pools):
+    # counts, not timings: one pool for the whole call, the remainder fields
+    # evaluated in the parent exactly as jobs=1 evaluates them, none in a worker
+    cfg, _, start, table = run
+    evaluations = []
+    init = stages._Incremental.__init__
+
+    def counted(self, base, order, old, keep):
+        evaluations.append((type(base).__name__, order, keep))
+        init(self, base, order, old, keep)
+
+    parent = os.getpid()
+    lower_field = stages._lower_field
+
+    def parent_only(*args):
+        # forked workers inherit this patch
+        if os.getpid() != parent:
+            raise AssertionError("stages._lower_field in a pool worker")
+        return lower_field(*args)
+
+    monkeypatch.setattr(stages._Incremental, "__init__", counted)
+    monkeypatch.setattr(stages, "_lower_field", parent_only)
+    stages.extend_with_jets(stages.rescale_jets(start, 1.0), cfg, jobs=1)
+    sequential = list(evaluations)
+    assert pools == [] and sequential
+    evaluations.clear()
+    pooled = stages.extend_with_jets(stages.rescale_jets(start, 1.0), cfg, jobs=2)
+    assert len(pools) == 1
+    assert evaluations == sequential
+    assert pooled.digest() == table.digest()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failed_jet_is_retried_once_on_one_pool(run, monkeypatch, pools, tmp_path, jobs):
+    # a jet whose certificate fails triggers one gamma rescale on the same
+    # pool; a second failure is raised; no worker outlives the call
+    cfg, _, start, _ = run
+    radii_newton = stages.radii_newton
+    failed = tmp_path / "failed"
+
+    def fails(bounds, stage, inputs_digest):
+        # a file, so that the workers and the parent see the same record
+        if stage == "jet:3,0:%s" % KIND and not (once and failed.exists()):
+            failed.touch()
+            raise NoNegativeRadius("no radius for " + stage)
+        return radii_newton(bounds, stage=stage, inputs_digest=inputs_digest)
+
+    monkeypatch.setattr(stages, "radii_newton", fails)
+    once = True
+    retried = stages.extend_with_jets(stages.rescale_jets(start, 1.0), cfg, jobs=jobs)
+    assert failed.exists() and retried.complete() and retried.gamma_scale == 0.7
+    assert multiprocessing.active_children() == []
+    once = False
+    with pytest.raises(NoNegativeRadius):
+        stages.extend_with_jets(stages.rescale_jets(start, 1.0), cfg, jobs=jobs)
+    assert multiprocessing.active_children() == []
+    assert len(pools) == (2 if jobs > 1 else 0)
 
 
 def test_recheck_command(run, tmp_path, capsys):
