@@ -42,7 +42,7 @@ _GROWTH = 1.35
 _AMP_MAX = 2.5
 # Newton tolerance of the amplitude-pinned solves
 _PIN_TOL = 1e-12
-# bisection of the walk's bracket: stop when |stop(...)| < _CROSS_TOL
+# regula falsi on the walk's bracket: stop when |stop(...)| < _CROSS_TOL
 _CROSS_TOL = 1e-12
 _CROSS_ITMAX = 80
 # samples of the variational flow over one period
@@ -227,21 +227,37 @@ def walk_family(cfg, eq_xy, K: int, stop):
 
 
 def _refine_crossing(cfg, K: int, a, b, stop):
-    (amp_a, z_a, v_a), (amp_b, z_b, v_b) = a, b
+    """Illinois regula falsi for stop = 0 on the walk's amplitude bracket.
+
+    Stops when |stop| < _CROSS_TOL or when the next amplitude is not
+    strictly inside the bracket (it has shrunk to adjacent floats), and
+    then returns the end with the smaller |stop|.
+    """
+    ends = [a, b]                      # (amp, z, stop value) of each end
+    fs = [a[2], b[2]]                  # the values the secant uses
     n = 2 * K - 1
+    kept = None
     for _ in range(_CROSS_ITMAX):
-        if abs(v_b) < _CROSS_TOL:
-            return amp_b, z_b
-        if abs(v_a) < _CROSS_TOL:
-            return amp_a, z_a
-        amp_m = amp_a + (amp_b - amp_a) * 0.5
-        z_m = _solve_pinned(cfg, K, amp_m, z_a.copy())
+        best = min(ends, key=lambda e: abs(e[2]))
+        if abs(best[2]) < _CROSS_TOL:
+            break
+        (amp_a, z_a, _), (amp_b, z_b, _) = ends
+        amp_m = amp_a + (amp_b - amp_a) * (fs[0] / (fs[0] - fs[1]))
+        if not min(amp_a, amp_b) < amp_m < max(amp_a, amp_b):
+            break
+        near = z_a if abs(amp_m - amp_a) <= abs(amp_m - amp_b) else z_b
+        z_m = _solve_pinned(cfg, K, amp_m, near.copy())
         v_m = stop(z_m[0].real, z_m[5:].reshape(9, n))
-        if v_a * v_m <= 0.0:
-            amp_b, z_b, v_b = amp_m, z_m, v_m
-        else:
-            amp_a, z_a, v_a = amp_m, z_m, v_m
-    return amp_b, z_b
+        # the new point replaces the end whose value has its sign
+        i = 0 if (v_m > 0.0) == (fs[0] > 0.0) else 1
+        ends[i] = (amp_m, z_m, v_m)
+        fs[i] = v_m
+        if kept == 1 - i:
+            # the other end stays a second time: halve its value (Illinois)
+            fs[1 - i] *= 0.5
+        kept = 1 - i
+    best = min(ends, key=lambda e: abs(e[2]))
+    return best[0], best[1]
 
 
 def _freeze(cfg, omega: float, z: np.ndarray, K: int,
