@@ -174,26 +174,34 @@ def test_pool_sends_layers_not_tables(run, monkeypatch, pools):
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_failed_jet_is_retried_once_on_one_pool(run, monkeypatch, pools, tmp_path, jobs):
     # a jet whose certificate fails triggers one gamma rescale on the same
-    # pool; a second failure is raised; no worker outlives the call
+    # pool, a second failure is raised, and no worker outlives the call
     cfg, _, start, _ = run
     radii_newton = stages.radii_newton
-    failed = tmp_path / "failed"
 
-    def fails(bounds, stage, inputs_digest):
-        # a file, so that the workers and the parent see the same record
-        if stage == "jet:3,0:%s" % KIND and not (once and failed.exists()):
-            failed.touch()
-            raise NoNegativeRadius("no radius for " + stage)
-        return radii_newton(bounds, stage=stage, inputs_digest=inputs_digest)
+    def fail_first(times, log):
+        # each attempt at jet (3,0) leaves a file, which workers and parent all see
+        log.mkdir()
 
-    monkeypatch.setattr(stages, "radii_newton", fails)
-    once = True
+        def certify(bounds, stage, inputs_digest):
+            if stage == "jet:3,0:%s" % KIND:
+                n = len(list(log.iterdir()))
+                (log / str(n)).touch()
+                if n < times:
+                    raise NoNegativeRadius("no radius for " + stage)
+            return radii_newton(bounds, stage=stage, inputs_digest=inputs_digest)
+
+        monkeypatch.setattr(stages, "radii_newton", certify)
+        return log
+
+    log = fail_first(1, tmp_path / "once")
     retried = stages.extend_with_jets(stages.rescale_jets(start, 1.0), cfg, jobs=jobs)
-    assert failed.exists() and retried.complete() and retried.gamma_scale == 0.7
+    assert len(list(log.iterdir())) == 2
+    assert retried.complete() and retried.gamma_scale == 0.7
     assert multiprocessing.active_children() == []
-    once = False
+    log = fail_first(3, tmp_path / "always")
     with pytest.raises(NoNegativeRadius):
         stages.extend_with_jets(stages.rescale_jets(start, 1.0), cfg, jobs=jobs)
+    assert len(list(log.iterdir())) == 2
     assert multiprocessing.active_children() == []
     assert len(pools) == (2 if jobs > 1 else 0)
 
