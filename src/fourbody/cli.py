@@ -5,8 +5,14 @@
 reads a jet table saved as the JSON of `JetTable.to_json_obj`, re-verifies
 the radii polynomial of every certificate (`Certificate.recheck`) and
 checks that the digest the table chains for each stage is the digest of
-that stage's certificate.  It prints one line per stage and exits with 1
-when any stage fails, 2 when the file cannot be read as a table.
+that stage's certificate.  It prints one line per stage.  Every radius of
+the table must also name a certificate (order0 for (0,0), order1 for (1,0)
+and (0,1), jet:m,n:kind for (m,n) and its mirror (n,m)) and be at least
+that certificate's r0 times gamma_scale^|alpha|; a radius that is not gets
+a FAIL line of its own.  The table does not record which jets were
+certified before a rescale, so this is a necessary condition only.  The
+command exits with 1 when any check fails, 2 when the file cannot be read
+as a table.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import argparse
 import json
 import sys
 
+from .interval import Interval, mul_down
 from .radii import content_digest
 from .stages import JetTable
 
@@ -26,7 +33,7 @@ def recheck(path: str) -> int:
     try:
         with open(path, encoding="utf-8") as fh:
             table = JetTable.from_json_obj(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, ArithmeticError) as exc:
         print("fourbody recheck: cannot read %s: %s" % (path, exc), file=sys.stderr)
         return 2
     misses = 0
@@ -43,7 +50,29 @@ def recheck(path: str) -> int:
         misses += bool(failed)
         print("%s %s  r0=%.3e%s" % ("FAIL" if failed else "ok  ", stage, cert.r0,
                                     "  " + " ".join(failed) if failed else ""))
+    for line in _radius_misses(table):
+        print(line)
+        misses += 1
     return 1 if misses else 0
+
+
+def _radius_misses(table) -> list:
+    """A FAIL line for each radius that names no certificate or lies below
+    that certificate's r0 * gamma_scale^|alpha|, rounded down."""
+    lines = []
+    for alpha, r in sorted(table.radii.items()):
+        m, n = max(alpha), min(alpha)
+        p = m + n
+        stage = "jet:%d,%d:%s" % (m, n, table.kind) if p >= 2 else "order%d" % p
+        cert = table.certs.get(stage)
+        if cert is None:
+            lines.append("FAIL radius %d,%d  no certificate %s" % (*alpha, stage))
+            continue
+        floor = mul_down(cert.r0, Interval.point(table.gamma_scale).pow_int(p).lo)
+        if not r >= floor:
+            lines.append("FAIL radius %d,%d  r=%.3e below %s r0*gamma^%d=%.3e"
+                         % (*alpha, r, stage, p, floor))
+    return lines
 
 
 def main(argv=None) -> int:

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import math
 
-import mpmath
-
 _INF = math.inf
 _SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp split constant
 # Outside this magnitude window the Dekker error term may be contaminated by
@@ -26,8 +24,6 @@ _SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp split constant
 # crude one-ulp nudge (still sound, one ulp looser).
 _EFT_MAX = 1e250
 _EFT_MIN = 1e-250
-
-mpmath.iv.prec = 113
 
 
 class IntervalDomainError(ArithmeticError):
@@ -183,22 +179,6 @@ class Interval:
     def point(x: float) -> "Interval":
         return Interval(x, x)
 
-    @staticmethod
-    def hull(items) -> "Interval":
-        lo = _INF
-        hi = -_INF
-        for it in items:
-            iv = it if isinstance(it, Interval) else Interval(float(it))
-            lo = min(lo, iv.lo)
-            hi = max(hi, iv.hi)
-        return Interval(lo, hi)
-
-    @staticmethod
-    def from_midrad(mid: float, rad: float) -> "Interval":
-        if rad < 0.0:
-            raise IntervalDomainError("negative radius")
-        return Interval(add_down(mid, -rad), add_up(mid, rad))
-
     # -- predicates ---------------------------------------------------
 
     def contains(self, x) -> bool:
@@ -300,7 +280,6 @@ class Interval:
         if n == 1:
             return self
         if n % 2 == 0 and self.straddles_zero():
-            m = self.mag()
             half = self.pow_int(n // 2)
             sq = half * half
             return Interval(0.0, sq.hi)
@@ -356,7 +335,6 @@ def _as_iv(x):
 
 
 ZERO = Interval(0.0)
-ONE = Interval(1.0)
 
 
 class ComplexInterval:
@@ -494,41 +472,3 @@ def _as_civ(x):
 
 
 CZERO = ComplexInterval(ZERO, ZERO)
-CONE = ComplexInterval(ONE, ZERO)
-
-
-# -- transcendental enclosures (mpmath.iv backed, scalar use only) -----
-
-
-def _from_mpiv(x) -> Interval:
-    lo = float(mpmath.mpf(x.a))
-    hi = float(mpmath.mpf(x.b))
-    return Interval(_prev(lo), _next(hi))
-
-
-def _to_mpiv(x: Interval):
-    return mpmath.iv.mpf((x.lo, x.hi))
-
-
-def iv_exp(x: Interval) -> Interval:
-    return _from_mpiv(mpmath.iv.exp(_to_mpiv(x)))
-
-
-def iv_log(x: Interval) -> Interval:
-    if x.lo <= 0.0:
-        raise IntervalDomainError("log of interval reaching below zero")
-    return _from_mpiv(mpmath.iv.log(_to_mpiv(x)))
-
-
-def iv_sin(x: Interval) -> Interval:
-    return _from_mpiv(mpmath.iv.sin(_to_mpiv(x)))
-
-
-def iv_cos(x: Interval) -> Interval:
-    return _from_mpiv(mpmath.iv.cos(_to_mpiv(x)))
-
-
-def iv_expi(x: Interval) -> ComplexInterval:
-    """Enclosure of exp(i x) for real interval x."""
-    return ComplexInterval(iv_cos(x), iv_sin(x))
-

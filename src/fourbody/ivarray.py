@@ -236,11 +236,6 @@ class CArr:
         ri = np.maximum(_up(self.ih - m.imag), _up(m.imag - self.il))
         return _up(np.sqrt(_up(_up(rr * rr) + _up(ri * ri))))
 
-    def widen(self, r) -> "CArr":
-        """Inflate both components outward by r (entrywise nonnegative)."""
-        r = np.asarray(r, dtype=float)
-        return CArr(_dn(self.rl - r), _up(self.rh + r), _dn(self.il - r), _up(self.ih + r))
-
     def contains(self, z) -> bool:
         z = np.asarray(z, dtype=complex)
         return bool(

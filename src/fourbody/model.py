@@ -16,10 +16,11 @@ The degree-5 embedded field is written once, in `embedded_field`, and its
 order-zero derivative once, in `field_derivative`.  Both run over a
 pluggable arithmetic: endpoint intervals here (`IntervalArith`), floats in
 `numerics`, and the midpoint-radius and norm/radius grids of `stages`.  On
-top of the interval arithmetic sit the per-order field map, its derivative
-at an order-zero sequence, the order-alpha remainder (everything in the
-alpha layer not involving the alpha coefficient itself), the orbit
-unfolding term, and the scalar phase/initialization conditions.  Inputs are
+top of the interval arithmetic sit the field map on a grid
+(`field_F_grid`), its derivative table at an order-zero sequence (`dF0`),
+the orbit unfolding term, and the scalar phase/initialization conditions.
+The remainder a jet reads (every term of its layer not involving its own
+coefficient) is evaluated by `stages`, level by level.  Inputs are
 immutable, so all operations are safe to run in parallel across Taylor
 orders.
 """
@@ -50,8 +51,6 @@ from .seqspace import (
 __all__ = [
     "DegenerateMassCombination",
     "CollisionSingularity",
-    "MissingLowerOrderData",
-    "OrderTooLow",
     "MassTriple",
     "PrimaryConfig",
     "PhaseAnchor",
@@ -67,11 +66,8 @@ __all__ = [
     "embedded_field",
     "field_derivative",
     "field_F_grid",
-    "field_F_seq",
     "DF0",
     "dF0",
-    "dF0_apply",
-    "remainder_Ralpha",
     "unfold_orbit_G",
     "eta_phase",
     "xi_phase",
@@ -84,14 +80,6 @@ class DegenerateMassCombination(ValueError):
 
 class CollisionSingularity(ArithmeticError):
     """A distance to a primary cannot be bounded away from zero."""
-
-
-class MissingLowerOrderData(ValueError):
-    """A grid lacks Taylor layers required by the requested order."""
-
-
-class OrderTooLow(ValueError):
-    """The remainder is only defined for orders two and higher."""
 
 
 # ---------------------------------------------------------------------------
@@ -150,18 +138,12 @@ class MassTriple:
 
 @dataclass(frozen=True)
 class PrimaryConfig:
-    """Interval positions of the three primaries plus their masses.
-
-    collision_tol widens the forbidden neighborhoods of the primaries: a
-    distance enclosure whose square dips to collision_tol**2 or below is
-    treated as a collision.
-    """
+    """Interval positions of the three primaries plus their masses."""
 
     masses: MassTriple
     p1: tuple
     p2: tuple
     p3: tuple
-    collision_tol: float = 0.0
 
     def __post_init__(self):
         for p in (self.p1, self.p2, self.p3):
@@ -179,10 +161,9 @@ class PrimaryConfig:
         d13 = self._dist2(self.p1, self.p3)
         d23 = self._dist2(self.p2, self.p3)
         try:
-            side = d12.intersect(d13).intersect(d23)
+            d12.intersect(d13).intersect(d23)
         except IntervalDomainError:
             raise ValueError("primaries are not equilateral within enclosure")
-        object.__setattr__(self, "_side2", side)
 
     @staticmethod
     def _dist2(p, q) -> Interval:
@@ -191,14 +172,6 @@ class PrimaryConfig:
     def position(self, j: int):
         """Primary j in {0,1,2} as an (x, y, z) interval triple."""
         return (self.p1, self.p2, self.p3)[j]
-
-    def side_squared(self) -> Interval:
-        """Common enclosure of the three squared side lengths."""
-        return self._side2
-
-    def mid_positions(self):
-        """Float midpoints, one row per primary."""
-        return [[c.mid for c in self.position(j)] for j in range(3)]
 
 
 _SQRT3 = Interval(3.0).sqrt()
@@ -209,7 +182,7 @@ def mass_combination(m: MassTriple) -> Interval:
     return m.m2 * (m.m3 - m.m2) + m.m1 * (m.m2 + m.m3 * 2.0)
 
 
-def primaries(m: MassTriple, collision_tol: float = 0.0) -> PrimaryConfig:
+def primaries(m: MassTriple) -> PrimaryConfig:
     """Closed-form primary positions for ordered normalized masses."""
     K = mass_combination(m)
     if K.contains(0.0):
@@ -228,7 +201,6 @@ def primaries(m: MassTriple, collision_tol: float = 0.0) -> PrimaryConfig:
         p1=(x1, ZERO, ZERO),
         p2=(x2, y2, ZERO),
         p3=(x3, y3, ZERO),
-        collision_tol=collision_tol,
     )
 
 
@@ -250,12 +222,11 @@ def _iv_vec(u, n: int):
 
 def _reciprocal_distances(x, y, z, cfg: PrimaryConfig):
     """Enclosures of 1/r_j; raises when some r_j may vanish."""
-    tol2 = cfg.collision_tol * cfg.collision_tol
     out = []
     for j in range(3):
         px, py, pz = cfg.position(j)
         r2 = (x - px).pow_int(2) + (y - py).pow_int(2) + (z - pz).pow_int(2)
-        if r2.lo <= tol2:
+        if r2.lo <= 0.0:
             raise CollisionSingularity("distance to primary %d may vanish" % (j + 1))
         out.append(Interval(1.0) / r2.sqrt())
     return out
@@ -269,7 +240,7 @@ def field_f(u, cfg: PrimaryConfig):
         px, py, pz = cfg.position(j)
         dx, dy, dz = x - px, y - py, z - pz
         r2 = dx.pow_int(2) + dy.pow_int(2) + dz.pow_int(2)
-        if r2.lo <= cfg.collision_tol * cfg.collision_tol:
+        if r2.lo <= 0.0:
             raise CollisionSingularity("distance to primary %d may vanish" % (j + 1))
         r3 = r2 * r2.sqrt()
         mj = cfg.masses[j]
@@ -498,19 +469,6 @@ def field_F_grid(a, cfg: PrimaryConfig, cap: int):
     return embedded_field(IntervalArith(cfg, a[0].nu), a, cap)
 
 
-def field_F_seq(a, alpha, cfg: PrimaryConfig):
-    """Layer alpha of the embedded field map on a Fourier-Taylor grid."""
-    a = _nine(a, "grid")
-    mo, no = int(alpha[0]), int(alpha[1])
-    order = mo + no
-    if max(f.order() for f in a) < order:
-        raise MissingLowerOrderData(
-            "grids carry orders below %d only" % order
-        )
-    grid = field_F_grid(a, cfg, cap=order)
-    return tuple(g.layer(mo, no) for g in grid)
-
-
 class DF0:
     """Derivative of the order-zero field map at a fixed 9-vector of sequences.
 
@@ -555,32 +513,6 @@ def dF0(a0, cfg: PrimaryConfig) -> DF0:
     grids = [FourierTaylorSeq({(0, 0): s}, nu) for s in a0]
     const, kernels = field_derivative(IntervalArith(cfg, nu), grids)
     return DF0(const, kernels, nu)
-
-
-def dF0_apply(a0, h, cfg: PrimaryConfig):
-    """Derivative of the order-zero field map at a0 applied to h."""
-    return dF0(a0, cfg).apply(h)
-
-
-def remainder_Ralpha(a, alpha, cfg: PrimaryConfig):
-    """Layer-alpha terms of the field map not involving the alpha coefficient.
-
-    Dropping every layer of total order |alpha| and reading layer alpha of
-    the full product keeps exactly the splittings in which no factor sits at
-    alpha, so the output solves
-
-        (field layer alpha) = (derivative at order zero)(a_alpha) + R_alpha
-
-    and is bitwise independent of whatever a_alpha the input carried.
-    """
-    a = _nine(a, "grid")
-    mo, no = int(alpha[0]), int(alpha[1])
-    order = mo + no
-    if order < 2:
-        raise OrderTooLow("remainder defined for total order >= 2")
-    low = tuple(f.truncate(order - 1) for f in a)
-    grid = field_F_grid(low, cfg, cap=order)
-    return tuple(g.layer(mo, no) for g in grid)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,15 @@
-"""A-posteriori certification engines.
+"""A-posteriori certification engine.
 
-Two classical contraction arguments reduced to verified polynomial sign
-checks.  The Newton-like form takes bounds Y (residual), Z0 (defect of the
-approximate inverse), Z1 (neglected-tail derivative), and Z2(r) (Lipschitz
-bound on the derivative over an r-ball) and asks for a radius r0 with
+A Newton-like contraction argument reduced to a verified polynomial sign
+check.  It takes bounds Y (residual), Z0 (defect of the approximate
+inverse), Z1 (neglected-tail derivative), and Z2(r) (Lipschitz bound on the
+derivative over an r-ball) and asks for a radius r0 with
 
     P(r0) = Z2(r0) r0^2 + (Z0 + Z1 - 1) r0 + Y < 0,
 
 which yields a unique true zero within r0 of the numerical one and the
 invertibility of the derivative there (hence transversality downstream).
-The fixed-point form asks for Z(r0) - r0 + Y < 0 below a domain cap r_star.
+The candidate radii form a geometric grid below the domain cap r_star.
 
 All evaluations are interval-arithmetic; a radius is accepted only when the
 upper end of the enclosure of P(r0) is strictly negative.

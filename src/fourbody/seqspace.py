@@ -21,11 +21,9 @@ import numpy as np
 from .interval import (
     ComplexInterval,
     Interval,
-    add_down,
     add_up,
     mul_down,
     mul_up,
-    iv_expi,
 )
 from .ivarray import (
     CArr,
@@ -39,10 +37,6 @@ from .ivarray import (
 
 class WeightMismatch(ValueError):
     """Operands live in spaces with different weights nu."""
-
-
-class DomainExceeded(ValueError):
-    """Evaluation point outside the closed unit polydisc."""
 
 
 # -- nu weight tables ----------------------------------------------------
@@ -107,22 +101,6 @@ class FourierSeq:
         """Exact coefficients in ascending k order (odd length)."""
         return cls(CArr.point(np.asarray(coeffs, dtype=complex)), nu)
 
-    @classmethod
-    def from_entries(cls, entries, nu: float, K: int | None = None) -> "FourierSeq":
-        """Build from a dict k -> complex | ComplexInterval."""
-        if K is None:
-            K = max((abs(int(k)) for k in entries), default=0) + 1
-        out = cls.zeros(K, nu)
-        for k, v in entries.items():
-            i = int(k) + K - 1
-            if not 0 <= i < 2 * K - 1:
-                raise ValueError("entry outside window")
-            if not isinstance(v, ComplexInterval):
-                v = ComplexInterval(Interval.point(complex(v).real), Interval.point(complex(v).imag))
-            out.c.rl[i], out.c.rh[i] = v.re.lo, v.re.hi
-            out.c.il[i], out.c.ih[i] = v.im.lo, v.im.hi
-        return out
-
     # -- indexing ----------------------------------------------------------
 
     @property
@@ -169,31 +147,6 @@ class FourierSeq:
     def conj_reflect(self) -> "FourierSeq":
         """b with b_k = conj(a_{-k}); fixed points are real-symmetric."""
         return FourierSeq(self.c.reverse().conj(), self.nu)
-
-    def is_real_symmetric(self) -> bool:
-        r = self.conj_reflect()
-        return (
-            np.array_equal(self.c.rl, r.c.rl)
-            and np.array_equal(self.c.rh, r.c.rh)
-            and np.array_equal(self.c.il, r.c.il)
-            and np.array_equal(self.c.ih, r.c.ih)
-        )
-
-    def symmetrize(self) -> "FourierSeq":
-        """Intersect entrywise with the conj-reflection.
-
-        Sound whenever the enclosed sequence is known to be real-symmetric;
-        the result is bitwise real-symmetric (max/min commute with the
-        reflection).  Raises if some intersection is empty.
-        """
-        r = self.conj_reflect()
-        rl = np.maximum(self.c.rl, r.c.rl)
-        rh = np.minimum(self.c.rh, r.c.rh)
-        il = np.maximum(self.c.il, r.c.il)
-        ih = np.minimum(self.c.ih, r.c.ih)
-        if (rl > rh).any() or (il > ih).any():
-            raise ValueError("enclosure is inconsistent with real symmetry")
-        return FourierSeq(CArr(rl, rh, il, ih), self.nu)
 
     def dtheta(self) -> "FourierSeq":
         """Termwise derivative in the angle: a_k -> i k a_k."""
@@ -242,10 +195,6 @@ class FourierSeq:
 
     def __repr__(self):
         return "FourierSeq(K=%d, nu=%g, |a|<=%g)" % (self.K, self.nu, self.norm().hi)
-
-
-def norm_l1nu(a: FourierSeq) -> Interval:
-    return a.norm()
 
 
 def conv(a: FourierSeq, b: FourierSeq) -> FourierSeq:
@@ -378,10 +327,6 @@ class FourierTaylorSeq:
         )
 
 
-def ft_norm(x: FourierTaylorSeq) -> Interval:
-    return x.norm()
-
-
 def ft_conv(b: FourierTaylorSeq, c: FourierTaylorSeq, cap: int | None = None) -> FourierTaylorSeq:
     """Cauchy-convolution product: convolve layers over all alpha splits."""
     if b.nu != c.nu:
@@ -398,7 +343,7 @@ def ft_conv(b: FourierTaylorSeq, c: FourierTaylorSeq, cap: int | None = None) ->
     return FourierTaylorSeq(out, b.nu)
 
 
-# -- ball elements and evaluation -------------------------------------------
+# -- ball elements -----------------------------------------------------------
 
 
 class BallElement:
@@ -418,56 +363,3 @@ class BallElement:
 
     def __repr__(self):
         return "BallElement(%r, r=%g)" % (self.center, self.radius)
-
-
-def _civ_pow_list(z: ComplexInterval, n: int):
-    """[z^0, z^1, ..., z^n] as enclosures."""
-    out = [ComplexInterval(Interval.point(1.0), Interval.point(0.0))]
-    for _ in range(n):
-        out.append(out[-1] * z)
-    return out
-
-
-def _fourier_eval(seq: FourierSeq, w: ComplexInterval) -> ComplexInterval:
-    """sum_k a_k w^k for |w| = 1 (w an enclosure of a unit-circle point)."""
-    K = seq.K
-    wp = _civ_pow_list(w, K - 1)
-    wc = _civ_pow_list(w.conj(), K - 1)
-    acc = ComplexInterval(Interval.point(0.0), Interval.point(0.0))
-    for i, k in enumerate(seq.k_values()):
-        a = seq.c.at(i)
-        if a.re.lo == 0.0 == a.re.hi and a.im.lo == 0.0 == a.im.hi:
-            continue
-        acc = acc + a * (wp[k] if k >= 0 else wc[-k])
-    return acc
-
-
-def eval_series(x, t: float, z1: ComplexInterval, z2: ComplexInterval, omega: float) -> ComplexInterval:
-    """Enclosure of sum_alpha sum_k a_{alpha,k} e^(i k omega t) z1^m z2^n.
-
-    x may be a FourierTaylorSeq or a BallElement around one; a ball's radius
-    is added as a uniform inflation, valid on the closed unit polydisc since
-    the grid norm dominates the sup norm there.
-    """
-    radius = 0.0
-    if isinstance(x, BallElement):
-        radius = x.radius
-        x = x.center
-    if not isinstance(x, FourierTaylorSeq):
-        raise TypeError("eval_series needs a FourierTaylorSeq or a ball around one")
-    if z1.mag() > 1.0 or z2.mag() > 1.0:
-        raise DomainExceeded("evaluation outside the closed unit polydisc")
-    phase = Interval.point(float(omega)) * Interval.point(float(t))
-    w = iv_expi(phase)
-    order = x.order()
-    p1 = _civ_pow_list(z1, order)
-    p2 = _civ_pow_list(z2, order)
-    acc = ComplexInterval(Interval.point(0.0), Interval.point(0.0))
-    for (m, n), seq in x.entries.items():
-        acc = acc + _fourier_eval(seq, w) * p1[m] * p2[n]
-    if radius > 0.0:
-        acc = ComplexInterval(
-            Interval(add_down(acc.re.lo, -radius), add_up(acc.re.hi, radius)),
-            Interval(add_down(acc.im.lo, -radius), add_up(acc.im.hi, radius)),
-        )
-    return acc

@@ -36,13 +36,12 @@ The right-hand side of a jet of order p is layer alpha of the field on the
 orders below p: the midpoint-radius evaluation (`_MidRad`) gives both the
 float right-hand side of the Newton solve (its midpoint lane) and the
 enclosure in the certificate, and a norm/radius evaluation (`_NormRad`)
-bounds how far the radii of the lower orders move it.  Each is made once
-per order and kept in a memo on the table (`JetTable.field_memo`): the next
-order reuses every product layer below p - 1, completes layer p - 1 and
-computes layer p only for the jets the level solves.  The memo is used only
-while the inputs it read are still in the table (the same cfg, the same
-center objects, the same radii), and a table made by `replace` (a rescale)
-starts without it; it is not part of the table's JSON or digest.
+bounds how far the radii of the lower orders move it.  `_level_fields` makes
+both once per level, and `_extend` hands each level's evaluation to the
+next: that level reuses every product layer below p - 1, completes layer
+p - 1 and computes layer p only for the jets it solves.  Nothing of it is
+kept on the table; `jet_problem` and `validate_jet`, which take one jet of a
+table, evaluate its level afresh.
 
 A jet reads its table only through a `_JetLayer`: its layer of the
 remainder field, the budget rho, and a few scalars (lambda_bar, the radii
@@ -573,7 +572,7 @@ def _jet_shift(alpha, lam: complex) -> complex:
 
 def jet_problem(alpha, jet: "JetTable", cfg):
     """Homological stage for a single alpha with |alpha| >= 2 (linear)."""
-    return _layer_problem(_context_for(jet, cfg), _jet_layer(jet, cfg, alpha))
+    return _layer_problem(_context_for(jet, cfg), _fresh_layer(jet, cfg, alpha))
 
 
 def _layer_problem(ctx: _StageContext, layer: "_JetLayer"):
@@ -1145,47 +1144,26 @@ class _Incremental:
         return out
 
 
-class _FieldMemo(NamedTuple):
-    """The last field evaluation of one arithmetic on a table."""
+def _level_fields(jet: "JetTable", cfg, order: int, prev=None):
+    """`model.embedded_field` on the orders of the table below `order`, as
+    one (`_Incremental`, nine grids) pair per arithmetic, `_MidRad` first
+    and `_NormRad` second.
 
-    cfg: object
-    order: int
-    lower: list    # (beta, centers, radius) of the orders below `order`
-    nodes: list    # per product node, its layers below `order`
-    outs: tuple    # the nine field grids
-
-
-def _same_inputs(u, v) -> bool:
-    return len(u) == len(v) and all(
-        a == b and s is t and r == q for (a, s, r), (b, t, q) in zip(u, v))
-
-
-def _lower_field(jet: "JetTable", cfg, arith, order: int):
-    """`model.embedded_field` in `arith(cfg)` of the orders below `order`.
-
-    Its layers of order `order` are those of the jets the level solves.  One
-    evaluation per order and table: the table's memo serves the other jets
-    of the order and hands its product layers to the next order, while the
-    cfg, the center objects and the radii it read are unchanged.
+    The grids of order `order` hold the layers of the jets the level solves.
+    prev is the pair of an earlier level on the same lower orders, or None:
+    its product layers below its order are taken over, not recomputed.
     """
     lower = [(beta, seqs, jet.radii.get(beta))
              for beta, seqs in sorted(jet.orders.items())
              if beta[0] + beta[1] < order]
-    memos = jet.field_memo or {}
-    memo = memos.get(arith)
-    old, keep = (), 0
-    if (memo is not None and memo.cfg is cfg and memo.order <= order
-            and _same_inputs(memo.lower, [e for e in lower
-                                          if e[0][0] + e[0][1] < memo.order])):
-        if memo.order == order:
-            return memo.outs
-        old, keep = memo.nodes, memo.order
-    ar = _Incremental(arith(cfg), order, old, keep)
-    grids = [{beta: arith.entry(seqs[i], r) for beta, seqs, r in lower}
-             for i in range(9)]
-    outs = model.embedded_field(ar, grids, order)
-    jet.field_memo = {**memos, arith: _FieldMemo(cfg, order, lower, ar.nodes, outs)}
-    return outs
+    fields = []
+    for k, arith in enumerate((_MidRad, _NormRad)):
+        old, keep = ((), 0) if prev is None else (prev[k][0].nodes, prev[k][0].order)
+        ar = _Incremental(arith(cfg), order, old, keep)
+        grids = [{beta: arith.entry(seqs[i], r) for beta, seqs, r in lower}
+                 for i in range(9)]
+        fields.append((ar, model.embedded_field(ar, grids, order)))
+    return tuple(fields)
 
 
 def _solved_jet(alpha):
@@ -1196,12 +1174,6 @@ def _solved_jet(alpha):
     if m_ < n_:
         raise ValueError("jet (%d,%d) is the reflection of (%d,%d)" % (m_, n_, n_, m_))
     return (m_, n_)
-
-
-def _remainder_discs(jet: "JetTable", cfg, alpha):
-    """Layer alpha of the field on the lower orders: nine [mid, rad] or None."""
-    alpha = _solved_jet(alpha)
-    return [o.get(alpha) for o in _lower_field(jet, cfg, _MidRad, sum(alpha))]
 
 
 def _disc_seqs(discs, nu: float):
@@ -1218,26 +1190,14 @@ def _disc_seqs(discs, nu: float):
     return res
 
 
-def _remainder_enclosure(jet: "JetTable", cfg, alpha):
-    """Layer alpha of the field applied to the strictly-lower-order centers."""
-    return _disc_seqs(_remainder_discs(jet, cfg, alpha), jet.nu)
-
-
-def _remainder_error_budget(jet: "JetTable", cfg, alpha) -> float:
-    """Bound on the remainder shift caused by the radii of all lower orders."""
-    alpha = _solved_jet(alpha)
-    rows = _lower_field(jet, cfg, _NormRad, sum(alpha))
-    return max(r.get(alpha, (0.0, 0.0))[1] for r in rows)
-
-
 class _JetLayer(NamedTuple):
     """All that the solve and the certificate of one jet read, besides the
     order-0 context: the remainder is already evaluated, so a pool task
     carries this and not the table."""
 
     alpha: tuple
-    discs: list        # layer alpha of the field on the lower orders (`_remainder_discs`)
-    rho: float         # `_remainder_error_budget`
+    discs: list        # layer alpha of the `_MidRad` field: nine [mid, rad] or None
+    rho: float         # how far the lower radii move it (the `_NormRad` field)
     lambda_bar: complex
     r_orbit: float     # radius of order 0
     r_bundle: float    # radius of order 1
@@ -1245,14 +1205,20 @@ class _JetLayer(NamedTuple):
     prev: str          # digest of the order-1 certificate
 
 
-def _jet_layer(jet: "JetTable", cfg, alpha) -> _JetLayer:
-    """The `_JetLayer` of a jet of the table, from its memoized remainder fields."""
-    alpha = _solved_jet(alpha)
+def _jet_layer(jet: "JetTable", fields, alpha) -> _JetLayer:
+    """The `_JetLayer` of jet alpha, read from its level's `_level_fields`."""
+    (_, discs), (_, norms) = fields
     return _JetLayer(
-        alpha, _remainder_discs(jet, cfg, alpha),
-        _remainder_error_budget(jet, cfg, alpha), jet.lambda_bar,
+        alpha, [o.get(alpha) for o in discs],
+        max(r.get(alpha, (0.0, 0.0))[1] for r in norms), jet.lambda_bar,
         jet.radii.get((0, 0), 0.0), jet.radii.get((1, 0), 0.0), jet.kind,
         jet.digests.get("order1", ""))
+
+
+def _fresh_layer(jet: "JetTable", cfg, alpha) -> _JetLayer:
+    """The `_JetLayer` of one jet of the table, its level evaluated afresh."""
+    alpha = _solved_jet(alpha)
+    return _jet_layer(jet, _level_fields(jet, cfg, sum(alpha)), alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -1391,9 +1357,8 @@ def validate_order1(solution: BundleSolution, jet: "JetTable", cfg) -> Order1Res
 
 def validate_jet(alpha, jet: "JetTable", cfg) -> JetResult:
     """Certify one homological jet whose center is staged in the table."""
-    alpha = _solved_jet(alpha)
-    return _validate_layer(_context_for(jet, cfg), _jet_layer(jet, cfg, alpha),
-                           jet.orders[alpha])
+    layer = _fresh_layer(jet, cfg, alpha)
+    return _validate_layer(_context_for(jet, cfg), layer, jet.orders[layer.alpha])
 
 
 def _validate_layer(ctx: _StageContext, layer: _JetLayer, centers) -> JetResult:
@@ -1435,27 +1400,9 @@ class JetTable:
     digests: dict = field(default_factory=dict)
     ctx_cache: object = field(default=None, repr=False, compare=False)
 
-    # arithmetic -> _FieldMemo of its last remainder field evaluation, set
-    # by `_lower_field`.  Not a dataclass field: it stays out of repr,
-    # comparison and JSON, and a table made by `replace` (a rescale, a pool
-    # snapshot) starts without it.
-    field_memo = None
-
     def re_lambda_mig(self) -> float:
         """Lower bound of |Re lambda| over the certified enclosure."""
         return self.lambda1.re.mig()
-
-    def ball(self, alpha, i: int) -> BallElement:
-        return BallElement(self.orders[tuple(alpha)][i], self.radii[tuple(alpha)])
-
-    def grids(self):
-        """The nine Fourier-Taylor center grids through order N_t."""
-        out = []
-        for i in range(9):
-            out.append(FourierTaylorSeq(
-                {a: seqs[i] for a, seqs in sorted(self.orders.items())},
-                self.nu))
-        return tuple(out)
 
     def E_total(self) -> Interval:
         acc = Interval.point(0.0)
@@ -1636,19 +1583,19 @@ def _jet_pool(jet: JetTable, cfg, jobs: int):
                                initargs=(_context_for(jet, cfg),))
 
 
-def _level_parallel(jet: "JetTable", cfg, alphas, pool):
+def _level_parallel(jet: "JetTable", cfg, layers, pool):
     """Run one level's independent jets on the pool of `extend_with_jets`.
 
-    The pool's workers hold the order-0 context from its initializer.  The
-    parent evaluates the level's remainder fields once, as jobs = 1 does,
-    and each task carries only its own `_JetLayer`: no table is sent and no
+    The pool's workers hold the order-0 context from its initializer, and
+    each task carries only its own `_JetLayer`: no table is sent and no
     worker evaluates the field.  Results come back in the fixed level order,
     so the outcome matches the sequential path bit for bit, provided the
     workers run the parent's BLAS thread count (see the module docstring).
     When a task raises, the tasks of the level that have not started are
-    dropped.
+    dropped.  The table and cfg are not read here; the benchmark's tracer
+    reads the table and the number of tasks from the arguments.
     """
-    futs = [pool.submit(_pool_task, _jet_layer(jet, cfg, a)) for a in alphas]
+    futs = [pool.submit(_pool_task, layer) for layer in layers]
     try:
         return [f.result() for f in futs]
     finally:
@@ -1658,13 +1605,18 @@ def _level_parallel(jet: "JetTable", cfg, alphas, pool):
 
 def _extend(jet: JetTable, cfg, pool) -> JetTable:
     """Solve and certify the jets the table lacks, level by level."""
+    fields = None
     for p in range(2, jet.N_t + 1):
         alphas = [a for a in _level_alphas(p) if a not in jet.radii]
-        if pool is not None and len(alphas) > 1:
-            results = _level_parallel(jet, cfg, alphas, pool)
+        if not alphas:
+            continue
+        fields = _level_fields(jet, cfg, p, fields)
+        layers = [_jet_layer(jet, fields, a) for a in alphas]
+        if pool is not None and len(layers) > 1:
+            results = _level_parallel(jet, cfg, layers, pool)
         else:
             ctx = _context_for(jet, cfg)
-            results = [_jet_task(ctx, _jet_layer(jet, cfg, a)) for a in alphas]
+            results = [_jet_task(ctx, layer) for layer in layers]
         for res in results:
             alpha = res.alpha
             centers = tuple(b.center for b in res.balls)
@@ -1684,7 +1636,9 @@ def extend_with_jets(jet: JetTable, cfg, *, gamma: float = 0.7,
     """Solve and certify all jets through order N_t (one rescale retry).
 
     Jets of equal order are independent; jobs > 1 solves each level on one
-    process pool that lives as long as this call, the retry included."""
+    process pool that lives as long as this call, the retry included.  The
+    argument is left as it was: the jets go into a copy."""
+    jet = _strip_unvalidated(jet)
     with _jet_pool(jet, cfg, jobs) as pool:
         try:
             return _extend(jet, cfg, pool)

@@ -1,11 +1,14 @@
-"""Independent oracles used to freeze expected values.
+"""Independent oracles and input builders shared by the tests.
 
-Everything here but `carr_conv_reference` works over rationals
-(fractions.Fraction), so the results are exact and make no reference to the
-code under test.  Complex rationals are (re, im) Fraction pairs.
-`carr_conv_reference` is the plain per-coefficient loop of the endpoint
-interval convolution, the bit-level definition the batched kernel must
-reproduce.
+The rational oracles work over fractions.Fraction, so their results are
+exact and make no reference to the code under test.  Complex rationals are
+(re, im) Fraction pairs.  `carr_conv_reference` is the plain
+per-coefficient loop of the endpoint interval convolution, the bit-level
+definition the batched kernel must reproduce.  `field_F_seq`, `dF0_apply`
+and `remainder_Ralpha` are per-layer views of the interval field map that
+the model tests check against each other.  The builders at the end make
+interval inputs: an interval from midpoint and radius, an array widened by
+a radius, and a Fourier sequence from a dict of modes.
 """
 
 from __future__ import annotations
@@ -14,7 +17,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from fourbody.ivarray import CArr, ri_add
+from fourbody.interval import ComplexInterval, Interval, add_down, add_up
+from fourbody.ivarray import CArr, ri_add, _dn, _up
+from fourbody.model import dF0, field_F_grid
+from fourbody.seqspace import FourierSeq
 
 
 def q(x) -> Fraction:
@@ -151,4 +157,79 @@ def carr_conv_reference(a: CArr, b: CArr) -> CArr:
         ilo, ihi = ri_add(out.il[seg], out.ih[seg], term.il, term.ih)
         out.rl[seg], out.rh[seg] = rlo, rhi
         out.il[seg], out.ih[seg] = ilo, ihi
+    return out
+
+
+# ---------------------------------------------------------------------------
+# per-layer views of the interval field map
+
+
+class MissingLowerOrderData(ValueError):
+    """A grid lacks Taylor layers required by the requested order."""
+
+
+class OrderTooLow(ValueError):
+    """The remainder is only defined for orders two and higher."""
+
+
+def field_F_seq(a, alpha, cfg):
+    """Layer alpha of the embedded field map on a Fourier-Taylor grid."""
+    order = alpha[0] + alpha[1]
+    if max(f.order() for f in a) < order:
+        raise MissingLowerOrderData("grids carry orders below %d only" % order)
+    return tuple(g.layer(*alpha) for g in field_F_grid(a, cfg, cap=order))
+
+
+def dF0_apply(a0, h, cfg):
+    """Derivative of the order-zero field map at a0 applied to h."""
+    return dF0(a0, cfg).apply(h)
+
+
+def remainder_Ralpha(a, alpha, cfg):
+    """Layer-alpha terms of the field map not involving the alpha coefficient.
+
+    Dropping every layer of total order |alpha| and reading layer alpha of
+    the full product keeps exactly the splittings in which no factor sits at
+    alpha, so the output solves
+
+        (field layer alpha) = (derivative at order zero)(a_alpha) + R_alpha
+
+    and is bitwise independent of whatever a_alpha the input carried.
+    """
+    order = alpha[0] + alpha[1]
+    if order < 2:
+        raise OrderTooLow("remainder defined for total order >= 2")
+    low = tuple(f.truncate(order - 1) for f in a)
+    return tuple(g.layer(*alpha) for g in field_F_grid(low, cfg, cap=order))
+
+
+# ---------------------------------------------------------------------------
+# interval input builders
+
+
+def iv_midrad(mid: float, rad: float) -> Interval:
+    """The interval [mid - rad, mid + rad], rounded outward."""
+    return Interval(add_down(mid, -rad), add_up(mid, rad))
+
+
+def widen(a: CArr, r) -> CArr:
+    """a with both components inflated outward by r (entrywise, r >= 0)."""
+    r = np.asarray(r, dtype=float)
+    return CArr(_dn(a.rl - r), _up(a.rh + r), _dn(a.il - r), _up(a.ih + r))
+
+
+def seq_from_entries(entries, nu: float, K: int | None = None) -> FourierSeq:
+    """The sequence with the modes of a dict k -> complex | ComplexInterval
+    and zeros elsewhere, on the window |k| < K (the smallest that fits)."""
+    if K is None:
+        K = max((abs(int(k)) for k in entries), default=0) + 1
+    out = FourierSeq.zeros(K, nu)
+    for k, v in entries.items():
+        i = int(k) + K - 1
+        if not 0 <= i < 2 * K - 1:
+            raise ValueError("entry outside window")
+        if not isinstance(v, ComplexInterval):
+            v = ComplexInterval.point(complex(v))
+        out.c.rl[i], out.c.rh[i] = v.re.lo, v.re.hi
+        out.c.il[i], out.c.ih[i] = v.im.lo, v.im.hi
     return out

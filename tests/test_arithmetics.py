@@ -4,12 +4,11 @@ One random Fourier-Taylor grid (K = 5, orders <= 3) goes through
 `model.embedded_field` as floats, endpoint intervals, midpoint-radius discs
 and norm/radius pairs.  The float values must lie in both enclosures, and
 moving the float inputs within given radii must move the outputs by no more
-than the norm/radius bound.  The remainder wrappers of `stages` and the
-derivative kernels get the same checks.  The remainders of `stages` are
-evaluated order by order with product layers carried between orders: each
-must equal a fresh evaluation byte for byte, their midpoint lane must equal
-the float remainder, and a change to the lower orders must discard what was
-carried.
+than the norm/radius bound.  The jet layers of `stages` and the derivative
+kernels get the same checks.  The level fields of `stages` are evaluated
+order by order with product layers carried between orders: each must equal
+a fresh evaluation byte for byte, and their midpoint lane must equal the
+float remainder.
 """
 
 from types import SimpleNamespace
@@ -18,7 +17,6 @@ import numpy as np
 import pytest
 
 from fourbody import model, numerics, stages
-from fourbody.interval import Interval
 from fourbody.seqspace import FourierSeq, FourierTaylorSeq
 
 NU = 1.3
@@ -143,7 +141,7 @@ def lower_jet(grid, radii, top=CAP - 1):
         nu=NU,
         orders={b: tuple(FourierSeq.point(grid[i][b], NU) for i in range(9)) for b in low},
         radii={b: radii[b] for b in low},
-        field_memo=None,
+        lambda_bar=0j, kind="unstable", digests={},
     )
 
 
@@ -154,62 +152,16 @@ def test_remainder_wrappers_against_float(cfg, data):
     rng = np.random.default_rng(11)
     for alpha in [(3, 0), (2, 1)]:
         R = numerics.remainder_layer(grid, alpha, ms, pos)
-        enc = stages._remainder_enclosure(jet, cfg, alpha)
+        layer = stages._fresh_layer(jet, cfg, alpha)
+        enc = stages._disc_seqs(layer.discs, NU)
         for i in range(9):
             assert_in_interval(enc[i], R[i])
-        rho = stages._remainder_error_budget(jet, cfg, alpha)
+        rho = layer.rho
         for _ in range(3):
             Rp = numerics.remainder_layer(
                 perturbed(grid, lambda i, beta: radii[beta], rng), alpha, ms, pos)
             moved = max(nu_norm(a - b) for a, b in zip(Rp, R))
             assert 0.0 < moved <= rho
-
-
-def remainders(jet, cfg, alpha, fresh):
-    if fresh:
-        jet.field_memo = None
-    enc = stages._remainder_enclosure(jet, cfg, alpha)
-    bounds = [(s.c.rl, s.c.rh, s.c.il, s.c.ih) for s in enc]
-    return bounds, stages._remainder_error_budget(jet, cfg, alpha)
-
-
-def assert_same(a, b):
-    (ea, ra), (eb, rb) = a, b
-    assert ra == rb
-    for x, y in zip(ea, eb):
-        for u, v in zip(x, y):
-            assert np.array_equal(u, v)
-
-
-def halve(jet, beta):
-    jet.orders[beta] = tuple(s.scale(Interval.point(0.5)) for s in jet.orders[beta])
-
-
-def test_remainder_reuse_matches_fresh_evaluation(cfg, data):
-    grid, radii = data
-    jet = lower_jet(grid, radii, top=CAP)
-    remainders(jet, cfg, (3, 0), fresh=False)
-    # the second jet of the order reuses the field of the first
-    assert_same(remainders(jet, cfg, (2, 1), fresh=False),
-                remainders(jet, cfg, (2, 1), fresh=True))
-    before = remainders(jet, cfg, (2, 1), fresh=False)
-    # rescaled centers of one lower order, then a wider radius: both re-evaluate
-    halve(jet, (1, 0))
-    moved = remainders(jet, cfg, (2, 1), fresh=False)
-    assert_same(moved, remainders(jet, cfg, (2, 1), fresh=True))
-    assert moved[1] != before[1]
-    jet.radii[(0, 1)] *= 2.0
-    wider = remainders(jet, cfg, (2, 1), fresh=False)
-    assert_same(wider, remainders(jet, cfg, (2, 1), fresh=True))
-    assert wider[1] > moved[1]
-    # the same at the next order, which would otherwise take its product
-    # layers from the order-3 evaluation
-    for change in (lambda: halve(jet, (0, 1)),
-                   lambda: jet.radii.__setitem__((1, 1), 2.0 * jet.radii[(1, 1)])):
-        remainders(jet, cfg, (2, 1), fresh=False)
-        change()
-        assert_same(remainders(jet, cfg, (3, 1), fresh=False),
-                    remainders(jet, cfg, (3, 1), fresh=True))
 
 
 def as_bytes(value):
@@ -221,17 +173,19 @@ def as_bytes(value):
 def test_incremental_field_equals_a_fresh_one(cfg, data, arith):
     grid, radii = data
     jet = lower_jet(grid, radii, top=CAP)
-    prev = None
+    k = (stages._MidRad, stages._NormRad).index(arith)
+    fields = None
     for p in range(2, CAP + 2):
-        got = stages._lower_field(jet, cfg, arith, p)
-        memo = jet.field_memo[arith]
-        assert memo.order == p and memo.outs is got
+        prev = fields
+        fields = stages._level_fields(jet, cfg, p, prev)
+        ar, got = fields[k]
+        assert ar.order == p and ar.keep == (0 if prev is None else p - 1)
         if prev is not None:
             # the layers below p - 1 were carried over, not recomputed
-            assert len(memo.nodes) == len(prev.nodes) == 24
-            for new, old in zip(memo.nodes, prev.nodes):
+            old_nodes = prev[k][0].nodes
+            assert len(ar.nodes) == len(old_nodes) == 24
+            for new, old in zip(ar.nodes, old_nodes):
                 assert all(new[g] is old[g] for g in old if g[0] + g[1] < p - 1)
-        prev = memo
         low = [b for b in ORDERS if b[0] + b[1] < p]
         fresh = model.embedded_field(
             arith(cfg), [{b: arith.entry(jet.orders[b][i], jet.radii[b]) for b in low}
@@ -253,7 +207,7 @@ def test_midpoint_lane_is_the_float_remainder(cfg, data):
                 for i in range(9)]
         for alpha in stages._level_alphas(p):
             R = numerics.remainder_layer(mids, alpha, ms, pos)
-            discs = stages._remainder_discs(jet, cfg, alpha)
+            discs = stages._fresh_layer(jet, cfg, alpha).discs
             for r, d in zip(R, discs):
                 vm = np.zeros(1, dtype=complex) if d is None else d[0]
                 assert vm.tobytes() == r.tobytes(), (alpha,)

@@ -3,7 +3,6 @@
 import math
 from fractions import Fraction
 
-import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,11 +15,6 @@ from fourbody.interval import (
     add_up,
     div_down,
     div_up,
-    iv_cos,
-    iv_exp,
-    iv_expi,
-    iv_log,
-    iv_sin,
     mul_down,
     mul_up,
     sqrt_down,
@@ -204,42 +198,9 @@ def test_complex_mag_mig():
     assert z.mig() >= math.nextafter(5.0, 0.0)
 
 
-@given(st.floats(min_value=-50.0, max_value=50.0, allow_nan=False))
-@settings(max_examples=200, deadline=None)
-def test_transcendental_enclosures(x):
-    with mpmath.workprec(200):
-        ex = mpmath.exp(x)
-        sx = mpmath.sin(x)
-        cx = mpmath.cos(x)
-        iv = iv_exp(Interval(x))
-        assert mpmath.mpf(iv.lo) <= ex <= mpmath.mpf(iv.hi)
-        iv = iv_sin(Interval(x))
-        assert mpmath.mpf(iv.lo) <= sx <= mpmath.mpf(iv.hi)
-        iv = iv_cos(Interval(x))
-        assert mpmath.mpf(iv.lo) <= cx <= mpmath.mpf(iv.hi)
-        if x > 0:
-            lx = mpmath.log(x)
-            iv = iv_log(Interval(x))
-            assert mpmath.mpf(iv.lo) <= lx <= mpmath.mpf(iv.hi)
-    z = iv_expi(Interval(x))
-    assert z.mag() <= 1.0 + 1e-12
-
-
-def test_expi_width_is_tight():
-    z = iv_expi(Interval(0.7))
-    assert z.re.width < 1e-15
-    assert z.im.width < 1e-15
-
-
 def test_hex_roundtrip():
     iv = Interval(-1.234567890123456e-7, 9.87654321e12)
     assert Interval.from_hex_pair(iv.hex_pair()) == iv
     z = ComplexInterval(iv, Interval(0.5, 0.75))
     assert ComplexInterval.from_hex_quad(z.hex_quad()) == z
 
-
-def test_hull_and_from_midrad():
-    h = Interval.hull([Interval(1.0, 2.0), Interval(-1.0), 3.0])
-    assert h == Interval(-1.0, 3.0)
-    m = Interval.from_midrad(1.0, 1e-10)
-    assert m.contains(1.0 + 0.9e-10) and m.contains(1.0 - 0.9e-10)

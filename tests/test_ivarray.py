@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fourbody.interval import ComplexInterval, Interval, IntervalDomainError
+from fourbody.interval import ComplexInterval, IntervalDomainError
 from fourbody.ivarray import (
     CArr,
     carr_conv,
@@ -17,7 +17,7 @@ from fourbody.ivarray import (
     mm_up_nonneg,
     up_sum,
 )
-from oracles import carr_conv_reference, cq_mul, cq_add, conv_exact
+from oracles import carr_conv_reference, conv_exact, widen
 
 rng = np.random.default_rng(20260814)
 
@@ -26,7 +26,7 @@ def random_carr(n, scale=1.0, width=1e-12):
     mid = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * scale
     w = np.abs(rng.standard_normal(n)) * width
     base = CArr.point(mid)
-    return base.widen(w)
+    return widen(base, w)
 
 
 def carr_points(a: CArr):
@@ -165,7 +165,7 @@ def test_carr_conv_hypothesis(n, m):
 def test_widen_and_contains():
     a = random_carr(10, width=0.0)
     mid = a.mid()
-    w = a.widen(1e-10)
+    w = widen(a, 1e-10)
     assert w.contains(mid + 0.9e-10)
     assert w.contains(mid - (0.9e-10) * 1j)
 

@@ -115,10 +115,12 @@ def test_jets_evaluate_each_remainder_field_once(run, monkeypatch):
 
     monkeypatch.setattr(numerics, "remainder_layer", float_remainder)
     monkeypatch.setattr(stages._Incremental, "__init__", counted)
-    again = stages.extend_with_jets(stages.rescale_jets(start, 1.0), cfg)
+    arg = stages.rescale_jets(start, 1.0)
+    before = arg.digest()
+    again = stages.extend_with_jets(arg, cfg)
     assert again.digest() == table.digest()
-    # the memo stays with its table: pool snapshots and rescales start without it
-    assert again.field_memo and stages._strip_unvalidated(again).field_memo is None
+    # the jets go into a copy; the argument is left as it was
+    assert arg.digest() == before
     assert sorted(evaluations) == sorted(
         (arith, p, 0 if p == 2 else p - 1)
         for arith in ("_MidRad", "_NormRad") for p in range(2, N_T + 1))
@@ -150,16 +152,16 @@ def test_pool_sends_layers_not_tables(run, monkeypatch, pools):
         init(self, base, order, old, keep)
 
     parent = os.getpid()
-    lower_field = stages._lower_field
+    level_fields = stages._level_fields
 
     def parent_only(*args):
         # forked workers inherit this patch
         if os.getpid() != parent:
-            raise AssertionError("stages._lower_field in a pool worker")
-        return lower_field(*args)
+            raise AssertionError("stages._level_fields in a pool worker")
+        return level_fields(*args)
 
     monkeypatch.setattr(stages._Incremental, "__init__", counted)
-    monkeypatch.setattr(stages, "_lower_field", parent_only)
+    monkeypatch.setattr(stages, "_level_fields", parent_only)
     stages.extend_with_jets(stages.rescale_jets(start, 1.0), cfg, jobs=1)
     sequential = list(evaluations)
     assert pools == [] and sequential
@@ -174,8 +176,11 @@ def test_pool_sends_layers_not_tables(run, monkeypatch, pools):
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_failed_jet_is_retried_once_on_one_pool(run, monkeypatch, pools, tmp_path, jobs):
     # a jet whose certificate fails triggers one gamma rescale on the same
-    # pool, a second failure is raised, and no worker outlives the call
+    # pool, a second failure is raised, no worker outlives the call, and the
+    # argument is left as it was either way
     cfg, _, start, _ = run
+    arg = stages.rescale_jets(start, 1.0)
+    before = arg.digest()
     radii_newton = stages.radii_newton
 
     def fail_first(times, log):
@@ -194,14 +199,16 @@ def test_failed_jet_is_retried_once_on_one_pool(run, monkeypatch, pools, tmp_pat
         return log
 
     log = fail_first(1, tmp_path / "once")
-    retried = stages.extend_with_jets(stages.rescale_jets(start, 1.0), cfg, jobs=jobs)
+    retried = stages.extend_with_jets(arg, cfg, jobs=jobs)
     assert len(list(log.iterdir())) == 2
     assert retried.complete() and retried.gamma_scale == 0.7
+    assert arg.digest() == before
     assert multiprocessing.active_children() == []
     log = fail_first(3, tmp_path / "always")
     with pytest.raises(NoNegativeRadius):
-        stages.extend_with_jets(stages.rescale_jets(start, 1.0), cfg, jobs=jobs)
+        stages.extend_with_jets(arg, cfg, jobs=jobs)
     assert len(list(log.iterdir())) == 2
+    assert arg.digest() == before
     assert multiprocessing.active_children() == []
     assert len(pools) == (2 if jobs > 1 else 0)
 
@@ -232,5 +239,36 @@ def test_recheck_command(run, tmp_path, capsys):
     bad = tmp_path / "radius.json"
     bad.write_text(json.dumps(obj))
     assert cli.main(["recheck", str(bad)]) == 1
+    # the table's radii of the jet now lie below the r0 its certificate claims
+    r = table.radii[(3, 0)]
     assert [line for line in capsys.readouterr().out.splitlines()
-            if line.startswith("FAIL")] == ["FAIL %s  r0=1.000e-02  recheck" % stage]
+            if line.startswith("FAIL")] == ["FAIL %s  r0=1.000e-02  recheck" % stage] + [
+        "FAIL radius %s  r=%.3e below %s r0*gamma^3=1.000e-02" % (a, r, stage)
+        for a in ("0,3", "3,0")]
+
+    def recheck(obj, name):
+        path = tmp_path / name
+        path.write_text(json.dumps(obj))
+        status = cli.main(["recheck", str(path)])
+        out, err = capsys.readouterr()
+        return status, [line for line in out.splitlines() if line.startswith("FAIL")], err
+
+    # an inverted interval cannot be read as a table
+    obj = json.loads(good.read_text())
+    lo, hi, ilo, ihi = obj["lambda1"]
+    obj["lambda1"] = [hi, lo, ilo, ihi]
+    status, fails, err = recheck(obj, "inverted.json")
+    assert status == 2 and fails == [] and "cannot read" in err
+    # a radius below the r0 of its certificate
+    obj = json.loads(good.read_text())
+    obj["radii"]["3,0"] = (1e-30).hex()
+    status, fails, _ = recheck(obj, "small.json")
+    assert status == 1
+    assert fails == ["FAIL radius 3,0  r=1.000e-30 below %s r0*gamma^3=%.3e"
+                     % (stage, table.certs[stage].r0)]
+    # a radius whose certificate and digest are gone: the jet and its mirror
+    obj = json.loads(good.read_text())
+    del obj["certs"][stage], obj["digests"][stage]
+    status, fails, _ = recheck(obj, "uncertified.json")
+    assert status == 1
+    assert fails == ["FAIL radius %s  no certificate %s" % (a, stage) for a in ("0,3", "3,0")]

@@ -7,29 +7,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fourbody.interval import ComplexInterval, Interval
 from fourbody.seqspace import (
-    BallElement,
-    DomainExceeded,
     FourierSeq,
     FourierTaylorSeq,
     WeightMismatch,
     conv,
-    eval_series,
     ft_conv,
-    ft_norm,
     include,
-    norm_l1nu,
     project,
 )
 
 from oracles import (
     conv_exact,
-    cq_add,
     cq_conj,
-    cq_mul,
     ft_conv_exact,
     l1nu_norm_exact,
+    seq_from_entries,
 )
 
 rng = np.random.default_rng(20260814)
@@ -80,7 +73,7 @@ def test_norm_zero_is_exact():
 
 
 def test_norm_identity_element():
-    e0 = FourierSeq.from_entries({0: 1.0}, 1.5)
+    e0 = seq_from_entries({0: 1.0}, 1.5)
     nm = e0.norm()
     assert nm.contains(1.0)
     assert nm.hi - nm.lo < 5e-15
@@ -88,7 +81,7 @@ def test_norm_identity_element():
 
 def test_norm_weighted_example():
     # a_0 = 1, a_1 = a_{-1} = 1/2 at nu = 2: norm is 1 + 2*(1/2 * 2) = 3
-    a = FourierSeq.from_entries({0: 1.0, 1: 0.5, -1: 0.5}, 2.0)
+    a = seq_from_entries({0: 1.0, 1: 0.5, -1: 0.5}, 2.0)
     nm = a.norm()
     assert nm.contains(3.0)
     assert nm.hi - nm.lo < 1e-13
@@ -112,7 +105,7 @@ def test_norm_encloses_exact_value():
 
 def test_conv_identity():
     b = seq_of(rand_table(7), 1.25)
-    e0 = FourierSeq.from_entries({0: 1.0}, 1.25)
+    e0 = seq_from_entries({0: 1.0}, 1.25)
     out = conv(e0, b)
     assert out.K == b.K
     for i in range(7):
@@ -122,7 +115,7 @@ def test_conv_identity():
 
 
 def test_conv_index_addition():
-    e1 = FourierSeq.from_entries({1: 1.0}, 1.0)
+    e1 = seq_from_entries({1: 1.0}, 1.0)
     out = conv(e1, e1)
     assert out.at(2).contains(complex(1.0, 0.0))
     for k in (-2, -1, 0, 1):
@@ -165,14 +158,15 @@ def test_real_symmetry_closure():
         mid = Fraction(int(rng.integers(-500, 501)), 64)
         table = [cq_conj(h) for h in reversed(half)] + [(mid, Fraction(0))] + half
         a = seq_of(table, 1.25)
-        assert a.is_real_symmetric()
+        r = a.conj_reflect()
+        assert all(np.array_equal(getattr(a.c, lane), getattr(r.c, lane))
+                   for lane in ("rl", "rh", "il", "ih"))
         out = conv(a, a)
-        # enclosures of c_k and conj(c_{-k}) must overlap, and intersecting
-        # them restores a bitwise-symmetric enclosure
-        sym = out.symmetrize()
-        assert sym.is_real_symmetric()
+        # the exact square is real-symmetric too, so both the enclosure and
+        # its conjugate reflection contain it
         want = conv_exact(table, table)
-        assert_seq_contains(sym, want, -(2 * K - 2))
+        assert_seq_contains(out, want, -(2 * K - 2))
+        assert_seq_contains(out.conj_reflect(), want, -(2 * K - 2))
 
 
 # -- split / project / include -------------------------------------------------
@@ -226,18 +220,18 @@ def grid_tables(g: FourierTaylorSeq):
 def test_ft_norm_sums_layers():
     g = FourierTaylorSeq.zeros(2.0)
     assert g.norm().hi == 0.0
-    a = FourierSeq.from_entries({0: 2.0}, 2.0)
+    a = seq_from_entries({0: 2.0}, 2.0)
     g1 = FourierTaylorSeq({(0, 0): a}, 2.0)
     assert g1.norm().contains(2.0)
-    b = FourierSeq.from_entries({0: 1.0}, 2.0)
-    c = FourierSeq.from_entries({0: 3.0}, 2.0)
+    b = seq_from_entries({0: 1.0}, 2.0)
+    c = seq_from_entries({0: 3.0}, 2.0)
     g2 = FourierTaylorSeq({(1, 0): b, (0, 2): c}, 2.0)
     assert g2.norm().contains(4.0)
-    assert ft_norm(g2).hi < 4 + 1e-13
+    assert g2.norm().hi < 4 + 1e-13
 
 
 def test_ft_conv_identity_grid():
-    ident = FourierTaylorSeq({(0, 0): FourierSeq.from_entries({0: 1.0}, 1.5)}, 1.5)
+    ident = FourierTaylorSeq({(0, 0): seq_from_entries({0: 1.0}, 1.5)}, 1.5)
     c = rand_grid([(0, 0), (1, 0), (0, 1), (1, 1)], 3, 1.5)
     out = ft_conv(ident, c)
     for key, seq in c.entries.items():
@@ -273,86 +267,6 @@ def test_ft_banach_algebra_law():
     a = rand_grid([(0, 0), (1, 0), (0, 2)], 3, 2.0)
     b = rand_grid([(0, 0), (1, 1)], 3, 2.0)
     assert ft_conv(a, b).norm().hi <= a.norm().hi * b.norm().hi * (1 + 1e-12)
-
-
-# -- evaluation ------------------------------------------------------------------
-
-
-def civ_point(z: complex) -> ComplexInterval:
-    return ComplexInterval(Interval.point(z.real), Interval.point(z.imag))
-
-
-def test_eval_constant_grid():
-    g = FourierTaylorSeq({(0, 0): FourierSeq.from_entries({0: 1.0}, 1.5)}, 1.5)
-    for t in (0.0, 0.3, 2.0):
-        v = eval_series(g, t, civ_point(0.5 + 0.1j), civ_point(-0.2j), 1.7)
-        assert v.re.contains(1.0) and v.im.contains(0.0)
-        assert v.re.hi - v.re.lo < 1e-12
-
-
-def test_eval_at_zero_sigma_reads_layer_zero():
-    g = rand_grid([(0, 0), (1, 0), (0, 1), (2, 2)], 3, 1.5)
-    v = eval_series(g, 0.0, civ_point(0.0), civ_point(0.0), 1.0)
-    want_re = Fraction(0)
-    want_im = Fraction(0)
-    for i in range(5):
-        want_re += Fraction(float(g.entries[(0, 0)].c.rl[i]))
-        want_im += Fraction(float(g.entries[(0, 0)].c.il[i]))
-    assert Fraction(v.re.lo) <= want_re <= Fraction(v.re.hi)
-    assert Fraction(v.im.lo) <= want_im <= Fraction(v.im.hi)
-
-
-def test_eval_rational_point_oracle():
-    # t = 0 makes every Fourier factor 1, so the double sum is rational;
-    # z = 3/5 + 4i/5 lies exactly on the unit circle
-    g = rand_grid([(0, 0), (1, 0), (0, 1), (1, 1), (2, 0)], 2, 1.25)
-    z1 = (Fraction(1, 2), Fraction(1, 4))
-    z2 = (Fraction(-3, 8), Fraction(5, 8))
-    want = (Fraction(0), Fraction(0))
-    for (m, n), table in grid_tables(g).items():
-        zp = (Fraction(1), Fraction(0))
-        for _ in range(m):
-            zp = cq_mul(zp, z1)
-        for _ in range(n):
-            zp = cq_mul(zp, z2)
-        s = (Fraction(0), Fraction(0))
-        for entry in table:
-            s = cq_add(s, entry)
-        want = cq_add(want, cq_mul(s, zp))
-    v = eval_series(
-        g, 0.0,
-        civ_point(complex(0.5, 0.25)), civ_point(complex(-0.375, 0.625)), 1.3,
-    )
-    assert Fraction(v.re.lo) <= want[0] <= Fraction(v.re.hi)
-    assert Fraction(v.im.lo) <= want[1] <= Fraction(v.im.hi)
-
-
-def test_eval_domain_guard():
-    g = rand_grid([(0, 0)], 2, 1.5)
-    with pytest.raises(DomainExceeded):
-        eval_series(g, 0.1, civ_point(1.0 + 0.1j), civ_point(0.0), 1.0)
-
-
-def test_eval_ball_inflation_and_c0_domination():
-    g = rand_grid([(0, 0), (1, 0), (0, 1)], 3, 1.5)
-    h = rand_grid([(0, 0), (1, 0), (0, 1)], 3, 1.5)
-    diff = g.sub(h)
-    bound = diff.norm().hi
-    for _ in range(20):
-        t = float(rng.uniform(0, 7))
-        r = float(rng.uniform(0, 1))
-        phi = float(rng.uniform(0, 7))
-        z1 = civ_point(r * complex(np.cos(phi), np.sin(phi)))
-        z2 = civ_point((1 - r) * complex(np.cos(2 * phi), np.sin(2 * phi)))
-        v = eval_series(diff, t, z1, z2, 2.1)
-        # the enclosure of g-h at any admissible point must reach below the
-        # norm bound: mig(enclosure) <= |true value| <= norm
-        assert v.mig() <= bound + 1e-12
-        assert v.mag() <= bound + 1e-6
-    ball = BallElement(g, 0.25)
-    vg = eval_series(g, 0.3, civ_point(0.1), civ_point(0.2), 2.1)
-    vb = eval_series(ball, 0.3, civ_point(0.1), civ_point(0.2), 2.1)
-    assert vb.re.lo <= vg.re.lo - 0.2499 and vb.re.hi >= vg.re.hi + 0.2499
 
 
 # -- serialization ----------------------------------------------------------------
