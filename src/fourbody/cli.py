@@ -10,9 +10,15 @@ the table must also name a certificate (order0 for (0,0), order1 for (1,0)
 and (0,1), jet:m,n:kind for (m,n) and its mirror (n,m)) and be at least
 that certificate's r0 times gamma_scale^|alpha|; a radius that is not gets
 a FAIL line of its own.  The table does not record which jets were
-certified before a rescale, so this is a necessary condition only.  The
-command exits with 1 when any check fails, 2 when the file cannot be read
-as a table.
+certified before a rescale, so this is a necessary condition only.
+
+The centers of order 1 and of each jet (m,n) must have the certificate's
+`stages.inputs_digest`, and the mirror (n,m) must be their conjugate
+reflection with the same radius ("centers" or "mirror" on the stage's line
+if not).  Centers that are not points fail, except in a rescaled table,
+which scaled them after certification (a note line).  Order 0 is not tied
+to its centers: that needs cfg, which the table does not hold.  The command
+exits with 1 when any check fails, 2 when the file cannot be read as a table.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import sys
 
 from .interval import Interval, mul_down
 from .radii import content_digest
-from .stages import JetTable
+from .stages import JetTable, inputs_digest
 
 __all__ = ["main", "recheck"]
 
@@ -43,10 +49,12 @@ def recheck(path: str) -> int:
             print("FAIL %s  no certificate" % stage)
             misses += 1
             continue
-        failed = [name for name, ok in (
-            ("recheck", cert.recheck()),
-            ("digest", table.digests.get(stage) == content_digest(cert.to_json_obj())),
-        ) if not ok]
+        checks = [("recheck", cert.recheck()),
+                  ("digest", table.digests.get(stage) == content_digest(cert.to_json_obj())),
+                  *_center_checks(table, stage, cert)]
+        if ("centers", None) in checks:
+            print("note %s  centers scaled after certification, not checked" % stage)
+        failed = [name for name, ok in checks if ok is not None and not ok]
         misses += bool(failed)
         print("%s %s  r0=%.3e%s" % ("FAIL" if failed else "ok  ", stage, cert.r0,
                                     "  " + " ".join(failed) if failed else ""))
@@ -54,6 +62,29 @@ def recheck(path: str) -> int:
         print(line)
         misses += 1
     return 1 if misses else 0
+
+
+def _center_checks(table, stage: str, cert) -> list:
+    """("centers", ok) and ("mirror", ok) of an order-1 or jet stage (m,n):
+    its centers are the ones certified (ok is None if a rescale scaled them
+    since), and (n,m) is their conjugate reflection with the same radius."""
+    if stage == "order0":
+        return []
+    try:
+        m, n = (1, 0) if stage == "order1" else map(int, stage[4:].split(":")[0].split(","))
+    except ValueError:
+        return [("centers", False)]
+    centers = table.orders.get((m, n), ())
+    mirror = m == n or (
+        [s.conj_reflect().to_json_obj() for s in centers]
+        == [s.to_json_obj() for s in table.orders.get((n, m), ())]
+        and table.radii.get((m, n)) == table.radii.get((n, m)))
+    ok = None if centers and table.gamma_scale != 1.0 else False
+    if centers and all(s.is_point() for s in centers):
+        bundle = (table.lambda_bar, table.k0, table.xi0) if stage == "order1" else ()
+        prev = table.digests.get("order0" if bundle else "order1", "")
+        ok = inputs_digest((m, n), table.kind, prev, centers, bundle) == cert.inputs_digest
+    return [("centers", ok), ("mirror", mirror)]
 
 
 def _radius_misses(table) -> list:

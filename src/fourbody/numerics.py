@@ -22,7 +22,6 @@ __all__ = [
     "kvals",
     "crop",
     "pad_sum",
-    "conv_full",
     "toeplitz_window",
     "FloatArith",
     "derivative_kernels",
@@ -75,10 +74,6 @@ def pad_sum(*arrays):
         off = (n - len(a)) // 2
         out[off:off + len(a)] += a
     return out
-
-
-def conv_full(a, b):
-    return np.convolve(a, b)
 
 
 def _delta(value: complex, n: int):
@@ -172,7 +167,7 @@ def ft_conv_grid(b, c, cap: int):
             m, n = m1 + m2, n1 + n2
             if m + n > cap:
                 continue
-            prod = conv_full(v1, v2)
+            prod = np.convolve(v1, v2)
             prev = out.get((m, n))
             out[(m, n)] = prod if prev is None else pad_sum(prev, prod)
     return out

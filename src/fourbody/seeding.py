@@ -2,10 +2,10 @@
 
 Everything here is plain floating point: planar equilibria of the rotating
 frame, the vertical linear frequency, small-amplitude vertical orbit guesses,
-an amplitude-pinned walk along the family with the frequency as an unknown,
-and Floquet data from the monodromy matrix of the six-dimensional
-variational flow.  The certified stages consume
-these guesses; nothing in this module is trusted by the validators.
+a continuation of that family in its Jacobi level (one square Newton system
+with H - H_target as a row), and Floquet data from the monodromy matrix of the
+six-dimensional variational flow.  The certified stages consume these
+guesses; nothing in this module is trusted by the validators.
 
 State ordering matches the polynomial embedding: (x, vx, y, vy, z, vz) plus
 the three reciprocal distances in slots 6..8.
@@ -24,7 +24,6 @@ __all__ = [
     "embed_point",
     "jacobi_mid",
     "orbit_guess_vector",
-    "walk_family",
     "orbit_to_jacobi",
     "monodromy",
     "floquet_exponents",
@@ -36,15 +35,13 @@ __all__ = [
 # rest points are searched from a grid of _EQ_GRID^2 starts on [-_EQ_SPAN, _EQ_SPAN]^2
 _EQ_SPAN = 1.6
 _EQ_GRID = 13
-# the family walk: first amplitude, growth factor per step, amplitude cap
+# the level walk: amplitude of the first guess and its growth per step; the
+# walk stalls once a halved level step is below _STEP_FLOOR times |H - H_eq|
 _AMP0 = 4e-3
 _GROWTH = 1.35
-_AMP_MAX = 2.5
-# Newton tolerance of the amplitude-pinned solves
-_PIN_TOL = 1e-12
-# regula falsi on the walk's bracket: stop when |stop(...)| < _CROSS_TOL
-_CROSS_TOL = 1e-12
-_CROSS_ITMAX = 80
+_STEP_FLOOR = 1e-4
+# signs of the squares in the Jacobi integral of (x, vx, y, vy, z, vz)
+_H_QUAD = np.array([1.0, -1.0, 1.0, -1.0, 0.0, -1.0])
 # samples of the variational flow over one period
 _N_OUT = 256
 
@@ -150,140 +147,79 @@ def orbit_guess_vector(cfg, eq_xy, amp: float, omega: float, K: int):
     return np.concatenate([np.zeros(4, dtype=complex), coeffs.ravel()])
 
 
-def _anchor_from_coeffs(cfg, coeffs: np.ndarray) -> model.PhaseAnchor:
-    u0 = coeffs.sum(axis=1).real
-    return model.PhaseAnchor.from_u0(tuple(float(t) for t in u0), cfg)
+def _level(g, ms) -> complex:
+    """Jacobi integral at an embedded point g, the float form of
+    `model.jacobi_embedded`: the sum of _H_QUAD[i] g_i^2 and 2 m_j g_{6+j}."""
+    return _H_QUAD @ (g[:6] * g[:6]) + 2.0 * (ms @ g[6:])
 
 
-def _pinned_problem(cfg, K: int, amp: float, anchor: model.PhaseAnchor):
-    """Square system for the family walk: unknowns (omega, y, A).
+def _level_problem(cfg, K: int, H: float, anchor: model.PhaseAnchor):
+    """Square system for the orbit of the family on the Jacobi level H.
 
-    The complex pin a_{z,1} = amp/2 fixes the spot on the family that the
-    free frequency opens up; the phase row still fixes time translation.
-    Both must stay (holomorphic unknowns double the continuous families, so
-    one complex condition each is needed for the shift and the family
-    parameter or the Jacobian turns structurally singular).
+    The unknowns are (omega, y, A).  Row 0 is H(g) - H at the angle-zero
+    point g = sum_k A_k; the other rows are the order-0 map of
+    `stages._orbit_residual`, with the frequency free.  The level fixes the
+    spot on the family and the phase row fixes time translation.  H(g) is
+    real when A is real-symmetric, so Newton started on a real orbit stays on
+    the real family.
     """
     ms, pos = numerics.cfg_floats(cfg)
     kv = numerics.kvals(K)
     n = 2 * K - 1
-    N = 5 + 9 * n
 
     def residual(z):
-        pin = z[5 + 4 * n + K] - amp / 2.0
-        return np.concatenate(
-            [[pin], stages._orbit_residual(z[1:], z[0], anchor, K, ms, pos)])
+        g = z[5:].reshape(9, n).sum(axis=1)
+        return np.concatenate([[_level(g, ms) - H],
+                               stages._orbit_residual(z[1:], z[0], anchor, K, ms, pos)])
 
     def jacobian(z):
-        J = np.zeros((N, N), dtype=complex)
-        J[0, 5 + 4 * n + K] = 1.0
+        A = z[5:].reshape(9, n)
+        g = A.sum(axis=1)
+        J = np.zeros((len(z), len(z)), dtype=complex)
+        # dH/dA_{i,k} = dH/dg_i for every k of component i
+        J[0, 5:] = np.repeat(np.concatenate([2.0 * _H_QUAD * g[:6], 2.0 * ms]), n)
         stages._orbit_jacobian(z[1:], z[0], anchor, K, ms, pos, out=J[1:, 1:])
-        J[5:, 0] = (-1j * kv * z[5:].reshape(9, n)).ravel()
+        J[5:, 0] = (-1j * kv * A).ravel()
         return J
 
     return residual, jacobian
 
 
-def _solve_pinned(cfg, K: int, amp: float, guess: np.ndarray):
-    n = 2 * K - 1
-    anchor = _anchor_from_coeffs(cfg, guess[5:].reshape(9, n))
-    residual, jacobian = _pinned_problem(cfg, K, amp, anchor)
-    return numerics.newton_polish(residual, jacobian, guess, tol=_PIN_TOL)
-
-
-def _pinned_guess(cfg, eq_xy, amp: float, K: int) -> np.ndarray:
-    wz = vertical_frequency(cfg, eq_xy)
-    g = orbit_guess_vector(cfg, eq_xy, amp, wz, K)
-    return np.concatenate([[complex(wz)], np.zeros(4, dtype=complex), g[4:]])
-
-
-def walk_family(cfg, eq_xy, K: int, stop):
-    """Walk the vertical family outward in amplitude until stop(...) crosses.
-
-    stop maps (omega, coeffs) to a signed scalar; the walk returns the
-    bracketing states ((amp_a, z_a), (amp_b, z_b)) where the sign changed.
-    """
-    amp = _AMP0
-    growth = _GROWTH
-    z = _solve_pinned(cfg, K, amp, _pinned_guess(cfg, eq_xy, amp, K))
-    n = 2 * K - 1
-    val = stop(z[0].real, z[5:].reshape(9, n))
-    prev = (amp, z, val)
-    while amp < _AMP_MAX:
-        amp_next = amp * growth
-        try:
-            z_next = _solve_pinned(cfg, K, amp_next, z.copy())
-        except numerics.NewtonDivergence:
-            growth = 1.0 + (growth - 1.0) * 0.5
-            if growth < 1.0 + 1e-4:
-                raise SeedFailure("family walk stalled near amplitude %r" % amp)
-            continue
-        val_next = stop(z_next[0].real, z_next[5:].reshape(9, n))
-        if val * val_next <= 0.0:
-            return prev, (amp_next, z_next, val_next)
-        amp, z, val = amp_next, z_next, val_next
-        prev = (amp, z, val)
-    raise SeedFailure("family walk hit the amplitude cap without a crossing")
-
-
-def _refine_crossing(cfg, K: int, a, b, stop):
-    """Illinois regula falsi for stop = 0 on the walk's amplitude bracket.
-
-    Stops when |stop| < _CROSS_TOL or when the next amplitude is not
-    strictly inside the bracket (it has shrunk to adjacent floats), and
-    then returns the end with the smaller |stop|.
-    """
-    ends = [a, b]                      # (amp, z, stop value) of each end
-    fs = [a[2], b[2]]                  # the values the secant uses
-    n = 2 * K - 1
-    kept = None
-    for _ in range(_CROSS_ITMAX):
-        best = min(ends, key=lambda e: abs(e[2]))
-        if abs(best[2]) < _CROSS_TOL:
-            break
-        (amp_a, z_a, _), (amp_b, z_b, _) = ends
-        amp_m = amp_a + (amp_b - amp_a) * (fs[0] / (fs[0] - fs[1]))
-        if not min(amp_a, amp_b) < amp_m < max(amp_a, amp_b):
-            break
-        near = z_a if abs(amp_m - amp_a) <= abs(amp_m - amp_b) else z_b
-        z_m = _solve_pinned(cfg, K, amp_m, near.copy())
-        v_m = stop(z_m[0].real, z_m[5:].reshape(9, n))
-        # the new point replaces the end whose value has its sign
-        i = 0 if (v_m > 0.0) == (fs[0] > 0.0) else 1
-        ends[i] = (amp_m, z_m, v_m)
-        fs[i] = v_m
-        if kept == 1 - i:
-            # the other end stays a second time: halve its value (Illinois)
-            fs[1 - i] *= 0.5
-        kept = 1 - i
-    best = min(ends, key=lambda e: abs(e[2]))
-    return best[0], best[1]
-
-
-def _freeze(cfg, omega: float, z: np.ndarray, K: int,
-            nu: float) -> stages.OrbitSolution:
-    """Re-anchor and polish at a fixed frequency; the certified formulation."""
-    coeffs = z[5:].reshape(9, 2 * K - 1)
-    anchor = _anchor_from_coeffs(cfg, coeffs)
-    guess = np.concatenate([np.zeros(4, dtype=complex), coeffs.ravel()])
-    prob = stages.orbit_problem(cfg, float(omega), anchor, K)
-    zz = stages.newton_stage(prob, guess)
-    return stages.OrbitSolution(float(omega), K, nu, anchor, zz[:4].copy(),
-                                zz[4:].reshape(9, 2 * K - 1).copy())
-
-
 def orbit_to_jacobi(cfg, eq_xy, H_target: float, K: int, nu: float):
-    """Member of the vertical family at a Jacobi level; returns (sol, H)."""
+    """Member of the vertical family on a Jacobi level; returns (sol, H).
 
-    def stop(w_, coeffs):
-        u0 = coeffs.sum(axis=1).real
-        return jacobi_mid(cfg, u0) - H_target
-
-    a, b = walk_family(cfg, eq_xy, K, stop)
-    _, z = _refine_crossing(cfg, K, a, b, stop)
-    sol = _freeze(cfg, float(z[0].real), z, K, nu)
-    u0 = sol.coeffs.sum(axis=1).real
-    return sol, jacobi_mid(cfg, u0)
+    The walk solves the linear guess at amplitude _AMP0 on its own level,
+    then steps the level toward H_target: each step is _GROWTH^2 times the
+    last (the amplitude grows by about _GROWTH), the step that would pass the
+    target lands on it, and a step whose solve diverges is halved.  The last
+    solve is the orbit; its scalars are real up to rounding, which is dropped.
+    """
+    ms, _ = numerics.cfg_floats(cfg)
+    n = 2 * K - 1
+    wz = vertical_frequency(cfg, eq_xy)
+    z = np.concatenate([[complex(wz)], orbit_guess_vector(cfg, eq_xy, _AMP0, wz, K)])
+    H_eq = _level(embed_point(cfg, [eq_xy[0], 0.0, eq_xy[1], 0.0, 0.0, 0.0]), ms).real
+    H = level = _level(z[5:].reshape(9, n).sum(axis=1), ms).real
+    step = (H - H_eq) * (_GROWTH ** 2 - 1.0)
+    if (H_target - H) * step < 0.0:
+        raise SeedFailure("level %r is on the far side of the walk's start %r"
+                          % (H_target, H))
+    while True:
+        anchor = model.PhaseAnchor.from_u0(z[5:].reshape(9, n).sum(axis=1).real, cfg)
+        try:
+            z = stages.newton_stage(_level_problem(cfg, K, level, anchor), z)
+        except numerics.NewtonDivergence:
+            step *= 0.5
+            if level == H or abs(step) < _STEP_FLOOR * abs(H - H_eq):
+                raise SeedFailure("level walk stalled near H = %r" % H)
+        else:
+            if level == H_target:
+                break
+            H, step = level, step * _GROWTH ** 2
+        level = H_target if (H + step - H_target) * step >= 0.0 else H + step
+    sol = stages.OrbitSolution(float(z[0].real), K, nu, anchor, z[1:5].real + 0j,
+                               z[5:].reshape(9, n).copy())
+    return sol, jacobi_mid(cfg, sol.coeffs.sum(axis=1).real)
 
 
 # ---------------------------------------------------------------------------
@@ -315,23 +251,10 @@ def _field6(u, ms, pos):
 
 
 def _jac6(u, ms, pos):
-    x, _, y, _, z, _ = u
-    H = _hessU((x, y, z), ms, pos)
     J = np.zeros((6, 6))
-    J[0, 1] = 1.0
-    J[2, 3] = 1.0
-    J[4, 5] = 1.0
-    J[1, 0] = 1.0 + H[0, 0]
-    J[1, 2] = H[0, 1]
-    J[1, 4] = H[0, 2]
-    J[1, 3] = 2.0
-    J[3, 0] = H[1, 0]
-    J[3, 2] = 1.0 + H[1, 1]
-    J[3, 4] = H[1, 2]
-    J[3, 1] = -2.0
-    J[5, 0] = H[2, 0]
-    J[5, 2] = H[2, 1]
-    J[5, 4] = H[2, 2]
+    J[::2, 1::2] = np.eye(3)
+    J[1::2, ::2] = _hessU((u[0], u[2], u[4]), ms, pos) + np.diag([1.0, 1.0, 0.0])
+    J[1, 3], J[3, 1] = 2.0, -2.0
     return J
 
 

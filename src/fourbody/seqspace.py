@@ -113,6 +113,10 @@ class FourierSeq:
             return self.c.at(i)
         return ComplexInterval(Interval.point(0.0), Interval.point(0.0))
 
+    def is_point(self) -> bool:
+        c = self.c
+        return bool(np.array_equal(c.rl, c.rh) and np.array_equal(c.il, c.ih))
+
     def k_values(self):
         K = self.K
         return np.arange(-(K - 1), K)

@@ -99,12 +99,12 @@ __all__ = [
     "JetResult",
     "JetTable",
     "newton_stage",
-    "orbit_problem",
     "bundle_problem",
     "jet_problem",
     "validate_order0",
     "validate_order1",
     "validate_jet",
+    "inputs_digest",
     "rescale_jets",
     "start_jet_table",
     "extend_with_jets",
@@ -450,9 +450,9 @@ class _StageContext:
 def newton_stage(problem, guess) -> np.ndarray:
     """Damped Newton on a stage's truncated map.
 
-    problem is the (residual, jacobian) pair of `orbit_problem`,
-    `bundle_problem` or `jet_problem`; both act on packed complex vectors
-    [scalars, window rows flattened].
+    problem is a (residual, jacobian) pair such as `bundle_problem` or
+    `jet_problem`; both act on packed complex vectors [scalars, window rows
+    flattened].
     """
     residual, jacobian = problem
     return numerics.newton_polish(residual, jacobian, guess, tol=NEWTON_TOL)
@@ -516,13 +516,6 @@ def _orbit_jacobian(z, omega, anchor, K: int, ms, pos, out=None, kernels=None):
         J[bj, bj] += y[1 + j] * numerics.toeplitz_window(3.0 * sq, K)
         J[bj, 1 + j] = numerics.crop(cube, K)
     return J
-
-
-def orbit_problem(cfg, omega: float, anchor, K: int):
-    """Periodic orbit stage: unknowns (y in C^4, a_0); fixed frequency."""
-    ms, pos = numerics.cfg_floats(cfg)
-    return (lambda z: _orbit_residual(z, omega, anchor, K, ms, pos),
-            lambda z: _orbit_jacobian(z, omega, anchor, K, ms, pos))
 
 
 def _window_sum(A: np.ndarray, K: int, k0: int) -> np.ndarray:
@@ -902,7 +895,7 @@ def _assemble_jet(layer: "_JetLayer", centers, ctx: _StageContext) -> _Assembled
     E = _base_encl(ctx, ns, s)
 
     for row in centers:
-        if not _is_point(row):
+        if not row.is_point():
             raise ValueError("jet centers must be point sequences")
     aset = list(centers)
     Dapp = ctx.df0.apply(aset)
@@ -930,11 +923,6 @@ def _assemble_jet(layer: "_JetLayer", centers, ctx: _StageContext) -> _Assembled
         pre_Z1=shift_err, pre_Y=float(_up(_up(shift_err * maxn) + layer.rho)),
     )
     return asm
-
-
-def _is_point(seq: FourierSeq) -> bool:
-    c = seq.c
-    return bool(np.array_equal(c.rl, c.rh) and np.array_equal(c.il, c.ih))
 
 
 # ---------------------------------------------------------------------------
@@ -1287,6 +1275,19 @@ def _seqs_digest_obj(seqs):
     return [s.to_json_obj() for s in seqs]
 
 
+def inputs_digest(alpha, kind: str, prev: str, centers, bundle=()) -> str:
+    """The inputs_digest of the certificate of order 1 (alpha = (1, 0)) or of
+    jet alpha: its kind, the digest of the stage below it and its centers;
+    for order 1, bundle is (lambda, k0, xi0)."""
+    obj = {"stage": "jet:%d,%d" % alpha, "kind": kind, "prev": prev,
+           "coeffs": _seqs_digest_obj(centers)}
+    if bundle:
+        lam, k0, xi0 = bundle
+        obj.update({"stage": "order1", "k0": k0, "xi0": float(xi0).hex(),
+                    "lambda": [float(lam.real).hex(), float(lam.imag).hex()]})
+    return content_digest(obj)
+
+
 def validate_order0(solution: OrbitSolution, cfg) -> Order0Result:
     """Certify the periodic orbit; the unfolding enclosure must contain zero."""
     ctx = _StageContext(solution.seqs(), cfg, solution.omega, solution.K,
@@ -1331,16 +1332,10 @@ def validate_order1(solution: BundleSolution, jet: "JetTable", cfg) -> Order1Res
     ctx = _context_for(jet, cfg)
     r0 = jet.radii[(0, 0)]
     asm = _assemble_bundle(solution, ctx, r0)
-    digest = content_digest({
-        "stage": "order1",
-        "kind": solution.kind,
-        "prev": jet.digests.get("order0", ""),
-        "lambda": [float(solution.lam.real).hex(), float(solution.lam.imag).hex()],
-        "k0": solution.k0,
-        "xi0": float(solution.xi0).hex(),
-        "coeffs": _seqs_digest_obj(
-            FourierSeq.point(row, jet.nu) for row in solution.coeffs),
-    })
+    digest = inputs_digest(
+        (1, 0), solution.kind, jet.digests.get("order0", ""),
+        [FourierSeq.point(row, jet.nu) for row in solution.coeffs],
+        (solution.lam, solution.k0, solution.xi0))
     cert, report = _certify(asm, digest)
     r1 = cert.r0
     lam = complex(solution.lam)
@@ -1363,13 +1358,8 @@ def validate_jet(alpha, jet: "JetTable", cfg) -> JetResult:
 
 def _validate_layer(ctx: _StageContext, layer: _JetLayer, centers) -> JetResult:
     asm = _assemble_jet(layer, centers, ctx)
-    digest = content_digest({
-        "stage": "jet:%d,%d" % layer.alpha,
-        "kind": layer.kind,
-        "prev": layer.prev,
-        "coeffs": _seqs_digest_obj(centers),
-    })
-    cert, report = _certify(asm, digest)
+    cert, report = _certify(asm, inputs_digest(layer.alpha, layer.kind, layer.prev,
+                                               centers))
     balls = tuple(BallElement(sq, cert.r0) for sq in centers)
     return JetResult(layer.alpha, balls, cert.r0, cert, report)
 

@@ -264,7 +264,8 @@ def test_recheck_command(run, tmp_path, capsys):
     obj["radii"]["3,0"] = (1e-30).hex()
     status, fails, _ = recheck(obj, "small.json")
     assert status == 1
-    assert fails == ["FAIL radius 3,0  r=1.000e-30 below %s r0*gamma^3=%.3e"
+    assert fails == ["FAIL %s  r0=%.3e  mirror" % (stage, table.certs[stage].r0),
+                     "FAIL radius 3,0  r=1.000e-30 below %s r0*gamma^3=%.3e"
                      % (stage, table.certs[stage].r0)]
     # a radius whose certificate and digest are gone: the jet and its mirror
     obj = json.loads(good.read_text())
@@ -272,3 +273,40 @@ def test_recheck_command(run, tmp_path, capsys):
     status, fails, _ = recheck(obj, "uncertified.json")
     assert status == 1
     assert fails == ["FAIL radius %s  no certificate %s" % (a, stage) for a in ("0,3", "3,0")]
+
+    def moved(obj, alpha, k, by):
+        entry = obj["orders"][alpha][0]["entries"][K - 1 + k]
+        entry[1] = entry[2] = (float.fromhex(entry[1]) + by).hex()
+
+    jet2 = "jet:2,0:%s" % KIND
+    # a center of (2,0) moved by 0.5: no longer the certified one, nor the
+    # reflection of its mirror
+    obj = json.loads(good.read_text())
+    moved(obj, "2,0", 1, 0.5)
+    status, fails, _ = recheck(obj, "moved.json")
+    assert status == 1
+    assert fails == ["FAIL %s  r0=%.3e  centers mirror" % (jet2, table.certs[jet2].r0)]
+    # the same move on both (2,0) and its mirror: only the digest tells
+    moved(obj, "0,2", -1, 0.5)
+    status, fails, _ = recheck(obj, "moved_both.json")
+    assert status == 1
+    assert fails == ["FAIL %s  r0=%.3e  centers" % (jet2, table.certs[jet2].r0)]
+    # an edited mirror of order 1
+    obj = json.loads(good.read_text())
+    moved(obj, "0,1", 0, 1e-9)
+    status, fails, _ = recheck(obj, "mirror.json")
+    assert status == 1
+    assert fails == ["FAIL order1  r0=%.3e  mirror" % table.certs["order1"].r0]
+    # a stage whose name gives no (m,n) cannot be tied to centers
+    obj = json.loads(good.read_text())
+    obj["certs"]["jet:x"] = obj["certs"].pop(stage)
+    obj["digests"]["jet:x"] = obj["digests"].pop(stage)
+    status, fails, _ = recheck(obj, "unnamed.json")
+    assert status == 1 and "FAIL jet:x  r0=%.3e  centers" % table.certs[stage].r0 in fails
+    # a rescaled table: its centers are no points, and only get a note
+    path = tmp_path / "rescaled.json"
+    path.write_text(json.dumps(stages.rescale_jets(table, 0.5).to_json_obj()))
+    assert cli.main(["recheck", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines if line.startswith("note ")] == sorted(
+        s for s in table.certs if s != "order0")

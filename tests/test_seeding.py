@@ -1,9 +1,9 @@
-"""The crossing refinement of the family walk meets its tolerance in a few solves."""
+"""The level walk lands on its Jacobi level with a real orbit, in few solves."""
 
 import numpy as np
 import pytest
 
-from fourbody import model, seeding
+from fourbody import model, numerics, seeding
 
 
 @pytest.fixture(scope="module")
@@ -11,55 +11,57 @@ def cfg():
     return model.primaries(model.MassTriple.of("1/2", "3/10", "1/5"))
 
 
-def test_refine_crossing_meets_its_tolerance(cfg, monkeypatch):
-    # a small K keeps the walk cheap; the bracket is the reference run's
-    K = 8
-    n = 2 * K - 1
+@pytest.fixture(scope="module")
+def start(cfg):
     eq = seeding.planar_equilibria(cfg)[3]
     H0 = seeding.jacobi_mid(
         cfg, seeding.embed_point(cfg, [eq[0], 0.0, eq[1], 0.0, 0.0, 0.0]))
-
-    def stop(w_, coeffs):
-        return seeding.jacobi_mid(cfg, coeffs.sum(axis=1).real) - (H0 - 0.3)
-
-    a, b = seeding.walk_family(cfg, eq, K, stop)
-    solves = []
-    solve = seeding._solve_pinned
-
-    def counted(*args):
-        solves.append(args[2])
-        return solve(*args)
-
-    monkeypatch.setattr(seeding, "_solve_pinned", counted)
-    amp, z = seeding._refine_crossing(cfg, K, a, b, stop)
-    assert len(solves) <= 12
-    assert min(a[0], b[0]) < amp < max(a[0], b[0])
-    assert abs(stop(z[0].real, z[5:].reshape(9, n))) < seeding._CROSS_TOL
+    return eq, H0
 
 
-def test_refine_crossing_stops_on_a_collapsed_bracket(monkeypatch):
-    # stop jumps by 4.2e-12 across its root, so the tolerance cannot be met:
-    # the refinement must stop once the bracket is two adjacent floats
-    K, root = 2, 0.2301157
+def counted_solves(monkeypatch, fail_after=None):
+    """The guesses' level rows of the Newton solves; the solves after the
+    first fail_after ones diverge."""
+    rows = []
+    polish = numerics.newton_polish
 
-    def pinned(cfg, K, amp, guess):
-        z = np.zeros(5 + 9 * (2 * K - 1), dtype=complex)
-        z[0] = amp
-        return z
+    def counted(residual, jacobian, x0, tol):
+        rows.append(residual(x0)[0])
+        if fail_after is not None and len(rows) > fail_after:
+            raise numerics.NewtonDivergence("diverged on purpose")
+        return polish(residual, jacobian, x0, tol)
 
-    def stop(w_, coeffs):
-        return (w_ - root) * 1e-3 + (2.1e-12 if w_ > root else -2.1e-12)
+    monkeypatch.setattr(numerics, "newton_polish", counted)
+    return rows
 
-    calls = []
 
-    def counted(*args):
-        calls.append(args[2])
-        return pinned(*args)
+def test_orbit_lands_on_its_level_as_a_real_orbit(cfg, start, monkeypatch):
+    # the reference run's level, at a K small enough to be cheap
+    eq, H0 = start
+    solves = counted_solves(monkeypatch)
+    sol, H = seeding.orbit_to_jacobi(cfg, eq, H0 - 0.3, 8, 1.5)
+    assert abs(H - (H0 - 0.3)) < 1e-12
+    A = sol.coeffs
+    assert np.max(np.abs(A - np.conj(A[:, ::-1]))) < 1e-13
+    assert isinstance(sol.omega, float)
+    assert len(solves) <= 16
 
-    monkeypatch.setattr(seeding, "_solve_pinned", counted)
-    a, b = ((amp, pinned(None, K, amp, None), stop(amp, None))
-            for amp in (0.19787866958100486, 0.2671362039343566))
-    amp, z = seeding._refine_crossing(None, K, a, b, stop)
-    assert len(calls) < seeding._CROSS_ITMAX
-    assert z[0] == amp
-    assert np.nextafter(root, 0.0) <= amp <= np.nextafter(root, 1.0)
+
+def test_level_above_the_equilibrium_fails_at_once(cfg, start, monkeypatch):
+    eq, H0 = start
+    solves = counted_solves(monkeypatch)
+    with pytest.raises(seeding.SeedFailure, match="far side"):
+        seeding.orbit_to_jacobi(cfg, eq, H0 + 0.1, 8, 1.5)
+    assert len(solves) <= 2
+
+
+def test_diverging_steps_are_halved_down_to_the_floor(cfg, start, monkeypatch):
+    eq, H0 = start
+    rows = counted_solves(monkeypatch, fail_after=1)
+    with pytest.raises(seeding.SeedFailure, match="stalled"):
+        seeding.orbit_to_jacobi(cfg, eq, H0 - 0.3, 8, 1.5)
+    # every solve after the first starts at the first orbit; its level row
+    # there is minus the step, and each failure halves the step
+    steps = -np.array(rows[1:])
+    assert len(steps) < 20
+    assert np.allclose(steps[1:] / steps[:-1], 0.5, rtol=1e-6)
