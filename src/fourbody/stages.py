@@ -71,7 +71,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .interval import ComplexInterval, Interval, _as_iv
+from .interval import ComplexInterval, Interval, _as_iv, _next
 from .ivarray import (
     CArr,
     cconv_mr,
@@ -322,42 +322,43 @@ def _polys_eval_max(rows, r: float) -> float:
 
 
 class _EnclMat:
-    """Endpoint-lane enclosure of the derivative on the finite window."""
+    """Endpoint-lane enclosure of the derivative on the finite window, or of
+    a part of it (one block, or the diagonal) when shape says so."""
 
     __slots__ = ("rl", "rh", "il", "ih")
 
-    def __init__(self, n: int):
-        self.rl = np.zeros((n, n))
-        self.rh = np.zeros((n, n))
-        self.il = np.zeros((n, n))
-        self.ih = np.zeros((n, n))
+    def __init__(self, shape):
+        self.rl = np.zeros(shape)
+        self.rh = np.zeros(shape)
+        self.il = np.zeros(shape)
+        self.ih = np.zeros(shape)
 
-    def _add(self, rows, cols, rl, rh, il, ih):
-        self.rl[rows, cols] = _dn(self.rl[rows, cols] + rl)
-        self.rh[rows, cols] = _up(self.rh[rows, cols] + rh)
-        self.il[rows, cols] = _dn(self.il[rows, cols] + il)
-        self.ih[rows, cols] = _up(self.ih[rows, cols] + ih)
+    def _add(self, idx, rl, rh, il, ih):
+        self.rl[idx] = _dn(self.rl[idx] + rl)
+        self.rh[idx] = _up(self.rh[idx] + rh)
+        self.il[idx] = _dn(self.il[idx] + il)
+        self.ih[idx] = _up(self.ih[idx] + ih)
 
     def add_toeplitz(self, rsl: slice, csl: slice, seq: FourierSeq, K: int):
         # the window block of convolution by seq: entry (k, l) = seq_{k-l}
         lanes = [numerics.toeplitz_window(a, K) for a in
                  (seq.c.rl, seq.c.rh, seq.c.il, seq.c.ih)]
-        self._add(rsl, csl, *lanes)
+        self._add((rsl, csl), *lanes)
 
     def add_diag_lanes(self, sl: slice, rl, rh, il, ih):
         idx = np.arange(sl.start, sl.stop)
-        self._add(idx, idx, rl, rh, il, ih)
+        self._add((idx, idx), rl, rh, il, ih)
 
     def add_block_identity(self, rsl: slice, csl: slice, c: ComplexInterval):
         idx_r = np.arange(rsl.start, rsl.stop)
         idx_c = np.arange(csl.start, csl.stop)
-        self._add(idx_r, idx_c, c.re.lo, c.re.hi, c.im.lo, c.im.hi)
+        self._add((idx_r, idx_c), c.re.lo, c.re.hi, c.im.lo, c.im.hi)
 
     def add_row_const(self, row: int, cols, c: ComplexInterval):
-        self._add(row, cols, c.re.lo, c.re.hi, c.im.lo, c.im.hi)
+        self._add((row, cols), c.re.lo, c.re.hi, c.im.lo, c.im.hi)
 
     def add_col_carr(self, rsl: slice, col: int, c: CArr):
-        self._add(rsl, col, c.rl, c.rh, c.il, c.ih)
+        self._add((rsl, col), c.rl, c.rh, c.il, c.ih)
 
     def corner_abs(self, J: np.ndarray) -> np.ndarray:
         """Entrywise upper bound of sup_{z in box} |z - J|."""
@@ -405,19 +406,82 @@ class _StageContext:
                     self.knorms[i, j] = ker.norm_upper()
         self.const = np.array(self.df0.const)
         self._build_monomials()
+        # what the window block holds on its diagonal besides -i omega k - s:
+        # the diagonal constant and the centre of the diagonal kernel, per row
+        n = 2 * self.K - 1
+        self._tdiag = np.zeros(9 * n, dtype=complex)
+        for i in range(9):
+            ker = self.fkers[i][i]
+            t = self.fconst[i][i] + (0.0 if ker is None else ker[(len(ker) - 1) // 2])
+            self._tdiag[i * n:(i + 1) * n] = t
         self._block = None
+        self._jet_cols = None
 
     def window_block(self, s: complex) -> np.ndarray:
         """Float window block of h -> DF0 h - i omega k h - s h.
 
         The last block is kept: a stage's Newton solve and its certificate
-        ask for the same s one after the other.
+        ask for the same s one after the other.  Only the diagonal depends on
+        s, so a new s copies the kept block and rewrites its diagonal as
+        (0 + d(s)) + t, with d(s) = -i omega k - s and t the diagonal
+        constants and kernel centres: the sums `numerics.base_block` forms
+        there (it adds no constant on the diagonal), so the copy equals a
+        block built afresh bit for bit.
         """
         if self._block is None or self._block[0] != s:
             diag = -1j * self.omega * numerics.kvals(self.K) - s
-            self._block = (s, numerics.base_block(self.fconst, self.fkers,
-                                                  self.K, diag))
+            if self._block is None:
+                block = numerics.base_block(self.fconst, self.fkers, self.K, diag)
+            else:
+                block = self._block[1].copy()
+                block[np.diag_indices_from(block)] = np.tile(0j + diag, 9) + self._tdiag
+            self._block = (s, block)
         return self._block[1]
+
+    def jet_window_cols(self, s: complex) -> np.ndarray:
+        """The window part of the column bounds U of a jet's `_certify`.
+
+        These are the row maxima, over each column group, of
+        _up(|E - J| nu^-|l|) with E = `_base_encl(self, 0, s)` and
+        J = `window_block(s)` (see `_window_cols`).  Off the diagonal
+        neither E nor J depends on s, so those maxima are made block by block
+        once per context (N x 9 floats); each jet adds only its diagonal, in
+        O(N), by the operations of `_base_encl` in the same order.
+        """
+        K, n = self.K, 2 * self.K - 1
+        J = self.window_block(s)
+        lanes = _diag_lanes_iomega(numerics.kvals(K), self.omega, s)
+        _, winv = SpaceLayout.mixed(0, 9, K).weights_up(self.nu)
+        if self._jet_cols is None:
+            cols = np.zeros((9 * n, 9))
+            whole = slice(0, n)
+            for i in range(9):
+                rs = slice(i * n, (i + 1) * n)
+                for j in range(9):
+                    E = _EnclMat((n, n))
+                    _add_base_block(E, whole, whole, self, i, j, lanes)
+                    scaled = _up(E.corner_abs(J[rs, j * n:(j + 1) * n])
+                                 * winv[None, :n])
+                    if i == j:
+                        scaled[np.diag_indices(n)] = 0.0
+                    cols[rs, j] = scaled.max(axis=1)
+            self._jet_cols = cols
+        D = _EnclMat(9 * n)
+        for i in range(9):
+            sl = slice(i * n, (i + 1) * n)
+            D._add(sl, *lanes)
+            c = self.const[i, i]
+            if c != 0.0:
+                D._add(sl, c, c, 0.0, 0.0)
+            ker = self.df0.kernels[i][i]
+            if ker is not None:
+                W = (len(ker.c) - 1) // 2
+                D._add(sl, ker.c.rl[W], ker.c.rh[W], ker.c.il[W], ker.c.ih[W])
+        scaled = _up(D.corner_abs(np.diagonal(J)) * winv)
+        U = self._jet_cols.copy()
+        rows = np.arange(9 * n)
+        U[rows, rows // n] = np.maximum(U[rows, rows // n], scaled)
+        return U
 
     def _build_monomials(self):
         a0n = [s.norm_upper() for s in self.a0]
@@ -592,7 +656,7 @@ class _Assembled:
     omega: float
     s: complex
     J: np.ndarray
-    encl: _EnclMat
+    window_cols: np.ndarray
     resid_scalars: list
     resid_seqs: list
     tail_mags: list
@@ -664,11 +728,9 @@ def _certify(asm: _Assembled, digest: str):
             Y0 = max(Y0, float(_up(gY[gi] + t)))
     Y = float(_up(Y0 + _up(normA_seq * asm.pre_Y)))
 
-    _, winv = layout.weights_up(nu)
-    scaled = _up(asm.encl.corner_abs(J) * winv[None, :])
     U = np.zeros((N, ngroups))
-    for ci, (kind, csl) in enumerate(zip(layout.kinds, layout.slices)):
-        col = scaled[:, csl].max(axis=1)
+    for ci, kind in enumerate(layout.kinds):
+        col = asm.window_cols[:, ci]
         if kind == "seq":
             j = ci - ns
             prof = np.zeros(N)
@@ -720,25 +782,40 @@ def _certify(asm: _Assembled, digest: str):
 # per-stage assembly
 
 
+def _add_base_block(E: _EnclMat, rs: slice, cs: slice, ctx: _StageContext,
+                    i: int, j: int, lanes):
+    """Add block (i, j) of the base operator's enclosure into E at rows rs
+    and columns cs: the diagonal lanes (when i = j), then the constant, then
+    the kernel."""
+    if i == j:
+        E.add_diag_lanes(rs, *lanes)
+    c = ctx.const[i, j]
+    if c != 0.0:
+        E.add_block_identity(rs, cs, ComplexInterval.point(complex(c)))
+    ker = ctx.df0.kernels[i][j]
+    if ker is not None:
+        E.add_toeplitz(rs, cs, ker, ctx.K)
+
+
 def _base_encl(ctx: _StageContext, ns: int, s: complex) -> _EnclMat:
-    K = ctx.K
-    n = 2 * K - 1
-    N = ns + 9 * n
-    kv = numerics.kvals(K)
-    E = _EnclMat(N)
-    lanes = _diag_lanes_iomega(kv, ctx.omega, s)
+    """Enclosure of the window block of DF0 - i omega k - s, after ns scalar
+    rows and columns; the jets read it through `jet_window_cols`."""
+    n = 2 * ctx.K - 1
+    E = _EnclMat((ns + 9 * n, ns + 9 * n))
+    lanes = _diag_lanes_iomega(numerics.kvals(ctx.K), ctx.omega, s)
     for i in range(9):
-        sl = slice(ns + i * n, ns + (i + 1) * n)
-        E.add_diag_lanes(sl, *lanes)
         for j in range(9):
-            cs = slice(ns + j * n, ns + (j + 1) * n)
-            c = ctx.const[i, j]
-            if c != 0.0:
-                E.add_block_identity(sl, cs, ComplexInterval.point(complex(c)))
-            ker = ctx.df0.kernels[i][j]
-            if ker is not None:
-                E.add_toeplitz(sl, cs, ker, K)
+            _add_base_block(E, slice(ns + i * n, ns + (i + 1) * n),
+                            slice(ns + j * n, ns + (j + 1) * n), ctx, i, j, lanes)
     return E
+
+
+def _window_cols(E: _EnclMat, J: np.ndarray, layout: SpaceLayout, nu: float):
+    """Row maxima of _up(|E - J| nu^-|l|) over each column group of layout:
+    the window part of the column bounds U in `_certify`."""
+    _, winv = layout.weights_up(nu)
+    scaled = _up(E.corner_abs(J) * winv[None, :])
+    return np.stack([scaled[:, sl].max(axis=1) for sl in layout.slices], axis=1)
 
 
 def _assemble_orbit(sol: "OrbitSolution", ctx: _StageContext) -> _Assembled:
@@ -828,8 +905,8 @@ def _assemble_orbit(sol: "OrbitSolution", ctx: _StageContext) -> _Assembled:
 
     asm = _Assembled(
         tag="order0", ns=ns, K=K, nu=nu, omega=omega, s=0.0 + 0.0j,
-        J=J, encl=E, resid_scalars=resid_scalars, resid_seqs=resid_seqs,
-        tail_mags=tail_mags, tail_norms=tail_norms, tail_consts=tail_consts,
+        J=J, window_cols=_window_cols(E, J, SpaceLayout.mixed(ns, 9, K), nu),
+        resid_scalars=resid_scalars, resid_seqs=resid_seqs, tail_mags=tail_mags, tail_norms=tail_norms, tail_consts=tail_consts,
         scalar_tail_sup=scalar_tail_sup,
         ycol_tail_seqs=[(1 + j, 6 + j, cubes[j]) for j in range(3)],
         monomials=monos,
@@ -874,7 +951,8 @@ def _assemble_bundle(sol: "BundleSolution", ctx: _StageContext, r0: float) -> _A
     dd = ctx.field_dd(r0)
     asm = _Assembled(
         tag="order1:%s" % sol.kind, ns=ns, K=K, nu=nu, omega=omega, s=lam,
-        J=J, encl=E, resid_scalars=resid_scalars, resid_seqs=resid_seqs,
+        J=J, window_cols=_window_cols(E, J, SpaceLayout.mixed(ns, 9, K), nu),
+        resid_scalars=resid_scalars, resid_seqs=resid_seqs,
         tail_mags=[list(row) for row in ctx.kmags], tail_norms=ctx.knorms.copy(),
         tail_consts=np.abs(ctx.const), scalar_tail_sup=np.zeros((ns, 9)),
         ycol_tail_seqs=[], monomials=monos,
@@ -892,7 +970,6 @@ def _assemble_jet(layer: "_JetLayer", centers, ctx: _StageContext) -> _Assembled
     s = _jet_shift((m_, n_), lam)
 
     J = ctx.window_block(s)
-    E = _base_encl(ctx, ns, s)
 
     for row in centers:
         if not row.is_point():
@@ -916,7 +993,7 @@ def _assemble_jet(layer: "_JetLayer", centers, ctx: _StageContext) -> _Assembled
     maxn = max(sq.norm_upper() for sq in aset)
     asm = _Assembled(
         tag="jet:%d,%d:%s" % (m_, n_, layer.kind), ns=ns, K=K, nu=nu,
-        omega=omega, s=s, J=J, encl=E, resid_scalars=[],
+        omega=omega, s=s, J=J, window_cols=ctx.jet_window_cols(s), resid_scalars=[],
         resid_seqs=resid_seqs, tail_mags=[list(row) for row in ctx.kmags],
         tail_norms=ctx.knorms.copy(), tail_consts=np.abs(ctx.const),
         scalar_tail_sup=np.zeros((0, 9)), ycol_tail_seqs=[], monomials=[],
@@ -1044,7 +1121,9 @@ class _NormRad(_ByLayer):
     A layer stands for every sequence within norm distance r of a center of
     norm at most N; the field outputs bound how far each layer of the field
     moves as its inputs range over those balls.  Constants enter by their
-    modulus and negation is the identity.
+    modulus and negation is the identity.  Every value is a Python float,
+    rounded up by `interval._next` (the IEEE nextafter of `_up`, without
+    its numpy call).
     """
 
     def __init__(self, cfg):
@@ -1061,9 +1140,9 @@ class _NormRad(_ByLayer):
     def product_layer(b, c, alpha):
         Nacc, racc = 0.0, 0.0
         for (N1, r1), (N2, r2) in _cauchy_terms(b, c, alpha):
-            Np = _up(N1 * N2)
-            rp = _up(_up(_up(N1 * r2) + _up(r1 * N2)) + _up(r1 * r2))
-            Nacc, racc = float(_up(Nacc + Np)), float(_up(racc + rp))
+            Np = _next(N1 * N2)
+            rp = _next(_next(_next(N1 * r2) + _next(r1 * N2)) + _next(r1 * r2))
+            Nacc, racc = _next(Nacc + Np), _next(racc + rp)
         return (Nacc, racc)
 
     @staticmethod
@@ -1072,19 +1151,19 @@ class _NormRad(_ByLayer):
         for g in grids:
             for a, (Nv, rv) in g.items():
                 prev = out.get(a, (0.0, 0.0))
-                out[a] = (float(_up(prev[0] + Nv)), float(_up(prev[1] + rv)))
+                out[a] = (_next(prev[0] + Nv), _next(prev[1] + rv))
         return out
 
     @staticmethod
     def scale(g, c):
         c = abs(c)
-        return {a: (float(_up(Nv * c)), float(_up(rv * c))) for a, (Nv, rv) in g.items()}
+        return {a: (_next(Nv * c), _next(rv * c)) for a, (Nv, rv) in g.items()}
 
     @staticmethod
     def shift(g, cmag: float):
         out = dict(g)
         Nv, rv = out.get((0, 0), (0.0, 0.0))
-        out[(0, 0)] = (float(_up(Nv + cmag)), rv)
+        out[(0, 0)] = (_next(Nv + cmag), rv)
         return out
 
     @staticmethod

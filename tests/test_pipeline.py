@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from fourbody import cli, model, numerics, seeding, stages
+from fourbody.opbound import SpaceLayout
 from fourbody.radii import NoNegativeRadius, content_digest
 
 K = 24
@@ -81,6 +82,25 @@ def test_radii_no_larger_than_reference(run):
     assert table.radii[(1, 0)] <= 1.9306977288832455e-06
     assert max(r for a, r in table.radii.items() if sum(a) >= 2) <= 2.07711392596645e-05
     assert table.E_total().hi <= 7.829448631201738e-05
+
+
+def test_jet_operator_from_the_context_is_bit_identical(run):
+    # a fresh context visits the jet shifts out of order and repeats one:
+    # each block equals the one base_block builds afresh, and each window
+    # column bound equals the one read off the full enclosure
+    cfg, _, _, table = run
+    ctx = stages._StageContext(table.orders[(0, 0)], cfg, table.omega, table.K,
+                               table.nu)
+    layout = SpaceLayout.mixed(0, 9, ctx.K)
+    for alpha in [(3, 0), (1, 1), (2, 0), (3, 0), (2, 1)]:
+        s = stages._jet_shift(alpha, table.lambda_bar)
+        J = ctx.window_block(s)
+        diag = -1j * ctx.omega * numerics.kvals(ctx.K) - s
+        fresh = numerics.base_block(ctx.fconst, ctx.fkers, ctx.K, diag)
+        assert np.array_equal(J.view(np.uint64), fresh.view(np.uint64)), alpha
+        want = stages._window_cols(stages._base_encl(ctx, 0, s), J, layout, ctx.nu)
+        got = ctx.jet_window_cols(s)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), alpha
 
 
 def test_json_roundtrip_keeps_digest(run):
