@@ -6,17 +6,21 @@ Two representations are used:
   4-tuple (rl, rh, il, ih) wrapped in CArr, and the ri_* kernels act on
   the (lo, hi) float64 lane pairs of its real and imaginary parts.  Every
   elementary operation rounds outward by one ulp (numpy.nextafter), which
-  is sound because binary64 arithmetic rounds to nearest.  Convolutions run through one batched kernel, carr_conv_batch:
-  it stacks many (a, b) pairs, forms the products of a block of shifts at
-  once, and adds them into each output coefficient in increasing shift
-  order, so the result is bit for bit that of a loop over one coefficient
-  at a time.  Its temporaries are bounded by a fixed block size.
+  is sound because binary64 arithmetic rounds to nearest.  The endpoint
+  convolution, carr_conv_batch, now serves only `seqspace.conv` (order 0
+  and the tests): it stacks many (a, b) pairs, forms the products of a
+  block of shifts at once, and adds them into each output coefficient in
+  increasing shift order, so the result is bit for bit that of a loop over
+  one coefficient at a time.  Its temporaries are bounded by a fixed block
+  size.
 
 * midpoint-radius form for matrices and convolutions: complex data as
   (mid complex128, rad float64) where rad bounds the complex modulus of
   the error (disc enclosure).  Products use the standard
   floating-point gemm error bound; the inflation constants below are
-  deliberately generous.
+  deliberately generous.  cconv_mr and mr_add carry the jets: the
+  remainder fields and `model.DF0.apply`.  CArr.from_disc turns discs back
+  into endpoint boxes.
 
 The scalar module (interval.py) is the reference semantics; tests compare
 these kernels against it entry by entry.
@@ -139,6 +143,18 @@ class CArr:
     def point(cls, z):
         z = np.asarray(z, dtype=complex)
         return cls(z.real.copy(), z.real.copy(), z.imag.copy(), z.imag.copy())
+
+    @classmethod
+    def from_disc(cls, m, r):
+        """Endpoint boxes of the discs |z - m_k| <= r_k, rounded outward; a
+        disc with r_k = 0 is the point m_k, without widening."""
+        m = np.asarray(m, dtype=complex)
+        r = np.asarray(r, dtype=float)
+        exact = r == 0.0
+        return cls(np.where(exact, m.real, _dn(m.real - r)),
+                   np.where(exact, m.real, _up(m.real + r)),
+                   np.where(exact, m.imag, _dn(m.imag - r)),
+                   np.where(exact, m.imag, _up(m.imag + r)))
 
     @classmethod
     def zeros(cls, n: int):
@@ -435,3 +451,20 @@ def cconv_mr(am, ar, bm, br):
     if not (np.isfinite(cm).all() and np.isfinite(cr).all()):
         raise IntervalDomainError("overflow in interval convolution")
     return cm, cr
+
+
+def mr_add(qm, qr, vm, vr):
+    """Centered midpoint-radius sum of two odd-length disc arrays.
+
+    The radius takes both radii and the rounding of the midpoint sum: a
+    complex addition errs by at most u |z| in modulus, and 2^-52 |z| covers
+    it with the rounding of |z| itself.
+    """
+    nlen = max(len(qm), len(vm))
+    zm = np.zeros(nlen, dtype=complex)
+    zr = np.zeros(nlen)
+    for sm, sr in ((qm, qr), (vm, vr)):
+        off = (nlen - len(sm)) // 2
+        zm[off:off + len(sm)] += sm
+        zr[off:off + len(sr)] = _up(zr[off:off + len(sr)] + sr)
+    return [zm, _up(zr + _up(np.abs(zm) * (2.0 ** -52)))]

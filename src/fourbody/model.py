@@ -31,6 +31,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .interval import (
     CZERO,
     ComplexInterval,
@@ -39,7 +41,7 @@ from .interval import (
     ZERO,
     _as_iv,
 )
-from .ivarray import CArr, carr_conv_batch, down_sum, up_sum
+from .ivarray import CArr, cconv_mr, down_sum, mr_add, up_sum
 from .seqspace import (
     FourierSeq,
     FourierTaylorSeq,
@@ -475,34 +477,72 @@ class DF0:
     Every entry is (constant multiple) + (convolution against a stored
     sequence); rows and columns are indexed 0..8.  The same table later
     feeds both the sequence-space application and finite matrix blocks.
+    Besides the endpoint kernels it holds each kernel as discs (midpoint,
+    radius), converted once here, which `apply` convolves with.
     """
 
-    __slots__ = ("const", "kernels", "nu")
+    __slots__ = ("const", "kernels", "discs", "nu")
 
     def __init__(self, const, kernels, nu: float):
+        # the constants are 1, 2 and -2 (`_DF_CONST`): their multiples are exact
+        if any(c != 0.0 and abs(math.frexp(c)[0]) != 0.5 for row in const for c in row):
+            raise ValueError("DF0 constants must be powers of two")
         self.const = const
         self.kernels = kernels
+        self.discs = [[None if k is None else (k.c.mid(), k.c.rad()) for k in row]
+                      for row in kernels]
         self.nu = nu
 
     def apply(self, h):
+        """DF0 h as nine endpoint sequences, made in midpoint-radius form.
+
+        Each kernel product is a `cconv_mr` of the kernel's discs with h_j,
+        and each row sums its entries with `mr_add` in the order (constant,
+        kernel) per column j; the row then becomes endpoint boxes.  A
+        point-zero h_j contributes nothing, and a point h_j enters with radius
+        zero, so a row of exact multiples stays exact.  Each row keeps the
+        length of its longest entry, a skipped one included.
+        """
         h = _nine(h, "sequence")
         if h[0].nu != self.nu:
             raise WeightMismatch("argument nu differs from derivative nu")
-        # every kernel product in one batched convolution, then each row
-        # sums its entries in the order (constant, kernel) per column j
-        prods = iter(carr_conv_batch([
-            (ker.c, h[j].c) for row in self.kernels
-            for j, ker in enumerate(row) if ker is not None]))
+        discs = []
+        for s in h:
+            c = s.c
+            if not s.is_point():
+                discs.append((c.mid(), c.rad()))
+            elif c.rl.any() or c.il.any():
+                discs.append((c.mid(), None))
+            else:
+                discs.append(None)
         out = []
         for i in range(9):
-            acc = FourierSeq.zeros(1, self.nu)
+            acc = None
+            nlen = 1
             for j in range(9):
                 c = self.const[i][j]
+                ker = self.discs[i][j]
+                nh = len(h[j].c)
                 if c != 0.0:
-                    acc = acc.add(h[j].scale(c))
-                if self.kernels[i][j] is not None:
-                    acc = acc.add(FourierSeq(next(prods), self.nu))
-            out.append(acc)
+                    nlen = max(nlen, nh)
+                if ker is not None:
+                    nlen = max(nlen, len(ker[0]) + nh - 1)
+                if discs[j] is None:
+                    continue
+                hm, hr = discs[j]
+                terms = []
+                if c != 0.0:
+                    terms.append((c * hm, np.zeros(nh) if hr is None else abs(c) * hr))
+                if ker is not None:
+                    terms.append(cconv_mr(ker[0], ker[1], hm, hr))
+                for tm, tr in terms:
+                    acc = [tm, tr] if acc is None else mr_add(*acc, tm, tr)
+            if acc is None:
+                acc = [np.zeros(1, dtype=complex), np.zeros(1)]
+            pad = (nlen - len(acc[0])) // 2
+            m = np.pad(acc[0], pad)
+            r = np.pad(acc[1], pad)
+            out.append(FourierSeq(CArr.from_disc(m, r), self.nu))
         return tuple(out)
 
 

@@ -79,6 +79,7 @@ from .ivarray import (
     cmm,
     conv_up_nonneg,
     mm_up_nonneg,
+    mr_add,
     up_sum,
     _dn,
     _up,
@@ -1025,18 +1026,6 @@ def _cauchy_terms(b, c, alpha):
             if beta[0] <= m and beta[1] <= n and (m - beta[0], n - beta[1]) in c]
 
 
-def _mr_add(qm, qr, vm, vr):
-    """Centered midpoint-radius sum of two odd-length disc arrays."""
-    nlen = max(len(qm), len(vm))
-    zm = np.zeros(nlen, dtype=complex)
-    zr = np.zeros(nlen)
-    for sm, sr in ((qm, qr), (vm, vr)):
-        off = (nlen - len(sm)) // 2
-        zm[off:off + len(sm)] += sm
-        zr[off:off + len(sr)] = _up(zr[off:off + len(sr)] + sr)
-    return [zm, _up(zr + _up(np.abs(zm) * (2.0 ** -52)))]
-
-
 class _ByLayer:
     """An arithmetic whose Cauchy product is made one layer at a time.
 
@@ -1071,7 +1060,7 @@ class _MidRad(_ByLayer):
         out = None
         for (vm1, vr1), (vm2, vr2) in _cauchy_terms(b, c, alpha):
             pm, pr = cconv_mr(vm1, vr1, vm2, vr2)
-            out = [pm, pr] if out is None else _mr_add(*out, pm, pr)
+            out = [pm, pr] if out is None else mr_add(*out, pm, pr)
         return out
 
     @staticmethod
@@ -1080,7 +1069,7 @@ class _MidRad(_ByLayer):
         for g in grids:
             for a, (vm, vr) in g.items():
                 prev = out.get(a)
-                out[a] = [vm.copy(), vr.copy()] if prev is None else _mr_add(*prev, vm, vr)
+                out[a] = [vm.copy(), vr.copy()] if prev is None else mr_add(*prev, vm, vr)
         return out
 
     @staticmethod
@@ -1250,10 +1239,7 @@ def _disc_seqs(discs, nu: float):
         if ent is None:
             res.append(FourierSeq.zeros(1, nu))
             continue
-        vm, vr = ent
-        c = CArr(_dn(vm.real - vr), _up(vm.real + vr),
-                 _dn(vm.imag - vr), _up(vm.imag + vr))
-        res.append(FourierSeq(c, nu))
+        res.append(FourierSeq(CArr.from_disc(*ent), nu))
     return res
 
 

@@ -571,18 +571,9 @@ def test_dF0_zero_and_linearity():
             assert abs(got.mid - want.mid) < 1e-13
 
 
-def test_dF0_apply_matches_entrywise_chain_bits():
-    rng = np.random.default_rng(43)
-    cfg = primaries(MassTriple.of("1/2", "3/10", "1/5"))
-    nu = 1.5
-    K = 5
-    a0 = rand_seq9(rng, nu, K=K, scale=0.2, offset=[0.1, 0, -0.2, 0, 0.05, 0, 1.2, 0.8, 1.0])
-    D = dF0(a0, cfg)
-    h = rand_seq9(rng, nu, K=K, scale=0.5)
-    h[2] = h[2].add(FourierSeq.point(np.full(2 * K - 1, 1e-9 + 0j), nu))
-    h[3] = FourierSeq.zeros(K, nu)
-    h[7] = FourierSeq(widen(h[7].c, 1e-12), nu)
-    got = D.apply(h)
+def endpoint_chain(D, h, nu):
+    """DF0 h by the endpoint kernels: constant multiples and carr_conv_reference."""
+    out = []
     for i in range(9):
         acc = FourierSeq.zeros(1, nu)
         for j in range(9):
@@ -592,10 +583,67 @@ def test_dF0_apply_matches_entrywise_chain_bits():
             ker = D.kernels[i][j]
             if ker is not None:
                 acc = acc.add(FourierSeq(carr_conv_reference(ker.c, h[j].c), nu))
-        for lane in ("rl", "rh", "il", "ih"):
-            g, w = getattr(got[i].c, lane), getattr(acc.c, lane)
-            assert np.array_equal(g, w), (i, lane)
-            assert np.array_equal(np.signbit(g), np.signbit(w)), (i, lane)
+        out.append(acc)
+    return out
+
+
+def pick(c, which):
+    """Exact complex rationals of a CArr at a corner (lo/hi per lane) or the midpoint."""
+    if which == "mid":
+        re = [(Fraction(a) + Fraction(b)) / 2 for a, b in zip(c.rl, c.rh)]
+        im = [(Fraction(a) + Fraction(b)) / 2 for a, b in zip(c.il, c.ih)]
+    else:
+        re = [Fraction(x) for x in (c.rl if which[0] == "l" else c.rh)]
+        im = [Fraction(x) for x in (c.il if which[1] == "l" else c.ih)]
+    return list(zip(re, im))
+
+
+def test_dF0_apply_encloses_exact_products_and_stays_tight():
+    # the midpoint-radius DF0 h contains the exact value for kernels (and a
+    # widened h) taken at their corners and midpoints, and no coefficient is
+    # more than 4x wider than the endpoint chain of carr_conv_reference
+    rng = np.random.default_rng(43)
+    cfg = primaries(MassTriple.of("1/2", "3/10", "1/5"))
+    nu = 1.5
+    K = 5
+    a0 = rand_seq9(rng, nu, K=K, scale=0.2, offset=[0.1, 0, -0.2, 0, 0.05, 0, 1.2, 0.8, 1.0])
+    D = dF0(a0, cfg)
+    point = rand_seq9(rng, nu, K=K, scale=0.5)
+    point[3] = FourierSeq.zeros(K, nu)
+    wide = list(point)
+    wide[2] = wide[2].add(FourierSeq.point(np.full(2 * K - 1, 1e-9 + 0j), nu))
+    wide[7] = FourierSeq(widen(wide[7].c, 1e-12), nu)
+    wide[5] = FourierSeq(widen(wide[5].c, 1e-12), nu)
+    for h in (point, wide):
+        got = D.apply(h)
+        chain = endpoint_chain(D, h, nu)
+        for g, w in zip(got, chain):
+            assert len(g.c) == len(w.c)
+            for lo, hi in (("rl", "rh"), ("il", "ih")):
+                gw = getattr(g.c, hi) - getattr(g.c, lo)
+                ww = getattr(w.c, hi) - getattr(w.c, lo)
+                assert (gw <= 4.0 * ww + 1e-300).all(), (lo, gw / ww)
+        for which in ("ll", "lh", "hl", "hh", "mid"):
+            hq = [pick(s.c, which) for s in h]
+            for i in range(9):
+                L = len(got[i].c)
+                acc = [(Fraction(0), Fraction(0))] * L
+                for j in range(9):
+                    terms = []
+                    c = D.const[i][j]
+                    if c != 0.0:
+                        terms.append([(Fraction(c) * re, Fraction(c) * im) for re, im in hq[j]])
+                    ker = D.kernels[i][j]
+                    if ker is not None:
+                        terms.append(conv_exact(pick(ker.c, which), hq[j]))
+                    for t in terms:
+                        off = (L - len(t)) // 2
+                        for k, v in enumerate(t):
+                            acc[off + k] = (acc[off + k][0] + v[0], acc[off + k][1] + v[1])
+                c = got[i].c
+                for k, (re, im) in enumerate(acc):
+                    assert Fraction(c.rl[k]) <= re <= Fraction(c.rh[k]), (which, i, k)
+                    assert Fraction(c.il[k]) <= im <= Fraction(c.ih[k]), (which, i, k)
 
 
 # ---------------------------------------------------------------------------

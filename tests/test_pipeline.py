@@ -9,11 +9,12 @@ import concurrent.futures
 import json
 import multiprocessing
 import os
+import sys
 
 import numpy as np
 import pytest
 
-from fourbody import cli, model, numerics, seeding, stages
+from fourbody import cli, ivarray, model, numerics, seeding, stages
 from fourbody.opbound import SpaceLayout
 from fourbody.radii import NoNegativeRadius, content_digest
 
@@ -101,6 +102,44 @@ def test_jet_operator_from_the_context_is_bit_identical(run):
         want = stages._window_cols(stages._base_encl(ctx, 0, s), J, layout, ctx.nu)
         got = ctx.jet_window_cols(s)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), alpha
+
+
+def test_jets_leave_the_operator_work_to_the_context(run, monkeypatch):
+    # counts and sizes, not timings: the jets make no endpoint convolution,
+    # the full window enclosure is built for order 0 and order 1 only, and the
+    # context keeps one float block and O(N) columns, no N x N caches
+    cfg, res0, _, table = run
+    sol = res0.context[0]
+    lam, v = seeding.bundle_guess(cfg, sol, KIND, K0, XI0)
+    calls = {"carr_conv_batch": 0, "_base_encl": 0}
+
+    def counted(owner, name):
+        # in its home module and in every module that imported it by name
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        for mod in list(sys.modules.values()):
+            if mod.__name__.startswith("fourbody") and getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, wrapper)
+
+    counted(stages, "_base_encl")
+    res = stages.validate_order0(sol, cfg)
+    start = stages.start_jet_table(KIND, sol, res, cfg, lam, v, K0, XI0, N_T)
+    counted(ivarray, "carr_conv_batch")
+    again = stages.extend_with_jets(start, cfg)
+    assert again.digest() == table.digest()
+    assert calls == {"carr_conv_batch": 0, "_base_encl": 2}
+
+    ctx = again.ctx_cache[1]
+    N = 9 * (2 * ctx.K - 1)
+    held = 0
+    for value in vars(ctx).values():
+        for item in (value if isinstance(value, (tuple, list)) else (value,)):
+            if isinstance(item, np.ndarray):
+                held += item.nbytes
+    assert held <= N * N * 16 + 8 * (N * 9 * 8)
 
 
 def test_json_roundtrip_keeps_digest(run):
