@@ -506,15 +506,15 @@ class DF0:
         h = _nine(h, "sequence")
         if h[0].nu != self.nu:
             raise WeightMismatch("argument nu differs from derivative nu")
-        discs = []
+        hd = []
         for s in h:
             c = s.c
             if not s.is_point():
-                discs.append((c.mid(), c.rad()))
+                hd.append((c.mid(), c.rad()))
             elif c.rl.any() or c.il.any():
-                discs.append((c.mid(), None))
+                hd.append((c.mid(), None))
             else:
-                discs.append(None)
+                hd.append(None)
         out = []
         for i in range(9):
             acc = None
@@ -527,9 +527,9 @@ class DF0:
                     nlen = max(nlen, nh)
                 if ker is not None:
                     nlen = max(nlen, len(ker[0]) + nh - 1)
-                if discs[j] is None:
+                if hd[j] is None:
                     continue
-                hm, hr = discs[j]
+                hm, hr = hd[j]
                 terms = []
                 if c != 0.0:
                     terms.append((c * hm, np.zeros(nh) if hr is None else abs(c) * hr))

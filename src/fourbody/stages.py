@@ -47,7 +47,10 @@ A jet reads its table only through a `_JetLayer`: its layer of the
 remainder field, the budget rho, and a few scalars (lambda_bar, the radii
 of orders 0 and 1, the kind, the order-1 digest).  One task body,
 `_jet_task`, solves and certifies a jet from its layer and the order-0
-context.  With jobs = 1 it runs in process; with jobs > 1 the jets of a
+context.  The context holds what the operators of all jets share: the float
+window block, of which only the diagonal depends on the jet's shift, and
+the column bounds of its enclosure off the diagonal
+(`_StageContext.jet_window_cols`).  With jobs = 1 it runs in process; with jobs > 1 the jets of a
 level run on one process pool per `extend_with_jets` call.  Its initializer
 hands each worker the order-0 context once, the parent evaluates each
 level's remainder fields once, as jobs = 1 does, and each task carries only
@@ -425,9 +428,9 @@ class _StageContext:
         ask for the same s one after the other.  Only the diagonal depends on
         s, so a new s copies the kept block and rewrites its diagonal as
         (0 + d(s)) + t, with d(s) = -i omega k - s and t the diagonal
-        constants and kernel centres: the sums `numerics.base_block` forms
-        there (it adds no constant on the diagonal), so the copy equals a
-        block built afresh bit for bit.
+        constant plus the diagonal kernel's centre.  The constant table has
+        no diagonal entry, so these are the sums `numerics.base_block` forms
+        there, and the copy equals a block built afresh, bit for bit.
         """
         if self._block is None or self._block[0] != s:
             diag = -1j * self.omega * numerics.kvals(self.K) - s
@@ -800,7 +803,9 @@ def _add_base_block(E: _EnclMat, rs: slice, cs: slice, ctx: _StageContext,
 
 def _base_encl(ctx: _StageContext, ns: int, s: complex) -> _EnclMat:
     """Enclosure of the window block of DF0 - i omega k - s, after ns scalar
-    rows and columns; the jets read it through `jet_window_cols`."""
+    rows and columns.  Order 0 and order 1 build it whole; a jet reads its
+    part through `_StageContext.jet_window_cols`, which repeats these
+    operations block by block."""
     n = 2 * ctx.K - 1
     E = _EnclMat((ns + 9 * n, ns + 9 * n))
     lanes = _diag_lanes_iomega(numerics.kvals(ctx.K), ctx.omega, s)
@@ -907,7 +912,8 @@ def _assemble_orbit(sol: "OrbitSolution", ctx: _StageContext) -> _Assembled:
     asm = _Assembled(
         tag="order0", ns=ns, K=K, nu=nu, omega=omega, s=0.0 + 0.0j,
         J=J, window_cols=_window_cols(E, J, SpaceLayout.mixed(ns, 9, K), nu),
-        resid_scalars=resid_scalars, resid_seqs=resid_seqs, tail_mags=tail_mags, tail_norms=tail_norms, tail_consts=tail_consts,
+        resid_scalars=resid_scalars, resid_seqs=resid_seqs, tail_mags=tail_mags,
+        tail_norms=tail_norms, tail_consts=tail_consts,
         scalar_tail_sup=scalar_tail_sup,
         ycol_tail_seqs=[(1 + j, 6 + j, cubes[j]) for j in range(3)],
         monomials=monos,
@@ -994,8 +1000,8 @@ def _assemble_jet(layer: "_JetLayer", centers, ctx: _StageContext) -> _Assembled
     maxn = max(sq.norm_upper() for sq in aset)
     asm = _Assembled(
         tag="jet:%d,%d:%s" % (m_, n_, layer.kind), ns=ns, K=K, nu=nu,
-        omega=omega, s=s, J=J, window_cols=ctx.jet_window_cols(s), resid_scalars=[],
-        resid_seqs=resid_seqs, tail_mags=[list(row) for row in ctx.kmags],
+        omega=omega, s=s, J=J, window_cols=ctx.jet_window_cols(s),
+        resid_scalars=[], resid_seqs=resid_seqs, tail_mags=[list(row) for row in ctx.kmags],
         tail_norms=ctx.knorms.copy(), tail_consts=np.abs(ctx.const),
         scalar_tail_sup=np.zeros((0, 9)), ycol_tail_seqs=[], monomials=[],
         pre_Z1=shift_err, pre_Y=float(_up(_up(shift_err * maxn) + layer.rho)),
