@@ -409,7 +409,7 @@ def cmat_abs_up(am, ar):
     base = np.abs(np.asarray(am, dtype=complex)) * (1.0 + 4.0 * _U)
     if ar is None:
         return base
-    return base + ar
+    return _up(base + ar)
 
 
 # -- verified convolutions at BLAS speed --------------------------------

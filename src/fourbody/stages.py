@@ -16,6 +16,14 @@ polynomial (degree five after the reciprocal-distance embedding), so Z2 is
 an explicit quartic assembled from product-rule inflations of the factor
 norms.
 
+On the window A_dag is the float block J, so there DF(x_bar) - A_dag is only
+what J misses of DF(x_bar): the rounding of the float kernels and of J's
+float sums.  `_window_defect` bounds it by one norm delta per stage (block
+norms of X, summed over each row group, maximum over the groups), and
+Z1 = Z1_tail + ||J^-1|| delta, where Z1_tail bounds A times the parts of
+DF(x_bar) - A_dag that reach the tail.  The kernel part of delta,
+||ker_ij - fker_ij||_nu per block, is made once per context.
+
 Stages:
 
 * order 0: the periodic orbit with four unfolding scalars y and the
@@ -48,19 +56,18 @@ remainder field, the budget rho, and a few scalars (lambda_bar, the radii
 of orders 0 and 1, the kind, the order-1 digest).  One task body,
 `_jet_task`, solves and certifies a jet from its layer and the order-0
 context.  The context holds what the operators of all jets share: the float
-window block, of which only the diagonal depends on the jet's shift, and
-the column bounds of its enclosure off the diagonal
-(`_StageContext.jet_window_cols`).  With jobs = 1 it runs in process; with jobs > 1 the jets of a
-level run on one process pool per `extend_with_jets` call.  Its initializer
-hands each worker the order-0 context once, the parent evaluates each
-level's remainder fields once, as jobs = 1 does, and each task carries only
-its layer.  Results are applied in the fixed level order, so both paths give
-the same table bit for bit.  That promise holds only while the workers run
-the parent's BLAS thread count: the float centers (a dense inverse, for
-one) round differently with another count, and the digests move with them.
-Forked workers (the default on Linux) inherit the count; a worker started
-fresh reads it from the environment, so a count the parent sets while it
-runs does not reach it.
+window block J, of which only the diagonal depends on the jet's shift, and
+the kernel part of the window defect.  With jobs = 1 it runs in process;
+with jobs > 1 the jets of a level run on one process pool per
+`extend_with_jets` call.  Its initializer hands each worker the order-0
+context once, the parent evaluates each level's remainder fields once, as
+jobs = 1 does, and each task carries only its layer.  Results are applied in
+the fixed level order, so both paths give the same table bit for bit.  That
+promise holds only while the workers run the parent's BLAS thread count: the
+float centers (a dense inverse, for one) round differently with another
+count, and the digests move with them.  Forked workers (the default on
+Linux) inherit the count; a worker started fresh reads it from the
+environment, so a count the parent sets while it runs does not reach it.
 
 The jet table collects centers, radii, eigenvalue enclosures, and the
 certificates with a digest chain binding each stage to its predecessors.
@@ -322,68 +329,6 @@ def _polys_eval_max(rows, r: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# window enclosure of DF at the numeric center
-
-
-class _EnclMat:
-    """Endpoint-lane enclosure of the derivative on the finite window, or of
-    a part of it (one block, or the diagonal) when shape says so."""
-
-    __slots__ = ("rl", "rh", "il", "ih")
-
-    def __init__(self, shape):
-        self.rl = np.zeros(shape)
-        self.rh = np.zeros(shape)
-        self.il = np.zeros(shape)
-        self.ih = np.zeros(shape)
-
-    def _add(self, idx, rl, rh, il, ih):
-        self.rl[idx] = _dn(self.rl[idx] + rl)
-        self.rh[idx] = _up(self.rh[idx] + rh)
-        self.il[idx] = _dn(self.il[idx] + il)
-        self.ih[idx] = _up(self.ih[idx] + ih)
-
-    def add_toeplitz(self, rsl: slice, csl: slice, seq: FourierSeq, K: int):
-        # the window block of convolution by seq: entry (k, l) = seq_{k-l}
-        lanes = [numerics.toeplitz_window(a, K) for a in
-                 (seq.c.rl, seq.c.rh, seq.c.il, seq.c.ih)]
-        self._add((rsl, csl), *lanes)
-
-    def add_diag_lanes(self, sl: slice, rl, rh, il, ih):
-        idx = np.arange(sl.start, sl.stop)
-        self._add((idx, idx), rl, rh, il, ih)
-
-    def add_block_identity(self, rsl: slice, csl: slice, c: ComplexInterval):
-        idx_r = np.arange(rsl.start, rsl.stop)
-        idx_c = np.arange(csl.start, csl.stop)
-        self._add((idx_r, idx_c), c.re.lo, c.re.hi, c.im.lo, c.im.hi)
-
-    def add_row_const(self, row: int, cols, c: ComplexInterval):
-        self._add((row, cols), c.re.lo, c.re.hi, c.im.lo, c.im.hi)
-
-    def add_col_carr(self, rsl: slice, col: int, c: CArr):
-        self._add((rsl, col), c.rl, c.rh, c.il, c.ih)
-
-    def corner_abs(self, J: np.ndarray) -> np.ndarray:
-        """Entrywise upper bound of sup_{z in box} |z - J|."""
-        dr = np.maximum(_up(np.abs(self.rl - J.real)), _up(np.abs(self.rh - J.real)))
-        di = np.maximum(_up(np.abs(self.il - J.imag)), _up(np.abs(self.ih - J.imag)))
-        out = _up(np.sqrt(_up(_up(dr * dr) + _up(di * di))))
-        out[(dr == 0.0) & (di == 0.0)] = 0.0
-        return out
-
-
-def _diag_lanes_iomega(kv: np.ndarray, omega: float, s: complex):
-    """Endpoint lanes of -i omega k - s along a window (s an exact float)."""
-    m = omega * kv.astype(float)
-    rl = np.full(kv.size, -s.real)
-    rh = rl.copy()
-    il = _dn(-_up(m) - s.imag)
-    ih = _up(-_dn(m) - s.imag)
-    return rl, rh, il, ih
-
-
-# ---------------------------------------------------------------------------
 # stage context: everything derived from the certified order-zero center
 
 
@@ -402,13 +347,23 @@ class _StageContext:
         self.df0 = model.dF0(self.a0, cfg)
         self.kmags = [[None] * 9 for _ in range(9)]
         self.knorms = np.zeros((9, 9))
+        # per block of the window defect: ||ker - fker||_nu, and the
+        # enclosure c + ker(0) of the diagonal without -i omega k - s
+        self.kgap = np.zeros((9, 9))
+        centre = np.zeros((4, 9, 9))
         for i in range(9):
             for j in range(9):
                 ker = self.df0.kernels[i][j]
                 if ker is not None:
                     self.kmags[i][j] = ker.c.mag()
                     self.knorms[i, j] = ker.norm_upper()
+                    fker = FourierSeq.point(self.fkers[i][j], self.nu)
+                    self.kgap[i, j] = ker.sub(fker).norm_upper()
+                    W = (len(ker.c) - 1) // 2
+                    c = ker.c
+                    centre[:, i, j] = c.rl[W], c.rh[W], c.il[W], c.ih[W]
         self.const = np.array(self.df0.const)
+        self.dconst = CArr.point(self.const.astype(complex)).add(CArr(*centre))
         self._build_monomials()
         # what the window block holds on its diagonal besides -i omega k - s:
         # the diagonal constant and the centre of the diagonal kernel, per row
@@ -419,7 +374,6 @@ class _StageContext:
             t = self.fconst[i][i] + (0.0 if ker is None else ker[(len(ker) - 1) // 2])
             self._tdiag[i * n:(i + 1) * n] = t
         self._block = None
-        self._jet_cols = None
 
     def window_block(self, s: complex) -> np.ndarray:
         """Float window block of h -> DF0 h - i omega k h - s h.
@@ -441,51 +395,6 @@ class _StageContext:
                 block[np.diag_indices_from(block)] = np.tile(0j + diag, 9) + self._tdiag
             self._block = (s, block)
         return self._block[1]
-
-    def jet_window_cols(self, s: complex) -> np.ndarray:
-        """The window part of the column bounds U of a jet's `_certify`.
-
-        These are the row maxima, over each column group, of
-        _up(|E - J| nu^-|l|) with E = `_base_encl(self, 0, s)` and
-        J = `window_block(s)` (see `_window_cols`).  Off the diagonal
-        neither E nor J depends on s, so those maxima are made block by block
-        once per context (N x 9 floats); each jet adds only its diagonal, in
-        O(N), by the operations of `_base_encl` in the same order.
-        """
-        K, n = self.K, 2 * self.K - 1
-        J = self.window_block(s)
-        lanes = _diag_lanes_iomega(numerics.kvals(K), self.omega, s)
-        _, winv = SpaceLayout.mixed(0, 9, K).weights_up(self.nu)
-        if self._jet_cols is None:
-            cols = np.zeros((9 * n, 9))
-            whole = slice(0, n)
-            for i in range(9):
-                rs = slice(i * n, (i + 1) * n)
-                for j in range(9):
-                    E = _EnclMat((n, n))
-                    _add_base_block(E, whole, whole, self, i, j, lanes)
-                    scaled = _up(E.corner_abs(J[rs, j * n:(j + 1) * n])
-                                 * winv[None, :n])
-                    if i == j:
-                        scaled[np.diag_indices(n)] = 0.0
-                    cols[rs, j] = scaled.max(axis=1)
-            self._jet_cols = cols
-        D = _EnclMat(9 * n)
-        for i in range(9):
-            sl = slice(i * n, (i + 1) * n)
-            D._add(sl, *lanes)
-            c = self.const[i, i]
-            if c != 0.0:
-                D._add(sl, c, c, 0.0, 0.0)
-            ker = self.df0.kernels[i][i]
-            if ker is not None:
-                W = (len(ker.c) - 1) // 2
-                D._add(sl, ker.c.rl[W], ker.c.rh[W], ker.c.il[W], ker.c.ih[W])
-        scaled = _up(D.corner_abs(np.diagonal(J)) * winv)
-        U = self._jet_cols.copy()
-        rows = np.arange(9 * n)
-        U[rows, rows // n] = np.maximum(U[rows, rows // n], scaled)
-        return U
 
     def _build_monomials(self):
         a0n = [s.norm_upper() for s in self.a0]
@@ -660,7 +569,7 @@ class _Assembled:
     omega: float
     s: complex
     J: np.ndarray
-    window_cols: np.ndarray
+    window_defect: np.ndarray
     resid_scalars: list
     resid_seqs: list
     tail_mags: list
@@ -732,20 +641,17 @@ def _certify(asm: _Assembled, digest: str):
             Y0 = max(Y0, float(_up(gY[gi] + t)))
     Y = float(_up(Y0 + _up(normA_seq * asm.pre_Y)))
 
+    # the window part of Z1: J^-1 (pi (DF(x_bar) - J) pi), by norms
+    Z1_window = float(_up(rowsJ.max() * opnorm_upper(asm.window_defect)))
+    # the tail part: U holds, per window row and column group, the sup over
+    # the tail columns l of |DF_kl| nu^-|l|
     U = np.zeros((N, ngroups))
-    for ci, kind in enumerate(layout.kinds):
-        col = asm.window_cols[:, ci]
-        if kind == "seq":
-            j = ci - ns
-            prof = np.zeros(N)
-            for r0_ in range(ns):
-                prof[r0_] = asm.scalar_tail_sup[r0_, j]
-            for i in range(9):
-                g = asm.tail_mags[i][j]
-                if g is not None:
-                    prof[layout.slices[ns + i]] = _tail_col_profile(g, K, nu)
-            col = np.maximum(col, prof)
-        U[:, ci] = col
+    for j in range(9):
+        U[:ns, ns + j] = asm.scalar_tail_sup[:, j]
+        for i in range(9):
+            g = asm.tail_mags[i][j]
+            if g is not None:
+                U[layout.slices[ns + i], ns + j] = _tail_col_profile(g, K, nu)
     Wmat = mm_up_nonneg(absJ, U)
     Np = np.zeros((ngroups, ngroups))
     for ci in range(ngroups):
@@ -766,8 +672,8 @@ def _certify(asm: _Assembled, digest: str):
             if slot == i:
                 t = _seq_tail_weighted(seq, K, nu, omega, s)
                 Np[R, col] = _up(Np[R, col] + t)
-    Z1_0 = max(up_sum(Np[R]) for R in range(ngroups))
-    Z1 = float(_up(Z1_0 + _up(normA_seq * asm.pre_Z1)))
+    Z1_tail = max(up_sum(Np[R]) for R in range(ngroups))
+    Z1 = float(_up(_up(Z1_tail + Z1_window) + _up(normA_seq * asm.pre_Z1)))
 
     rows = _row_polys(asm.monomials)
     coeffs = _polys_max_coeffs(rows)
@@ -776,7 +682,8 @@ def _certify(asm: _Assembled, digest: str):
     bounds = NKBounds(Y=Y, Z0=Z0, Z1=Z1, Z2=Z2, r_star=R_STAR)
     cert = radii_newton(bounds, stage=asm.tag, inputs_digest=digest)
     report = {
-        "Y": Y, "Z0": Z0, "Z1": Z1, "Z2": list(Z2), "normA": normA,
+        "Y": Y, "Z0": Z0, "Z1": Z1, "Z1_window": Z1_window, "Z1_tail": Z1_tail,
+        "Z2": list(Z2), "normA": normA,
         "r0": cert.r0, "r_max": cert.r_max,
     }
     return cert, report
@@ -786,42 +693,42 @@ def _certify(asm: _Assembled, digest: str):
 # per-stage assembly
 
 
-def _add_base_block(E: _EnclMat, rs: slice, cs: slice, ctx: _StageContext,
-                    i: int, j: int, lanes):
-    """Add block (i, j) of the base operator's enclosure into E at rows rs
-    and columns cs: the diagonal lanes (when i = j), then the constant, then
-    the kernel."""
-    if i == j:
-        E.add_diag_lanes(rs, *lanes)
-    c = ctx.const[i, j]
-    if c != 0.0:
-        E.add_block_identity(rs, cs, ComplexInterval.point(complex(c)))
-    ker = ctx.df0.kernels[i][j]
-    if ker is not None:
-        E.add_toeplitz(rs, cs, ker, ctx.K)
+def _gap(c: ComplexInterval, z) -> float:
+    """Upper bound of |x - z_k| over x in c and every entry z_k of z."""
+    return float(CArr.from_civ_list([c]).sub(CArr.point(z)).mag().max())
 
 
-def _base_encl(ctx: _StageContext, ns: int, s: complex) -> _EnclMat:
-    """Enclosure of the window block of DF0 - i omega k - s, after ns scalar
-    rows and columns.  Order 0 and order 1 build it whole; a jet reads its
-    part through `_StageContext.jet_window_cols`, which repeats these
-    operations block by block."""
+def _window_defect(ctx: _StageContext, J: np.ndarray, ns: int, s: complex,
+                   extra=None) -> np.ndarray:
+    """Block norms, over the groups of `SpaceLayout.mixed(ns, 9, K)`, of
+    pi (DF(x_bar) - J) pi for the part DF0 - i omega k - s of DF(x_bar).
+
+    Off its diagonal, block (i, j) of J holds the float kernel fker_ij as it
+    is, so that part is at most ||ker_ij - fker_ij||_nu (`ctx.kgap`).  On its
+    diagonal J holds a float sum, which is compared entry by entry with the
+    enclosure of DF's entry: c_ij + ker_ij(0), plus -i omega k - s and
+    extra[i] (a `CArr` of nine terms the stage adds) when i = j.  The
+    assembler adds the blocks of the stage's other entries.
+    """
     n = 2 * ctx.K - 1
-    E = _EnclMat((ns + 9 * n, ns + 9 * n))
-    lanes = _diag_lanes_iomega(numerics.kvals(ctx.K), ctx.omega, s)
-    for i in range(9):
-        for j in range(9):
-            _add_base_block(E, slice(ns + i * n, ns + (i + 1) * n),
-                            slice(ns + j * n, ns + (j + 1) * n), ctx, i, j, lanes)
-    return E
-
-
-def _window_cols(E: _EnclMat, J: np.ndarray, layout: SpaceLayout, nu: float):
-    """Row maxima of _up(|E - J| nu^-|l|) over each column group of layout:
-    the window part of the column bounds U in `_certify`."""
-    _, winv = layout.weights_up(nu)
-    scaled = _up(E.corner_abs(J) * winv[None, :])
-    return np.stack([scaled[:, sl].max(axis=1) for sl in layout.slices], axis=1)
+    # Jd[k, i, j]: entry k of the diagonal of block (i, j)
+    k = np.arange(n)[:, None, None]
+    b = ns + n * np.arange(9)
+    Jd = J[k + b[:, None], k + b]
+    gap = ctx.dconst.sub(CArr.point(Jd)).mag().max(axis=0)
+    # on the diagonal blocks: -i omega k - s (s an exact float) as a column,
+    # then c + ker(0), then the stage's extra terms
+    m = ctx.omega * numerics.kvals(ctx.K).astype(float)[:, None]
+    re = np.full((n, 1), -s.real)
+    box = CArr(re, re, _dn(-_up(m) - s.imag), _up(-_dn(m) - s.imag))
+    ii = np.arange(9)
+    box = box.add(ctx.dconst.slice((ii, ii)))
+    if extra is not None:
+        box = box.add(extra)
+    gap[ii, ii] = box.sub(CArr.point(Jd[:, ii, ii])).mag().max(axis=0)
+    N = np.zeros((ns + 9, ns + 9))
+    N[ns:, ns:] = _up(ctx.kgap + gap)
+    return N
 
 
 def _assemble_orbit(sol: "OrbitSolution", ctx: _StageContext) -> _Assembled:
@@ -835,12 +742,15 @@ def _assemble_orbit(sol: "OrbitSolution", ctx: _StageContext) -> _Assembled:
     J = _orbit_jacobian(_pack(y, sol.coeffs), omega, anchor, K, ctx.ms, ctx.pos,
                         kernels=(ctx.fconst, ctx.fkers))
 
-    E = _base_encl(ctx, ns, 0.0 + 0.0j)
-    b1 = slice(ns + n, ns + 2 * n)
-    E.add_block_identity(b1, b1, ComplexInterval.point(complex(y[0])))
     cubes = []
     sq3mags = []
     sq3seqs = []
+    # the window defect's diagonal terms of the stage (y0 on block 1 and
+    # y_j 3 sq(0) on block 6+j), its y_j columns and, off the diagonal of
+    # block 6+j, what J holds there, fl(fker + y_j 3 sq), against DF
+    diag = [ComplexInterval.point(0j)] * 9
+    diag[1] = ComplexInterval.point(complex(y[0]))
+    toeplitz, ycol = np.zeros(3), np.zeros(3)
     for j in range(3):
         w = ctx.a0[6 + j]
         sq = conv(w, w)
@@ -849,16 +759,25 @@ def _assemble_orbit(sol: "OrbitSolution", ctx: _StageContext) -> _Assembled:
         sq3 = sq.scale(ComplexInterval.point(complex(y[1 + j])) * 3.0)
         sq3seqs.append(sq3)
         sq3mags.append(sq3.c.mag())
+        diag[6 + j] = sq3.at(0)
         bj = slice(ns + (6 + j) * n, ns + (7 + j) * n)
-        E.add_toeplitz(bj, bj, sq3, K)
-        E.add_col_carr(bj, 1 + j, project(cube, K).c)
-    E.add_col_carr(b1, 0, ctx.a0[1].c)
+        blk = J[bj, bj]
+        held = FourierSeq.point(np.concatenate([blk[0, :0:-1], blk[:, 0]]), nu)
+        fker = FourierSeq.point(numerics.crop(ctx.fkers[6 + j][6 + j], n), nu)
+        off = sq3.add(fker).sub(held)
+        for lane in (off.c.rl, off.c.rh, off.c.il, off.c.ih):  # in diag
+            lane[n - 1] = 0.0
+        toeplitz[j] = off.norm_upper()
+        ycol[j] = project(cube, K).sub(FourierSeq.point(J[bj, 1 + j], nu)).norm_upper()
+    Nw = _window_defect(ctx, J, ns, 0j, CArr.from_civ_list(diag))
+    for j in range(3):
+        R = ns + 6 + j
+        Nw[R, R] = _up(Nw[R, R] + toeplitz[j])
+        Nw[R, 1 + j] = ycol[j]
+    # J's y0 column (A[1]) and eta row 0 (-u1) are DF's, exactly
 
     gs = [model._mode_sum(sq) for sq in ctx.a0]
     u1 = anchor.u1
-    for i in range(9):
-        cs = slice(ns + i * n, ns + (i + 1) * n)
-        E.add_row_const(0, cs, ComplexInterval.point(complex(-u1[i])))
     eta_consts = np.zeros((ns, 9))
     eta_consts[0] = np.abs(np.asarray(u1, dtype=float))
     eta_monos = []
@@ -874,7 +793,7 @@ def _assemble_orbit(sol: "OrbitSolution", ctx: _StageContext) -> _Assembled:
                    4: dzg * w2 * 2.0, 6 + j: d2 * gw * 2.0}
         for slot, c in entries.items():
             cs = slice(ns + slot * n, ns + (slot + 1) * n)
-            E.add_row_const(1 + j, cs, c)
+            Nw[1 + j, ns + slot] = _gap(c, J[1 + j, cs])
             eta_consts[1 + j, slot] = c.mag()
         for fv in (dxg, dyg, dzg):
             eta_monos.append((("scalar", 1 + j), 1.0,
@@ -911,7 +830,7 @@ def _assemble_orbit(sol: "OrbitSolution", ctx: _StageContext) -> _Assembled:
 
     asm = _Assembled(
         tag="order0", ns=ns, K=K, nu=nu, omega=omega, s=0.0 + 0.0j,
-        J=J, window_cols=_window_cols(E, J, SpaceLayout.mixed(ns, 9, K), nu),
+        J=J, window_defect=Nw,
         resid_scalars=resid_scalars, resid_seqs=resid_seqs, tail_mags=tail_mags,
         tail_norms=tail_norms, tail_consts=tail_consts,
         scalar_tail_sup=scalar_tail_sup,
@@ -931,10 +850,8 @@ def _assemble_bundle(sol: "BundleSolution", ctx: _StageContext, r0: float) -> _A
     z = np.concatenate([[lam], np.asarray(sol.coeffs, dtype=complex).ravel()])
     J = _bundle_jacobian(ctx.window_block(0j), z, K, sol.k0)
 
-    E = _base_encl(ctx, ns, lam)
-    for i in range(9):
-        sl = slice(ns + i * n, ns + (i + 1) * n)
-        E.add_col_carr(sl, 0, a1[i].c.neg())
+    # J's -a_1 column is DF's, exactly; its xi row holds fl(2 S_i)
+    Nw = _window_defect(ctx, J, ns, lam)
     k0 = sol.k0
     Smags = []
     for i in range(9):
@@ -942,7 +859,7 @@ def _assemble_bundle(sol: "BundleSolution", ctx: _StageContext, r0: float) -> _A
         Si = model._mode_sum(win)
         Smags.append(Si.mag())
         cols = ns + i * n + (K - 1) + np.arange(-(k0 - 1), k0)
-        E.add_row_const(0, cols, Si * 2.0)
+        Nw[0, ns + i] = _gap(Si * 2.0, J[0, cols])
 
     resid_seqs = []
     Dapp = ctx.df0.apply(a1)
@@ -958,7 +875,7 @@ def _assemble_bundle(sol: "BundleSolution", ctx: _StageContext, r0: float) -> _A
     dd = ctx.field_dd(r0)
     asm = _Assembled(
         tag="order1:%s" % sol.kind, ns=ns, K=K, nu=nu, omega=omega, s=lam,
-        J=J, window_cols=_window_cols(E, J, SpaceLayout.mixed(ns, 9, K), nu),
+        J=J, window_defect=Nw,
         resid_scalars=resid_scalars, resid_seqs=resid_seqs,
         tail_mags=[list(row) for row in ctx.kmags], tail_norms=ctx.knorms.copy(),
         tail_consts=np.abs(ctx.const), scalar_tail_sup=np.zeros((ns, 9)),
@@ -1000,7 +917,7 @@ def _assemble_jet(layer: "_JetLayer", centers, ctx: _StageContext) -> _Assembled
     maxn = max(sq.norm_upper() for sq in aset)
     asm = _Assembled(
         tag="jet:%d,%d:%s" % (m_, n_, layer.kind), ns=ns, K=K, nu=nu,
-        omega=omega, s=s, J=J, window_cols=ctx.jet_window_cols(s),
+        omega=omega, s=s, J=J, window_defect=_window_defect(ctx, J, ns, s),
         resid_scalars=[], resid_seqs=resid_seqs, tail_mags=[list(row) for row in ctx.kmags],
         tail_norms=ctx.knorms.copy(), tail_consts=np.abs(ctx.const),
         scalar_tail_sup=np.zeros((0, 9)), ycol_tail_seqs=[], monomials=[],

@@ -6,9 +6,12 @@ exact and make no reference to the code under test.  Complex rationals are
 per-coefficient loop of the endpoint interval convolution, the bit-level
 definition the batched kernel must reproduce.  `field_F_seq`, `dF0_apply`
 and `remainder_Ralpha` are per-layer views of the interval field map that
-the model tests check against each other.  The builders at the end make
-interval inputs: an interval from midpoint and radius, an array widened by
-a radius, and a Fourier sequence from a dict of modes.
+the model tests check against each other.  `orbit_enclosure`,
+`bundle_enclosure` and `base_enclosure` enclose the window block of
+DF(x_bar) of a stage entry by entry, in endpoint lanes, the reference for
+the window defect of `stages`.  The builders at the end make interval
+inputs: an interval from midpoint and radius, an array widened by a
+radius, and a Fourier sequence from a dict of modes.
 """
 
 from __future__ import annotations
@@ -17,10 +20,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from fourbody import numerics
 from fourbody.interval import ComplexInterval, Interval, add_down, add_up
 from fourbody.ivarray import CArr, ri_add, _dn, _up
-from fourbody.model import dF0, field_F_grid
-from fourbody.seqspace import FourierSeq
+from fourbody.model import _mode_sum, dF0, field_F_grid
+from fourbody.seqspace import FourierSeq, conv, project
 
 
 def q(x) -> Fraction:
@@ -201,6 +205,125 @@ def remainder_Ralpha(a, alpha, cfg):
         raise OrderTooLow("remainder defined for total order >= 2")
     low = tuple(f.truncate(order - 1) for f in a)
     return tuple(g.layer(*alpha) for g in field_F_grid(low, cfg, cap=order))
+
+
+# ---------------------------------------------------------------------------
+# the window block of DF(x_bar), entry by entry
+
+
+class EnclMat:
+    """Endpoint-lane enclosure of a matrix, made by adding its parts."""
+
+    __slots__ = ("rl", "rh", "il", "ih")
+
+    def __init__(self, shape):
+        self.rl = np.zeros(shape)
+        self.rh = np.zeros(shape)
+        self.il = np.zeros(shape)
+        self.ih = np.zeros(shape)
+
+    def _add(self, idx, rl, rh, il, ih):
+        # an entry that receives one exact term stays exact
+        self.rl[idx], self.rh[idx] = ri_add(self.rl[idx], self.rh[idx], rl, rh)
+        self.il[idx], self.ih[idx] = ri_add(self.il[idx], self.ih[idx], il, ih)
+
+    def add_toeplitz(self, rsl: slice, csl: slice, seq: FourierSeq, K: int):
+        # the window block of convolution by seq: entry (k, l) = seq_{k-l}
+        lanes = [numerics.toeplitz_window(a, K) for a in
+                 (seq.c.rl, seq.c.rh, seq.c.il, seq.c.ih)]
+        self._add((rsl, csl), *lanes)
+
+    def add_diag(self, rsl: slice, csl: slice, rl, rh, il, ih):
+        idx = (np.arange(rsl.start, rsl.stop), np.arange(csl.start, csl.stop))
+        self._add(idx, rl, rh, il, ih)
+
+    def add_row(self, row: int, cols, c: ComplexInterval):
+        self._add((row, cols), c.re.lo, c.re.hi, c.im.lo, c.im.hi)
+
+    def add_col(self, rsl: slice, col: int, c: CArr):
+        self._add((rsl, col), c.rl, c.rh, c.il, c.ih)
+
+    def corner_abs(self, J: np.ndarray) -> np.ndarray:
+        """Entrywise upper bound of sup_{z in box} |z - J| (0 where the box
+        is the point J: a float difference is 0 only between equal floats)."""
+        rr = np.maximum(np.abs(self.rl - J.real), np.abs(self.rh - J.real))
+        ri = np.maximum(np.abs(self.il - J.imag), np.abs(self.ih - J.imag))
+        dr, di = _up(rr), _up(ri)
+        out = _up(np.sqrt(_up(_up(dr * dr) + _up(di * di))))
+        out[(rr == 0.0) & (ri == 0.0)] = 0.0
+        return out
+
+
+def _point(c: ComplexInterval, n: int):
+    return (np.full(n, c.re.lo), np.full(n, c.re.hi), np.full(n, c.im.lo), np.full(n, c.im.hi))
+
+
+def base_enclosure(ctx, ns: int, s: complex) -> EnclMat:
+    """The window block of DF0 - i omega k - s at the context's centre,
+    after ns scalar rows and columns; per block the diagonal -i omega k - s
+    (when i = j), then the constant, then the kernel."""
+    K, n = ctx.K, 2 * ctx.K - 1
+    E = EnclMat((ns + 9 * n, ns + 9 * n))
+    m = ctx.omega * numerics.kvals(K).astype(float)
+    re = np.full(n, -s.real)
+    iomega = (re, re, _dn(-_up(m) - s.imag), _up(-_dn(m) - s.imag))
+    for i in range(9):
+        rs = slice(ns + i * n, ns + (i + 1) * n)
+        for j in range(9):
+            cs = slice(ns + j * n, ns + (j + 1) * n)
+            if i == j:
+                E.add_diag(rs, cs, *iomega)
+            c = ctx.const[i, j]
+            if c != 0.0:
+                E.add_diag(rs, cs, *_point(ComplexInterval.point(complex(c)), n))
+            ker = ctx.df0.kernels[i][j]
+            if ker is not None:
+                E.add_toeplitz(rs, cs, ker, K)
+    return E
+
+
+def orbit_enclosure(sol, ctx) -> EnclMat:
+    """The window block of DF(x_bar) of order 0: the base block with y0 and
+    y_j 3 sq_j on the diagonal blocks, the y columns and the eta rows."""
+    K, n, ns = ctx.K, 2 * ctx.K - 1, 4
+    y = np.asarray(sol.y, dtype=complex)
+    E = base_enclosure(ctx, ns, 0j)
+    b1 = slice(ns + n, ns + 2 * n)
+    E.add_diag(b1, b1, *_point(ComplexInterval.point(complex(y[0])), n))
+    E.add_col(b1, 0, ctx.a0[1].c)
+    for j in range(3):
+        w = ctx.a0[6 + j]
+        sq = conv(w, w)
+        bj = slice(ns + (6 + j) * n, ns + (7 + j) * n)
+        E.add_toeplitz(bj, bj, sq.scale(ComplexInterval.point(complex(y[1 + j])) * 3.0), K)
+        E.add_col(bj, 1 + j, project(conv(sq, w), K).c)
+    gs = [_mode_sum(a) for a in ctx.a0]
+    for i in range(9):
+        E.add_row(0, slice(ns + i * n, ns + (i + 1) * n),
+                  ComplexInterval.point(complex(-sol.anchor.u1[i])))
+    for j in range(3):
+        px, py, pz = ctx.cfg.position(j)
+        dxg, dyg, dzg = gs[0] - px, gs[2] - py, gs[4] - pz
+        d2 = dxg * dxg + dyg * dyg + dzg * dzg
+        gw = gs[6 + j]
+        w2 = gw * gw
+        for slot, c in {0: dxg * w2 * 2.0, 2: dyg * w2 * 2.0,
+                        4: dzg * w2 * 2.0, 6 + j: d2 * gw * 2.0}.items():
+            E.add_row(1 + j, slice(ns + slot * n, ns + (slot + 1) * n), c)
+    return E
+
+
+def bundle_enclosure(sol, ctx) -> EnclMat:
+    """The window block of DF(x_bar) of order 1: the base block at the shift
+    lambda, the -a_1 column and the xi row."""
+    K, n, ns = ctx.K, 2 * ctx.K - 1, 1
+    E = base_enclosure(ctx, ns, complex(sol.lam))
+    for i in range(9):
+        a1 = FourierSeq.point(sol.coeffs[i], ctx.nu)
+        E.add_col(slice(ns + i * n, ns + (i + 1) * n), 0, a1.c.neg())
+        cols = ns + i * n + (K - 1) + np.arange(-(sol.k0 - 1), sol.k0)
+        E.add_row(0, cols, _mode_sum(project(a1, sol.k0)) * 2.0)
+    return E
 
 
 # ---------------------------------------------------------------------------

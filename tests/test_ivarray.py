@@ -171,10 +171,19 @@ def test_widen_and_contains():
 
 
 def test_cmat_abs_up_dominates():
-    Am = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    Ar = np.abs(rng.standard_normal((8, 8))) * 1e-10
-    m = cmat_abs_up(Am, Ar)
-    assert (m >= np.abs(Am)).all()
+    # m >= |am| + ar exactly: (m - ar)^2 >= re^2 + im^2 over the rationals;
+    # the second input rounds to 1.0 unless the sum is rounded up
+    cases = [
+        (rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)),
+         np.abs(rng.standard_normal((8, 8))) * 1e-10),
+        (np.array([[2.0**-60]], dtype=complex), np.array([[1.0]])),
+    ]
+    for Am, Ar in cases:
+        m = cmat_abs_up(Am, Ar)
+        for mv, z, r in zip(m.ravel(), Am.ravel(), Ar.ravel()):
+            gap = Fraction(float(mv)) - Fraction(float(r))
+            assert gap >= 0
+            assert gap * gap >= Fraction(z.real) ** 2 + Fraction(z.imag) ** 2
 
 
 # -- the batched convolution against the per-coefficient loop, bit for bit

@@ -14,8 +14,9 @@ import sys
 import numpy as np
 import pytest
 
+import oracles
 from fourbody import cli, ivarray, model, numerics, seeding, stages
-from fourbody.opbound import SpaceLayout
+from fourbody.opbound import SpaceLayout, block_norms, opnorm_upper
 from fourbody.radii import NoNegativeRadius, content_digest
 
 K = 24
@@ -76,42 +77,97 @@ def test_jet_table_reuses_the_order0_context(run):
 
 
 def test_radii_no_larger_than_reference(run):
-    # the radii of this run when every stage was first certified; unlike the
-    # digest they do not depend on the BLAS build or its thread count
+    # the radii of this run, jet by jet; unlike the digest they do not depend
+    # on the BLAS build or its thread count
     _, _, _, table = run
-    assert table.radii[(0, 0)] <= 9.6411088049075e-10
-    assert table.radii[(1, 0)] <= 1.9306977288832455e-06
-    assert max(r for a, r in table.radii.items() if sum(a) >= 2) <= 2.07711392596645e-05
+    reference = {
+        (0, 0): 9.6411088049075e-10,
+        (1, 0): 1.9306977288832455e-06, (0, 1): 1.9306977288832455e-06,
+        (2, 0): 4.99358789347314e-06, (1, 1): 1.2915496650148827e-05,
+        (0, 2): 4.99358789347314e-06,
+        (3, 0): 4.99358789347314e-06, (2, 1): 2.07711392596645e-05,
+        (1, 2): 2.07711392596645e-05, (0, 3): 4.99358789347314e-06,
+    }
+    assert set(table.radii) == set(reference)
+    for alpha, r in reference.items():
+        assert table.radii[alpha] <= r, alpha
     assert table.E_total().hi <= 7.829448631201738e-05
 
 
 def test_jet_operator_from_the_context_is_bit_identical(run):
     # a fresh context visits the jet shifts out of order and repeats one:
-    # each block equals the one base_block builds afresh, and each window
-    # column bound equals the one read off the full enclosure
+    # each block equals the one base_block builds afresh
     cfg, _, _, table = run
     ctx = stages._StageContext(table.orders[(0, 0)], cfg, table.omega, table.K,
                                table.nu)
-    layout = SpaceLayout.mixed(0, 9, ctx.K)
     for alpha in [(3, 0), (1, 1), (2, 0), (3, 0), (2, 1)]:
         s = stages._jet_shift(alpha, table.lambda_bar)
         J = ctx.window_block(s)
         diag = -1j * ctx.omega * numerics.kvals(ctx.K) - s
         fresh = numerics.base_block(ctx.fconst, ctx.fkers, ctx.K, diag)
         assert np.array_equal(J.view(np.uint64), fresh.view(np.uint64)), alpha
-        want = stages._window_cols(stages._base_encl(ctx, 0, s), J, layout, ctx.nu)
-        got = ctx.jet_window_cols(s)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), alpha
+
+
+def _stage_defects(run, ctx):
+    """(J, the oracle's enclosure E of DF(x_bar), the stage's window defect)
+    for order 0, order 1 and the shift of jet (2,1)."""
+    cfg, res0, _, table = run
+    sol = res0.context[0]
+    asm = stages._assemble_orbit(sol, ctx)
+    yield asm.J, oracles.orbit_enclosure(sol, ctx), asm.window_defect
+    coeffs = np.array([a.c.mid() for a in table.orders[(1, 0)]])
+    bsol = stages.BundleSolution(KIND, table.lambda_bar, coeffs, K0, XI0)
+    asm = stages._assemble_bundle(bsol, ctx, table.radii[(0, 0)])
+    yield asm.J, oracles.bundle_enclosure(bsol, ctx), asm.window_defect
+    s = stages._jet_shift((2, 1), table.lambda_bar)
+    J = ctx.window_block(s)
+    yield J, oracles.base_enclosure(ctx, 0, s), stages._window_defect(ctx, J, 0, s)
+
+
+@pytest.mark.parametrize("moved", [False, True])
+def test_window_defect_dominates_the_entrywise_defect(run, monkeypatch, moved):
+    # delta, the operator norm of the stage's block table, bounds that of the
+    # entrywise bound |E - J|, and so does each block, up to what block_norms
+    # adds to a column sum ((4n + 64) 2^-50 relative, and subnormal slack).
+    # Moved: one float kernel coefficient off the diagonal is 1e-9 off, so J
+    # is built from it and delta must follow.
+    cfg, res0, _, _ = run
+    sol = res0.context[0]
+    if moved:
+        kernels = numerics.derivative_kernels
+
+        def moved_kernels(A, ms, pos):
+            const, kers = kernels(A, ms, pos)
+            ker = kers[6][6].copy()
+            ker[(len(ker) + 1) // 2] += 1e-9
+            kers[6][6] = ker
+            return const, kers
+        monkeypatch.setattr(numerics, "derivative_kernels", moved_kernels)
+    ctx = stages._StageContext(sol.seqs(), cfg, sol.omega, sol.K, sol.nu)
+    for J, E, N in _stage_defects(run, ctx):
+        ns = N.shape[0] - 9
+        layout = SpaceLayout.mixed(ns, 9, ctx.K)
+        entrywise = block_norms(E.corner_abs(J), layout, layout, ctx.nu)
+        assert opnorm_upper(entrywise) <= opnorm_upper(N), ns
+        assert (entrywise <= N * (1.0 + 1e-12) + 1e-300).all(), ns
+        assert (opnorm_upper(entrywise) >= 1e-9) == moved
+
+
+def test_report_splits_z1(run):
+    # Z1 = Z1_tail + Z1_window + the data part; the window part is rounding
+    cfg, res0, _, table = run
+    for bounds in (res0.bounds, stages.validate_jet((2, 0), table, cfg).bounds):
+        assert bounds["Z1"] >= bounds["Z1_tail"] > 0.0
+        assert 0.0 < bounds["Z1_window"] <= 1e-6 * bounds["Z1"]
 
 
 def test_jets_leave_the_operator_work_to_the_context(run, monkeypatch):
     # counts and sizes, not timings: the jets make no endpoint convolution,
-    # the full window enclosure is built for order 0 and order 1 only, and the
-    # context keeps one float block and O(N) columns, no N x N caches
+    # and the context keeps one float block and O(N) floats, no N x N caches
     cfg, res0, _, table = run
     sol = res0.context[0]
     lam, v = seeding.bundle_guess(cfg, sol, KIND, K0, XI0)
-    calls = {"carr_conv_batch": 0, "_base_encl": 0}
+    calls = {"carr_conv_batch": 0}
 
     def counted(owner, name):
         # in its home module and in every module that imported it by name
@@ -124,13 +180,12 @@ def test_jets_leave_the_operator_work_to_the_context(run, monkeypatch):
             if mod.__name__.startswith("fourbody") and getattr(mod, name, None) is fn:
                 monkeypatch.setattr(mod, name, wrapper)
 
-    counted(stages, "_base_encl")
     res = stages.validate_order0(sol, cfg)
     start = stages.start_jet_table(KIND, sol, res, cfg, lam, v, K0, XI0, N_T)
     counted(ivarray, "carr_conv_batch")
     again = stages.extend_with_jets(start, cfg)
     assert again.digest() == table.digest()
-    assert calls == {"carr_conv_batch": 0, "_base_encl": 2}
+    assert calls == {"carr_conv_batch": 0}
 
     ctx = again.ctx_cache[1]
     N = 9 * (2 * ctx.K - 1)
@@ -139,7 +194,7 @@ def test_jets_leave_the_operator_work_to_the_context(run, monkeypatch):
         for item in (value if isinstance(value, (tuple, list)) else (value,)):
             if isinstance(item, np.ndarray):
                 held += item.nbytes
-    assert held <= N * N * 16 + 8 * (N * 9 * 8)
+    assert held <= N * N * 16 + 8 * 5 * N
 
 
 def test_json_roundtrip_keeps_digest(run):
