@@ -1,4 +1,4 @@
-"""The `fourbody` command.
+"""The `fourbody` command, also run as `python -m fourbody`.
 
     fourbody recheck TABLE.json
 

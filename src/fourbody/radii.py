@@ -40,11 +40,16 @@ GRID_FLOOR = 1e-15
 
 
 class NoNegativeRadius(RuntimeError):
-    """No candidate radius produced a verified negative polynomial value."""
+    """No candidate radius produced a verified negative polynomial value.
 
-    def __init__(self, message: str, poly=None):
+    bounds, when a stage certificate failed, is that stage's report: Y, Z0,
+    Z1 with its window and tail parts, the Z2 coefficients and ||A||.
+    """
+
+    def __init__(self, message: str, poly=None, bounds=None):
         super().__init__(message)
         self.poly = tuple(poly) if poly is not None else None
+        self.bounds = bounds
 
 
 def _as_iv_coeff(c) -> Interval:

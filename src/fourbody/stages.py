@@ -22,7 +22,10 @@ float sums.  `_window_defect` bounds it by one norm delta per stage (block
 norms of X, summed over each row group, maximum over the groups), and
 Z1 = Z1_tail + ||J^-1|| delta, where Z1_tail bounds A times the parts of
 DF(x_bar) - A_dag that reach the tail.  The kernel part of delta,
-||ker_ij - fker_ij||_nu per block, is made once per context.
+||ker_ij - fker_ij||_nu per block, is made once per context.  Of the bounds,
+A, Z0, ||A|| and Z1 less its data part are the operator part of a certificate
+(`_operator`): they read the context and the shift s only.  Y, the data parts
+pre_Y and pre_Z1, and Z2 are the stage's own (`_certify`).
 
 Stages:
 
@@ -55,12 +58,19 @@ A jet reads its table only through a `_JetLayer`: its layer of the
 remainder field, the budget rho, and a few scalars (lambda_bar, the radii
 of orders 0 and 1, the kind, the order-1 digest).  One task body,
 `_jet_task`, solves and certifies a jet from its layer and the order-0
-context.  The context holds what the operators of all jets share: the float
-window block J, of which only the diagonal depends on the jet's shift, and
-the kernel part of the window defect.  With jobs = 1 it runs in process;
-with jobs > 1 the jets of a level run on one process pool per
-`extend_with_jets` call.  Its initializer hands each worker the order-0
-context once, the parent evaluates each level's remainder fields once, as
+context.  The context holds what the operators of all jets share: the
+kernel part of the window defect, and for the last shift s the float window
+block J (only its diagonal depends on s) and the operator part of the
+certificate (`_StageContext.jet_operator`).  With a real lambda_bar every jet
+of order p has s = p lambda_bar, and the jets come level by level, so one
+inverse, one Z0 product and one Z1 serve a whole level.  Block and operator
+are N x N scratch of one `extend_with_jets` call, which drops them when it
+returns; a table keeps its context, and a pickled context leaves them out.
+
+With jobs = 1 the jet tasks run in process; with jobs > 1 the jets of a
+level run on one process pool per `extend_with_jets` call.  Its initializer
+hands each worker the order-0 context once (a worker keeps its own block
+and operator), the parent evaluates each level's remainder fields once, as
 jobs = 1 does, and each task carries only its layer.  Results are applied in
 the fixed level order, so both paths give the same table bit for bit.  That
 promise holds only while the workers run the parent's BLAS thread count: the
@@ -374,17 +384,25 @@ class _StageContext:
             t = self.fconst[i][i] + (0.0 if ker is None else ker[(len(ker) - 1) // 2])
             self._tdiag[i * n:(i + 1) * n] = t
         self._block = None
+        self._op = None
+
+    def __getstate__(self):
+        # a pool worker builds its own block and operator
+        state = dict(vars(self))
+        state["_block"] = state["_op"] = None
+        return state
 
     def window_block(self, s: complex) -> np.ndarray:
         """Float window block of h -> DF0 h - i omega k h - s h.
 
-        The last block is kept: a stage's Newton solve and its certificate
-        ask for the same s one after the other.  Only the diagonal depends on
-        s, so a new s copies the kept block and rewrites its diagonal as
-        (0 + d(s)) + t, with d(s) = -i omega k - s and t the diagonal
-        constant plus the diagonal kernel's centre.  The constant table has
-        no diagonal entry, so these are the sums `numerics.base_block` forms
-        there, and the copy equals a block built afresh, bit for bit.
+        The last block is kept until `drop_operators`: a stage's Newton
+        solve and its certificate ask for the same s one after the other, and
+        so do the jets of one level when lambda_bar is real.  Only the
+        diagonal depends on s, so a new s copies the kept block and rewrites
+        its diagonal as (0 + d(s)) + t, with d(s) = -i omega k - s and t the
+        diagonal constant plus the diagonal kernel's centre.  The constant
+        table has no diagonal entry, so these are the sums `numerics.base_block`
+        forms there, and the copy equals a block built afresh, bit for bit.
         """
         if self._block is None or self._block[0] != s:
             diag = -1j * self.omega * numerics.kvals(self.K) - s
@@ -395,6 +413,28 @@ class _StageContext:
                 block[np.diag_indices_from(block)] = np.tile(0j + diag, 9) + self._tdiag
             self._block = (s, block)
         return self._block[1]
+
+    def jet_operator(self, s: complex) -> "_Operator":
+        """The operator part of the certificate of every jet with shift s.
+
+        It reads only the context and s, so the last one is kept next to its
+        block: one inverse, one Z0 product and one Z1 per shift, not per jet.
+        """
+        if self._op is None or self._op.s != s:
+            self._op = None  # the old inverse goes before the new one is made
+            J = self.window_block(s)
+            self._op = _operator(_OperatorData(
+                ns=0, K=self.K, nu=self.nu, omega=self.omega, s=s, J=J,
+                window_defect=_window_defect(self, J, 0, s),
+                tail_mags=self.kmags, tail_norms=self.knorms,
+                tail_consts=np.abs(self.const), scalar_tail_sup=np.zeros((0, 9)),
+                ycol_tail_seqs=[]))
+        return self._op
+
+    def drop_operators(self):
+        """Forget the kept block and jet operator, the context's only N x N
+        arrays; `extend_with_jets` calls this when it returns."""
+        self._block = self._op = None
 
     def _build_monomials(self):
         a0n = [s.norm_upper() for s in self.a0]
@@ -561,8 +601,11 @@ def _layer_problem(ctx: _StageContext, layer: "_JetLayer"):
 
 
 @dataclass
-class _Assembled:
-    tag: str
+class _OperatorData:
+    """What the operator part of a stage certificate reads: the float window
+    block J, the window defect, and the parts of DF(x_bar) - A_dag that reach
+    the tail."""
+
     ns: int
     K: int
     nu: float
@@ -570,38 +613,64 @@ class _Assembled:
     s: complex
     J: np.ndarray
     window_defect: np.ndarray
-    resid_scalars: list
-    resid_seqs: list
     tail_mags: list
     tail_norms: np.ndarray
     tail_consts: np.ndarray
     scalar_tail_sup: np.ndarray
     ycol_tail_seqs: list
+
+
+class _Operator(NamedTuple):
+    """The operator part of a stage certificate: A = J^-1 on the window (the
+    exact reciprocal diagonal on the tail) and the bounds that read A but not
+    the stage's residual."""
+
+    layout: SpaceLayout
+    K: int
+    nu: float
+    omega: float
+    s: complex
+    Jhat: np.ndarray
+    Z0: float
+    normA: float
+    normA_seq: float
+    Z1_window: float
+    Z1_tail: float
+
+
+@dataclass
+class _Assembled:
+    """The stage's own part of its certificate: the residual, the monomials
+    of Z2 and the data uncertainty pre_Y, pre_Z1."""
+
+    tag: str
+    resid_scalars: list
+    resid_seqs: list
     monomials: list
     pre_Y: float = 0.0
     pre_Z1: float = 0.0
 
 
-def _resid_mid_rad(asm: _Assembled):
+def _resid_mid_rad(asm: _Assembled, K: int):
     parts_m = []
     parts_r = []
-    if asm.ns:
+    if asm.resid_scalars:
         carr = CArr.from_civ_list(asm.resid_scalars)
         parts_m.append(carr.mid())
         parts_r.append(carr.rad())
     for seq in asm.resid_seqs:
-        c = project(seq, asm.K).c
+        c = project(seq, K).c
         parts_m.append(c.mid())
         parts_r.append(c.rad())
     return np.concatenate(parts_m), np.concatenate(parts_r)
 
 
-def _certify(asm: _Assembled, digest: str):
-    K, nu, ns, omega, s = asm.K, asm.nu, asm.ns, asm.omega, asm.s
+def _operator(d: _OperatorData) -> _Operator:
+    K, nu, ns, omega, s = d.K, d.nu, d.ns, d.omega, d.s
     layout = SpaceLayout.mixed(ns, 9, K)
     N = layout.n
     ngroups = len(layout.groups)
-    J = asm.J
+    J = d.J
     Jhat = np.linalg.inv(J)
     absJ = np.abs(Jhat)
 
@@ -628,28 +697,15 @@ def _certify(asm: _Assembled, digest: str):
             v = _up(v + dtK)
         normA_seq = max(normA_seq, float(v))
 
-    vm, vr = _resid_mid_rad(asm)
-    ym, yr = cmm(Jhat, None, vm, vr)
-    gY = group_vec_norms(cmat_abs_up(ym, yr), layout, nu)
-    Y0 = 0.0
-    for gi, kind in enumerate(layout.kinds):
-        if kind == "scalar":
-            Y0 = max(Y0, float(gY[gi]))
-        else:
-            i = gi - ns
-            t = _seq_tail_weighted(asm.resid_seqs[i], K, nu, omega, s)
-            Y0 = max(Y0, float(_up(gY[gi] + t)))
-    Y = float(_up(Y0 + _up(normA_seq * asm.pre_Y)))
-
     # the window part of Z1: J^-1 (pi (DF(x_bar) - J) pi), by norms
-    Z1_window = float(_up(rowsJ.max() * opnorm_upper(asm.window_defect)))
+    Z1_window = float(_up(rowsJ.max() * opnorm_upper(d.window_defect)))
     # the tail part: U holds, per window row and column group, the sup over
     # the tail columns l of |DF_kl| nu^-|l|
     U = np.zeros((N, ngroups))
     for j in range(9):
-        U[:ns, ns + j] = asm.scalar_tail_sup[:, j]
+        U[:ns, ns + j] = d.scalar_tail_sup[:, j]
         for i in range(9):
-            g = asm.tail_mags[i][j]
+            g = d.tail_mags[i][j]
             if g is not None:
                 U[layout.slices[ns + i], ns + j] = _tail_col_profile(g, K, nu)
     Wmat = mm_up_nonneg(absJ, U)
@@ -660,32 +716,60 @@ def _certify(asm: _Assembled, digest: str):
         R = ns + i
         for j in range(9):
             add = 0.0
-            g = asm.tail_mags[i][j]
+            g = d.tail_mags[i][j]
             if g is not None:
-                add = _tail_row_bound(g, K, nu, omega, s, asm.tail_norms[i, j])
-            cconst = asm.tail_consts[i, j]
+                add = _tail_row_bound(g, K, nu, omega, s, d.tail_norms[i, j])
+            cconst = d.tail_consts[i, j]
             if cconst:
                 add = float(_up(add + _up(cconst * dtK)))
             if add:
                 Np[R, ns + j] = _up(Np[R, ns + j] + add)
-        for col, slot, seq in asm.ycol_tail_seqs:
+        for col, slot, seq in d.ycol_tail_seqs:
             if slot == i:
                 t = _seq_tail_weighted(seq, K, nu, omega, s)
                 Np[R, col] = _up(Np[R, col] + t)
     Z1_tail = max(up_sum(Np[R]) for R in range(ngroups))
-    Z1 = float(_up(_up(Z1_tail + Z1_window) + _up(normA_seq * asm.pre_Z1)))
+    return _Operator(layout, K, nu, omega, s, Jhat, Z0, normA, normA_seq,
+                     Z1_window, Z1_tail)
+
+
+def _certify(op: _Operator, asm: _Assembled, digest: str):
+    """The stage's certificate and report; on failure the NoNegativeRadius
+    raised carries the report's bounds as `bounds`."""
+    layout, K, nu, omega, s = op.layout, op.K, op.nu, op.omega, op.s
+    ns = len(asm.resid_scalars)
+    vm, vr = _resid_mid_rad(asm, K)
+    ym, yr = cmm(op.Jhat, None, vm, vr)
+    gY = group_vec_norms(cmat_abs_up(ym, yr), layout, nu)
+    Y0 = 0.0
+    for gi, kind in enumerate(layout.kinds):
+        if kind == "scalar":
+            Y0 = max(Y0, float(gY[gi]))
+        else:
+            i = gi - ns
+            t = _seq_tail_weighted(asm.resid_seqs[i], K, nu, omega, s)
+            Y0 = max(Y0, float(_up(gY[gi] + t)))
+    Y = float(_up(Y0 + _up(op.normA_seq * asm.pre_Y)))
+    Z1 = float(_up(_up(op.Z1_tail + op.Z1_window) + _up(op.normA_seq * asm.pre_Z1)))
 
     rows = _row_polys(asm.monomials)
     coeffs = _polys_max_coeffs(rows)
-    Z2 = tuple(float(_up(normA * c)) for c in coeffs)
+    Z2 = tuple(float(_up(op.normA * c)) for c in coeffs)
 
-    bounds = NKBounds(Y=Y, Z0=Z0, Z1=Z1, Z2=Z2, r_star=R_STAR)
-    cert = radii_newton(bounds, stage=asm.tag, inputs_digest=digest)
+    bounds = NKBounds(Y=Y, Z0=op.Z0, Z1=Z1, Z2=Z2, r_star=R_STAR)
     report = {
-        "Y": Y, "Z0": Z0, "Z1": Z1, "Z1_window": Z1_window, "Z1_tail": Z1_tail,
-        "Z2": list(Z2), "normA": normA,
-        "r0": cert.r0, "r_max": cert.r_max,
+        "Y": Y, "Z0": op.Z0, "Z1": Z1, "Z1_window": op.Z1_window,
+        "Z1_tail": op.Z1_tail, "Z2": list(Z2), "normA": op.normA,
     }
+    try:
+        cert = radii_newton(bounds, stage=asm.tag, inputs_digest=digest)
+    except NoNegativeRadius as exc:
+        raise NoNegativeRadius(
+            "no verified radius below r_star = %.3e for stage %r: Y = %.3e, "
+            "Z0 = %.3e, Z1 = %.3e (window %.3e, tail %.3e), ||A|| = %.3e"
+            % (R_STAR, asm.tag, Y, op.Z0, Z1, op.Z1_window, op.Z1_tail, op.normA),
+            poly=exc.poly, bounds=report) from exc
+    report.update(r0=cert.r0, r_max=cert.r_max)
     return cert, report
 
 
@@ -731,7 +815,8 @@ def _window_defect(ctx: _StageContext, J: np.ndarray, ns: int, s: complex,
     return N
 
 
-def _assemble_orbit(sol: "OrbitSolution", ctx: _StageContext) -> _Assembled:
+def _assemble_orbit(sol: "OrbitSolution", ctx: _StageContext):
+    """(`_OperatorData`, `_Assembled`) of the order-0 certificate."""
     cfg = ctx.cfg
     K, nu, omega = ctx.K, ctx.nu, ctx.omega
     n = 2 * K - 1
@@ -828,19 +913,17 @@ def _assemble_orbit(sol: "OrbitSolution", ctx: _StageContext) -> _Assembled:
         monos.append((("seq", 6 + j), 1.0,
                       (_up(abs(complex(y[1 + j]))), wn, wn, wn)))
 
-    asm = _Assembled(
-        tag="order0", ns=ns, K=K, nu=nu, omega=omega, s=0.0 + 0.0j,
-        J=J, window_defect=Nw,
-        resid_scalars=resid_scalars, resid_seqs=resid_seqs, tail_mags=tail_mags,
-        tail_norms=tail_norms, tail_consts=tail_consts,
+    data = _OperatorData(
+        ns=ns, K=K, nu=nu, omega=omega, s=0.0 + 0.0j, J=J, window_defect=Nw,
+        tail_mags=tail_mags, tail_norms=tail_norms, tail_consts=tail_consts,
         scalar_tail_sup=scalar_tail_sup,
         ycol_tail_seqs=[(1 + j, 6 + j, cubes[j]) for j in range(3)],
-        monomials=monos,
     )
-    return asm
+    return data, _Assembled("order0", resid_scalars, resid_seqs, monos)
 
 
-def _assemble_bundle(sol: "BundleSolution", ctx: _StageContext, r0: float) -> _Assembled:
+def _assemble_bundle(sol: "BundleSolution", ctx: _StageContext, r0: float):
+    """(`_OperatorData`, `_Assembled`) of the order-1 certificate."""
     K, nu, omega = ctx.K, ctx.nu, ctx.omega
     n = 2 * K - 1
     ns = 1
@@ -873,27 +956,23 @@ def _assemble_bundle(sol: "BundleSolution", ctx: _StageContext, r0: float) -> _A
     monos += [(("scalar", 0), 1.0, (Smags[i], Smags[i])) for i in range(9)]
 
     dd = ctx.field_dd(r0)
-    asm = _Assembled(
-        tag="order1:%s" % sol.kind, ns=ns, K=K, nu=nu, omega=omega, s=lam,
-        J=J, window_defect=Nw,
-        resid_scalars=resid_scalars, resid_seqs=resid_seqs,
-        tail_mags=[list(row) for row in ctx.kmags], tail_norms=ctx.knorms.copy(),
-        tail_consts=np.abs(ctx.const), scalar_tail_sup=np.zeros((ns, 9)),
-        ycol_tail_seqs=[], monomials=monos,
-        pre_Z1=dd, pre_Y=float(_up(dd * max(a1n))),
+    data = _OperatorData(
+        ns=ns, K=K, nu=nu, omega=omega, s=lam, J=J, window_defect=Nw,
+        tail_mags=ctx.kmags, tail_norms=ctx.knorms, tail_consts=np.abs(ctx.const),
+        scalar_tail_sup=np.zeros((ns, 9)), ycol_tail_seqs=[],
     )
-    return asm
+    return data, _Assembled("order1:%s" % sol.kind, resid_scalars, resid_seqs, monos,
+                            pre_Y=float(_up(dd * max(a1n))), pre_Z1=dd)
 
 
 def _assemble_jet(layer: "_JetLayer", centers, ctx: _StageContext) -> _Assembled:
-    K, nu, omega = ctx.K, ctx.nu, ctx.omega
-    ns = 0
+    """The jet's own part of its certificate; the operator part is the
+    context's (`_StageContext.jet_operator`)."""
+    nu, omega = ctx.nu, ctx.omega
     m_, n_ = layer.alpha
     p = m_ + n_
     lam = layer.lambda_bar
     s = _jet_shift((m_, n_), lam)
-
-    J = ctx.window_block(s)
 
     for row in centers:
         if not row.is_point():
@@ -915,15 +994,9 @@ def _assemble_jet(layer: "_JetLayer", centers, ctx: _StageContext) -> _Assembled
     dd = ctx.field_dd(layer.r_orbit)
     shift_err = float(_up(dd + _up(p * layer.r_bundle + ds)))
     maxn = max(sq.norm_upper() for sq in aset)
-    asm = _Assembled(
-        tag="jet:%d,%d:%s" % (m_, n_, layer.kind), ns=ns, K=K, nu=nu,
-        omega=omega, s=s, J=J, window_defect=_window_defect(ctx, J, ns, s),
-        resid_scalars=[], resid_seqs=resid_seqs, tail_mags=[list(row) for row in ctx.kmags],
-        tail_norms=ctx.knorms.copy(), tail_consts=np.abs(ctx.const),
-        scalar_tail_sup=np.zeros((0, 9)), ycol_tail_seqs=[], monomials=[],
-        pre_Z1=shift_err, pre_Y=float(_up(_up(shift_err * maxn) + layer.rho)),
-    )
-    return asm
+    return _Assembled("jet:%d,%d:%s" % (m_, n_, layer.kind), [], resid_seqs, [],
+                      pre_Y=float(_up(_up(shift_err * maxn) + layer.rho)),
+                      pre_Z1=shift_err)
 
 
 # ---------------------------------------------------------------------------
@@ -1280,7 +1353,7 @@ def validate_order0(solution: OrbitSolution, cfg) -> Order0Result:
     """Certify the periodic orbit; the unfolding enclosure must contain zero."""
     ctx = _StageContext(solution.seqs(), cfg, solution.omega, solution.K,
                         solution.nu)
-    asm = _assemble_orbit(solution, ctx)
+    data, asm = _assemble_orbit(solution, ctx)
     digest = content_digest({
         "stage": "order0",
         "omega": float(solution.omega).hex(),
@@ -1292,7 +1365,7 @@ def validate_order0(solution: OrbitSolution, cfg) -> Order0Result:
         "y": [[float(t.real).hex(), float(t.imag).hex()] for t in solution.y],
         "coeffs": _seqs_digest_obj(solution.seqs()),
     })
-    cert, report = _certify(asm, digest)
+    cert, report = _certify(_operator(data), asm, digest)
     r0 = cert.r0
     for t in solution.y:
         if abs(complex(t)) > r0:
@@ -1319,12 +1392,12 @@ def validate_order1(solution: BundleSolution, jet: "JetTable", cfg) -> Order1Res
     """Certify the Floquet eigenpair at an already-certified orbit."""
     ctx = _context_for(jet, cfg)
     r0 = jet.radii[(0, 0)]
-    asm = _assemble_bundle(solution, ctx, r0)
+    data, asm = _assemble_bundle(solution, ctx, r0)
     digest = inputs_digest(
         (1, 0), solution.kind, jet.digests.get("order0", ""),
         [FourierSeq.point(row, jet.nu) for row in solution.coeffs],
         (solution.lam, solution.k0, solution.xi0))
-    cert, report = _certify(asm, digest)
+    cert, report = _certify(_operator(data), asm, digest)
     r1 = cert.r0
     lam = complex(solution.lam)
     if abs(lam.real) <= r1:
@@ -1346,8 +1419,9 @@ def validate_jet(alpha, jet: "JetTable", cfg) -> JetResult:
 
 def _validate_layer(ctx: _StageContext, layer: _JetLayer, centers) -> JetResult:
     asm = _assemble_jet(layer, centers, ctx)
-    cert, report = _certify(asm, inputs_digest(layer.alpha, layer.kind, layer.prev,
-                                               centers))
+    op = ctx.jet_operator(_jet_shift(layer.alpha, layer.lambda_bar))
+    cert, report = _certify(op, asm, inputs_digest(layer.alpha, layer.kind, layer.prev,
+                                                   centers))
     balls = tuple(BallElement(sq, cert.r0) for sq in centers)
     return JetResult(layer.alpha, balls, cert.r0, cert, report)
 
@@ -1617,12 +1691,17 @@ def extend_with_jets(jet: JetTable, cfg, *, gamma: float = 0.7,
     process pool that lives as long as this call, the retry included.  The
     argument is left as it was: the jets go into a copy."""
     jet = _strip_unvalidated(jet)
-    with _jet_pool(jet, cfg, jobs) as pool:
-        try:
-            return _extend(jet, cfg, pool)
-        except NoNegativeRadius:
-            scaled = rescale_jets(_strip_unvalidated(jet), gamma)
-        return _extend(scaled, cfg, pool)
+    try:
+        with _jet_pool(jet, cfg, jobs) as pool:
+            try:
+                return _extend(jet, cfg, pool)
+            except NoNegativeRadius:
+                scaled = rescale_jets(_strip_unvalidated(jet), gamma)
+            return _extend(scaled, cfg, pool)
+    finally:
+        # the table keeps its context; the N x N scratch goes now
+        if jet.ctx_cache is not None:
+            jet.ctx_cache[1].drop_operators()
 
 
 def _strip_unvalidated(jet: JetTable) -> JetTable:

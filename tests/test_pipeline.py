@@ -6,10 +6,14 @@ xi0 = 1e-4.  K = 24 and N_t = 3 keep the run to a few seconds.
 """
 
 import concurrent.futures
+import importlib
 import json
 import multiprocessing
 import os
+import pickle
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ NU = 1.5
 KIND = "unstable"
 K0 = 3
 XI0 = 1e-4
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -113,12 +118,12 @@ def _stage_defects(run, ctx):
     for order 0, order 1 and the shift of jet (2,1)."""
     cfg, res0, _, table = run
     sol = res0.context[0]
-    asm = stages._assemble_orbit(sol, ctx)
-    yield asm.J, oracles.orbit_enclosure(sol, ctx), asm.window_defect
+    data, _ = stages._assemble_orbit(sol, ctx)
+    yield data.J, oracles.orbit_enclosure(sol, ctx), data.window_defect
     coeffs = np.array([a.c.mid() for a in table.orders[(1, 0)]])
     bsol = stages.BundleSolution(KIND, table.lambda_bar, coeffs, K0, XI0)
-    asm = stages._assemble_bundle(bsol, ctx, table.radii[(0, 0)])
-    yield asm.J, oracles.bundle_enclosure(bsol, ctx), asm.window_defect
+    data, _ = stages._assemble_bundle(bsol, ctx, table.radii[(0, 0)])
+    yield data.J, oracles.bundle_enclosure(bsol, ctx), data.window_defect
     s = stages._jet_shift((2, 1), table.lambda_bar)
     J = ctx.window_block(s)
     yield J, oracles.base_enclosure(ctx, 0, s), stages._window_defect(ctx, J, 0, s)
@@ -161,9 +166,19 @@ def test_report_splits_z1(run):
         assert 0.0 < bounds["Z1_window"] <= 1e-6 * bounds["Z1"]
 
 
-def test_jets_leave_the_operator_work_to_the_context(run, monkeypatch):
-    # counts and sizes, not timings: the jets make no endpoint convolution,
-    # and the context keeps one float block and O(N) floats, no N x N caches
+@pytest.fixture
+def inversions(monkeypatch):
+    """The orders of the matrices `np.linalg.inv` inverts while the test runs."""
+    inv = np.linalg.inv
+    made = []
+    monkeypatch.setattr(np.linalg, "inv", lambda a: made.append(a.shape[-1]) or inv(a))
+    return made
+
+
+def test_jets_leave_the_operator_work_to_the_context(run, monkeypatch, inversions):
+    # counts and sizes, not timings: the jets make no endpoint convolution
+    # and one inverse per shift (2 for the 4 jets), and after the call the
+    # context holds O(N) floats and no N x N array, so it ships small
     cfg, res0, _, table = run
     sol = res0.context[0]
     lam, v = seeding.bundle_guess(cfg, sol, KIND, K0, XI0)
@@ -183,9 +198,12 @@ def test_jets_leave_the_operator_work_to_the_context(run, monkeypatch):
     res = stages.validate_order0(sol, cfg)
     start = stages.start_jet_table(KIND, sol, res, cfg, lam, v, K0, XI0, N_T)
     counted(ivarray, "carr_conv_batch")
+    inversions.clear()
     again = stages.extend_with_jets(start, cfg)
     assert again.digest() == table.digest()
     assert calls == {"carr_conv_batch": 0}
+    assert len(inversions) == len({stages._jet_shift(a, again.lambda_bar)
+                                   for a in again.radii if sum(a) >= 2}) == 2
 
     ctx = again.ctx_cache[1]
     N = 9 * (2 * ctx.K - 1)
@@ -194,7 +212,65 @@ def test_jets_leave_the_operator_work_to_the_context(run, monkeypatch):
         for item in (value if isinstance(value, (tuple, list)) else (value,)):
             if isinstance(item, np.ndarray):
                 held += item.nbytes
-    assert held <= N * N * 16 + 8 * 5 * N
+    assert held <= 8 * 5 * N
+    assert len(pickle.dumps(ctx)) < 10 ** 6
+
+
+def test_kept_jet_operator_is_never_stale(run, inversions):
+    # one context visits the jets out of order and repeats a shift: each
+    # jet's certificate and report equal, bit for bit, those of a fresh
+    # context per jet and the table's, and the context inverts only when
+    # the shift changes
+    cfg, _, _, table = run
+
+    def context():
+        return stages._StageContext(table.orders[(0, 0)], cfg, table.omega,
+                                    table.K, table.nu)
+
+    kept = context()
+    for alpha in [(3, 0), (1, 1), (2, 0), (3, 0), (2, 1)]:
+        layer = stages._fresh_layer(table, cfg, alpha)
+        before = len(inversions)
+        res = stages._jet_task(kept, layer)
+        again = len(inversions) - before
+        fresh = stages._jet_task(context(), layer)
+        assert res.cert.to_json_obj() == fresh.cert.to_json_obj(), alpha
+        assert json.dumps(res.bounds) == json.dumps(fresh.bounds), alpha
+        assert res.cert == table.certs[res.cert.stage], alpha
+        assert again == (alpha in [(3, 0), (1, 1)]), alpha
+
+
+def test_failed_certificate_carries_its_bounds(run, monkeypatch):
+    # a cap below the order-0 radius fails its certificate; the error names
+    # the stage and carries the bounds the successful run reported
+    cfg, res0, _, _ = run
+    monkeypatch.setattr(stages, "R_STAR", 1e-12)
+    with pytest.raises(NoNegativeRadius) as info:
+        stages.validate_order0(res0.context[0], cfg)
+    want = {k: v for k, v in res0.bounds.items() if k not in ("r0", "r_max")}
+    assert json.dumps(info.value.bounds) == json.dumps(want)
+    assert info.value.poly is not None
+    message = str(info.value)
+    assert "'order0'" in message
+    for name in ("Y", "Z0", "Z1"):
+        assert "%s = %.3e" % (name, want[name]) in message
+
+
+def test_fourbody_command(run, tmp_path):
+    # `python -m fourbody` runs cli.main, and so does the installed script
+    _, _, _, table = run
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table.to_json_obj()))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-m", "fourbody", "recheck", str(path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert len(done.stdout.splitlines()) == len(table.certs)
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    module, name = scripts["fourbody"].split(":")
+    assert getattr(importlib.import_module(module), name) is cli.main
 
 
 def test_json_roundtrip_keeps_digest(run):
