@@ -7,6 +7,13 @@ with H - H_target as a row), and Floquet data from the monodromy matrix of the
 six-dimensional variational flow.  The certified stages consume these
 guesses; nothing in this module is trusted by the validators.
 
+The continuation walks the level at a coarse truncation, at most _K_WALK
+modes, whatever K the stages use.  Its orbit is then zero-padded to K and
+polished by one Newton solve of the level system at K.  The orbit's modes
+decay fast enough that the padded guess is already near the solution at K,
+so seeding costs a walk of small dense solves plus a couple of solves at K,
+not a walk of solves at K.
+
 State ordering matches the polynomial embedding: (x, vx, y, vy, z, vz) plus
 the three reciprocal distances in slots 6..8.
 """
@@ -40,6 +47,8 @@ _EQ_GRID = 13
 _AMP0 = 4e-3
 _GROWTH = 1.35
 _STEP_FLOOR = 1e-4
+# the walk's K; a larger K zero-pads the walk's orbit and polishes it once
+_K_WALK = 12
 # signs of the squares in the Jacobi integral of (x, vx, y, vy, z, vz)
 _H_QUAD = np.array([1.0, -1.0, 1.0, -1.0, 0.0, -1.0])
 # samples of the variational flow over one period
@@ -185,14 +194,13 @@ def _level_problem(cfg, K: int, H: float, anchor: model.PhaseAnchor):
     return residual, jacobian
 
 
-def orbit_to_jacobi(cfg, eq_xy, H_target: float, K: int, nu: float):
-    """Member of the vertical family on a Jacobi level; returns (sol, H).
+def _walk_level(cfg, eq_xy, H_target: float, K: int):
+    """The level walk at K; returns the last solve's (z, anchor).
 
-    The walk solves the linear guess at amplitude _AMP0 on its own level,
-    then steps the level toward H_target: each step is _GROWTH^2 times the
-    last (the amplitude grows by about _GROWTH), the step that would pass the
-    target lands on it, and a step whose solve diverges is halved.  The last
-    solve is the orbit; its scalars are real up to rounding, which is dropped.
+    It solves the linear guess at amplitude _AMP0 on its own level, then
+    steps the level toward H_target: each step is _GROWTH^2 times the last
+    (the amplitude grows by about _GROWTH), the step that would pass the
+    target lands on it, and a step whose solve diverges is halved.
     """
     ms, _ = numerics.cfg_floats(cfg)
     n = 2 * K - 1
@@ -214,9 +222,37 @@ def orbit_to_jacobi(cfg, eq_xy, H_target: float, K: int, nu: float):
                 raise SeedFailure("level walk stalled near H = %r" % H)
         else:
             if level == H_target:
-                break
+                return z, anchor
             H, step = level, step * _GROWTH ** 2
         level = H_target if (H + step - H_target) * step >= 0.0 else H + step
+
+
+def orbit_to_jacobi(cfg, eq_xy, H_target: float, K: int, nu: float):
+    """Member of the vertical family on a Jacobi level; returns (sol, H).
+
+    The level walk (`_walk_level`) runs at Kw = min(K, _K_WALK).  For K > Kw
+    its orbit is zero-padded to K, the phase anchor is taken afresh at the
+    padded orbit's angle-zero point, and one Newton solve of the level system
+    at K polishes it.  The dropped modes are small enough for that: on the
+    reference orbit the coefficients fall about 3.6x per mode, from
+    |a_12| ~ 7e-8 to |a_23| ~ 1e-14, so the padded guess lies well inside the
+    quadratic basin and the polish takes two Jacobians at K = 24, 40 and 64.
+    The last solve is the orbit; its scalars are real up to rounding, which
+    is dropped.
+    """
+    Kw = min(K, _K_WALK)
+    z, anchor = _walk_level(cfg, eq_xy, H_target, Kw)
+    if K > Kw:
+        pad = K - Kw
+        A = np.pad(z[5:].reshape(9, 2 * Kw - 1), ((0, 0), (pad, pad)))
+        z = np.concatenate([z[:5], A.ravel()])
+        anchor = model.PhaseAnchor.from_u0(A.sum(axis=1).real, cfg)
+        try:
+            z = stages.newton_stage(_level_problem(cfg, K, H_target, anchor), z)
+        except numerics.NewtonDivergence as exc:
+            raise SeedFailure("level polish at K=%d from the K=%d walk diverged: %s"
+                              % (K, Kw, exc)) from exc
+    n = 2 * K - 1
     sol = stages.OrbitSolution(float(z[0].real), K, nu, anchor, z[1:5].real + 0j,
                                z[5:].reshape(9, n).copy())
     return sol, jacobi_mid(cfg, sol.coeffs.sum(axis=1).real)

@@ -64,8 +64,9 @@ block J (only its diagonal depends on s) and the operator part of the
 certificate (`_StageContext.jet_operator`).  With a real lambda_bar every jet
 of order p has s = p lambda_bar, and the jets come level by level, so one
 inverse, one Z0 product and one Z1 serve a whole level.  Block and operator
-are N x N scratch of one `extend_with_jets` call, which drops them when it
-returns; a table keeps its context, and a pickled context leaves them out.
+are N x N scratch of one public call (`start_jet_table`, `jet_problem`,
+`validate_jet`, `extend_with_jets`), which drops them when it returns; a
+table keeps its context, and a pickled context leaves them out.
 
 With jobs = 1 the jet tasks run in process; with jobs > 1 the jets of a
 level run on one process pool per `extend_with_jets` call.  Its initializer
@@ -433,7 +434,7 @@ class _StageContext:
 
     def drop_operators(self):
         """Forget the kept block and jet operator, the context's only N x N
-        arrays; `extend_with_jets` calls this when it returns."""
+        arrays; every public stage call on a table does this when it returns."""
         self._block = self._op = None
 
     def _build_monomials(self):
@@ -582,7 +583,11 @@ def _jet_shift(alpha, lam: complex) -> complex:
 
 def jet_problem(alpha, jet: "JetTable", cfg):
     """Homological stage for a single alpha with |alpha| >= 2 (linear)."""
-    return _layer_problem(_context_for(jet, cfg), _fresh_layer(jet, cfg, alpha))
+    ctx = _context_for(jet, cfg)
+    try:
+        return _layer_problem(ctx, _fresh_layer(jet, cfg, alpha))
+    finally:
+        ctx.drop_operators()
 
 
 def _layer_problem(ctx: _StageContext, layer: "_JetLayer"):
@@ -1414,7 +1419,11 @@ def validate_order1(solution: BundleSolution, jet: "JetTable", cfg) -> Order1Res
 def validate_jet(alpha, jet: "JetTable", cfg) -> JetResult:
     """Certify one homological jet whose center is staged in the table."""
     layer = _fresh_layer(jet, cfg, alpha)
-    return _validate_layer(_context_for(jet, cfg), layer, jet.orders[layer.alpha])
+    ctx = _context_for(jet, cfg)
+    try:
+        return _validate_layer(ctx, layer, jet.orders[layer.alpha])
+    finally:
+        ctx.drop_operators()
 
 
 def _validate_layer(ctx: _StageContext, layer: _JetLayer, centers) -> JetResult:
@@ -1571,23 +1580,27 @@ def start_jet_table(kind: str, sol: OrbitSolution, res: Order0Result, cfg,
     if res.context is not None and res.context[0] is sol and res.context[1] is cfg:
         # the order-0 context of validate_order0 is the one the table needs
         jet.ctx_cache = res.context[1:]
-
-    prob = bundle_problem(jet, cfg)
-    guess = np.concatenate([[complex(lam_guess)],
-                            np.asarray(v_guess, dtype=complex).ravel()])
-    z = newton_stage(prob, guess)
-    bsol = BundleSolution(kind, complex(z[0]),
-                          z[1:].reshape(9, 2 * sol.K - 1).copy(), k0, xi0)
-    jet.lambda_bar = bsol.lam
-    r1 = validate_order1(bsol, jet, cfg)
-    a1 = tuple(FourierSeq.point(row, sol.nu) for row in bsol.coeffs)
-    jet.orders[(1, 0)] = a1
-    jet.orders[(0, 1)] = tuple(s.conj_reflect() for s in a1)
-    jet.radii[(1, 0)] = r1.r1
-    jet.radii[(0, 1)] = r1.r1
-    jet.lambda1 = r1.lambda1
-    jet.certs["order1"] = r1.cert
-    jet.digests["order1"] = content_digest(r1.cert.to_json_obj())
+    try:
+        prob = bundle_problem(jet, cfg)
+        guess = np.concatenate([[complex(lam_guess)],
+                                np.asarray(v_guess, dtype=complex).ravel()])
+        z = newton_stage(prob, guess)
+        bsol = BundleSolution(kind, complex(z[0]),
+                              z[1:].reshape(9, 2 * sol.K - 1).copy(), k0, xi0)
+        jet.lambda_bar = bsol.lam
+        r1 = validate_order1(bsol, jet, cfg)
+        a1 = tuple(FourierSeq.point(row, sol.nu) for row in bsol.coeffs)
+        jet.orders[(1, 0)] = a1
+        jet.orders[(0, 1)] = tuple(s.conj_reflect() for s in a1)
+        jet.radii[(1, 0)] = r1.r1
+        jet.radii[(0, 1)] = r1.r1
+        jet.lambda1 = r1.lambda1
+        jet.certs["order1"] = r1.cert
+        jet.digests["order1"] = content_digest(r1.cert.to_json_obj())
+    finally:
+        # the table keeps its context; the N x N scratch goes now
+        if jet.ctx_cache is not None:
+            jet.ctx_cache[1].drop_operators()
     return jet
 
 

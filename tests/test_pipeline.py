@@ -67,6 +67,14 @@ def test_unfolding_enclosure_contains_zero(run):
         assert enc.contains(0j)
 
 
+def test_unfolding_scalars_are_far_inside_the_radius(run):
+    # y is rounding noise that `validate_order0` must find inside r0; a seed
+    # that brings it near r0 would fail order 0 with UnfoldingNotZero
+    _, res0, _, _ = run
+    sol = res0.context[0]
+    assert np.max(np.abs(sol.y)) <= 1e-3 * res0.r0
+
+
 def test_real_part_of_lambda_excludes_zero(run):
     _, _, _, table = run
     assert table.re_lambda_mig() > 0.0
@@ -177,8 +185,9 @@ def inversions(monkeypatch):
 
 def test_jets_leave_the_operator_work_to_the_context(run, monkeypatch, inversions):
     # counts and sizes, not timings: the jets make no endpoint convolution
-    # and one inverse per shift (2 for the 4 jets), and after the call the
-    # context holds O(N) floats and no N x N array, so it ships small
+    # and one inverse per shift (2 for the 4 jets), and after each public
+    # stage call the context holds O(N) floats and no N x N array, so it
+    # ships small
     cfg, res0, _, table = run
     sol = res0.context[0]
     lam, v = seeding.bundle_guess(cfg, sol, KIND, K0, XI0)
@@ -197,6 +206,7 @@ def test_jets_leave_the_operator_work_to_the_context(run, monkeypatch, inversion
 
     res = stages.validate_order0(sol, cfg)
     start = stages.start_jet_table(KIND, sol, res, cfg, lam, v, K0, XI0, N_T)
+    assert start.ctx_cache[1]._block is None and start.ctx_cache[1]._op is None
     counted(ivarray, "carr_conv_batch")
     inversions.clear()
     again = stages.extend_with_jets(start, cfg)
@@ -206,6 +216,8 @@ def test_jets_leave_the_operator_work_to_the_context(run, monkeypatch, inversion
                                    for a in again.radii if sum(a) >= 2}) == 2
 
     ctx = again.ctx_cache[1]
+    assert stages.validate_jet((2, 1), again, cfg).cert == again.certs["jet:2,1:%s" % KIND]
+    assert ctx._block is None and ctx._op is None
     N = 9 * (2 * ctx.K - 1)
     held = 0
     for value in vars(ctx).values():

@@ -1,9 +1,10 @@
-"""The level walk lands on its Jacobi level with a real orbit, in few solves."""
+"""The level walk lands on its Jacobi level with a real orbit, in few solves,
+and a larger K costs one polish at that K on top of the walk at a small K."""
 
 import numpy as np
 import pytest
 
-from fourbody import model, numerics, seeding
+from fourbody import model, numerics, seeding, stages
 
 
 @pytest.fixture(scope="module")
@@ -19,15 +20,17 @@ def start(cfg):
     return eq, H0
 
 
-def counted_solves(monkeypatch, fail_after=None):
+def counted_solves(monkeypatch, fail_after=None, fail_above=None):
     """The guesses' level rows of the Newton solves; the solves after the
-    first fail_after ones diverge."""
+    first fail_after ones, and those with more than fail_above unknowns,
+    diverge."""
     rows = []
     polish = numerics.newton_polish
 
     def counted(residual, jacobian, x0, tol):
         rows.append(residual(x0)[0])
-        if fail_after is not None and len(rows) > fail_after:
+        if ((fail_after is not None and len(rows) > fail_after)
+                or (fail_above is not None and len(x0) > fail_above)):
             raise numerics.NewtonDivergence("diverged on purpose")
         return polish(residual, jacobian, x0, tol)
 
@@ -65,3 +68,37 @@ def test_diverging_steps_are_halved_down_to_the_floor(cfg, start, monkeypatch):
     steps = -np.array(rows[1:])
     assert len(steps) < 20
     assert np.allclose(steps[1:] / steps[:-1], 0.5, rtol=1e-6)
+
+
+def test_seeding_at_a_large_k_walks_at_a_small_one(cfg, start, monkeypatch):
+    # counts, not timings: at K = 40 the walk's Jacobians are all at K <= 12
+    # and the polish at K = 40 takes at most three; the orbit still solves
+    # the level system at K = 40
+    eq, H0 = start
+    K = 40
+    sizes = []
+    jacobian = stages._orbit_jacobian
+
+    def counted(z, omega, anchor, k, *args, **kwargs):
+        sizes.append(k)
+        return jacobian(z, omega, anchor, k, *args, **kwargs)
+
+    monkeypatch.setattr(stages, "_orbit_jacobian", counted)
+    sol, H = seeding.orbit_to_jacobi(cfg, eq, H0 - 0.3, K, 1.5)
+    assert 1 <= sizes.count(K) <= 3
+    assert all(k <= 12 for k in sizes if k != K)
+    assert abs(H - (H0 - 0.3)) <= 1e-14
+    A = sol.coeffs
+    assert np.max(np.abs(A - np.conj(A[:, ::-1]))) < 1e-13
+    residual, _ = seeding._level_problem(cfg, K, H0 - 0.3, sol.anchor)
+    z = np.concatenate([[sol.omega], sol.y, A.ravel()])
+    assert np.max(np.abs(residual(z))) < stages.NEWTON_TOL
+
+
+def test_diverging_polish_names_both_k(cfg, start, monkeypatch):
+    # the walk at K = 12 succeeds; only the polish at K = 24 diverges
+    eq, H0 = start
+    counted_solves(monkeypatch, fail_above=5 + 9 * (2 * 12 - 1))
+    with pytest.raises(seeding.SeedFailure,
+                       match="level polish at K=24 from the K=12 walk diverged"):
+        seeding.orbit_to_jacobi(cfg, eq, H0 - 0.3, 24, 1.5)
