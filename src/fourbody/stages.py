@@ -40,12 +40,17 @@ Stages:
   the jets with m >= n are solved; a_(n,m) is the conjugate reflection of
   a_(m,n) with the same radius.
 
-Every stage solves its truncated map by Newton's method to the residual
-tolerance NEWTON_TOL and looks for its radius r below the cap R_STAR.
+Orders 0 and 1 solve their truncated maps by Newton's method to the
+residual tolerance NEWTON_TOL (order 0 in `seeding`).  A jet's map is affine,
+so its center is one step from zero with the approximate inverse A of its own
+certificate: z = -A R, for R the window of its right-hand side.  That step
+is one O(N^2) product, taken however small R is; no jet is solved by a
+dense factorization.  Every stage looks for its radius r below the cap
+R_STAR.
 
 The right-hand side of a jet of order p is layer alpha of the field on the
 orders below p: the midpoint-radius evaluation (`_MidRad`) gives both the
-float right-hand side of the Newton solve (its midpoint lane) and the
+float right-hand side of the jet's step (its midpoint lane) and the
 enclosure in the certificate, and a norm/radius evaluation (`_NormRad`)
 bounds how far the radii of the lower orders move it.  `_level_fields` makes
 both once per level, and `_extend` hands each level's evaluation to the
@@ -57,28 +62,32 @@ table, evaluate its level afresh.
 A jet reads its table only through a `_JetLayer`: its layer of the
 remainder field, the budget rho, and a few scalars (lambda_bar, the radii
 of orders 0 and 1, the kind, the order-1 digest).  One task body,
-`_jet_task`, solves and certifies a jet from its layer and the order-0
-context.  The context holds what the operators of all jets share: the
-kernel part of the window defect, and for the last shift s the float window
-block J (only its diagonal depends on s) and the operator part of the
-certificate (`_StageContext.jet_operator`).  With a real lambda_bar every jet
-of order p has s = p lambda_bar, and the jets come level by level, so one
-inverse, one Z0 product and one Z1 serve a whole level.  Block and operator
-are N x N scratch of one public call (`start_jet_table`, `jet_problem`,
-`validate_jet`, `extend_with_jets`), which drops them when it returns; a
-table keeps its context, and a pickled context leaves them out.
+`_jet_task`, solves and certifies a jet from its layer, the order-0 context
+and the operator part of its certificate.  The context holds what the
+operators of all jets share: the kernel part of the window defect, and for
+the last shift s the float window block J (only its diagonal depends on s)
+and the operator part of the certificate (`_StageContext.jet_operator`).
+With a real lambda_bar every jet of order p has s = p lambda_bar, and the
+jets come level by level, so one inverse, one Z0 product and one Z1 serve a
+whole level.  Block and operator are N x N scratch of one public call
+(`start_jet_table`, `jet_problem`, `validate_jet`, `extend_with_jets`),
+which drops them when it returns; a table keeps its context, and a pickled
+context leaves them out.
 
 With jobs = 1 the jet tasks run in process; with jobs > 1 the jets of a
 level run on one process pool per `extend_with_jets` call.  Its initializer
-hands each worker the order-0 context once (a worker keeps its own block
-and operator), the parent evaluates each level's remainder fields once, as
-jobs = 1 does, and each task carries only its layer.  Results are applied in
-the fixed level order, so both paths give the same table bit for bit.  That
-promise holds only while the workers run the parent's BLAS thread count: the
-float centers (a dense inverse, for one) round differently with another
-count, and the digests move with them.  Forked workers (the default on
-Linux) inherit the count; a worker started fresh reads it from the
-environment, so a count the parent sets while it runs does not reach it.
+hands each worker the order-0 context once.  The parent evaluates each
+level's remainder fields and builds each shift's operator, as jobs = 1
+does, and each task carries its layer and its operator.  A worker inverts
+and factors nothing: it makes the jet's step and its certificate, O(N^2)
+products and the enclosures of the jet's own part.  Results are applied in
+the fixed level order, so both paths give the same table bit for bit.
+Every dense inverse and N^3 product is the parent's, so that promise rests
+only on a worker's matrix-vector products rounding as the parent's do.
+With OpenBLAS 0.3.31, workers held to one BLAS thread under a parent with
+two gave the digests of jobs = 1 at K = 24 (N_t = 6 and 8) and K = 40
+(N_t = 4).  The digests themselves still depend on the parent's thread
+count, through its inverses.
 
 The jet table collects centers, radii, eigenvalue enclosures, and the
 certificates with a digest chain binding each stage to its predecessors.
@@ -134,7 +143,8 @@ __all__ = [
 
 # the largest radius any stage certificate may use
 R_STAR = 1e-2
-# residual tolerance of the Newton solve of every stage
+# residual tolerance of the Newton solves of order 0 (in seeding) and order 1;
+# the jets are affine and take one step with their certificate's inverse
 NEWTON_TOL = 1e-13
 
 
@@ -388,7 +398,8 @@ class _StageContext:
         self._op = None
 
     def __getstate__(self):
-        # a pool worker builds its own block and operator
+        # a pool worker gets each jet's operator with its task and builds no
+        # block or operator; the kept ones are N x N scratch of one call
         state = dict(vars(self))
         state["_block"] = state["_op"] = None
         return state
@@ -396,7 +407,7 @@ class _StageContext:
     def window_block(self, s: complex) -> np.ndarray:
         """Float window block of h -> DF0 h - i omega k h - s h.
 
-        The last block is kept until `drop_operators`: a stage's Newton
+        The last block is kept until `drop_operators`: the bundle's Newton
         solve and its certificate ask for the same s one after the other, and
         so do the jets of one level when lambda_bar is real.  Only the
         diagonal depends on s, so a new s copies the kept block and rewrites
@@ -582,23 +593,27 @@ def _jet_shift(alpha, lam: complex) -> complex:
 
 
 def jet_problem(alpha, jet: "JetTable", cfg):
-    """Homological stage for a single alpha with |alpha| >= 2 (linear)."""
+    """Homological stage for a single alpha with |alpha| >= 2 (linear).
+
+    The jets of a table are not solved with it: each takes one step with the
+    inverse of its certificate (`_jet_task`), and this residual measures the
+    step."""
     ctx = _context_for(jet, cfg)
     try:
-        return _layer_problem(ctx, _fresh_layer(jet, cfg, alpha))
+        layer = _fresh_layer(jet, cfg, alpha)
+        base = ctx.window_block(layer.shift)
     finally:
         ctx.drop_operators()
+    Rwin = _layer_rhs(layer, ctx.K)
+    return (lambda z: base @ z + Rwin), (lambda z: base)
 
 
-def _layer_problem(ctx: _StageContext, layer: "_JetLayer"):
-    """The jet's problem; its right-hand side is the midpoint lane of the
-    remainder enclosure that the certificate of the jet reads."""
-    K = ctx.K
-    base = ctx.window_block(_jet_shift(layer.alpha, layer.lambda_bar))
-    Rwin = np.array([np.zeros(2 * K - 1, dtype=complex) if d is None
+def _layer_rhs(layer: "_JetLayer", K: int) -> np.ndarray:
+    """The window of the jet's right-hand side, packed: the midpoint lane of
+    the remainder enclosure that the certificate of the jet reads."""
+    return np.array([np.zeros(2 * K - 1, dtype=complex) if d is None
                      else numerics.crop(d[0], K)
                      for d in layer.discs]).ravel()
-    return (lambda z: base @ z + Rwin), (lambda z: base)
 
 
 # ---------------------------------------------------------------------------
@@ -977,7 +992,7 @@ def _assemble_jet(layer: "_JetLayer", centers, ctx: _StageContext) -> _Assembled
     m_, n_ = layer.alpha
     p = m_ + n_
     lam = layer.lambda_bar
-    s = _jet_shift((m_, n_), lam)
+    s = layer.shift
 
     for row in centers:
         if not row.is_point():
@@ -1258,6 +1273,10 @@ class _JetLayer(NamedTuple):
     kind: str
     prev: str          # digest of the order-1 certificate
 
+    @property
+    def shift(self) -> complex:
+        return _jet_shift(self.alpha, self.lambda_bar)
+
 
 def _jet_layer(jet: "JetTable", fields, alpha) -> _JetLayer:
     """The `_JetLayer` of jet alpha, read from its level's `_level_fields`."""
@@ -1421,14 +1440,15 @@ def validate_jet(alpha, jet: "JetTable", cfg) -> JetResult:
     layer = _fresh_layer(jet, cfg, alpha)
     ctx = _context_for(jet, cfg)
     try:
-        return _validate_layer(ctx, layer, jet.orders[layer.alpha])
+        return _validate_layer(ctx, layer, jet.orders[layer.alpha],
+                               ctx.jet_operator(layer.shift))
     finally:
         ctx.drop_operators()
 
 
-def _validate_layer(ctx: _StageContext, layer: _JetLayer, centers) -> JetResult:
+def _validate_layer(ctx: _StageContext, layer: _JetLayer, centers,
+                    op: _Operator) -> JetResult:
     asm = _assemble_jet(layer, centers, ctx)
-    op = ctx.jet_operator(_jet_shift(layer.alpha, layer.lambda_bar))
     cert, report = _certify(op, asm, inputs_digest(layer.alpha, layer.kind, layer.prev,
                                                    centers))
     balls = tuple(BallElement(sq, cert.r0) for sq in centers)
@@ -1609,13 +1629,19 @@ def _level_alphas(p: int):
     return [(m, p - m) for m in range(p, (p - 1) // 2, -1)]
 
 
-def _jet_task(ctx: _StageContext, layer: _JetLayer) -> JetResult:
-    """Solve and certify one jet: the body of every jet task, run in process
-    when jobs = 1 and in a pool worker otherwise."""
+def _jet_task(ctx: _StageContext, layer: _JetLayer, op: _Operator) -> JetResult:
+    """Solve and certify one jet with `op`, the operator part of its
+    certificate: the body of every jet task, run in process when jobs = 1
+    and in a pool worker otherwise.
+
+    The jet's map is affine, so its center is one step from zero with the
+    certificate's inverse, z = -Jhat R on the window.  Nothing here inverts
+    or factors a matrix: the step and the certificate are O(N^2).
+    """
     n = 2 * ctx.K - 1
-    z = newton_stage(_layer_problem(ctx, layer), np.zeros(9 * n, dtype=complex))
+    z = -(op.Jhat @ _layer_rhs(layer, ctx.K))
     centers = tuple(FourierSeq.point(row, ctx.nu) for row in z.reshape(9, n))
-    return _validate_layer(ctx, layer, centers)
+    return _validate_layer(ctx, layer, centers, op)
 
 
 # the order-0 context of a pool worker, handed over by `_init_worker`
@@ -1627,8 +1653,8 @@ def _init_worker(ctx: _StageContext):
     _worker_ctx = ctx
 
 
-def _pool_task(layer: _JetLayer) -> JetResult:
-    return _jet_task(_worker_ctx, layer)
+def _pool_task(layer: _JetLayer, op: _Operator) -> JetResult:
+    return _jet_task(_worker_ctx, layer, op)
 
 
 def _jet_pool(jet: JetTable, cfg, jobs: int):
@@ -1637,7 +1663,7 @@ def _jet_pool(jet: JetTable, cfg, jobs: int):
 
     Its initializer gives each worker the table's order-0 context (which
     holds cfg) once; a rescale keeps order 0, so the pool serves the retry
-    too.
+    too.  The operators are the parent's, and reach a worker with its tasks.
     """
     if jobs <= 1 or jet.N_t < 2:
         return contextlib.nullcontext()
@@ -1651,16 +1677,19 @@ def _jet_pool(jet: JetTable, cfg, jobs: int):
 def _level_parallel(jet: "JetTable", cfg, layers, pool):
     """Run one level's independent jets on the pool of `extend_with_jets`.
 
-    The pool's workers hold the order-0 context from its initializer, and
-    each task carries only its own `_JetLayer`: no table is sent and no
-    worker evaluates the field.  Results come back in the fixed level order,
-    so the outcome matches the sequential path bit for bit, provided the
-    workers run the parent's BLAS thread count (see the module docstring).
-    When a task raises, the tasks of the level that have not started are
-    dropped.  The table and cfg are not read here; the benchmark's tracer
-    reads the table and the number of tasks from the arguments.
+    The pool's workers hold the order-0 context from its initializer.  The
+    parent builds the operator of each shift here, once, as the sequential
+    path does, and each task carries its own `_JetLayer` and that operator:
+    no table is sent, and no worker evaluates the field or inverts a
+    matrix.  Results come back in the fixed level order, so the outcome
+    matches the sequential path bit for bit (see the module docstring for
+    what that rests on).  When a task raises, the tasks of the level that
+    have not started are dropped.  The benchmark's tracer reads the table
+    and the number of tasks from the arguments.
     """
-    futs = [pool.submit(_pool_task, layer) for layer in layers]
+    ctx = _context_for(jet, cfg)
+    futs = [pool.submit(_pool_task, layer, ctx.jet_operator(layer.shift))
+            for layer in layers]
     try:
         return [f.result() for f in futs]
     finally:
@@ -1681,7 +1710,8 @@ def _extend(jet: JetTable, cfg, pool) -> JetTable:
             results = _level_parallel(jet, cfg, layers, pool)
         else:
             ctx = _context_for(jet, cfg)
-            results = [_jet_task(ctx, layer) for layer in layers]
+            results = [_jet_task(ctx, layer, ctx.jet_operator(layer.shift))
+                       for layer in layers]
         for res in results:
             alpha = res.alpha
             centers = tuple(b.center for b in res.balls)

@@ -13,6 +13,7 @@ import os
 import pickle
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -175,19 +176,55 @@ def test_report_splits_z1(run):
 
 
 @pytest.fixture
-def inversions(monkeypatch):
-    """The orders of the matrices `np.linalg.inv` inverts while the test runs."""
-    inv = np.linalg.inv
-    made = []
-    monkeypatch.setattr(np.linalg, "inv", lambda a: made.append(a.shape[-1]) or inv(a))
-    return made
+def dense_calls(monkeypatch, tmp_path):
+    """The `np.linalg.inv` and `np.linalg.solve` calls made while the test
+    runs, pool workers included: forked workers inherit the patch, and each
+    call appends a line to a file.  Gives a function that reads the calls
+    so far as (name, process id) pairs, those of one name when given."""
+    log = tmp_path / "dense_calls"
+    log.touch()
+
+    def logged(name, fn):
+        def call(*args, **kwargs):
+            with open(log, "a") as out:
+                out.write("%s %d\n" % (name, os.getpid()))
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("inv", "solve"):
+        monkeypatch.setattr(np.linalg, name, logged(name, getattr(np.linalg, name)))
+
+    def calls(name=None):
+        rows = (line.split() for line in log.read_text().splitlines())
+        return [(n, int(pid)) for n, pid in rows if name in (None, n)]
+    return calls
 
 
-def test_jets_leave_the_operator_work_to_the_context(run, monkeypatch, inversions):
-    # counts and sizes, not timings: the jets make no endpoint convolution
-    # and one inverse per shift (2 for the 4 jets), and after each public
-    # stage call the context holds O(N) floats and no N x N array, so it
-    # ships small
+def _held_bytes(obj, seen) -> int:
+    """Bytes of the numpy arrays obj holds, through lists, tuples, dicts and
+    the attributes of fourbody objects; an array held twice counts once."""
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, dict):
+        items = list(obj.values())
+    elif isinstance(obj, (list, tuple)):
+        items = list(obj)
+    elif type(obj).__module__.startswith("fourbody"):
+        items = [getattr(obj, k) for k in getattr(obj, "__slots__", ()) if hasattr(obj, k)]
+        items += list(getattr(obj, "__dict__", {}).values())
+    else:
+        return 0
+    return sum(_held_bytes(item, seen) for item in items)
+
+
+def test_jets_leave_the_operator_work_to_the_context(run, monkeypatch):
+    # counts and sizes, not timings: the jets make no endpoint convolution,
+    # after each public stage call the context holds O(N) floats and no
+    # N x N array, so it ships small, and a pool task is its layer and one
+    # N x N operator (the inverses are counted by the next test)
     cfg, res0, _, table = run
     sol = res0.context[0]
     lam, v = seeding.bundle_guess(cfg, sol, KIND, K0, XI0)
@@ -208,27 +245,65 @@ def test_jets_leave_the_operator_work_to_the_context(run, monkeypatch, inversion
     start = stages.start_jet_table(KIND, sol, res, cfg, lam, v, K0, XI0, N_T)
     assert start.ctx_cache[1]._block is None and start.ctx_cache[1]._op is None
     counted(ivarray, "carr_conv_batch")
-    inversions.clear()
     again = stages.extend_with_jets(start, cfg)
     assert again.digest() == table.digest()
     assert calls == {"carr_conv_batch": 0}
-    assert len(inversions) == len({stages._jet_shift(a, again.lambda_bar)
-                                   for a in again.radii if sum(a) >= 2}) == 2
 
     ctx = again.ctx_cache[1]
     assert stages.validate_jet((2, 1), again, cfg).cert == again.certs["jet:2,1:%s" % KIND]
     assert ctx._block is None and ctx._op is None
     N = 9 * (2 * ctx.K - 1)
-    held = 0
-    for value in vars(ctx).values():
-        for item in (value if isinstance(value, (tuple, list)) else (value,)):
-            if isinstance(item, np.ndarray):
-                held += item.nbytes
-    assert held <= 8 * 5 * N
+    # all of it, the kernels of df0 and the nested lists included: 140.6 N
+    # floats at K = 24, the 13.1 N of kmags among them
+    assert _held_bytes(ctx, set()) <= 8 * 141 * N
     assert len(pickle.dumps(ctx)) < 10 ** 6
+    layer = stages._fresh_layer(again, cfg, (3, 0))
+    try:
+        task = pickle.dumps((layer, ctx.jet_operator(layer.shift)))
+    finally:
+        ctx.drop_operators()
+    # an N x N complex inverse and 82 N bytes besides at K = 24
+    assert 16 * N * N < len(task) <= 16 * N * N + 100 * N
 
 
-def test_kept_jet_operator_is_never_stale(run, inversions):
+def test_no_dense_solve_or_inverse_in_a_worker(run, pools, dense_calls):
+    # counts, not timings: a jet takes its step with its certificate's
+    # inverse, so the jets make no solve, and the parent makes the one
+    # inverse of each distinct shift (2 for the 4 jets) and sends it with
+    # the tasks
+    cfg, _, start, table = run
+    shifts = {stages._jet_shift(a, table.lambda_bar) for a in table.radii if sum(a) >= 2}
+    parent = os.getpid()
+    for jobs in (1, 2):
+        before = len(dense_calls())
+        again = stages.extend_with_jets(stages.rescale_jets(start, 1.0), cfg, jobs=jobs)
+        assert again.digest() == table.digest()
+        assert dense_calls()[before:] == [("inv", parent)] * len(shifts), jobs
+    assert len(shifts) == 2 and len(pools) == 1
+
+
+def test_no_jet_keeps_the_zero_guess(run):
+    # the jets of the benchmark's pool workload (N_t = 6, jobs = 2): every
+    # solved jet took its step, none kept the zero guess, every center
+    # solves its truncated problem far below NEWTON_TOL, and jobs = 1 gives
+    # the same table
+    cfg, _, start, _ = run
+    arg = replace(stages.rescale_jets(start, 1.0), N_t=6)
+    table = stages.extend_with_jets(arg, cfg, jobs=2)
+    assert table.complete() and table.gamma_scale == 1.0
+    solved = [a for a in table.orders if sum(a) >= 2 and a[0] >= a[1]]
+    assert len(solved) == 14
+    worst = 0.0
+    for alpha in solved:
+        z = np.concatenate([seq.c.mid() for seq in table.orders[alpha]])
+        assert np.any(z != 0), alpha
+        residual, _ = stages.jet_problem(alpha, table, cfg)
+        worst = max(worst, float(np.abs(residual(z)).max()))
+    assert worst <= 1e-16
+    assert stages.extend_with_jets(arg, cfg, jobs=1).digest() == table.digest()
+
+
+def test_kept_jet_operator_is_never_stale(run, dense_calls):
     # one context visits the jets out of order and repeats a shift: each
     # jet's certificate and report equal, bit for bit, those of a fresh
     # context per jet and the table's, and the context inverts only when
@@ -242,10 +317,11 @@ def test_kept_jet_operator_is_never_stale(run, inversions):
     kept = context()
     for alpha in [(3, 0), (1, 1), (2, 0), (3, 0), (2, 1)]:
         layer = stages._fresh_layer(table, cfg, alpha)
-        before = len(inversions)
-        res = stages._jet_task(kept, layer)
-        again = len(inversions) - before
-        fresh = stages._jet_task(context(), layer)
+        before = len(dense_calls("inv"))
+        res = stages._jet_task(kept, layer, kept.jet_operator(layer.shift))
+        again = len(dense_calls("inv")) - before
+        ctx = context()
+        fresh = stages._jet_task(ctx, layer, ctx.jet_operator(layer.shift))
         assert res.cert.to_json_obj() == fresh.cert.to_json_obj(), alpha
         assert json.dumps(res.bounds) == json.dumps(fresh.bounds), alpha
         assert res.cert == table.certs[res.cert.stage], alpha
