@@ -18,9 +18,12 @@ Two representations are used:
   (mid complex128, rad float64) where rad bounds the complex modulus of
   the error (disc enclosure).  Products use the standard
   floating-point gemm error bound; the inflation constants below are
-  deliberately generous.  cconv_mr and mr_add carry the jets: the
-  remainder fields and `model.DF0.apply`.  CArr.from_disc turns discs back
-  into endpoint boxes.
+  deliberately generous.  cconv_mr_sum carries the jets' remainder fields:
+  it folds a sum of convolutions in one pass, with midpoints bit for bit
+  those of one cconv_mr per pair summed by mr_add, and a radius that
+  prepares each operand (`Disc`) once and takes one or two real
+  convolutions per pair.  cconv_mr, its one-pair case, and mr_add carry
+  `model.DF0.apply`.  CArr.from_disc turns discs back into endpoint boxes.
 
 The scalar module (interval.py) is the reference semantics; tests compare
 these kernels against it entry by entry.
@@ -246,11 +249,14 @@ class CArr:
         return 0.5 * (self.rl + self.rh) + 1j * 0.5 * (self.il + self.ih)
 
     def rad(self):
-        """Entrywise upper bound on the complex-modulus radius around mid()."""
+        """Entrywise upper bound on the complex-modulus radius around mid();
+        exactly 0 on a point box, whose midpoint is exact."""
         m = self.mid()
         rr = np.maximum(_up(self.rh - m.real), _up(m.real - self.rl))
         ri = np.maximum(_up(self.ih - m.imag), _up(m.imag - self.il))
-        return _up(np.sqrt(_up(_up(rr * rr) + _up(ri * ri))))
+        out = _up(np.sqrt(_up(_up(rr * rr) + _up(ri * ri))))
+        out[(self.rl == self.rh) & (self.il == self.ih)] = 0.0
+        return out
 
     def contains(self, z) -> bool:
         z = np.asarray(z, dtype=complex)
@@ -426,31 +432,101 @@ def conv_up_nonneg(a, b):
     return p * _up_factor(n) + _ETA * n
 
 
-def cconv_mr(am, ar, bm, br):
-    """Complex disc midpoint-radius enclosure of the full convolution.
+class Disc:
+    """A disc array (midpoint m, radius lane r) prepared as an operand of
+    `cconv_mr_sum`, once for all the pairs it enters.
 
-    Each output coefficient is a dot product of length <= min(len a, len b),
-    so the same gemm-style constants as cmm apply (doubled for complex).
+    mag is |m| (1 + 4u); r is None where the radius lane is exactly zero.
+    The bracketed lanes of the fold, up(g mag + r) for each gemm constant g
+    and up(mag + r), are made on first use and kept with the operand; an
+    entry that is the point zero stays exactly 0 in both.
     """
-    am = np.asarray(am, dtype=complex)
-    bm = np.asarray(bm, dtype=complex)
-    n = min(am.size, bm.size)
-    g = 2.0 * _gemm_gamma(n)
-    cm = np.convolve(am, bm)
-    absa = np.abs(am) * (1.0 + 4.0 * _U)
-    absb = np.abs(bm) * (1.0 + 4.0 * _U)
-    p = np.convolve(absa, absb)
-    cr = g * p
-    if ar is not None or br is not None:
-        if ar is None:
-            ar = np.zeros(am.shape)
-        if br is None:
-            br = np.zeros(bm.shape)
-        cr = cr + np.convolve(absa, br) + np.convolve(ar, absb) + np.convolve(ar, br)
-    cr = cr * _up_factor(n) + _ETA * n
-    if not (np.isfinite(cm).all() and np.isfinite(cr).all()):
+
+    __slots__ = ("m", "mag", "r", "_lanes", "_outer")
+
+    def __init__(self, m, r):
+        self.m = np.asarray(m, dtype=complex)
+        self.mag = np.abs(self.m) * (1.0 + 4.0 * _U)
+        self.r = None if r is None or not np.any(r) else np.asarray(r, dtype=float)
+        self._lanes = {}
+        self._outer = None
+
+    def lane(self, g: float):
+        """up(g |m| + r), elementwise; exactly 0 on a point zero."""
+        out = self._lanes.get(g)
+        if out is None:
+            if self.r is None:
+                out = zero_masked_up(g * self.mag, self.mag)
+            else:
+                out = zero_masked_up(g * self.mag + self.r, self.mag + self.r)
+            self._lanes[g] = out
+        return out
+
+    def outer(self):
+        """up(|m| + r), elementwise (r is not None); exactly 0 on a point zero."""
+        if self._outer is None:
+            s = self.mag + self.r
+            self._outer = zero_masked_up(s, s)
+        return self._outer
+
+
+def cconv_mr_sum(pairs):
+    """Complex disc enclosure [mid, rad] of sum_k a_k * b_k, the full
+    convolutions of `pairs`, a list of (Disc, Disc), centred on the longest.
+
+    The midpoint is the one the chain cconv_mr + mr_add gives when it folds
+    the pairs in their order, bit for bit: a single pair's np.convolve as it
+    is, and otherwise each convolution added into one accumulator of zeros.
+    The radius of pair k is |a|(g |b| + r_b) + r_a (|b| + r_b), which is the
+    gemm bound g |a||b| (g = 2 gamma(n), n the shorter length, doubled for
+    complex) plus |a| r_b + r_a |b| + r_a r_b, with the bracketed lanes
+    rounded up: one real convolution when either radius lane is exactly
+    zero, two otherwise.  Each addition after the first adds 2^-52 |partial
+    sum| for the rounding of the midpoint sum, as mr_add does.  Every term
+    is nonnegative and passes at most n_max + 3P roundings in the sum (P
+    pairs), so one factor _up_factor(n_max + 3P) covers them all, and each
+    pair adds the underflow slack _ETA n over its own output range.
+    """
+    P = len(pairs)
+    L = max(len(a.m) + len(b.m) - 1 for a, b in pairs)
+    single = P == 1
+    zm = None if single else np.zeros(L, dtype=complex)
+    zr = np.zeros(L)
+    partial = 0.0 if single else np.zeros(L)
+    nmax = 0
+    reach = {}   # output length -> the sum of n over the pairs of that length
+    for k, (a, b) in enumerate(pairs):
+        n = min(len(a.m), len(b.m))
+        nmax = max(nmax, n)
+        g = 2.0 * _gemm_gamma(n)
+        pm = np.convolve(a.m, b.m)
+        reach[len(pm)] = reach.get(len(pm), 0) + n
+        sl = slice((L - len(pm)) // 2, (L + len(pm)) // 2)
+        if a.r is None:
+            zr[sl] += np.convolve(a.mag, b.lane(g))
+        elif b.r is None:
+            zr[sl] += np.convolve(a.lane(g), b.mag)
+        else:
+            zr[sl] += np.convolve(a.mag, b.lane(g)) + np.convolve(a.r, b.outer())
+        if single:
+            zm = pm
+            continue
+        zm[sl] += pm
+        if k:
+            partial += np.abs(zm)
+    eta = np.zeros(L)
+    for lp, n in reach.items():
+        eta[(L - lp) // 2:(L + lp) // 2] += n
+    cr = (zr + partial * 2.0**-52) * _up_factor(nmax + 3 * P) + _ETA * eta
+    if not (np.isfinite(zm).all() and np.isfinite(cr).all()):
         raise IntervalDomainError("overflow in interval convolution")
-    return cm, cr
+    return [zm, cr]
+
+
+def cconv_mr(am, ar, bm, br):
+    """Complex disc midpoint-radius enclosure of the full convolution:
+    `cconv_mr_sum` of the one pair, a None radius lane read as zero."""
+    return cconv_mr_sum([(Disc(am, ar), Disc(bm, br))])
 
 
 def mr_add(qm, qr, vm, vr):

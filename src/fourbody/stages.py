@@ -104,7 +104,8 @@ import numpy as np
 from .interval import ComplexInterval, Interval, _as_iv, _next
 from .ivarray import (
     CArr,
-    cconv_mr,
+    Disc,
+    cconv_mr_sum,
     cmat_abs_up,
     cmm,
     conv_up_nonneg,
@@ -1035,7 +1036,9 @@ def _cauchy_terms(b, c, alpha):
     beta runs in lexicographic order, so a layer is the same fold whichever
     other layers are computed with it.  It is also the order in which
     `numerics.ft_conv_grid` meets the contributions on sorted lower-order
-    grids, so the midpoint lane repeats the float lane's operations.
+    grids, so the midpoint lane of `_MidRad`'s one-pass fold repeats the
+    float lane's operations.  b and c may hold any per-layer values: the
+    `Disc` operands of `_MidRad` or the (N, r) pairs of `_NormRad`.
     """
     m, n = alpha
     return [(b[beta], c[(m - beta[0], n - beta[1])]) for beta in sorted(b)
@@ -1045,21 +1048,25 @@ def _cauchy_terms(b, c, alpha):
 class _ByLayer:
     """An arithmetic whose Cauchy product is made one layer at a time.
 
-    Subclasses give `product_layer(b, c, alpha)`, the fold of the pairs of
-    `_cauchy_terms`, and `entry(seq, radius)`, the grid value of one
-    lower-order center and its radius.
+    Subclasses give `product_layers(b, c, alphas)`, the layers alphas of
+    b*c, each the fold of the pairs of `_cauchy_terms`, and
+    `entry(seq, radius)`, the grid value of one lower-order center and its
+    radius.
     """
 
     truncate = staticmethod(numerics.ft_truncate)
 
     def mul(self, b, c, cap):
-        return {g: self.product_layer(b, c, g) for g in _product_keys(b, c, cap)}
+        return self.product_layers(b, c, _product_keys(b, c, cap))
 
 
 class _MidRad(_ByLayer):
     """Midpoint-radius grids (m, n) -> [mid, rad] for `model.embedded_field`.
 
     Each radius bounds the complex modulus of the error of its coefficient.
+    A product layer is one `ivarray.cconv_mr_sum` over its Cauchy pairs; a
+    table centre is a point, so its radius lane is exactly zero and its
+    pairs take one real convolution for the radius.
     """
 
     def __init__(self, cfg):
@@ -1072,12 +1079,13 @@ class _MidRad(_ByLayer):
         return [seq.c.mid(), seq.c.rad()]
 
     @staticmethod
-    def product_layer(b, c, alpha):
-        out = None
-        for (vm1, vr1), (vm2, vr2) in _cauchy_terms(b, c, alpha):
-            pm, pr = cconv_mr(vm1, vr1, vm2, vr2)
-            out = [pm, pr] if out is None else mr_add(*out, pm, pr)
-        return out
+    def product_layers(b, c, alphas):
+        """Each layer one `cconv_mr_sum` over its pairs; every factor layer
+        becomes a `Disc` once, so its magnitudes and lanes serve all the
+        pairs of the node."""
+        fb = {beta: Disc(*v) for beta, v in b.items()}
+        fc = fb if c is b else {beta: Disc(*v) for beta, v in c.items()}
+        return {g: cconv_mr_sum(_cauchy_terms(fb, fc, g)) for g in alphas}
 
     @staticmethod
     def sum(*grids):
@@ -1142,13 +1150,16 @@ class _NormRad(_ByLayer):
         return (seq.norm_upper(), radius)
 
     @staticmethod
-    def product_layer(b, c, alpha):
-        Nacc, racc = 0.0, 0.0
-        for (N1, r1), (N2, r2) in _cauchy_terms(b, c, alpha):
-            Np = _next(N1 * N2)
-            rp = _next(_next(_next(N1 * r2) + _next(r1 * N2)) + _next(r1 * r2))
-            Nacc, racc = _next(Nacc + Np), _next(racc + rp)
-        return (Nacc, racc)
+    def product_layers(b, c, alphas):
+        out = {}
+        for g in alphas:
+            Nacc, racc = 0.0, 0.0
+            for (N1, r1), (N2, r2) in _cauchy_terms(b, c, g):
+                Np = _next(N1 * N2)
+                rp = _next(_next(_next(N1 * r2) + _next(r1 * N2)) + _next(r1 * r2))
+                Nacc, racc = _next(Nacc + Np), _next(racc + rp)
+            out[g] = (Nacc, racc)
+        return out
 
     @staticmethod
     def sum(*grids):
@@ -1185,9 +1196,11 @@ class _Incremental:
     below `keep` are taken from `old` (one dict per node, from an evaluation
     on the same lower orders), the layers keep..order-1 are computed in
     full, and of the order-`order` layers only the jets the level solves:
-    layer alpha of a product reads no other layer of its own order.
-    `nodes` collects each node's layers below `order`, all complete.  Every
-    operation but `mul` is the base arithmetic's.
+    layer alpha of a product reads no other layer of its own order.  The
+    layers a node computes go to the base's `product_layers` in one call, so
+    it prepares each factor layer once for all of them.  `nodes` collects
+    each node's layers below `order`, all complete.  Every operation but
+    `mul` is the base arithmetic's.
     """
 
     def __init__(self, base, order: int, old, keep: int):
@@ -1203,15 +1216,19 @@ class _Incremental:
 
     def mul(self, b, c, cap):
         old = self.old[len(self.nodes)] if self.keep else None
+        keys = _product_keys(b, c, cap)
+        made = self.base.product_layers(b, c, [
+            g for g in keys
+            if self.keep <= g[0] + g[1] and (g[0] + g[1] < self.order or g in self.top)])
         out, done = {}, {}
-        for g in _product_keys(b, c, cap):
+        for g in keys:
             p = g[0] + g[1]
             if p < self.keep:
                 out[g] = done[g] = old[g]
-            elif p < self.order:
-                out[g] = done[g] = self.base.product_layer(b, c, g)
-            elif g in self.top:
-                out[g] = self.base.product_layer(b, c, g)
+            elif g in made:
+                out[g] = made[g]
+                if p < self.order:
+                    done[g] = made[g]
         self.nodes.append(done)
         return out
 

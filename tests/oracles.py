@@ -4,7 +4,10 @@ The rational oracles work over fractions.Fraction, so their results are
 exact and make no reference to the code under test.  Complex rationals are
 (re, im) Fraction pairs.  `carr_conv_reference` is the plain
 per-coefficient loop of the endpoint interval convolution, the bit-level
-definition the batched kernel must reproduce.  `field_F_seq`, `dF0_apply`
+definition the batched kernel must reproduce.  `cconv_mr_chain` is the
+midpoint-radius Cauchy fold as one `cconv_mr` per pair summed with
+`mr_add`, the reference of the one-pass fold `ivarray.cconv_mr_sum`: its
+midpoints must be equal bit for bit, its radii no looser.  `field_F_seq`, `dF0_apply`
 and `remainder_Ralpha` are per-layer views of the interval field map that
 the model tests check against each other.  `orbit_enclosure`,
 `bundle_enclosure` and `base_enclosure` enclose the window block of
@@ -22,7 +25,7 @@ import numpy as np
 
 from fourbody import numerics
 from fourbody.interval import ComplexInterval, Interval, add_down, add_up
-from fourbody.ivarray import CArr, ri_add, _dn, _up
+from fourbody.ivarray import CArr, mr_add, ri_add, _ETA, _U, _dn, _gemm_gamma, _up, _up_factor
 from fourbody.model import _mode_sum, dF0, field_F_grid
 from fourbody.seqspace import FourierSeq, conv, project
 
@@ -161,6 +164,35 @@ def carr_conv_reference(a: CArr, b: CArr) -> CArr:
         ilo, ihi = ri_add(out.il[seg], out.ih[seg], term.il, term.ih)
         out.rl[seg], out.rh[seg] = rlo, rhi
         out.il[seg], out.ih[seg] = ilo, ihi
+    return out
+
+
+def cconv_mr_pair(am, ar, bm, br):
+    """Disc enclosure of one full convolution, five convolutions: the
+    midpoint, g |a| |b| and, with any radius lane, |a| r_b + r_a |b| + r_a r_b
+    (a None lane read as zero); one _up_factor(n) and _ETA n per pair."""
+    am = np.asarray(am, dtype=complex)
+    bm = np.asarray(bm, dtype=complex)
+    n = min(am.size, bm.size)
+    g = 2.0 * _gemm_gamma(n)
+    cm = np.convolve(am, bm)
+    absa = np.abs(am) * (1.0 + 4.0 * _U)
+    absb = np.abs(bm) * (1.0 + 4.0 * _U)
+    cr = g * np.convolve(absa, absb)
+    if ar is not None or br is not None:
+        ar = np.zeros(am.shape) if ar is None else ar
+        br = np.zeros(bm.shape) if br is None else br
+        cr = cr + np.convolve(absa, br) + np.convolve(ar, absb) + np.convolve(ar, br)
+    return cm, cr * _up_factor(n) + _ETA * n
+
+
+def cconv_mr_chain(pairs):
+    """[mid, rad] of sum_k a_k * b_k for pairs ((am, ar), (bm, br)): each
+    pair by `cconv_mr_pair`, the products summed in order with `mr_add`."""
+    out = None
+    for (am, ar), (bm, br) in pairs:
+        pm, pr = cconv_mr_pair(am, ar, bm, br)
+        out = [pm, pr] if out is None else mr_add(*out, pm, pr)
     return out
 
 

@@ -10,14 +10,18 @@ from hypothesis import strategies as st
 from fourbody.interval import ComplexInterval, IntervalDomainError
 from fourbody.ivarray import (
     CArr,
+    Disc,
     carr_conv,
     carr_conv_batch,
+    cconv_mr,
+    cconv_mr_sum,
     cmat_abs_up,
     cmm,
     mm_up_nonneg,
     up_sum,
 )
-from oracles import carr_conv_reference, conv_exact, widen
+from fourbody.seqspace import FourierSeq
+from oracles import carr_conv_reference, cconv_mr_chain, conv_exact, cq_add, widen
 
 rng = np.random.default_rng(20260814)
 
@@ -83,6 +87,71 @@ def test_carr_conv_widths_stay_small():
     r = carr_conv(a, b)
     rad = r.rad()
     assert rad.max() < 1e-10
+
+
+def test_point_box_has_zero_radius():
+    # the midpoint of a point box is exact, so its radius is exactly 0 (it
+    # read 3.85e-162, the rounded-up square root of nothing)
+    c = FourierSeq.point([0.3 + 0.1j, 1.0, 2e-5j], 1.5).c
+    assert c.rad().tobytes() == np.zeros(3).tobytes()
+    # a box that is a point in one component only keeps its radius
+    box = CArr([0.3, 1.0], [0.3, 1.0], [0.1, -2.0], [0.1 + 2.0**-40, -2.0])
+    rad = box.rad()
+    assert rad[0] >= 2.0**-41 and rad[1] == 0.0
+
+
+def random_disc(n):
+    """A disc array of length n: midpoints over a few scales with some
+    exact (and negative) zeros, and a radius lane that is None, all zero or
+    positive."""
+    m = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** int(rng.integers(-3, 3))
+    m[rng.random(n) < 0.15] = complex(-0.0, -0.0)
+    kind = int(rng.integers(3))
+    r = None if kind == 0 else np.abs(rng.standard_normal(n)) * 1e-9 * (kind - 1)
+    return m, r
+
+
+def disc_point(m, r, corner):
+    """Exact rational points of a disc array: its midpoints (corner None),
+    or m + r (s 3/5 + t 4/5 i) on each disc's boundary for corner = (s, t)."""
+    pts = [(Fraction(z.real), Fraction(z.imag)) for z in m]
+    if corner is None or r is None:
+        return pts
+    s, t = corner
+    return [(x + s * Fraction(3, 5) * Fraction(ri), y + t * Fraction(4, 5) * Fraction(ri))
+            for (x, y), ri in zip(pts, r)]
+
+
+def test_cconv_mr_sum_against_the_chain():
+    # the fold keeps the chain's midpoints bit for bit, encloses the exact
+    # sum of products at points of the discs and is no looser than the chain
+    # (the reference `cconv_mr_chain`: one cconv_mr per pair and mr_add)
+    for trial in range(16):
+        pairs = [(random_disc(2 * int(rng.integers(0, 5)) + 1),
+                  random_disc(2 * int(rng.integers(0, 5)) + 1))
+                 for _ in range(int(rng.integers(1, 5)))]
+        zm, zr = cconv_mr_sum([(Disc(*a), Disc(*b)) for a, b in pairs])
+        wm, wr = cconv_mr_chain(pairs)
+        assert zm.tobytes() == wm.tobytes(), trial
+        assert (zr <= wr * (1.0 + 1e-9)).all(), (trial, zr / wr)
+        # and drops none of its terms (below the subnormals, where the
+        # chain's rounding up adds whole ulps of _ETA)
+        normal = wr > 1e-300
+        assert (zr[normal] >= wr[normal] * (1.0 - 1e-9)).all(), (trial, zr / wr)
+        if len(pairs) == 1:
+            (am, ar), (bm, br) = pairs[0]
+            assert [v.tobytes() for v in cconv_mr(am, ar, bm, br)] == [zm.tobytes(), zr.tobytes()]
+        L = len(zm)
+        for corner in (None, (1, 1), (1, -1), (-1, 1), (-1, -1)):
+            acc = [(Fraction(0), Fraction(0))] * L
+            for (am, ar), (bm, br) in pairs:
+                term = conv_exact(disc_point(am, ar, corner), disc_point(bm, br, corner))
+                off = (L - len(term)) // 2
+                for k, v in enumerate(term):
+                    acc[off + k] = cq_add(acc[off + k], v)
+            for k, (re, im) in enumerate(acc):
+                dre, dim = re - Fraction(zm[k].real), im - Fraction(zm[k].imag)
+                assert dre * dre + dim * dim <= Fraction(zr[k]) ** 2, (trial, corner, k)
 
 
 def scalar_matmul(A, B):

@@ -404,6 +404,54 @@ def test_jets_evaluate_each_remainder_field_once(run, monkeypatch):
         for arith in ("_MidRad", "_NormRad") for p in range(2, N_T + 1))
 
 
+def test_product_fold_work(run, monkeypatch):
+    # counts, not timings: a product layer of the midpoint-radius field is
+    # one fold over its Cauchy pairs, with no mr_add and at most one midpoint
+    # convolution and two real ones per pair, one real one when either
+    # factor's radius lane is exactly zero (the table's centres are points)
+    cfg, _, _, table = run
+    inside = []
+    nodes = []
+    convolve, mr_add = np.convolve, ivarray.mr_add
+    layers = stages._MidRad.product_layers
+
+    def counted_convolve(*args, **kwargs):
+        if inside:
+            inside[-1]["convolve"] += 1
+        return convolve(*args, **kwargs)
+
+    def counted_mr_add(*args):
+        if inside:
+            inside[-1]["mr_add"] += 1
+        return mr_add(*args)
+
+    def counted_layers(b, c, alphas):
+        work = {"convolve": 0, "mr_add": 0, "pairs": 0, "zero_lane": 0, "budget": 0}
+        for g in alphas:
+            for (_, r1), (_, r2) in stages._cauchy_terms(b, c, g):
+                zero = not np.any(r1) or not np.any(r2)
+                work["pairs"] += 1
+                work["zero_lane"] += zero
+                work["budget"] += 2 if zero else 3
+        inside.append(work)
+        try:
+            return layers(b, c, alphas)
+        finally:
+            nodes.append(inside.pop())
+
+    monkeypatch.setattr(np, "convolve", counted_convolve)
+    monkeypatch.setattr(stages, "mr_add", counted_mr_add)
+    monkeypatch.setattr(ivarray, "mr_add", counted_mr_add)
+    monkeypatch.setattr(stages._MidRad, "product_layers", staticmethod(counted_layers))
+    fields = None
+    for p in range(2, N_T + 1):
+        fields = stages._level_fields(table, cfg, p, fields)
+    assert nodes and sum(w["zero_lane"] for w in nodes) > 0
+    for work in nodes:
+        assert work["mr_add"] == 0, work
+        assert work["convolve"] <= work["budget"], work
+
+
 @pytest.fixture
 def pools(monkeypatch):
     """The process pools opened while the test runs."""
