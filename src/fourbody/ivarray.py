@@ -18,12 +18,10 @@ Two representations are used:
   (mid complex128, rad float64) where rad bounds the complex modulus of
   the error (disc enclosure).  Products use the standard
   floating-point gemm error bound; the inflation constants below are
-  deliberately generous.  cconv_mr_sum carries the jets' remainder fields:
-  it folds a sum of convolutions in one pass, with midpoints bit for bit
-  those of one cconv_mr per pair summed by mr_add, and a radius that
-  prepares each operand (`Disc`) once and takes one or two real
-  convolutions per pair.  cconv_mr, its one-pair case, and mr_add carry
-  `model.DF0.apply`.  CArr.from_disc turns discs back into endpoint boxes.
+  deliberately generous.  cconv_mr, one convolution with one or two real
+  convolutions for the radius, and mr_add carry `model.DF0.apply`;
+  CArr.from_disc turns its discs back into endpoint boxes.  The jets'
+  remainder fields are floats with norm bounds, not discs (`stages`).
 
 The scalar module (interval.py) is the reference semantics; tests compare
 these kernels against it entry by entry.
@@ -432,101 +430,47 @@ def conv_up_nonneg(a, b):
     return p * _up_factor(n) + _ETA * n
 
 
-class Disc:
-    """A disc array (midpoint m, radius lane r) prepared as an operand of
-    `cconv_mr_sum`, once for all the pairs it enters.
-
-    mag is |m| (1 + 4u); r is None where the radius lane is exactly zero.
-    The bracketed lanes of the fold, up(g mag + r) for each gemm constant g
-    and up(mag + r), are made on first use and kept with the operand; an
-    entry that is the point zero stays exactly 0 in both.
-    """
-
-    __slots__ = ("m", "mag", "r", "_lanes", "_outer")
-
-    def __init__(self, m, r):
-        self.m = np.asarray(m, dtype=complex)
-        self.mag = np.abs(self.m) * (1.0 + 4.0 * _U)
-        self.r = None if r is None or not np.any(r) else np.asarray(r, dtype=float)
-        self._lanes = {}
-        self._outer = None
-
-    def lane(self, g: float):
-        """up(g |m| + r), elementwise; exactly 0 on a point zero."""
-        out = self._lanes.get(g)
-        if out is None:
-            if self.r is None:
-                out = zero_masked_up(g * self.mag, self.mag)
-            else:
-                out = zero_masked_up(g * self.mag + self.r, self.mag + self.r)
-            self._lanes[g] = out
-        return out
-
-    def outer(self):
-        """up(|m| + r), elementwise (r is not None); exactly 0 on a point zero."""
-        if self._outer is None:
-            s = self.mag + self.r
-            self._outer = zero_masked_up(s, s)
-        return self._outer
-
-
-def cconv_mr_sum(pairs):
-    """Complex disc enclosure [mid, rad] of sum_k a_k * b_k, the full
-    convolutions of `pairs`, a list of (Disc, Disc), centred on the longest.
-
-    The midpoint is the one the chain cconv_mr + mr_add gives when it folds
-    the pairs in their order, bit for bit: a single pair's np.convolve as it
-    is, and otherwise each convolution added into one accumulator of zeros.
-    The radius of pair k is |a|(g |b| + r_b) + r_a (|b| + r_b), which is the
-    gemm bound g |a||b| (g = 2 gamma(n), n the shorter length, doubled for
-    complex) plus |a| r_b + r_a |b| + r_a r_b, with the bracketed lanes
-    rounded up: one real convolution when either radius lane is exactly
-    zero, two otherwise.  Each addition after the first adds 2^-52 |partial
-    sum| for the rounding of the midpoint sum, as mr_add does.  Every term
-    is nonnegative and passes at most n_max + 3P roundings in the sum (P
-    pairs), so one factor _up_factor(n_max + 3P) covers them all, and each
-    pair adds the underflow slack _ETA n over its own output range.
-    """
-    P = len(pairs)
-    L = max(len(a.m) + len(b.m) - 1 for a, b in pairs)
-    single = P == 1
-    zm = None if single else np.zeros(L, dtype=complex)
-    zr = np.zeros(L)
-    partial = 0.0 if single else np.zeros(L)
-    nmax = 0
-    reach = {}   # output length -> the sum of n over the pairs of that length
-    for k, (a, b) in enumerate(pairs):
-        n = min(len(a.m), len(b.m))
-        nmax = max(nmax, n)
-        g = 2.0 * _gemm_gamma(n)
-        pm = np.convolve(a.m, b.m)
-        reach[len(pm)] = reach.get(len(pm), 0) + n
-        sl = slice((L - len(pm)) // 2, (L + len(pm)) // 2)
-        if a.r is None:
-            zr[sl] += np.convolve(a.mag, b.lane(g))
-        elif b.r is None:
-            zr[sl] += np.convolve(a.lane(g), b.mag)
-        else:
-            zr[sl] += np.convolve(a.mag, b.lane(g)) + np.convolve(a.r, b.outer())
-        if single:
-            zm = pm
-            continue
-        zm[sl] += pm
-        if k:
-            partial += np.abs(zm)
-    eta = np.zeros(L)
-    for lp, n in reach.items():
-        eta[(L - lp) // 2:(L + lp) // 2] += n
-    cr = (zr + partial * 2.0**-52) * _up_factor(nmax + 3 * P) + _ETA * eta
-    if not (np.isfinite(zm).all() and np.isfinite(cr).all()):
-        raise IntervalDomainError("overflow in interval convolution")
-    return [zm, cr]
+def _lane(g: float, mag, r):
+    """up(g mag + r), elementwise, r None read as zero; exactly 0 where
+    mag + r is (a point-zero entry)."""
+    if r is None:
+        return zero_masked_up(g * mag, mag)
+    return zero_masked_up(g * mag + r, mag + r)
 
 
 def cconv_mr(am, ar, bm, br):
-    """Complex disc midpoint-radius enclosure of the full convolution:
-    `cconv_mr_sum` of the one pair, a None radius lane read as zero."""
-    return cconv_mr_sum([(Disc(am, ar), Disc(bm, br))])
+    """Complex disc midpoint-radius enclosure [mid, rad] of the full
+    convolution of (am, ar) and (bm, br); a radius lane that is None or all
+    zero is read as exactly zero.
+
+    The midpoint is np.convolve(am, bm).  The radius is
+    |a|(g |b| + r_b) + r_a (|b| + r_b): the gemm bound g |a||b| (g = 2
+    gamma(n), n the shorter length, doubled for complex) plus |a| r_b +
+    r_a |b| + r_a r_b, with |.| rounded up by 1 + 4u and the bracketed lanes
+    rounded up.  That is one real convolution when either radius lane is
+    exactly zero and two otherwise.  Every term is nonnegative and passes
+    at most n + 3 roundings, which one factor _up_factor(n + 3) covers, and
+    _ETA n absorbs underflow.
+    """
+    am = np.asarray(am, dtype=complex)
+    bm = np.asarray(bm, dtype=complex)
+    n = min(len(am), len(bm))
+    g = 2.0 * _gemm_gamma(n)
+    absa = np.abs(am) * (1.0 + 4.0 * _U)
+    absb = np.abs(bm) * (1.0 + 4.0 * _U)
+    ar = None if ar is None or not np.any(ar) else np.asarray(ar, dtype=float)
+    br = None if br is None or not np.any(br) else np.asarray(br, dtype=float)
+    if ar is None:
+        zr = np.convolve(absa, _lane(g, absb, br))
+    elif br is None:
+        zr = np.convolve(_lane(g, absa, ar), absb)
+    else:
+        zr = np.convolve(absa, _lane(g, absb, br)) + np.convolve(ar, _lane(1.0, absb, br))
+    cm = np.convolve(am, bm)
+    cr = zr * _up_factor(n + 3) + _ETA * n
+    if not (np.isfinite(cm).all() and np.isfinite(cr).all()):
+        raise IntervalDomainError("overflow in interval convolution")
+    return [cm, cr]
 
 
 def mr_add(qm, qr, vm, vr):

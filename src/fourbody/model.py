@@ -15,10 +15,11 @@ that act on Fourier and Fourier-Taylor data.
 The degree-5 embedded field is written once, in `embedded_field`, and its
 order-zero derivative once, in `field_derivative`.  Both run over a
 pluggable arithmetic: endpoint intervals here (`IntervalArith`), floats in
-`numerics`, and the midpoint-radius and norm/radius grids of `stages`.  On
-top of the interval arithmetic sit the field map on a grid
-(`field_F_grid`), its derivative table at an order-zero sequence (`dF0`),
-the orbit unfolding term, and the scalar phase/initialization conditions.
+`numerics`, and the float and norm/radius lanes of `stages`.  On top of the
+interval arithmetic sit the field map on a grid (`field_F_grid`), its
+derivative table at an order-zero sequence (`dF0`), and the scalar
+phase/initialization conditions; the orbit's unfolding term is assembled
+by `stages` from the cubes it already has.
 The remainder a jet reads (every term of its layer not involving its own
 coefficient) is evaluated by `stages`, level by level.  Inputs are
 immutable, so all operations are safe to run in parallel across Taylor
@@ -46,7 +47,6 @@ from .seqspace import (
     FourierSeq,
     FourierTaylorSeq,
     WeightMismatch,
-    conv,
     ft_conv,
 )
 
@@ -70,7 +70,6 @@ __all__ = [
     "field_F_grid",
     "DF0",
     "dF0",
-    "unfold_orbit_G",
     "eta_phase",
     "xi_phase",
 ]
@@ -553,29 +552,6 @@ def dF0(a0, cfg: PrimaryConfig) -> DF0:
     grids = [FourierTaylorSeq({(0, 0): s}, nu) for s in a0]
     const, kernels = field_derivative(IntervalArith(cfg, nu), grids)
     return DF0(const, kernels, nu)
-
-
-# ---------------------------------------------------------------------------
-# unfolding terms
-
-
-def unfold_orbit_G(y, a0):
-    """Four-parameter unfolding appended to the periodic-orbit equations.
-
-    Slot 2 carries y1 times the second component; slots 7..9 carry y2..y4
-    times the cubes of the reciprocal-distance components.
-    """
-    a0 = _nine(a0, "sequence")
-    if len(y) != 4:
-        raise ValueError("expected 4 unfolding parameters")
-    nu = a0[0].nu
-    zero = FourierSeq.zeros(1, nu)
-    out = [zero] * 9
-    out[1] = a0[1].scale(y[0])
-    for j in range(3):
-        w = a0[6 + j]
-        out[6 + j] = conv(conv(w, w), w).scale(y[1 + j])
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

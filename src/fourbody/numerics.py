@@ -231,9 +231,9 @@ def remainder_layer(A, alpha, ms, pos):
     """Layer alpha of the field applied to the orders-below-|alpha| data.
 
     No stage calls this: the jets take their float right-hand side from the
-    midpoint lane of the remainder enclosure in `stages`, which repeats
-    these operations.  It stays as the float oracle the tests compare that
-    lane against, and as a layer the benchmark tracer wraps.
+    float lane of `stages` (`_Float`), which folds each product layer in
+    place and repeats these values.  It stays as the float oracle the tests
+    compare that lane against, and as a layer the benchmark tracer wraps.
     """
     m, n = int(alpha[0]), int(alpha[1])
     order = m + n

@@ -16,11 +16,14 @@ distance.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .interval import (
     ComplexInterval,
     Interval,
+    IntervalDomainError,
     add_up,
     mul_down,
     mul_up,
@@ -162,16 +165,20 @@ class FourierSeq:
 
     def norm(self) -> Interval:
         """Enclosure of sum_k |a_k| nu^|k|."""
-        K = self.K
-        w_dn, w_up = nu_weights(self.nu, K)
+        hi = self.norm_upper()
+        w_dn, _ = nu_weights(self.nu, self.K)
         e = np.abs(self.k_values())
-        mags = self.c.mag()
-        hi = up_sum(zero_masked_up(mags * w_up[e], mags))
         lo = down_sum(np.maximum(_dn(self.c.mig() * w_dn[e]), 0.0))
         return Interval(min(lo, hi), hi)
 
     def norm_upper(self) -> float:
-        return self.norm().hi
+        """Upper bound of sum_k |a_k| nu^|k|, the upper end of `norm`."""
+        _, w_up = nu_weights(self.nu, self.K)
+        mags = self.c.mag()
+        hi = up_sum(zero_masked_up(mags * w_up[np.abs(self.k_values())], mags))
+        if not math.isfinite(hi):
+            raise IntervalDomainError("non-finite sequence norm")
+        return hi
 
     # -- serialization ---------------------------------------------------------
 

@@ -49,15 +49,19 @@ dense factorization.  Every stage looks for its radius r below the cap
 R_STAR.
 
 The right-hand side of a jet of order p is layer alpha of the field on the
-orders below p: the midpoint-radius evaluation (`_MidRad`) gives both the
-float right-hand side of the jet's step (its midpoint lane) and the
-enclosure in the certificate, and a norm/radius evaluation (`_NormRad`)
-bounds how far the radii of the lower orders move it.  `_level_fields` makes
-both once per level, and `_extend` hands each level's evaluation to the
-next: that level reuses every product layer below p - 1, completes layer
-p - 1 and computes layer p only for the jets it solves.  Nothing of it is
-kept on the table; `jet_problem` and `validate_jet`, which take one jet of a
-table, evaluate its level afresh.
+orders below p, evaluated in two lanes.  The float lane (`_Float`) gives the
+float right-hand side: the jet's step reads it, and so does the residual of
+its certificate, as point data.  The norm lane (`_NormRad`) gives, per
+layer, a bound N of the float value's nu-norm and a bound r of its distance
+from the field at the true lower orders.  r takes in the radii of the lower
+orders and the rounding of every float operation, so the jet's budget rho
+bounds the whole distance and enters Y through pre_Y.  `_level_fields`
+makes both lanes once per level, and `_extend` hands each level's
+evaluation to the next: that level reuses the lower orders' entries and
+every product layer below p - 1, completes layer p - 1 and computes layer p
+only for the jets it solves.  Nothing of it is kept on the table;
+`jet_problem` and `validate_jet`, which take one jet of a table, evaluate
+its level afresh.
 
 A jet reads its table only through a `_JetLayer`: its layer of the
 remainder field, the budget rho, and a few scalars (lambda_bar, the radii
@@ -96,6 +100,7 @@ certificates with a digest chain binding each stage to its predecessors.
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -104,15 +109,14 @@ import numpy as np
 from .interval import ComplexInterval, Interval, _as_iv, _next
 from .ivarray import (
     CArr,
-    Disc,
-    cconv_mr_sum,
     cmat_abs_up,
     cmm,
     conv_up_nonneg,
     mm_up_nonneg,
-    mr_add,
     up_sum,
+    _ETA,
     _dn,
+    _gemm_gamma,
     _up,
 )
 from .opbound import SpaceLayout, block_norms, group_vec_norms, norm_rows, opnorm_upper
@@ -610,11 +614,11 @@ def jet_problem(alpha, jet: "JetTable", cfg):
 
 
 def _layer_rhs(layer: "_JetLayer", K: int) -> np.ndarray:
-    """The window of the jet's right-hand side, packed: the midpoint lane of
-    the remainder enclosure that the certificate of the jet reads."""
-    return np.array([np.zeros(2 * K - 1, dtype=complex) if d is None
-                     else numerics.crop(d[0], K)
-                     for d in layer.discs]).ravel()
+    """The window of the jet's right-hand side, packed: the float lane of its
+    remainder, which the certificate of the jet reads too."""
+    return np.array([np.zeros(2 * K - 1, dtype=complex) if f is None
+                     else numerics.crop(f, K)
+                     for f in layer.rhs]).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -907,7 +911,11 @@ def _assemble_orbit(sol: "OrbitSolution", ctx: _StageContext):
 
     grids = tuple(FourierTaylorSeq({(0, 0): sq}, nu) for sq in ctx.a0)
     F = model.field_F_grid(grids, cfg, cap=0)
-    G = model.unfold_orbit_G([complex(t) for t in y], ctx.a0)
+    # the unfolding G(y, a): y0 a_1 in row 1 and y_j times the cubes in row 6+j
+    G = [FourierSeq.zeros(1, nu)] * 9
+    G[1] = ctx.a0[1].scale(complex(y[0]))
+    for j in range(3):
+        G[6 + j] = cubes[j].scale(complex(y[1 + j]))
     resid_seqs = []
     for i in range(9):
         r = ctx.a0[i].dtheta().scale(-omega).add(F[i].layer(0, 0)).add(G[i])
@@ -1000,12 +1008,13 @@ def _assemble_jet(layer: "_JetLayer", centers, ctx: _StageContext) -> _Assembled
             raise ValueError("jet centers must be point sequences")
     aset = list(centers)
     Dapp = ctx.df0.apply(aset)
-    Renc = _disc_seqs(layer.discs, nu)
+    Rpts = [FourierSeq.zeros(1, nu) if f is None else FourierSeq.point(f, nu)
+            for f in layer.rhs]
     lam_shift = ComplexInterval.point(-s)
     resid_seqs = []
     for i in range(9):
         r = aset[i].dtheta().scale(-omega).add(aset[i].scale(lam_shift))
-        r = r.add(Dapp[i]).add(Renc[i])
+        r = r.add(Dapp[i]).add(Rpts[i])
         resid_seqs.append(r)
 
     # uncertainty of the chosen diagonal shift versus <alpha, lambda>
@@ -1036,9 +1045,9 @@ def _cauchy_terms(b, c, alpha):
     beta runs in lexicographic order, so a layer is the same fold whichever
     other layers are computed with it.  It is also the order in which
     `numerics.ft_conv_grid` meets the contributions on sorted lower-order
-    grids, so the midpoint lane of `_MidRad`'s one-pass fold repeats the
-    float lane's operations.  b and c may hold any per-layer values: the
-    `Disc` operands of `_MidRad` or the (N, r) pairs of `_NormRad`.
+    grids, so the fold of `_Float` repeats the float field's operations.  b
+    and c may hold any per-layer values: the arrays of `_Float` or the
+    (N, r) pairs of `_NormRad`.
     """
     m, n = alpha
     return [(b[beta], c[(m - beta[0], n - beta[1])]) for beta in sorted(b)
@@ -1060,126 +1069,146 @@ class _ByLayer:
         return self.product_layers(b, c, _product_keys(b, c, cap))
 
 
-class _MidRad(_ByLayer):
-    """Midpoint-radius grids (m, n) -> [mid, rad] for `model.embedded_field`.
+# a complex addition, or a scaling by a real, errs by at most u times the
+# modulus of the exact result; 2u leaves room
+_ADD_ROUND = 2.0 ** -52
 
-    Each radius bounds the complex modulus of the error of its coefficient.
-    A product layer is one `ivarray.cconv_mr_sum` over its Cauchy pairs; a
-    table centre is a point, so its radius lane is exactly zero and its
-    pairs take one real convolution for the radius.
+
+class _Float(_ByLayer, numerics.FloatArith):
+    """`numerics.FloatArith` with its Cauchy products made one layer at a
+    time: the jets' right-hand side.
+
+    A product layer folds its Cauchy pairs in beta order, one `np.convolve`
+    per pair: a single pair's product as it is, otherwise each added into
+    an accumulator of zeros, as `numerics.ft_conv_grid` adds them on sorted
+    grids.  The other operations are `FloatArith`'s, and the bounds of
+    `_NormRad` are made for all of them.
     """
 
     def __init__(self, cfg):
-        self.masses = tuple(cfg.masses)
-        self.positions = tuple(cfg.position(j) for j in range(3))
-        self.zero = {}
+        numerics.FloatArith.__init__(self, *numerics.cfg_floats(cfg))
 
     @staticmethod
     def entry(seq, radius):
-        return [seq.c.mid(), seq.c.rad()]
-
-    @staticmethod
-    def product_layers(b, c, alphas):
-        """Each layer one `cconv_mr_sum` over its pairs; every factor layer
-        becomes a `Disc` once, so its magnitudes and lanes serve all the
-        pairs of the node."""
-        fb = {beta: Disc(*v) for beta, v in b.items()}
-        fc = fb if c is b else {beta: Disc(*v) for beta, v in c.items()}
-        return {g: cconv_mr_sum(_cauchy_terms(fb, fc, g)) for g in alphas}
-
-    @staticmethod
-    def sum(*grids):
-        out = {}
-        for g in grids:
-            for a, (vm, vr) in g.items():
-                prev = out.get(a)
-                out[a] = [vm.copy(), vr.copy()] if prev is None else mr_add(*prev, vm, vr)
-        return out
-
-    @staticmethod
-    def scale(g, c):
-        c = _as_iv(c)
-        cm, crad = c.mid, _iv_rad_up(c)
-        out = {}
-        for a, (vm, vr) in g.items():
-            am = _up(np.abs(vm) * (1.0 + 4.0 * 2.0 ** -53))
-            m2 = vm * cm
-            am2 = _up(np.abs(m2) * (1.0 + 4.0 * 2.0 ** -53))
-            r2 = _up(am2 * (2.0 ** -52))
-            out[a] = [m2, _up(r2 + _up(am * crad) + _up(vr * _up(abs(cm) + crad)))]
-        return out
-
-    @staticmethod
-    def shift(g, p: Interval):
-        out = {a: [vm.copy(), vr.copy()] for a, (vm, vr) in g.items()}
-        c = -p
-        ent = out.get((0, 0))
-        if ent is None:
-            out[(0, 0)] = [np.array([complex(c.mid)]), np.array([_iv_rad_up(c)])]
-        else:
-            vm, vr = ent
-            mid = len(vm) // 2
-            vm[mid] += complex(c.mid)
-            vr[mid] = _up(_up(vr[mid] + _iv_rad_up(c)) + _up(abs(vm[mid]) * (2.0 ** -52)))
-        return out
-
-    @staticmethod
-    def neg(g):
-        return _MidRad.scale(g, Interval.point(-1.0))
-
-
-class _NormRad(_ByLayer):
-    """Grids (m, n) -> (N, r) for `model.embedded_field`.
-
-    A layer stands for every sequence within norm distance r of a center of
-    norm at most N; the field outputs bound how far each layer of the field
-    moves as its inputs range over those balls.  Constants enter by their
-    modulus and negation is the identity.  Every value is a Python float,
-    rounded up by `interval._next` (the IEEE nextafter of `_up`, without
-    its numpy call).
-    """
-
-    def __init__(self, cfg):
-        self.masses = tuple(m.mag() for m in cfg.masses)
-        self.positions = tuple(tuple(c.mag() for c in cfg.position(j))
-                               for j in range(3))
-        self.zero = {}
-
-    @staticmethod
-    def entry(seq, radius):
-        return (seq.norm_upper(), radius)
+        return seq.c.mid()
 
     @staticmethod
     def product_layers(b, c, alphas):
         out = {}
         for g in alphas:
+            pairs = _cauchy_terms(b, c, g)
+            if len(pairs) == 1:
+                out[g] = np.convolve(*pairs[0])
+                continue
+            L = max(len(u) + len(v) - 1 for u, v in pairs)
+            acc = np.zeros(L, dtype=complex)
+            for u, v in pairs:
+                off = (L - len(u) - len(v) + 1) // 2
+                acc[off:L - off] += np.convolve(u, v)
+            out[g] = acc
+        return out
+
+
+class _NormRad(_ByLayer):
+    """Grids (m, n) -> (N, r) for `model.embedded_field`, the bounds of the
+    `_Float` evaluation on the same lower orders.
+
+    N bounds the nu-norm of the float value of the layer, and r its
+    distance from the exact value of the layer at any inputs within the
+    radii of the lower orders, with the true masses and positions.  So r
+    takes in the radii, the widths of the constants and every rounding of
+    the float lane:
+
+    * a product layer of P pairs: (gamma + (P - 1) 2^-52) sum N_b N_c + P
+      eta, with gamma = 2 gamma_gemm(n) the bound of a complex inner
+      product of at most n terms and 2^-52 |partial sum| the rounding of
+      each addition of the fold;
+    * a sum: 2^-52 N per addition;
+    * scaling by c: rad(c) (N + r) + 2^-52 |mid c| N + eta, and nothing
+      when c is a point power of two of modulus at least 1; negation is
+      exact;
+    * a shift by p: rad(p) and the rounding of the k = 0 entry.
+
+    The field has degree five, so on inputs of at most L coefficients every
+    array it forms has fewer than n = 5L, and no inner product has more
+    terms.  eta bounds the nu-norm of the underflow slack _ETA n of each of
+    fewer than n coefficients of one product or scaling (an addition does
+    not underflow).  Every value is a Python float, rounded up by
+    `interval._next` (the IEEE nextafter of `_up`, without its numpy call).
+    """
+
+    def __init__(self, cfg, nu: float, L: int):
+        self.masses = tuple(cfg.masses)
+        self.positions = tuple(cfg.position(j) for j in range(3))
+        self.zero = {}
+        n = 5 * L
+        self.gamma = 2.0 * _gemm_gamma(n)
+        _, w_up = nu_weights(nu, n)
+        self.eta = _next(_next(_ETA * n) * _next(n * float(w_up[n // 2])))
+
+    @staticmethod
+    def entry(seq, radius):
+        """A center's norm and radius; a center that is a box (a rescaled
+        table's) adds the norm of its width about the midpoint, the float
+        lane's value."""
+        if not seq.is_point():
+            radius = _next(radius + FourierSeq.point(seq.c.rad(), seq.nu).norm_upper())
+        return (seq.norm_upper(), radius)
+
+    def product_layers(self, b, c, alphas):
+        out = {}
+        for g in alphas:
+            pairs = _cauchy_terms(b, c, g)
             Nacc, racc = 0.0, 0.0
-            for (N1, r1), (N2, r2) in _cauchy_terms(b, c, g):
+            for (N1, r1), (N2, r2) in pairs:
                 Np = _next(N1 * N2)
                 rp = _next(_next(_next(N1 * r2) + _next(r1 * N2)) + _next(r1 * r2))
                 Nacc, racc = _next(Nacc + Np), _next(racc + rp)
-            out[g] = (Nacc, racc)
+            P = len(pairs)
+            e = _next(_next(_next(self.gamma + (P - 1) * _ADD_ROUND) * Nacc)
+                      + _next(P * self.eta))
+            out[g] = (_next(Nacc + e), _next(racc + e))
         return out
 
     @staticmethod
     def sum(*grids):
         out = {}
         for g in grids:
-            for a, (Nv, rv) in g.items():
-                prev = out.get(a, (0.0, 0.0))
-                out[a] = (_next(prev[0] + Nv), _next(prev[1] + rv))
+            for a, v in g.items():
+                prev = out.get(a)
+                if prev is None:
+                    out[a] = v
+                    continue
+                Ns = _next(prev[0] + v[0])
+                e = _next(Ns * _ADD_ROUND)
+                out[a] = (_next(Ns + e), _next(_next(prev[1] + v[1]) + e))
+        return out
+
+    def scale(self, g, c):
+        c = _as_iv(c)
+        m, rad = abs(c.mid), (0.0 if c.lo == c.hi else _iv_rad_up(c))
+        exact = rad == 0.0 and m >= 1.0 and math.frexp(m)[0] == 0.5
+        out = {}
+        for a, (Nv, rv) in g.items():
+            r2 = _next(m * rv) if rv else 0.0
+            if rad:
+                r2 = _next(r2 + _next(rad * _next(Nv + rv)))
+            e = 0.0 if exact else _next(_next(m * _ADD_ROUND * Nv) + self.eta)
+            out[a] = (_next(_next(m * Nv) + e), _next(r2 + e) if e else r2)
         return out
 
     @staticmethod
-    def scale(g, c):
-        c = abs(c)
-        return {a: (_next(Nv * c), _next(rv * c)) for a, (Nv, rv) in g.items()}
-
-    @staticmethod
-    def shift(g, cmag: float):
+    def shift(g, p: Interval):
+        c = -p
+        cm, crad = abs(c.mid), _iv_rad_up(c)
         out = dict(g)
-        Nv, rv = out.get((0, 0), (0.0, 0.0))
-        out[(0, 0)] = (_next(Nv + cmag), rv)
+        ent = out.get((0, 0))
+        if ent is None:
+            out[(0, 0)] = (cm, crad)
+        else:
+            Ns = _next(ent[0] + cm)
+            e = _next(Ns * _ADD_ROUND)
+            out[(0, 0)] = (_next(Ns + e), _next(_next(ent[1] + crad) + e))
         return out
 
     @staticmethod
@@ -1197,18 +1226,20 @@ class _Incremental:
     on the same lower orders), the layers keep..order-1 are computed in
     full, and of the order-`order` layers only the jets the level solves:
     layer alpha of a product reads no other layer of its own order.  The
-    layers a node computes go to the base's `product_layers` in one call, so
-    it prepares each factor layer once for all of them.  `nodes` collects
-    each node's layers below `order`, all complete.  Every operation but
-    `mul` is the base arithmetic's.
+    layers a node computes go to the base's `product_layers` in one call.
+    `nodes` collects each node's layers below `order`, all complete, and
+    `inputs` keeps the nine input grids, so that the next level adds only
+    the entries of its new order.  Every operation but `mul` is the base
+    arithmetic's.
     """
 
-    def __init__(self, base, order: int, old, keep: int):
+    def __init__(self, base, order: int, old, keep: int, inputs):
         self.base = base
         self.order = order
         self.top = set(_level_alphas(order))
         self.old = old
         self.keep = keep
+        self.inputs = inputs
         self.nodes = []
 
     def __getattr__(self, name):
@@ -1235,22 +1266,30 @@ class _Incremental:
 
 def _level_fields(jet: "JetTable", cfg, order: int, prev=None):
     """`model.embedded_field` on the orders of the table below `order`, as
-    one (`_Incremental`, nine grids) pair per arithmetic, `_MidRad` first
-    and `_NormRad` second.
+    one (`_Incremental`, nine grids) pair per lane, `_Float` first and
+    `_NormRad` second.
 
     The grids of order `order` hold the layers of the jets the level solves.
     prev is the pair of an earlier level on the same lower orders, or None:
-    its product layers below its order are taken over, not recomputed.
+    its input entries and its product layers below its order are taken
+    over, not recomputed.
     """
     lower = [(beta, seqs, jet.radii.get(beta))
              for beta, seqs in sorted(jet.orders.items())
              if beta[0] + beta[1] < order]
+    L = max(len(s.c) for _, seqs, _ in lower for s in seqs)
     fields = []
-    for k, arith in enumerate((_MidRad, _NormRad)):
-        old, keep = ((), 0) if prev is None else (prev[k][0].nodes, prev[k][0].order)
-        ar = _Incremental(arith(cfg), order, old, keep)
-        grids = [{beta: arith.entry(seqs[i], r) for beta, seqs, r in lower}
-                 for i in range(9)]
+    for k, arith in enumerate((_Float(cfg), _NormRad(cfg, jet.nu, L))):
+        if prev is None:
+            old, keep, grids = (), 0, [{} for _ in range(9)]
+        else:
+            was = prev[k][0]
+            old, keep, grids = was.nodes, was.order, [dict(g) for g in was.inputs]
+        for beta, seqs, r in lower:
+            if beta not in grids[0]:
+                for i in range(9):
+                    grids[i][beta] = arith.entry(seqs[i], r)
+        ar = _Incremental(arith, order, old, keep, grids)
         fields.append((ar, model.embedded_field(ar, grids, order)))
     return tuple(fields)
 
@@ -1265,25 +1304,14 @@ def _solved_jet(alpha):
     return (m_, n_)
 
 
-def _disc_seqs(discs, nu: float):
-    """Interval sequences enclosing nine [mid, rad] disc arrays (None is zero)."""
-    res = []
-    for ent in discs:
-        if ent is None:
-            res.append(FourierSeq.zeros(1, nu))
-            continue
-        res.append(FourierSeq(CArr.from_disc(*ent), nu))
-    return res
-
-
 class _JetLayer(NamedTuple):
     """All that the solve and the certificate of one jet read, besides the
     order-0 context: the remainder is already evaluated, so a pool task
     carries this and not the table."""
 
     alpha: tuple
-    discs: list        # layer alpha of the `_MidRad` field: nine [mid, rad] or None
-    rho: float         # how far the lower radii move it (the `_NormRad` field)
+    rhs: list          # layer alpha of the `_Float` field: nine arrays or None
+    rho: float         # its distance from the exact layer (the `_NormRad` field)
     lambda_bar: complex
     r_orbit: float     # radius of order 0
     r_bundle: float    # radius of order 1
@@ -1297,9 +1325,9 @@ class _JetLayer(NamedTuple):
 
 def _jet_layer(jet: "JetTable", fields, alpha) -> _JetLayer:
     """The `_JetLayer` of jet alpha, read from its level's `_level_fields`."""
-    (_, discs), (_, norms) = fields
+    (_, floats), (_, norms) = fields
     return _JetLayer(
-        alpha, [o.get(alpha) for o in discs],
+        alpha, [f.get(alpha) for f in floats],
         max(r.get(alpha, (0.0, 0.0))[1] for r in norms), jet.lambda_bar,
         jet.radii.get((0, 0), 0.0), jet.radii.get((1, 0), 0.0), jet.kind,
         jet.digests.get("order1", ""))

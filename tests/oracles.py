@@ -4,12 +4,13 @@ The rational oracles work over fractions.Fraction, so their results are
 exact and make no reference to the code under test.  Complex rationals are
 (re, im) Fraction pairs.  `carr_conv_reference` is the plain
 per-coefficient loop of the endpoint interval convolution, the bit-level
-definition the batched kernel must reproduce.  `cconv_mr_chain` is the
-midpoint-radius Cauchy fold as one `cconv_mr` per pair summed with
-`mr_add`, the reference of the one-pass fold `ivarray.cconv_mr_sum`: its
-midpoints must be equal bit for bit, its radii no looser.  `field_F_seq`, `dF0_apply`
-and `remainder_Ralpha` are per-layer views of the interval field map that
-the model tests check against each other.  `orbit_enclosure`,
+definition the batched kernel must reproduce.  `cconv_mr_pair` is the
+midpoint-radius convolution in five convolutions, the reference of
+`ivarray.cconv_mr`: its midpoints must be equal bit for bit, its radii no
+looser.  `field_F_seq`, `dF0_apply` and `remainder_Ralpha` are per-layer
+views of the interval field map that the model tests check against each
+other, and `unfold_orbit_G` is the orbit's unfolding term that order 0
+assembles from its cubes.  `orbit_enclosure`,
 `bundle_enclosure` and `base_enclosure` enclose the window block of
 DF(x_bar) of a stage entry by entry, in endpoint lanes, the reference for
 the window defect of `stages`.  The builders at the end make interval
@@ -25,7 +26,7 @@ import numpy as np
 
 from fourbody import numerics
 from fourbody.interval import ComplexInterval, Interval, add_down, add_up
-from fourbody.ivarray import CArr, mr_add, ri_add, _ETA, _U, _dn, _gemm_gamma, _up, _up_factor
+from fourbody.ivarray import CArr, ri_add, _ETA, _U, _dn, _gemm_gamma, _up, _up_factor
 from fourbody.model import _mode_sum, dF0, field_F_grid
 from fourbody.seqspace import FourierSeq, conv, project
 
@@ -186,16 +187,6 @@ def cconv_mr_pair(am, ar, bm, br):
     return cm, cr * _up_factor(n) + _ETA * n
 
 
-def cconv_mr_chain(pairs):
-    """[mid, rad] of sum_k a_k * b_k for pairs ((am, ar), (bm, br)): each
-    pair by `cconv_mr_pair`, the products summed in order with `mr_add`."""
-    out = None
-    for (am, ar), (bm, br) in pairs:
-        pm, pr = cconv_mr_pair(am, ar, bm, br)
-        out = [pm, pr] if out is None else mr_add(*out, pm, pr)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # per-layer views of the interval field map
 
@@ -237,6 +228,22 @@ def remainder_Ralpha(a, alpha, cfg):
         raise OrderTooLow("remainder defined for total order >= 2")
     low = tuple(f.truncate(order - 1) for f in a)
     return tuple(g.layer(*alpha) for g in field_F_grid(low, cfg, cap=order))
+
+
+def unfold_orbit_G(y, a0):
+    """Four-parameter unfolding appended to the periodic-orbit equations.
+
+    Slot 2 carries y1 times the second component; slots 7..9 carry y2..y4
+    times the cubes of the reciprocal-distance components.
+    """
+    if len(a0) != 9 or len(y) != 4:
+        raise ValueError("expected 9 sequences and 4 unfolding parameters")
+    out = [FourierSeq.zeros(1, a0[0].nu)] * 9
+    out[1] = a0[1].scale(y[0])
+    for j in range(3):
+        w = a0[6 + j]
+        out[6 + j] = conv(conv(w, w), w).scale(y[1 + j])
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

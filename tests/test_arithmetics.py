@@ -1,22 +1,25 @@
 """The embedded field in its four arithmetics, checked against each other.
 
 One random Fourier-Taylor grid (K = 5, orders <= 3) goes through
-`model.embedded_field` as floats, endpoint intervals, midpoint-radius discs
-and norm/radius pairs.  The float values must lie in both enclosures, and
-moving the float inputs within given radii must move the outputs by no more
-than the norm/radius bound.  The jet layers of `stages` and the derivative
-kernels get the same checks.  The level fields of `stages` are evaluated
-order by order with product layers carried between orders: each must equal
-a fresh evaluation byte for byte, and their midpoint lane must equal the
-float remainder.
+`model.embedded_field` as floats (`numerics` and the float lane of
+`stages`), endpoint intervals and norm/radius pairs.  The float values must
+lie in the interval enclosure, the norm lane's r must bound their distance
+from every point of it, and moving the float inputs within given radii must
+move the outputs by no more than r.  The jet layers of `stages` and the
+derivative kernels get the same checks.  The level fields of `stages` are
+evaluated order by order with product layers carried between orders: each
+must equal a fresh evaluation byte for byte, and their float lane must
+equal the float remainder.
 """
 
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from fourbody import model, numerics, stages
+from fourbody.interval import Interval
 from fourbody.seqspace import FourierSeq, FourierTaylorSeq
 
 NU = 1.3
@@ -89,24 +92,105 @@ def assert_in_interval(seq: FourierSeq, arr):
         assert seq.at(k).contains(complex(vals[k + W])), k
 
 
-def test_float_field_inside_interval_and_midrad(cfg, data):
+def exact_cfg():
+    """Point masses and positions: the field's constants are exact floats."""
+    pts = [tuple(Interval(x) for x in p)
+           for p in ((0.5, 0.0, 0.0), (-0.25, 0.375, 0.0), (-0.25, -0.375, 0.0))]
+    return SimpleNamespace(masses=(Interval(0.5), Interval(0.25), Interval(0.25)),
+                           position=lambda j: pts[j])
+
+
+def sup_distance(seq: FourierSeq, arr) -> float:
+    """nu-norm of the largest distance from arr to the points of seq's boxes."""
+    n = max(len(seq.c), len(arr))
+    off = (n - len(seq.c)) // 2
+    c = seq.c.pad(off, off)
+    f = centered(arr, n)
+    dr = np.maximum(np.abs(c.rl - f.real), np.abs(c.rh - f.real))
+    di = np.maximum(np.abs(c.il - f.imag), np.abs(c.ih - f.imag))
+    return nu_norm(np.hypot(dr, di))
+
+
+@pytest.mark.parametrize("constants", ["reference", "exact"])
+def test_float_field_inside_interval_and_norm_lane(cfg, data, constants):
+    # at zero input radii the norm lane's r bounds the distance from the
+    # float lane to every point of the endpoint enclosure, and N its norm;
+    # with exact constants r is the float lane's rounding and nothing else
     grid, _ = data
-    fl = float_field(cfg, grid)
+    if constants == "exact":
+        cfg = exact_cfg()
+    fl = model.embedded_field(stages._Float(cfg), grid, CAP)
+    # the float field meets the products in the lane's order on sorted grids
+    ref = float_field(cfg, [dict(sorted(comp.items())) for comp in grid])
     iv_grid = [FourierTaylorSeq({b: FourierSeq.point(c, NU) for b, c in comp.items()}, NU)
                for comp in grid]
     iv = model.embedded_field(model.IntervalArith(cfg, NU), iv_grid, CAP)
-    mr = model.embedded_field(
-        stages._MidRad(cfg),
-        [{b: [c, np.zeros(len(c))] for b, c in comp.items()} for comp in grid], CAP)
+    nr = model.embedded_field(
+        stages._NormRad(cfg, NU, 2 * K - 1),
+        [{b: (FourierSeq.point(c, NU).norm_upper(), 0.0) for b, c in comp.items()}
+         for comp in grid], CAP)
+    worst = 0.0
     for i in range(9):
-        assert set(fl[i]) == set(iv[i].entries) == set(mr[i])
+        assert set(fl[i]) == set(ref[i]) == set(iv[i].entries) == set(nr[i])
         for alpha, arr in fl[i].items():
-            assert_in_interval(iv[i].layer(*alpha), arr)
-            vm, vr = mr[i][alpha]
-            assert len(vm) == len(arr)
-            assert np.all(np.abs(arr - vm) <= vr)
-            # the enclosures are tight, not just sound
-            assert np.all(vr <= 1e-12 * (1.0 + nu_norm(arr)))
+            assert np.array_equal(arr, ref[i][alpha])
+            box = iv[i].layer(*alpha)
+            assert_in_interval(box, arr)
+            N, r = nr[i][alpha]
+            assert nu_norm(arr) <= N
+            dist = sup_distance(box, arr)
+            assert dist <= r, (i, alpha, dist, r)
+            worst = max(worst, dist / r if r else 0.0)
+            # the bounds are tight, not just sound
+            assert r <= 1e-12 * (1.0 + N)
+    assert worst > 1e-3
+
+
+def exact_distance(f, exact) -> float:
+    """nu-norm of f - exact, exact a centered list of Fraction pairs."""
+    n = max(len(f), len(exact))
+    f = centered(f, n)
+    off = (n - len(exact)) // 2
+    ex = [(Fraction(0), Fraction(0))] * off + list(exact) + [(Fraction(0), Fraction(0))] * off
+    d = [abs(complex(float(Fraction(z.real) - re), float(Fraction(z.imag) - im)))
+         for z, (re, im) in zip(f, ex)]
+    return nu_norm(d)
+
+
+def test_norm_lane_bounds_each_rounding():
+    # at zero radii and point constants each operation's r bounds the
+    # rounding of the float lane's operation, which is not zero here, and an
+    # exact operation adds nothing
+    rng = np.random.default_rng(5)
+    cfg = exact_cfg()
+    nr = stages._NormRad(cfg, NU, 2 * K - 1)
+
+    def both(arr):
+        return {(0, 0): arr}, {(0, 0): (FourierSeq.point(arr, NU).norm_upper(), 0.0)}
+
+    def frac(arr):
+        return [(Fraction(z.real), Fraction(z.imag)) for z in arr]
+
+    q = (rng.standard_normal(9) + 1j * rng.standard_normal(9)) / 3.0
+    v = (rng.standard_normal(5) + 1j * rng.standard_normal(5)) / 7.0
+    (fq, nq), (fv, nv) = both(q), both(v)
+    fa = stages._Float(cfg)
+    third, tenth = Interval(1.0 / 3.0), Interval(0.1)
+    ops = [
+        # (float lane, norm lane, exact value)
+        (fa.sum(fq, fv), nr.sum(nq, nv),
+         [(a + c, b + d) for (a, b), (c, d) in zip(frac(q), [(0, 0)] * 2 + frac(v) + [(0, 0)] * 2)]),
+        (fa.scale(fq, third.mid), nr.scale(nq, third),
+         [(a * Fraction(third.mid), b * Fraction(third.mid)) for a, b in frac(q)]),
+        (fa.shift(fq, tenth.mid), nr.shift(nq, tenth),
+         [(a - Fraction(0.1) if k == 4 else a, b) for k, (a, b) in enumerate(frac(q))]),
+    ]
+    for fl, n, exact in ops:
+        dist = exact_distance(fl[(0, 0)], exact)
+        assert 0.0 < dist <= n[(0, 0)][1]
+    for c, fl, n in [(-2.0, fa.scale(fq, -2.0), nr.scale(nq, -2.0)),
+                     (-1.0, fa.neg(fq), nr.neg(nq))]:
+        assert np.array_equal(fl[(0, 0)], c * q) and n[(0, 0)][1] == 0.0
 
 
 def test_norm_radius_bounds_the_float_field(cfg, data):
@@ -118,7 +202,7 @@ def test_norm_radius_bounds_the_float_field(cfg, data):
         return weight[i] * radii[beta]
 
     nr = model.embedded_field(
-        stages._NormRad(cfg),
+        stages._NormRad(cfg, NU, 2 * K - 1),
         [{b: (FourierSeq.point(c, NU).norm_upper(), radius(i, b)) for b, c in comp.items()}
          for i, comp in enumerate(grid)], CAP)
     base = float_field(cfg, grid)
@@ -146,6 +230,8 @@ def lower_jet(grid, radii, top=CAP - 1):
 
 
 def test_remainder_wrappers_against_float(cfg, data):
+    # the float lane of a jet is the float remainder, and rho bounds how far
+    # the float remainder moves with its inputs within the lower radii
     grid, radii = data
     jet = lower_jet(grid, radii)
     ms, pos = numerics.cfg_floats(cfg)
@@ -153,43 +239,60 @@ def test_remainder_wrappers_against_float(cfg, data):
     for alpha in [(3, 0), (2, 1)]:
         R = numerics.remainder_layer(grid, alpha, ms, pos)
         layer = stages._fresh_layer(jet, cfg, alpha)
-        enc = stages._disc_seqs(layer.discs, NU)
-        for i in range(9):
-            assert_in_interval(enc[i], R[i])
+        rhs = [np.zeros(1, dtype=complex) if f is None else f for f in layer.rhs]
+        for f, r in zip(rhs, R):
+            assert np.array_equal(f, r)
         rho = layer.rho
         for _ in range(3):
             Rp = numerics.remainder_layer(
                 perturbed(grid, lambda i, beta: radii[beta], rng), alpha, ms, pos)
-            moved = max(nu_norm(a - b) for a, b in zip(Rp, R))
+            moved = max(nu_norm(a - b) for a, b in zip(Rp, rhs))
             assert 0.0 < moved <= rho
+    # the centers of a rescaled table are boxes; rho covers their widths too
+    g = Interval(0.69, 0.7)
+    boxed = SimpleNamespace(**vars(jet))
+    boxed.orders = {b: tuple(s.scale(g) for s in seqs) for b, seqs in jet.orders.items()}
+    for alpha in [(3, 0), (2, 1)]:
+        layer = stages._fresh_layer(boxed, cfg, alpha)
+        rhs = [np.zeros(1, dtype=complex) if f is None else f for f in layer.rhs]
+        for t in (g.lo, g.hi):
+            inputs = [{b: t * c for b, c in comp.items()}
+                      for comp in perturbed(grid, lambda i, beta: radii[beta], rng)]
+            Rp = numerics.remainder_layer(inputs, alpha, ms, pos)
+            moved = max(nu_norm(a - b) for a, b in zip(Rp, rhs))
+            assert 0.0 < moved <= layer.rho
 
 
 def as_bytes(value):
-    """The bytes of a [mid, rad] disc layer or an (N, r) pair, sign bits included."""
-    return [np.asarray(v).tobytes() for v in value]
+    """The bytes of a float layer or an (N, r) pair, sign bits included."""
+    return np.asarray(value).tobytes()
 
 
-@pytest.mark.parametrize("arith", [stages._MidRad, stages._NormRad])
-def test_incremental_field_equals_a_fresh_one(cfg, data, arith):
+@pytest.mark.parametrize("k", [0, 1], ids=["_Float", "_NormRad"])
+def test_incremental_field_equals_a_fresh_one(cfg, data, k):
     grid, radii = data
     jet = lower_jet(grid, radii, top=CAP)
-    k = (stages._MidRad, stages._NormRad).index(arith)
     fields = None
     for p in range(2, CAP + 2):
         prev = fields
         fields = stages._level_fields(jet, cfg, p, prev)
         ar, got = fields[k]
         assert ar.order == p and ar.keep == (0 if prev is None else p - 1)
-        if prev is not None:
-            # the layers below p - 1 were carried over, not recomputed
-            old_nodes = prev[k][0].nodes
-            assert len(ar.nodes) == len(old_nodes) == 24
-            for new, old in zip(ar.nodes, old_nodes):
-                assert all(new[g] is old[g] for g in old if g[0] + g[1] < p - 1)
         low = [b for b in ORDERS if b[0] + b[1] < p]
+        assert all(set(g) == set(low) for g in ar.inputs)
+        if prev is not None:
+            # the entries and the layers below p - 1 were carried over, not
+            # recomputed
+            was = prev[k][0]
+            for new, old in zip(ar.inputs, was.inputs):
+                assert all(new[b] is old[b] for b in old)
+            assert len(ar.nodes) == len(was.nodes) == 24
+            for new, old in zip(ar.nodes, was.nodes):
+                assert all(new[g] is old[g] for g in old if g[0] + g[1] < p - 1)
+        base = ar.base
         fresh = model.embedded_field(
-            arith(cfg), [{b: arith.entry(jet.orders[b][i], jet.radii[b]) for b in low}
-                         for i in range(9)], p)
+            base, [{b: base.entry(jet.orders[b][i], jet.radii[b]) for b in low}
+                   for i in range(9)], p)
         level = set(stages._level_alphas(p))
         for i in range(9):
             assert set(got[i]) == {a for a in fresh[i] if a[0] + a[1] < p or a in level}
@@ -198,6 +301,7 @@ def test_incremental_field_equals_a_fresh_one(cfg, data, arith):
 
 
 def test_midpoint_lane_is_the_float_remainder(cfg, data):
+    # the float lane, byte for byte, sign bits included
     grid, radii = data
     jet = lower_jet(grid, radii, top=CAP)
     ms, pos = numerics.cfg_floats(cfg)
@@ -207,10 +311,10 @@ def test_midpoint_lane_is_the_float_remainder(cfg, data):
                 for i in range(9)]
         for alpha in stages._level_alphas(p):
             R = numerics.remainder_layer(mids, alpha, ms, pos)
-            discs = stages._fresh_layer(jet, cfg, alpha).discs
-            for r, d in zip(R, discs):
-                vm = np.zeros(1, dtype=complex) if d is None else d[0]
-                assert vm.tobytes() == r.tobytes(), (alpha,)
+            rhs = stages._fresh_layer(jet, cfg, alpha).rhs
+            for r, f in zip(R, rhs):
+                f = np.zeros(1, dtype=complex) if f is None else f
+                assert f.tobytes() == r.tobytes(), (alpha,)
 
 
 def test_float_kernels_inside_interval_kernels(cfg, data):

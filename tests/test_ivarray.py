@@ -10,18 +10,16 @@ from hypothesis import strategies as st
 from fourbody.interval import ComplexInterval, IntervalDomainError
 from fourbody.ivarray import (
     CArr,
-    Disc,
     carr_conv,
     carr_conv_batch,
     cconv_mr,
-    cconv_mr_sum,
     cmat_abs_up,
     cmm,
     mm_up_nonneg,
     up_sum,
 )
 from fourbody.seqspace import FourierSeq
-from oracles import carr_conv_reference, cconv_mr_chain, conv_exact, cq_add, widen
+from oracles import carr_conv_reference, cconv_mr_pair, conv_exact, widen
 
 rng = np.random.default_rng(20260814)
 
@@ -122,34 +120,26 @@ def disc_point(m, r, corner):
             for (x, y), ri in zip(pts, r)]
 
 
-def test_cconv_mr_sum_against_the_chain():
-    # the fold keeps the chain's midpoints bit for bit, encloses the exact
-    # sum of products at points of the discs and is no looser than the chain
-    # (the reference `cconv_mr_chain`: one cconv_mr per pair and mr_add)
-    for trial in range(16):
-        pairs = [(random_disc(2 * int(rng.integers(0, 5)) + 1),
-                  random_disc(2 * int(rng.integers(0, 5)) + 1))
-                 for _ in range(int(rng.integers(1, 5)))]
-        zm, zr = cconv_mr_sum([(Disc(*a), Disc(*b)) for a, b in pairs])
-        wm, wr = cconv_mr_chain(pairs)
+def test_cconv_mr_against_five_convolutions():
+    # the one-pair kernel keeps the midpoint of the reference (five
+    # convolutions, `cconv_mr_pair`) bit for bit, encloses the exact product
+    # at points of the discs and is neither looser nor tighter than it
+    for trial in range(24):
+        (am, ar), (bm, br) = (random_disc(2 * int(rng.integers(0, 5)) + 1) for _ in range(2))
+        zm, zr = cconv_mr(am, ar, bm, br)
+        wm, wr = cconv_mr_pair(am, ar, bm, br)
         assert zm.tobytes() == wm.tobytes(), trial
         assert (zr <= wr * (1.0 + 1e-9)).all(), (trial, zr / wr)
-        # and drops none of its terms (below the subnormals, where the
-        # chain's rounding up adds whole ulps of _ETA)
+        # (below the subnormals the reference's rounding adds whole ulps of _ETA)
         normal = wr > 1e-300
         assert (zr[normal] >= wr[normal] * (1.0 - 1e-9)).all(), (trial, zr / wr)
-        if len(pairs) == 1:
-            (am, ar), (bm, br) = pairs[0]
-            assert [v.tobytes() for v in cconv_mr(am, ar, bm, br)] == [zm.tobytes(), zr.tobytes()]
-        L = len(zm)
+        # a radius lane of zeros is the same as None
+        zeros = [np.zeros(len(am)), np.zeros(len(bm))]
+        again = cconv_mr(am, zeros[0] if ar is None else ar, bm, zeros[1] if br is None else br)
+        assert [v.tobytes() for v in again] == [zm.tobytes(), zr.tobytes()]
         for corner in (None, (1, 1), (1, -1), (-1, 1), (-1, -1)):
-            acc = [(Fraction(0), Fraction(0))] * L
-            for (am, ar), (bm, br) in pairs:
-                term = conv_exact(disc_point(am, ar, corner), disc_point(bm, br, corner))
-                off = (L - len(term)) // 2
-                for k, v in enumerate(term):
-                    acc[off + k] = cq_add(acc[off + k], v)
-            for k, (re, im) in enumerate(acc):
+            exact = conv_exact(disc_point(am, ar, corner), disc_point(bm, br, corner))
+            for k, (re, im) in enumerate(exact):
                 dre, dim = re - Fraction(zm[k].real), im - Fraction(zm[k].imag)
                 assert dre * dre + dim * dim <= Fraction(zr[k]) ** 2, (trial, corner, k)
 

@@ -25,7 +25,6 @@ from fourbody.model import (
     jacobi_embedded,
     mass_combination,
     primaries,
-    unfold_orbit_G,
     xi_phase,
 )
 from fourbody.seqspace import FourierSeq, FourierTaylorSeq
@@ -42,6 +41,7 @@ from oracles import (
     primaries_geometric,
     remainder_Ralpha,
     seq_from_entries,
+    unfold_orbit_G,
     widen,
 )
 

@@ -23,6 +23,7 @@ import oracles
 from fourbody import cli, ivarray, model, numerics, seeding, stages
 from fourbody.opbound import SpaceLayout, block_norms, opnorm_upper
 from fourbody.radii import NoNegativeRadius, content_digest
+from fourbody.seqspace import FourierTaylorSeq
 
 K = 24
 N_T = 3
@@ -74,6 +75,20 @@ def test_unfolding_scalars_are_far_inside_the_radius(run):
     _, res0, _, _ = run
     sol = res0.context[0]
     assert np.max(np.abs(sol.y)) <= 1e-3 * res0.r0
+
+
+def test_order0_residual_takes_the_reference_unfolding(run):
+    # order 0 builds G(y, a) from the cubes it already has; its residual is
+    # the one the reference unfolding term gives, bit for bit
+    cfg, res0, _, _ = run
+    sol, _, ctx = res0.context
+    _, asm = stages._assemble_orbit(sol, ctx)
+    grids = tuple(FourierTaylorSeq({(0, 0): sq}, ctx.nu) for sq in ctx.a0)
+    F = model.field_F_grid(grids, cfg, cap=0)
+    G = oracles.unfold_orbit_G([complex(t) for t in sol.y], ctx.a0)
+    for i, got in enumerate(asm.resid_seqs):
+        want = ctx.a0[i].dtheta().scale(-ctx.omega).add(F[i].layer(0, 0)).add(G[i])
+        assert got.to_json_obj() == want.to_json_obj(), i
 
 
 def test_real_part_of_lambda_excludes_zero(run):
@@ -387,9 +402,9 @@ def test_jets_evaluate_each_remainder_field_once(run, monkeypatch):
     evaluations = []
     init = stages._Incremental.__init__
 
-    def counted(self, base, order, old, keep):
+    def counted(self, base, order, old, keep, inputs):
         evaluations.append((type(base).__name__, order, keep))
-        init(self, base, order, old, keep)
+        init(self, base, order, old, keep, inputs)
 
     monkeypatch.setattr(numerics, "remainder_layer", float_remainder)
     monkeypatch.setattr(stages._Incremental, "__init__", counted)
@@ -401,19 +416,17 @@ def test_jets_evaluate_each_remainder_field_once(run, monkeypatch):
     assert arg.digest() == before
     assert sorted(evaluations) == sorted(
         (arith, p, 0 if p == 2 else p - 1)
-        for arith in ("_MidRad", "_NormRad") for p in range(2, N_T + 1))
+        for arith in ("_Float", "_NormRad") for p in range(2, N_T + 1))
 
 
 def test_product_fold_work(run, monkeypatch):
-    # counts, not timings: a product layer of the midpoint-radius field is
-    # one fold over its Cauchy pairs, with no mr_add and at most one midpoint
-    # convolution and two real ones per pair, one real one when either
-    # factor's radius lane is exactly zero (the table's centres are points)
+    # counts, not timings: a product layer of the float lane is one
+    # np.convolve per Cauchy pair, and no disc arithmetic (mr_add) runs
     cfg, _, _, table = run
     inside = []
     nodes = []
     convolve, mr_add = np.convolve, ivarray.mr_add
-    layers = stages._MidRad.product_layers
+    layers = stages._Float.product_layers
 
     def counted_convolve(*args, **kwargs):
         if inside:
@@ -421,35 +434,27 @@ def test_product_fold_work(run, monkeypatch):
         return convolve(*args, **kwargs)
 
     def counted_mr_add(*args):
-        if inside:
-            inside[-1]["mr_add"] += 1
+        nodes.append({"mr_add": 1})
         return mr_add(*args)
 
     def counted_layers(b, c, alphas):
-        work = {"convolve": 0, "mr_add": 0, "pairs": 0, "zero_lane": 0, "budget": 0}
-        for g in alphas:
-            for (_, r1), (_, r2) in stages._cauchy_terms(b, c, g):
-                zero = not np.any(r1) or not np.any(r2)
-                work["pairs"] += 1
-                work["zero_lane"] += zero
-                work["budget"] += 2 if zero else 3
-        inside.append(work)
+        pairs = sum(len(stages._cauchy_terms(b, c, g)) for g in alphas)
+        inside.append({"convolve": 0, "pairs": pairs})
         try:
             return layers(b, c, alphas)
         finally:
             nodes.append(inside.pop())
 
     monkeypatch.setattr(np, "convolve", counted_convolve)
-    monkeypatch.setattr(stages, "mr_add", counted_mr_add)
     monkeypatch.setattr(ivarray, "mr_add", counted_mr_add)
-    monkeypatch.setattr(stages._MidRad, "product_layers", staticmethod(counted_layers))
+    monkeypatch.setattr(model, "mr_add", counted_mr_add)
+    monkeypatch.setattr(stages._Float, "product_layers", staticmethod(counted_layers))
     fields = None
     for p in range(2, N_T + 1):
         fields = stages._level_fields(table, cfg, p, fields)
-    assert nodes and sum(w["zero_lane"] for w in nodes) > 0
+    assert nodes and sum(w["pairs"] for w in nodes) > len(nodes)
     for work in nodes:
-        assert work["mr_add"] == 0, work
-        assert work["convolve"] <= work["budget"], work
+        assert work.get("convolve") == work["pairs"], work
 
 
 @pytest.fixture
@@ -473,9 +478,9 @@ def test_pool_sends_layers_not_tables(run, monkeypatch, pools):
     evaluations = []
     init = stages._Incremental.__init__
 
-    def counted(self, base, order, old, keep):
+    def counted(self, base, order, old, keep, inputs):
         evaluations.append((type(base).__name__, order, keep))
-        init(self, base, order, old, keep)
+        init(self, base, order, old, keep, inputs)
 
     parent = os.getpid()
     level_fields = stages._level_fields
