@@ -68,30 +68,23 @@ remainder field, the budget rho, and a few scalars (lambda_bar, the radii
 of orders 0 and 1, the kind, the order-1 digest).  One task body,
 `_jet_task`, solves and certifies a jet from its layer, the order-0 context
 and the operator part of its certificate.  The context holds what the
-operators of all jets share: the kernel part of the window defect, and for
-the last shift s the float window block J (only its diagonal depends on s)
-and the operator part of the certificate (`_StageContext.jet_operator`).
+operators of all stages share: the kernel part of the window defect, the
+tail column profile of each kernel, and for the last shift s the float
+window block J (only its diagonal depends on s) and the operator part of
+the certificate (`_StageContext.jet_operator`).
 With a real lambda_bar every jet of order p has s = p lambda_bar, and the
 jets come level by level, so one inverse, one Z0 product and one Z1 serve a
 whole level.  Block and operator are N x N scratch of one public call
 (`start_jet_table`, `jet_problem`, `validate_jet`, `extend_with_jets`),
-which drops them when it returns; a table keeps its context, and a pickled
-context leaves them out.
+which drops them when it returns; a table keeps its context.
 
-With jobs = 1 the jet tasks run in process; with jobs > 1 the jets of a
-level run on one process pool per `extend_with_jets` call.  Its initializer
-hands each worker the order-0 context once.  The parent evaluates each
-level's remainder fields and builds each shift's operator, as jobs = 1
-does, and each task carries its layer and its operator.  A worker inverts
-and factors nothing: it makes the jet's step and its certificate, O(N^2)
-products and the enclosures of the jet's own part.  Results are applied in
-the fixed level order, so both paths give the same table bit for bit.
-Every dense inverse and N^3 product is the parent's, so that promise rests
-only on a worker's matrix-vector products rounding as the parent's do.
-With OpenBLAS 0.3.31, workers held to one BLAS thread under a parent with
-two gave the digests of jobs = 1 at K = 24 (N_t = 6 and 8) and K = 40
-(N_t = 4).  The digests themselves still depend on the parent's thread
-count, through its inverses.
+Every jet runs in the calling process, level by level in a fixed order.
+The jets of one level are independent, but each shift's inverse and its
+N^3 products already keep a threaded BLAS busy on every core, so a process
+pool only added a fork, a pickled N x N operator per task and BLAS threads
+competing for the same cores: on 2 cores it made the jets slower, not
+faster.  The dense inverses are threaded BLAS calls, so the digests depend
+on the BLAS thread count as well as on the code.
 
 The jet table collects centers, radii, eigenvalue enclosures, and the
 certificates with a digest chain binding each stage to its predecessors.
@@ -99,7 +92,6 @@ certificates with a digest chain binding each stage to its predecessors.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -372,6 +364,9 @@ class _StageContext:
         self.fconst, self.fkers = numerics.derivative_kernels(self.A0, self.ms, self.pos)
         self.df0 = model.dF0(self.a0, cfg)
         self.kmags = [[None] * 9 for _ in range(9)]
+        # `_tail_col_profile` of each of kmags: it reads only the kernel, K
+        # and nu, so one serves every operator of the context
+        self.kprofiles = [[None] * 9 for _ in range(9)]
         self.knorms = np.zeros((9, 9))
         # per block of the window defect: ||ker - fker||_nu, and the
         # enclosure c + ker(0) of the diagonal without -i omega k - s
@@ -382,6 +377,7 @@ class _StageContext:
                 ker = self.df0.kernels[i][j]
                 if ker is not None:
                     self.kmags[i][j] = ker.c.mag()
+                    self.kprofiles[i][j] = _tail_col_profile(self.kmags[i][j], self.K, self.nu)
                     self.knorms[i, j] = ker.norm_upper()
                     fker = FourierSeq.point(self.fkers[i][j], self.nu)
                     self.kgap[i, j] = ker.sub(fker).norm_upper()
@@ -401,13 +397,6 @@ class _StageContext:
             self._tdiag[i * n:(i + 1) * n] = t
         self._block = None
         self._op = None
-
-    def __getstate__(self):
-        # a pool worker gets each jet's operator with its task and builds no
-        # block or operator; the kept ones are N x N scratch of one call
-        state = dict(vars(self))
-        state["_block"] = state["_op"] = None
-        return state
 
     def window_block(self, s: complex) -> np.ndarray:
         """Float window block of h -> DF0 h - i omega k h - s h.
@@ -443,9 +432,9 @@ class _StageContext:
             self._op = _operator(_OperatorData(
                 ns=0, K=self.K, nu=self.nu, omega=self.omega, s=s, J=J,
                 window_defect=_window_defect(self, J, 0, s),
-                tail_mags=self.kmags, tail_norms=self.knorms,
-                tail_consts=np.abs(self.const), scalar_tail_sup=np.zeros((0, 9)),
-                ycol_tail_seqs=[]))
+                tail_mags=self.kmags, tail_profiles=self.kprofiles,
+                tail_norms=self.knorms, tail_consts=np.abs(self.const),
+                scalar_tail_sup=np.zeros((0, 9)), ycol_tail_seqs=[]))
         return self._op
 
     def drop_operators(self):
@@ -639,6 +628,7 @@ class _OperatorData:
     J: np.ndarray
     window_defect: np.ndarray
     tail_mags: list
+    tail_profiles: list  # `_tail_col_profile` of each of tail_mags
     tail_norms: np.ndarray
     tail_consts: np.ndarray
     scalar_tail_sup: np.ndarray
@@ -732,7 +722,7 @@ def _operator(d: _OperatorData) -> _Operator:
         for i in range(9):
             g = d.tail_mags[i][j]
             if g is not None:
-                U[layout.slices[ns + i], ns + j] = _tail_col_profile(g, K, nu)
+                U[layout.slices[ns + i], ns + j] = d.tail_profiles[i][j]
     Wmat = mm_up_nonneg(absJ, U)
     Np = np.zeros((ngroups, ngroups))
     for ci in range(ngroups):
@@ -922,12 +912,15 @@ def _assemble_orbit(sol: "OrbitSolution", ctx: _StageContext):
         resid_seqs.append(r)
     resid_scalars = list(model.eta_phase(ctx.a0, anchor, cfg))
 
+    # the cubes widen three diagonal kernels; the other profiles are the context's
     tail_mags = [list(row) for row in ctx.kmags]
+    tail_profiles = [list(row) for row in ctx.kprofiles]
     tail_norms = ctx.knorms.copy()
     for j in range(3):
         i = 6 + j
         prev = tail_mags[i][i]
         tail_mags[i][i] = _mag_pad_sum(prev, sq3mags[j]) if prev is not None else sq3mags[j]
+        tail_profiles[i][i] = _tail_col_profile(tail_mags[i][i], K, nu)
         tail_norms[i, i] = _up(tail_norms[i, i] + sq3seqs[j].norm_upper())
     tail_consts = np.abs(ctx.const)
     tail_consts[1, 1] = _up(tail_consts[1, 1] + _up(abs(complex(y[0]))))
@@ -944,8 +937,8 @@ def _assemble_orbit(sol: "OrbitSolution", ctx: _StageContext):
 
     data = _OperatorData(
         ns=ns, K=K, nu=nu, omega=omega, s=0.0 + 0.0j, J=J, window_defect=Nw,
-        tail_mags=tail_mags, tail_norms=tail_norms, tail_consts=tail_consts,
-        scalar_tail_sup=scalar_tail_sup,
+        tail_mags=tail_mags, tail_profiles=tail_profiles, tail_norms=tail_norms,
+        tail_consts=tail_consts, scalar_tail_sup=scalar_tail_sup,
         ycol_tail_seqs=[(1 + j, 6 + j, cubes[j]) for j in range(3)],
     )
     return data, _Assembled("order0", resid_scalars, resid_seqs, monos)
@@ -987,7 +980,8 @@ def _assemble_bundle(sol: "BundleSolution", ctx: _StageContext, r0: float):
     dd = ctx.field_dd(r0)
     data = _OperatorData(
         ns=ns, K=K, nu=nu, omega=omega, s=lam, J=J, window_defect=Nw,
-        tail_mags=ctx.kmags, tail_norms=ctx.knorms, tail_consts=np.abs(ctx.const),
+        tail_mags=ctx.kmags, tail_profiles=ctx.kprofiles,
+        tail_norms=ctx.knorms, tail_consts=np.abs(ctx.const),
         scalar_tail_sup=np.zeros((ns, 9)), ycol_tail_seqs=[],
     )
     return data, _Assembled("order1:%s" % sol.kind, resid_scalars, resid_seqs, monos,
@@ -1306,8 +1300,8 @@ def _solved_jet(alpha):
 
 class _JetLayer(NamedTuple):
     """All that the solve and the certificate of one jet read, besides the
-    order-0 context: the remainder is already evaluated, so a pool task
-    carries this and not the table."""
+    order-0 context: the remainder is already evaluated, so a jet's solve
+    reads this and not the table."""
 
     alpha: tuple
     rhs: list          # layer alpha of the `_Float` field: nine arrays or None
@@ -1676,8 +1670,7 @@ def _level_alphas(p: int):
 
 def _jet_task(ctx: _StageContext, layer: _JetLayer, op: _Operator) -> JetResult:
     """Solve and certify one jet with `op`, the operator part of its
-    certificate: the body of every jet task, run in process when jobs = 1
-    and in a pool worker otherwise.
+    certificate.
 
     The jet's map is affine, so its center is one step from zero with the
     certificate's inverse, z = -Jhat R on the window.  Nothing here inverts
@@ -1689,60 +1682,21 @@ def _jet_task(ctx: _StageContext, layer: _JetLayer, op: _Operator) -> JetResult:
     return _validate_layer(ctx, layer, centers, op)
 
 
-# the order-0 context of a pool worker, handed over by `_init_worker`
-_worker_ctx = None
+def _level_parallel(jet: "JetTable", cfg, layers):
+    """Solve and certify one level's jets, in process and in level order.
 
-
-def _init_worker(ctx: _StageContext):
-    global _worker_ctx
-    _worker_ctx = ctx
-
-
-def _pool_task(layer: _JetLayer, op: _Operator) -> JetResult:
-    return _jet_task(_worker_ctx, layer, op)
-
-
-def _jet_pool(jet: JetTable, cfg, jobs: int):
-    """Context of the one process pool of an `extend_with_jets` call; it
-    gives None when there is nothing to run in parallel.
-
-    Its initializer gives each worker the table's order-0 context (which
-    holds cfg) once; a rescale keeps order 0, so the pool serves the retry
-    too.  The operators are the parent's, and reach a worker with its tasks.
-    """
-    if jobs <= 1 or jet.N_t < 2:
-        return contextlib.nullcontext()
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(max_workers=min(jobs, len(_level_alphas(jet.N_t))),
-                               initializer=_init_worker,
-                               initargs=(_context_for(jet, cfg),))
-
-
-def _level_parallel(jet: "JetTable", cfg, layers, pool):
-    """Run one level's independent jets on the pool of `extend_with_jets`.
-
-    The pool's workers hold the order-0 context from its initializer.  The
-    parent builds the operator of each shift here, once, as the sequential
-    path does, and each task carries its own `_JetLayer` and that operator:
-    no table is sent, and no worker evaluates the field or inverts a
-    matrix.  Results come back in the fixed level order, so the outcome
-    matches the sequential path bit for bit (see the module docstring for
-    what that rests on).  When a task raises, the tasks of the level that
-    have not started are dropped.  The benchmark's tracer reads the table
-    and the number of tasks from the arguments.
+    The jets of a level are independent, but they share one shift when
+    lambda_bar is real, so the context's kept operator serves them all.
+    The name is kept from when a level ran on a process pool: the
+    benchmark's tracer wraps it as `stages.pool` and reads the table and
+    the number of jets from its arguments, and its self-test and
+    tests/test_tracer.py name it.
     """
     ctx = _context_for(jet, cfg)
-    futs = [pool.submit(_pool_task, layer, ctx.jet_operator(layer.shift))
-            for layer in layers]
-    try:
-        return [f.result() for f in futs]
-    finally:
-        for f in futs:
-            f.cancel()
+    return [_jet_task(ctx, layer, ctx.jet_operator(layer.shift)) for layer in layers]
 
 
-def _extend(jet: JetTable, cfg, pool) -> JetTable:
+def _extend(jet: JetTable, cfg) -> JetTable:
     """Solve and certify the jets the table lacks, level by level."""
     fields = None
     for p in range(2, jet.N_t + 1):
@@ -1751,13 +1705,7 @@ def _extend(jet: JetTable, cfg, pool) -> JetTable:
             continue
         fields = _level_fields(jet, cfg, p, fields)
         layers = [_jet_layer(jet, fields, a) for a in alphas]
-        if pool is not None and len(layers) > 1:
-            results = _level_parallel(jet, cfg, layers, pool)
-        else:
-            ctx = _context_for(jet, cfg)
-            results = [_jet_task(ctx, layer, ctx.jet_operator(layer.shift))
-                       for layer in layers]
-        for res in results:
+        for res in _level_parallel(jet, cfg, layers):
             alpha = res.alpha
             centers = tuple(b.center for b in res.balls)
             jet.orders[alpha] = centers
@@ -1775,17 +1723,19 @@ def extend_with_jets(jet: JetTable, cfg, *, gamma: float = 0.7,
                      jobs: int = 1) -> JetTable:
     """Solve and certify all jets through order N_t (one rescale retry).
 
-    Jets of equal order are independent; jobs > 1 solves each level on one
-    process pool that lives as long as this call, the retry included.  The
-    argument is left as it was: the jets go into a copy."""
+    Every jet runs in this process, whatever `jobs` is: the value changes
+    nothing.  Each shift's inverse and N^3 products keep a threaded BLAS
+    busy on every core already, and a process pool for the independent jets
+    of a level made them slower, not faster.  `jobs` stays because the
+    benchmark's `pool` workload (perfbench/pipeline.py) still passes it.
+    The argument is left as it was: the jets go into a copy."""
     jet = _strip_unvalidated(jet)
     try:
-        with _jet_pool(jet, cfg, jobs) as pool:
-            try:
-                return _extend(jet, cfg, pool)
-            except NoNegativeRadius:
-                scaled = rescale_jets(_strip_unvalidated(jet), gamma)
-            return _extend(scaled, cfg, pool)
+        try:
+            return _extend(jet, cfg)
+        except NoNegativeRadius:
+            scaled = rescale_jets(_strip_unvalidated(jet), gamma)
+        return _extend(scaled, cfg)
     finally:
         # the table keeps its context; the N x N scratch goes now
         if jet.ctx_cache is not None:
