@@ -6,24 +6,21 @@ center of mass; a fourth massless particle moves in their field.  In the
 co-rotating frame the primaries are fixed and the dynamics has a conserved
 Jacobi integral.
 
-This module supplies the geometry (closed-form primary positions), the
-classical 6D vector field, a polynomial 9D embedding obtained by appending
-the three reciprocal distances as new variables, the Jacobi integral in both
-coordinate systems, and the coefficient-space versions of the embedded field
-that act on Fourier and Fourier-Taylor data.
+This module supplies the geometry (closed-form primary positions), a
+degree-5 polynomial field on the 9D phase space that appends the three
+reciprocal distances as new variables, the Jacobi integral in those
+coordinates, and the coefficient-space versions of that field.
 
-The degree-5 embedded field is written once, in `embedded_field`, and its
-order-zero derivative once, in `field_derivative`.  Both run over a
-pluggable arithmetic: endpoint intervals here (`IntervalArith`), floats in
-`numerics`, and the float and norm/radius lanes of `stages`.  On top of the
-interval arithmetic sit the field map on a grid (`field_F_grid`), its
-derivative table at an order-zero sequence (`dF0`), and the scalar
-phase/initialization conditions; the orbit's unfolding term is assembled
-by `stages` from the cubes it already has.
-The remainder a jet reads (every term of its layer not involving its own
-coefficient) is evaluated by `stages`, level by level.  Inputs are
-immutable, so all operations are safe to run in parallel across Taylor
-orders.
+The embedded field is written once, in `embedded_field`, and its order-zero
+derivative once, in `field_derivative`.  Both run over a pluggable
+arithmetic.  Here it is `IntervalArith`: order 0 in endpoint intervals, one
+`FourierSeq` per component, with no Taylor layers.  The Fourier-Taylor
+grids of the jets are evaluated in floats by `numerics.FloatArith` and
+bounded by the norm/radius lane of `stages`.  On top of the interval
+arithmetic sit the order-0 field map on nine sequences (`field_F_grid`),
+its derivative table (`dF0`), and the scalar phase/initialization
+conditions; the orbit's unfolding term is assembled by `stages` from the
+cubes it already has.
 """
 
 from __future__ import annotations
@@ -43,26 +40,17 @@ from .interval import (
     _as_iv,
 )
 from .ivarray import CArr, cconv_mr, down_sum, mr_add, up_sum
-from .seqspace import (
-    FourierSeq,
-    FourierTaylorSeq,
-    WeightMismatch,
-    ft_conv,
-)
+from .seqspace import FourierSeq, WeightMismatch, conv
 
 __all__ = [
     "DegenerateMassCombination",
-    "CollisionSingularity",
     "MassTriple",
     "PrimaryConfig",
     "PhaseAnchor",
     "interval_from_rational",
     "mass_combination",
     "primaries",
-    "field_f",
-    "embed_R",
     "field_F",
-    "jacobi",
     "jacobi_embedded",
     "IntervalArith",
     "embedded_field",
@@ -77,10 +65,6 @@ __all__ = [
 
 class DegenerateMassCombination(ValueError):
     """The mass combination K cannot be bounded away from zero."""
-
-
-class CollisionSingularity(ArithmeticError):
-    """A distance to a primary cannot be bounded away from zero."""
 
 
 # ---------------------------------------------------------------------------
@@ -221,43 +205,6 @@ def _iv_vec(u, n: int):
     return out
 
 
-def _reciprocal_distances(x, y, z, cfg: PrimaryConfig):
-    """Enclosures of 1/r_j; raises when some r_j may vanish."""
-    out = []
-    for j in range(3):
-        px, py, pz = cfg.position(j)
-        r2 = (x - px).pow_int(2) + (y - py).pow_int(2) + (z - pz).pow_int(2)
-        if r2.lo <= 0.0:
-            raise CollisionSingularity("distance to primary %d may vanish" % (j + 1))
-        out.append(Interval(1.0) / r2.sqrt())
-    return out
-
-
-def field_f(u, cfg: PrimaryConfig):
-    """The classical first-order field on (x, x', y, y', z, z')."""
-    x, vx, y, vy, z, vz = _iv_vec(u, 6)
-    gx, gy, gz = x, y, ZERO
-    for j in range(3):
-        px, py, pz = cfg.position(j)
-        dx, dy, dz = x - px, y - py, z - pz
-        r2 = dx.pow_int(2) + dy.pow_int(2) + dz.pow_int(2)
-        if r2.lo <= 0.0:
-            raise CollisionSingularity("distance to primary %d may vanish" % (j + 1))
-        r3 = r2 * r2.sqrt()
-        mj = cfg.masses[j]
-        gx = gx - mj * dx / r3
-        gy = gy - mj * dy / r3
-        gz = gz - mj * dz / r3
-    return (vx, vy * 2.0 + gx, vy, vx * (-2.0) + gy, vz, gz)
-
-
-def embed_R(u, cfg: PrimaryConfig):
-    """Append the three reciprocal distances as coordinates 7..9."""
-    x, vx, y, vy, z, vz = _iv_vec(u, 6)
-    w = _reciprocal_distances(x, y, z, cfg)
-    return (x, vx, y, vy, z, vz, w[0], w[1], w[2])
-
-
 def field_F(u, cfg: PrimaryConfig):
     """Degree-five polynomial field on the 9D embedded phase space."""
     u = _iv_vec(u, 9)
@@ -282,21 +229,6 @@ def field_F(u, cfg: PrimaryConfig):
         tail[0],
         tail[1],
         tail[2],
-    )
-
-
-def jacobi(u, cfg: PrimaryConfig) -> Interval:
-    """Jacobi integral in the original coordinates."""
-    x, vx, y, vy, z, vz = _iv_vec(u, 6)
-    w = _reciprocal_distances(x, y, z, cfg)
-    pot = sum((cfg.masses[j] * w[j] for j in range(3)), ZERO)
-    return (
-        x.pow_int(2)
-        + y.pow_int(2)
-        + pot * 2.0
-        - vx.pow_int(2)
-        - vy.pow_int(2)
-        - vz.pow_int(2)
     )
 
 
@@ -340,7 +272,8 @@ def _const_seq(c, nu: float) -> FourierSeq:
 # An arithmetic is an object with the operations the embedded field is built
 # from, each acting on coefficient grids in its own representation:
 #
-#   zero                the empty grid; every sum starts from it
+#   zero                the zero grid, or a sentinel that sum skips;
+#                       every sum starts from it
 #   mul(b, c, cap)      Cauchy product without the layers above order cap
 #   sum(*grids)         sum, accumulated from left to right
 #   scale(g, c)         multiple by a mass of `masses` or a float constant
@@ -354,20 +287,29 @@ def _const_seq(c, nu: float) -> FourierSeq:
 
 
 class IntervalArith:
-    """Endpoint-interval FourierTaylorSeq grids: the reference semantics."""
+    """Order 0 in endpoint intervals: each grid is one `FourierSeq`.
 
-    def __init__(self, cfg: PrimaryConfig, nu: float):
+    Products are `seqspace.conv`, and order 0 has no layer above cap = 0,
+    so `truncate` and `layer` return their argument.  `zero` is a sentinel
+    that `sum` skips, so a sum that starts from it adds nothing.
+    """
+
+    zero = None
+
+    def __init__(self, cfg: PrimaryConfig):
         self.masses = tuple(cfg.masses)
         self.positions = tuple(cfg.position(j) for j in range(3))
-        self.zero = FourierTaylorSeq.zeros(nu)
-
-    mul = staticmethod(ft_conv)
 
     @staticmethod
-    def sum(*grids):
-        out = grids[0]
-        for g in grids[1:]:
-            out = out.add(g)
+    def mul(b, c, cap):
+        return conv(b, c)
+
+    @staticmethod
+    def sum(*seqs):
+        out = None
+        for g in seqs:
+            if g is not None:
+                out = g if out is None else out.add(g)
         return out
 
     @staticmethod
@@ -376,7 +318,7 @@ class IntervalArith:
 
     @staticmethod
     def shift(g, p):
-        return g.with_layer(0, 0, g.layer(0, 0).sub(_const_seq(p, g.nu)))
+        return g.sub(_const_seq(p, g.nu))
 
     @staticmethod
     def neg(g):
@@ -384,11 +326,9 @@ class IntervalArith:
 
     @staticmethod
     def truncate(g, cap):
-        return g.truncate(cap)
+        return g
 
-    @staticmethod
-    def layer(g, alpha):
-        return g.layer(*alpha)
+    layer = truncate
 
 
 def embedded_field(ar, a, cap: int):
@@ -464,10 +404,9 @@ def field_derivative(ar, a0):
     return const, kernels
 
 
-def field_F_grid(a, cfg: PrimaryConfig, cap: int):
-    """All Taylor layers of the embedded field map through total order cap."""
-    a = _nine(a, "grid")
-    return embedded_field(IntervalArith(cfg, a[0].nu), a, cap)
+def field_F_grid(a, cfg: PrimaryConfig):
+    """The embedded field map on nine order-zero sequences, as nine sequences."""
+    return embedded_field(IntervalArith(cfg), _nine(a, "sequence"), 0)
 
 
 class DF0:
@@ -548,10 +487,8 @@ class DF0:
 def dF0(a0, cfg: PrimaryConfig) -> DF0:
     """Assemble the derivative table of the order-zero field map at a0."""
     a0 = _nine(a0, "sequence")
-    nu = a0[0].nu
-    grids = [FourierTaylorSeq({(0, 0): s}, nu) for s in a0]
-    const, kernels = field_derivative(IntervalArith(cfg, nu), grids)
-    return DF0(const, kernels, nu)
+    const, kernels = field_derivative(IntervalArith(cfg), a0)
+    return DF0(const, kernels, a0[0].nu)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,11 @@ plain complex numpy vectors over the Fourier window k = -(K-1)..K-1, and
 Fourier-Taylor grids are dicts (m, n) -> array.  Convolutions keep their
 full support; equations project back to the window when assembled.  The
 embedded field and its derivative are the ones of `model`, evaluated in the
-float arithmetic `FloatArith`; `base_block` assembles the window block of
-the linear operator that every stage shares.
+float arithmetic `FloatArith`.  Its Cauchy product is one fold, made layer
+by layer, and it serves every float evaluation of the field: seeding, the
+order-0 residual and kernels, the jets' right-hand sides (through
+`stages`), and `remainder_layer`.  `base_block` assembles the window block
+of the linear operator that every stage shares.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ __all__ = [
     "eta_rows",
     "eta_jacobian_entries",
     "ft_truncate",
-    "ft_conv_grid",
     "field_grid",
     "remainder_layer",
     "newton_polish",
@@ -160,17 +162,23 @@ def ft_truncate(grid, cap: int):
     return {a: v for a, v in grid.items() if a[0] + a[1] <= cap}
 
 
-def ft_conv_grid(b, c, cap: int):
-    out = {}
-    for (m1, n1), v1 in b.items():
-        for (m2, n2), v2 in c.items():
-            m, n = m1 + m2, n1 + n2
-            if m + n > cap:
-                continue
-            prod = np.convolve(v1, v2)
-            prev = out.get((m, n))
-            out[(m, n)] = prod if prev is None else pad_sum(prev, prod)
-    return out
+def _product_keys(b, c, cap: int):
+    """The layers of the Cauchy product b*c through order cap, sorted."""
+    return sorted({(m1 + m2, n1 + n2) for (m1, n1) in b for (m2, n2) in c
+                   if m1 + n1 + m2 + n2 <= cap})
+
+
+def _cauchy_terms(b, c, alpha):
+    """The factor pairs (b_beta, c_(alpha - beta)) of layer alpha of b*c.
+
+    beta runs in lexicographic order, so a layer is the same fold whichever
+    other layers are computed with it.  b and c may hold any per-layer
+    values: the arrays of `FloatArith` or the (N, r) pairs of the norm lane
+    of `stages`.
+    """
+    m, n = alpha
+    return [(b[beta], c[(m - beta[0], n - beta[1])]) for beta in sorted(b)
+            if beta[0] <= m and beta[1] <= n and (m - beta[0], n - beta[1]) in c]
 
 
 def _grid_scale(grid, c):
@@ -197,17 +205,47 @@ def _grid_shift(grid, c: complex):
 
 
 class FloatArith:
-    """Float Fourier-Taylor grids for `model.embedded_field`."""
+    """Float Fourier-Taylor grids for `model.embedded_field`.
+
+    A Cauchy product is made one layer at a time (`product_layers`), and
+    layer alpha folds the pairs of `_cauchy_terms` in beta order, one
+    `np.convolve` per pair: a single pair's product as it is, otherwise each
+    added into an accumulator of zeros.  `entry` is the grid value of one
+    lower-order center, whatever its radius.
+    """
 
     def __init__(self, ms, pos):
         self.masses = tuple(ms)
         self.positions = tuple(tuple(p) for p in pos)
         self.zero = {}
 
-    mul = staticmethod(ft_conv_grid)
     sum = staticmethod(_grid_sum)
     scale = staticmethod(_grid_scale)
     truncate = staticmethod(ft_truncate)
+
+    def mul(self, b, c, cap):
+        return self.product_layers(b, c, _product_keys(b, c, cap))
+
+    @staticmethod
+    def product_layers(b, c, alphas):
+        """The layers alphas of b*c."""
+        out = {}
+        for g in alphas:
+            pairs = _cauchy_terms(b, c, g)
+            if len(pairs) == 1:
+                out[g] = np.convolve(*pairs[0])
+                continue
+            L = max(len(u) + len(v) - 1 for u, v in pairs)
+            acc = np.zeros(L, dtype=complex)
+            for u, v in pairs:
+                off = (L - len(u) - len(v) + 1) // 2
+                acc[off:L - off] += np.convolve(u, v)
+            out[g] = acc
+        return out
+
+    @staticmethod
+    def entry(seq, radius):
+        return seq.c.mid()
 
     @staticmethod
     def shift(grid, p):
@@ -230,10 +268,11 @@ def field_grid(A, ms, pos, cap: int):
 def remainder_layer(A, alpha, ms, pos):
     """Layer alpha of the field applied to the orders-below-|alpha| data.
 
-    No stage calls this: the jets take their float right-hand side from the
-    float lane of `stages` (`_Float`), which folds each product layer in
-    place and repeats these values.  It stays as the float oracle the tests
-    compare that lane against, and as a layer the benchmark tracer wraps.
+    It evaluates the whole field afresh.  The jets do not call it: each level
+    of `stages` evaluates the field once in `FloatArith` and reuses the
+    product layers of the level below, with the same fold, so their float
+    right-hand side equals this one byte for byte.  The tests compare
+    against it, and the benchmark tracer wraps it.
     """
     m, n = int(alpha[0]), int(alpha[1])
     order = m + n

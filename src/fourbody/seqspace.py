@@ -1,12 +1,10 @@
 """Weighted coefficient spaces and their rigorous algebra.
 
-Two sequence families share the same weighted-l1 geometry:
-
-* two-sided complex Fourier windows a = (a_k), |k| <= K-1, with norm
-  sum_k |a_k| nu^|k| (a Banach algebra under discrete convolution),
-* order-capped grids of Fourier windows indexed by alpha = (m, n) in N^2,
-  normed by the sum of the layer norms (Taylor in two variables on top of
-  Fourier), again an algebra under the Cauchy-convolution product.
+A sequence is a two-sided complex Fourier window a = (a_k), |k| <= K-1,
+with norm sum_k |a_k| nu^|k|: the space l^1_nu, a Banach algebra under
+discrete convolution.  Taylor layers live only in the jets' float and
+norm lanes (`numerics.FloatArith` and `stages`); here every object is one
+Fourier window.
 
 All norms and products return rigorous enclosures built on the interval
 kernels in ivarray; nothing here rounds to nearest.  Ball elements pair a
@@ -233,125 +231,6 @@ def include(a: FourierSeq, M: int) -> FourierSeq:
     if pad == 0:
         return a
     return FourierSeq(a.c.pad(pad, pad), a.nu)
-
-
-# -- Fourier-Taylor grids ---------------------------------------------------
-
-
-class FourierTaylorSeq:
-    """Finite table alpha = (m, n) -> FourierSeq, all sharing one nu.
-
-    Conjugate symmetry means a_{(m,n)} equals the conj-reflection of
-    a_{(n,m)}; grids with that property parameterize real objects over
-    complex-conjugate variables.
-    """
-
-    __slots__ = ("entries", "nu")
-
-    def __init__(self, entries: dict, nu: float):
-        self.nu = _check_nu(nu)
-        clean = {}
-        for (m, n), seq in sorted(entries.items()):
-            m, n = int(m), int(n)
-            if m < 0 or n < 0:
-                raise ValueError("Taylor orders must be nonnegative")
-            if seq.nu != self.nu:
-                raise WeightMismatch("layer nu differs from grid nu")
-            clean[(m, n)] = seq
-        self.entries = clean
-
-    @classmethod
-    def zeros(cls, nu: float) -> "FourierTaylorSeq":
-        return cls({}, nu)
-
-    def layer(self, m: int, n: int) -> FourierSeq:
-        seq = self.entries.get((m, n))
-        if seq is None:
-            return FourierSeq.zeros(1, self.nu)
-        return seq
-
-    def order(self) -> int:
-        return max((m + n for (m, n) in self.entries), default=0)
-
-    def with_layer(self, m: int, n: int, seq: FourierSeq) -> "FourierTaylorSeq":
-        d = dict(self.entries)
-        d[(m, n)] = seq
-        return FourierTaylorSeq(d, self.nu)
-
-    def add(self, o: "FourierTaylorSeq") -> "FourierTaylorSeq":
-        if self.nu != o.nu:
-            raise WeightMismatch
-        d = dict(self.entries)
-        for key, seq in o.entries.items():
-            d[key] = seq if key not in d else d[key].add(seq)
-        return FourierTaylorSeq(d, self.nu)
-
-    def sub(self, o: "FourierTaylorSeq") -> "FourierTaylorSeq":
-        return self.add(o.neg())
-
-    def neg(self) -> "FourierTaylorSeq":
-        return FourierTaylorSeq({k: s.neg() for k, s in self.entries.items()}, self.nu)
-
-    def scale(self, z) -> "FourierTaylorSeq":
-        return FourierTaylorSeq({k: s.scale(z) for k, s in self.entries.items()}, self.nu)
-
-    def truncate(self, cap: int) -> "FourierTaylorSeq":
-        return FourierTaylorSeq(
-            {k: s for k, s in self.entries.items() if k[0] + k[1] <= cap}, self.nu
-        )
-
-    def norm(self) -> Interval:
-        his = []
-        los = []
-        for seq in self.entries.values():
-            nm = seq.norm()
-            his.append(nm.hi)
-            los.append(nm.lo)
-        if not his:
-            return Interval.point(0.0)
-        hi = up_sum(np.array(his))
-        lo = max(down_sum(np.array(los)), 0.0)
-        return Interval(min(lo, hi), hi)
-
-    def norm_upper(self) -> float:
-        return self.norm().hi
-
-    def to_json_obj(self):
-        return {
-            "nu": float(self.nu).hex(),
-            "layers": [
-                [m, n, seq.to_json_obj()] for (m, n), seq in sorted(self.entries.items())
-            ],
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "FourierTaylorSeq":
-        nu = float.fromhex(obj["nu"])
-        entries = {
-            (int(m), int(n)): FourierSeq.from_json_obj(s) for m, n, s in obj["layers"]
-        }
-        return cls(entries, nu)
-
-    def __repr__(self):
-        return "FourierTaylorSeq(order<=%d, layers=%d, nu=%g)" % (
-            self.order(), len(self.entries), self.nu,
-        )
-
-
-def ft_conv(b: FourierTaylorSeq, c: FourierTaylorSeq, cap: int | None = None) -> FourierTaylorSeq:
-    """Cauchy-convolution product: convolve layers over all alpha splits."""
-    if b.nu != c.nu:
-        raise WeightMismatch
-    out: dict = {}
-    for (m1, n1), s1 in b.entries.items():
-        for (m2, n2), s2 in c.entries.items():
-            key = (m1 + m2, n1 + n2)
-            if cap is not None and key[0] + key[1] > cap:
-                continue
-            p = conv(s1, s2)
-            prev = out.get(key)
-            out[key] = p if prev is None else prev.add(p)
-    return FourierTaylorSeq(out, b.nu)
 
 
 # -- ball elements -----------------------------------------------------------

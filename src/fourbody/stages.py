@@ -49,8 +49,9 @@ dense factorization.  Every stage looks for its radius r below the cap
 R_STAR.
 
 The right-hand side of a jet of order p is layer alpha of the field on the
-orders below p, evaluated in two lanes.  The float lane (`_Float`) gives the
-float right-hand side: the jet's step reads it, and so does the residual of
+orders below p, evaluated in two lanes.  The float lane
+(`numerics.FloatArith`, the one float fold of the field) gives the float
+right-hand side: the jet's step reads it, and so does the residual of
 its certificate, as point data.  The norm lane (`_NormRad`) gives, per
 layer, a bound N of the float value's nu-norm and a bound r of its distance
 from the field at the true lower orders.  r takes in the radii of the lower
@@ -113,7 +114,7 @@ from .ivarray import (
 )
 from .opbound import SpaceLayout, block_norms, group_vec_norms, norm_rows, opnorm_upper
 from .radii import Certificate, NKBounds, NoNegativeRadius, content_digest, radii_newton
-from .seqspace import BallElement, FourierSeq, FourierTaylorSeq, conv, nu_weights, project
+from .seqspace import BallElement, FourierSeq, conv, nu_weights, project
 from . import model
 from . import numerics
 
@@ -899,8 +900,7 @@ def _assemble_orbit(sol: "OrbitSolution", ctx: _StageContext):
             eta_monos.append((("scalar", 1 + j), 1.0,
                               (fv.mag(), fv.mag(), gw.mag(), gw.mag())))
 
-    grids = tuple(FourierTaylorSeq({(0, 0): sq}, nu) for sq in ctx.a0)
-    F = model.field_F_grid(grids, cfg, cap=0)
+    F = model.field_F_grid(ctx.a0, cfg)
     # the unfolding G(y, a): y0 a_1 in row 1 and y_j times the cubes in row 6+j
     G = [FourierSeq.zeros(1, nu)] * 9
     G[1] = ctx.a0[1].scale(complex(y[0]))
@@ -908,7 +908,7 @@ def _assemble_orbit(sol: "OrbitSolution", ctx: _StageContext):
         G[6 + j] = cubes[j].scale(complex(y[1 + j]))
     resid_seqs = []
     for i in range(9):
-        r = ctx.a0[i].dtheta().scale(-omega).add(F[i].layer(0, 0)).add(G[i])
+        r = ctx.a0[i].dtheta().scale(-omega).add(F[i]).add(G[i])
         resid_seqs.append(r)
     resid_scalars = list(model.eta_phase(ctx.a0, anchor, cfg))
 
@@ -1027,85 +1027,14 @@ def _assemble_jet(layer: "_JetLayer", centers, ctx: _StageContext) -> _Assembled
 # verified remainder enclosures: the field on the lower orders, by layer
 
 
-def _product_keys(b, c, cap: int):
-    """The layers of the Cauchy product b*c through order cap, sorted."""
-    return sorted({(m1 + m2, n1 + n2) for (m1, n1) in b for (m2, n2) in c
-                   if m1 + n1 + m2 + n2 <= cap})
-
-
-def _cauchy_terms(b, c, alpha):
-    """The factor pairs (b_beta, c_(alpha - beta)) of layer alpha of b*c.
-
-    beta runs in lexicographic order, so a layer is the same fold whichever
-    other layers are computed with it.  It is also the order in which
-    `numerics.ft_conv_grid` meets the contributions on sorted lower-order
-    grids, so the fold of `_Float` repeats the float field's operations.  b
-    and c may hold any per-layer values: the arrays of `_Float` or the
-    (N, r) pairs of `_NormRad`.
-    """
-    m, n = alpha
-    return [(b[beta], c[(m - beta[0], n - beta[1])]) for beta in sorted(b)
-            if beta[0] <= m and beta[1] <= n and (m - beta[0], n - beta[1]) in c]
-
-
-class _ByLayer:
-    """An arithmetic whose Cauchy product is made one layer at a time.
-
-    Subclasses give `product_layers(b, c, alphas)`, the layers alphas of
-    b*c, each the fold of the pairs of `_cauchy_terms`, and
-    `entry(seq, radius)`, the grid value of one lower-order center and its
-    radius.
-    """
-
-    truncate = staticmethod(numerics.ft_truncate)
-
-    def mul(self, b, c, cap):
-        return self.product_layers(b, c, _product_keys(b, c, cap))
-
-
 # a complex addition, or a scaling by a real, errs by at most u times the
 # modulus of the exact result; 2u leaves room
 _ADD_ROUND = 2.0 ** -52
 
 
-class _Float(_ByLayer, numerics.FloatArith):
-    """`numerics.FloatArith` with its Cauchy products made one layer at a
-    time: the jets' right-hand side.
-
-    A product layer folds its Cauchy pairs in beta order, one `np.convolve`
-    per pair: a single pair's product as it is, otherwise each added into
-    an accumulator of zeros, as `numerics.ft_conv_grid` adds them on sorted
-    grids.  The other operations are `FloatArith`'s, and the bounds of
-    `_NormRad` are made for all of them.
-    """
-
-    def __init__(self, cfg):
-        numerics.FloatArith.__init__(self, *numerics.cfg_floats(cfg))
-
-    @staticmethod
-    def entry(seq, radius):
-        return seq.c.mid()
-
-    @staticmethod
-    def product_layers(b, c, alphas):
-        out = {}
-        for g in alphas:
-            pairs = _cauchy_terms(b, c, g)
-            if len(pairs) == 1:
-                out[g] = np.convolve(*pairs[0])
-                continue
-            L = max(len(u) + len(v) - 1 for u, v in pairs)
-            acc = np.zeros(L, dtype=complex)
-            for u, v in pairs:
-                off = (L - len(u) - len(v) + 1) // 2
-                acc[off:L - off] += np.convolve(u, v)
-            out[g] = acc
-        return out
-
-
-class _NormRad(_ByLayer):
+class _NormRad:
     """Grids (m, n) -> (N, r) for `model.embedded_field`, the bounds of the
-    `_Float` evaluation on the same lower orders.
+    `numerics.FloatArith` evaluation on the same lower orders.
 
     N bounds the nu-norm of the float value of the layer, and r its
     distance from the exact value of the layer at any inputs within the
@@ -1140,6 +1069,11 @@ class _NormRad(_ByLayer):
         _, w_up = nu_weights(nu, n)
         self.eta = _next(_next(_ETA * n) * _next(n * float(w_up[n // 2])))
 
+    truncate = staticmethod(numerics.ft_truncate)
+
+    def mul(self, b, c, cap):
+        return self.product_layers(b, c, numerics._product_keys(b, c, cap))
+
     @staticmethod
     def entry(seq, radius):
         """A center's norm and radius; a center that is a box (a rescaled
@@ -1152,7 +1086,7 @@ class _NormRad(_ByLayer):
     def product_layers(self, b, c, alphas):
         out = {}
         for g in alphas:
-            pairs = _cauchy_terms(b, c, g)
+            pairs = numerics._cauchy_terms(b, c, g)
             Nacc, racc = 0.0, 0.0
             for (N1, r1), (N2, r2) in pairs:
                 Np = _next(N1 * N2)
@@ -1211,7 +1145,8 @@ class _NormRad(_ByLayer):
 
 
 class _Incremental:
-    """One evaluation of the field at order `order` in `base` (a `_ByLayer`).
+    """One evaluation of the field at order `order` in `base`, a
+    `numerics.FloatArith` or a `_NormRad`.
 
     `model.embedded_field` makes its products in a fixed sequence, so the
     k-th `mul` of every evaluation is the same product node, and layer gamma
@@ -1241,7 +1176,7 @@ class _Incremental:
 
     def mul(self, b, c, cap):
         old = self.old[len(self.nodes)] if self.keep else None
-        keys = _product_keys(b, c, cap)
+        keys = numerics._product_keys(b, c, cap)
         made = self.base.product_layers(b, c, [
             g for g in keys
             if self.keep <= g[0] + g[1] and (g[0] + g[1] < self.order or g in self.top)])
@@ -1260,8 +1195,8 @@ class _Incremental:
 
 def _level_fields(jet: "JetTable", cfg, order: int, prev=None):
     """`model.embedded_field` on the orders of the table below `order`, as
-    one (`_Incremental`, nine grids) pair per lane, `_Float` first and
-    `_NormRad` second.
+    one (`_Incremental`, nine grids) pair per lane, `numerics.FloatArith`
+    first and `_NormRad` second.
 
     The grids of order `order` hold the layers of the jets the level solves.
     prev is the pair of an earlier level on the same lower orders, or None:
@@ -1273,7 +1208,8 @@ def _level_fields(jet: "JetTable", cfg, order: int, prev=None):
              if beta[0] + beta[1] < order]
     L = max(len(s.c) for _, seqs, _ in lower for s in seqs)
     fields = []
-    for k, arith in enumerate((_Float(cfg), _NormRad(cfg, jet.nu, L))):
+    floats = numerics.FloatArith(*numerics.cfg_floats(cfg))
+    for k, arith in enumerate((floats, _NormRad(cfg, jet.nu, L))):
         if prev is None:
             old, keep, grids = (), 0, [{} for _ in range(9)]
         else:
@@ -1304,7 +1240,7 @@ class _JetLayer(NamedTuple):
     reads this and not the table."""
 
     alpha: tuple
-    rhs: list          # layer alpha of the `_Float` field: nine arrays or None
+    rhs: list          # layer alpha of the float field: nine arrays or None
     rho: float         # its distance from the exact layer (the `_NormRad` field)
     lambda_bar: complex
     r_orbit: float     # radius of order 0

@@ -7,10 +7,15 @@ per-coefficient loop of the endpoint interval convolution, the bit-level
 definition the batched kernel must reproduce.  `cconv_mr_pair` is the
 midpoint-radius convolution in five convolutions, the reference of
 `ivarray.cconv_mr`: its midpoints must be equal bit for bit, its radii no
-looser.  `field_F_seq`, `dF0_apply` and `remainder_Ralpha` are per-layer
-views of the interval field map that the model tests check against each
-other, and `unfold_orbit_G` is the orbit's unfolding term that order 0
-assembles from its cubes.  `orbit_enclosure`,
+looser.  `field_f`, `embed_R` and `jacobi` are the classical point field,
+the reciprocal-distance embedding and the Jacobi integral in the original
+coordinates, which the embedded field is checked against.
+`FourierTaylorSeq`, `ft_conv` and `IntervalArith` are the multi-layer
+interval reference: Fourier-Taylor grids in endpoint intervals, of which
+order 0 of `model` is layer (0, 0).  `field_F_seq`, `dF0_apply` and
+`remainder_Ralpha` are per-layer views of that field map that the model
+tests check against each other, and `unfold_orbit_G` is the orbit's
+unfolding term that order 0 assembles from its cubes.  `orbit_enclosure`,
 `bundle_enclosure` and `base_enclosure` enclose the window block of
 DF(x_bar) of a stage entry by entry, in endpoint lanes, the reference for
 the window defect of `stages`.  The builders at the end make interval
@@ -25,10 +30,12 @@ from fractions import Fraction
 import numpy as np
 
 from fourbody import numerics
-from fourbody.interval import ComplexInterval, Interval, add_down, add_up
-from fourbody.ivarray import CArr, ri_add, _ETA, _U, _dn, _gemm_gamma, _up, _up_factor
-from fourbody.model import _mode_sum, dF0, field_F_grid
-from fourbody.seqspace import FourierSeq, conv, project
+from fourbody.interval import ZERO, ComplexInterval, Interval, add_down, add_up
+from fourbody.ivarray import (
+    CArr, down_sum, ri_add, up_sum, _ETA, _U, _dn, _gemm_gamma, _up, _up_factor,
+)
+from fourbody.model import _const_seq, _iv_vec, _mode_sum, dF0, embedded_field
+from fourbody.seqspace import FourierSeq, WeightMismatch, conv, project
 
 
 def q(x) -> Fraction:
@@ -188,6 +195,183 @@ def cconv_mr_pair(am, ar, bm, br):
 
 
 # ---------------------------------------------------------------------------
+# the classical point field
+
+
+class CollisionSingularity(ArithmeticError):
+    """A distance to a primary cannot be bounded away from zero."""
+
+
+def _reciprocal_distances(x, y, z, cfg):
+    """Enclosures of 1/r_j; raises when some r_j may vanish."""
+    out = []
+    for j in range(3):
+        px, py, pz = cfg.position(j)
+        r2 = (x - px).pow_int(2) + (y - py).pow_int(2) + (z - pz).pow_int(2)
+        if r2.lo <= 0.0:
+            raise CollisionSingularity("distance to primary %d may vanish" % (j + 1))
+        out.append(Interval(1.0) / r2.sqrt())
+    return out
+
+
+def field_f(u, cfg):
+    """The classical first-order field on (x, x', y, y', z, z')."""
+    x, vx, y, vy, z, vz = _iv_vec(u, 6)
+    gx, gy, gz = x, y, ZERO
+    for j in range(3):
+        px, py, pz = cfg.position(j)
+        dx, dy, dz = x - px, y - py, z - pz
+        r2 = dx.pow_int(2) + dy.pow_int(2) + dz.pow_int(2)
+        if r2.lo <= 0.0:
+            raise CollisionSingularity("distance to primary %d may vanish" % (j + 1))
+        r3 = r2 * r2.sqrt()
+        mj = cfg.masses[j]
+        gx = gx - mj * dx / r3
+        gy = gy - mj * dy / r3
+        gz = gz - mj * dz / r3
+    return (vx, vy * 2.0 + gx, vy, vx * (-2.0) + gy, vz, gz)
+
+
+def embed_R(u, cfg):
+    """Append the three reciprocal distances as coordinates 7..9."""
+    x, vx, y, vy, z, vz = _iv_vec(u, 6)
+    w = _reciprocal_distances(x, y, z, cfg)
+    return (x, vx, y, vy, z, vz, w[0], w[1], w[2])
+
+
+def jacobi(u, cfg) -> Interval:
+    """Jacobi integral in the original coordinates."""
+    x, vx, y, vy, z, vz = _iv_vec(u, 6)
+    w = _reciprocal_distances(x, y, z, cfg)
+    pot = sum((cfg.masses[j] * w[j] for j in range(3)), ZERO)
+    return (
+        x.pow_int(2)
+        + y.pow_int(2)
+        + pot * 2.0
+        - vx.pow_int(2)
+        - vy.pow_int(2)
+        - vz.pow_int(2)
+    )
+
+
+# ---------------------------------------------------------------------------
+# Fourier-Taylor grids in endpoint intervals: the multi-layer reference
+
+
+class FourierTaylorSeq:
+    """Finite table alpha = (m, n) -> FourierSeq, all sharing one nu, normed
+    by the sum of the layer norms."""
+
+    __slots__ = ("entries", "nu")
+
+    def __init__(self, entries: dict, nu: float):
+        self.nu = float(nu)
+        if any(seq.nu != self.nu for seq in entries.values()):
+            raise WeightMismatch("layer nu differs from grid nu")
+        # the layers in sorted order: `ft_conv` folds its products in it
+        self.entries = dict(sorted(entries.items()))
+
+    @classmethod
+    def zeros(cls, nu: float) -> "FourierTaylorSeq":
+        return cls({}, nu)
+
+    def layer(self, m: int, n: int) -> FourierSeq:
+        seq = self.entries.get((m, n))
+        return FourierSeq.zeros(1, self.nu) if seq is None else seq
+
+    def order(self) -> int:
+        return max((m + n for (m, n) in self.entries), default=0)
+
+    def with_layer(self, m: int, n: int, seq: FourierSeq) -> "FourierTaylorSeq":
+        return FourierTaylorSeq({**self.entries, (m, n): seq}, self.nu)
+
+    def add(self, o: "FourierTaylorSeq") -> "FourierTaylorSeq":
+        d = dict(self.entries)
+        for key, seq in o.entries.items():
+            d[key] = seq if key not in d else d[key].add(seq)
+        return FourierTaylorSeq(d, self.nu)
+
+    def neg(self) -> "FourierTaylorSeq":
+        return FourierTaylorSeq({k: s.neg() for k, s in self.entries.items()}, self.nu)
+
+    def scale(self, z) -> "FourierTaylorSeq":
+        return FourierTaylorSeq({k: s.scale(z) for k, s in self.entries.items()}, self.nu)
+
+    def truncate(self, cap: int) -> "FourierTaylorSeq":
+        return FourierTaylorSeq(
+            {k: s for k, s in self.entries.items() if k[0] + k[1] <= cap}, self.nu)
+
+    def norm(self) -> Interval:
+        if not self.entries:
+            return Interval.point(0.0)
+        norms = [seq.norm() for seq in self.entries.values()]
+        hi = up_sum(np.array([nm.hi for nm in norms]))
+        lo = max(down_sum(np.array([nm.lo for nm in norms])), 0.0)
+        return Interval(min(lo, hi), hi)
+
+
+def ft_conv(b: FourierTaylorSeq, c: FourierTaylorSeq, cap: int | None = None) -> FourierTaylorSeq:
+    """Cauchy-convolution product: convolve layers over all alpha splits."""
+    if b.nu != c.nu:
+        raise WeightMismatch
+    out: dict = {}
+    for (m1, n1), s1 in b.entries.items():
+        for (m2, n2), s2 in c.entries.items():
+            key = (m1 + m2, n1 + n2)
+            if cap is not None and key[0] + key[1] > cap:
+                continue
+            p = conv(s1, s2)
+            prev = out.get(key)
+            out[key] = p if prev is None else prev.add(p)
+    return FourierTaylorSeq(out, b.nu)
+
+
+class IntervalArith:
+    """`FourierTaylorSeq` grids for `model.embedded_field`: the multi-layer
+    arithmetic whose layer (0, 0) is `model.IntervalArith`."""
+
+    def __init__(self, cfg, nu: float):
+        self.masses = tuple(cfg.masses)
+        self.positions = tuple(cfg.position(j) for j in range(3))
+        self.zero = FourierTaylorSeq.zeros(nu)
+
+    mul = staticmethod(ft_conv)
+
+    @staticmethod
+    def sum(*grids):
+        out = grids[0]
+        for g in grids[1:]:
+            out = out.add(g)
+        return out
+
+    @staticmethod
+    def scale(g, c):
+        return g.scale(c)
+
+    @staticmethod
+    def shift(g, p):
+        return g.with_layer(0, 0, g.layer(0, 0).sub(_const_seq(p, g.nu)))
+
+    @staticmethod
+    def neg(g):
+        return g.neg()
+
+    @staticmethod
+    def truncate(g, cap):
+        return g.truncate(cap)
+
+    @staticmethod
+    def layer(g, alpha):
+        return g.layer(*alpha)
+
+
+def field_F_ft(a, cfg, cap: int):
+    """All layers through total order cap of the embedded field map on nine
+    `FourierTaylorSeq` grids."""
+    return embedded_field(IntervalArith(cfg, a[0].nu), a, cap)
+
+
+# ---------------------------------------------------------------------------
 # per-layer views of the interval field map
 
 
@@ -204,7 +388,7 @@ def field_F_seq(a, alpha, cfg):
     order = alpha[0] + alpha[1]
     if max(f.order() for f in a) < order:
         raise MissingLowerOrderData("grids carry orders below %d only" % order)
-    return tuple(g.layer(*alpha) for g in field_F_grid(a, cfg, cap=order))
+    return tuple(g.layer(*alpha) for g in field_F_ft(a, cfg, order))
 
 
 def dF0_apply(a0, h, cfg):
@@ -227,7 +411,7 @@ def remainder_Ralpha(a, alpha, cfg):
     if order < 2:
         raise OrderTooLow("remainder defined for total order >= 2")
     low = tuple(f.truncate(order - 1) for f in a)
-    return tuple(g.layer(*alpha) for g in field_F_grid(low, cfg, cap=order))
+    return tuple(g.layer(*alpha) for g in field_F_ft(low, cfg, order))
 
 
 def unfold_orbit_G(y, a0):

@@ -1,15 +1,15 @@
-"""The embedded field in its four arithmetics, checked against each other.
+"""The embedded field in its three arithmetics, checked against each other.
 
 One random Fourier-Taylor grid (K = 5, orders <= 3) goes through
-`model.embedded_field` as floats (`numerics` and the float lane of
-`stages`), endpoint intervals and norm/radius pairs.  The float values must
-lie in the interval enclosure, the norm lane's r must bound their distance
-from every point of it, and moving the float inputs within given radii must
-move the outputs by no more than r.  The jet layers of `stages` and the
-derivative kernels get the same checks.  The level fields of `stages` are
-evaluated order by order with product layers carried between orders: each
-must equal a fresh evaluation byte for byte, and their float lane must
-equal the float remainder.
+`model.embedded_field` as floats (`numerics.FloatArith`), endpoint
+intervals (the multi-layer reference of the oracles) and norm/radius
+pairs.  The float values must lie in the interval enclosure, the norm
+lane's r must bound their distance from every point of it, and moving the
+float inputs within given radii must move the outputs by no more than r.
+The jet layers of `stages` and the derivative kernels get the same checks.
+The level fields of `stages` are evaluated order by order with product
+layers carried between orders: each must equal a fresh evaluation byte for
+byte, and their float lane must equal the float remainder.
 """
 
 from fractions import Fraction
@@ -20,7 +20,9 @@ import pytest
 
 from fourbody import model, numerics, stages
 from fourbody.interval import Interval
-from fourbody.seqspace import FourierSeq, FourierTaylorSeq
+from fourbody.seqspace import FourierSeq
+
+import oracles
 
 NU = 1.3
 K = 5
@@ -66,9 +68,12 @@ def centered(arr, n):
     return out
 
 
+def float_arith(cfg):
+    return numerics.FloatArith(*numerics.cfg_floats(cfg))
+
+
 def float_field(cfg, grid, cap=CAP):
-    ms, pos = numerics.cfg_floats(cfg)
-    return model.embedded_field(numerics.FloatArith(ms, pos), grid, cap)
+    return model.embedded_field(float_arith(cfg), grid, cap)
 
 
 def perturbed(grid, radius, rng):
@@ -119,21 +124,19 @@ def test_float_field_inside_interval_and_norm_lane(cfg, data, constants):
     grid, _ = data
     if constants == "exact":
         cfg = exact_cfg()
-    fl = model.embedded_field(stages._Float(cfg), grid, CAP)
-    # the float field meets the products in the lane's order on sorted grids
-    ref = float_field(cfg, [dict(sorted(comp.items())) for comp in grid])
-    iv_grid = [FourierTaylorSeq({b: FourierSeq.point(c, NU) for b, c in comp.items()}, NU)
+    fl = float_field(cfg, grid)
+    iv_grid = [oracles.FourierTaylorSeq({b: FourierSeq.point(c, NU) for b, c in comp.items()},
+                                        NU)
                for comp in grid]
-    iv = model.embedded_field(model.IntervalArith(cfg, NU), iv_grid, CAP)
+    iv = oracles.field_F_ft(iv_grid, cfg, CAP)
     nr = model.embedded_field(
         stages._NormRad(cfg, NU, 2 * K - 1),
         [{b: (FourierSeq.point(c, NU).norm_upper(), 0.0) for b, c in comp.items()}
          for comp in grid], CAP)
     worst = 0.0
     for i in range(9):
-        assert set(fl[i]) == set(ref[i]) == set(iv[i].entries) == set(nr[i])
+        assert set(fl[i]) == set(iv[i].entries) == set(nr[i])
         for alpha, arr in fl[i].items():
-            assert np.array_equal(arr, ref[i][alpha])
             box = iv[i].layer(*alpha)
             assert_in_interval(box, arr)
             N, r = nr[i][alpha]
@@ -174,7 +177,7 @@ def test_norm_lane_bounds_each_rounding():
     q = (rng.standard_normal(9) + 1j * rng.standard_normal(9)) / 3.0
     v = (rng.standard_normal(5) + 1j * rng.standard_normal(5)) / 7.0
     (fq, nq), (fv, nv) = both(q), both(v)
-    fa = stages._Float(cfg)
+    fa = float_arith(cfg)
     third, tenth = Interval(1.0 / 3.0), Interval(0.1)
     ops = [
         # (float lane, norm lane, exact value)
@@ -268,7 +271,7 @@ def as_bytes(value):
     return np.asarray(value).tobytes()
 
 
-@pytest.mark.parametrize("k", [0, 1], ids=["_Float", "_NormRad"])
+@pytest.mark.parametrize("k", [0, 1], ids=["FloatArith", "_NormRad"])
 def test_incremental_field_equals_a_fresh_one(cfg, data, k):
     grid, radii = data
     jet = lower_jet(grid, radii, top=CAP)

@@ -16,10 +16,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "fourbody").glob("*.py"))
 BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
-# The classical point field, the reciprocal-distance embedding and the Jacobi
-# integral are the references the embedded field is tested against; `width`
-# is how the tests read the size of an interval.
-ALLOWED = {"model.field_f", "model.embed_R", "model.jacobi", "interval.Interval.width"}
+# `width` is how the tests read the size of an interval.
+ALLOWED = {"interval.Interval.width"}
 
 
 def uses(tree):

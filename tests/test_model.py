@@ -10,34 +10,35 @@ from scipy.optimize import root
 
 from fourbody.interval import ComplexInterval, Interval, ZERO
 from fourbody.model import (
-    CollisionSingularity,
     DegenerateMassCombination,
     MassTriple,
     PhaseAnchor,
     PrimaryConfig,
     dF0,
-    embed_R,
     eta_phase,
     field_F,
-    field_f,
     interval_from_rational,
-    jacobi,
     jacobi_embedded,
     mass_combination,
     primaries,
     xi_phase,
 )
-from fourbody.seqspace import FourierSeq, FourierTaylorSeq
+from fourbody.seqspace import FourierSeq
 
 from oracles import (
+    CollisionSingularity,
+    FourierTaylorSeq,
     MissingLowerOrderData,
     OrderTooLow,
     carr_conv_reference,
     conv_exact,
     cq,
     dF0_apply,
+    embed_R,
     field_F_seq,
+    field_f,
     iv_midrad,
+    jacobi,
     primaries_geometric,
     remainder_Ralpha,
     seq_from_entries,

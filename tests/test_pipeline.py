@@ -22,7 +22,6 @@ import oracles
 from fourbody import cli, ivarray, model, numerics, seeding, stages
 from fourbody.opbound import SpaceLayout, block_norms, opnorm_upper
 from fourbody.radii import NoNegativeRadius, content_digest
-from fourbody.seqspace import FourierTaylorSeq
 
 K = 24
 N_T = 3
@@ -76,18 +75,43 @@ def test_unfolding_scalars_are_far_inside_the_radius(run):
     assert np.max(np.abs(sol.y)) <= 1e-3 * res0.r0
 
 
+def lane_bytes(seq):
+    """The four endpoint lanes of a sequence as bytes, sign bits included."""
+    c = seq.c
+    return np.array([c.rl, c.rh, c.il, c.ih]).tobytes()
+
+
 def test_order0_residual_takes_the_reference_unfolding(run):
     # order 0 builds G(y, a) from the cubes it already has; its residual is
     # the one the reference unfolding term gives, bit for bit
-    cfg, res0, _, _ = run
+    cfg, res0, _, table = run
     sol, _, ctx = res0.context
     _, asm = stages._assemble_orbit(sol, ctx)
-    grids = tuple(FourierTaylorSeq({(0, 0): sq}, ctx.nu) for sq in ctx.a0)
-    F = model.field_F_grid(grids, cfg, cap=0)
+    F = model.field_F_grid(ctx.a0, cfg)
     G = oracles.unfold_orbit_G([complex(t) for t in sol.y], ctx.a0)
     for i, got in enumerate(asm.resid_seqs):
-        want = ctx.a0[i].dtheta().scale(-ctx.omega).add(F[i].layer(0, 0)).add(G[i])
+        want = ctx.a0[i].dtheta().scale(-ctx.omega).add(F[i]).add(G[i])
         assert got.to_json_obj() == want.to_json_obj(), i
+    # order 0's field and kernels, interval and float, are layer (0, 0) of
+    # the multi-layer arithmetics on the table's orders, byte for byte
+    layers = [{**{b: seqs[i] for b, seqs in table.orders.items()}, (0, 0): ctx.a0[i]}
+              for i in range(9)]
+    grids = [oracles.FourierTaylorSeq(g, ctx.nu) for g in layers]
+    ref = oracles.field_F_seq(grids, (0, 0), cfg)
+    assert [lane_bytes(f) for f in F] == [lane_bytes(f) for f in ref]
+    _, ikers = model.field_derivative(oracles.IntervalArith(cfg, ctx.nu), grids)
+    _, fkers = model.field_derivative(numerics.FloatArith(ctx.ms, ctx.pos),
+                                      [{b: s.c.mid() for b, s in g.items()} for g in layers])
+    fconst, got_fkers = numerics.derivative_kernels(ctx.A0, ctx.ms, ctx.pos)
+    df = model.dF0(ctx.a0, cfg)
+    assert fconst == df.const
+    for i in range(9):
+        for j in range(9):
+            for got, want, as_bytes in ((df.kernels[i][j], ikers[i][j], lane_bytes),
+                                        (got_fkers[i][j], fkers[i][j], np.ndarray.tobytes)):
+                assert (got is None) == (want is None), (i, j)
+                if got is not None:
+                    assert as_bytes(got) == as_bytes(want), (i, j)
 
 
 def test_real_part_of_lambda_excludes_zero(run):
@@ -396,7 +420,7 @@ def test_jets_evaluate_each_remainder_field_once(run, monkeypatch):
     assert arg.digest() == before
     assert sorted(evaluations) == sorted(
         (arith, p, 0 if p == 2 else p - 1)
-        for arith in ("_Float", "_NormRad") for p in range(2, N_T + 1))
+        for arith in ("FloatArith", "_NormRad") for p in range(2, N_T + 1))
 
 
 def test_product_fold_work(run, monkeypatch):
@@ -406,7 +430,7 @@ def test_product_fold_work(run, monkeypatch):
     inside = []
     nodes = []
     convolve, mr_add = np.convolve, ivarray.mr_add
-    layers = stages._Float.product_layers
+    layers = numerics.FloatArith.product_layers
 
     def counted_convolve(*args, **kwargs):
         if inside:
@@ -418,7 +442,7 @@ def test_product_fold_work(run, monkeypatch):
         return mr_add(*args)
 
     def counted_layers(b, c, alphas):
-        pairs = sum(len(stages._cauchy_terms(b, c, g)) for g in alphas)
+        pairs = sum(len(numerics._cauchy_terms(b, c, g)) for g in alphas)
         inside.append({"convolve": 0, "pairs": pairs})
         try:
             return layers(b, c, alphas)
@@ -428,7 +452,7 @@ def test_product_fold_work(run, monkeypatch):
     monkeypatch.setattr(np, "convolve", counted_convolve)
     monkeypatch.setattr(ivarray, "mr_add", counted_mr_add)
     monkeypatch.setattr(model, "mr_add", counted_mr_add)
-    monkeypatch.setattr(stages._Float, "product_layers", staticmethod(counted_layers))
+    monkeypatch.setattr(numerics.FloatArith, "product_layers", staticmethod(counted_layers))
     fields = None
     for p in range(2, N_T + 1):
         fields = stages._level_fields(table, cfg, p, fields)

@@ -9,17 +9,17 @@ from hypothesis import given, settings, strategies as st
 
 from fourbody.seqspace import (
     FourierSeq,
-    FourierTaylorSeq,
     WeightMismatch,
     conv,
-    ft_conv,
     include,
     project,
 )
 
 from oracles import (
+    FourierTaylorSeq,
     conv_exact,
     cq_conj,
+    ft_conv,
     ft_conv_exact,
     l1nu_norm_exact,
     seq_from_entries,
@@ -196,7 +196,7 @@ def test_projection_error_decreases():
     assert all(x >= y - 1e-15 for x, y in zip(errs, errs[1:]))
 
 
-# -- Fourier-Taylor grids -------------------------------------------------------
+# -- Fourier-Taylor grids: the multi-layer reference of the oracles -------------
 
 
 def rand_grid(orders, K, nu):
@@ -281,15 +281,6 @@ def test_fourier_roundtrip():
     assert np.array_equal(back.c.rh, a.c.rh)
     assert np.array_equal(back.c.il, a.c.il)
     assert np.array_equal(back.c.ih, a.c.ih)
-
-
-def test_grid_roundtrip():
-    g = rand_grid([(0, 0), (2, 1)], 3, 1.25)
-    blob = json.dumps(g.to_json_obj(), sort_keys=True)
-    back = FourierTaylorSeq.from_json_obj(json.loads(blob))
-    assert set(back.entries) == set(g.entries)
-    for key in g.entries:
-        assert np.array_equal(back.entries[key].c.rl, g.entries[key].c.rl)
 
 
 # -- hypothesis sweeps ---------------------------------------------------------------

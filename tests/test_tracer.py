@@ -10,7 +10,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from tracing import Tracer  # noqa: E402
 
 from fourbody import ivarray, model, numerics, opbound, radii, seeding, stages  # noqa: E402
-from fourbody.seqspace import FourierSeq, FourierTaylorSeq  # noqa: E402
+from fourbody.seqspace import FourierSeq  # noqa: E402
 
 # (owner, attribute) for every name the tracer wraps or calls
 NAMES = [
@@ -47,9 +47,7 @@ def test_install_wraps_and_remove_restores():
                 assert getattr(owner, attr) is not before[(id(owner), attr)], attr
         cfg = model.primaries(model.MassTriple.of("1/2", "3/10", "1/5"))
         nu = 1.5
-        grids = [FourierTaylorSeq({(0, 0): FourierSeq.point([0.5], nu)}, nu)
-                 for _ in range(9)]
-        model.field_F_grid(grids, cfg, 0)
+        model.field_F_grid([FourierSeq.point([0.5], nu) for _ in range(9)], cfg)
         assert tracer.counts["model.field_F_grid_calls"] == 1
         assert not tracer.nesting_errors()
     finally:
