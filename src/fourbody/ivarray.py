@@ -5,14 +5,18 @@ Two representations are used:
 * endpoint form for 1-D coefficient data: complex interval arrays are the
   4-tuple (rl, rh, il, ih) wrapped in CArr, and the ri_* kernels act on
   the (lo, hi) float64 lane pairs of its real and imaginary parts.  Every
-  elementary operation rounds outward by one ulp (numpy.nextafter), which
-  is sound because binary64 arithmetic rounds to nearest.  The endpoint
-  convolution, carr_conv_batch, now serves only `seqspace.conv` (order 0
-  and the tests): it stacks many (a, b) pairs, forms the products of a
-  block of shifts at once, and adds them into each output coefficient in
-  increasing shift order, so the result is bit for bit that of a loop over
-  one coefficient at a time.  Its temporaries are bounded by a fixed block
-  size.
+  elementary operation rounds outward by one ulp, which is sound because
+  binary64 arithmetic rounds to nearest.  The ulp step `_up`/`_dn` is
+  numpy.nextafter, bit for bit: a large finite float64 array takes it as
+  an integer step on its int64 view, everything else by nextafter itself.
+  The endpoint convolution, carr_conv_batch, now serves only
+  `seqspace.conv` (order 0 and the tests): it stacks many (a, b) pairs,
+  forms the products of a block of shifts at once, and adds them into each
+  output coefficient in increasing shift order, so the result is bit for
+  bit that of a loop over one coefficient at a time.  It holds products
+  and sums in one direction, as [-lo, hi], so that dn(x + y) is
+  -up((-x) + (-y)) and every rounding is one upward integer step.  Its
+  temporaries are bounded by a fixed block size.
 
 * midpoint-radius form for matrices and convolutions: complex data as
   (mid complex128, rad float64) where rad bounds the complex modulus of
@@ -41,12 +45,57 @@ _U = 2.0**-53
 _ETA = 1e-320
 
 
+# float64 arrays of at least this many entries take the integer step:
+# numpy.nextafter costs about 13 ns per entry, the step about 4 ns per entry
+# and 5 us per call, so they break even near 1000 entries
+_NUDGE_MIN = 1024
+# entries per pass of the integer step: its temporaries stay in cache
+_NUDGE_BLOCK = 1 << 13
+
+
+def _step_up_in_place(bits, inc):
+    """x = up(x) by the integer step of `_nudge`, for the int64 view bits of
+    a float64 array x that is finite and has no -0.0; inc is scratch like
+    bits."""
+    np.right_shift(bits, 63, out=inc)
+    inc |= 1
+    bits += inc
+
+
+def _nudge(x, down: bool):
+    """numpy.nextafter(x, -inf if down else inf), bit for bit.
+
+    A large float64 array is stepped in its int64 view.  First y = x + 0.0
+    (0.0 - x when down, since dn(x) = -up(-x)) turns -0.0 into +0.0, whose
+    successor is the least subnormal; then every finite entry moves one ulp
+    up by adding (bits >> 63) | 1 to its bits, which is nextafter's result
+    (+max steps to +inf, without nextafter's overflow warning).  The passes
+    go block by block, so the only array the size of x is the result, as
+    with nextafter.  Scalars, other dtypes, small arrays and arrays with a
+    non-finite entry go to numpy.nextafter, with its results and its errors.
+    """
+    if (type(x) is not np.ndarray or x.dtype != np.float64
+            or x.size < _NUDGE_MIN):
+        return np.nextafter(x, -_INF if down else _INF)
+    y = np.subtract(0.0, x, order="C") if down else np.add(x, 0.0, order="C")
+    flat = y.reshape(-1)
+    bits = flat.view(np.int64)
+    for i in range(0, flat.size, _NUDGE_BLOCK):
+        if not np.isfinite(flat[i:i + _NUDGE_BLOCK]).all():
+            return np.nextafter(x, -_INF if down else _INF)
+        c = bits[i:i + _NUDGE_BLOCK]
+        _step_up_in_place(c, np.empty_like(c))
+    if down:
+        np.negative(y, out=y)
+    return y
+
+
 def _dn(x):
-    return np.nextafter(x, -_INF)
+    return _nudge(x, True)
 
 
 def _up(x):
-    return np.nextafter(x, _INF)
+    return _nudge(x, False)
 
 
 def zero_masked_up(prod, mags):
@@ -107,9 +156,11 @@ def ri_mul(alo, ahi, blo, bhi):
     lo, hi = _dn(lo), _up(hi)
     # the point zero annihilates any finite interval exactly; a blanket
     # zero-preserving nudge would be unsound (underflow), this mask is not
-    zz = (np.equal(alo, 0.0) & np.equal(ahi, 0.0)) | (
-        np.equal(blo, 0.0) & np.equal(bhi, 0.0)
-    )
+    az = np.equal(alo, 0.0) & np.equal(ahi, 0.0)
+    bz = np.equal(blo, 0.0) & np.equal(bhi, 0.0)
+    if not (az.any() or bz.any()):
+        return lo, hi
+    zz = az | bz
     return np.where(zz, 0.0, lo), np.where(zz, 0.0, hi)
 
 
@@ -280,23 +331,107 @@ class CArr:
 # temporaries of 4 * _CONV_BLOCK floats, near 12 MB, are live at a time
 _CONV_BLOCK = 1 << 15
 
+# the four real products of b a_i in the order t1 = re b re a, t3 = re b im a,
+# t2 = im b im a, t4 = im b re a: the lanes of b and of a that each one takes
+_B_LANES = [0, 0, 2, 2]
+_A_LANES = [0, 2, 2, 0]
+
+
+def _up_in_place(x):
+    """x = up(x), in place, for a C-contiguous float64 array.  Unlike
+    `_nudge` it does not look for non-finite entries: +inf comes out as a
+    NaN, -inf as -max (as from nextafter), and a NaN that arithmetic made
+    stays a NaN."""
+    np.add(x, 0.0, out=x)  # -0.0 to +0.0
+    bits = x.view(np.int64)
+    _step_up_in_place(bits, np.empty_like(bits))
+
+
+def _shift_products(B, A, pz_b, pz_a, b_point, a_point):
+    """[-lo, hi] of b a_i for a block of shifts i, rounded as CArr.mul rounds.
+
+    B has lanes (4, P, 1, M) and A (4, P, s, 1), both in endpoint order rl,
+    rh, il, ih; pz_b and pz_a mark their point-zero lanes (2, P, ., .), and
+    b_point/a_point say that an operand is a point in every lane.  Returns
+    the products (2, 2, P, s, M), [-lo, hi] x [re, im], and where they are
+    the point zero (2, P, s, M).  Where a product is the point zero its
+    entries are left unspecified: a sum neither adds nor takes it.
+
+    ri_mul gives lo = dn(min p), hi = up(max p) over the four endpoint
+    products p, or the exact 0 on a point-zero lane.  Held as [-min, max]
+    and stepped up together, that is [-lo, hi].  When an operand is a point,
+    its two endpoints are equal and so are the products they give; the
+    minimum and maximum of the rest have the same values, and the step makes
+    the sign of a zero immaterial.  Then ri_sub(t1, t2) and ri_add(t3, t4)
+    are up([-lo1, hi1] + [hi2, -lo2]) and up([-lo3, hi3] + [-lo4, hi4]),
+    with ri_add's point-zero rules: where one of the two real products is
+    the point zero, the sum is the other one, and where both are, the sum
+    is the point zero too.  So no point-zero real product is read.  Holding
+    t2 as [hi, -lo] makes both sums one add.  A non-finite product comes
+    out as a NaN.
+    """
+    blo, bhi = B[_B_LANES], B[[k + 1 for k in _B_LANES]]
+    alo, ahi = A[_A_LANES], A[[k + 1 for k in _A_LANES]]
+    shape = np.broadcast_shapes(blo.shape, alo.shape)
+    t = np.empty((2,) + shape)
+    if a_point and b_point:
+        np.multiply(blo, alo, out=t[1])
+        np.negative(t[1], out=t[0])
+    else:
+        if a_point:
+            p, q = blo * alo, bhi * alo
+        elif b_point:
+            p, q = blo * alo, blo * ahi
+        else:
+            p, q = blo * alo, blo * ahi
+            r, u = bhi * alo, bhi * ahi
+            np.maximum(r, u, out=t[1])
+            np.minimum(r, u, out=r)
+            np.maximum(t[1], np.maximum(p, q), out=t[1])
+            np.minimum(r, np.minimum(p, q), out=t[0])
+        if a_point or b_point:
+            np.maximum(p, q, out=t[1])
+            np.minimum(p, q, out=t[0])
+        np.negative(t[0], out=t[0])
+    # t2 as [hi, -lo]
+    t[:, 2] = t[::-1, 2].copy()
+    _up_in_place(t)
+    x, y = t[:, 0:2], t[:, 2:4]
+    prod = np.add(x, y)
+    _up_in_place(prod)
+    zz = pz_b[[0, 0, 1, 1]] | pz_a[[0, 1, 1, 0]]
+    zx, zy = zz[0:2], zz[2:4]
+    if zz.any():
+        np.copyto(prod, y, where=zx)
+        np.copyto(prod, x, where=zy)
+    return prod, zx & zy
+
 
 def carr_conv_batch(pairs) -> list:
     """Full convolutions out_k = sum_i a_i b_{k-i} of many (a, b) pairs.
 
     Each pair is ordered so that a is the shorter operand, then the pairs
     are zero-padded to common lengths and stacked, so one numpy call works
-    on every pair at once.  Products b_j a_i come from the broadcast
-    ri_mul/ri_sub/ri_add over (pair, i, j) for a block of shifts i at a
-    time; each shift's row is then added into the output with ri_add in
-    increasing i.  So every output coefficient sees the same IEEE
-    operations, in the same order and with the same point-zero masks, as a
-    loop over i for a single pair: the padding and a point-zero a_i give
-    point-zero products, and ri_add leaves a sum exactly as it is when one
-    operand is the point zero.  A block holds at most _CONV_BLOCK products
-    per lane (a single shift when one shift of all pairs has more), which
-    bounds the temporaries.  Raises IntervalDomainError when a product or a
-    sum is not finite.
+    on every pair at once.  The products b_j a_i come for a block of shifts
+    i at a time, by `_shift_products`: bit for bit CArr.mul's.  Each shift's
+    row is then added into the output in increasing i, with the IEEE
+    operations and point-zero rules of ri_add: a point-zero product leaves
+    the sum as it is, a point-zero sum takes the product, and otherwise
+    lo = dn(lo + p_lo) and hi = up(hi + p_hi).  So every output coefficient
+    is bit for bit that of a loop over i for a single pair; the padding and
+    a point-zero a_i give point-zero products.
+
+    Products and sums are held in one direction, as [-lo, hi]: dn(x + y)
+    equals -up((-x) + (-y)) exactly, so each shift is one add, one upward
+    integer step (as in `_nudge`) and two masked copies.  The addends are
+    the products with -0.0 made +0.0, so that no sum is -0.0, as the step
+    needs; a sum that takes a product takes its bits.  The -lo lanes start
+    at -0.0, so an untouched lower end reads back as +0.0.  A sum stops
+    being the point zero at its first product that is not, and never
+    becomes it again, so that mask is kept rather than recomputed.  A block
+    holds at most _CONV_BLOCK products per lane (a single shift when one
+    shift of all pairs has more), which bounds the temporaries.  Raises
+    IntervalDomainError when a product or a sum is not finite.
     """
     out = [None] * len(pairs)
     live = []
@@ -323,34 +458,47 @@ def carr_conv_batch(pairs) -> list:
     for q, (_, a, b) in enumerate(live):
         A[:, q, :len(a)] = (a.rl, a.rh, a.il, a.ih)
         B[:, q, :len(b)] = (b.rl, b.rh, b.il, b.ih)
-    # b * a_i as in CArr.mul: the four real products t1 = re b re a,
-    # t2 = im b im a, t3 = re b im a, t4 = im b re a share one ri_mul
-    blo = B[[0, 2, 0, 2], :, None, :]
-    bhi = B[[1, 3, 1, 3], :, None, :]
-    alo_all = A[[0, 2, 2, 0]]
-    ahi_all = A[[1, 3, 3, 1]]
-    # accumulated sums: [re, im] lanes of the lower and the upper endpoints
-    lo = np.zeros((2, P, N + M - 1))
-    hi = np.zeros((2, P, N + M - 1))
+    a_point = np.array_equal(A[0], A[1]) and np.array_equal(A[2], A[3])
+    b_point = np.array_equal(B[0], B[1]) and np.array_equal(B[2], B[3])
+    # point-zero lanes [re, im]
+    pz_a = np.equal(A[0::2], 0.0) & np.equal(A[1::2], 0.0)
+    pz_b = np.equal(B[0::2], 0.0) & np.equal(B[1::2], 0.0)
+    # sums [-lo, hi] x [re, im] of each pair, and which are still the point zero
+    acc = np.empty((2, 2 * P, N + M - 1))
+    acc[0] = -0.0
+    acc[1] = 0.0
+    zero = np.ones((2 * P, N + M - 1), dtype=bool)
+    new = np.empty((2, 2 * P, M))
+    bits = new.view(np.int64)
+    inc = np.empty_like(bits)
     step = max(1, _CONV_BLOCK // (P * M))
     for i0 in range(0, N, step):
         i1 = min(N, i0 + step)
-        tlo, thi = ri_mul(blo, bhi, alo_all[:, :, i0:i1, None],
-                          ahi_all[:, :, i0:i1, None])
-        rlo, rhi = ri_sub(tlo[0], thi[0], tlo[1], thi[1])
-        ilo, ihi = ri_add(tlo[2], thi[2], tlo[3], thi[3])
-        plo, phi = np.stack((rlo, ilo)), np.stack((rhi, ihi))
-        if not (np.isfinite(plo).all() and np.isfinite(phi).all()):
+        prod, pzero = _shift_products(
+            B[:, :, None, :], A[:, :, i0:i1, None], pz_b[:, :, None, :],
+            pz_a[:, :, i0:i1, None], b_point, a_point)
+        if not np.isfinite(prod).all():
             raise IntervalDomainError("non-finite product in carr_conv")
-        if (plo > phi).any():
+        if (np.add(prod[0], prod[1]) < 0.0).any():  # hi - lo, sign exact
             raise IntervalDomainError("inverted product in carr_conv")
+        prod = prod.reshape(2, 2 * P, i1 - i0, M)
+        pzero = pzero.reshape(2 * P, i1 - i0, M)
+        nonzero = ~pzero
+        # the products as addends, -0.0 made +0.0: then no sum is -0.0, as
+        # the integer step needs; a sum that takes a product takes its bits
+        addend = prod + 0.0
         for t in range(i1 - i0):
             seg = slice(i0 + t, i0 + t + M)
-            lo[:, :, seg], hi[:, :, seg] = ri_add(
-                lo[:, :, seg], hi[:, :, seg], plo[:, :, t], phi[:, :, t])
+            sums = acc[:, :, seg]
+            np.add(sums, addend[:, :, t], out=new)
+            _step_up_in_place(bits, inc)
+            np.copyto(new, prod[:, :, t], where=zero[:, seg])
+            np.copyto(sums, new, where=nonzero[:, t])
+            zero[:, seg] &= pzero[:, t]
     for q, (p, a, b) in enumerate(live):
         L = len(a) + len(b) - 1
-        out[p] = CArr(lo[0, q, :L], hi[0, q, :L], lo[1, q, :L], hi[1, q, :L])
+        out[p] = CArr(-acc[0, q, :L], acc[1, q, :L],
+                      -acc[0, P + q, :L], acc[1, P + q, :L])
     return out
 
 

@@ -292,6 +292,14 @@ class IntervalArith:
     Products are `seqspace.conv`, and order 0 has no layer above cap = 0,
     so `truncate` and `layer` return their argument.  `zero` is a sentinel
     that `sum` skips, so a sum that starts from it adds nothing.
+
+    Each instance keeps a table of its `mul` and `shift` results, keyed by
+    the identity of the operands.  An entry holds its operands as well, so
+    no id in a key is reused while the table lives.  The field and its
+    derivative at one point share w^2, w^3, d_j = (x, y, z) - p_j and
+    d_j w^3, so code that needs both passes one instance to each and then
+    drops it.  Sequences are never changed in place, so a result served
+    again is the value a fresh product would give, bit for bit.
     """
 
     zero = None
@@ -299,10 +307,18 @@ class IntervalArith:
     def __init__(self, cfg: PrimaryConfig):
         self.masses = tuple(cfg.masses)
         self.positions = tuple(cfg.position(j) for j in range(3))
+        self._table = {}
 
-    @staticmethod
-    def mul(b, c, cap):
-        return conv(b, c)
+    def _kept(self, make, *operands):
+        """make(*operands), made once per table and operand identities."""
+        key = (make, *map(id, operands))
+        hit = self._table.get(key)
+        if hit is None:
+            hit = self._table[key] = (make(*operands), operands)
+        return hit[0]
+
+    def mul(self, b, c, cap):
+        return self._kept(conv, b, c)
 
     @staticmethod
     def sum(*seqs):
@@ -316,9 +332,8 @@ class IntervalArith:
     def scale(g, c):
         return g.scale(c)
 
-    @staticmethod
-    def shift(g, p):
-        return g.sub(_const_seq(p, g.nu))
+    def shift(self, g, p):
+        return self._kept(_minus_const, g, p)
 
     @staticmethod
     def neg(g):
@@ -329,6 +344,16 @@ class IntervalArith:
         return g
 
     layer = truncate
+
+
+def _minus_const(g: FourierSeq, p) -> FourierSeq:
+    return g.sub(_const_seq(p, g.nu))
+
+
+def _interval_arith(cfg) -> IntervalArith:
+    """cfg itself when it is an IntervalArith, to share its table; else a
+    fresh one for the PrimaryConfig cfg."""
+    return cfg if isinstance(cfg, IntervalArith) else IntervalArith(cfg)
 
 
 def embedded_field(ar, a, cap: int):
@@ -404,9 +429,12 @@ def field_derivative(ar, a0):
     return const, kernels
 
 
-def field_F_grid(a, cfg: PrimaryConfig):
-    """The embedded field map on nine order-zero sequences, as nine sequences."""
-    return embedded_field(IntervalArith(cfg), _nine(a, "sequence"), 0)
+def field_F_grid(a, cfg):
+    """The embedded field map on nine order-zero sequences, as nine sequences.
+
+    cfg is the PrimaryConfig, or an IntervalArith of it whose products the
+    call shares."""
+    return embedded_field(_interval_arith(cfg), _nine(a, "sequence"), 0)
 
 
 class DF0:
@@ -484,10 +512,11 @@ class DF0:
         return tuple(out)
 
 
-def dF0(a0, cfg: PrimaryConfig) -> DF0:
-    """Assemble the derivative table of the order-zero field map at a0."""
+def dF0(a0, cfg) -> DF0:
+    """Assemble the derivative table of the order-zero field map at a0; cfg
+    is as in `field_F_grid`."""
     a0 = _nine(a0, "sequence")
-    const, kernels = field_derivative(IntervalArith(cfg), a0)
+    const, kernels = field_derivative(_interval_arith(cfg), a0)
     return DF0(const, kernels, a0[0].nu)
 
 

@@ -168,17 +168,20 @@ def _product_keys(b, c, cap: int):
                    if m1 + n1 + m2 + n2 <= cap})
 
 
-def _cauchy_terms(b, c, alpha):
-    """The factor pairs (b_beta, c_(alpha - beta)) of layer alpha of b*c.
+def _cauchy_plan(b, c, alphas):
+    """(alpha, [(beta, alpha - beta), ...]) for each layer alpha of b*c in
+    alphas: the keys of its factor pairs (b_beta, c_(alpha - beta)).
 
     beta runs in lexicographic order, so a layer is the same fold whichever
-    other layers are computed with it.  b and c may hold any per-layer
-    values: the arrays of `FloatArith` or the (N, r) pairs of the norm lane
-    of `stages`.
+    other layers are computed with it.  Only the keys of b and c are read,
+    so one plan serves every arithmetic whose grids have those keys: the
+    arrays of `FloatArith` and the (N, r) pairs of the norm lane of `stages`.
     """
-    m, n = alpha
-    return [(b[beta], c[(m - beta[0], n - beta[1])]) for beta in sorted(b)
-            if beta[0] <= m and beta[1] <= n and (m - beta[0], n - beta[1]) in c]
+    betas = sorted(b)
+    return [((m, n), [(beta, (m - beta[0], n - beta[1])) for beta in betas
+                      if beta[0] <= m and beta[1] <= n
+                      and (m - beta[0], n - beta[1]) in c])
+            for m, n in alphas]
 
 
 def _grid_scale(grid, c):
@@ -208,7 +211,7 @@ class FloatArith:
     """Float Fourier-Taylor grids for `model.embedded_field`.
 
     A Cauchy product is made one layer at a time (`product_layers`), and
-    layer alpha folds the pairs of `_cauchy_terms` in beta order, one
+    layer alpha folds its pairs of `_cauchy_plan` in beta order, one
     `np.convolve` per pair: a single pair's product as it is, otherwise each
     added into an accumulator of zeros.  `entry` is the grid value of one
     lower-order center, whatever its radius.
@@ -224,14 +227,14 @@ class FloatArith:
     truncate = staticmethod(ft_truncate)
 
     def mul(self, b, c, cap):
-        return self.product_layers(b, c, _product_keys(b, c, cap))
+        return self.product_layers(b, c, _cauchy_plan(b, c, _product_keys(b, c, cap)))
 
     @staticmethod
-    def product_layers(b, c, alphas):
-        """The layers alphas of b*c."""
+    def product_layers(b, c, plan):
+        """The layers of b*c that plan (`_cauchy_plan`) names."""
         out = {}
-        for g in alphas:
-            pairs = _cauchy_terms(b, c, g)
+        for g, keys in plan:
+            pairs = [(b[x], c[y]) for x, y in keys]
             if len(pairs) == 1:
                 out[g] = np.convolve(*pairs[0])
                 continue

@@ -114,7 +114,7 @@ from .ivarray import (
 )
 from .opbound import SpaceLayout, block_norms, group_vec_norms, norm_rows, opnorm_upper
 from .radii import Certificate, NKBounds, NoNegativeRadius, content_digest, radii_newton
-from .seqspace import BallElement, FourierSeq, conv, nu_weights, project
+from .seqspace import BallElement, FourierSeq, nu_weights, project
 from . import model
 from . import numerics
 
@@ -354,7 +354,9 @@ def _polys_eval_max(rows, r: float) -> float:
 class _StageContext:
     """Derivative kernels and monomial tables at a fixed order-zero center."""
 
-    def __init__(self, a0_seqs, cfg, omega: float, K: int, nu: float):
+    def __init__(self, a0_seqs, cfg, omega: float, K: int, nu: float,
+                 arith=None):
+        # arith: an IntervalArith whose products dF0 shares; not kept
         self.cfg = cfg
         self.omega = float(omega)
         self.K = int(K)
@@ -363,7 +365,7 @@ class _StageContext:
         self.A0 = np.array([s.c.mid() for s in self.a0])
         self.ms, self.pos = numerics.cfg_floats(cfg)
         self.fconst, self.fkers = numerics.derivative_kernels(self.A0, self.ms, self.pos)
-        self.df0 = model.dF0(self.a0, cfg)
+        self.df0 = model.dF0(self.a0, cfg if arith is None else arith)
         self.kmags = [[None] * 9 for _ in range(9)]
         # `_tail_col_profile` of each of kmags: it reads only the kernel, K
         # and nu, so one serves every operator of the context
@@ -831,9 +833,13 @@ def _window_defect(ctx: _StageContext, J: np.ndarray, ns: int, s: complex,
     return N
 
 
-def _assemble_orbit(sol: "OrbitSolution", ctx: _StageContext):
-    """(`_OperatorData`, `_Assembled`) of the order-0 certificate."""
+def _assemble_orbit(sol: "OrbitSolution", ctx: _StageContext, arith=None):
+    """(`_OperatorData`, `_Assembled`) of the order-0 certificate.
+
+    arith is the IntervalArith the context's dF0 used, if any: the field
+    and the cubes then reuse its products."""
     cfg = ctx.cfg
+    ar = model.IntervalArith(cfg) if arith is None else arith
     K, nu, omega = ctx.K, ctx.nu, ctx.omega
     n = 2 * K - 1
     ns = 4
@@ -854,8 +860,8 @@ def _assemble_orbit(sol: "OrbitSolution", ctx: _StageContext):
     toeplitz, ycol = np.zeros(3), np.zeros(3)
     for j in range(3):
         w = ctx.a0[6 + j]
-        sq = conv(w, w)
-        cube = conv(sq, w)
+        sq = ar.mul(w, w, 0)
+        cube = ar.mul(sq, w, 0)
         cubes.append(cube)
         sq3 = sq.scale(ComplexInterval.point(complex(y[1 + j])) * 3.0)
         sq3seqs.append(sq3)
@@ -900,7 +906,7 @@ def _assemble_orbit(sol: "OrbitSolution", ctx: _StageContext):
             eta_monos.append((("scalar", 1 + j), 1.0,
                               (fv.mag(), fv.mag(), gw.mag(), gw.mag())))
 
-    F = model.field_F_grid(ctx.a0, cfg)
+    F = model.field_F_grid(ctx.a0, ar)
     # the unfolding G(y, a): y0 a_1 in row 1 and y_j times the cubes in row 6+j
     G = [FourierSeq.zeros(1, nu)] * 9
     G[1] = ctx.a0[1].scale(complex(y[0]))
@@ -1072,7 +1078,8 @@ class _NormRad:
     truncate = staticmethod(numerics.ft_truncate)
 
     def mul(self, b, c, cap):
-        return self.product_layers(b, c, numerics._product_keys(b, c, cap))
+        return self.product_layers(
+            b, c, numerics._cauchy_plan(b, c, numerics._product_keys(b, c, cap)))
 
     @staticmethod
     def entry(seq, radius):
@@ -1083,10 +1090,10 @@ class _NormRad:
             radius = _next(radius + FourierSeq.point(seq.c.rad(), seq.nu).norm_upper())
         return (seq.norm_upper(), radius)
 
-    def product_layers(self, b, c, alphas):
+    def product_layers(self, b, c, plan):
         out = {}
-        for g in alphas:
-            pairs = numerics._cauchy_terms(b, c, g)
+        for g, keys in plan:
+            pairs = [(b[x], c[y]) for x, y in keys]
             Nacc, racc = 0.0, 0.0
             for (N1, r1), (N2, r2) in pairs:
                 Np = _next(N1 * N2)
@@ -1160,26 +1167,36 @@ class _Incremental:
     `inputs` keeps the nine input grids, so that the next level adds only
     the entries of its new order.  Every operation but `mul` is the base
     arithmetic's.
+
+    The grids of the two lanes have the same keys, node by node, so their
+    evaluations of one level share `plans`: per node, its layer keys and
+    the `numerics._cauchy_plan` of the layers it computes, made by the lane
+    that reaches the node first.
     """
 
-    def __init__(self, base, order: int, old, keep: int, inputs):
+    def __init__(self, base, order: int, old, keep: int, inputs, plans):
         self.base = base
         self.order = order
         self.top = set(_level_alphas(order))
         self.old = old
         self.keep = keep
         self.inputs = inputs
+        self.plans = plans
         self.nodes = []
 
     def __getattr__(self, name):
         return getattr(self.base, name)
 
     def mul(self, b, c, cap):
-        old = self.old[len(self.nodes)] if self.keep else None
-        keys = numerics._product_keys(b, c, cap)
-        made = self.base.product_layers(b, c, [
-            g for g in keys
-            if self.keep <= g[0] + g[1] and (g[0] + g[1] < self.order or g in self.top)])
+        k = len(self.nodes)
+        old = self.old[k] if self.keep else None
+        if k == len(self.plans):
+            keys = numerics._product_keys(b, c, cap)
+            self.plans.append((keys, numerics._cauchy_plan(b, c, [
+                g for g in keys
+                if self.keep <= g[0] + g[1] and (g[0] + g[1] < self.order or g in self.top)])))
+        keys, plan = self.plans[k]
+        made = self.base.product_layers(b, c, plan)
         out, done = {}, {}
         for g in keys:
             p = g[0] + g[1]
@@ -1208,6 +1225,7 @@ def _level_fields(jet: "JetTable", cfg, order: int, prev=None):
              if beta[0] + beta[1] < order]
     L = max(len(s.c) for _, seqs, _ in lower for s in seqs)
     fields = []
+    plans = []
     floats = numerics.FloatArith(*numerics.cfg_floats(cfg))
     for k, arith in enumerate((floats, _NormRad(cfg, jet.nu, L))):
         if prev is None:
@@ -1219,7 +1237,7 @@ def _level_fields(jet: "JetTable", cfg, order: int, prev=None):
             if beta not in grids[0]:
                 for i in range(9):
                     grids[i][beta] = arith.entry(seqs[i], r)
-        ar = _Incremental(arith, order, old, keep, grids)
+        ar = _Incremental(arith, order, old, keep, grids, plans)
         fields.append((ar, model.embedded_field(ar, grids, order)))
     return tuple(fields)
 
@@ -1350,9 +1368,14 @@ def inputs_digest(alpha, kind: str, prev: str, centers, bundle=()) -> str:
 
 def validate_order0(solution: OrbitSolution, cfg) -> Order0Result:
     """Certify the periodic orbit; the unfolding enclosure must contain zero."""
+    # one product table serves dF0, the field and the cubes; it is dropped
+    # once they are made, and the context that the JetTable caches never
+    # holds it
+    ar = model.IntervalArith(cfg)
     ctx = _StageContext(solution.seqs(), cfg, solution.omega, solution.K,
-                        solution.nu)
-    data, asm = _assemble_orbit(solution, ctx)
+                        solution.nu, arith=ar)
+    data, asm = _assemble_orbit(solution, ctx, ar)
+    del ar
     digest = content_digest({
         "stage": "order0",
         "omega": float(solution.omega).hex(),

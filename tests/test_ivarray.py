@@ -9,7 +9,11 @@ from hypothesis import strategies as st
 
 from fourbody.interval import ComplexInterval, IntervalDomainError
 from fourbody.ivarray import (
+    _NUDGE_BLOCK,
+    _NUDGE_MIN,
     CArr,
+    _dn,
+    _up,
     carr_conv,
     carr_conv_batch,
     cconv_mr,
@@ -335,3 +339,115 @@ def test_carr_conv_overflow_raises():
                 conv(big, big)
         with pytest.raises(IntervalDomainError):
             carr_conv_batch([(small, small), (big, small), (big, big)])
+
+
+def test_carr_conv_batch_long_operands():
+    # operands of about 40 x 300 entries reach a second block of shifts and
+    # arrays above the integer step's size cut-off; every kind of entry
+    # (signed zeros, point-zero lanes, half-zero intervals, points, boxes)
+    # and every operand kind (all points, one box, none) meets the
+    # per-coefficient loop byte for byte
+    def long_carr(n, kinds):
+        entries = []
+        for k in rng.choice(kinds, n):
+            x, y = rng.standard_normal(2) * rng.choice((1.0, 1e-3, 1e-160))
+            dx, dy = np.abs(rng.standard_normal(2)) * 1e-9
+            entries.append({
+                "zero": (0.0, 0.0, 0.0, 0.0),
+                "signed_zero": tuple(rng.choice((0.0, -0.0), 4)),
+                "point": (x, x, y, y),
+                "real": (x, x, rng.choice((0.0, -0.0)), 0.0),
+                "imag": (0.0, -0.0, y, y),
+                "half_zero": (min(x, 0.0), max(x, 0.0), min(y, -0.0), max(y, -0.0)),
+                "box": (x - dx, x + dx, y - dy, y + dy),
+            }[k])
+        return CArr(*np.array(entries, dtype=float).reshape(n, 4).T)
+
+    every = ("zero", "signed_zero", "point", "real", "imag", "half_zero", "box")
+    points = ("zero", "signed_zero", "point", "real", "imag")
+    pairs = [
+        (long_carr(40, every), long_carr(300, every)),
+        (long_carr(300, every), long_carr(41, every)),     # the operands swap
+        (long_carr(39, points), long_carr(299, every)),    # a is a point
+        (long_carr(40, every), long_carr(301, points)),    # b is a point
+        (long_carr(38, points), long_carr(302, points)),   # both are
+        (long_carr(40, ("box",)), long_carr(300, ("box",))),
+        (long_carr(7, every), CArr.zeros(300)),            # all-zero b
+    ]
+    # products whose lower end rounds to +0.0: sums of two add -0.0 to -0.0
+    # in the -lo lanes, with and without point-zero lanes
+    tiny = 2.0 ** -537
+    pairs += [(CArr.point(np.full(40, tiny)), CArr.point(np.full(300, tiny))),
+              (CArr.point(np.full(40, 4 * tiny + tiny * 1j)),
+               CArr.point(np.full(300, tiny + tiny * 1j)))]
+    for pair in ([p] for p in pairs):  # one pair at a time, as conv calls it
+        assert_same_bits(carr_conv_batch(pair)[0], carr_conv_reference(*pair[0]))
+    for (a, b), r in zip(pairs, carr_conv_batch(pairs)):
+        assert_same_bits(r, carr_conv_reference(a, b))
+
+
+def test_carr_conv_overflowing_sum_raises():
+    # every product is finite, the sums of two of them are not, at either end
+    ones = CArr.point(np.ones(40))
+    small = random_carr(30)
+    for top in (1e308, -1e308):
+        big = CArr.point(np.full(300, top) + 1j * np.full(300, top / 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(IntervalDomainError):
+                carr_conv(ones, big)
+            with pytest.raises(IntervalDomainError):
+                carr_conv_batch([(small, small), (big, ones)])
+
+
+# -- the outward nudge against numpy.nextafter, bit for bit
+
+
+_MAX = np.finfo(float).max
+_SPECIAL = (0.0, -0.0, 5e-324, -5e-324, _MAX, -_MAX, 1.0, -1.0, 2.2250738585072014e-308)
+
+
+def same_nudge(x):
+    """_up and _dn of x against numpy.nextafter, bits and signs and types."""
+    with np.errstate(over="ignore"):
+        for got, want in ((_up(x), np.nextafter(x, np.inf)),
+                          (_dn(x), np.nextafter(x, -np.inf))):
+            assert type(got) is type(want)
+            got, want = np.asarray(got), np.asarray(want)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert (np.ascontiguousarray(got).tobytes()
+                    == np.ascontiguousarray(want).tobytes())
+
+
+@pytest.mark.parametrize("n", [12, _NUDGE_MIN - 1, _NUDGE_MIN, 3 * _NUDGE_BLOCK + 17])
+def test_nudge_is_nextafter(n):
+    # both sides of the size cut-off, more than one block of the integer step
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
+    x[:len(_SPECIAL)] = _SPECIAL
+    x[-len(_SPECIAL):] = _SPECIAL
+    same_nudge(x)
+    same_nudge(-x)
+    same_nudge(np.zeros(n))
+    same_nudge(np.full(n, -0.0))
+    for bad in (np.inf, -np.inf, np.nan):
+        y = x.copy()
+        y[n // 2] = bad
+        same_nudge(y)
+
+
+def test_nudge_views_scalars_and_types():
+    x = rng.standard_normal((90, 70)) * 1e-3
+    x[::5, ::3] = -0.0
+    for view in (x, x.T, x[::2], x[:, 1::3].T, x[::-1, ::-1], x[5], x[5, 5:6]):
+        same_nudge(view)
+    for scalar in (*_SPECIAL, np.inf, -np.inf, np.nan, np.float64(-0.0)):
+        same_nudge(scalar)
+        same_nudge(np.array(scalar))
+    # other dtypes take nextafter, with its results and its errors
+    same_nudge(np.arange(2000, dtype=np.float32))
+    same_nudge(np.arange(2000))
+    for z in (np.ones(2000, dtype=complex), np.ones(3, dtype=complex), 1j):
+        for f, d in ((_up, np.inf), (_dn, -np.inf)):
+            with pytest.raises(TypeError) as want:
+                np.nextafter(z, d)
+            with pytest.raises(want.type):
+                f(z)

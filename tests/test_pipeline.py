@@ -6,12 +6,14 @@ xi0 = 1e-4.  K = 24 and N_t = 3 keep the run to a few seconds.
 """
 
 import concurrent.futures
+import gc
 import importlib
 import json
 import multiprocessing
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 
 import oracles
-from fourbody import cli, ivarray, model, numerics, seeding, stages
+from fourbody import cli, ivarray, model, numerics, seeding, seqspace, stages
 from fourbody.opbound import SpaceLayout, block_norms, opnorm_upper
 from fourbody.radii import NoNegativeRadius, content_digest
 
@@ -112,6 +114,35 @@ def test_order0_residual_takes_the_reference_unfolding(run):
                 assert (got is None) == (want is None), (i, j)
                 if got is not None:
                     assert as_bytes(got) == as_bytes(want), (i, j)
+
+
+def test_order0_makes_each_product_once(run, monkeypatch):
+    # counts, not timings: dF0, the field and the cubes of order 0 share one
+    # IntervalArith, so its endpoint convolutions run 52 times (75 with one
+    # table each), and the table goes when validate_order0 returns
+    cfg, res0, start, _ = run
+    sol = res0.context[0]
+    calls, made = [], []
+    carr_conv, init = seqspace.carr_conv, model.IntervalArith.__init__
+
+    def counted(a, b):
+        calls.append((len(a), len(b)))
+        return carr_conv(a, b)
+
+    def tracked(self, cfg):
+        made.append(weakref.ref(self))
+        init(self, cfg)
+
+    monkeypatch.setattr(seqspace, "carr_conv", counted)
+    monkeypatch.setattr(model.IntervalArith, "__init__", tracked)
+    res = stages.validate_order0(sol, cfg)
+    assert res.cert.to_json_obj() == res0.cert.to_json_obj()
+    assert len(calls) == 52
+    gc.collect()
+    assert len(made) == 1 and made[0]() is None
+    # neither the returned context nor the one the JetTable caches holds one
+    for ctx in (res.context[2], start.ctx_cache[1]):
+        assert not any(isinstance(v, model.IntervalArith) for v in vars(ctx).values())
 
 
 def test_real_part_of_lambda_excludes_zero(run):
@@ -406,9 +437,9 @@ def test_jets_evaluate_each_remainder_field_once(run, monkeypatch):
     evaluations = []
     init = stages._Incremental.__init__
 
-    def counted(self, base, order, old, keep, inputs):
+    def counted(self, base, order, old, keep, inputs, plans):
         evaluations.append((type(base).__name__, order, keep))
-        init(self, base, order, old, keep, inputs)
+        init(self, base, order, old, keep, inputs, plans)
 
     monkeypatch.setattr(numerics, "remainder_layer", float_remainder)
     monkeypatch.setattr(stages._Incremental, "__init__", counted)
@@ -421,6 +452,27 @@ def test_jets_evaluate_each_remainder_field_once(run, monkeypatch):
     assert sorted(evaluations) == sorted(
         (arith, p, 0 if p == 2 else p - 1)
         for arith in ("FloatArith", "_NormRad") for p in range(2, N_T + 1))
+
+
+def test_lanes_share_the_cauchy_plans(run, monkeypatch):
+    # counts: the float and the norm lane of a level make the same products,
+    # so each node's layer keys and factor pairs are made once, by one lane
+    cfg, _, _, table = run
+    made = []
+    plan = numerics._cauchy_plan
+
+    def counted(b, c, alphas):
+        made.append(len(alphas))
+        return plan(b, c, alphas)
+
+    monkeypatch.setattr(numerics, "_cauchy_plan", counted)
+    fields = None
+    for p in range(2, N_T + 1):
+        made.clear()
+        fields = stages._level_fields(table, cfg, p, fields)
+        (floats, _), (norms, _) = fields
+        assert floats.plans is norms.plans
+        assert len(made) == len(floats.nodes) == len(norms.nodes) > 0
 
 
 def test_product_fold_work(run, monkeypatch):
@@ -441,11 +493,11 @@ def test_product_fold_work(run, monkeypatch):
         nodes.append({"mr_add": 1})
         return mr_add(*args)
 
-    def counted_layers(b, c, alphas):
-        pairs = sum(len(numerics._cauchy_terms(b, c, g)) for g in alphas)
+    def counted_layers(b, c, plan):
+        pairs = sum(len(keys) for _, keys in plan)
         inside.append({"convolve": 0, "pairs": pairs})
         try:
-            return layers(b, c, alphas)
+            return layers(b, c, plan)
         finally:
             nodes.append(inside.pop())
 
