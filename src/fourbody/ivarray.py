@@ -5,17 +5,16 @@ Two representations are used:
 * endpoint form for 1-D coefficient data: complex interval arrays are the
   4-tuple (rl, rh, il, ih) wrapped in CArr, and the ri_* kernels act on
   the (lo, hi) float64 lane pairs of its real and imaginary parts.  Every
-  elementary operation rounds outward by one ulp, which is sound because
-  binary64 arithmetic rounds to nearest.  The ulp step `_up`/`_dn` is
-  numpy.nextafter, bit for bit: a large finite float64 array takes it as
-  an integer step on its int64 view, everything else by nextafter itself.
-  The endpoint convolution, carr_conv_batch, now serves only
+  elementary operation rounds outward by one ulp (`_up`/`_dn`,
+  numpy.nextafter), which is sound because binary64 arithmetic rounds to
+  nearest.  The endpoint convolution, carr_conv_batch, now serves only
   `seqspace.conv` (order 0 and the tests): it stacks many (a, b) pairs,
   forms the products of a block of shifts at once, and adds them into each
   output coefficient in increasing shift order, so the result is bit for
   bit that of a loop over one coefficient at a time.  It holds products
   and sums in one direction, as [-lo, hi], so that dn(x + y) is
-  -up((-x) + (-y)) and every rounding is one upward integer step.  Its
+  -up((-x) + (-y)) and every rounding is one upward step, taken as an
+  integer step on the int64 view: nextafter's result, bit for bit.  Its
   temporaries are bounded by a fixed block size.
 
 * midpoint-radius form for matrices and convolutions: complex data as
@@ -45,57 +44,12 @@ _U = 2.0**-53
 _ETA = 1e-320
 
 
-# float64 arrays of at least this many entries take the integer step:
-# numpy.nextafter costs about 13 ns per entry, the step about 4 ns per entry
-# and 5 us per call, so they break even near 1000 entries
-_NUDGE_MIN = 1024
-# entries per pass of the integer step: its temporaries stay in cache
-_NUDGE_BLOCK = 1 << 13
-
-
-def _step_up_in_place(bits, inc):
-    """x = up(x) by the integer step of `_nudge`, for the int64 view bits of
-    a float64 array x that is finite and has no -0.0; inc is scratch like
-    bits."""
-    np.right_shift(bits, 63, out=inc)
-    inc |= 1
-    bits += inc
-
-
-def _nudge(x, down: bool):
-    """numpy.nextafter(x, -inf if down else inf), bit for bit.
-
-    A large float64 array is stepped in its int64 view.  First y = x + 0.0
-    (0.0 - x when down, since dn(x) = -up(-x)) turns -0.0 into +0.0, whose
-    successor is the least subnormal; then every finite entry moves one ulp
-    up by adding (bits >> 63) | 1 to its bits, which is nextafter's result
-    (+max steps to +inf, without nextafter's overflow warning).  The passes
-    go block by block, so the only array the size of x is the result, as
-    with nextafter.  Scalars, other dtypes, small arrays and arrays with a
-    non-finite entry go to numpy.nextafter, with its results and its errors.
-    """
-    if (type(x) is not np.ndarray or x.dtype != np.float64
-            or x.size < _NUDGE_MIN):
-        return np.nextafter(x, -_INF if down else _INF)
-    y = np.subtract(0.0, x, order="C") if down else np.add(x, 0.0, order="C")
-    flat = y.reshape(-1)
-    bits = flat.view(np.int64)
-    for i in range(0, flat.size, _NUDGE_BLOCK):
-        if not np.isfinite(flat[i:i + _NUDGE_BLOCK]).all():
-            return np.nextafter(x, -_INF if down else _INF)
-        c = bits[i:i + _NUDGE_BLOCK]
-        _step_up_in_place(c, np.empty_like(c))
-    if down:
-        np.negative(y, out=y)
-    return y
-
-
 def _dn(x):
-    return _nudge(x, True)
+    return np.nextafter(x, -_INF)
 
 
 def _up(x):
-    return _nudge(x, False)
+    return np.nextafter(x, _INF)
 
 
 def zero_masked_up(prod, mags):
@@ -337,62 +291,58 @@ _B_LANES = [0, 0, 2, 2]
 _A_LANES = [0, 2, 2, 0]
 
 
+def _step_up_in_place(bits, inc):
+    """x = up(x) for the int64 view bits of a float64 array x that is finite
+    and has no -0.0; inc is scratch like bits.
+
+    Adding (bits >> 63) | 1 to the bits of a finite x moves it one ulp up:
+    +1 on the magnitude of a positive entry or +0.0 (whose successor is the
+    least subnormal), -1 on that of a negative one.  That is
+    numpy.nextafter(x, inf) bit for bit, and +max steps to +inf."""
+    np.right_shift(bits, 63, out=inc)
+    inc |= 1
+    bits += inc
+
+
 def _up_in_place(x):
-    """x = up(x), in place, for a C-contiguous float64 array.  Unlike
-    `_nudge` it does not look for non-finite entries: +inf comes out as a
-    NaN, -inf as -max (as from nextafter), and a NaN that arithmetic made
-    stays a NaN."""
+    """x = up(x), in place, for a C-contiguous float64 array; -0.0 is first
+    made +0.0.  It does not look for non-finite entries: +inf comes out as
+    a NaN, -inf as -max (as from nextafter), and a NaN stays a NaN."""
     np.add(x, 0.0, out=x)  # -0.0 to +0.0
     bits = x.view(np.int64)
     _step_up_in_place(bits, np.empty_like(bits))
 
 
-def _shift_products(B, A, pz_b, pz_a, b_point, a_point):
+def _shift_products(B, A, pz_b, pz_a):
     """[-lo, hi] of b a_i for a block of shifts i, rounded as CArr.mul rounds.
 
     B has lanes (4, P, 1, M) and A (4, P, s, 1), both in endpoint order rl,
-    rh, il, ih; pz_b and pz_a mark their point-zero lanes (2, P, ., .), and
-    b_point/a_point say that an operand is a point in every lane.  Returns
-    the products (2, 2, P, s, M), [-lo, hi] x [re, im], and where they are
-    the point zero (2, P, s, M).  Where a product is the point zero its
-    entries are left unspecified: a sum neither adds nor takes it.
+    rh, il, ih, and pz_b and pz_a mark their point-zero lanes (2, P, ., .).
+    Returns the products (2, 2, P, s, M), [-lo, hi] x [re, im], and where
+    they are the point zero (2, P, s, M).  Where a product is the point zero
+    its entries are left unspecified: a sum neither adds nor takes it.
 
     ri_mul gives lo = dn(min p), hi = up(max p) over the four endpoint
     products p, or the exact 0 on a point-zero lane.  Held as [-min, max]
-    and stepped up together, that is [-lo, hi].  When an operand is a point,
-    its two endpoints are equal and so are the products they give; the
-    minimum and maximum of the rest have the same values, and the step makes
-    the sign of a zero immaterial.  Then ri_sub(t1, t2) and ri_add(t3, t4)
-    are up([-lo1, hi1] + [hi2, -lo2]) and up([-lo3, hi3] + [-lo4, hi4]),
-    with ri_add's point-zero rules: where one of the two real products is
-    the point zero, the sum is the other one, and where both are, the sum
-    is the point zero too.  So no point-zero real product is read.  Holding
-    t2 as [hi, -lo] makes both sums one add.  A non-finite product comes
-    out as a NaN.
+    and stepped up together, that is [-lo, hi].  Then ri_sub(t1, t2) and
+    ri_add(t3, t4) are up([-lo1, hi1] + [hi2, -lo2]) and up([-lo3, hi3] +
+    [-lo4, hi4]), with ri_add's point-zero rules: where one of the two real
+    products is the point zero, the sum is the other one, and where both
+    are, the sum is the point zero too.  So no point-zero real product is
+    read.  Holding t2 as [hi, -lo] makes both sums one add.  A non-finite
+    product comes out as a NaN.
     """
     blo, bhi = B[_B_LANES], B[[k + 1 for k in _B_LANES]]
     alo, ahi = A[_A_LANES], A[[k + 1 for k in _A_LANES]]
     shape = np.broadcast_shapes(blo.shape, alo.shape)
     t = np.empty((2,) + shape)
-    if a_point and b_point:
-        np.multiply(blo, alo, out=t[1])
-        np.negative(t[1], out=t[0])
-    else:
-        if a_point:
-            p, q = blo * alo, bhi * alo
-        elif b_point:
-            p, q = blo * alo, blo * ahi
-        else:
-            p, q = blo * alo, blo * ahi
-            r, u = bhi * alo, bhi * ahi
-            np.maximum(r, u, out=t[1])
-            np.minimum(r, u, out=r)
-            np.maximum(t[1], np.maximum(p, q), out=t[1])
-            np.minimum(r, np.minimum(p, q), out=t[0])
-        if a_point or b_point:
-            np.maximum(p, q, out=t[1])
-            np.minimum(p, q, out=t[0])
-        np.negative(t[0], out=t[0])
+    p, q = blo * alo, blo * ahi
+    r, u = bhi * alo, bhi * ahi
+    np.maximum(r, u, out=t[1])
+    np.minimum(r, u, out=r)
+    np.maximum(t[1], np.maximum(p, q), out=t[1])
+    np.minimum(r, np.minimum(p, q), out=t[0])
+    np.negative(t[0], out=t[0])
     # t2 as [hi, -lo]
     t[:, 2] = t[::-1, 2].copy()
     _up_in_place(t)
@@ -423,7 +373,7 @@ def carr_conv_batch(pairs) -> list:
 
     Products and sums are held in one direction, as [-lo, hi]: dn(x + y)
     equals -up((-x) + (-y)) exactly, so each shift is one add, one upward
-    integer step (as in `_nudge`) and two masked copies.  The addends are
+    integer step (`_step_up_in_place`) and two masked copies.  The addends are
     the products with -0.0 made +0.0, so that no sum is -0.0, as the step
     needs; a sum that takes a product takes its bits.  The -lo lanes start
     at -0.0, so an untouched lower end reads back as +0.0.  A sum stops
@@ -458,8 +408,6 @@ def carr_conv_batch(pairs) -> list:
     for q, (_, a, b) in enumerate(live):
         A[:, q, :len(a)] = (a.rl, a.rh, a.il, a.ih)
         B[:, q, :len(b)] = (b.rl, b.rh, b.il, b.ih)
-    a_point = np.array_equal(A[0], A[1]) and np.array_equal(A[2], A[3])
-    b_point = np.array_equal(B[0], B[1]) and np.array_equal(B[2], B[3])
     # point-zero lanes [re, im]
     pz_a = np.equal(A[0::2], 0.0) & np.equal(A[1::2], 0.0)
     pz_b = np.equal(B[0::2], 0.0) & np.equal(B[1::2], 0.0)
@@ -476,7 +424,7 @@ def carr_conv_batch(pairs) -> list:
         i1 = min(N, i0 + step)
         prod, pzero = _shift_products(
             B[:, :, None, :], A[:, :, i0:i1, None], pz_b[:, :, None, :],
-            pz_a[:, :, i0:i1, None], b_point, a_point)
+            pz_a[:, :, i0:i1, None])
         if not np.isfinite(prod).all():
             raise IntervalDomainError("non-finite product in carr_conv")
         if (np.add(prod[0], prod[1]) < 0.0).any():  # hi - lo, sign exact

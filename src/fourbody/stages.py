@@ -354,9 +354,8 @@ def _polys_eval_max(rows, r: float) -> float:
 class _StageContext:
     """Derivative kernels and monomial tables at a fixed order-zero center."""
 
-    def __init__(self, a0_seqs, cfg, omega: float, K: int, nu: float,
-                 arith=None):
-        # arith: an IntervalArith whose products dF0 shares; not kept
+    def __init__(self, a0_seqs, cfg, omega: float, K: int, nu: float, arith):
+        # arith: the IntervalArith of cfg that makes dF0; not kept
         self.cfg = cfg
         self.omega = float(omega)
         self.K = int(K)
@@ -365,7 +364,7 @@ class _StageContext:
         self.A0 = np.array([s.c.mid() for s in self.a0])
         self.ms, self.pos = numerics.cfg_floats(cfg)
         self.fconst, self.fkers = numerics.derivative_kernels(self.A0, self.ms, self.pos)
-        self.df0 = model.dF0(self.a0, cfg if arith is None else arith)
+        self.df0 = model.dF0(self.a0, arith)
         self.kmags = [[None] * 9 for _ in range(9)]
         # `_tail_col_profile` of each of kmags: it reads only the kernel, K
         # and nu, so one serves every operator of the context
@@ -833,13 +832,12 @@ def _window_defect(ctx: _StageContext, J: np.ndarray, ns: int, s: complex,
     return N
 
 
-def _assemble_orbit(sol: "OrbitSolution", ctx: _StageContext, arith=None):
+def _assemble_orbit(sol: "OrbitSolution", ctx: _StageContext, ar):
     """(`_OperatorData`, `_Assembled`) of the order-0 certificate.
 
-    arith is the IntervalArith the context's dF0 used, if any: the field
-    and the cubes then reuse its products."""
+    ar is the IntervalArith that made the context's dF0: the field and the
+    cubes reuse its products."""
     cfg = ctx.cfg
-    ar = model.IntervalArith(cfg) if arith is None else arith
     K, nu, omega = ctx.K, ctx.nu, ctx.omega
     n = 2 * K - 1
     ns = 4
@@ -1373,7 +1371,7 @@ def validate_order0(solution: OrbitSolution, cfg) -> Order0Result:
     # holds it
     ar = model.IntervalArith(cfg)
     ctx = _StageContext(solution.seqs(), cfg, solution.omega, solution.K,
-                        solution.nu, arith=ar)
+                        solution.nu, ar)
     data, asm = _assemble_orbit(solution, ctx, ar)
     del ar
     digest = content_digest({
@@ -1405,7 +1403,8 @@ def _context_for(jet: "JetTable", cfg) -> _StageContext:
     cached = jet.ctx_cache
     if cached is not None and cached[0] is cfg:
         return cached[1]
-    ctx = _StageContext(jet.orders[(0, 0)], cfg, jet.omega, jet.K, jet.nu)
+    ctx = _StageContext(jet.orders[(0, 0)], cfg, jet.omega, jet.K, jet.nu,
+                        model.IntervalArith(cfg))
     jet.ctx_cache = (cfg, ctx)
     return ctx
 

@@ -88,7 +88,7 @@ def test_order0_residual_takes_the_reference_unfolding(run):
     # the one the reference unfolding term gives, bit for bit
     cfg, res0, _, table = run
     sol, _, ctx = res0.context
-    _, asm = stages._assemble_orbit(sol, ctx)
+    _, asm = stages._assemble_orbit(sol, ctx, model.IntervalArith(cfg))
     F = model.field_F_grid(ctx.a0, cfg)
     G = oracles.unfold_orbit_G([complex(t) for t in sol.y], ctx.a0)
     for i, got in enumerate(asm.resid_seqs):
@@ -182,7 +182,7 @@ def test_jet_operator_from_the_context_is_bit_identical(run):
     # each block equals the one base_block builds afresh
     cfg, _, _, table = run
     ctx = stages._StageContext(table.orders[(0, 0)], cfg, table.omega, table.K,
-                               table.nu)
+                               table.nu, model.IntervalArith(cfg))
     for alpha in [(3, 0), (1, 1), (2, 0), (3, 0), (2, 1)]:
         s = stages._jet_shift(alpha, table.lambda_bar)
         J = ctx.window_block(s)
@@ -196,7 +196,7 @@ def _stage_defects(run, ctx):
     for order 0, order 1 and the shift of jet (2,1)."""
     cfg, res0, _, table = run
     sol = res0.context[0]
-    data, _ = stages._assemble_orbit(sol, ctx)
+    data, _ = stages._assemble_orbit(sol, ctx, model.IntervalArith(cfg))
     yield data.J, oracles.orbit_enclosure(sol, ctx), data.window_defect
     coeffs = np.array([a.c.mid() for a in table.orders[(1, 0)]])
     bsol = stages.BundleSolution(KIND, table.lambda_bar, coeffs, K0, XI0)
@@ -226,7 +226,8 @@ def test_window_defect_dominates_the_entrywise_defect(run, monkeypatch, moved):
             kers[6][6] = ker
             return const, kers
         monkeypatch.setattr(numerics, "derivative_kernels", moved_kernels)
-    ctx = stages._StageContext(sol.seqs(), cfg, sol.omega, sol.K, sol.nu)
+    ctx = stages._StageContext(sol.seqs(), cfg, sol.omega, sol.K, sol.nu,
+                               model.IntervalArith(cfg))
     for J, E, N in _stage_defects(run, ctx):
         ns = N.shape[0] - 9
         layout = SpaceLayout.mixed(ns, 9, ctx.K)
@@ -368,7 +369,8 @@ def test_kept_jet_operator_is_never_stale(run, dense_calls):
 
     def context():
         return stages._StageContext(table.orders[(0, 0)], cfg, table.omega,
-                                    table.K, table.nu)
+                                    table.K, table.nu,
+                                    model.IntervalArith(cfg))
 
     kept = context()
     for alpha in [(3, 0), (1, 1), (2, 0), (3, 0), (2, 1)]:
