@@ -476,29 +476,40 @@ def mm_up_nonneg(a, b):
 
 
 def cmm(am, ar, bm, br):
-    """Complex disc midpoint-radius matrix product enclosure.
+    """Midpoint-radius matrix product enclosure (cm, cr) of (am, ar)(bm, br).
 
-    Radii bound the complex modulus of the entrywise error.  The gemm
-    constant is doubled because a complex multiply is 4 real multiplies
-    and 2 additions.
+    Radii bound the modulus of the entrywise error.  When am and bm are both
+    real the product stays float64 and takes the real gemm constant
+    gamma(n).  Otherwise it is complex and the constant is doubled, because a
+    complex multiply is 4 real multiplies and 2 additions; |.| of a complex
+    entry is rounded up by 1 + 4u, of a real one it is exact.
     """
-    am = np.asarray(am, dtype=complex)
-    bm = np.asarray(bm, dtype=complex)
+    real = not (np.iscomplexobj(am) or np.iscomplexobj(bm))
+    dtype = float if real else complex
+    am = np.asarray(am, dtype=dtype)
+    bm = np.asarray(bm, dtype=dtype)
     n = am.shape[-1]
-    g = 2.0 * _gemm_gamma(n)
-    cm = am @ bm
-    absa = np.abs(am) * (1.0 + 4.0 * _U)
-    absb = np.abs(bm) * (1.0 + 4.0 * _U)
-    p = absa @ absb
-    if ar is None and br is None:
-        cr = g * p
-    else:
+    g = _gemm_gamma(n) if real else 2.0 * _gemm_gamma(n)
+    # the radius first and scaled in place, so that |am| and |bm| are gone
+    # before the midpoint is made: fresh N x N arrays cost their page faults
+    absa, absb = np.abs(am), np.abs(bm)
+    if not real:
+        absa *= 1.0 + 4.0 * _U
+        absb *= 1.0 + 4.0 * _U
+    cr = absa @ absb
+    cr *= g
+    if ar is not None or br is not None:
         if ar is None:
             ar = np.zeros(am.shape)
         if br is None:
             br = np.zeros(bm.shape)
-        cr = g * p + absa @ br + ar @ absb + ar @ br
-    cr = cr * _up_factor(n) + _ETA * n
+        cr += absa @ br
+        cr += ar @ absb
+        cr += ar @ br
+    del absa, absb
+    cr *= _up_factor(n)
+    cr += _ETA * n
+    cm = am @ bm
     if not (np.isfinite(cm).all() and np.isfinite(cr).all()):
         raise IntervalDomainError("overflow in interval matrix product")
     return cm, cr
@@ -506,7 +517,8 @@ def cmm(am, ar, bm, br):
 
 def cmat_abs_up(am, ar):
     """Entrywise upper bound |A| for a complex disc matrix."""
-    base = np.abs(np.asarray(am, dtype=complex)) * (1.0 + 4.0 * _U)
+    base = np.abs(np.asarray(am, dtype=complex))
+    base *= 1.0 + 4.0 * _U
     if ar is None:
         return base
     return _up(base + ar)

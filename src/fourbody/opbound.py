@@ -29,11 +29,11 @@ __all__ = [
 _ETA = np.nextafter(0.0, 1.0)
 
 
-def _up_sum_axis0(a):
-    """Upper bound of column sums of a nonnegative matrix."""
+def _weighted_col_sums(w, a):
+    """Upper bound of w @ a for a nonnegative weight vector w and matrix a."""
     n = a.shape[0]
     fac = 1.0 + (4.0 * n + 64.0) * 2.0**-50
-    return a.sum(axis=0) * fac + _ETA * n
+    return _up((w @ a) * fac + _ETA * n)
 
 
 class SpaceLayout:
@@ -87,10 +87,9 @@ def block_norms(absU, rows: SpaceLayout, cols: SpaceLayout, nu: float):
         raise ValueError("matrix shape does not match layouts")
     w_up, _ = rows.weights_up(nu)
     _, winv_up = cols.weights_up(nu)
-    scaled = _up(_up(w_up[:, None] * absU) * winv_up[None, :])
     out = np.zeros((len(rows.groups), len(cols.groups)))
     for ri, rs in enumerate(rows.slices):
-        colsum = _up_sum_axis0(scaled[rs, :])
+        colsum = _up(_weighted_col_sums(w_up[rs], absU[rs, :]) * winv_up)
         for ci, cs in enumerate(cols.slices):
             block = colsum[cs]
             out[ri, ci] = float(block.max()) if block.size else 0.0

@@ -27,6 +27,19 @@ A, Z0, ||A|| and Z1 less its data part are the operator part of a certificate
 (`_operator`): they read the context and the shift s only.  Y, the data parts
 pre_Y and pre_Z1, and Z2 are the stage's own (`_certify`).
 
+The basis A is formed in depends on s.  For a real s (order 0, and order 1
+and every jet when lambda_bar is real) J commutes, up to rounding, with the
+conjugate reflection R, (R h)_k = conj(h_-k), because the orbit is real.  So
+T^H J T is real for the T that takes each pair of modes (k, -k) to
+(cos, sin), and A = T inv(M) T^H with M the real part of the float T^H J T:
+one float64 inverse and one real Z0 product (`_cos_sin_inverse`).  Z0 is then
+the sum of three terms: the real product's |I - inv(M) M| carried back by
+|T| and |T^-1|, ||A|| times what M misses of T^H J T (its imaginary part and
+the rounding of forming it), and the rounding of forming A times ||J||.  A
+complex s inverts J itself and bounds Z0 by one complex product
+(`_complex_inverse`).  Either way A is the complex Jhat, and the bounds and
+the jets' step read Jhat and |Jhat|.
+
 Stages:
 
 * order 0: the periodic orbit with four unfolding scalars y and the
@@ -110,9 +123,17 @@ from .ivarray import (
     _ETA,
     _dn,
     _gemm_gamma,
+    _U,
     _up,
 )
-from .opbound import SpaceLayout, block_norms, group_vec_norms, norm_rows, opnorm_upper
+from .opbound import (
+    SpaceLayout,
+    _weighted_col_sums,
+    block_norms,
+    group_vec_norms,
+    norm_rows,
+    opnorm_upper,
+)
 from .radii import Certificate, NKBounds, NoNegativeRadius, content_digest, radii_newton
 from .seqspace import BallElement, FourierSeq, nu_weights, project
 from . import model
@@ -240,29 +261,36 @@ def _tail_col_profile(gabs: np.ndarray, K: int, nu: float) -> np.ndarray:
     return out
 
 
-def _tail_row_bound(gabs: np.ndarray, K: int, nu: float, omega: float,
-                    s: complex, gnorm: float) -> float:
-    """sup over all columns l of nu^-|l| sum_{|k| >= K} nu^|k| |g(k-l)| / |-i omega k - s|.
+def _tail_weights(W: int, K: int, nu: float, omega: float, s: complex):
+    """What `_tail_row_bound` reads of K, nu, omega and s for a kernel of
+    half-width W: the tail weights u_k = nu^|k| / |-i omega k - s| (zero on
+    the window), the columns |l| <= K-1+2W it correlates exactly with their
+    nu^-|l|, and 1 / dist(K + W) for the columns beyond."""
+    Lmax = K - 1 + 2 * W
+    Ku = Lmax + W
+    kabs = np.abs(np.arange(-Ku, Ku + 1))
+    mask = kabs >= K
+    u = np.zeros(kabs.size)
+    u[mask] = _up(_nu_pow_up(nu, kabs[mask]) * _inv_dist_up(kabs[mask], omega, s))
+    ls = np.abs(np.arange(2 * (Ku + W) + 1) - (Ku + W))
+    sel = ls <= Lmax
+    far = float(_inv_dist_up(np.array([K + W]), omega, s)[0])
+    return u, sel, _nu_inv_up(nu, ls[sel]), far
+
+
+def _tail_row_bound(gabs: np.ndarray, gnorm: float, weights) -> float:
+    """sup over all columns l of nu^-|l| sum_{|k| >= K} nu^|k| |g(k-l)| / |-i omega k - s|,
+    with weights the `_tail_weights` of g's half-width.
 
     Exact correlation on |l| <= K-1+2W; beyond that every contributing k has
     |k| >= |l| - W, so the column is capped by gnorm / dist(K + W).
     """
-    W = (len(gabs) - 1) // 2
     if not gabs.any():
         return 0.0
-    Lmax = K - 1 + 2 * W
-    Ku = Lmax + W
-    kk = np.arange(-Ku, Ku + 1)
-    kabs = np.abs(kk)
-    mask = kabs >= K
-    u = np.zeros(kk.size)
-    u[mask] = _up(_nu_pow_up(nu, kabs[mask]) * _inv_dist_up(kabs[mask], omega, s))
+    u, sel, nu_inv, far = weights
     S = conv_up_nonneg(u, gabs[::-1])
-    ls = np.arange(S.size) - (Ku + W)
-    sel = np.abs(ls) <= Lmax
-    near = float(_up(S[sel] * _nu_inv_up(nu, np.abs(ls[sel]))).max())
-    far = float(_up(gnorm * _inv_dist_up(np.array([K + W]), omega, s)[0]))
-    return max(near, far)
+    near = float(_up(S[sel] * nu_inv).max())
+    return max(near, float(_up(gnorm * far)))
 
 
 def _mag_pad_sum(a, b) -> np.ndarray:
@@ -430,14 +458,18 @@ class _StageContext:
         """
         if self._op is None or self._op.s != s:
             self._op = None  # the old inverse goes before the new one is made
-            J = self.window_block(s)
-            self._op = _operator(_OperatorData(
-                ns=0, K=self.K, nu=self.nu, omega=self.omega, s=s, J=J,
-                window_defect=_window_defect(self, J, 0, s),
-                tail_mags=self.kmags, tail_profiles=self.kprofiles,
-                tail_norms=self.knorms, tail_consts=np.abs(self.const),
-                scalar_tail_sup=np.zeros((0, 9)), ycol_tail_seqs=[]))
+            self._op = _operator(self.jet_operator_data(s))
         return self._op
+
+    def jet_operator_data(self, s: complex) -> "_OperatorData":
+        """What `_operator` reads for the jets with shift s."""
+        J = self.window_block(s)
+        return _OperatorData(
+            ns=0, K=self.K, nu=self.nu, omega=self.omega, s=s, J=J,
+            window_defect=_window_defect(self, J, 0, s),
+            tail_mags=self.kmags, tail_profiles=self.kprofiles,
+            tail_norms=self.knorms, tail_consts=np.abs(self.const),
+            scalar_tail_sup=np.zeros((0, 9)), ycol_tail_seqs=[])
 
     def drop_operators(self):
         """Forget the kept block and jet operator, the context's only N x N
@@ -638,9 +670,9 @@ class _OperatorData:
 
 
 class _Operator(NamedTuple):
-    """The operator part of a stage certificate: A = J^-1 on the window (the
-    exact reciprocal diagonal on the tail) and the bounds that read A but not
-    the stage's residual."""
+    """The operator part of a stage certificate: A = Jhat, a float inverse of
+    J on the window (the exact reciprocal diagonal on the tail), and the
+    bounds that read A but not the stage's residual."""
 
     layout: SpaceLayout
     K: int
@@ -682,21 +714,173 @@ def _resid_mid_rad(asm: _Assembled, K: int):
     return np.concatenate(parts_m), np.concatenate(parts_r)
 
 
+def _pairs(X: np.ndarray, ns: int, K: int, axis: int):
+    """Views (plus, minus, zero) of the sequence entries of X along axis 0
+    (rows) or 1 (columns), made by reshaping to the (9, n) layout: entry j
+    of plus and of minus are the modes k = j + 1 and k = -(j + 1) of one
+    component, zero its mode 0.  The first ns entries, the scalars, are in
+    none of them."""
+    n = 2 * K - 1
+    if axis == 0:
+        v = X[ns:].reshape(9, n, -1)
+        return v[:, K:], v[:, :K - 1][:, ::-1], v[:, K - 1]
+    v = X[:, ns:].reshape(-1, 9, n)
+    return v[..., K:], v[..., :K - 1][..., ::-1], v[..., K - 1]
+
+
+def _cos_sin_form(J: np.ndarray, ns: int, K: int):
+    """(M, Im), the real and imaginary part of the float T^H J T.
+
+    T^H takes each pair of rows (h_k, h_-k) to (h_k + h_-k, i (h_-k - h_k)),
+    T each pair of columns (x_k, x_-k) to (x_k + x_-k, i (x_k - x_-k)); the
+    scalars and mode 0 stay.  Each entry is two rounded sums, the second
+    step made in place."""
+    N = J.shape[0]
+    jr, ji = J.real, J.imag
+    yr, yi = np.empty((N, N)), np.empty((N, N))
+    yr[:ns], yi[:ns] = jr[:ns], ji[:ns]
+    (rp, rm, r0), (ip, im, i0) = _pairs(jr, ns, K, 0), _pairs(ji, ns, K, 0)
+    (yrp, yrm, yr0), (yip, yim, yi0) = _pairs(yr, ns, K, 0), _pairs(yi, ns, K, 0)
+    np.add(rp, rm, out=yrp)
+    np.add(ip, im, out=yip)
+    np.subtract(ip, im, out=yrm)
+    np.subtract(rm, rp, out=yim)
+    yr0[...], yi0[...] = r0, i0
+    (rp, rm, _), (ip, im, _) = _pairs(yr, ns, K, 1), _pairs(yi, ns, K, 1)
+    t = rp - rm
+    rp += rm
+    np.subtract(im, ip, out=rm)
+    ip += im
+    im[...] = t
+    return yr, yi
+
+
+def _from_cos_sin(B: np.ndarray, ns: int, K: int, zr: np.ndarray, zi: np.ndarray) -> np.ndarray:
+    """T B T^H for a real B, as a complex array; zr and zi are N x N work
+    arrays.  B T^H only moves entries and flips signs; T then makes each part
+    of an entry one rounded sum."""
+    N = B.shape[0]
+    zr[:, :ns], zi[:, :ns] = B[:, :ns], 0.0
+    bp, bm, b0 = _pairs(B, ns, K, 1)
+    (rp, rm, r0), (ip, im, i0) = _pairs(zr, ns, K, 1), _pairs(zi, ns, K, 1)
+    rp[...], rm[...], r0[...] = bp, bp, b0
+    np.negative(bm, out=ip)
+    im[...], i0[...] = bm, 0.0
+    A = np.empty((N, N), dtype=complex)
+    ar, ai = A.real, A.imag
+    ar[:ns], ai[:ns] = zr[:ns], zi[:ns]
+    (rp, rm, r0), (ip, im, i0) = _pairs(zr, ns, K, 0), _pairs(zi, ns, K, 0)
+    (arp, arm, ar0), (aip, aim, ai0) = _pairs(ar, ns, K, 0), _pairs(ai, ns, K, 0)
+    np.subtract(rp, im, out=arp)
+    np.add(ip, rm, out=aip)
+    np.add(rp, im, out=arm)
+    np.subtract(ip, rm, out=aim)
+    ar0[...], ai0[...] = r0, i0
+    return A
+
+
+def _cos_sin_block_norms(E: np.ndarray, ns: int, K: int, nu: float) -> np.ndarray:
+    """`block_norms` of |T| E |T^-1| for a nonnegative E, from weighted
+    column sums of E alone: a row of |T| E is the sum of the rows c_k and
+    s_k, which carry the weight of k, and a column of E |T^-1| is half the
+    sum of the columns c_l and s_l (T is the identity on the scalars and on
+    mode 0)."""
+    layout = SpaceLayout.mixed(ns, 9, K)
+    w_up, winv_up = layout.weights_up(nu)
+    w = np.where(layout.kabs > 0, 2.0 * w_up, w_up)
+    winv = winv_up[ns + K:ns + 2 * K - 1]
+    out = np.zeros((len(layout.groups),) * 2)
+    for ri, rs in enumerate(layout.slices):
+        v = _weighted_col_sums(w[rs], E[rs])[None, :]
+        plus, minus, zero = _pairs(v, ns, K, 1)
+        pairs = _up(_up(plus[0] + minus[0]) * 0.5 * winv)
+        out[ri, :ns] = v[0, :ns]
+        out[ri, ns:] = np.maximum(pairs.max(axis=1), _up(zero[0] * winv_up[ns + K - 1]))
+    return out
+
+
+def _cos_sin_inverse(J: np.ndarray, ns: int, K: int, nu: float):
+    """(Jhat, z0, z0_per_normA) for a real shift, made in the cos/sin basis.
+
+    T is the identity on the scalars and on mode 0 and takes the slots
+    (k, -k) of a pair to (cos, sin), h_k = c + i s and h_-k = c - i s; so
+    T^H = 2 T^-1 on the pairs, and both have entries 1 and +-i only.  When J
+    commutes with the conjugate reflection R, (R h)_k = conj(h_-k), T^H J T
+    is real.  M is the real part of its float value and B = inv(M) is a
+    float64 inverse; Jhat = T B T^H, formed in O(N^2), is the approximate
+    inverse A that every bound and the jets' step read.
+
+    With A' = T B T^H exact and norms of the real slots weighted as their
+    modes, ||I - Jhat J|| <= z0 + z0_per_normA ||Jhat|| from three terms:
+
+    * ||T (I - B M) T^-1||, the block-norm bound of |T| |I - B M| |T^-1|
+      from one real midpoint-radius product (`ivarray.cmm`);
+    * ||A'|| ||(T^H)^-1 (T^H J T - M) T^-1||, where (T^H)^-1 is T / 2 on
+      the pairs and it and T^-1 have norm 1.  T^H J T - M is the imaginary
+      part of the float value plus the rounding of its two sums, at most
+      2.0001 u |T^H| |J| |T|; |T / 2| |T^H| = |T| |T^-1| = P adds the
+      slots k and -k, and ||P|| = 2, so the rounding adds 8.0004 u ||J||;
+    * ||A' - Jhat|| ||J||, where each part of an entry of Jhat is one
+      rounded sum, so |A' - Jhat| <= 1.0001 u |Jhat|.
+
+    ||Jhat|| is read from |Jhat| rounded up, so ||A'|| is at most 1 + 4u
+    times it and the third term at most 4u ||J|| times it.
+    """
+    layout = SpaceLayout.mixed(ns, 9, K)
+    N = layout.n
+    M, Im = _cos_sin_form(J, ns, K)
+    norm_im = opnorm_upper(block_norms(np.abs(Im, out=Im), layout, layout, nu))
+    # np.abs of a complex entry is within 1 + 4u of its modulus
+    norm_J = float(_up(opnorm_upper(block_norms(np.abs(J, out=Im), layout, layout, nu))
+                       * (1.0 + 4.0 * _U)))
+    del Im
+    B = np.linalg.inv(M)
+    E, G = cmm(B, None, M, None)
+    del M
+    # E = |I - B M| in place: two roundings an entry (the diagonal's - 1
+    # too, if cm_ii is far from 1), which 1 + 4u covers
+    E[np.diag_indices(N)] -= 1.0
+    np.abs(E, out=E)
+    E += G
+    z0 = float(_up(opnorm_upper(_cos_sin_block_norms(E, ns, K, nu)) * (1.0 + 4.0 * _U)))
+    Jhat = _from_cos_sin(B, ns, K, E, G)
+    inner = _up(norm_im + _up(9.0 * _U * norm_J))
+    per = float(_up(_up(inner * (1.0 + 4.0 * _U)) + _up(4.0 * _U * norm_J)))
+    return Jhat, z0, per
+
+
+def _complex_inverse(J: np.ndarray, ns: int, K: int, nu: float):
+    """(Jhat, Z0, 0.0) for a complex shift: Jhat = inv(J) and Z0 from one
+    complex midpoint-radius product J^-1 J."""
+    layout = SpaceLayout.mixed(ns, 9, K)
+    Jhat = np.linalg.inv(J)
+    cm, cr = cmm(Jhat, None, J, None)
+    cm[np.diag_indices(layout.n)] -= 1.0
+    return Jhat, opnorm_upper(block_norms(cmat_abs_up(cm, cr), layout, layout, nu)), 0.0
+
+
 def _operator(d: _OperatorData) -> _Operator:
+    """The operator part of a stage's certificate.
+
+    A real shift (s.imag == 0) makes its inverse in the cos/sin basis
+    (`_cos_sin_inverse`), and Z0 sums three terms there: the real product
+    |I - inv(M) M| carried back by |T| and |T^-1|, ||A|| times what M misses
+    of T^H J T, and the rounding of forming A times ||J||.  Any other shift
+    inverts J in the Fourier basis and bounds Z0 by one complex product
+    (`_complex_inverse`).  Both give the complex Jhat; ||A||, Z1_window and
+    Z1_tail read Jhat and |Jhat|, taken once from Jhat's moduli, rounded up."""
     K, nu, ns, omega, s = d.K, d.nu, d.ns, d.omega, d.s
     layout = SpaceLayout.mixed(ns, 9, K)
     N = layout.n
     ngroups = len(layout.groups)
-    J = d.J
-    Jhat = np.linalg.inv(J)
-    absJ = np.abs(Jhat)
-
-    cm, cr = cmm(Jhat, None, J, None)
-    cm[np.diag_indices(N)] -= 1.0
-    Z0 = opnorm_upper(block_norms(cmat_abs_up(cm, cr), layout, layout, nu))
+    inverse = _cos_sin_inverse if s.imag == 0 else _complex_inverse
+    Jhat, z0, z0_per_normA = inverse(d.J, ns, K, nu)
+    # np.abs rounds a modulus to nearest, down about half the time
+    absJ = cmat_abs_up(Jhat, None)
 
     Bmat = block_norms(absJ, layout, layout, nu)
     rowsJ = norm_rows(Bmat)
+    Z0 = float(_up(z0 + _up(z0_per_normA * float(rowsJ.max()))))
     dtK = float(_inv_dist_up(np.array([float(K)]), omega, s)[0])
     normA = 0.0
     for gi, kind in enumerate(layout.kinds):
@@ -729,13 +913,17 @@ def _operator(d: _OperatorData) -> _Operator:
     Np = np.zeros((ngroups, ngroups))
     for ci in range(ngroups):
         Np[:, ci] = group_vec_norms(Wmat[:, ci], layout, nu)
+    tail_weights = {}  # per kernel half-width; the kernels have few widths
     for i in range(9):
         R = ns + i
         for j in range(9):
             add = 0.0
             g = d.tail_mags[i][j]
             if g is not None:
-                add = _tail_row_bound(g, K, nu, omega, s, d.tail_norms[i, j])
+                W = (len(g) - 1) // 2
+                if W not in tail_weights:
+                    tail_weights[W] = _tail_weights(W, K, nu, omega, s)
+                add = _tail_row_bound(g, d.tail_norms[i, j], tail_weights[W])
             cconst = d.tail_consts[i, j]
             if cconst:
                 add = float(_up(add + _up(cconst * dtK)))

@@ -147,7 +147,8 @@ def primaries_geometric(m1: Fraction, m2: Fraction, m3: Fraction, sqrt3: Fractio
 
 
 def carr_conv_reference(a: CArr, b: CArr) -> CArr:
-    """Full convolution out_k = sum_i a_i b_{k-i}, one shift i at a time."""
+    """Full convolution out_k = sum_i a_i b_{k-i}, one shift i at a time;
+    IntervalDomainError when a sum is not finite."""
     n, m = len(a), len(b)
     if n == 0 or m == 0:
         return CArr.zeros(0)
@@ -172,7 +173,9 @@ def carr_conv_reference(a: CArr, b: CArr) -> CArr:
         ilo, ihi = ri_add(out.il[seg], out.ih[seg], term.il, term.ih)
         out.rl[seg], out.rh[seg] = rlo, rhi
         out.il[seg], out.ih[seg] = ilo, ihi
-    return out
+    # the sums went into out's lanes in place; a new CArr checks them, so an
+    # overflowing sum raises IntervalDomainError as in carr_conv
+    return CArr(out.rl, out.rh, out.il, out.ih)
 
 
 def cconv_mr_pair(am, ar, bm, br):

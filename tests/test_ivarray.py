@@ -383,7 +383,8 @@ def test_carr_conv_batch_long_operands():
 
 
 def test_carr_conv_overflowing_sum_raises():
-    # every product is finite, the sums of two of them are not, at either end
+    # every product is finite, the sums of two of them are not, at either
+    # end; the kernels and the reference they are tested against all raise
     ones = CArr.point(np.ones(40))
     small = random_carr(30)
     for top in (1e308, -1e308):
@@ -393,6 +394,8 @@ def test_carr_conv_overflowing_sum_raises():
                 carr_conv(ones, big)
             with pytest.raises(IntervalDomainError):
                 carr_conv_batch([(small, small), (big, ones)])
+            with pytest.raises(IntervalDomainError):
+                carr_conv_reference(ones, big)
 
 
 # -- the kernel's integer ulp step against numpy.nextafter, bit for bit

@@ -32,6 +32,7 @@ KIND = "unstable"
 K0 = 3
 XI0 = 1e-4
 ROOT = Path(__file__).resolve().parent.parent
+rng = np.random.default_rng(5)
 
 
 @pytest.fixture(scope="module")
@@ -237,6 +238,125 @@ def test_window_defect_dominates_the_entrywise_defect(run, monkeypatch, moved):
         assert (opnorm_upper(entrywise) >= 1e-9) == moved
 
 
+def _dense_T(ns: int, K: int) -> np.ndarray:
+    """T as a matrix: the identity on the scalars and on mode 0; the slots
+    of k and -k hold c_k and s_k, with h_k = c_k + i s_k, h_-k = c_k - i s_k."""
+    n = 2 * K - 1
+    T = np.zeros((ns + 9 * n,) * 2, dtype=complex)
+    T[np.arange(ns), np.arange(ns)] = 1.0
+    for j in range(9):
+        zero = ns + j * n + K - 1
+        T[zero, zero] = 1.0
+        for k in range(1, K):
+            p, m = zero + k, zero - k
+            T[p, p] = T[m, p] = 1.0
+            T[p, m], T[m, m] = 1j, -1j
+    return T
+
+
+def test_cos_sin_transforms_match_dense_t():
+    # the view-based transforms against T as a matrix, on random data: M and
+    # Im are T^H J T, Jhat is T B T^H, and the term-1 block norms are those
+    # of |T| E |T^-1| formed entry by entry
+    ns, K, nu = 2, 4, 1.5
+    T = _dense_T(ns, K)
+    N = T.shape[0]
+    J = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    M, Im = stages._cos_sin_form(J, ns, K)
+    assert np.allclose(M + 1j * Im, T.conj().T @ J @ T, rtol=0, atol=1e-13)
+    B = rng.standard_normal((N, N))
+    work = np.empty((N, N)), np.empty((N, N))
+    assert np.allclose(stages._from_cos_sin(B, ns, K, *work), T @ B @ T.conj().T,
+                       rtol=0, atol=1e-13)
+    E = np.abs(rng.standard_normal((N, N)))
+    layout = SpaceLayout.mixed(ns, 9, K)
+    want = block_norms(np.abs(T) @ E @ np.abs(np.linalg.inv(T)), layout, layout, nu)
+    got = stages._cos_sin_block_norms(E, ns, K, nu)
+    assert np.allclose(got, want, rtol=1e-13, atol=0)
+    assert (got >= want * (1.0 - 1e-14)).all()
+
+
+@pytest.fixture(scope="module")
+def stage_ctx(run):
+    """A fresh order-0 context of the run, for building operators by hand."""
+    cfg, res0, _, _ = run
+    sol = res0.context[0]
+    return stages._StageContext(sol.seqs(), cfg, sol.omega, sol.K, sol.nu,
+                                model.IntervalArith(cfg))
+
+
+def _real_shift_operators(run, ctx):
+    """The `_OperatorData` of order 0, order 1 and the shift of jet (2,1);
+    lambda_bar is real, so all three shifts are."""
+    cfg, res0, _, table = run
+    yield stages._assemble_orbit(res0.context[0], ctx, model.IntervalArith(cfg))[0]
+    coeffs = np.array([a.c.mid() for a in table.orders[(1, 0)]])
+    bsol = stages.BundleSolution(KIND, table.lambda_bar, coeffs, K0, XI0)
+    yield stages._assemble_bundle(bsol, ctx, table.radii[(0, 0)])[0]
+    yield ctx.jet_operator_data(stages._jet_shift((2, 1), table.lambda_bar))
+
+
+def _residual_seen(Jhat, J, ns, ctx) -> float:
+    """What an independent complex `ivarray.cmm` product shows of
+    ||I - Jhat J||: the largest block norm of the lower end of its enclosure,
+    which each block of the operator norm bounds from below."""
+    cm, cr = ivarray.cmm(Jhat, None, J, None)
+    cm[np.diag_indices_from(cm)] -= 1.0
+    layout = SpaceLayout.mixed(ns, 9, ctx.K)
+    return float(block_norms(np.maximum(np.abs(cm) - cr, 0.0), layout, layout, ctx.nu).max())
+
+
+def test_cos_sin_operator_matches_the_complex_one(run, stage_ctx, monkeypatch):
+    # a real shift inverts in the cos/sin basis; the complex path at the same
+    # shift gives ||A||, Z1_window and Z1_tail within 1e-12 relative, and the
+    # real form's Z0 is small and covers what an independent complex product
+    # of its Jhat with J shows (order 0's Z0 is about 8e-9 on either path,
+    # hence the bound relative to ||A||)
+    for data in _real_shift_operators(run, stage_ctx):
+        assert data.s.imag == 0.0
+        real = stages._operator(data)
+        with monkeypatch.context() as m:
+            m.setattr(stages, "_cos_sin_inverse", stages._complex_inverse)
+            ref = stages._operator(data)
+        for name in ("normA", "normA_seq", "Z1_window", "Z1_tail"):
+            assert getattr(real, name) == pytest.approx(getattr(ref, name), rel=1e-12), name
+        assert real.Z0 <= 1e-10 * max(1.0, real.normA), data.ns
+        assert real.Z0 >= _residual_seen(real.Jhat, data.J, data.ns, stage_ctx), data.ns
+    stage_ctx.drop_operators()
+
+
+@pytest.mark.parametrize("defect", ["J not R-symmetric", "inverse inexact"])
+def test_cos_sin_z0_covers_a_visible_defect(run, stage_ctx, monkeypatch, defect):
+    # Z0 must cover the ||I - Jhat J|| that an independent complex product
+    # shows when it is far above rounding: for J + 1e-8 i I, whose added part
+    # anticommutes with R and so is left out of M, and for an inverse of M
+    # that is 1e-6 too large
+    if defect == "inverse inexact":
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inv(a) * (1.0 + 1e-6))
+    for data in _real_shift_operators(run, stage_ctx):
+        J = data.J
+        if defect == "J not R-symmetric":
+            J = J.copy()
+            J[np.diag_indices_from(J)] += 1e-8j
+        op = stages._operator(replace(data, J=J))
+        seen = _residual_seen(op.Jhat, J, data.ns, stage_ctx)
+        assert seen >= 1e-9, data.ns
+        assert op.Z0 >= seen, data.ns
+    stage_ctx.drop_operators()
+
+
+def test_complex_shift_takes_the_complex_inverse(run, stage_ctx, dense_calls):
+    # at s = 2 lambda_bar + 0.5 i, J does not commute with R: the jet
+    # operator inverts J itself, in complex, and its Z0 is as small
+    _, _, _, table = run
+    before = len(dense_calls("inv"))
+    op = stage_ctx.jet_operator(2.0 * table.lambda_bar + 0.5j)
+    assert [c[2] for c in dense_calls("inv")[before:]] == [np.complex128]
+    assert op.Z0 <= 1e-10
+    stage_ctx.drop_operators()
+
+
 def test_report_splits_z1(run):
     # Z1 = Z1_tail + Z1_window + the data part; the window part is rounding
     cfg, res0, _, table = run
@@ -249,12 +369,12 @@ def test_report_splits_z1(run):
 def dense_calls(monkeypatch):
     """The `np.linalg.inv` and `np.linalg.solve` calls made while the test
     runs.  Gives a function that reads the calls so far as (name, process
-    id) pairs, those of one name when given."""
+    id, dtype of the matrix) triples, those of one name when given."""
     log = []
 
     def logged(name, fn):
         def call(*args, **kwargs):
-            log.append((name, os.getpid()))
+            log.append((name, os.getpid(), np.asarray(args[0]).dtype))
             return fn(*args, **kwargs)
         return call
 
@@ -327,16 +447,25 @@ def test_jets_leave_the_operator_work_to_the_context(run, monkeypatch):
 def test_no_dense_solve_or_inverse_in_a_worker(run, dense_calls):
     # counts, not timings: a jet takes its step with its certificate's
     # inverse, so the jets make no solve, and this process makes the one
-    # inverse of each distinct shift (2 for the 4 jets), whatever jobs is
-    cfg, _, start, table = run
+    # inverse of each distinct shift (2 for the 4 jets), whatever jobs is.
+    # lambda_bar is real, so every stage's shift is: orders 0 and 1 and
+    # every jet invert a float64 matrix, the cos/sin form of their block
+    cfg, res0, start, table = run
     shifts = {stages._jet_shift(a, table.lambda_bar) for a in table.radii if sum(a) >= 2}
     parent = os.getpid()
+    real_inverse = ("inv", parent, np.float64)
     for jobs in (1, 2):
         before = len(dense_calls())
         again = stages.extend_with_jets(stages.rescale_jets(start, 1.0), cfg, jobs=jobs)
         assert again.digest() == table.digest()
-        assert dense_calls()[before:] == [("inv", parent)] * len(shifts), jobs
+        assert dense_calls()[before:] == [real_inverse] * len(shifts), jobs
     assert len(shifts) == 2
+    sol = res0.context[0]
+    lam, v = seeding.bundle_guess(cfg, sol, KIND, K0, XI0)
+    before = len(dense_calls("inv"))
+    res = stages.validate_order0(sol, cfg)
+    stages.start_jet_table(KIND, sol, res, cfg, lam, v, K0, XI0, N_T)
+    assert dense_calls("inv")[before:] == [real_inverse] * 2
 
 
 def test_no_jet_keeps_the_zero_guess(run):
