@@ -17,10 +17,12 @@ arithmetic.  Here it is `IntervalArith`: order 0 in endpoint intervals, one
 `FourierSeq` per component, with no Taylor layers.  The Fourier-Taylor
 grids of the jets are evaluated in floats by `numerics.FloatArith` and
 bounded by the norm/radius lane of `stages`.  On top of the interval
-arithmetic sit the order-0 field map on nine sequences (`field_F_grid`),
-its derivative table (`dF0`), and the scalar phase/initialization
-conditions; the orbit's unfolding term is assembled by `stages` from the
-cubes it already has.
+arithmetic sit the order-0 field map on nine sequences (`field_F_grid`)
+and its derivative table (`dF0`).  The scalar phase/initialization
+conditions and their gradient are written once, in `eta_terms`, over any
+scalars with +, - and *: complex floats for seeding's Newton, intervals for
+the certificate.  The orbit's unfolding term is assembled by `stages` from
+the cubes it already has.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ __all__ = [
     "field_F_grid",
     "DF0",
     "dF0",
-    "eta_phase",
+    "eta_terms",
     "xi_phase",
 ]
 
@@ -554,27 +556,29 @@ def _mode_sum(s: FourierSeq) -> ComplexInterval:
     return ComplexInterval(re, im)
 
 
-def eta_phase(a0, anchor: PhaseAnchor, cfg: PrimaryConfig):
-    """Phase and initialization conditions for the order-zero sequence.
+def eta_terms(g, anchor: PhaseAnchor, positions):
+    """(values, gradient) of the phase and initialization conditions at the
+    angle-zero point g (nine scalars) with the primaries at positions.
 
-    Entry 1 pins the angle-zero point to the hyperplane through u0 with
-    normal u1; entries 2..4 require the reciprocal-distance components to
-    actually invert the distances at angle zero.
+    Entry 0 pins g to the hyperplane through u0 with normal u1; entries
+    1..3 require the reciprocal-distance components to invert the
+    distances.  gradient[r] maps a slot i to d eta_r / d g_i.  Only +, - and
+    * are used, so complex floats (the Newton map and its Jacobian) and
+    `ComplexInterval`s (the certificate) run the same code.
     """
-    a0 = _nine(a0, "sequence")
-    g = [_mode_sum(s) for s in a0]
-    e1 = CZERO
+    e0 = 0.0
     for i in range(9):
-        e1 = e1 + (ComplexInterval.point(complex(anchor.u0[i])) - g[i]) * anchor.u1[i]
-    out = [e1]
-    for j in range(3):
-        px, py, pz = cfg.position(j)
-        dx = g[0] - px
-        dy = g[2] - py
-        dz = g[4] - pz
+        e0 = e0 + (anchor.u0[i] - g[i]) * anchor.u1[i]
+    values = [e0]
+    gradient = [{i: -anchor.u1[i] for i in range(9)}]
+    for j, (px, py, pz) in enumerate(positions):
+        dx, dy, dz = g[0] - px, g[2] - py, g[4] - pz
         d2 = dx * dx + dy * dy + dz * dz
-        out.append(d2 * (g[6 + j] * g[6 + j]) - 1.0)
-    return tuple(out)
+        w2 = g[6 + j] * g[6 + j]
+        values.append(d2 * w2 - 1.0)
+        gradient.append({0: dx * w2 * 2.0, 2: dy * w2 * 2.0, 4: dz * w2 * 2.0,
+                         6 + j: d2 * g[6 + j] * 2.0})
+    return values, gradient
 
 
 def xi_phase(a_alpha, k0: int, xi0: float) -> ComplexInterval:

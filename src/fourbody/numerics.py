@@ -29,8 +29,6 @@ __all__ = [
     "FloatArith",
     "derivative_kernels",
     "base_block",
-    "eta_rows",
-    "eta_jacobian_entries",
     "ft_truncate",
     "field_grid",
     "remainder_layer",
@@ -123,35 +121,6 @@ def base_block(const, kernels, K: int, diag, out=None):
             if kernels[i][j] is not None:
                 base[rs, cs] += toeplitz_window(kernels[i][j], K)
     return base
-
-
-def eta_rows(A, anchor, pos):
-    """The four phase/consistency scalars at a 9-window A."""
-    g = np.array([a.sum() for a in A])
-    e = np.zeros(4, dtype=complex)
-    u0 = np.asarray(anchor.u0, dtype=float)
-    u1 = np.asarray(anchor.u1, dtype=float)
-    e[0] = np.sum(u1 * (u0 - g))
-    for j in range(3):
-        d2 = (g[0] - pos[j][0]) ** 2 + (g[2] - pos[j][1]) ** 2 + g[4] ** 2
-        e[1 + j] = d2 * g[6 + j] ** 2 - 1.0
-    return e
-
-
-def eta_jacobian_entries(A, anchor, pos):
-    """Per-slot column constants of the phase rows (same value for every k)."""
-    g = np.array([a.sum() for a in A])
-    u1 = np.asarray(anchor.u1, dtype=float)
-    rows = np.zeros((4, 9), dtype=complex)
-    rows[0, :] = -u1
-    for j in range(3):
-        d2 = (g[0] - pos[j][0]) ** 2 + (g[2] - pos[j][1]) ** 2 + g[4] ** 2
-        w2 = g[6 + j] ** 2
-        rows[1 + j, 0] = 2.0 * (g[0] - pos[j][0]) * w2
-        rows[1 + j, 2] = 2.0 * (g[2] - pos[j][1]) * w2
-        rows[1 + j, 4] = 2.0 * g[4] * w2
-        rows[1 + j, 6 + j] = 2.0 * d2 * g[6 + j]
-    return rows
 
 
 # ---------------------------------------------------------------------------

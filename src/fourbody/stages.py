@@ -20,12 +20,16 @@ On the window A_dag is the float block J, so there DF(x_bar) - A_dag is only
 what J misses of DF(x_bar): the rounding of the float kernels and of J's
 float sums.  `_window_defect` bounds it by one norm delta per stage (block
 norms of X, summed over each row group, maximum over the groups), and
-Z1 = Z1_tail + ||J^-1|| delta, where Z1_tail bounds A times the parts of
-DF(x_bar) - A_dag that reach the tail.  The kernel part of delta,
-||ker_ij - fker_ij||_nu per block, is made once per context.  Of the bounds,
-A, Z0, ||A|| and Z1 less its data part are the operator part of a certificate
-(`_operator`): they read the context and the shift s only.  Y, the data parts
-pre_Y and pre_Z1, and Z2 are the stage's own (`_certify`).
+Z1 = Z1_tail + ||J^-1|| delta + ||A||_seq pre_Z1, where Z1_tail bounds A
+times the parts of DF(x_bar) - A_dag that reach the tail, and pre_Z1 bounds
+a known perturbation of the derivative that maps sequences to sequences
+(order 0's y terms, the lower orders' radii, a jet's shift error).  The
+kernel part of delta, ||ker_ij - fker_ij||_nu per block, and the kernels'
+tail coupling are made once per context.  Of the bounds, A, Z0, ||A|| and
+Z1 less its data part are the operator part of a certificate (`_operator`):
+they read the context, the shift s and the stage's scalar rows and columns
+only.  Y, the data parts pre_Y and pre_Z1, and Z2 are the stage's own
+(`_certify`), and its report carries all of them.
 
 The basis A is formed in depends on s.  For a real s (order 0, and order 1
 and every jet when lambda_bar is real) J commutes, up to rounding, with the
@@ -44,7 +48,11 @@ Stages:
 
 * order 0: the periodic orbit with four unfolding scalars y and the
   phase/initialization conditions eta; a valid certificate forces the
-  y-enclosure to contain zero.
+  y-enclosure to contain zero.  Its J is DF at y = 0 (`_orbit_jacobian`,
+  which seeding's Newton takes too), exact on the true orbit, where y = 0.
+  The y terms of DF(x_bar), E_y = y0 on component 1 and y_j 3 sq_j * on
+  component 6+j (sq_j the square of a_(6+j)), enter Z1 through
+  pre_Z1 = max(|y0|, 3 |y_j| ||sq_j||).
 * order 1: the Floquet bundle (lambda, a_1) normalized by the quadratic
   phase scalar xi; resonances are excluded by checking that the enclosure
   of Re(lambda) omits zero.
@@ -83,9 +91,9 @@ of orders 0 and 1, the kind, the order-1 digest).  One task body,
 `_jet_task`, solves and certifies a jet from its layer, the order-0 context
 and the operator part of its certificate.  The context holds what the
 operators of all stages share: the kernel part of the window defect, the
-tail column profile of each kernel, and for the last shift s the float
-window block J (only its diagonal depends on s) and the operator part of
-the certificate (`_StageContext.jet_operator`).
+kernels' tail tables (`kmags`, `kprofiles`, `knorms`, `const`), and for the
+last shift s the float window block J (only its diagonal depends on s) and
+the operator part of the certificate (`_StageContext.jet_operator`).
 With a real lambda_bar every jet of order p has s = p lambda_bar, and the
 jets come level by level, so one inverse, one Z0 product and one Z1 serve a
 whole level.  Block and operator are N x N scratch of one public call
@@ -293,17 +301,6 @@ def _tail_row_bound(gabs: np.ndarray, gnorm: float, weights) -> float:
     return max(near, float(_up(gnorm * far)))
 
 
-def _mag_pad_sum(a, b) -> np.ndarray:
-    """Centered upper-bound sum of two odd-length nonnegative arrays."""
-    n = max(len(a), len(b))
-    out = np.zeros(n)
-    for arr in (a, b):
-        off = (n - len(arr)) // 2
-        seg = out[off:off + len(arr)]
-        out[off:off + len(arr)] = _up(seg + arr)
-    return out
-
-
 def _up_horner(coeffs, r: float) -> float:
     """Upward evaluation of a polynomial with nonnegative coefficients at r >= 0."""
     val = 0.0
@@ -458,18 +455,14 @@ class _StageContext:
         """
         if self._op is None or self._op.s != s:
             self._op = None  # the old inverse goes before the new one is made
-            self._op = _operator(self.jet_operator_data(s))
+            self._op = _operator(self, self.jet_operator_data(s))
         return self._op
 
     def jet_operator_data(self, s: complex) -> "_OperatorData":
         """What `_operator` reads for the jets with shift s."""
         J = self.window_block(s)
-        return _OperatorData(
-            ns=0, K=self.K, nu=self.nu, omega=self.omega, s=s, J=J,
-            window_defect=_window_defect(self, J, 0, s),
-            tail_mags=self.kmags, tail_profiles=self.kprofiles,
-            tail_norms=self.knorms, tail_consts=np.abs(self.const),
-            scalar_tail_sup=np.zeros((0, 9)), ycol_tail_seqs=[])
+        return _OperatorData(ns=0, s=s, J=J, window_defect=_window_defect(self, J, 0, s),
+                             scalar_tail_sup=np.zeros((0, 9)), ycol_tail_seqs=[])
 
     def drop_operators(self):
         """Forget the kept block and jet operator, the context's only N x N
@@ -539,39 +532,39 @@ def _orbit_residual(z, omega, anchor, K: int, ms, pos):
         w = A[6 + j]
         cube = np.convolve(np.convolve(w, w), w)
         rows[6 + j] += y[1 + j] * numerics.crop(cube, K)
-    eta = numerics.eta_rows(A, anchor, pos)
+    eta, _ = model.eta_terms(A.sum(axis=1), anchor, pos)
     return _pack(eta, rows)
 
 
 def _orbit_jacobian(z, omega, anchor, K: int, ms, pos, out=None, kernels=None):
-    """Jacobian of `_orbit_residual` in (y, a) at fixed omega.
+    """Jacobian of `_orbit_residual` in (y, a) at fixed omega and y = 0.
 
-    Written into out (a zero square view of the same order) when given.
-    kernels is (const, kers) of `numerics.derivative_kernels` at the rows
-    of z, when the caller already has them.
+    It reads no y: the y-terms of the a-derivative, y0 on component 1 and
+    y_j 3 w_j^2 * on component 6+j, vanish on the solution, where y = 0.
+    So it is the exact Jacobian there, seeding's Newton takes it, and order
+    0's certificate takes it as its J; `_assemble_orbit` bounds the dropped
+    terms at y_bar in Z1.  Written into out (a zero square view of the same
+    order) when given.  kernels is (const, kers) of
+    `numerics.derivative_kernels` at the rows of z, when the caller already
+    has them.
     """
-    y, A = _unpack(z, 4, K)
+    _, A = _unpack(z, 4, K)
     n = 2 * K - 1
     N = 4 + 9 * n
     J = np.zeros((N, N), dtype=complex) if out is None else out
-    ent = numerics.eta_jacobian_entries(A, anchor, pos)
-    for r in range(4):
-        for j in range(9):
-            J[r, 4 + j * n:4 + (j + 1) * n] = ent[r, j]
+    _, gradient = model.eta_terms(A.sum(axis=1), anchor, pos)
+    for r, row in enumerate(gradient):
+        for j, v in row.items():
+            J[r, 4 + j * n:4 + (j + 1) * n] = v
     if kernels is None:
         kernels = numerics.derivative_kernels(A, ms, pos)
     const, kers = kernels
     numerics.base_block(const, kers, K, -1j * omega * numerics.kvals(K), out=J[4:, 4:])
-    b1 = slice(4 + n, 4 + 2 * n)
-    J[b1, b1] += y[0] * np.eye(n)
-    J[b1, 0] = A[1]
+    J[4 + n:4 + 2 * n, 0] = A[1]
     for j in range(3):
         w = A[6 + j]
-        sq = np.convolve(w, w)
-        cube = np.convolve(sq, w)
-        bj = slice(4 + (6 + j) * n, 4 + (7 + j) * n)
-        J[bj, bj] += y[1 + j] * numerics.toeplitz_window(3.0 * sq, K)
-        J[bj, 1 + j] = numerics.crop(cube, K)
+        J[4 + (6 + j) * n:4 + (7 + j) * n, 1 + j] = numerics.crop(
+            np.convolve(np.convolve(w, w), w), K)
     return J
 
 
@@ -650,21 +643,16 @@ def _layer_rhs(layer: "_JetLayer", K: int) -> np.ndarray:
 
 @dataclass
 class _OperatorData:
-    """What the operator part of a stage certificate reads: the float window
-    block J, the window defect, and the parts of DF(x_bar) - A_dag that reach
-    the tail."""
+    """What the operator part of a stage certificate reads besides its
+    context: the shift s, the float window block J, the window defect, and
+    the parts of DF(x_bar) - A_dag that reach the tail from the scalars (the
+    eta rows and y columns of order 0).  The kernels' tail coupling is the
+    context's, the same for every stage."""
 
     ns: int
-    K: int
-    nu: float
-    omega: float
     s: complex
     J: np.ndarray
     window_defect: np.ndarray
-    tail_mags: list
-    tail_profiles: list  # `_tail_col_profile` of each of tail_mags
-    tail_norms: np.ndarray
-    tail_consts: np.ndarray
     scalar_tail_sup: np.ndarray
     ycol_tail_seqs: list
 
@@ -859,7 +847,7 @@ def _complex_inverse(J: np.ndarray, ns: int, K: int, nu: float):
     return Jhat, opnorm_upper(block_norms(cmat_abs_up(cm, cr), layout, layout, nu)), 0.0
 
 
-def _operator(d: _OperatorData) -> _Operator:
+def _operator(ctx: _StageContext, d: _OperatorData) -> _Operator:
     """The operator part of a stage's certificate.
 
     A real shift (s.imag == 0) makes its inverse in the cos/sin basis
@@ -869,7 +857,7 @@ def _operator(d: _OperatorData) -> _Operator:
     inverts J in the Fourier basis and bounds Z0 by one complex product
     (`_complex_inverse`).  Both give the complex Jhat; ||A||, Z1_window and
     Z1_tail read Jhat and |Jhat|, taken once from Jhat's moduli, rounded up."""
-    K, nu, ns, omega, s = d.K, d.nu, d.ns, d.omega, d.s
+    K, nu, omega, ns, s = ctx.K, ctx.nu, ctx.omega, d.ns, d.s
     layout = SpaceLayout.mixed(ns, 9, K)
     N = layout.n
     ngroups = len(layout.groups)
@@ -906,9 +894,8 @@ def _operator(d: _OperatorData) -> _Operator:
     for j in range(9):
         U[:ns, ns + j] = d.scalar_tail_sup[:, j]
         for i in range(9):
-            g = d.tail_mags[i][j]
-            if g is not None:
-                U[layout.slices[ns + i], ns + j] = d.tail_profiles[i][j]
+            if ctx.kmags[i][j] is not None:
+                U[layout.slices[ns + i], ns + j] = ctx.kprofiles[i][j]
     Wmat = mm_up_nonneg(absJ, U)
     Np = np.zeros((ngroups, ngroups))
     for ci in range(ngroups):
@@ -918,13 +905,13 @@ def _operator(d: _OperatorData) -> _Operator:
         R = ns + i
         for j in range(9):
             add = 0.0
-            g = d.tail_mags[i][j]
+            g = ctx.kmags[i][j]
             if g is not None:
                 W = (len(g) - 1) // 2
                 if W not in tail_weights:
                     tail_weights[W] = _tail_weights(W, K, nu, omega, s)
-                add = _tail_row_bound(g, d.tail_norms[i, j], tail_weights[W])
-            cconst = d.tail_consts[i, j]
+                add = _tail_row_bound(g, ctx.knorms[i, j], tail_weights[W])
+            cconst = abs(ctx.const[i, j])
             if cconst:
                 add = float(_up(add + _up(cconst * dtK)))
             if add:
@@ -964,7 +951,8 @@ def _certify(op: _Operator, asm: _Assembled, digest: str):
     bounds = NKBounds(Y=Y, Z0=op.Z0, Z1=Z1, Z2=Z2, r_star=R_STAR)
     report = {
         "Y": Y, "Z0": op.Z0, "Z1": Z1, "Z1_window": op.Z1_window,
-        "Z1_tail": op.Z1_tail, "Z2": list(Z2), "normA": op.normA,
+        "Z1_tail": op.Z1_tail, "pre_Y": asm.pre_Y, "pre_Z1": asm.pre_Z1,
+        "Z2": list(Z2), "normA": op.normA,
     }
     try:
         cert = radii_newton(bounds, stage=asm.tag, inputs_digest=digest)
@@ -987,17 +975,18 @@ def _gap(c: ComplexInterval, z) -> float:
     return float(CArr.from_civ_list([c]).sub(CArr.point(z)).mag().max())
 
 
-def _window_defect(ctx: _StageContext, J: np.ndarray, ns: int, s: complex,
-                   extra=None) -> np.ndarray:
+def _window_defect(ctx: _StageContext, J: np.ndarray, ns: int, s: complex) -> np.ndarray:
     """Block norms, over the groups of `SpaceLayout.mixed(ns, 9, K)`, of
-    pi (DF(x_bar) - J) pi for the part DF0 - i omega k - s of DF(x_bar).
+    pi (DF0 - i omega k - s - J) pi on the sequence blocks of J.
 
-    Off its diagonal, block (i, j) of J holds the float kernel fker_ij as it
-    is, so that part is at most ||ker_ij - fker_ij||_nu (`ctx.kgap`).  On its
-    diagonal J holds a float sum, which is compared entry by entry with the
-    enclosure of DF's entry: c_ij + ker_ij(0), plus -i omega k - s and
-    extra[i] (a `CArr` of nine terms the stage adds) when i = j.  The
-    assembler adds the blocks of the stage's other entries.
+    Every stage's J holds there the context's float block at s: off its
+    diagonal, block (i, j) is the float kernel fker_ij as it is, so that
+    part is at most ||ker_ij - fker_ij||_nu (`ctx.kgap`).  On its diagonal J
+    holds a float sum, which is compared entry by entry with the enclosure
+    of DF0's entry: c_ij + ker_ij(0), plus -i omega k - s when i = j.  The
+    assembler adds the blocks of the stage's scalar rows and columns; what
+    else the stage's DF(x_bar) holds on the sequence blocks (order 0's y
+    terms) is not J's to miss and enters Z1 through pre_Z1.
     """
     n = 2 * ctx.K - 1
     # Jd[k, i, j]: entry k of the diagonal of block (i, j)
@@ -1006,14 +995,12 @@ def _window_defect(ctx: _StageContext, J: np.ndarray, ns: int, s: complex,
     Jd = J[k + b[:, None], k + b]
     gap = ctx.dconst.sub(CArr.point(Jd)).mag().max(axis=0)
     # on the diagonal blocks: -i omega k - s (s an exact float) as a column,
-    # then c + ker(0), then the stage's extra terms
+    # then c + ker(0)
     m = ctx.omega * numerics.kvals(ctx.K).astype(float)[:, None]
     re = np.full((n, 1), -s.real)
     box = CArr(re, re, _dn(-_up(m) - s.imag), _up(-_dn(m) - s.imag))
     ii = np.arange(9)
     box = box.add(ctx.dconst.slice((ii, ii)))
-    if extra is not None:
-        box = box.add(extra)
     gap[ii, ii] = box.sub(CArr.point(Jd[:, ii, ii])).mag().max(axis=0)
     N = np.zeros((ns + 9, ns + 9))
     N[ns:, ns:] = _up(ctx.kgap + gap)
@@ -1023,74 +1010,50 @@ def _window_defect(ctx: _StageContext, J: np.ndarray, ns: int, s: complex,
 def _assemble_orbit(sol: "OrbitSolution", ctx: _StageContext, ar):
     """(`_OperatorData`, `_Assembled`) of the order-0 certificate.
 
-    ar is the IntervalArith that made the context's dF0: the field and the
-    cubes reuse its products."""
+    J is DF at y = 0 (`_orbit_jacobian`).  What it leaves out of DF(x_bar),
+    E_y = y0 on component 1 and y_j 3 sq_j * on component 6+j, maps
+    sequences to sequences, on the window and on the tail alike, with norm
+    at most max(|y0|, 3 |y_j| ||sq_j||): that is the stage's pre_Z1.  ar is
+    the IntervalArith that made the context's dF0: the field and the cubes
+    reuse its products."""
     cfg = ctx.cfg
     K, nu, omega = ctx.K, ctx.nu, ctx.omega
     n = 2 * K - 1
     ns = 4
     anchor = sol.anchor
     y = np.asarray(sol.y, dtype=complex)
+    ymag = [float(_up(abs(complex(t)))) for t in y]
 
     J = _orbit_jacobian(_pack(y, sol.coeffs), omega, anchor, K, ctx.ms, ctx.pos,
                         kernels=(ctx.fconst, ctx.fkers))
-
+    Nw = _window_defect(ctx, J, ns, 0j)
+    # J's y0 column (a_1) is DF's, exactly; its y_j column holds the float cube
     cubes = []
-    sq3mags = []
-    sq3seqs = []
-    # the window defect's diagonal terms of the stage (y0 on block 1 and
-    # y_j 3 sq(0) on block 6+j), its y_j columns and, off the diagonal of
-    # block 6+j, what J holds there, fl(fker + y_j 3 sq), against DF
-    diag = [ComplexInterval.point(0j)] * 9
-    diag[1] = ComplexInterval.point(complex(y[0]))
-    toeplitz, ycol = np.zeros(3), np.zeros(3)
+    pre_Z1 = ymag[0]
     for j in range(3):
         w = ctx.a0[6 + j]
         sq = ar.mul(w, w, 0)
         cube = ar.mul(sq, w, 0)
         cubes.append(cube)
-        sq3 = sq.scale(ComplexInterval.point(complex(y[1 + j])) * 3.0)
-        sq3seqs.append(sq3)
-        sq3mags.append(sq3.c.mag())
-        diag[6 + j] = sq3.at(0)
-        bj = slice(ns + (6 + j) * n, ns + (7 + j) * n)
-        blk = J[bj, bj]
-        held = FourierSeq.point(np.concatenate([blk[0, :0:-1], blk[:, 0]]), nu)
-        fker = FourierSeq.point(numerics.crop(ctx.fkers[6 + j][6 + j], n), nu)
-        off = sq3.add(fker).sub(held)
-        for lane in (off.c.rl, off.c.rh, off.c.il, off.c.ih):  # in diag
-            lane[n - 1] = 0.0
-        toeplitz[j] = off.norm_upper()
-        ycol[j] = project(cube, K).sub(FourierSeq.point(J[bj, 1 + j], nu)).norm_upper()
-    Nw = _window_defect(ctx, J, ns, 0j, CArr.from_civ_list(diag))
-    for j in range(3):
-        R = ns + 6 + j
-        Nw[R, R] = _up(Nw[R, R] + toeplitz[j])
-        Nw[R, 1 + j] = ycol[j]
-    # J's y0 column (A[1]) and eta row 0 (-u1) are DF's, exactly
+        pre_Z1 = max(pre_Z1, float(_up(_up(3.0 * ymag[1 + j]) * sq.norm_upper())))
+        col = J[ns + (6 + j) * n:ns + (7 + j) * n, 1 + j]
+        Nw[ns + 6 + j, 1 + j] = project(cube, K).sub(FourierSeq.point(col, nu)).norm_upper()
 
-    gs = [model._mode_sum(sq) for sq in ctx.a0]
-    u1 = anchor.u1
+    # J's eta row 0 (-u1) is DF's, exactly; rows 1..3 hold the float gradient
+    gs = [model._mode_sum(a) for a in ctx.a0]
+    positions = [cfg.position(j) for j in range(3)]
+    eta, gradient = model.eta_terms(gs, anchor, positions)
     eta_consts = np.zeros((ns, 9))
-    eta_consts[0] = np.abs(np.asarray(u1, dtype=float))
+    eta_consts[0] = np.abs(np.asarray(anchor.u1, dtype=float))
+    for r in range(1, ns):
+        for slot, c in gradient[r].items():
+            Nw[r, ns + slot] = _gap(c, J[r, ns + slot * n:ns + (slot + 1) * n])
+            eta_consts[r, slot] = c.mag()
     eta_monos = []
-    for j in range(3):
-        px, py, pz = cfg.position(j)
-        dxg = gs[0] - px
-        dyg = gs[2] - py
-        dzg = gs[4] - pz
-        d2 = dxg * dxg + dyg * dyg + dzg * dzg
-        gw = gs[6 + j]
-        w2 = gw * gw
-        entries = {0: dxg * w2 * 2.0, 2: dyg * w2 * 2.0,
-                   4: dzg * w2 * 2.0, 6 + j: d2 * gw * 2.0}
-        for slot, c in entries.items():
-            cs = slice(ns + slot * n, ns + (slot + 1) * n)
-            Nw[1 + j, ns + slot] = _gap(c, J[1 + j, cs])
-            eta_consts[1 + j, slot] = c.mag()
-        for fv in (dxg, dyg, dzg):
-            eta_monos.append((("scalar", 1 + j), 1.0,
-                              (fv.mag(), fv.mag(), gw.mag(), gw.mag())))
+    for j, (px, py, pz) in enumerate(positions):
+        gw = gs[6 + j].mag()
+        for fv in (gs[0] - px, gs[2] - py, gs[4] - pz):
+            eta_monos.append((("scalar", 1 + j), 1.0, (fv.mag(), fv.mag(), gw, gw)))
 
     F = model.field_F_grid(ctx.a0, ar)
     # the unfolding G(y, a): y0 a_1 in row 1 and y_j times the cubes in row 6+j
@@ -1102,38 +1065,20 @@ def _assemble_orbit(sol: "OrbitSolution", ctx: _StageContext, ar):
     for i in range(9):
         r = ctx.a0[i].dtheta().scale(-omega).add(F[i]).add(G[i])
         resid_seqs.append(r)
-    resid_scalars = list(model.eta_phase(ctx.a0, anchor, cfg))
-
-    # the cubes widen three diagonal kernels; the other profiles are the context's
-    tail_mags = [list(row) for row in ctx.kmags]
-    tail_profiles = [list(row) for row in ctx.kprofiles]
-    tail_norms = ctx.knorms.copy()
-    for j in range(3):
-        i = 6 + j
-        prev = tail_mags[i][i]
-        tail_mags[i][i] = _mag_pad_sum(prev, sq3mags[j]) if prev is not None else sq3mags[j]
-        tail_profiles[i][i] = _tail_col_profile(tail_mags[i][i], K, nu)
-        tail_norms[i, i] = _up(tail_norms[i, i] + sq3seqs[j].norm_upper())
-    tail_consts = np.abs(ctx.const)
-    tail_consts[1, 1] = _up(tail_consts[1, 1] + _up(abs(complex(y[0]))))
 
     nuinvK = float(_nu_inv_up(nu, np.array([K]))[0])
-    scalar_tail_sup = _up(eta_consts * nuinvK)
-
     monos = list(ctx.field_monos) + eta_monos
-    monos.append((("seq", 1), 1.0, (_up(abs(complex(y[0]))), ctx.a0_norms[1])))
+    monos.append((("seq", 1), 1.0, (ymag[0], ctx.a0_norms[1])))
     for j in range(3):
         wn = ctx.a0_norms[6 + j]
-        monos.append((("seq", 6 + j), 1.0,
-                      (_up(abs(complex(y[1 + j]))), wn, wn, wn)))
+        monos.append((("seq", 6 + j), 1.0, (ymag[1 + j], wn, wn, wn)))
 
     data = _OperatorData(
-        ns=ns, K=K, nu=nu, omega=omega, s=0.0 + 0.0j, J=J, window_defect=Nw,
-        tail_mags=tail_mags, tail_profiles=tail_profiles, tail_norms=tail_norms,
-        tail_consts=tail_consts, scalar_tail_sup=scalar_tail_sup,
+        ns=ns, s=0.0 + 0.0j, J=J, window_defect=Nw,
+        scalar_tail_sup=_up(eta_consts * nuinvK),
         ycol_tail_seqs=[(1 + j, 6 + j, cubes[j]) for j in range(3)],
     )
-    return data, _Assembled("order0", resid_scalars, resid_seqs, monos)
+    return data, _Assembled("order0", eta, resid_seqs, monos, pre_Z1=pre_Z1)
 
 
 def _assemble_bundle(sol: "BundleSolution", ctx: _StageContext, r0: float):
@@ -1170,12 +1115,8 @@ def _assemble_bundle(sol: "BundleSolution", ctx: _StageContext, r0: float):
     monos += [(("scalar", 0), 1.0, (Smags[i], Smags[i])) for i in range(9)]
 
     dd = ctx.field_dd(r0)
-    data = _OperatorData(
-        ns=ns, K=K, nu=nu, omega=omega, s=lam, J=J, window_defect=Nw,
-        tail_mags=ctx.kmags, tail_profiles=ctx.kprofiles,
-        tail_norms=ctx.knorms, tail_consts=np.abs(ctx.const),
-        scalar_tail_sup=np.zeros((ns, 9)), ycol_tail_seqs=[],
-    )
+    data = _OperatorData(ns=ns, s=lam, J=J, window_defect=Nw,
+                         scalar_tail_sup=np.zeros((ns, 9)), ycol_tail_seqs=[])
     return data, _Assembled("order1:%s" % sol.kind, resid_scalars, resid_seqs, monos,
                             pre_Y=float(_up(dd * max(a1n))), pre_Z1=dd)
 
@@ -1573,7 +1514,7 @@ def validate_order0(solution: OrbitSolution, cfg) -> Order0Result:
         "y": [[float(t.real).hex(), float(t.imag).hex()] for t in solution.y],
         "coeffs": _seqs_digest_obj(solution.seqs()),
     })
-    cert, report = _certify(_operator(data), asm, digest)
+    cert, report = _certify(_operator(ctx, data), asm, digest)
     r0 = cert.r0
     for t in solution.y:
         if abs(complex(t)) > r0:
@@ -1606,7 +1547,7 @@ def validate_order1(solution: BundleSolution, jet: "JetTable", cfg) -> Order1Res
         (1, 0), solution.kind, jet.digests.get("order0", ""),
         [FourierSeq.point(row, jet.nu) for row in solution.coeffs],
         (solution.lam, solution.k0, solution.xi0))
-    cert, report = _certify(_operator(data), asm, digest)
+    cert, report = _certify(_operator(ctx, data), asm, digest)
     r1 = cert.r0
     lam = complex(solution.lam)
     if abs(lam.real) <= r1:

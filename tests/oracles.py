@@ -34,7 +34,7 @@ from fourbody.interval import ZERO, ComplexInterval, Interval, add_down, add_up
 from fourbody.ivarray import (
     CArr, down_sum, ri_add, up_sum, _ETA, _U, _dn, _gemm_gamma, _up, _up_factor,
 )
-from fourbody.model import _const_seq, _iv_vec, _mode_sum, dF0, embedded_field
+from fourbody.model import _const_seq, _iv_vec, _mode_sum, dF0, embedded_field, eta_terms
 from fourbody.seqspace import FourierSeq, WeightMismatch, conv, project
 
 
@@ -415,6 +415,13 @@ def remainder_Ralpha(a, alpha, cfg):
         raise OrderTooLow("remainder defined for total order >= 2")
     low = tuple(f.truncate(order - 1) for f in a)
     return tuple(g.layer(*alpha) for g in field_F_ft(low, cfg, order))
+
+
+def eta_phase(a0, anchor, cfg):
+    """The phase and initialization conditions of nine sequences: the values
+    of `model.eta_terms` at the enclosure of their angle-zero point."""
+    g = [_mode_sum(s) for s in a0]
+    return tuple(eta_terms(g, anchor, [cfg.position(j) for j in range(3)])[0])
 
 
 def unfold_orbit_G(y, a0):

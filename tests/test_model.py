@@ -15,7 +15,6 @@ from fourbody.model import (
     PhaseAnchor,
     PrimaryConfig,
     dF0,
-    eta_phase,
     field_F,
     interval_from_rational,
     jacobi_embedded,
@@ -35,6 +34,7 @@ from oracles import (
     cq,
     dF0_apply,
     embed_R,
+    eta_phase,
     field_F_seq,
     field_f,
     iv_midrad,

@@ -192,30 +192,47 @@ def test_jet_operator_from_the_context_is_bit_identical(run):
         assert np.array_equal(J.view(np.uint64), fresh.view(np.uint64)), alpha
 
 
-def _stage_defects(run, ctx):
-    """(J, the oracle's enclosure E of DF(x_bar), the stage's window defect)
-    for order 0, order 1 and the shift of jet (2,1)."""
-    cfg, res0, _, table = run
-    sol = res0.context[0]
-    data, _ = stages._assemble_orbit(sol, ctx, model.IntervalArith(cfg))
-    yield data.J, oracles.orbit_enclosure(sol, ctx), data.window_defect
-    coeffs = np.array([a.c.mid() for a in table.orders[(1, 0)]])
-    bsol = stages.BundleSolution(KIND, table.lambda_bar, coeffs, K0, XI0)
-    data, _ = stages._assemble_bundle(bsol, ctx, table.radii[(0, 0)])
-    yield data.J, oracles.bundle_enclosure(bsol, ctx), data.window_defect
-    s = stages._jet_shift((2, 1), table.lambda_bar)
-    J = ctx.window_block(s)
-    yield J, oracles.base_enclosure(ctx, 0, s), stages._window_defect(ctx, J, 0, s)
+def _block_defect(E, J, N, ctx) -> float:
+    """The operator norm of the entrywise bound |E - J| by blocks, after
+    checking that the window defect table N covers it: as an operator norm,
+    and block by block up to what block_norms adds to a column sum
+    ((4n + 64) 2^-50 relative, and subnormal slack)."""
+    ns = N.shape[0] - 9
+    layout = SpaceLayout.mixed(ns, 9, ctx.K)
+    entrywise = block_norms(E.corner_abs(J), layout, layout, ctx.nu)
+    assert opnorm_upper(entrywise) <= opnorm_upper(N), ns
+    assert (entrywise <= N * (1.0 + 1e-12) + 1e-300).all(), ns
+    return opnorm_upper(entrywise)
+
+
+def _orbit_defects(sol, ctx, cfg):
+    """Order 0 at sol: (the entrywise defect of J against the oracle's DF at
+    y = 0, that against DF at y_bar, pre_Z1, delta).
+
+    J is DF at y = 0, so delta alone must cover the first, and delta plus
+    pre_Z1 on the blocks (1, 1) and (6+j, 6+j), where the y terms sit, the
+    second.  There the oracle adds each y term to an entry with one outward
+    rounding, so those blocks may also take 2^-50 of the block norm of |E|."""
+    data, asm = stages._assemble_orbit(sol, ctx, model.IntervalArith(cfg))
+    J, N = data.J, data.window_defect
+    at_zero = _block_defect(oracles.orbit_enclosure(replace(sol, y=np.zeros(4, complex)), ctx),
+                            J, N, ctx)
+    E = oracles.orbit_enclosure(sol, ctx)
+    layout = SpaceLayout.mixed(4, 9, ctx.K)
+    sums = block_norms(E.corner_abs(np.zeros_like(J)), layout, layout, ctx.nu)
+    with_y = N.copy()
+    for g in (4 + 1, 4 + 6, 4 + 7, 4 + 8):
+        with_y[g, g] += asm.pre_Z1 + 2.0 ** -50 * sums[g, g]
+    return at_zero, _block_defect(E, J, with_y, ctx), asm.pre_Z1, opnorm_upper(N)
 
 
 @pytest.mark.parametrize("moved", [False, True])
 def test_window_defect_dominates_the_entrywise_defect(run, monkeypatch, moved):
-    # delta, the operator norm of the stage's block table, bounds that of the
-    # entrywise bound |E - J|, and so does each block, up to what block_norms
-    # adds to a column sum ((4n + 64) 2^-50 relative, and subnormal slack).
-    # Moved: one float kernel coefficient off the diagonal is 1e-9 off, so J
-    # is built from it and delta must follow.
-    cfg, res0, _, _ = run
+    # delta, the window defect of a stage, bounds its entrywise defect; for
+    # order 0, with pre_Z1 at y_bar (`_orbit_defects`).  Moved: one float
+    # kernel coefficient off the diagonal is 1e-9 off, so J is built from it
+    # and delta must follow.
+    cfg, res0, _, table = run
     sol = res0.context[0]
     if moved:
         kernels = numerics.derivative_kernels
@@ -229,13 +246,33 @@ def test_window_defect_dominates_the_entrywise_defect(run, monkeypatch, moved):
         monkeypatch.setattr(numerics, "derivative_kernels", moved_kernels)
     ctx = stages._StageContext(sol.seqs(), cfg, sol.omega, sol.K, sol.nu,
                                model.IntervalArith(cfg))
-    for J, E, N in _stage_defects(run, ctx):
-        ns = N.shape[0] - 9
-        layout = SpaceLayout.mixed(ns, 9, ctx.K)
-        entrywise = block_norms(E.corner_abs(J), layout, layout, ctx.nu)
-        assert opnorm_upper(entrywise) <= opnorm_upper(N), ns
-        assert (entrywise <= N * (1.0 + 1e-12) + 1e-300).all(), ns
-        assert (opnorm_upper(entrywise) >= 1e-9) == moved
+    at_zero, with_y, _, _ = _orbit_defects(sol, ctx, cfg)
+    assert (at_zero >= 1e-9) == moved
+    assert (with_y >= 1e-9) == moved
+    coeffs = np.array([a.c.mid() for a in table.orders[(1, 0)]])
+    bsol = stages.BundleSolution(KIND, table.lambda_bar, coeffs, K0, XI0)
+    data, _ = stages._assemble_bundle(bsol, ctx, table.radii[(0, 0)])
+    seen = _block_defect(oracles.bundle_enclosure(bsol, ctx), data.J, data.window_defect, ctx)
+    assert (seen >= 1e-9) == moved
+    s = stages._jet_shift((2, 1), table.lambda_bar)
+    J = ctx.window_block(s)
+    seen = _block_defect(oracles.base_enclosure(ctx, 0, s), J,
+                         stages._window_defect(ctx, J, 0, s), ctx)
+    assert (seen >= 1e-9) == moved
+
+
+def test_pre_z1_covers_raised_unfolding_terms(run):
+    # a copy of the solution with every y at 1e-9, assembled and not
+    # validated: the y terms that J leaves out are far above delta, and
+    # only pre_Z1 covers them
+    cfg, res0, _, _ = run
+    sol = replace(res0.context[0], y=np.full(4, 1e-9 + 0j))
+    ctx = stages._StageContext(sol.seqs(), cfg, sol.omega, sol.K, sol.nu,
+                               model.IntervalArith(cfg))
+    at_zero, with_y, pre_Z1, delta = _orbit_defects(sol, ctx, cfg)
+    assert at_zero < 1e-12
+    assert with_y >= 1e-9
+    assert pre_Z1 >= 1e-9 >= 1e3 * delta
 
 
 def _dense_T(ns: int, K: int) -> np.ndarray:
@@ -314,10 +351,10 @@ def test_cos_sin_operator_matches_the_complex_one(run, stage_ctx, monkeypatch):
     # hence the bound relative to ||A||)
     for data in _real_shift_operators(run, stage_ctx):
         assert data.s.imag == 0.0
-        real = stages._operator(data)
+        real = stages._operator(stage_ctx, data)
         with monkeypatch.context() as m:
             m.setattr(stages, "_cos_sin_inverse", stages._complex_inverse)
-            ref = stages._operator(data)
+            ref = stages._operator(stage_ctx, data)
         for name in ("normA", "normA_seq", "Z1_window", "Z1_tail"):
             assert getattr(real, name) == pytest.approx(getattr(ref, name), rel=1e-12), name
         assert real.Z0 <= 1e-10 * max(1.0, real.normA), data.ns
@@ -339,7 +376,7 @@ def test_cos_sin_z0_covers_a_visible_defect(run, stage_ctx, monkeypatch, defect)
         if defect == "J not R-symmetric":
             J = J.copy()
             J[np.diag_indices_from(J)] += 1e-8j
-        op = stages._operator(replace(data, J=J))
+        op = stages._operator(stage_ctx, replace(data, J=J))
         seen = _residual_seen(op.Jhat, J, data.ns, stage_ctx)
         assert seen >= 1e-9, data.ns
         assert op.Z0 >= seen, data.ns
@@ -363,6 +400,19 @@ def test_report_splits_z1(run):
     for bounds in (res0.bounds, stages.validate_jet((2, 0), table, cfg).bounds):
         assert bounds["Z1"] >= bounds["Z1_tail"] > 0.0
         assert 0.0 < bounds["Z1_window"] <= 1e-6 * bounds["Z1"]
+
+
+def test_report_carries_the_data_parts(run):
+    # pre_Y and pre_Z1 enter Y and Z1 times ||A||_seq, and the report
+    # carries them: order 0's pre_Z1 bounds the y terms its J leaves out, so
+    # it is at least |y0_bar|; a jet's carry the lower orders' radii and its
+    # shift error
+    cfg, res0, _, table = run
+    y0 = abs(complex(res0.context[0].y[0]))
+    assert res0.bounds["pre_Z1"] >= y0 > 0.0
+    assert res0.bounds["pre_Y"] == 0.0
+    bounds = stages.validate_jet((2, 0), table, cfg).bounds
+    assert bounds["pre_Y"] > 0.0 and bounds["pre_Z1"] > 0.0
 
 
 @pytest.fixture

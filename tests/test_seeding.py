@@ -71,11 +71,10 @@ def test_diverging_steps_are_halved_down_to_the_floor(cfg, start, monkeypatch):
 
 
 def test_seeding_at_a_large_k_walks_at_a_small_one(cfg, start, monkeypatch):
-    # counts, not timings: at K = 40 the walk's Jacobians are all at K <= 12
-    # and the polish at K = 40 takes at most three; the orbit still solves
-    # the level system at K = 40
+    # counts, not timings: at K = 40 and 64 the walk's Jacobians are all at
+    # K <= 12 and the polish at K takes at most three, though the Jacobian
+    # is DF at y = 0; the orbit still solves the level system at K
     eq, H0 = start
-    K = 40
     sizes = []
     jacobian = stages._orbit_jacobian
 
@@ -84,15 +83,17 @@ def test_seeding_at_a_large_k_walks_at_a_small_one(cfg, start, monkeypatch):
         return jacobian(z, omega, anchor, k, *args, **kwargs)
 
     monkeypatch.setattr(stages, "_orbit_jacobian", counted)
-    sol, H = seeding.orbit_to_jacobi(cfg, eq, H0 - 0.3, K, 1.5)
-    assert 1 <= sizes.count(K) <= 3
-    assert all(k <= 12 for k in sizes if k != K)
-    assert abs(H - (H0 - 0.3)) <= 1e-14
-    A = sol.coeffs
-    assert np.max(np.abs(A - np.conj(A[:, ::-1]))) < 1e-13
-    residual, _ = seeding._level_problem(cfg, K, H0 - 0.3, sol.anchor)
-    z = np.concatenate([[sol.omega], sol.y, A.ravel()])
-    assert np.max(np.abs(residual(z))) < stages.NEWTON_TOL
+    for K in (40, 64):
+        sizes.clear()
+        sol, H = seeding.orbit_to_jacobi(cfg, eq, H0 - 0.3, K, 1.5)
+        assert 1 <= sizes.count(K) <= 3, K
+        assert all(k <= 12 for k in sizes if k != K), K
+        assert abs(H - (H0 - 0.3)) <= 1e-14, K
+        A = sol.coeffs
+        assert np.max(np.abs(A - np.conj(A[:, ::-1]))) < 1e-13, K
+        residual, _ = seeding._level_problem(cfg, K, H0 - 0.3, sol.anchor)
+        z = np.concatenate([[sol.omega], sol.y, A.ravel()])
+        assert np.max(np.abs(residual(z))) < stages.NEWTON_TOL, K
 
 
 def test_diverging_polish_names_both_k(cfg, start, monkeypatch):
