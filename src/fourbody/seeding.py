@@ -3,9 +3,11 @@
 Everything here is plain floating point: planar equilibria of the rotating
 frame, the vertical linear frequency, small-amplitude vertical orbit guesses,
 a continuation of that family in its Jacobi level (one square Newton system
-with H - H_target as a row), and Floquet data from the monodromy matrix of the
-six-dimensional variational flow.  The certified stages consume these
-guesses; nothing in this module is trusted by the validators.
+with H - H_target as a row), and Floquet data from the Hill matrix: the
+window block of the operator that the bundle stage inverts, cropped to a few
+modes, whose eigenpair in the strip |Im lambda| < omega / 2 seeds (lambda,
+a_1).  The certified stages consume these guesses; nothing in this module
+is trusted by the validators.
 
 The continuation walks the level at a coarse truncation, at most _K_WALK
 modes, whatever K the stages use.  Its orbit is then zero-padded to K and
@@ -21,7 +23,7 @@ the three reciprocal distances in slots 6..8.
 from __future__ import annotations
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import optimize
 
 from . import model, numerics, stages
 
@@ -32,8 +34,6 @@ __all__ = [
     "jacobi_mid",
     "orbit_guess_vector",
     "orbit_to_jacobi",
-    "monodromy",
-    "floquet_exponents",
     "bundle_guess",
     "SeedFailure",
 ]
@@ -51,8 +51,6 @@ _STEP_FLOOR = 1e-4
 _K_WALK = 12
 # signs of the squares in the Jacobi integral of (x, vx, y, vy, z, vz)
 _H_QUAD = np.array([1.0, -1.0, 1.0, -1.0, 0.0, -1.0])
-# samples of the variational flow over one period
-_N_OUT = 256
 
 
 class SeedFailure(RuntimeError):
@@ -127,20 +125,9 @@ def jacobi_mid(cfg, u9) -> float:
 # orbit guesses
 
 
-def _fourier_from_samples(samples: np.ndarray, K: int) -> np.ndarray:
-    """Centered window of 2K-1 coefficients from equispaced period samples."""
-    N = samples.shape[-1]
-    coef = np.fft.fft(samples, axis=-1) / N
-    n = 2 * K - 1
-    out = np.zeros(samples.shape[:-1] + (n,), dtype=complex)
-    for k in range(-(K - 1), K):
-        out[..., K - 1 + k] = coef[..., k % N]
-    return out
-
-
 def orbit_guess_vector(cfg, eq_xy, amp: float, omega: float, K: int):
     """Packed (y, coefficients) guess for a small vertical oscillation."""
-    ms, pos = numerics.cfg_floats(cfg)
+    _, pos = numerics.cfg_floats(cfg)
     N = max(8 * K, 64)
     t = np.arange(N) * (2.0 * np.pi / N)
     x = np.full(N, float(eq_xy[0]))
@@ -152,7 +139,8 @@ def orbit_guess_vector(cfg, eq_xy, amp: float, omega: float, K: int):
     for j in range(3):
         r = np.sqrt((x - pos[j][0]) ** 2 + (y - pos[j][1]) ** 2 + z ** 2)
         rows.append(1.0 / r)
-    coeffs = _fourier_from_samples(np.array(rows), K)
+    # the window of the samples' Fourier coefficients, N >= 2K - 1 of them
+    coeffs = np.fft.fft(np.array(rows), axis=-1)[:, numerics.kvals(K) % N] / N
     return np.concatenate([np.zeros(4, dtype=complex), coeffs.ravel()])
 
 
@@ -259,109 +247,45 @@ def orbit_to_jacobi(cfg, eq_xy, H_target: float, K: int, nu: float):
 
 
 # ---------------------------------------------------------------------------
-# Floquet data from the variational flow
-
-
-def _hessU(p, ms, pos):
-    x, y, z = p
-    H = np.zeros((3, 3))
-    for j in range(3):
-        d = np.array([x - pos[j][0], y - pos[j][1], z])
-        r2 = d @ d
-        r3 = r2 ** 1.5
-        r5 = r2 ** 2.5
-        H += ms[j] * (3.0 * np.outer(d, d) / r5 - np.eye(3) / r3)
-    return H
-
-
-def _field6(u, ms, pos):
-    x, vx, y, vy, z, vz = u
-    ax, ay, az = x, y, 0.0
-    for j in range(3):
-        d = np.array([x - pos[j][0], y - pos[j][1], z])
-        r3 = (d @ d) ** 1.5
-        ax -= ms[j] * d[0] / r3
-        ay -= ms[j] * d[1] / r3
-        az -= ms[j] * d[2] / r3
-    return np.array([vx, ax + 2.0 * vy, vy, ay - 2.0 * vx, vz, az])
-
-
-def _jac6(u, ms, pos):
-    J = np.zeros((6, 6))
-    J[::2, 1::2] = np.eye(3)
-    J[1::2, ::2] = _hessU((u[0], u[2], u[4]), ms, pos) + np.diag([1.0, 1.0, 0.0])
-    J[1, 3], J[3, 1] = 2.0, -2.0
-    return J
-
-
-def _flow_with_variation(cfg, u0six, T: float):
-    ms, pos = numerics.cfg_floats(cfg)
-
-    def rhs(t, yv):
-        u = yv[:6]
-        Phi = yv[6:].reshape(6, 6)
-        du = _field6(u, ms, pos)
-        dPhi = _jac6(u, ms, pos) @ Phi
-        return np.concatenate([du, dPhi.ravel()])
-
-    y0 = np.concatenate([u0six, np.eye(6).ravel()])
-    ts = np.linspace(0.0, T, _N_OUT)
-    out = integrate.solve_ivp(rhs, (0.0, T), y0, method="DOP853",
-                              rtol=3e-13, atol=1e-13, t_eval=ts,
-                              dense_output=False)
-    if not out.success:
-        raise SeedFailure("variational integration failed: %s" % out.message)
-    return ts, out.y
-
-
-def monodromy(cfg, sol: stages.OrbitSolution):
-    """Time grid, state samples, and transition matrices over one period."""
-    u0 = sol.coeffs.sum(axis=1).real[:6]
-    T = 2.0 * np.pi / sol.omega
-    ts, Y = _flow_with_variation(cfg, u0, T)
-    states = Y[:6]
-    Phis = Y[6:].reshape(6, 6, -1)
-    return ts, states, Phis
-
-
-def floquet_exponents(cfg, sol: stages.OrbitSolution):
-    """(lambda_stable, lambda_unstable, M, data) from the monodromy matrix."""
-    ts, states, Phis = monodromy(cfg, sol)
-    M = Phis[:, :, -1]
-    T = 2.0 * np.pi / sol.omega
-    mus, vecs = np.linalg.eig(M)
-    order = np.argsort(np.abs(mus))
-    i_s, i_u = order[0], order[-1]
-    if abs(mus[i_u]) < 1.0 + 1e-6 or abs(mus[i_s]) > 1.0 - 1e-6:
-        raise SeedFailure("monodromy spectrum has no hyperbolic pair: %r" % mus)
-    lam_s = np.log(mus[i_s]) / T
-    lam_u = np.log(mus[i_u]) / T
-    data = (ts, states, Phis, vecs[:, i_s], vecs[:, i_u])
-    return complex(lam_s), complex(lam_u), M, data
+# Floquet data from the Hill matrix
 
 
 def bundle_guess(cfg, sol: stages.OrbitSolution, kind: str, k0: int,
                  xi0: float):
-    """(lambda, coefficient guess) for the stable or unstable Floquet bundle."""
-    lam_s, lam_u, _, data = floquet_exponents(cfg, sol)
-    ts, states, Phis, v_s, v_u = data
-    lam, v0 = (lam_s, v_s) if kind == "stable" else (lam_u, v_u)
+    """(lambda, coefficient guess) for the stable or unstable Floquet bundle.
+
+    The Hill matrix B is the window block of the bundle stage's operator
+    h -> DF(a0) h - i omega k h, cropped to Kh = min(K, _K_WALK) modes.  Its
+    cos/sin form (`stages._cos_sin_form`) with the pair rows halved is
+    T^-1 B T, real for a real orbit, so one real eig gives the spectrum.  It
+    repeats as lambda + i omega j, and truncation spoils the copies far from
+    the strip |Im lambda| < omega / 2: lambda is the eigenvalue in the strip
+    with the largest real part ("unstable") or the smallest ("stable").  Its
+    eigenvector, carried back by T, is zero-padded to K and scaled to xi0;
+    `stages.start_jet_table` polishes both at K.
+    """
+    K, Kh = sol.K, min(sol.K, _K_WALK)
     ms, pos = numerics.cfg_floats(cfg)
-    n_t = len(ts) - 1
-    samp = np.zeros((9, n_t), dtype=complex)
-    for it in range(n_t):
-        u = states[:, it]
-        dv = np.exp(-lam * ts[it]) * (Phis[:, :, it] @ v0)
-        x, y, z = u[0], u[2], u[4]
-        samp[:6, it] = dv
-        for j in range(3):
-            dxj = x - pos[j][0]
-            dyj = y - pos[j][1]
-            w = 1.0 / np.sqrt(dxj * dxj + dyj * dyj + z * z)
-            samp[6 + j, it] = -w ** 3 * (dxj * dv[0] + dyj * dv[2] + z * dv[4])
-    coeffs = _fourier_from_samples(samp, sol.K)
-    K = sol.K
+    const, kers = numerics.derivative_kernels(sol.coeffs, ms, pos)
+    B = numerics.base_block(const, kers, Kh, -1j * sol.omega * numerics.kvals(Kh))
+    M, _ = stages._cos_sin_form(B, 0, Kh)
+    for rows in stages._pairs(M, 0, Kh, 0)[:2]:
+        rows *= 0.5
+    lams, vecs = np.linalg.eig(M)
+    strip = np.flatnonzero(np.abs(lams.imag) < 0.5 * sol.omega)
+    i_s = strip[np.argmin(lams.real[strip])]
+    i_u = strip[np.argmax(lams.real[strip])]
+    # the multipliers exp(lambda T) of the flow must leave the unit circle
+    T = 2.0 * np.pi / sol.omega
+    if lams[i_u].real * T < np.log1p(1e-6) or lams[i_s].real * T > np.log1p(-1e-6):
+        raise SeedFailure("Hill spectrum has no hyperbolic pair: %r" % lams[strip])
+    i = i_s if kind == "stable" else i_u
+    c, s, zero = stages._pairs(vecs[:, i:i + 1], 0, Kh, 0)
+    h = np.empty((len(vecs), 1), dtype=complex)
+    hp, hm, h0 = stages._pairs(h, 0, Kh, 0)
+    hp[...], hm[...], h0[...] = c + 1j * s, c - 1j * s, zero
+    coeffs = np.pad(h.reshape(9, 2 * Kh - 1), ((0, 0), (K - Kh, K - Kh)))
     S = coeffs[:, K - k0:K + k0 - 1].sum(axis=1)
     scale = np.sqrt(complex(xi0) / np.sum(S * S))
     coeffs *= scale
-    return complex(lam), coeffs
+    return complex(lams[i]), coeffs

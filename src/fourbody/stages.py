@@ -1731,8 +1731,13 @@ def start_jet_table(kind: str, sol: OrbitSolution, res: Order0Result, cfg,
         guess = np.concatenate([[complex(lam_guess)],
                                 np.asarray(v_guess, dtype=complex).ravel()])
         z = newton_stage(prob, guess)
-        bsol = BundleSolution(kind, complex(z[0]),
-                              z[1:].reshape(9, 2 * sol.K - 1).copy(), k0, xi0)
+        lam, a1 = complex(z[0]), z[1:].reshape(9, 2 * sol.K - 1)
+        if complex(lam_guess).imag == 0.0:
+            # keep lambda real and a_1 fixed by (R a)_k = conj(a_-k), as the
+            # complex solve does only up to rounding; a fixed a_1 stays put
+            lam = complex(lam.real)
+            a1 = 0.5 * (a1 + np.conj(a1[:, ::-1]))
+        bsol = BundleSolution(kind, lam, a1, k0, xi0)
         jet.lambda_bar = bsol.lam
         r1 = validate_order1(bsol, jet, cfg)
         a1 = tuple(FourierSeq.point(row, sol.nu) for row in bsol.coeffs)

@@ -18,9 +18,11 @@ tests check against each other, and `unfold_orbit_G` is the orbit's
 unfolding term that order 0 assembles from its cubes.  `orbit_enclosure`,
 `bundle_enclosure` and `base_enclosure` enclose the window block of
 DF(x_bar) of a stage entry by entry, in endpoint lanes, the reference for
-the window defect of `stages`.  The builders at the end make interval
-inputs: an interval from midpoint and radius, an array widened by a
-radius, and a Fourier sequence from a dict of modes.
+the window defect of `stages`.  `monodromy_exponents` integrates the
+six-dimensional variational flow over one period, the reference for the
+Floquet exponents that seeding reads off the Hill matrix.  The builders at
+the end make interval inputs: an interval from midpoint and radius, an
+array widened by a radius, and a Fourier sequence from a dict of modes.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from fourbody import numerics
 from fourbody.interval import ZERO, ComplexInterval, Interval, add_down, add_up
@@ -557,6 +560,60 @@ def bundle_enclosure(sol, ctx) -> EnclMat:
         cols = ns + i * n + (K - 1) + np.arange(-(sol.k0 - 1), sol.k0)
         E.add_row(0, cols, _mode_sum(project(a1, sol.k0)) * 2.0)
     return E
+
+
+# ---------------------------------------------------------------------------
+# Floquet exponents from the variational flow
+
+
+def _hess_potential(p, ms, pos):
+    x, y, z = p
+    H = np.zeros((3, 3))
+    for j in range(3):
+        d = np.array([x - pos[j][0], y - pos[j][1], z])
+        r2 = d @ d
+        H += ms[j] * (3.0 * np.outer(d, d) / r2 ** 2.5 - np.eye(3) / r2 ** 1.5)
+    return H
+
+
+def _field6(u, ms, pos):
+    x, vx, y, vy, z, vz = u
+    ax, ay, az = x, y, 0.0
+    for j in range(3):
+        d = np.array([x - pos[j][0], y - pos[j][1], z])
+        r3 = (d @ d) ** 1.5
+        ax -= ms[j] * d[0] / r3
+        ay -= ms[j] * d[1] / r3
+        az -= ms[j] * d[2] / r3
+    return np.array([vx, ax + 2.0 * vy, vy, ay - 2.0 * vx, vz, az])
+
+
+def _jac6(u, ms, pos):
+    J = np.zeros((6, 6))
+    J[::2, 1::2] = np.eye(3)
+    J[1::2, ::2] = _hess_potential((u[0], u[2], u[4]), ms, pos) + np.diag([1.0, 1.0, 0.0])
+    J[1, 3], J[3, 1] = 2.0, -2.0
+    return J
+
+
+def monodromy_exponents(cfg, sol):
+    """(lambda_stable, lambda_unstable) of an orbit solution: log|mu| / T of
+    the smallest and largest multipliers mu of its monodromy matrix, the
+    six-dimensional variational flow over one period from the orbit's
+    angle-zero point, integrated by DOP853 at rtol 3e-13."""
+    ms, pos = numerics.cfg_floats(cfg)
+
+    def rhs(t, yv):
+        u = yv[:6]
+        dPhi = _jac6(u, ms, pos) @ yv[6:].reshape(6, 6)
+        return np.concatenate([_field6(u, ms, pos), dPhi.ravel()])
+
+    T = 2.0 * np.pi / sol.omega
+    y0 = np.concatenate([sol.coeffs.sum(axis=1).real[:6], np.eye(6).ravel()])
+    out = solve_ivp(rhs, (0.0, T), y0, method="DOP853", rtol=3e-13, atol=1e-13)
+    assert out.success, out.message
+    mus = np.abs(np.linalg.eigvals(out.y[6:, -1].reshape(6, 6)))
+    return np.log(mus.min()) / T, np.log(mus.max()) / T
 
 
 # ---------------------------------------------------------------------------

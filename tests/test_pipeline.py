@@ -178,6 +178,23 @@ def test_radii_no_larger_than_reference(run):
     assert table.E_total().hi <= 7.829448631201738e-05
 
 
+def test_bundle_certifies_at_k64_nu_1_5(run):
+    # the bundle guess is exactly zero beyond the Hill matrix's 12 modes, and
+    # the step of order 1's Newton at K leaves its high modes decaying with
+    # the orbit's; a guess with a rounding floor there (|a_1,k| ~ 3e-16 for
+    # k >= 40, times nu^|k|) gave order 1 a Y of 1.5e-4 and no radius
+    cfg = run[0]
+    eq = seeding.planar_equilibria(cfg)[3]
+    H0 = seeding.jacobi_mid(
+        cfg, seeding.embed_point(cfg, [eq[0], 0.0, eq[1], 0.0, 0.0, 0.0]))
+    sol, _ = seeding.orbit_to_jacobi(cfg, eq, H0 - 0.3, 64, NU)
+    lam, v = seeding.bundle_guess(cfg, sol, KIND, K0, XI0)
+    res0 = stages.validate_order0(sol, cfg)
+    start = stages.start_jet_table(KIND, sol, res0, cfg, lam, v, K0, XI0, N_T)
+    assert start.lambda_bar.imag == 0.0
+    assert start.radii[(1, 0)] <= 1e-6
+
+
 def test_jet_operator_from_the_context_is_bit_identical(run):
     # a fresh context visits the jet shifts out of order and repeats one:
     # each block equals the one base_block builds afresh
@@ -581,6 +598,21 @@ def test_failed_certificate_carries_its_bounds(run, monkeypatch):
         assert "%s = %.3e" % (name, want[name]) in message
 
 
+def project_scripts(text):
+    """The [project.scripts] table of a pyproject.toml, whose lines are all
+    of the form name = "module:function"; read line by line, as tomllib is
+    not in the standard library before Python 3.11."""
+    scripts, inside = {}, False
+    for line in text.splitlines():
+        line = line.strip()
+        if line.startswith("["):
+            inside = line == "[project.scripts]"
+        elif inside and "=" in line:
+            name, value = line.split("=", 1)
+            scripts[name.strip()] = value.strip().strip('"')
+    return scripts
+
+
 def test_fourbody_command(run, tmp_path):
     # `python -m fourbody` runs cli.main, and so does the installed script
     _, _, _, table = run
@@ -592,8 +624,7 @@ def test_fourbody_command(run, tmp_path):
                           env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
     assert len(done.stdout.splitlines()) == len(table.certs)
-    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
-    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    scripts = project_scripts((ROOT / "pyproject.toml").read_text())
     module, name = scripts["fourbody"].split(":")
     assert getattr(importlib.import_module(module), name) is cli.main
 
