@@ -90,15 +90,13 @@ remainder field, the budget rho, and a few scalars (lambda_bar, the radii
 of orders 0 and 1, the kind, the order-1 digest).  One task body,
 `_jet_task`, solves and certifies a jet from its layer, the order-0 context
 and the operator part of its certificate.  The context holds what the
-operators of all stages share: the kernel part of the window defect, the
-kernels' tail tables (`kmags`, `kprofiles`, `knorms`, `const`), and for the
-last shift s the float window block J (only its diagonal depends on s) and
-the operator part of the certificate (`_StageContext.jet_operator`).
-With a real lambda_bar every jet of order p has s = p lambda_bar, and the
-jets come level by level, so one inverse, one Z0 product and one Z1 serve a
-whole level.  Block and operator are N x N scratch of one public call
-(`start_jet_table`, `jet_problem`, `validate_jet`, `extend_with_jets`),
-which drops them when it returns; a table keeps its context.
+operators of all stages share: the kernel part of the window defect and the
+kernels' tail tables (`kmags`, `kprofiles`, `knorms`, `const`).  It is not
+changed once built and holds no N x N array: a stage builds its float
+window block J (`_StageContext.window_block`) and its operator where it
+needs them, and lets them go when it returns.  With a real lambda_bar every
+jet of order p has s = p lambda_bar, and the jets come level by level, so
+`_level_parallel` makes one inverse, one Z0 product and one Z1 per level.
 
 Every jet runs in the calling process, level by level in a fixed order.
 The jets of one level are independent, but each shift's inverse and its
@@ -414,60 +412,17 @@ class _StageContext:
         self.const = np.array(self.df0.const)
         self.dconst = CArr.point(self.const.astype(complex)).add(CArr(*centre))
         self._build_monomials()
-        # what the window block holds on its diagonal besides -i omega k - s:
-        # the diagonal constant and the centre of the diagonal kernel, per row
-        n = 2 * self.K - 1
-        self._tdiag = np.zeros(9 * n, dtype=complex)
-        for i in range(9):
-            ker = self.fkers[i][i]
-            t = self.fconst[i][i] + (0.0 if ker is None else ker[(len(ker) - 1) // 2])
-            self._tdiag[i * n:(i + 1) * n] = t
-        self._block = None
-        self._op = None
 
     def window_block(self, s: complex) -> np.ndarray:
-        """Float window block of h -> DF0 h - i omega k h - s h.
-
-        The last block is kept until `drop_operators`: the bundle's Newton
-        solve and its certificate ask for the same s one after the other, and
-        so do the jets of one level when lambda_bar is real.  Only the
-        diagonal depends on s, so a new s copies the kept block and rewrites
-        its diagonal as (0 + d(s)) + t, with d(s) = -i omega k - s and t the
-        diagonal constant plus the diagonal kernel's centre.  The constant
-        table has no diagonal entry, so these are the sums `numerics.base_block`
-        forms there, and the copy equals a block built afresh, bit for bit.
-        """
-        if self._block is None or self._block[0] != s:
-            diag = -1j * self.omega * numerics.kvals(self.K) - s
-            if self._block is None:
-                block = numerics.base_block(self.fconst, self.fkers, self.K, diag)
-            else:
-                block = self._block[1].copy()
-                block[np.diag_indices_from(block)] = np.tile(0j + diag, 9) + self._tdiag
-            self._block = (s, block)
-        return self._block[1]
-
-    def jet_operator(self, s: complex) -> "_Operator":
-        """The operator part of the certificate of every jet with shift s.
-
-        It reads only the context and s, so the last one is kept next to its
-        block: one inverse, one Z0 product and one Z1 per shift, not per jet.
-        """
-        if self._op is None or self._op.s != s:
-            self._op = None  # the old inverse goes before the new one is made
-            self._op = _operator(self, self.jet_operator_data(s))
-        return self._op
+        """Float window block of h -> DF0 h - i omega k h - s h, built afresh."""
+        return numerics.base_block(self.fconst, self.fkers, self.K,
+                                   -1j * self.omega * numerics.kvals(self.K) - s)
 
     def jet_operator_data(self, s: complex) -> "_OperatorData":
         """What `_operator` reads for the jets with shift s."""
         J = self.window_block(s)
         return _OperatorData(ns=0, s=s, J=J, window_defect=_window_defect(self, J, 0, s),
                              scalar_tail_sup=np.zeros((0, 9)), ycol_tail_seqs=[])
-
-    def drop_operators(self):
-        """Forget the kept block and jet operator, the context's only N x N
-        arrays; every public stage call on a table does this when it returns."""
-        self._block = self._op = None
 
     def _build_monomials(self):
         a0n = [s.norm_upper() for s in self.a0]
@@ -620,11 +575,8 @@ def jet_problem(alpha, jet: "JetTable", cfg):
     inverse of its certificate (`_jet_task`), and this residual measures the
     step."""
     ctx = _context_for(jet, cfg)
-    try:
-        layer = _fresh_layer(jet, cfg, alpha)
-        base = ctx.window_block(layer.shift)
-    finally:
-        ctx.drop_operators()
+    layer = _fresh_layer(jet, cfg, alpha)
+    base = ctx.window_block(layer.shift)
     Rwin = _layer_rhs(layer, ctx.K)
     return (lambda z: base @ z + Rwin), (lambda z: base)
 
@@ -1122,8 +1074,8 @@ def _assemble_bundle(sol: "BundleSolution", ctx: _StageContext, r0: float):
 
 
 def _assemble_jet(layer: "_JetLayer", centers, ctx: _StageContext) -> _Assembled:
-    """The jet's own part of its certificate; the operator part is the
-    context's (`_StageContext.jet_operator`)."""
+    """The jet's own part of its certificate; the operator part is made
+    from the context and the jet's shift (`_StageContext.jet_operator_data`)."""
     nu, omega = ctx.nu, ctx.omega
     m_, n_ = layer.alpha
     p = m_ + n_
@@ -1565,11 +1517,8 @@ def validate_jet(alpha, jet: "JetTable", cfg) -> JetResult:
     """Certify one homological jet whose center is staged in the table."""
     layer = _fresh_layer(jet, cfg, alpha)
     ctx = _context_for(jet, cfg)
-    try:
-        return _validate_layer(ctx, layer, jet.orders[layer.alpha],
-                               ctx.jet_operator(layer.shift))
-    finally:
-        ctx.drop_operators()
+    return _validate_layer(ctx, layer, jet.orders[layer.alpha],
+                           _operator(ctx, ctx.jet_operator_data(layer.shift)))
 
 
 def _validate_layer(ctx: _StageContext, layer: _JetLayer, centers,
@@ -1726,32 +1675,28 @@ def start_jet_table(kind: str, sol: OrbitSolution, res: Order0Result, cfg,
     if res.context is not None and res.context[0] is sol and res.context[1] is cfg:
         # the order-0 context of validate_order0 is the one the table needs
         jet.ctx_cache = res.context[1:]
-    try:
-        prob = bundle_problem(jet, cfg)
-        guess = np.concatenate([[complex(lam_guess)],
-                                np.asarray(v_guess, dtype=complex).ravel()])
-        z = newton_stage(prob, guess)
-        lam, a1 = complex(z[0]), z[1:].reshape(9, 2 * sol.K - 1)
-        if complex(lam_guess).imag == 0.0:
-            # keep lambda real and a_1 fixed by (R a)_k = conj(a_-k), as the
-            # complex solve does only up to rounding; a fixed a_1 stays put
-            lam = complex(lam.real)
-            a1 = 0.5 * (a1 + np.conj(a1[:, ::-1]))
-        bsol = BundleSolution(kind, lam, a1, k0, xi0)
-        jet.lambda_bar = bsol.lam
-        r1 = validate_order1(bsol, jet, cfg)
-        a1 = tuple(FourierSeq.point(row, sol.nu) for row in bsol.coeffs)
-        jet.orders[(1, 0)] = a1
-        jet.orders[(0, 1)] = tuple(s.conj_reflect() for s in a1)
-        jet.radii[(1, 0)] = r1.r1
-        jet.radii[(0, 1)] = r1.r1
-        jet.lambda1 = r1.lambda1
-        jet.certs["order1"] = r1.cert
-        jet.digests["order1"] = content_digest(r1.cert.to_json_obj())
-    finally:
-        # the table keeps its context; the N x N scratch goes now
-        if jet.ctx_cache is not None:
-            jet.ctx_cache[1].drop_operators()
+    guess = np.concatenate([[complex(lam_guess)],
+                            np.asarray(v_guess, dtype=complex).ravel()])
+    # the problem, and with it Newton's N x N block, goes before order 1's
+    # operator is made
+    z = newton_stage(bundle_problem(jet, cfg), guess)
+    lam, a1 = complex(z[0]), z[1:].reshape(9, 2 * sol.K - 1)
+    if complex(lam_guess).imag == 0.0:
+        # keep lambda real and a_1 fixed by (R a)_k = conj(a_-k), as the
+        # complex solve does only up to rounding; a fixed a_1 stays put
+        lam = complex(lam.real)
+        a1 = 0.5 * (a1 + np.conj(a1[:, ::-1]))
+    bsol = BundleSolution(kind, lam, a1, k0, xi0)
+    jet.lambda_bar = bsol.lam
+    r1 = validate_order1(bsol, jet, cfg)
+    a1 = tuple(FourierSeq.point(row, sol.nu) for row in bsol.coeffs)
+    jet.orders[(1, 0)] = a1
+    jet.orders[(0, 1)] = tuple(s.conj_reflect() for s in a1)
+    jet.radii[(1, 0)] = r1.r1
+    jet.radii[(0, 1)] = r1.r1
+    jet.lambda1 = r1.lambda1
+    jet.certs["order1"] = r1.cert
+    jet.digests["order1"] = content_digest(r1.cert.to_json_obj())
     return jet
 
 
@@ -1777,15 +1722,23 @@ def _jet_task(ctx: _StageContext, layer: _JetLayer, op: _Operator) -> JetResult:
 def _level_parallel(jet: "JetTable", cfg, layers):
     """Solve and certify one level's jets, in process and in level order.
 
-    The jets of a level are independent, but they share one shift when
-    lambda_bar is real, so the context's kept operator serves them all.
+    The operator part of a jet's certificate reads only the context and the
+    jet's shift, so one operator serves the jets that share a shift: with a
+    real lambda_bar, every jet of the level.  It is made when the shift
+    changes, after the last one is let go, and goes with the level.
     The name is kept from when a level ran on a process pool: the
     benchmark's tracer wraps it as `stages.pool` and reads the table and
     the number of jets from its arguments, and its self-test and
     tests/test_tracer.py name it.
     """
     ctx = _context_for(jet, cfg)
-    return [_jet_task(ctx, layer, ctx.jet_operator(layer.shift)) for layer in layers]
+    op, out = None, []
+    for layer in layers:
+        if op is None or op.s != layer.shift:
+            op = None  # the old inverse goes before the new one is made
+            op = _operator(ctx, ctx.jet_operator_data(layer.shift))
+        out.append(_jet_task(ctx, layer, op))
+    return out
 
 
 def _extend(jet: JetTable, cfg) -> JetTable:
@@ -1820,18 +1773,14 @@ def extend_with_jets(jet: JetTable, cfg, *, gamma: float = 0.7,
     busy on every core already, and a process pool for the independent jets
     of a level made them slower, not faster.  `jobs` stays because the
     benchmark's `pool` workload (perfbench/pipeline.py) still passes it.
-    The argument is left as it was: the jets go into a copy."""
+    The argument is left as it was: the jets go into a copy, which keeps
+    the context and no operator of its levels."""
     jet = _strip_unvalidated(jet)
     try:
-        try:
-            return _extend(jet, cfg)
-        except NoNegativeRadius:
-            scaled = rescale_jets(_strip_unvalidated(jet), gamma)
-        return _extend(scaled, cfg)
-    finally:
-        # the table keeps its context; the N x N scratch goes now
-        if jet.ctx_cache is not None:
-            jet.ctx_cache[1].drop_operators()
+        return _extend(jet, cfg)
+    except NoNegativeRadius:
+        scaled = rescale_jets(_strip_unvalidated(jet), gamma)
+    return _extend(scaled, cfg)
 
 
 def _strip_unvalidated(jet: JetTable) -> JetTable:

@@ -16,6 +16,7 @@ import sys
 import weakref
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -195,20 +196,6 @@ def test_bundle_certifies_at_k64_nu_1_5(run):
     assert start.radii[(1, 0)] <= 1e-6
 
 
-def test_jet_operator_from_the_context_is_bit_identical(run):
-    # a fresh context visits the jet shifts out of order and repeats one:
-    # each block equals the one base_block builds afresh
-    cfg, _, _, table = run
-    ctx = stages._StageContext(table.orders[(0, 0)], cfg, table.omega, table.K,
-                               table.nu, model.IntervalArith(cfg))
-    for alpha in [(3, 0), (1, 1), (2, 0), (3, 0), (2, 1)]:
-        s = stages._jet_shift(alpha, table.lambda_bar)
-        J = ctx.window_block(s)
-        diag = -1j * ctx.omega * numerics.kvals(ctx.K) - s
-        fresh = numerics.base_block(ctx.fconst, ctx.fkers, ctx.K, diag)
-        assert np.array_equal(J.view(np.uint64), fresh.view(np.uint64)), alpha
-
-
 def _block_defect(E, J, N, ctx) -> float:
     """The operator norm of the entrywise bound |E - J| by blocks, after
     checking that the window defect table N covers it: as an operator norm,
@@ -376,7 +363,6 @@ def test_cos_sin_operator_matches_the_complex_one(run, stage_ctx, monkeypatch):
             assert getattr(real, name) == pytest.approx(getattr(ref, name), rel=1e-12), name
         assert real.Z0 <= 1e-10 * max(1.0, real.normA), data.ns
         assert real.Z0 >= _residual_seen(real.Jhat, data.J, data.ns, stage_ctx), data.ns
-    stage_ctx.drop_operators()
 
 
 @pytest.mark.parametrize("defect", ["J not R-symmetric", "inverse inexact"])
@@ -397,7 +383,6 @@ def test_cos_sin_z0_covers_a_visible_defect(run, stage_ctx, monkeypatch, defect)
         seen = _residual_seen(op.Jhat, J, data.ns, stage_ctx)
         assert seen >= 1e-9, data.ns
         assert op.Z0 >= seen, data.ns
-    stage_ctx.drop_operators()
 
 
 def test_complex_shift_takes_the_complex_inverse(run, stage_ctx, dense_calls):
@@ -405,10 +390,10 @@ def test_complex_shift_takes_the_complex_inverse(run, stage_ctx, dense_calls):
     # operator inverts J itself, in complex, and its Z0 is as small
     _, _, _, table = run
     before = len(dense_calls("inv"))
-    op = stage_ctx.jet_operator(2.0 * table.lambda_bar + 0.5j)
+    data = stage_ctx.jet_operator_data(2.0 * table.lambda_bar + 0.5j)
+    op = stages._operator(stage_ctx, data)
     assert [c[2] for c in dense_calls("inv")[before:]] == [np.complex128]
     assert op.Z0 <= 1e-10
-    stage_ctx.drop_operators()
 
 
 def test_report_splits_z1(run):
@@ -495,20 +480,21 @@ def test_jets_leave_the_operator_work_to_the_context(run, monkeypatch):
 
     res = stages.validate_order0(sol, cfg)
     start = stages.start_jet_table(KIND, sol, res, cfg, lam, v, K0, XI0, N_T)
-    assert start.ctx_cache[1]._block is None and start.ctx_cache[1]._op is None
+    ctx = start.ctx_cache[1]
+    N = 9 * (2 * ctx.K - 1)
+    # all of it, the kernels of df0 and the nested lists included: 142.3 N
+    # floats at K = 24, the 13.1 N of kmags and the 3.7 N of their tail
+    # profiles among them; one N x N complex block would be 2 N^2 floats
+    assert _held_bytes(ctx, set()) <= 8 * 143 * N
     counted(ivarray, "carr_conv_batch")
     again = stages.extend_with_jets(start, cfg)
     assert again.digest() == table.digest()
     assert calls == {"carr_conv_batch": 0}
+    assert again.ctx_cache[1] is ctx
+    assert _held_bytes(ctx, set()) <= 8 * 143 * N
 
-    ctx = again.ctx_cache[1]
     assert stages.validate_jet((2, 1), again, cfg).cert == again.certs["jet:2,1:%s" % KIND]
-    assert ctx._block is None and ctx._op is None
-    N = 9 * (2 * ctx.K - 1)
-    # all of it, the kernels of df0 and the nested lists included: 144.3 N
-    # floats at K = 24, the 13.1 N of kmags and the 3.7 N of their tail
-    # profiles among them
-    assert _held_bytes(ctx, set()) <= 8 * 145 * N
+    assert _held_bytes(ctx, set()) <= 8 * 143 * N
 
 
 def test_no_dense_solve_or_inverse_in_a_worker(run, dense_calls):
@@ -556,30 +542,35 @@ def test_no_jet_keeps_the_zero_guess(run):
     assert stages.extend_with_jets(arg, cfg, jobs=1).digest() == table.digest()
 
 
-def test_kept_jet_operator_is_never_stale(run, dense_calls):
-    # one context visits the jets out of order and repeats a shift: each
-    # jet's certificate and report equal, bit for bit, those of a fresh
-    # context per jet and the table's, and the context inverts only when
-    # the shift changes
+def test_a_level_makes_one_operator_per_shift(run, monkeypatch):
+    # counts, not certificates: the two jets of level 2 share their shift
+    # when lambda_bar is real, and one operator serves both; with a complex
+    # lambda_bar their shifts differ, and each jet gets its own
     cfg, _, _, table = run
+    made, tasks = [], []
 
-    def context():
-        return stages._StageContext(table.orders[(0, 0)], cfg, table.omega,
-                                    table.K, table.nu,
-                                    model.IntervalArith(cfg))
+    def operator(ctx, data):
+        made.append(SimpleNamespace(s=data.s))
+        return made[-1]
 
-    kept = context()
-    for alpha in [(3, 0), (1, 1), (2, 0), (3, 0), (2, 1)]:
-        layer = stages._fresh_layer(table, cfg, alpha)
-        before = len(dense_calls("inv"))
-        res = stages._jet_task(kept, layer, kept.jet_operator(layer.shift))
-        again = len(dense_calls("inv")) - before
-        ctx = context()
-        fresh = stages._jet_task(ctx, layer, ctx.jet_operator(layer.shift))
-        assert res.cert.to_json_obj() == fresh.cert.to_json_obj(), alpha
-        assert json.dumps(res.bounds) == json.dumps(fresh.bounds), alpha
-        assert res.cert == table.certs[res.cert.stage], alpha
-        assert again == (alpha in [(3, 0), (1, 1)]), alpha
+    monkeypatch.setattr(stages, "_operator", operator)
+    monkeypatch.setattr(stages, "_jet_task",
+                        lambda ctx, layer, op: tasks.append((layer.shift, id(op))))
+    level = [stages._fresh_layer(table, cfg, a) for a in stages._level_alphas(2)]
+    assert [layer.alpha for layer in level] == [(2, 0), (1, 1)]
+    for lam in (table.lambda_bar, table.lambda_bar + 0.1j):
+        del made[:], tasks[:]
+        layers = [layer._replace(lambda_bar=lam) for layer in level]
+        stages._level_parallel(table, cfg, layers)
+        shifts = [layer.shift for layer in layers]
+        if lam.imag == 0.0:
+            assert shifts[0] == shifts[1]
+            assert [op.s for op in made] == shifts[:1]
+            assert tasks == [(shifts[0], id(made[0]))] * 2
+        else:
+            assert shifts[0] != shifts[1]
+            assert [op.s for op in made] == shifts
+            assert tasks == [(op.s, id(op)) for op in made]
 
 
 def test_failed_certificate_carries_its_bounds(run, monkeypatch):
