@@ -7,15 +7,15 @@ Two representations are used:
   the (lo, hi) float64 lane pairs of its real and imaginary parts.  Every
   elementary operation rounds outward by one ulp (`_up`/`_dn`,
   numpy.nextafter), which is sound because binary64 arithmetic rounds to
-  nearest.  The endpoint convolution, carr_conv_batch, now serves only
-  `seqspace.conv` (order 0 and the tests): it stacks many (a, b) pairs,
-  forms the products of a block of shifts at once, and adds them into each
-  output coefficient in increasing shift order, so the result is bit for
-  bit that of a loop over one coefficient at a time.  It holds products
-  and sums in one direction, as [-lo, hi], so that dn(x + y) is
-  -up((-x) + (-y)) and every rounding is one upward step, taken as an
-  integer step on the int64 view: nextafter's result, bit for bit.  Its
-  temporaries are bounded by a fixed block size.
+  nearest.  The endpoint convolution, carr_conv, serves only
+  `seqspace.conv` (order 0 and the tests): it forms the products of a
+  block of shifts at once and adds them into each output coefficient in
+  increasing shift order, so the result is bit for bit that of a loop over
+  one coefficient at a time.  It holds products and sums in one direction,
+  as [-lo, hi], so that dn(x + y) is -up((-x) + (-y)) and every rounding is
+  one upward step, taken as an integer step on the int64 view:
+  nextafter's result, bit for bit.  Its temporaries are bounded by a fixed
+  block size.
 
 * midpoint-radius form for matrices and convolutions: complex data as
   (mid complex128, rad float64) where rad bounds the complex modulus of
@@ -281,7 +281,7 @@ class CArr:
         )
 
 
-# products per lane in one block of carr_conv_batch: about a dozen
+# products per lane in one block of carr_conv: about a dozen
 # temporaries of 4 * _CONV_BLOCK floats, near 12 MB, are live at a time
 _CONV_BLOCK = 1 << 15
 
@@ -316,10 +316,10 @@ def _up_in_place(x):
 def _shift_products(B, A, pz_b, pz_a):
     """[-lo, hi] of b a_i for a block of shifts i, rounded as CArr.mul rounds.
 
-    B has lanes (4, P, 1, M) and A (4, P, s, 1), both in endpoint order rl,
-    rh, il, ih, and pz_b and pz_a mark their point-zero lanes (2, P, ., .).
-    Returns the products (2, 2, P, s, M), [-lo, hi] x [re, im], and where
-    they are the point zero (2, P, s, M).  Where a product is the point zero
+    B has lanes (4, 1, M) and A (4, s, 1), both in endpoint order rl, rh,
+    il, ih, and pz_b and pz_a mark their point-zero lanes (2, ., .).
+    Returns the products (2, 2, s, M), [-lo, hi] x [re, im], and where they
+    are the point zero (2, s, M).  Where a product is the point zero
     its entries are left unspecified: a sum neither adds nor takes it.
 
     ri_mul gives lo = dn(min p), hi = up(max p) over the four endpoint
@@ -357,19 +357,17 @@ def _shift_products(B, A, pz_b, pz_a):
     return prod, zx & zy
 
 
-def carr_conv_batch(pairs) -> list:
-    """Full convolutions out_k = sum_i a_i b_{k-i} of many (a, b) pairs.
+def carr_conv(a: CArr, b: CArr) -> CArr:
+    """Full convolution out_k = sum_i a_i b_{k-i}.
 
-    Each pair is ordered so that a is the shorter operand, then the pairs
-    are zero-padded to common lengths and stacked, so one numpy call works
-    on every pair at once.  The products b_j a_i come for a block of shifts
-    i at a time, by `_shift_products`: bit for bit CArr.mul's.  Each shift's
-    row is then added into the output in increasing i, with the IEEE
-    operations and point-zero rules of ri_add: a point-zero product leaves
-    the sum as it is, a point-zero sum takes the product, and otherwise
-    lo = dn(lo + p_lo) and hi = up(hi + p_hi).  So every output coefficient
-    is bit for bit that of a loop over i for a single pair; the padding and
-    a point-zero a_i give point-zero products.
+    The operands are ordered so that a is the shorter one.  The products
+    b_j a_i come for a block of shifts i at a time, by `_shift_products`:
+    bit for bit CArr.mul's.  Each shift's row is then added into the output
+    in increasing i, with the IEEE operations and point-zero rules of
+    ri_add: a point-zero product leaves the sum as it is, a point-zero sum
+    takes the product, and otherwise lo = dn(lo + p_lo) and hi = up(hi +
+    p_hi).  So every output coefficient is bit for bit that of a loop over
+    i; a point-zero a_i gives point-zero products.
 
     Products and sums are held in one direction, as [-lo, hi]: dn(x + y)
     equals -up((-x) + (-y)) exactly, so each shift is one add, one upward
@@ -380,79 +378,52 @@ def carr_conv_batch(pairs) -> list:
     being the point zero at its first product that is not, and never
     becomes it again, so that mask is kept rather than recomputed.  A block
     holds at most _CONV_BLOCK products per lane (a single shift when one
-    shift of all pairs has more), which bounds the temporaries.  Raises
+    shift has more), which bounds the temporaries.  Raises
     IntervalDomainError when a product or a sum is not finite.
     """
-    out = [None] * len(pairs)
-    live = []
-    for p, (a, b) in enumerate(pairs):
-        n, m = len(a), len(b)
-        if n == 0 or m == 0:
-            out[p] = CArr.zeros(0)
-            continue
-        if n > m:
-            a, b = b, a
-            n, m = m, n
-        if not (b.rl.any() or b.rh.any() or b.il.any() or b.ih.any()):
-            out[p] = CArr.zeros(n + m - 1)
-            continue
-        live.append((p, a, b))
-    if not live:
-        return out
-    P = len(live)
-    N = max(len(a) for _, a, _ in live)
-    M = max(len(b) for _, _, b in live)
-    # lanes rl, rh, il, ih of every pair, padded with point zeros
-    A = np.zeros((4, P, N))
-    B = np.zeros((4, P, M))
-    for q, (_, a, b) in enumerate(live):
-        A[:, q, :len(a)] = (a.rl, a.rh, a.il, a.ih)
-        B[:, q, :len(b)] = (b.rl, b.rh, b.il, b.ih)
-    # point-zero lanes [re, im]
+    n, m = len(a), len(b)
+    if n == 0 or m == 0:
+        return CArr.zeros(0)
+    if n > m:
+        a, b = b, a
+        n, m = m, n
+    if not (b.rl.any() or b.rh.any() or b.il.any() or b.ih.any()):
+        return CArr.zeros(n + m - 1)
+    # lanes rl, rh, il, ih, and the point-zero lanes [re, im]
+    A = np.array((a.rl, a.rh, a.il, a.ih))
+    B = np.array((b.rl, b.rh, b.il, b.ih))
     pz_a = np.equal(A[0::2], 0.0) & np.equal(A[1::2], 0.0)
     pz_b = np.equal(B[0::2], 0.0) & np.equal(B[1::2], 0.0)
-    # sums [-lo, hi] x [re, im] of each pair, and which are still the point zero
-    acc = np.empty((2, 2 * P, N + M - 1))
+    # sums [-lo, hi] x [re, im], and which are still the point zero
+    acc = np.empty((2, 2, n + m - 1))
     acc[0] = -0.0
     acc[1] = 0.0
-    zero = np.ones((2 * P, N + M - 1), dtype=bool)
-    new = np.empty((2, 2 * P, M))
+    zero = np.ones((2, n + m - 1), dtype=bool)
+    new = np.empty((2, 2, m))
     bits = new.view(np.int64)
     inc = np.empty_like(bits)
-    step = max(1, _CONV_BLOCK // (P * M))
-    for i0 in range(0, N, step):
-        i1 = min(N, i0 + step)
+    step = max(1, _CONV_BLOCK // m)
+    for i0 in range(0, n, step):
+        i1 = min(n, i0 + step)
         prod, pzero = _shift_products(
-            B[:, :, None, :], A[:, :, i0:i1, None], pz_b[:, :, None, :],
-            pz_a[:, :, i0:i1, None])
+            B[:, None, :], A[:, i0:i1, None], pz_b[:, None, :], pz_a[:, i0:i1, None])
         if not np.isfinite(prod).all():
             raise IntervalDomainError("non-finite product in carr_conv")
         if (np.add(prod[0], prod[1]) < 0.0).any():  # hi - lo, sign exact
             raise IntervalDomainError("inverted product in carr_conv")
-        prod = prod.reshape(2, 2 * P, i1 - i0, M)
-        pzero = pzero.reshape(2 * P, i1 - i0, M)
         nonzero = ~pzero
         # the products as addends, -0.0 made +0.0: then no sum is -0.0, as
         # the integer step needs; a sum that takes a product takes its bits
         addend = prod + 0.0
         for t in range(i1 - i0):
-            seg = slice(i0 + t, i0 + t + M)
+            seg = slice(i0 + t, i0 + t + m)
             sums = acc[:, :, seg]
             np.add(sums, addend[:, :, t], out=new)
             _step_up_in_place(bits, inc)
             np.copyto(new, prod[:, :, t], where=zero[:, seg])
             np.copyto(sums, new, where=nonzero[:, t])
             zero[:, seg] &= pzero[:, t]
-    for q, (p, a, b) in enumerate(live):
-        L = len(a) + len(b) - 1
-        out[p] = CArr(-acc[0, q, :L], acc[1, q, :L],
-                      -acc[0, P + q, :L], acc[1, P + q, :L])
-    return out
-
-
-def carr_conv(a: CArr, b: CArr) -> CArr:
-    """Full convolution out_k = sum_i a_i b_{k-i}: carr_conv_batch of one pair."""
-    return carr_conv_batch([(a, b)])[0]
+    return CArr(-acc[0, 0], acc[1, 0], -acc[0, 1], acc[1, 1])
 
 
 # -- midpoint-radius matrices -------------------------------------------

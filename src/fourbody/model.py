@@ -352,12 +352,6 @@ def _minus_const(g: FourierSeq, p) -> FourierSeq:
     return g.sub(_const_seq(p, g.nu))
 
 
-def _interval_arith(cfg) -> IntervalArith:
-    """cfg itself when it is an IntervalArith, to share its table; else a
-    fresh one for the PrimaryConfig cfg."""
-    return cfg if isinstance(cfg, IntervalArith) else IntervalArith(cfg)
-
-
 def embedded_field(ar, a, cap: int):
     """All Taylor layers through total order cap of the embedded field map.
 
@@ -431,12 +425,10 @@ def field_derivative(ar, a0):
     return const, kernels
 
 
-def field_F_grid(a, cfg):
-    """The embedded field map on nine order-zero sequences, as nine sequences.
-
-    cfg is the PrimaryConfig, or an IntervalArith of it whose products the
-    call shares."""
-    return embedded_field(_interval_arith(cfg), _nine(a, "sequence"), 0)
+def field_F_grid(a, ar: IntervalArith):
+    """The embedded field map on nine order-zero sequences, as nine sequences,
+    in the IntervalArith ar, whose products the call shares."""
+    return embedded_field(ar, _nine(a, "sequence"), 0)
 
 
 class DF0:
@@ -514,11 +506,11 @@ class DF0:
         return tuple(out)
 
 
-def dF0(a0, cfg) -> DF0:
-    """Assemble the derivative table of the order-zero field map at a0; cfg
-    is as in `field_F_grid`."""
+def dF0(a0, ar: IntervalArith) -> DF0:
+    """Assemble the derivative table of the order-zero field map at a0 in
+    the IntervalArith ar, whose products the call shares."""
     a0 = _nine(a0, "sequence")
-    const, kernels = field_derivative(_interval_arith(cfg), a0)
+    const, kernels = field_derivative(ar, a0)
     return DF0(const, kernels, a0[0].nu)
 
 

@@ -1,8 +1,9 @@
 """Verified operator-norm bookkeeping for block matrices.
 
-The validation stages work on product spaces X = C^s x (l^1_nu)^9 with the
-norm max(|scalars|, max_i ||seq_i||).  A bounded operator splits into blocks
-indexed by (row group, column group); its norm is bounded by
+Every stage works on one product space X = C^ns x (l^1_nu)^9 at a window K,
+with the norm max(|scalars|, max_i ||seq_i||).  A bounded operator on X
+splits into blocks indexed by (row group, column group), one group per
+scalar and one per window; its norm is bounded by
 
     ||B|| <= max_r sum_c N[r,c],   N[r,c] = sup_{l in c} (1/w_l) sum_{k in r} w_k |B_kl|
 
@@ -37,62 +38,40 @@ def _weighted_col_sums(w, a):
 
 
 class SpaceLayout:
-    """Ordered groups: ("scalar",) entries and ("seq", K) Fourier windows.
+    """The slots of X = C^ns x (l^1_nu)^9 at window K: ns scalars, then nine
+    windows of 2K-1 slots each, ordered k = -(K-1)..K-1.  `slices` holds
+    one group per scalar, then one per window; `kabs` is |k| per slot (0 on
+    the scalars)."""
 
-    A seq group of window K occupies 2K-1 slots ordered k = -(K-1)..K-1.
-    """
-
-    def __init__(self, groups):
-        self.groups = tuple(groups)
-        self.kinds = []
-        self.slices = []
-        kabs = []
-        pos = 0
-        for g in self.groups:
-            if g[0] == "scalar":
-                self.kinds.append("scalar")
-                self.slices.append(slice(pos, pos + 1))
-                kabs.append(np.zeros(1, dtype=int))
-                pos += 1
-            elif g[0] == "seq":
-                K = int(g[1])
-                if K < 1:
-                    raise ValueError("seq window must be >= 1")
-                self.kinds.append("seq")
-                self.slices.append(slice(pos, pos + 2 * K - 1))
-                kabs.append(np.abs(np.arange(-(K - 1), K)))
-                pos += 2 * K - 1
-            else:
-                raise ValueError("unknown group kind %r" % (g[0],))
-        self.kabs = np.concatenate(kabs) if kabs else np.zeros(0, dtype=int)
-        self.n = pos
-
-    @classmethod
-    def mixed(cls, n_scalar: int, n_seq: int, K: int) -> "SpaceLayout":
-        return cls([("scalar",)] * n_scalar + [("seq", K)] * n_seq)
+    def __init__(self, ns: int, K: int):
+        if K < 1:
+            raise ValueError("seq window must be >= 1")
+        n = 2 * K - 1
+        self.ns = ns
+        self.n = ns + 9 * n
+        self.slices = ([slice(i, i + 1) for i in range(ns)]
+                       + [slice(ns + j * n, ns + (j + 1) * n) for j in range(9)])
+        window = np.abs(np.arange(-(K - 1), K))
+        self.kabs = np.concatenate([np.zeros(ns, dtype=int), np.tile(window, 9)])
 
     def weights_up(self, nu: float):
         """(w_up, winv_up): upper bounds of nu^|k| and nu^-|k| per slot."""
-        if self.n == 0:
-            return np.zeros(0), np.zeros(0)
-        top = int(self.kabs.max()) + 1
-        w_dn, w_up = nu_weights(nu, top)
+        w_dn, w_up = nu_weights(nu, int(self.kabs.max()) + 1)
         return w_up[self.kabs], _up(_up(1.0 / w_dn))[self.kabs]
 
 
-def block_norms(absU, rows: SpaceLayout, cols: SpaceLayout, nu: float):
-    """Upper bounds N[r,c] of the block operator norms of |U|."""
+def block_norms(absU, layout: SpaceLayout, nu: float):
+    """Upper bounds N[r,c] of the block operator norms of |U| on X."""
     absU = np.asarray(absU, dtype=float)
-    if absU.shape != (rows.n, cols.n):
-        raise ValueError("matrix shape does not match layouts")
-    w_up, _ = rows.weights_up(nu)
-    _, winv_up = cols.weights_up(nu)
-    out = np.zeros((len(rows.groups), len(cols.groups)))
-    for ri, rs in enumerate(rows.slices):
+    if absU.shape != (layout.n, layout.n):
+        raise ValueError("matrix shape does not match layout")
+    w_up, winv_up = layout.weights_up(nu)
+    ns = layout.ns
+    out = np.zeros((ns + 9, ns + 9))
+    for ri, rs in enumerate(layout.slices):
         colsum = _up(_weighted_col_sums(w_up[rs], absU[rs, :]) * winv_up)
-        for ci, cs in enumerate(cols.slices):
-            block = colsum[cs]
-            out[ri, ci] = float(block.max()) if block.size else 0.0
+        out[ri, :ns] = colsum[:ns]
+        out[ri, ns:] = colsum[ns:].reshape(9, -1).max(axis=1)
     return out
 
 
@@ -102,23 +81,17 @@ def norm_rows(N):
 
 
 def opnorm_upper(N) -> float:
-    rows = norm_rows(N)
-    return float(rows.max()) if rows.size else 0.0
+    return float(norm_rows(N).max())
 
 
 def group_vec_norms(absv, layout: SpaceLayout, nu: float):
-    """Per-group norm upper bounds of a nonnegative vector: weighted sums
-    on seq groups, plain entries on scalar groups."""
+    """Per-group norm upper bounds of a nonnegative vector: the ns scalar
+    entries, then the weighted sum over each window."""
     absv = np.asarray(absv, dtype=float)
     if absv.shape != (layout.n,):
         raise ValueError("vector length does not match layout")
     w_up, _ = layout.weights_up(nu)
     weighted = _up(absv * w_up)
-    out = []
-    for kind, sl in zip(layout.kinds, layout.slices):
-        if kind == "scalar":
-            out.append(float(weighted[sl][0]))
-        else:
-            out.append(up_sum(weighted[sl]))
-    return np.array(out)
-
+    ns = layout.ns
+    return np.concatenate([weighted[:ns],
+                           [up_sum(weighted[sl]) for sl in layout.slices[ns:]]])

@@ -7,9 +7,7 @@ norm lanes (`numerics.FloatArith` and `stages`); here every object is one
 Fourier window.
 
 All norms and products return rigorous enclosures built on the interval
-kernels in ivarray; nothing here rounds to nearest.  Ball elements pair a
-finite center with a norm-radius and stand for every sequence within that
-distance.
+kernels in ivarray; nothing here rounds to nearest.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from .interval import (
     ComplexInterval,
     Interval,
     IntervalDomainError,
-    add_up,
     mul_down,
     mul_up,
 )
@@ -232,24 +229,3 @@ def include(a: FourierSeq, M: int) -> FourierSeq:
         return a
     return FourierSeq(a.c.pad(pad, pad), a.nu)
 
-
-# -- ball elements -----------------------------------------------------------
-
-
-class BallElement:
-    """center + closed norm-ball of the given radius in the center's space."""
-
-    __slots__ = ("center", "radius")
-
-    def __init__(self, center, radius: float):
-        radius = float(radius)
-        if not (radius >= 0.0 and np.isfinite(radius)):
-            raise ValueError("radius must be finite and >= 0")
-        self.center = center
-        self.radius = radius
-
-    def norm_upper(self) -> float:
-        return add_up(self.center.norm().hi, self.radius)
-
-    def __repr__(self):
-        return "BallElement(%r, r=%g)" % (self.center, self.radius)

@@ -141,7 +141,7 @@ from .opbound import (
     opnorm_upper,
 )
 from .radii import Certificate, NKBounds, NoNegativeRadius, content_digest, radii_newton
-from .seqspace import BallElement, FourierSeq, nu_weights, project
+from .seqspace import FourierSeq, nu_weights, project
 from . import model
 from . import numerics
 
@@ -725,11 +725,11 @@ def _cos_sin_block_norms(E: np.ndarray, ns: int, K: int, nu: float) -> np.ndarra
     s_k, which carry the weight of k, and a column of E |T^-1| is half the
     sum of the columns c_l and s_l (T is the identity on the scalars and on
     mode 0)."""
-    layout = SpaceLayout.mixed(ns, 9, K)
+    layout = SpaceLayout(ns, K)
     w_up, winv_up = layout.weights_up(nu)
     w = np.where(layout.kabs > 0, 2.0 * w_up, w_up)
     winv = winv_up[ns + K:ns + 2 * K - 1]
-    out = np.zeros((len(layout.groups),) * 2)
+    out = np.zeros((ns + 9, ns + 9))
     for ri, rs in enumerate(layout.slices):
         v = _weighted_col_sums(w[rs], E[rs])[None, :]
         plus, minus, zero = _pairs(v, ns, K, 1)
@@ -766,12 +766,12 @@ def _cos_sin_inverse(J: np.ndarray, ns: int, K: int, nu: float):
     ||Jhat|| is read from |Jhat| rounded up, so ||A'|| is at most 1 + 4u
     times it and the third term at most 4u ||J|| times it.
     """
-    layout = SpaceLayout.mixed(ns, 9, K)
+    layout = SpaceLayout(ns, K)
     N = layout.n
     M, Im = _cos_sin_form(J, ns, K)
-    norm_im = opnorm_upper(block_norms(np.abs(Im, out=Im), layout, layout, nu))
+    norm_im = opnorm_upper(block_norms(np.abs(Im, out=Im), layout, nu))
     # np.abs of a complex entry is within 1 + 4u of its modulus
-    norm_J = float(_up(opnorm_upper(block_norms(np.abs(J, out=Im), layout, layout, nu))
+    norm_J = float(_up(opnorm_upper(block_norms(np.abs(J, out=Im), layout, nu))
                        * (1.0 + 4.0 * _U)))
     del Im
     B = np.linalg.inv(M)
@@ -792,11 +792,17 @@ def _cos_sin_inverse(J: np.ndarray, ns: int, K: int, nu: float):
 def _complex_inverse(J: np.ndarray, ns: int, K: int, nu: float):
     """(Jhat, Z0, 0.0) for a complex shift: Jhat = inv(J) and Z0 from one
     complex midpoint-radius product J^-1 J."""
-    layout = SpaceLayout.mixed(ns, 9, K)
+    layout = SpaceLayout(ns, K)
     Jhat = np.linalg.inv(J)
     cm, cr = cmm(Jhat, None, J, None)
     cm[np.diag_indices(layout.n)] -= 1.0
-    return Jhat, opnorm_upper(block_norms(cmat_abs_up(cm, cr), layout, layout, nu)), 0.0
+    return Jhat, opnorm_upper(block_norms(cmat_abs_up(cm, cr), layout, nu)), 0.0
+
+
+def _group_max(v: np.ndarray, ns: int, tail) -> float:
+    """max over the groups of X of a per-group bound v: the ns scalar
+    entries as they are, each window's entry plus its tail term, rounded up."""
+    return float(max(v[:ns].max(initial=0.0), _up(v[ns:] + tail).max()))
 
 
 def _operator(ctx: _StageContext, d: _OperatorData) -> _Operator:
@@ -810,33 +816,24 @@ def _operator(ctx: _StageContext, d: _OperatorData) -> _Operator:
     (`_complex_inverse`).  Both give the complex Jhat; ||A||, Z1_window and
     Z1_tail read Jhat and |Jhat|, taken once from Jhat's moduli, rounded up."""
     K, nu, omega, ns, s = ctx.K, ctx.nu, ctx.omega, d.ns, d.s
-    layout = SpaceLayout.mixed(ns, 9, K)
+    layout = SpaceLayout(ns, K)
     N = layout.n
-    ngroups = len(layout.groups)
+    ngroups = ns + 9
     inverse = _cos_sin_inverse if s.imag == 0 else _complex_inverse
     Jhat, z0, z0_per_normA = inverse(d.J, ns, K, nu)
     # np.abs rounds a modulus to nearest, down about half the time
     absJ = cmat_abs_up(Jhat, None)
 
-    Bmat = block_norms(absJ, layout, layout, nu)
+    Bmat = block_norms(absJ, layout, nu)
     rowsJ = norm_rows(Bmat)
     Z0 = float(_up(z0 + _up(z0_per_normA * float(rowsJ.max()))))
     dtK = float(_inv_dist_up(np.array([float(K)]), omega, s)[0])
-    normA = 0.0
-    for gi, kind in enumerate(layout.kinds):
-        v = float(rowsJ[gi]) if kind == "scalar" else float(_up(rowsJ[gi] + dtK))
-        normA = max(normA, v)
+    normA = _group_max(rowsJ, ns, dtK)
     # pre_Y / pre_Z1 bound perturbations supported on the sequence block only
     # (no scalar components), so their amplification constant may drop the
     # scalar columns of A.  The quadratic terms keep the full norm: their
     # difference operators can involve the scalar directions.
-    seq_cols = [ci for ci, kind in enumerate(layout.kinds) if kind == "seq"]
-    normA_seq = 0.0
-    for gi, kind in enumerate(layout.kinds):
-        v = up_sum(Bmat[gi, seq_cols])
-        if kind == "seq":
-            v = _up(v + dtK)
-        normA_seq = max(normA_seq, float(v))
+    normA_seq = _group_max(norm_rows(Bmat[:, ns:]), ns, dtK)
 
     # the window part of Z1: J^-1 (pi (DF(x_bar) - J) pi), by norms
     Z1_window = float(_up(rowsJ.max() * opnorm_upper(d.window_defect)))
@@ -885,14 +882,8 @@ def _certify(op: _Operator, asm: _Assembled, digest: str):
     vm, vr = _resid_mid_rad(asm, K)
     ym, yr = cmm(op.Jhat, None, vm, vr)
     gY = group_vec_norms(cmat_abs_up(ym, yr), layout, nu)
-    Y0 = 0.0
-    for gi, kind in enumerate(layout.kinds):
-        if kind == "scalar":
-            Y0 = max(Y0, float(gY[gi]))
-        else:
-            i = gi - ns
-            t = _seq_tail_weighted(asm.resid_seqs[i], K, nu, omega, s)
-            Y0 = max(Y0, float(_up(gY[gi] + t)))
+    tails = np.array([_seq_tail_weighted(seq, K, nu, omega, s) for seq in asm.resid_seqs])
+    Y0 = _group_max(gY, ns, tails)
     Y = float(_up(Y0 + _up(op.normA_seq * asm.pre_Y)))
     Z1 = float(_up(_up(op.Z1_tail + op.Z1_window) + _up(op.normA_seq * asm.pre_Z1)))
 
@@ -928,7 +919,7 @@ def _gap(c: ComplexInterval, z) -> float:
 
 
 def _window_defect(ctx: _StageContext, J: np.ndarray, ns: int, s: complex) -> np.ndarray:
-    """Block norms, over the groups of `SpaceLayout.mixed(ns, 9, K)`, of
+    """Block norms, over the groups of `SpaceLayout(ns, K)`, of
     pi (DF0 - i omega k - s - J) pi on the sequence blocks of J.
 
     Every stage's J holds there the context's float block at s: off its
@@ -1394,7 +1385,6 @@ class BundleSolution:
 
 @dataclass
 class Order0Result:
-    balls: tuple
     y_enclosure: tuple
     r0: float
     cert: Certificate
@@ -1406,7 +1396,6 @@ class Order0Result:
 @dataclass
 class Order1Result:
     lambda1: ComplexInterval
-    balls: tuple
     r1: float
     cert: Certificate
     bounds: dict
@@ -1415,7 +1404,7 @@ class Order1Result:
 @dataclass
 class JetResult:
     alpha: tuple
-    balls: tuple
+    centers: tuple
     r: float
     cert: Certificate
     bounds: dict
@@ -1474,9 +1463,8 @@ def validate_order0(solution: OrbitSolution, cfg) -> Order0Result:
                 "unfolding parameter %r exceeds the certified radius %.3e"
                 % (t, r0)
             )
-    balls = tuple(BallElement(sq, r0) for sq in solution.seqs())
     yenc = tuple(_civ_ball(complex(t), r0) for t in solution.y)
-    return Order0Result(balls, yenc, r0, cert, report,
+    return Order0Result(yenc, r0, cert, report,
                         context=(solution, cfg, ctx))
 
 
@@ -1507,10 +1495,7 @@ def validate_order1(solution: BundleSolution, jet: "JetTable", cfg) -> Order1Res
             "Re(lambda) enclosure [%g, %g] contains zero"
             % (lam.real - r1, lam.real + r1)
         )
-    lam_enc = _civ_ball(lam, r1)
-    balls = tuple(BallElement(FourierSeq.point(row, jet.nu), r1)
-                  for row in solution.coeffs)
-    return Order1Result(lam_enc, balls, r1, cert, report)
+    return Order1Result(_civ_ball(lam, r1), r1, cert, report)
 
 
 def validate_jet(alpha, jet: "JetTable", cfg) -> JetResult:
@@ -1526,8 +1511,7 @@ def _validate_layer(ctx: _StageContext, layer: _JetLayer, centers,
     asm = _assemble_jet(layer, centers, ctx)
     cert, report = _certify(op, asm, inputs_digest(layer.alpha, layer.kind, layer.prev,
                                                    centers))
-    balls = tuple(BallElement(sq, cert.r0) for sq in centers)
-    return JetResult(layer.alpha, balls, cert.r0, cert, report)
+    return JetResult(layer.alpha, tuple(centers), cert.r0, cert, report)
 
 
 # ---------------------------------------------------------------------------
@@ -1752,7 +1736,7 @@ def _extend(jet: JetTable, cfg) -> JetTable:
         layers = [_jet_layer(jet, fields, a) for a in alphas]
         for res in _level_parallel(jet, cfg, layers):
             alpha = res.alpha
-            centers = tuple(b.center for b in res.balls)
+            centers = res.centers
             jet.orders[alpha] = centers
             jet.radii[alpha] = res.r
             jet.certs[res.cert.stage] = res.cert

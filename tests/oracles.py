@@ -32,12 +32,12 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from fourbody import numerics
+from fourbody import model, numerics
 from fourbody.interval import ZERO, ComplexInterval, Interval, add_down, add_up
 from fourbody.ivarray import (
     CArr, down_sum, ri_add, up_sum, _ETA, _U, _dn, _gemm_gamma, _up, _up_factor,
 )
-from fourbody.model import _const_seq, _iv_vec, _mode_sum, dF0, embedded_field, eta_terms
+from fourbody.model import _const_seq, _iv_vec, _mode_sum, embedded_field, eta_terms
 from fourbody.seqspace import FourierSeq, WeightMismatch, conv, project
 
 
@@ -399,7 +399,7 @@ def field_F_seq(a, alpha, cfg):
 
 def dF0_apply(a0, h, cfg):
     """Derivative of the order-zero field map at a0 applied to h."""
-    return dF0(a0, cfg).apply(h)
+    return model.dF0(a0, model.IntervalArith(cfg)).apply(h)
 
 
 def remainder_Ralpha(a, alpha, cfg):

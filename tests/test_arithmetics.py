@@ -325,7 +325,7 @@ def test_float_kernels_inside_interval_kernels(cfg, data):
     A0 = np.array([comp[(0, 0)] for comp in grid])
     ms, pos = numerics.cfg_floats(cfg)
     fconst, fkers = numerics.derivative_kernels(A0, ms, pos)
-    df = model.dF0([FourierSeq.point(a, NU) for a in A0], cfg)
+    df = model.dF0([FourierSeq.point(a, NU) for a in A0], model.IntervalArith(cfg))
     assert fconst == df.const
     for i in range(9):
         for j in range(9):

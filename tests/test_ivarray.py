@@ -12,7 +12,6 @@ from fourbody.ivarray import (
     CArr,
     _up_in_place,
     carr_conv,
-    carr_conv_batch,
     cconv_mr,
     cmat_abs_up,
     cmm,
@@ -293,16 +292,12 @@ def endpoint_carr(draw):
 @given(st.lists(st.tuples(endpoint_carr(), endpoint_carr()), min_size=1,
                 max_size=6))
 @settings(max_examples=200, deadline=None)
-def test_carr_conv_batch_matches_reference_bits(pairs):
-    got = carr_conv_batch(pairs)
-    assert len(got) == len(pairs)
-    for (a, b), r in zip(pairs, got):
-        want = carr_conv_reference(a, b)
-        assert_same_bits(r, want)
-        assert_same_bits(carr_conv(a, b), want)
+def test_carr_conv_matches_reference_bits(pairs):
+    for a, b in pairs:
+        assert_same_bits(carr_conv(a, b), carr_conv_reference(a, b))
 
 
-def test_carr_conv_batch_named_cases():
+def test_carr_conv_named_cases():
     point = CArr.point(rng.standard_normal(6) + 1j * rng.standard_normal(6))
     wide = random_carr(4, width=1e-3)
     zero_rows = point.copy()
@@ -322,23 +317,19 @@ def test_carr_conv_batch_named_cases():
     ]
     mags = np.abs(tiny.mul(tiny).rl)
     assert ((mags > 0.0) & (mags < 2.2e-308)).any()
-    for (a, b), r in zip(pairs, carr_conv_batch(pairs)):
-        assert_same_bits(r, carr_conv_reference(a, b))
-    assert len(carr_conv_batch([])) == 0
+    for a, b in pairs:
+        assert_same_bits(carr_conv(a, b), carr_conv_reference(a, b))
 
 
 def test_carr_conv_overflow_raises():
     big = CArr.point(np.array([1e200, -1e200j, 3e199]))
-    small = random_carr(3)
     with np.errstate(over="ignore", invalid="ignore"):
         for conv in (carr_conv, carr_conv_reference):
             with pytest.raises(IntervalDomainError):
                 conv(big, big)
-        with pytest.raises(IntervalDomainError):
-            carr_conv_batch([(small, small), (big, small), (big, big)])
 
 
-def test_carr_conv_batch_long_operands():
+def test_carr_conv_long_operands():
     # operands of about 40 x 300 entries reach a second block of shifts;
     # every kind of entry (signed zeros, point-zero lanes, half-zero
     # intervals, points, boxes) and of operand (all points, one box, none)
@@ -376,24 +367,19 @@ def test_carr_conv_batch_long_operands():
     pairs += [(CArr.point(np.full(40, tiny)), CArr.point(np.full(300, tiny))),
               (CArr.point(np.full(40, 4 * tiny + tiny * 1j)),
                CArr.point(np.full(300, tiny + tiny * 1j)))]
-    for pair in ([p] for p in pairs):  # one pair at a time, as conv calls it
-        assert_same_bits(carr_conv_batch(pair)[0], carr_conv_reference(*pair[0]))
-    for (a, b), r in zip(pairs, carr_conv_batch(pairs)):
-        assert_same_bits(r, carr_conv_reference(a, b))
+    for a, b in pairs:
+        assert_same_bits(carr_conv(a, b), carr_conv_reference(a, b))
 
 
 def test_carr_conv_overflowing_sum_raises():
     # every product is finite, the sums of two of them are not, at either
     # end; the kernels and the reference they are tested against all raise
     ones = CArr.point(np.ones(40))
-    small = random_carr(30)
     for top in (1e308, -1e308):
         big = CArr.point(np.full(300, top) + 1j * np.full(300, top / 2))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(IntervalDomainError):
                 carr_conv(ones, big)
-            with pytest.raises(IntervalDomainError):
-                carr_conv_batch([(small, small), (big, ones)])
             with pytest.raises(IntervalDomainError):
                 carr_conv_reference(ones, big)
 
@@ -406,7 +392,7 @@ _SPECIAL = (0.0, -0.0, 5e-324, -5e-324, _MAX, -_MAX, 1.0, -1.0, 2.22507385850720
 
 
 def test_ulp_step_is_nextafter():
-    # carr_conv_batch rounds only by this step, up on [-lo, hi]; the
+    # carr_conv rounds only by this step, up on [-lo, hi]; the
     # reference convolution rounds by nextafter through ri_add and CArr.mul,
     # so this is what ties both to IEEE
     x = rng.standard_normal(5000) * 10.0 ** rng.integers(-320, 300, 5000)

@@ -11,6 +11,7 @@ from scipy.optimize import root
 from fourbody.interval import ComplexInterval, Interval, ZERO
 from fourbody.model import (
     DegenerateMassCombination,
+    IntervalArith,
     MassTriple,
     PhaseAnchor,
     PrimaryConfig,
@@ -608,7 +609,7 @@ def test_dF0_apply_encloses_exact_products_and_stays_tight():
     nu = 1.5
     K = 5
     a0 = rand_seq9(rng, nu, K=K, scale=0.2, offset=[0.1, 0, -0.2, 0, 0.05, 0, 1.2, 0.8, 1.0])
-    D = dF0(a0, cfg)
+    D = dF0(a0, IntervalArith(cfg))
     point = rand_seq9(rng, nu, K=K, scale=0.5)
     point[3] = FourierSeq.zeros(K, nu)
     wide = list(point)

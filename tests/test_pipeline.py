@@ -91,7 +91,7 @@ def test_order0_residual_takes_the_reference_unfolding(run):
     cfg, res0, _, table = run
     sol, _, ctx = res0.context
     _, asm = stages._assemble_orbit(sol, ctx, model.IntervalArith(cfg))
-    F = model.field_F_grid(ctx.a0, cfg)
+    F = model.field_F_grid(ctx.a0, model.IntervalArith(cfg))
     G = oracles.unfold_orbit_G([complex(t) for t in sol.y], ctx.a0)
     for i, got in enumerate(asm.resid_seqs):
         want = ctx.a0[i].dtheta().scale(-ctx.omega).add(F[i]).add(G[i])
@@ -107,7 +107,7 @@ def test_order0_residual_takes_the_reference_unfolding(run):
     _, fkers = model.field_derivative(numerics.FloatArith(ctx.ms, ctx.pos),
                                       [{b: s.c.mid() for b, s in g.items()} for g in layers])
     fconst, got_fkers = numerics.derivative_kernels(ctx.A0, ctx.ms, ctx.pos)
-    df = model.dF0(ctx.a0, cfg)
+    df = model.dF0(ctx.a0, model.IntervalArith(cfg))
     assert fconst == df.const
     for i in range(9):
         for j in range(9):
@@ -202,8 +202,8 @@ def _block_defect(E, J, N, ctx) -> float:
     and block by block up to what block_norms adds to a column sum
     ((4n + 64) 2^-50 relative, and subnormal slack)."""
     ns = N.shape[0] - 9
-    layout = SpaceLayout.mixed(ns, 9, ctx.K)
-    entrywise = block_norms(E.corner_abs(J), layout, layout, ctx.nu)
+    layout = SpaceLayout(ns, ctx.K)
+    entrywise = block_norms(E.corner_abs(J), layout, ctx.nu)
     assert opnorm_upper(entrywise) <= opnorm_upper(N), ns
     assert (entrywise <= N * (1.0 + 1e-12) + 1e-300).all(), ns
     return opnorm_upper(entrywise)
@@ -222,8 +222,8 @@ def _orbit_defects(sol, ctx, cfg):
     at_zero = _block_defect(oracles.orbit_enclosure(replace(sol, y=np.zeros(4, complex)), ctx),
                             J, N, ctx)
     E = oracles.orbit_enclosure(sol, ctx)
-    layout = SpaceLayout.mixed(4, 9, ctx.K)
-    sums = block_norms(E.corner_abs(np.zeros_like(J)), layout, layout, ctx.nu)
+    layout = SpaceLayout(4, ctx.K)
+    sums = block_norms(E.corner_abs(np.zeros_like(J)), layout, ctx.nu)
     with_y = N.copy()
     for g in (4 + 1, 4 + 6, 4 + 7, 4 + 8):
         with_y[g, g] += asm.pre_Z1 + 2.0 ** -50 * sums[g, g]
@@ -310,8 +310,8 @@ def test_cos_sin_transforms_match_dense_t():
     assert np.allclose(stages._from_cos_sin(B, ns, K, *work), T @ B @ T.conj().T,
                        rtol=0, atol=1e-13)
     E = np.abs(rng.standard_normal((N, N)))
-    layout = SpaceLayout.mixed(ns, 9, K)
-    want = block_norms(np.abs(T) @ E @ np.abs(np.linalg.inv(T)), layout, layout, nu)
+    layout = SpaceLayout(ns, K)
+    want = block_norms(np.abs(T) @ E @ np.abs(np.linalg.inv(T)), layout, nu)
     got = stages._cos_sin_block_norms(E, ns, K, nu)
     assert np.allclose(got, want, rtol=1e-13, atol=0)
     assert (got >= want * (1.0 - 1e-14)).all()
@@ -343,8 +343,8 @@ def _residual_seen(Jhat, J, ns, ctx) -> float:
     which each block of the operator norm bounds from below."""
     cm, cr = ivarray.cmm(Jhat, None, J, None)
     cm[np.diag_indices_from(cm)] -= 1.0
-    layout = SpaceLayout.mixed(ns, 9, ctx.K)
-    return float(block_norms(np.maximum(np.abs(cm) - cr, 0.0), layout, layout, ctx.nu).max())
+    layout = SpaceLayout(ns, ctx.K)
+    return float(block_norms(np.maximum(np.abs(cm) - cr, 0.0), layout, ctx.nu).max())
 
 
 def test_cos_sin_operator_matches_the_complex_one(run, stage_ctx, monkeypatch):
@@ -465,7 +465,7 @@ def test_jets_leave_the_operator_work_to_the_context(run, monkeypatch):
     cfg, res0, _, table = run
     sol = res0.context[0]
     lam, v = seeding.bundle_guess(cfg, sol, KIND, K0, XI0)
-    calls = {"carr_conv_batch": 0}
+    calls = {"carr_conv": 0}
 
     def counted(owner, name):
         # in its home module and in every module that imported it by name
@@ -486,10 +486,10 @@ def test_jets_leave_the_operator_work_to_the_context(run, monkeypatch):
     # floats at K = 24, the 13.1 N of kmags and the 3.7 N of their tail
     # profiles among them; one N x N complex block would be 2 N^2 floats
     assert _held_bytes(ctx, set()) <= 8 * 143 * N
-    counted(ivarray, "carr_conv_batch")
+    counted(ivarray, "carr_conv")
     again = stages.extend_with_jets(start, cfg)
     assert again.digest() == table.digest()
-    assert calls == {"carr_conv_batch": 0}
+    assert calls == {"carr_conv": 0}
     assert again.ctx_cache[1] is ctx
     assert _held_bytes(ctx, set()) <= 8 * 143 * N
 

@@ -47,7 +47,8 @@ def test_install_wraps_and_remove_restores():
                 assert getattr(owner, attr) is not before[(id(owner), attr)], attr
         cfg = model.primaries(model.MassTriple.of("1/2", "3/10", "1/5"))
         nu = 1.5
-        model.field_F_grid([FourierSeq.point([0.5], nu) for _ in range(9)], cfg)
+        model.field_F_grid([FourierSeq.point([0.5], nu) for _ in range(9)],
+                           model.IntervalArith(cfg))
         assert tracer.counts["model.field_F_grid_calls"] == 1
         assert not tracer.nesting_errors()
     finally:
