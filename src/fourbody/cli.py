@@ -41,7 +41,7 @@ def recheck(path: str) -> int:
     try:
         with open(path, encoding="utf-8") as fh:
             table = JetTable.from_json_obj(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError, ArithmeticError) as exc:
+    except (OSError, ValueError, LookupError, TypeError, ArithmeticError) as exc:
         print("fourbody recheck: cannot read %s: %s" % (path, exc), file=sys.stderr)
         return 2
     misses = 0

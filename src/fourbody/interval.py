@@ -199,11 +199,6 @@ class Interval:
         return min(max(m, self.lo), self.hi)
 
     @property
-    def rad(self) -> float:
-        m = self.mid
-        return max(add_up(self.hi, -m), add_up(m, -self.lo), 0.0)
-
-    @property
     def width(self) -> float:
         return add_up(self.hi, -self.lo)
 
@@ -236,12 +231,6 @@ class Interval:
             return NotImplemented
         return Interval(add_down(self.lo, -o.hi), add_up(self.hi, -o.lo))
 
-    def __rsub__(self, other):
-        o = _as_iv(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other):
         o = _as_iv(other)
         if o is NotImplemented:
@@ -266,12 +255,6 @@ class Interval:
             max(div_up(a, b) for a, b in pairs),
         )
 
-    def __rtruediv__(self, other):
-        o = _as_iv(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o / self
-
     def pow_int(self, n: int) -> "Interval":
         if n < 0:
             return Interval(1.0) / self.pow_int(-n)
@@ -294,9 +277,6 @@ class Interval:
         if self.lo < 0.0:
             raise IntervalDomainError("sqrt of interval reaching below zero")
         return Interval(sqrt_down(self.lo), sqrt_up(self.hi))
-
-    def __abs__(self) -> "Interval":
-        return Interval(self.mig(), self.mag())
 
     def intersect(self, other: "Interval") -> "Interval":
         lo = max(self.lo, other.lo)
@@ -361,19 +341,6 @@ class ComplexInterval:
     def point(z: complex) -> "ComplexInterval":
         return ComplexInterval(Interval(z.real), Interval(z.imag))
 
-    def contains(self, z) -> bool:
-        if isinstance(z, ComplexInterval):
-            return self.re.contains(z.re) and self.im.contains(z.im)
-        z = complex(z)
-        return self.re.contains(z.real) and self.im.contains(z.imag)
-
-    @property
-    def mid(self) -> complex:
-        return complex(self.re.mid, self.im.mid)
-
-    def conj(self) -> "ComplexInterval":
-        return ComplexInterval(self.re, -self.im)
-
     def __add__(self, other):
         o = _as_civ(other)
         if o is NotImplemented:
@@ -381,9 +348,6 @@ class ComplexInterval:
         return ComplexInterval(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return ComplexInterval(-self.re, -self.im)
 
     def __sub__(self, other):
         o = _as_civ(other)
@@ -408,33 +372,10 @@ class ComplexInterval:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = _as_civ(other)
-        if o is NotImplemented:
-            return NotImplemented
-        den = o.re.pow_int(2) + o.im.pow_int(2)
-        if den.straddles_zero():
-            raise IntervalDomainError("division by complex interval containing zero")
-        num = self * o.conj()
-        return ComplexInterval(num.re / den, num.im / den)
-
-    def __rtruediv__(self, other):
-        o = _as_civ(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o / self
-
     def mag(self) -> float:
         """Upper bound on sup |z|."""
         s = add_up(mul_up(self.re.mag(), self.re.mag()), mul_up(self.im.mag(), self.im.mag()))
         return sqrt_up(s)
-
-    def mig(self) -> float:
-        """Lower bound on inf |z|."""
-        r = self.re.mig()
-        i = self.im.mig()
-        s = add_down(mul_down(r, r), mul_down(i, i))
-        return sqrt_down(max(s, 0.0))
 
     def hex_quad(self):
         return self.re.hex_pair() + self.im.hex_pair()

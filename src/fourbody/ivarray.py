@@ -118,12 +118,6 @@ def ri_mul(alo, ahi, blo, bhi):
     return np.where(zz, 0.0, lo), np.where(zz, 0.0, hi)
 
 
-def ri_mig(alo, ahi):
-    """Entrywise lower bound on |x| over the interval (0 when it straddles 0)."""
-    m = np.minimum(np.abs(alo), np.abs(ahi))
-    return np.where((alo <= 0.0) & (0.0 <= ahi), 0.0, m)
-
-
 # -- complex interval arrays (rl, rh, il, ih) ---------------------------
 
 
@@ -176,9 +170,6 @@ class CArr:
 
     def __len__(self):
         return self.rl.shape[0]
-
-    def copy(self):
-        return CArr(self.rl.copy(), self.rh.copy(), self.il.copy(), self.ih.copy())
 
     def at(self, i: int) -> ComplexInterval:
         return ComplexInterval(
@@ -241,13 +232,6 @@ class CArr:
         out[(mr == 0.0) & (mi == 0.0)] = 0.0
         return out
 
-    def mig(self):
-        """Entrywise lower bound on |z|."""
-        mr = ri_mig(self.rl, self.rh)
-        mi = ri_mig(self.il, self.ih)
-        s = _dn(_dn(mr * mr) + _dn(mi * mi))
-        return np.maximum(_dn(np.sqrt(np.maximum(s, 0.0))), 0.0)
-
     def mid(self):
         return 0.5 * (self.rl + self.rh) + 1j * 0.5 * (self.il + self.ih)
 
@@ -260,15 +244,6 @@ class CArr:
         out = _up(np.sqrt(_up(_up(rr * rr) + _up(ri * ri))))
         out[(self.rl == self.rh) & (self.il == self.ih)] = 0.0
         return out
-
-    def contains(self, z) -> bool:
-        z = np.asarray(z, dtype=complex)
-        return bool(
-            (self.rl <= z.real).all()
-            and (z.real <= self.rh).all()
-            and (self.il <= z.imag).all()
-            and (z.imag <= self.ih).all()
-        )
 
     def pad(self, left: int, right: int) -> "CArr":
         z = np.zeros(left)

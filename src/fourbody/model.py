@@ -6,10 +6,12 @@ center of mass; a fourth massless particle moves in their field.  In the
 co-rotating frame the primaries are fixed and the dynamics has a conserved
 Jacobi integral.
 
-This module supplies the geometry (closed-form primary positions), a
-degree-5 polynomial field on the 9D phase space that appends the three
-reciprocal distances as new variables, the Jacobi integral in those
-coordinates, and the coefficient-space versions of that field.
+This module supplies the geometry (closed-form primary positions), the
+Jacobi integral on the 9D phase space that appends the three reciprocal
+distances as new variables, and the degree-5 polynomial field on that
+space, for coefficient grids only.  A point is a grid of one mode: seeding
+takes the field at its phase anchor from the float lane
+(`numerics.field_grid`).
 
 The embedded field is written once, in `embedded_field`, and its order-zero
 derivative once, in `field_derivative`.  Both run over a pluggable
@@ -52,7 +54,6 @@ __all__ = [
     "interval_from_rational",
     "mass_combination",
     "primaries",
-    "field_F",
     "jacobi_embedded",
     "IntervalArith",
     "embedded_field",
@@ -192,7 +193,7 @@ def primaries(m: MassTriple) -> PrimaryConfig:
 
 
 # ---------------------------------------------------------------------------
-# point fields
+# the Jacobi integral at a point
 
 
 def _iv_vec(u, n: int):
@@ -205,33 +206,6 @@ def _iv_vec(u, n: int):
             raise TypeError("expected real scalars or intervals")
         out.append(v)
     return out
-
-
-def field_F(u, cfg: PrimaryConfig):
-    """Degree-five polynomial field on the 9D embedded phase space."""
-    u = _iv_vec(u, 9)
-    s2 = s4 = s6 = ZERO
-    tail = []
-    for j in range(3):
-        px, py, pz = cfg.position(j)
-        dx, dy, dz = u[0] - px, u[2] - py, u[4] - pz
-        w3 = u[6 + j].pow_int(3)
-        mj = cfg.masses[j]
-        s2 = s2 + mj * dx * w3
-        s4 = s4 + mj * dy * w3
-        s6 = s6 + mj * dz * w3
-        tail.append(-(dx * u[1] + dy * u[3] + dz * u[5]) * w3)
-    return (
-        u[1],
-        u[3] * 2.0 + u[0] - s2,
-        u[3],
-        u[1] * (-2.0) + u[2] - s4,
-        u[5],
-        -s6,
-        tail[0],
-        tail[1],
-        tail[2],
-    )
 
 
 def jacobi_embedded(u, cfg: PrimaryConfig) -> Interval:
@@ -262,13 +236,9 @@ def _nine(a, what: str):
     return tuple(a)
 
 
-def _const_seq(c, nu: float) -> FourierSeq:
-    """The constant sequence c (an Interval, a ComplexInterval or a complex)."""
-    if isinstance(c, Interval):
-        c = ComplexInterval(c, ZERO)
-    elif not isinstance(c, ComplexInterval):
-        c = ComplexInterval.point(complex(c))
-    return FourierSeq(CArr.from_civ_list([c]), nu)
+def _const_seq(c: Interval, nu: float) -> FourierSeq:
+    """The constant sequence c, a real interval."""
+    return FourierSeq(CArr.from_civ_list([ComplexInterval(c, ZERO)]), nu)
 
 
 # An arithmetic is an object with the operations the embedded field is built
@@ -348,7 +318,7 @@ class IntervalArith:
     layer = truncate
 
 
-def _minus_const(g: FourierSeq, p) -> FourierSeq:
+def _minus_const(g: FourierSeq, p: Interval) -> FourierSeq:
     return g.sub(_const_seq(p, g.nu))
 
 
@@ -523,7 +493,8 @@ class PhaseAnchor:
     """Reference point and transversal direction for the orbit phase.
 
     u0 is a point near the orbit at angle zero; u1 is the embedded field
-    there, frozen to exact floats so reruns see identical constants.
+    there, frozen to exact floats so reruns see identical constants
+    (`seeding.phase_anchor` makes it).
     """
 
     u0: tuple
@@ -534,11 +505,6 @@ class PhaseAnchor:
             raise ValueError("anchor points must be 9-vectors")
         object.__setattr__(self, "u0", tuple(float(t) for t in self.u0))
         object.__setattr__(self, "u1", tuple(float(t) for t in self.u1))
-
-    @classmethod
-    def from_u0(cls, u0, cfg: PrimaryConfig) -> "PhaseAnchor":
-        F = field_F(u0, cfg)
-        return cls(tuple(float(t) for t in u0), tuple(v.mid for v in F))
 
 
 def _mode_sum(s: FourierSeq) -> ComplexInterval:

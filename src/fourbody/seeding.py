@@ -2,12 +2,13 @@
 
 Everything here is plain floating point: planar equilibria of the rotating
 frame, the vertical linear frequency, small-amplitude vertical orbit guesses,
-a continuation of that family in its Jacobi level (one square Newton system
-with H - H_target as a row), and Floquet data from the Hill matrix: the
-window block of the operator that the bundle stage inverts, cropped to a few
-modes, whose eigenpair in the strip |Im lambda| < omega / 2 seeds (lambda,
-a_1).  The certified stages consume these guesses; nothing in this module
-is trusted by the validators.
+the phase anchor of an orbit (the embedded field at its angle-zero point, in
+the float lane `numerics.field_grid`), a continuation of that family in its
+Jacobi level (one square Newton system with H - H_target as a row), and
+Floquet data from the Hill matrix: the window block of the operator that
+the bundle stage inverts, cropped to a few modes, whose eigenpair in the
+strip |Im lambda| < omega / 2 seeds (lambda, a_1).  The certified stages
+consume these guesses; nothing in this module is trusted by the validators.
 
 The continuation walks the level at a coarse truncation, at most _K_WALK
 modes, whatever K the stages use.  Its orbit is then zero-padded to K and
@@ -32,6 +33,7 @@ __all__ = [
     "vertical_frequency",
     "embed_point",
     "jacobi_mid",
+    "phase_anchor",
     "orbit_guess_vector",
     "orbit_to_jacobi",
     "bundle_guess",
@@ -121,6 +123,15 @@ def jacobi_mid(cfg, u9) -> float:
     return float(model.jacobi_embedded([complex(t).real for t in u9], cfg).mid)
 
 
+def phase_anchor(cfg, u0) -> model.PhaseAnchor:
+    """The anchor at the real 9-vector u0: u1 is the embedded field there,
+    `numerics.field_grid` on grids of one mode."""
+    ms, pos = numerics.cfg_floats(cfg)
+    F = numerics.field_grid([{(0, 0): np.array([t], dtype=complex)} for t in u0],
+                            ms, pos, 0)
+    return model.PhaseAnchor(tuple(u0), tuple(f[(0, 0)][0].real for f in F))
+
+
 # ---------------------------------------------------------------------------
 # orbit guesses
 
@@ -201,7 +212,7 @@ def _walk_level(cfg, eq_xy, H_target: float, K: int):
         raise SeedFailure("level %r is on the far side of the walk's start %r"
                           % (H_target, H))
     while True:
-        anchor = model.PhaseAnchor.from_u0(z[5:].reshape(9, n).sum(axis=1).real, cfg)
+        anchor = phase_anchor(cfg, z[5:].reshape(9, n).sum(axis=1).real)
         try:
             z = stages.newton_stage(_level_problem(cfg, K, level, anchor), z)
         except numerics.NewtonDivergence:
@@ -234,7 +245,7 @@ def orbit_to_jacobi(cfg, eq_xy, H_target: float, K: int, nu: float):
         pad = K - Kw
         A = np.pad(z[5:].reshape(9, 2 * Kw - 1), ((0, 0), (pad, pad)))
         z = np.concatenate([z[:5], A.ravel()])
-        anchor = model.PhaseAnchor.from_u0(A.sum(axis=1).real, cfg)
+        anchor = phase_anchor(cfg, A.sum(axis=1).real)
         try:
             z = stages.newton_stage(_level_problem(cfg, K, H_target, anchor), z)
         except numerics.NewtonDivergence as exc:

@@ -26,10 +26,8 @@ from .interval import (
 from .ivarray import (
     CArr,
     carr_conv,
-    down_sum,
     up_sum,
     zero_masked_up,
-    _dn,
 )
 
 
@@ -158,16 +156,8 @@ class FourierSeq:
 
     # -- norms ---------------------------------------------------------------
 
-    def norm(self) -> Interval:
-        """Enclosure of sum_k |a_k| nu^|k|."""
-        hi = self.norm_upper()
-        w_dn, _ = nu_weights(self.nu, self.K)
-        e = np.abs(self.k_values())
-        lo = down_sum(np.maximum(_dn(self.c.mig() * w_dn[e]), 0.0))
-        return Interval(min(lo, hi), hi)
-
     def norm_upper(self) -> float:
-        """Upper bound of sum_k |a_k| nu^|k|, the upper end of `norm`."""
+        """Upper bound of the norm sum_k |a_k| nu^|k|."""
         _, w_up = nu_weights(self.nu, self.K)
         mags = self.c.mag()
         hi = up_sum(zero_masked_up(mags * w_up[np.abs(self.k_values())], mags))
@@ -192,6 +182,8 @@ class FourierSeq:
         K = int(obj["support"])
         out = cls.zeros(K, float.fromhex(obj["nu"]))
         for k, rlo, rhi, ilo, ihi in obj["entries"]:
+            if not abs(int(k)) < K:
+                raise ValueError("mode %d outside the support %d" % (int(k), K))
             i = int(k) + K - 1
             out.c.rl[i] = float.fromhex(rlo)
             out.c.rh[i] = float.fromhex(rhi)
@@ -200,7 +192,7 @@ class FourierSeq:
         return cls(CArr(out.c.rl, out.c.rh, out.c.il, out.c.ih), out.nu)
 
     def __repr__(self):
-        return "FourierSeq(K=%d, nu=%g, |a|<=%g)" % (self.K, self.nu, self.norm().hi)
+        return "FourierSeq(K=%d, nu=%g, |a|<=%g)" % (self.K, self.nu, self.norm_upper())
 
 
 def conv(a: FourierSeq, b: FourierSeq) -> FourierSeq:

@@ -1110,7 +1110,9 @@ _ADD_ROUND = 2.0 ** -52
 
 class _NormRad:
     """Grids (m, n) -> (N, r) for `model.embedded_field`, the bounds of the
-    `numerics.FloatArith` evaluation on the same lower orders.
+    `numerics.FloatArith` evaluation on the same lower orders.  It has no
+    `mul`: its products are made by `_Incremental`, through
+    `product_layers`.
 
     N bounds the nu-norm of the float value of the layer, and r its
     distance from the exact value of the layer at any inputs within the
@@ -1146,10 +1148,6 @@ class _NormRad:
         self.eta = _next(_next(_ETA * n) * _next(n * float(w_up[n // 2])))
 
     truncate = staticmethod(numerics.ft_truncate)
-
-    def mul(self, b, c, cap):
-        return self.product_layers(
-            b, c, numerics._cauchy_plan(b, c, numerics._product_keys(b, c, cap)))
 
     @staticmethod
     def entry(seq, radius):

@@ -35,7 +35,7 @@ from scipy.integrate import solve_ivp
 from fourbody import model, numerics
 from fourbody.interval import ZERO, ComplexInterval, Interval, add_down, add_up
 from fourbody.ivarray import (
-    CArr, down_sum, ri_add, up_sum, _ETA, _U, _dn, _gemm_gamma, _up, _up_factor,
+    CArr, ri_add, up_sum, _ETA, _U, _dn, _gemm_gamma, _up, _up_factor,
 )
 from fourbody.model import _const_seq, _iv_vec, _mode_sum, embedded_field, eta_terms
 from fourbody.seqspace import FourierSeq, WeightMismatch, conv, project
@@ -307,13 +307,8 @@ class FourierTaylorSeq:
         return FourierTaylorSeq(
             {k: s for k, s in self.entries.items() if k[0] + k[1] <= cap}, self.nu)
 
-    def norm(self) -> Interval:
-        if not self.entries:
-            return Interval.point(0.0)
-        norms = [seq.norm() for seq in self.entries.values()]
-        hi = up_sum(np.array([nm.hi for nm in norms]))
-        lo = max(down_sum(np.array([nm.lo for nm in norms])), 0.0)
-        return Interval(min(lo, hi), hi)
+    def norm_upper(self) -> float:
+        return up_sum(np.array([seq.norm_upper() for seq in self.entries.values()]))
 
 
 def ft_conv(b: FourierTaylorSeq, c: FourierTaylorSeq, cap: int | None = None) -> FourierTaylorSeq:

@@ -52,8 +52,6 @@ def test_division_by_zero_containing_interval_is_an_error():
         Interval(1.0) / Interval(-1.0, 1.0)
     with pytest.raises(IntervalDomainError):
         Interval(1.0) / Interval(0.0, 0.0)
-    with pytest.raises(IntervalDomainError):
-        ComplexInterval(1.0) / ComplexInterval(Interval(-1e-30, 1e-30), Interval(0.0))
 
 
 def test_sqrt_domain_error():
@@ -174,28 +172,10 @@ def test_complex_mul_contains_exact(ar, ai, br, bi):
                     assert Fraction(r.im.lo) <= zi <= Fraction(r.im.hi)
 
 
-@given(ivs(small), ivs(small), ivs(small), ivs(small))
-@settings(max_examples=100, deadline=None)
-def test_complex_division_roundtrip(ar, ai, br, bi):
-    a = ComplexInterval(ar, ai)
-    b = ComplexInterval(br, bi)
-    try:
-        r = (a / b) * b
-    except IntervalDomainError:
-        return
-    # a/b * b must contain a's midpoint
-    assert r.contains(complex(a.re.mid, a.im.mid)) or True  # containment of set product is weaker
-    # the quotient contains the exact midpoint quotient
-    z = complex(a.re.mid, a.im.mid) / complex(b.re.mid, b.im.mid)
-    assert (a / b).contains(z)
-
-
-def test_complex_mag_mig():
+def test_complex_mag():
     z = ComplexInterval(Interval(3.0), Interval(4.0))
     assert z.mag() >= 5.0
     assert z.mag() <= math.nextafter(5.0, 10.0)
-    assert z.mig() <= 5.0
-    assert z.mig() >= math.nextafter(5.0, 0.0)
 
 
 def test_hex_roundtrip():

@@ -16,13 +16,15 @@ from fourbody.model import (
     PhaseAnchor,
     PrimaryConfig,
     dF0,
-    field_F,
+    field_F_grid,
     interval_from_rational,
     jacobi_embedded,
     mass_combination,
     primaries,
     xi_phase,
 )
+from fourbody.numerics import cfg_floats, field_grid
+from fourbody.seeding import phase_anchor
 from fourbody.seqspace import FourierSeq
 
 from oracles import (
@@ -67,6 +69,10 @@ def rational_sqrt(q: Fraction, digits: int = 40) -> Fraction:
 
 def mids(vals):
     return [v.mid for v in vals]
+
+
+def cmid(c: ComplexInterval) -> complex:
+    return complex(c.re.mid, c.im.mid)
 
 
 def float_config(cfg: PrimaryConfig):
@@ -273,9 +279,9 @@ def test_embed_R_slots():
     for j in range(3):
         px, py, pz = cfg.position(j)
         r2 = (
-            (u[0] - px).pow_int(2)
-            + (u[2] - py).pow_int(2)
-            + (u[4] - pz).pow_int(2)
+            (Interval(u[0]) - px).pow_int(2)
+            + (Interval(u[2]) - py).pow_int(2)
+            + (Interval(u[4]) - pz).pow_int(2)
         )
         assert (r2.sqrt() * out[6 + j]).contains(1.0)
 
@@ -294,10 +300,20 @@ def test_embed_R_collision():
         embed_R([cfg.p2[0].mid, 0.0, cfg.p2[1].mid, 0.0, 0.0, 0.0], cfg)
 
 
+def field_at(u, cfg):
+    """The embedded field at the point u (nine reals or intervals):
+    `field_F_grid` on sequences of one mode, read at that mode."""
+    seqs = [seq_from_entries({0: ComplexInterval(t, ZERO)}, 1.2) for t in u]
+    out = field_F_grid(seqs, IntervalArith(cfg))
+    for f in out:
+        assert f.K == 1 and f.at(0).im.contains(0.0)
+    return [f.at(0).re for f in out]
+
+
 def test_field_F_vanishing_nonlinearities():
     cfg = primaries(UNEQUAL)
     u = [0.3, -0.2, 0.7, 0.4, 0.1, -0.5, 0.0, 0.0, 0.0]
-    out = field_F(u, cfg)
+    out = field_at(u, cfg)
     assert abs(out[1].mid - (2 * u[3] + u[0])) < 1e-15
     assert abs(out[3].mid - (-2 * u[1] + u[2])) < 1e-15
     for i in (5, 6, 7, 8):
@@ -310,7 +326,7 @@ def test_field_F_monomial_oracle():
         prim, masses = float_config(cfg)
         for _ in range(25):
             u = list(rng.uniform(-1.0, 1.0, size=9))
-            out = mids(field_F(u, cfg))
+            out = mids(field_at(u, cfg))
             ref = oracle_field_F(u, prim, masses)
             assert max(abs(a - b) for a, b in zip(out, ref)) < 1e-12
 
@@ -337,7 +353,7 @@ def test_field_F_conjugacy():
             u = [Interval.point(t) for t in rand_state6(rng, prim)]
             f = field_f(u, cfg)
             lhs = dr_apply_iv(u, f, cfg)
-            rhs = field_F(embed_R(u, cfg), cfg)
+            rhs = field_at(embed_R(u, cfg), cfg)
             for a, b in zip(lhs, rhs):
                 diff = a - b
                 assert diff.contains(0.0)
@@ -482,7 +498,7 @@ def test_field_F_seq_at_equilibrium():
     out = field_F_seq(grid, (0, 0), cfg)
     for s in out:
         v = s.at(0)
-        assert v.contains(0.0)
+        assert v.re.contains(0.0) and v.im.contains(0.0)
         assert v.mag() < 1e-8
 
 
@@ -495,15 +511,9 @@ def test_field_F_seq_sampling_oracle():
     grid = const_grid(a0, nu)
     out = field_F_seq(grid, (0, 0), cfg)
     for theta in np.linspace(0.0, 2 * math.pi, 64, endpoint=False):
-        uval = [
-            sum(s.at(k).mid * np.exp(1j * k * theta) for k in s.k_values())
-            for s in a0
-        ]
+        uval = [np.sum(s.c.mid() * np.exp(1j * s.k_values() * theta)) for s in a0]
         ref = oracle_field_F(uval, prim, masses)
-        got = [
-            sum(s.at(k).mid * np.exp(1j * k * theta) for k in s.k_values())
-            for s in out
-        ]
+        got = [np.sum(s.c.mid() * np.exp(1j * s.k_values() * theta)) for s in out]
         assert max(abs(a - b) for a, b in zip(got, ref)) < 1e-10
 
 
@@ -548,8 +558,8 @@ def test_dF0_finite_difference():
     got = dF0_apply(a0, h, cfg)
     for i in range(9):
         for k in range(-6, 7):
-            fd = (Fu[i].at(k).mid - Fd[i].at(k).mid) / (2 * eps)
-            assert abs(fd - got[i].at(k).mid) < 1e-6
+            fd = (cmid(Fu[i].at(k)) - cmid(Fd[i].at(k))) / (2 * eps)
+            assert abs(fd - cmid(got[i].at(k))) < 1e-6
 
 
 def test_dF0_zero_and_linearity():
@@ -559,7 +569,7 @@ def test_dF0_zero_and_linearity():
     a0 = rand_seq9(rng, nu, K=2, scale=0.3)
     zero = [FourierSeq.zeros(2, nu) for _ in range(9)]
     out = dF0_apply(a0, zero, cfg)
-    assert all(s.norm().hi == 0.0 for s in out)
+    assert all(s.norm_upper() == 0.0 for s in out)
     h = rand_seq9(rng, nu, K=2, scale=0.5)
     twice = dF0_apply(a0, [s.scale(2.0) for s in h], cfg)
     base = dF0_apply(a0, h, cfg)
@@ -570,7 +580,7 @@ def test_dF0_zero_and_linearity():
             # both enclose the same value, so the boxes must meet
             got.re.intersect(want.re)
             got.im.intersect(want.im)
-            assert abs(got.mid - want.mid) < 1e-13
+            assert abs(cmid(got) - cmid(want)) < 1e-13
 
 
 def endpoint_chain(D, h, nu):
@@ -675,8 +685,8 @@ def test_remainder_splitting_identity():
             total = lin[i].add(rem[i])
             for k in range(-4, 5):
                 diff = lhs[i].at(k) - total.at(k)
-                assert diff.contains(0j)
-                assert abs(diff.mid) < 1e-12
+                assert diff.re.contains(0.0) and diff.im.contains(0.0)
+                assert abs(cmid(diff)) < 1e-12
 
 
 def test_remainder_zero_for_order0_data():
@@ -685,7 +695,7 @@ def test_remainder_zero_for_order0_data():
     nu = 1.2
     grid = const_grid(rand_seq9(rng, nu), nu)
     out = remainder_Ralpha(grid, (2, 0), cfg)
-    assert all(s.norm().hi == 0.0 for s in out)
+    assert all(s.norm_upper() == 0.0 for s in out)
 
 
 def test_remainder_independent_of_alpha_layer():
@@ -717,12 +727,13 @@ def test_unfold_orbit_values():
     nu = 1.3
     a0 = rand_seq9(rng, nu, K=3, scale=0.4)
     out = unfold_orbit_G([0.0, 0.0, 0.0, 0.0], a0)
-    assert all(s.norm().hi == 0.0 for s in out)
+    assert all(s.norm_upper() == 0.0 for s in out)
     out = unfold_orbit_G([1.0, 0.0, 0.0, 0.0], a0)
     for k in a0[1].k_values():
-        assert out[1].at(k).contains(a0[1].at(k).mid)
-        assert out[1].at(k).re.width < 1e-15
-    assert all(out[i].norm().hi == 0.0 for i in (0, 2, 3, 4, 5, 6, 7, 8))
+        got, want = out[1].at(k), a0[1].at(k)
+        assert got.re.contains(want.re.mid) and got.im.contains(want.im.mid)
+        assert got.re.width < 1e-15
+    assert all(out[i].norm_upper() == 0.0 for i in (0, 2, 3, 4, 5, 6, 7, 8))
 
 
 def test_unfold_orbit_cube_against_rational_oracle():
@@ -751,10 +762,10 @@ def test_eta_phase_consistent_anchor():
     u6 = [0.8, 0.1, 0.3, -0.2, 0.15, 0.4]
     U = embed_R(u6, cfg)
     a0 = [seq_from_entries({0: ComplexInterval(v, ZERO)}, nu) for v in U]
-    anchor = PhaseAnchor.from_u0([v.mid for v in U], cfg)
+    anchor = phase_anchor(cfg, [v.mid for v in U])
     out = eta_phase(a0, anchor, cfg)
     for j in (1, 2, 3):
-        assert out[j].contains(0j)
+        assert out[j].re.contains(0.0) and out[j].im.contains(0.0)
         assert out[j].mag() < 1e-13
 
 
@@ -762,10 +773,10 @@ def test_eta_phase_poincare_zero():
     cfg = primaries(EQUAL)
     nu = 1.2
     u0 = [0.8, 0.1, 0.3, -0.2, 0.15, 0.4, 0.7, 0.9, 1.1]
-    anchor = PhaseAnchor.from_u0(u0, cfg)
+    anchor = phase_anchor(cfg, u0)
     a0 = [FourierSeq.point([v], nu) for v in u0]
     out = eta_phase(a0, anchor, cfg)
-    assert out[0].contains(0j)
+    assert out[0].re.contains(0.0) and out[0].im.contains(0.0)
     assert out[0].mag() < 1e-13
 
 
@@ -774,7 +785,7 @@ def test_eta_phase_perturbation_derivative():
     nu = 1.2
     u6 = [0.8, 0.1, 0.3, -0.2, 0.15, 0.4]
     U = [v.mid for v in embed_R(u6, cfg)]
-    anchor = PhaseAnchor.from_u0(U, cfg)
+    anchor = phase_anchor(cfg, U)
     a0 = [FourierSeq.point([v], nu) for v in U]
     base = eta_phase(a0, anchor, cfg)
     delta = 1e-5
@@ -783,7 +794,7 @@ def test_eta_phase_perturbation_derivative():
     out = eta_phase(bumped, anchor, cfg)
     d2 = sum((u6[2 * i] - cfg.position(0)[i].mid) ** 2 for i in range(3))
     expect = d2 * (2 * U[6] * delta + delta * delta)
-    assert abs((out[1].mid - base[1].mid).real - expect) < 1e-12
+    assert abs(out[1].re.mid - base[1].re.mid - expect) < 1e-12
 
 
 def test_xi_phase_values():
@@ -797,7 +808,7 @@ def test_xi_phase_values():
     v2 = xi_phase([s.scale(2.0) for s in a], 3, 0.0)
     v2.re.intersect(v1.re * 4.0)
     v2.im.intersect(v1.im * 4.0)
-    assert abs(v2.mid - 4 * v1.mid) < 1e-12
+    assert abs(cmid(v2) - 4 * cmid(v1)) < 1e-12
     # modes at |k| >= k0 are invisible
     far = [seq_from_entries({3: 1.0 + 0.5j}, nu, K=4) for _ in range(9)]
     out = xi_phase(far, 3, 2.5e-3)
@@ -819,8 +830,14 @@ def test_xi_phase_counts_window():
 def test_phase_anchor_validation():
     cfg = primaries(EQUAL)
     u0 = [0.8, 0.1, 0.3, -0.2, 0.15, 0.4, 0.7, 0.9, 1.1]
-    anchor = PhaseAnchor.from_u0(u0, cfg)
-    ref = mids(field_F(u0, cfg))
-    assert max(abs(a - b) for a, b in zip(anchor.u1, ref)) == 0.0
+    anchor = phase_anchor(cfg, u0)
+    assert anchor.u0 == tuple(u0)
+    # u1 is the float lane of the field at u0, bit for bit
+    ms, pos = cfg_floats(cfg)
+    F = field_grid([{(0, 0): np.array([t], dtype=complex)} for t in u0], ms, pos, 0)
+    assert [t.hex() for t in anchor.u1] == [f[(0, 0)][0].real.hex() for f in F]
+    prim, masses = float_config(cfg)
+    ref = oracle_field_F(u0, prim, masses)
+    assert max(abs(a - b) for a, b in zip(anchor.u1, ref)) < 1e-12
     with pytest.raises(ValueError):
         PhaseAnchor(u0=(0.0,) * 6, u1=(0.0,) * 9)

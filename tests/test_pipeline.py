@@ -68,7 +68,7 @@ def test_every_certificate_rechecks(run):
 def test_unfolding_enclosure_contains_zero(run):
     _, res0, _, _ = run
     for enc in res0.y_enclosure:
-        assert enc.contains(0j)
+        assert enc.re.contains(0.0) and enc.im.contains(0.0)
 
 
 def test_unfolding_scalars_are_far_inside_the_radius(run):
@@ -869,3 +869,23 @@ def test_recheck_command(run, tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[1] for line in lines if line.startswith("note ")] == sorted(
         s for s in table.certs if s != "order0")
+
+
+@pytest.mark.parametrize("edit", ["mode -44", "mode 24", "short lambda_bar"])
+def test_recheck_rejects_a_malformed_table(run, tmp_path, capsys, edit):
+    # a mode outside the support of its row, or a lambda_bar of one number,
+    # cannot be read as a table: exit 2, no traceback and no stage lines
+    _, _, _, table = run
+    obj = table.to_json_obj()
+    entry = obj["orders"]["0,0"][0]["entries"][K - 1]
+    if edit == "mode -44":
+        entry[0] = -44
+    elif edit == "mode 24":
+        entry[0] = K
+    else:
+        obj["lambda_bar"] = obj["lambda_bar"][:1]
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["recheck", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("fourbody recheck: cannot read")
