@@ -5,12 +5,13 @@
 reads a jet table saved as the JSON of `JetTable.to_json_obj`, re-verifies
 the radii polynomial of every certificate (`Certificate.recheck`) and
 checks that the digest the table chains for each stage is the digest of
-that stage's certificate.  It prints one line per stage.  Every radius of
-the table must also name a certificate (order0 for (0,0), order1 for (1,0)
-and (0,1), jet:m,n:kind for (m,n) and its mirror (n,m)) and be at least
-that certificate's r0 times gamma_scale^|alpha|; a radius that is not gets
-a FAIL line of its own.  The table does not record which jets were
-certified before a rescale, so this is a necessary condition only.
+that stage's certificate.  It prints one line per stage.  Each radius
+and certificate must have the other (order0 with (0,0), order1 with (1,0)
+and (0,1), jet:m,n:kind with (m,n) and its mirror (n,m)), and a radius must
+be at least its certificate's r0 times gamma_scale^|alpha|; a radius that
+is missing, uncertified or too small gets a FAIL line of its own.  The
+table does not record which jets were certified before a rescale, so this
+is a necessary condition only.
 
 The centers of order 1 and of each jet (m,n) must have the certificate's
 `stages.inputs_digest`, and the mirror (n,m) must be their conjugate
@@ -73,7 +74,7 @@ def _center_checks(table, stage: str, cert) -> list:
     if stage == "order0":
         return []
     try:
-        m, n = (1, 0) if stage == "order1" else map(int, stage[4:].split(":")[0].split(","))
+        m, n = _stage_alpha(stage)
     except ValueError:
         return [("centers", False)]
     centers = table.orders.get((m, n), ())
@@ -88,6 +89,15 @@ def _center_checks(table, stage: str, cert) -> list:
     return [("centers", ok), ("mirror", mirror)]
 
 
+def _stage_alpha(stage: str) -> tuple:
+    """The (m, n) a stage certifies: (0,0) for order0, (1,0) for order1 and
+    (m,n) for jet:m,n:kind; ValueError for a name that gives none."""
+    if stage in ("order0", "order1"):
+        return (int(stage[-1]), 0)
+    m, n = map(int, stage[4:].split(":")[0].split(","))
+    return (m, n)
+
+
 def _same_seqs(a, b) -> bool:
     """Equal interval sequences, as numbers: the reflection of a mode 0 with
     imaginary part 0.0 has -0.0, which a rescale of the mirror makes 0.0."""
@@ -98,9 +108,17 @@ def _same_seqs(a, b) -> bool:
 
 
 def _radius_misses(table) -> list:
-    """A FAIL line for each radius that names no certificate or lies below
-    that certificate's r0 * gamma_scale^|alpha|, rounded down."""
+    """A FAIL line for each radius that a certificate lacks, and for each
+    that names no certificate or lies below that certificate's
+    r0 * gamma_scale^|alpha|, rounded down."""
     lines = []
+    for stage in sorted(table.certs):
+        try:
+            m, n = _stage_alpha(stage)
+        except ValueError:
+            continue  # the stage's own line fails it
+        lines += ["FAIL radius %d,%d  missing for %s" % (*alpha, stage)
+                  for alpha in sorted({(m, n), (n, m)}) if alpha not in table.radii]
     for alpha, r in sorted(table.radii.items()):
         m, n = max(alpha), min(alpha)
         p = m + n

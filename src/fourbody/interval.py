@@ -198,10 +198,6 @@ class Interval:
             m = 0.5 * self.lo + 0.5 * self.hi
         return min(max(m, self.lo), self.hi)
 
-    @property
-    def width(self) -> float:
-        return add_up(self.hi, -self.lo)
-
     def mag(self) -> float:
         """sup |x| over the interval."""
         return max(abs(self.lo), abs(self.hi))

@@ -444,14 +444,13 @@ def cmm(am, ar, bm, br):
         absb *= 1.0 + 4.0 * _U
     cr = absa @ absb
     cr *= g
-    if ar is not None or br is not None:
-        if ar is None:
-            ar = np.zeros(am.shape)
-        if br is None:
-            br = np.zeros(bm.shape)
+    # only the radius lanes that are given: a missing one is zero
+    if br is not None:
         cr += absa @ br
+    if ar is not None:
         cr += ar @ absb
-        cr += ar @ br
+        if br is not None:
+            cr += ar @ br
     del absa, absb
     cr *= _up_factor(n)
     cr += _ETA * n

@@ -85,11 +85,10 @@ only for the jets it solves.  Nothing of it is kept on the table;
 `jet_problem` and `validate_jet`, which take one jet of a table, evaluate
 its level afresh.
 
-A jet reads its table only through a `_JetLayer`: its layer of the
-remainder field, the budget rho, and a few scalars (lambda_bar, the radii
-of orders 0 and 1, the kind, the order-1 digest).  One task body,
-`_jet_task`, solves and certifies a jet from its layer, the order-0 context
-and the operator part of its certificate.  The context holds what the
+A jet takes its right-hand side and rho from its level's fields
+(`_jet_rhs`), and lambda_bar, the kind, the radii of orders 0 and 1 and the
+order-1 digest from its table; `_certify_jet` assembles and certifies it,
+in the level loop and in `validate_jet` alike.  The context holds what the
 operators of all stages share: the kernel part of the window defect and the
 kernels' tail tables (`kmags`, `kprofiles`, `knorms`, `const`).  It is not
 changed once built and holds no N x N array: a stage builds its float
@@ -572,21 +571,22 @@ def jet_problem(alpha, jet: "JetTable", cfg):
     """Homological stage for a single alpha with |alpha| >= 2 (linear).
 
     The jets of a table are not solved with it: each takes one step with the
-    inverse of its certificate (`_jet_task`), and this residual measures the
-    step."""
+    inverse of its certificate (`_level_parallel`), and this residual
+    measures the step."""
+    alpha = _solved_jet(alpha)
     ctx = _context_for(jet, cfg)
-    layer = _fresh_layer(jet, cfg, alpha)
-    base = ctx.window_block(layer.shift)
-    Rwin = _layer_rhs(layer, ctx.K)
+    rhs, _ = _jet_rhs(_level_fields(jet, cfg, sum(alpha)), alpha)
+    base = ctx.window_block(_jet_shift(alpha, jet.lambda_bar))
+    Rwin = _rhs_window(rhs, ctx.K)
     return (lambda z: base @ z + Rwin), (lambda z: base)
 
 
-def _layer_rhs(layer: "_JetLayer", K: int) -> np.ndarray:
-    """The window of the jet's right-hand side, packed: the float lane of its
+def _rhs_window(rhs, K: int) -> np.ndarray:
+    """The window of a jet's right-hand side, packed: the float lane of its
     remainder, which the certificate of the jet reads too."""
     return np.array([np.zeros(2 * K - 1, dtype=complex) if f is None
                      else numerics.crop(f, K)
-                     for f in layer.rhs]).ravel()
+                     for f in rhs]).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -1064,14 +1064,16 @@ def _assemble_bundle(sol: "BundleSolution", ctx: _StageContext, r0: float):
                             pre_Y=float(_up(dd * max(a1n))), pre_Z1=dd)
 
 
-def _assemble_jet(layer: "_JetLayer", centers, ctx: _StageContext) -> _Assembled:
-    """The jet's own part of its certificate; the operator part is made
-    from the context and the jet's shift (`_StageContext.jet_operator_data`)."""
+def _certify_jet(jet: "JetTable", ctx: _StageContext, alpha, rhs, rho: float,
+                 centers, op: _Operator) -> "JetResult":
+    """Assemble and certify jet alpha at centers; rhs and rho are its
+    `_jet_rhs`, and op the operator part of its certificate, made from the
+    context and the jet's shift (`_StageContext.jet_operator_data`)."""
     nu, omega = ctx.nu, ctx.omega
-    m_, n_ = layer.alpha
+    m_, n_ = alpha
     p = m_ + n_
-    lam = layer.lambda_bar
-    s = layer.shift
+    lam = jet.lambda_bar
+    s = _jet_shift(alpha, lam)
 
     for row in centers:
         if not row.is_point():
@@ -1079,7 +1081,7 @@ def _assemble_jet(layer: "_JetLayer", centers, ctx: _StageContext) -> _Assembled
     aset = list(centers)
     Dapp = ctx.df0.apply(aset)
     Rpts = [FourierSeq.zeros(1, nu) if f is None else FourierSeq.point(f, nu)
-            for f in layer.rhs]
+            for f in rhs]
     lam_shift = ComplexInterval.point(-s)
     resid_seqs = []
     for i in range(9):
@@ -1091,12 +1093,14 @@ def _assemble_jet(layer: "_JetLayer", centers, ctx: _StageContext) -> _Assembled
     lre = Interval.point(lam.real) * float(p)
     lim = Interval.point(lam.imag) * float(m_ - n_)
     ds = ComplexInterval(lre - s.real, lim - s.imag).mag()
-    dd = ctx.field_dd(layer.r_orbit)
-    shift_err = float(_up(dd + _up(p * layer.r_bundle + ds)))
+    dd = ctx.field_dd(jet.radii[(0, 0)])
+    shift_err = float(_up(dd + _up(p * jet.radii[(1, 0)] + ds)))
     maxn = max(sq.norm_upper() for sq in aset)
-    return _Assembled("jet:%d,%d:%s" % (m_, n_, layer.kind), [], resid_seqs, [],
-                      pre_Y=float(_up(_up(shift_err * maxn) + layer.rho)),
-                      pre_Z1=shift_err)
+    asm = _Assembled("jet:%d,%d:%s" % (m_, n_, jet.kind), [], resid_seqs, [],
+                     pre_Y=float(_up(_up(shift_err * maxn) + rho)), pre_Z1=shift_err)
+    cert, report = _certify(op, asm, inputs_digest(alpha, jet.kind, jet.digests["order1"],
+                                                   centers))
+    return JetResult(alpha, tuple(centers), cert.r0, cert, report)
 
 
 # ---------------------------------------------------------------------------
@@ -1320,39 +1324,13 @@ def _solved_jet(alpha):
     return (m_, n_)
 
 
-class _JetLayer(NamedTuple):
-    """All that the solve and the certificate of one jet read, besides the
-    order-0 context: the remainder is already evaluated, so a jet's solve
-    reads this and not the table."""
-
-    alpha: tuple
-    rhs: list          # layer alpha of the float field: nine arrays or None
-    rho: float         # its distance from the exact layer (the `_NormRad` field)
-    lambda_bar: complex
-    r_orbit: float     # radius of order 0
-    r_bundle: float    # radius of order 1
-    kind: str
-    prev: str          # digest of the order-1 certificate
-
-    @property
-    def shift(self) -> complex:
-        return _jet_shift(self.alpha, self.lambda_bar)
-
-
-def _jet_layer(jet: "JetTable", fields, alpha) -> _JetLayer:
-    """The `_JetLayer` of jet alpha, read from its level's `_level_fields`."""
+def _jet_rhs(fields, alpha):
+    """(rhs, rho) of jet alpha from its level's `_level_fields`: layer alpha
+    of the float field, nine arrays or None, and a bound of its distance
+    from the exact layer (the `_NormRad` field)."""
     (_, floats), (_, norms) = fields
-    return _JetLayer(
-        alpha, [f.get(alpha) for f in floats],
-        max(r.get(alpha, (0.0, 0.0))[1] for r in norms), jet.lambda_bar,
-        jet.radii.get((0, 0), 0.0), jet.radii.get((1, 0), 0.0), jet.kind,
-        jet.digests.get("order1", ""))
-
-
-def _fresh_layer(jet: "JetTable", cfg, alpha) -> _JetLayer:
-    """The `_JetLayer` of one jet of the table, its level evaluated afresh."""
-    alpha = _solved_jet(alpha)
-    return _jet_layer(jet, _level_fields(jet, cfg, sum(alpha)), alpha)
+    return ([f.get(alpha) for f in floats],
+            max(r.get(alpha, (0.0, 0.0))[1] for r in norms))
 
 
 # ---------------------------------------------------------------------------
@@ -1498,18 +1476,11 @@ def validate_order1(solution: BundleSolution, jet: "JetTable", cfg) -> Order1Res
 
 def validate_jet(alpha, jet: "JetTable", cfg) -> JetResult:
     """Certify one homological jet whose center is staged in the table."""
-    layer = _fresh_layer(jet, cfg, alpha)
+    alpha = _solved_jet(alpha)
+    rhs, rho = _jet_rhs(_level_fields(jet, cfg, sum(alpha)), alpha)
     ctx = _context_for(jet, cfg)
-    return _validate_layer(ctx, layer, jet.orders[layer.alpha],
-                           _operator(ctx, ctx.jet_operator_data(layer.shift)))
-
-
-def _validate_layer(ctx: _StageContext, layer: _JetLayer, centers,
-                    op: _Operator) -> JetResult:
-    asm = _assemble_jet(layer, centers, ctx)
-    cert, report = _certify(op, asm, inputs_digest(layer.alpha, layer.kind, layer.prev,
-                                                   centers))
-    return JetResult(layer.alpha, tuple(centers), cert.r0, cert, report)
+    op = _operator(ctx, ctx.jet_operator_data(_jet_shift(alpha, jet.lambda_bar)))
+    return _certify_jet(jet, ctx, alpha, rhs, rho, jet.orders[alpha], op)
 
 
 # ---------------------------------------------------------------------------
@@ -1687,39 +1658,29 @@ def _level_alphas(p: int):
     return [(m, p - m) for m in range(p, (p - 1) // 2, -1)]
 
 
-def _jet_task(ctx: _StageContext, layer: _JetLayer, op: _Operator) -> JetResult:
-    """Solve and certify one jet with `op`, the operator part of its
-    certificate.
-
-    The jet's map is affine, so its center is one step from zero with the
-    certificate's inverse, z = -Jhat R on the window.  Nothing here inverts
-    or factors a matrix: the step and the certificate are O(N^2).
-    """
-    n = 2 * ctx.K - 1
-    z = -(op.Jhat @ _layer_rhs(layer, ctx.K))
-    centers = tuple(FourierSeq.point(row, ctx.nu) for row in z.reshape(9, n))
-    return _validate_layer(ctx, layer, centers, op)
-
-
-def _level_parallel(jet: "JetTable", cfg, layers):
-    """Solve and certify one level's jets, in process and in level order.
+def _level_parallel(jet: "JetTable", cfg, alphas, fields):
+    """Solve and certify the jets alphas of one level, in order, from the
+    level's `_level_fields`: each center is the step z = -Jhat R.
 
     The operator part of a jet's certificate reads only the context and the
     jet's shift, so one operator serves the jets that share a shift: with a
     real lambda_bar, every jet of the level.  It is made when the shift
-    changes, after the last one is let go, and goes with the level.
-    The name is kept from when a level ran on a process pool: the
-    benchmark's tracer wraps it as `stages.pool` and reads the table and
-    the number of jets from its arguments, and its self-test and
-    tests/test_tracer.py name it.
+    changes, after the last one is let go, and goes with the level.  The
+    benchmark's tracer wraps this function by name as `stages.pool` and
+    reads the table and the jets from its first three arguments.
     """
     ctx = _context_for(jet, cfg)
+    n = 2 * ctx.K - 1
     op, out = None, []
-    for layer in layers:
-        if op is None or op.s != layer.shift:
+    for alpha in alphas:
+        s = _jet_shift(alpha, jet.lambda_bar)
+        if op is None or op.s != s:
             op = None  # the old inverse goes before the new one is made
-            op = _operator(ctx, ctx.jet_operator_data(layer.shift))
-        out.append(_jet_task(ctx, layer, op))
+            op = _operator(ctx, ctx.jet_operator_data(s))
+        rhs, rho = _jet_rhs(fields, alpha)
+        z = -(op.Jhat @ _rhs_window(rhs, ctx.K))
+        centers = tuple(FourierSeq.point(row, ctx.nu) for row in z.reshape(9, n))
+        out.append(_certify_jet(jet, ctx, alpha, rhs, rho, centers, op))
     return out
 
 
@@ -1731,8 +1692,7 @@ def _extend(jet: JetTable, cfg) -> JetTable:
         if not alphas:
             continue
         fields = _level_fields(jet, cfg, p, fields)
-        layers = [_jet_layer(jet, fields, a) for a in alphas]
-        for res in _level_parallel(jet, cfg, layers):
+        for res in _level_parallel(jet, cfg, alphas, fields):
             alpha = res.alpha
             centers = res.centers
             jet.orders[alpha] = centers

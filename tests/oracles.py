@@ -22,7 +22,8 @@ the window defect of `stages`.  `monodromy_exponents` integrates the
 six-dimensional variational flow over one period, the reference for the
 Floquet exponents that seeding reads off the Hill matrix.  The builders at
 the end make interval inputs: an interval from midpoint and radius, an
-array widened by a radius, and a Fourier sequence from a dict of modes.
+array widened by a radius, and a Fourier sequence from a dict of modes;
+`width` reads the size of an interval.
 """
 
 from __future__ import annotations
@@ -613,6 +614,11 @@ def monodromy_exponents(cfg, sol):
 
 # ---------------------------------------------------------------------------
 # interval input builders
+
+
+def width(iv: Interval) -> float:
+    """hi - lo, rounded to nearest."""
+    return iv.hi - iv.lo
 
 
 def iv_midrad(mid: float, rad: float) -> Interval:

@@ -15,11 +15,10 @@ must then have been entered.  A definition that only the tests reach is
 test code and belongs under tests/.  The exemptions are the protocol
 dunders in PROTOCOL, which the language calls outside this run (the
 benchmark's tracer pickles tables, and `__setattr__` guards immutability),
-and the two names in ALLOWED: `Interval.width`, the way the tests read the
-size of an interval, and `numerics.remainder_layer`, an entry point that
-only the benchmark's tracer (`perfbench/tracing.py`) patches and names.  A
-definition is matched to the code entered by its file, the first line of
-its code object and its name.
+and the one name in ALLOWED: `numerics.remainder_layer`, an entry point
+that only the benchmark's tracer (`perfbench/tracing.py`) patches and
+names.  A definition is matched to the code entered by its file, the first
+line of its code object and its name.
 """
 
 import ast
@@ -43,7 +42,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import pipeline  # noqa: E402
 
 PROTOCOL = {"__repr__", "__eq__", "__hash__", "__reduce__", "__setattr__"}
-ALLOWED = {"interval.Interval.width", "numerics.remainder_layer"}
+ALLOWED = {"numerics.remainder_layer"}
 
 
 def definitions(tree, prefix):

@@ -1,5 +1,6 @@
 """Vectorized kernels against the scalar reference and rational oracles."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,7 @@ from fourbody.ivarray import (
     up_sum,
 )
 from fourbody.seqspace import FourierSeq
-from oracles import carr_conv_reference, cconv_mr_pair, conv_exact, widen
+from oracles import carr_conv_reference, cconv_mr_pair, conv_exact, widen, width
 
 rng = np.random.default_rng(20260814)
 
@@ -63,7 +64,7 @@ def test_carr_ops_match_scalar():
             assert r.at(i).re.contains(s.re)
             assert r.at(i).im.contains(s.im)
             # and not be more than a few ulps wider
-            assert r.at(i).re.width <= s.re.width + 8 * max(1e-300, abs(s.re.mid)) * 2**-50
+            assert width(r.at(i).re) <= width(s.re) + 8 * max(1e-300, abs(s.re.mid)) * 2**-50
 
 
 def test_carr_conv_contains_exact():
@@ -228,6 +229,26 @@ def test_widen_and_contains():
     for z in (mid + 0.9e-10, mid - 0.9e-10j):
         assert ((w.rl <= z.real) & (z.real <= w.rh)
                 & (w.il <= z.imag) & (z.imag <= w.ih)).all()
+
+
+def test_cmm_makes_no_missing_radius_lane():
+    # a missing radius lane is zero and is left out, not made as an N x N
+    # array of zeros: the product holds one N x N array, |am|, at a time,
+    # and its bits are those of the product with the zero lane
+    n = 423
+    gen = np.random.default_rng(7)
+    am = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
+    v = gen.standard_normal(n) + 1j * gen.standard_normal(n)
+    r = np.abs(gen.standard_normal(n)) * 1e-13
+    tracemalloc.start()
+    try:
+        got = cmm(am, None, v, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * n * n
+    want = cmm(am, np.zeros((n, n)), v, r)
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 def test_cmat_abs_up_dominates():

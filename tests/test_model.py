@@ -43,6 +43,7 @@ from oracles import (
     iv_midrad,
     jacobi,
     primaries_geometric,
+    width,
     remainder_Ralpha,
     seq_from_entries,
     unfold_orbit_G,
@@ -114,7 +115,7 @@ def test_primaries_center_of_mass():
                 (m[j] * cfg.position(j)[axis] for j in range(3)), ZERO
             )
             assert com.contains(0.0)
-            assert com.width < 1e-14
+            assert width(com) < 1e-14
 
 
 def test_primaries_unit_side():
@@ -124,7 +125,7 @@ def test_primaries_unit_side():
             p, q = cfg.position(j), cfg.position(l)
             side2 = sum(((p[i] - q[i]).pow_int(2) for i in range(3)), ZERO)
             assert side2.contains(1.0)
-            assert side2.width < 1e-13
+            assert width(side2) < 1e-13
 
 
 def test_primaries_match_geometric_oracle():
@@ -154,8 +155,8 @@ def test_mass_triple_validation():
 def test_interval_from_rational():
     third = interval_from_rational("1/3")
     assert Fraction(third.lo) < Fraction(1, 3) < Fraction(third.hi)
-    assert third.width <= 2 * math.ulp(1 / 3)
-    assert interval_from_rational("1/4").width == 0.0
+    assert width(third) <= 2 * math.ulp(1 / 3)
+    assert width(interval_from_rational("1/4")) == 0.0
 
 
 def test_degenerate_mass_combination():
@@ -291,7 +292,7 @@ def test_embed_R_distance_two():
     u = [cfg.p1[0].mid + 2.0, 0.0, cfg.p1[1].mid, 0.0, 0.0, 0.0]
     out = embed_R(u, cfg)
     assert abs(out[6].mid - 0.5) < 1e-12
-    assert out[6].width < 1e-13
+    assert width(out[6]) < 1e-13
 
 
 def test_embed_R_collision():
@@ -369,7 +370,7 @@ def test_jacobi_two_forms():
             u = rand_state6(rng, prim)
             h6 = jacobi(u, cfg)
             h9 = jacobi_embedded(embed_R(u, cfg), cfg)
-            assert h6.intersect(h9).width >= 0.0
+            assert width(h6.intersect(h9)) >= 0.0
             assert abs(h6.mid - h9.mid) < 1e-12
 
 
@@ -732,7 +733,7 @@ def test_unfold_orbit_values():
     for k in a0[1].k_values():
         got, want = out[1].at(k), a0[1].at(k)
         assert got.re.contains(want.re.mid) and got.im.contains(want.im.mid)
-        assert got.re.width < 1e-15
+        assert width(got.re) < 1e-15
     assert all(out[i].norm_upper() == 0.0 for i in (0, 2, 3, 4, 5, 6, 7, 8))
 
 

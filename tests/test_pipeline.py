@@ -548,21 +548,24 @@ def test_a_level_makes_one_operator_per_shift(run, monkeypatch):
     # lambda_bar their shifts differ, and each jet gets its own
     cfg, _, _, table = run
     made, tasks = [], []
+    N = 9 * (2 * K - 1)
 
     def operator(ctx, data):
-        made.append(SimpleNamespace(s=data.s))
+        made.append(SimpleNamespace(s=data.s, Jhat=np.zeros((N, N))))
         return made[-1]
 
+    def certify(jet, ctx, alpha, rhs, rho, centers, op):
+        tasks.append((stages._jet_shift(alpha, jet.lambda_bar), id(op)))
+
     monkeypatch.setattr(stages, "_operator", operator)
-    monkeypatch.setattr(stages, "_jet_task",
-                        lambda ctx, layer, op: tasks.append((layer.shift, id(op))))
-    level = [stages._fresh_layer(table, cfg, a) for a in stages._level_alphas(2)]
-    assert [layer.alpha for layer in level] == [(2, 0), (1, 1)]
+    monkeypatch.setattr(stages, "_certify_jet", certify)
+    alphas = stages._level_alphas(2)
+    assert alphas == [(2, 0), (1, 1)]
+    fields = stages._level_fields(table, cfg, 2)
     for lam in (table.lambda_bar, table.lambda_bar + 0.1j):
         del made[:], tasks[:]
-        layers = [layer._replace(lambda_bar=lam) for layer in level]
-        stages._level_parallel(table, cfg, layers)
-        shifts = [layer.shift for layer in layers]
+        stages._level_parallel(replace(table, lambda_bar=lam), cfg, alphas, fields)
+        shifts = [stages._jet_shift(a, lam) for a in alphas]
         if lam.imag == 0.0:
             assert shifts[0] == shifts[1]
             assert [op.s for op in made] == shifts[:1]
@@ -869,6 +872,24 @@ def test_recheck_command(run, tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[1] for line in lines if line.startswith("note ")] == sorted(
         s for s in table.certs if s != "order0")
+
+
+@pytest.mark.parametrize("gone", [["0,0"], ["1,1"], ["1,0", "0,1"]],
+                         ids=["order0", "jet 1,1", "order1"])
+def test_recheck_requires_every_certified_radius(run, tmp_path, capsys, gone):
+    # a certificate whose radius was dropped from the table fails, one line
+    # per missing radius; E_total would otherwise leave it out
+    _, _, _, table = run
+    obj = table.to_json_obj()
+    for key in gone:
+        del obj["radii"][key]
+    path = tmp_path / "dropped.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["recheck", str(path)]) == 1
+    stage = {"0,0": "order0", "1,1": "jet:1,1:%s" % KIND, "1,0": "order1"}[gone[0]]
+    assert [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("FAIL")] == [
+        "FAIL radius %s  missing for %s" % (key, stage) for key in sorted(gone)]
 
 
 @pytest.mark.parametrize("edit", ["mode -44", "mode 24", "short lambda_bar"])

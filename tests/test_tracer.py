@@ -1,4 +1,5 @@
-"""The benchmark tracer still finds, wraps and restores every entry point."""
+"""The benchmark tracer still finds, wraps and restores every entry point,
+and a traced pipeline still certifies its jets."""
 
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
+import pipeline  # noqa: E402
 from tracing import Tracer  # noqa: E402
 
 from fourbody import ivarray, model, numerics, opbound, radii, seeding, stages  # noqa: E402
@@ -57,3 +59,17 @@ def test_install_wraps_and_remove_restores():
         assert getattr(owner, attr) is before[(id(owner), attr)], attr
     for owner, attr, original in patched:
         assert getattr(owner, attr) is original, attr
+
+
+def test_traced_pipeline_runs_the_jet_path():
+    # the wrapper of `_level_parallel` unpacks (table, cfg, jets) from its
+    # first three arguments and pickles the table: one call per jet level,
+    # one task per jet solved, and the table still complete and rechecked
+    cfg = pipeline.make_config()
+    with Tracer() as tracer:
+        out = pipeline.run_pipeline(cfg, pipeline.Workload("tier1", K=24, N_t=3, jobs=1))
+    assert out.table is not None, out.error
+    pipeline.check_table(out)
+    assert not tracer.nesting_errors()
+    assert tracer.counts["stages.pool_calls"] == 2
+    assert tracer.counts["stages.pool_tasks"] == 4
