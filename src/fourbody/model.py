@@ -41,7 +41,6 @@ from .interval import (
     Interval,
     IntervalDomainError,
     ZERO,
-    _as_iv,
 )
 from .ivarray import CArr, cconv_mr, down_sum, mr_add, up_sum
 from .seqspace import FourierSeq, WeightMismatch, conv
@@ -54,7 +53,6 @@ __all__ = [
     "interval_from_rational",
     "mass_combination",
     "primaries",
-    "jacobi_embedded",
     "IntervalArith",
     "embedded_field",
     "field_derivative",
@@ -189,37 +187,6 @@ def primaries(m: MassTriple) -> PrimaryConfig:
         p1=(x1, ZERO, ZERO),
         p2=(x2, y2, ZERO),
         p3=(x3, y3, ZERO),
-    )
-
-
-# ---------------------------------------------------------------------------
-# the Jacobi integral at a point
-
-
-def _iv_vec(u, n: int):
-    if len(u) != n:
-        raise ValueError("expected a %d-vector" % n)
-    out = []
-    for t in u:
-        v = _as_iv(t)
-        if v is NotImplemented:
-            raise TypeError("expected real scalars or intervals")
-        out.append(v)
-    return out
-
-
-def jacobi_embedded(u, cfg: PrimaryConfig) -> Interval:
-    """Jacobi integral as a polynomial in the embedded coordinates."""
-    u = _iv_vec(u, 9)
-    m = cfg.masses
-    pot = m.m1 * u[6] + m.m2 * u[7] + m.m3 * u[8]
-    return (
-        u[0].pow_int(2)
-        + u[2].pow_int(2)
-        + pot * 2.0
-        - u[1].pow_int(2)
-        - u[3].pow_int(2)
-        - u[5].pow_int(2)
     )
 
 

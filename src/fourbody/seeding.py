@@ -3,19 +3,21 @@
 Everything here is plain floating point: planar equilibria of the rotating
 frame, the vertical linear frequency, small-amplitude vertical orbit guesses,
 the phase anchor of an orbit (the embedded field at its angle-zero point, in
-the float lane `numerics.field_grid`), a continuation of that family in its
+the float lane `numerics.field_grid`), a continuation of that family to a
 Jacobi level (one square Newton system with H - H_target as a row), and
 Floquet data from the Hill matrix: the window block of the operator that
 the bundle stage inverts, cropped to a few modes, whose eigenpair in the
 strip |Im lambda| < omega / 2 seeds (lambda, a_1).  The certified stages
 consume these guesses; nothing in this module is trusted by the validators.
 
-The continuation walks the level at a coarse truncation, at most _K_WALK
-modes, whatever K the stages use.  Its orbit is then zero-padded to K and
-polished by one Newton solve of the level system at K.  The orbit's modes
-decay fast enough that the padded guess is already near the solution at K,
-so seeding costs a walk of small dense solves plus a couple of solves at K,
-not a walk of solves at K.
+The continuation is a secant predictor-corrector in sigma = sqrt|H - H_eq|,
+about the orbit's amplitude: near the equilibrium the family is a square
+root in H, and smooth in sigma.  It walks at a coarse truncation, at most
+_K_WALK modes, whatever K the stages use.  Its orbit is then zero-padded to
+K and polished by one Newton solve of the level system at K.  The orbit's
+modes decay fast enough that the padded guess is already near the solution
+at K.  On the reference level (H_eq - 0.3) seeding costs five small solves
+of 2-4 Newton steps each and a polish of two steps at K: 17 Jacobians.
 
 State ordering matches the polynomial embedding: (x, vx, y, vy, z, vz) plus
 the three reciprocal distances in slots 6..8.
@@ -44,10 +46,14 @@ __all__ = [
 # rest points are searched from a grid of _EQ_GRID^2 starts on [-_EQ_SPAN, _EQ_SPAN]^2
 _EQ_SPAN = 1.6
 _EQ_GRID = 13
-# the level walk: amplitude of the first guess and its growth per step; the
-# walk stalls once a halved level step is below _STEP_FLOOR times |H - H_eq|
+# the level walk: amplitude of the start guess, growth of the step in
+# sigma = sqrt|H - H_eq| per converged solve (the first step is
+# _SIGMA_GROWTH times the start's sigma); the walk stalls once a halved
+# sigma-step is below _STEP_FLOOR times sigma.  A growth of 3 jumped to
+# another symmetric orbit of the same level for the masses 2/5, 33/100,
+# 27/100 (rest point 5, level H_eq - 1), which steps of 2.5 do not.
 _AMP0 = 4e-3
-_GROWTH = 1.35
+_SIGMA_GROWTH = 2.5
 _STEP_FLOOR = 1e-4
 # the walk's K; a larger K zero-pads the walk's orbit and polishes it once
 _K_WALK = 12
@@ -76,7 +82,13 @@ def _grad_planar(p, ms, pos):
 
 
 def planar_equilibria(cfg) -> np.ndarray:
-    """All in-plane rest points, deduplicated and sorted for determinism."""
+    """In-plane rest points found by hybr solves from a 13 x 13 grid of
+    starts, deduplicated and sorted for determinism.
+
+    The search can miss one: for the masses 1/2, 3/10, 1/5 it misses the
+    rest point near (0.0657, 0.3233), so an index into the result names a
+    rest point of this search, not of the complete set.
+    """
     ms, pos = numerics.cfg_floats(cfg)
     found = []
     grid = np.linspace(-_EQ_SPAN, _EQ_SPAN, _EQ_GRID)
@@ -120,7 +132,9 @@ def embed_point(cfg, u6) -> np.ndarray:
 
 
 def jacobi_mid(cfg, u9) -> float:
-    return float(model.jacobi_embedded([complex(t).real for t in u9], cfg).mid)
+    """Jacobi integral at the real part of an embedded 9-vector (`_level`)."""
+    ms, _ = numerics.cfg_floats(cfg)
+    return float(_level(np.real(u9), ms))
 
 
 def phase_anchor(cfg, u0) -> model.PhaseAnchor:
@@ -156,8 +170,8 @@ def orbit_guess_vector(cfg, eq_xy, amp: float, omega: float, K: int):
 
 
 def _level(g, ms) -> complex:
-    """Jacobi integral at an embedded point g, the float form of
-    `model.jacobi_embedded`: the sum of _H_QUAD[i] g_i^2 and 2 m_j g_{6+j}."""
+    """Jacobi integral at an embedded point g, the polynomial sum of
+    _H_QUAD[i] g_i^2 and 2 m_j g_{6+j}."""
     return _H_QUAD @ (g[:6] * g[:6]) + 2.0 * (ms @ g[6:])
 
 
@@ -197,45 +211,60 @@ def _walk_level(cfg, eq_xy, H_target: float, K: int):
     """The level walk at K; returns the last solve's (z, anchor).
 
     It solves the linear guess at amplitude _AMP0 on its own level, then
-    steps the level toward H_target: each step is _GROWTH^2 times the last
-    (the amplitude grows by about _GROWTH), the step that would pass the
-    target lands on it, and a step whose solve diverges is halved.
+    walks toward H_target in sigma = sqrt|H - H_eq|, about the orbit's
+    amplitude, in which the family is smooth where it is a square root in
+    H.  Each guess is the secant through the last two solved orbits,
+    extended by the sigma-step; the first secant starts at the equilibrium,
+    the guess at amplitude 0 and sigma 0.  The step grows _SIGMA_GROWTH
+    times after a converged solve and is halved after a diverged one; the
+    step that would pass the target lands on H_target itself.  Every solve
+    is to NEWTON_TOL.  On the reference level H_eq - 0.3 sigma goes 0.010
+    (the start), 0.036, 0.100, 0.261 and 0.548 (the level), with 2, 3, 3, 3
+    and 4 Newton steps: 15 Jacobians.
     """
     ms, _ = numerics.cfg_floats(cfg)
     n = 2 * K - 1
     wz = vertical_frequency(cfg, eq_xy)
-    z = np.concatenate([[complex(wz)], orbit_guess_vector(cfg, eq_xy, _AMP0, wz, K)])
+    z_eq, z = (np.concatenate([[complex(wz)], orbit_guess_vector(cfg, eq_xy, amp, wz, K)])
+               for amp in (0.0, _AMP0))
     H_eq = _level(embed_point(cfg, [eq_xy[0], 0.0, eq_xy[1], 0.0, 0.0, 0.0]), ms).real
     H = level = _level(z[5:].reshape(9, n).sum(axis=1), ms).real
-    step = (H - H_eq) * (_GROWTH ** 2 - 1.0)
-    if (H_target - H) * step < 0.0:
+    if (H_target - H) * (H - H_eq) < 0.0:
         raise SeedFailure("level %r is on the far side of the walk's start %r"
                           % (H_target, H))
+    sign, sigma_target = np.sign(H - H_eq), np.sqrt(abs(H_target - H_eq))
+    # the last two solved orbits (sigma, z); the first is the equilibrium
+    prev = cur = (0.0, z_eq)
+    sigma = step = np.sqrt(abs(H - H_eq))
     while True:
         anchor = phase_anchor(cfg, z[5:].reshape(9, n).sum(axis=1).real)
         try:
             z = stages.newton_stage(_level_problem(cfg, K, level, anchor), z)
         except numerics.NewtonDivergence:
             step *= 0.5
-            if level == H or abs(step) < _STEP_FLOOR * abs(H - H_eq):
+            if cur[0] == 0.0 or step < _STEP_FLOOR * cur[0]:
                 raise SeedFailure("level walk stalled near H = %r" % H)
         else:
             if level == H_target:
                 return z, anchor
-            H, step = level, step * _GROWTH ** 2
-        level = H_target if (H + step - H_target) * step >= 0.0 else H + step
+            H, prev, cur, step = level, cur, (sigma, z), step * _SIGMA_GROWTH
+        (s0, z0), (s1, z1) = prev, cur
+        sigma = min(s1 + step, sigma_target)
+        level = H_target if sigma == sigma_target else H_eq + sign * sigma ** 2
+        z = z1 + (z1 - z0) * ((sigma - s1) / (s1 - s0))
 
 
 def orbit_to_jacobi(cfg, eq_xy, H_target: float, K: int, nu: float):
     """Member of the vertical family on a Jacobi level; returns (sol, H).
 
-    The level walk (`_walk_level`) runs at Kw = min(K, _K_WALK).  For K > Kw
-    its orbit is zero-padded to K, the phase anchor is taken afresh at the
-    padded orbit's angle-zero point, and one Newton solve of the level system
-    at K polishes it.  The dropped modes are small enough for that: on the
-    reference orbit the coefficients fall about 3.6x per mode, from
-    |a_12| ~ 7e-8 to |a_23| ~ 1e-14, so the padded guess lies well inside the
-    quadratic basin and the polish takes two Jacobians at K = 24, 40 and 64.
+    The level walk (`_walk_level`) runs at Kw = min(K, _K_WALK); on the
+    reference level it takes 15 Jacobians at Kw.  For K > Kw its orbit is
+    zero-padded to K, the phase anchor is taken afresh at the padded orbit's
+    angle-zero point, and one Newton solve of the level system at K polishes
+    it.  The dropped modes are small enough for that: on the reference orbit
+    the coefficients fall about 3.6x per mode, from |a_12| ~ 7e-8 to
+    |a_23| ~ 1e-14, so the padded guess lies well inside the quadratic basin
+    and the polish takes two Jacobians at K = 24, 40 and 64.
     The last solve is the orbit; its scalars are real up to rounding, which
     is dropped.
     """

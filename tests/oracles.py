@@ -9,7 +9,9 @@ midpoint-radius convolution in five convolutions, the reference of
 `ivarray.cconv_mr`: its midpoints must be equal bit for bit, its radii no
 looser.  `field_f`, `embed_R` and `jacobi` are the classical point field,
 the reciprocal-distance embedding and the Jacobi integral in the original
-coordinates, which the embedded field is checked against.
+coordinates, which the embedded field is checked against;
+`jacobi_embedded` is that integral as a polynomial in the embedded
+coordinates, in intervals.
 `FourierTaylorSeq`, `ft_conv` and `IntervalArith` are the multi-layer
 interval reference: Fourier-Taylor grids in endpoint intervals, of which
 order 0 of `model` is layer (0, 0).  `field_F_seq`, `dF0_apply` and
@@ -34,11 +36,11 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from fourbody import model, numerics
-from fourbody.interval import ZERO, ComplexInterval, Interval, add_down, add_up
+from fourbody.interval import ZERO, ComplexInterval, Interval, _as_iv, add_down, add_up
 from fourbody.ivarray import (
     CArr, ri_add, up_sum, _ETA, _U, _dn, _gemm_gamma, _up, _up_factor,
 )
-from fourbody.model import _const_seq, _iv_vec, _mode_sum, embedded_field, eta_terms
+from fourbody.model import _const_seq, _mode_sum, embedded_field, eta_terms
 from fourbody.seqspace import FourierSeq, WeightMismatch, conv, project
 
 
@@ -239,6 +241,18 @@ def field_f(u, cfg):
     return (vx, vy * 2.0 + gx, vy, vx * (-2.0) + gy, vz, gz)
 
 
+def _iv_vec(u, n: int):
+    if len(u) != n:
+        raise ValueError("expected a %d-vector" % n)
+    out = []
+    for t in u:
+        v = _as_iv(t)
+        if v is NotImplemented:
+            raise TypeError("expected real scalars or intervals")
+        out.append(v)
+    return out
+
+
 def embed_R(u, cfg):
     """Append the three reciprocal distances as coordinates 7..9."""
     x, vx, y, vy, z, vz = _iv_vec(u, 6)
@@ -258,6 +272,21 @@ def jacobi(u, cfg) -> Interval:
         - vx.pow_int(2)
         - vy.pow_int(2)
         - vz.pow_int(2)
+    )
+
+
+def jacobi_embedded(u, cfg) -> Interval:
+    """Jacobi integral as a polynomial in the embedded coordinates."""
+    u = _iv_vec(u, 9)
+    m = cfg.masses
+    pot = m.m1 * u[6] + m.m2 * u[7] + m.m3 * u[8]
+    return (
+        u[0].pow_int(2)
+        + u[2].pow_int(2)
+        + pot * 2.0
+        - u[1].pow_int(2)
+        - u[3].pow_int(2)
+        - u[5].pow_int(2)
     )
 
 

@@ -18,7 +18,6 @@ from fourbody.model import (
     dF0,
     field_F_grid,
     interval_from_rational,
-    jacobi_embedded,
     mass_combination,
     primaries,
     xi_phase,
@@ -42,6 +41,7 @@ from oracles import (
     field_f,
     iv_midrad,
     jacobi,
+    jacobi_embedded,
     primaries_geometric,
     width,
     remainder_Ralpha,

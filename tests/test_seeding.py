@@ -31,60 +31,26 @@ def start(cfg):
 
 
 def counted_solves(monkeypatch, fail_after=None, fail_above=None):
-    """The guesses' level rows of the Newton solves; the solves after the
-    first fail_after ones, and those with more than fail_above unknowns,
-    diverge."""
-    rows = []
+    """The guesses of the Newton solves and the solutions of those that
+    converged; the solves after the first fail_after ones, and those with
+    more than fail_above unknowns, diverge."""
+    guesses, solved = [], []
     polish = numerics.newton_polish
 
     def counted(residual, jacobian, x0, tol):
-        rows.append(residual(x0)[0])
-        if ((fail_after is not None and len(rows) > fail_after)
+        guesses.append(np.array(x0))
+        if ((fail_after is not None and len(guesses) > fail_after)
                 or (fail_above is not None and len(x0) > fail_above)):
             raise numerics.NewtonDivergence("diverged on purpose")
-        return polish(residual, jacobian, x0, tol)
+        solved.append(polish(residual, jacobian, x0, tol))
+        return solved[-1]
 
     monkeypatch.setattr(numerics, "newton_polish", counted)
-    return rows
+    return guesses, solved
 
 
-def test_orbit_lands_on_its_level_as_a_real_orbit(cfg, start, monkeypatch):
-    # the reference run's level, at a K small enough to be cheap
-    eq, H0 = start
-    solves = counted_solves(monkeypatch)
-    sol, H = seeding.orbit_to_jacobi(cfg, eq, H0 - 0.3, 8, 1.5)
-    assert abs(H - (H0 - 0.3)) < 1e-12
-    A = sol.coeffs
-    assert np.max(np.abs(A - np.conj(A[:, ::-1]))) < 1e-13
-    assert isinstance(sol.omega, float)
-    assert len(solves) <= 16
-
-
-def test_level_above_the_equilibrium_fails_at_once(cfg, start, monkeypatch):
-    eq, H0 = start
-    solves = counted_solves(monkeypatch)
-    with pytest.raises(seeding.SeedFailure, match="far side"):
-        seeding.orbit_to_jacobi(cfg, eq, H0 + 0.1, 8, 1.5)
-    assert len(solves) <= 2
-
-
-def test_diverging_steps_are_halved_down_to_the_floor(cfg, start, monkeypatch):
-    eq, H0 = start
-    rows = counted_solves(monkeypatch, fail_after=1)
-    with pytest.raises(seeding.SeedFailure, match="stalled"):
-        seeding.orbit_to_jacobi(cfg, eq, H0 - 0.3, 8, 1.5)
-    # every solve after the first starts at the first orbit; its level row
-    # there is minus the step, and each failure halves the step
-    steps = -np.array(rows[1:])
-    assert len(steps) < 20
-    assert np.allclose(steps[1:] / steps[:-1], 0.5, rtol=1e-6)
-
-
-def test_seeding_at_a_large_k_walks_at_a_small_one(cfg, start, monkeypatch):
-    # counts, not timings: at K = 40 and 64 the walk's Jacobians are all at
-    # K <= 12 and the polish at K takes at most three, though the Jacobian
-    # is DF at y = 0; the orbit still solves the level system at K
-    eq, H0 = start
+def counted_jacobians(monkeypatch):
+    """The K of each orbit Jacobian that the Newton solves build."""
     sizes = []
     jacobian = stages._orbit_jacobian
 
@@ -93,6 +59,65 @@ def test_seeding_at_a_large_k_walks_at_a_small_one(cfg, start, monkeypatch):
         return jacobian(z, omega, anchor, k, *args, **kwargs)
 
     monkeypatch.setattr(stages, "_orbit_jacobian", counted)
+    return sizes
+
+
+def test_orbit_lands_on_its_level_as_a_real_orbit(cfg, start, monkeypatch):
+    # the reference run's level, at a K small enough to be cheap: the start
+    # solve and four sigma-steps, the last of which lands on the level
+    eq, H0 = start
+    solves, _ = counted_solves(monkeypatch)
+    sol, H = seeding.orbit_to_jacobi(cfg, eq, H0 - 0.3, 8, 1.5)
+    assert abs(H - (H0 - 0.3)) < 1e-12
+    A = sol.coeffs
+    assert np.max(np.abs(A - np.conj(A[:, ::-1]))) < 1e-13
+    assert isinstance(sol.omega, float)
+    assert len(solves) <= 5
+
+
+def test_level_above_the_equilibrium_fails_at_once(cfg, start, monkeypatch):
+    eq, H0 = start
+    solves, _ = counted_solves(monkeypatch)
+    with pytest.raises(seeding.SeedFailure, match="far side"):
+        seeding.orbit_to_jacobi(cfg, eq, H0 + 0.1, 8, 1.5)
+    assert len(solves) <= 2
+
+
+def test_diverging_steps_are_halved_down_to_the_floor(cfg, start, monkeypatch):
+    eq, H0 = start
+    guesses, solved = counted_solves(monkeypatch, fail_after=1)
+    with pytest.raises(seeding.SeedFailure, match="stalled"):
+        seeding.orbit_to_jacobi(cfg, eq, H0 - 0.3, 8, 1.5)
+    # every guess after the first lies on the secant through the equilibrium
+    # (sigma = 0) and the first orbit, that orbit plus the sigma-step times
+    # their difference over the first orbit's sigma: the first step is
+    # _SIGMA_GROWTH times that sigma, and each failure halves it
+    wz = seeding.vertical_frequency(cfg, eq)
+    z_eq = np.concatenate([[wz], seeding.orbit_guess_vector(cfg, eq, 0.0, wz, 8)])
+    steps = np.array([np.linalg.norm(g - solved[0]) for g in guesses[1:]])
+    assert len(guesses) < 20
+    assert abs(steps[0] / np.linalg.norm(solved[0] - z_eq)
+               - seeding._SIGMA_GROWTH) < 1e-9
+    assert np.allclose(steps[1:] / steps[:-1], 0.5, rtol=1e-6)
+
+
+def test_reference_seeding_builds_few_jacobians(cfg, start, monkeypatch):
+    # counts, not timings: the K = 24 reference orbit takes the start solve,
+    # four sigma-steps at K = 12 and the polish at 24, 17 Jacobians in all
+    # (a walk in H with steps restarted at the last orbit took 56)
+    eq, H0 = start
+    sizes = counted_jacobians(monkeypatch)
+    seeding.orbit_to_jacobi(cfg, eq, H0 - 0.3, 24, 1.5)
+    assert len(sizes) <= 20
+    assert 1 <= sizes.count(24) <= 3
+
+
+def test_seeding_at_a_large_k_walks_at_a_small_one(cfg, start, monkeypatch):
+    # counts, not timings: at K = 40 and 64 the walk's Jacobians are all at
+    # K <= 12 and the polish at K takes at most three, though the Jacobian
+    # is DF at y = 0; the orbit still solves the level system at K
+    eq, H0 = start
+    sizes = counted_jacobians(monkeypatch)
     for K in (40, 64):
         sizes.clear()
         sol, H = seeding.orbit_to_jacobi(cfg, eq, H0 - 0.3, K, 1.5)
@@ -130,8 +155,42 @@ def test_hill_exponents_match_the_monodromy_oracle(cfg, start, K):
     assert abs(lam_s.real + lam_u.real) <= 1e-12
     # the guess has the window of K and the scale xi0 of its modes |k| < 3
     assert a_u.shape == (9, 2 * K - 1)
-    S = a_u[:, K - 3:K + 2].sum(axis=1)
-    assert abs(np.sum(S * S) - 1e-4) <= 1e-20
+    err, tol = scale_error(a_u, K, 3, 1e-4)
+    assert err <= tol
+    # the bound still sees a scale that is off by 1e-12: that moves the sum
+    # by 2e-12 xi0 = 2e-16, and tol is about 1e-18 here (R ~ 1.46 xi0)
+    assert tol < 1e-17
+    assert scale_error(a_u * (1.0 + 1e-12), K, 3, 1e-4)[0] > tol
+
+
+def scale_error(a, K, k0, xi0):
+    """|sum_i S_i^2 - xi0| for the sums S_i of a's modes |k| < k0, and the
+    bound on it that the rounding of `bundle_guess` and of this sum allows.
+
+    Let u = 2^-53, b the coefficients before `coeffs *= scale`, s the scale,
+    A_i = sum_k |a_ik| over the 2 k0 - 1 = m modes and R = sum_i A_i^2, so
+    |sum_k a_ik|^2 <= A_i^2 and xi0 <= R to first order.  A complex sum of
+    n terms errs by at most (n - 1) u times the sum of their moduli, a
+    complex product by sqrt(5) u times its modulus (Brent, Percival and
+    Zimmermann, Math. Comp. 2007).  To first order in u:
+      - scale: numpy divides the real xi0 by the nearly real Q = sum S_i^2
+        by Smith's formula (three roundings) and takes the libm csqrt (a
+        hypot, a sum and a sqrt, halved by the root), so s^2 Q = xi0 (1 + e)
+        with |e| <= 4u + 2 * 4u = 12u;
+      - Q itself: the sums S_i of b err by (m - 1) u A_i / |s|, the squares
+        by sqrt(5) u and the sum of nine by 8u, so s^2 Q is off from
+        s^2 sum (exact S_i)^2 by (2 (m - 1) + sqrt(5) + 8) u R;
+      - coeffs *= scale: a_ik = s b_ik (1 + d), |d| <= sqrt(5) u, moves
+        sum_i (sum_k a_ik)^2 by 2 sqrt(5) u R;
+      - this function's sums and squares err as Q does, by
+        (2 (m - 1) + sqrt(5) + 8) u R.
+    With m = 5 and xi0 <= R that is (12 + 32 + 4 sqrt(5)) u R < 53 u R;
+    64 u R covers the terms of second order.
+    """
+    W = a[:, K - k0:K + k0 - 1]
+    S = W.sum(axis=1)
+    R = float(np.sum(np.abs(W).sum(axis=1) ** 2))
+    return abs(np.sum(S * S) - xi0), 64 * 2.0 ** -53 * R
 
 
 def test_importing_seeding_loads_no_integrator():
