@@ -6,9 +6,11 @@ the phase anchor of an orbit (the embedded field at its angle-zero point, in
 the float lane `numerics.field_grid`), a continuation of that family to a
 Jacobi level (one square Newton system with H - H_target as a row), and
 Floquet data from the Hill matrix: the window block of the operator that
-the bundle stage inverts, cropped to a few modes, whose eigenpair in the
-strip |Im lambda| < omega / 2 seeds (lambda, a_1).  The certified stages
-consume these guesses; nothing in this module is trusted by the validators.
+the bundle stage inverts, cropped to a few modes, whose real eigenpair in
+the strip |Im lambda| < omega / 2 seeds (lambda, a_1); a complex one is a
+SeedFailure, since the stages take a real Floquet exponent.  The certified
+stages consume these guesses; nothing in this module is trusted by the
+validators.
 
 The continuation is a secant predictor-corrector in sigma = sqrt|H - H_eq|,
 about the orbit's amplitude: near the equilibrium the family is a square
@@ -292,7 +294,8 @@ def orbit_to_jacobi(cfg, eq_xy, H_target: float, K: int, nu: float):
 
 def bundle_guess(cfg, sol: stages.OrbitSolution, kind: str, k0: int,
                  xi0: float):
-    """(lambda, coefficient guess) for the stable or unstable Floquet bundle.
+    """(lambda, coefficient guess) for the stable or unstable Floquet bundle:
+    a real eigenpair seeds (lambda, a_1), lambda a float.
 
     The Hill matrix B is the window block of the bundle stage's operator
     h -> DF(a0) h - i omega k h, cropped to Kh = min(K, _K_WALK) modes.  Its
@@ -300,10 +303,12 @@ def bundle_guess(cfg, sol: stages.OrbitSolution, kind: str, k0: int,
     T^-1 B T, real for a real orbit, so one real eig gives the spectrum.  It
     repeats as lambda + i omega j, and truncation spoils the copies far from
     the strip |Im lambda| < omega / 2: lambda is the eigenvalue in the strip
-    with the largest real part ("unstable") or the smallest ("stable").  Its
-    eigenvector, carried back by T, is zero-padded to K and scaled to xi0;
-    `stages.start_jet_table` polishes both at K.
+    with the largest real part ("unstable") or the smallest ("stable"), and
+    a SeedFailure if it is not real.  Its eigenvector, carried back by T, is
+    zero-padded to K and scaled to xi0; `stages.start_jet_table` polishes
+    both at K.
     """
+    stages._check_kind(kind)
     K, Kh = sol.K, min(sol.K, _K_WALK)
     ms, pos = numerics.cfg_floats(cfg)
     const, kers = numerics.derivative_kernels(sol.coeffs, ms, pos)
@@ -320,6 +325,9 @@ def bundle_guess(cfg, sol: stages.OrbitSolution, kind: str, k0: int,
     if lams[i_u].real * T < np.log1p(1e-6) or lams[i_s].real * T > np.log1p(-1e-6):
         raise SeedFailure("Hill spectrum has no hyperbolic pair: %r" % lams[strip])
     i = i_s if kind == "stable" else i_u
+    if lams[i].imag != 0.0:
+        raise SeedFailure("the %s Floquet exponent %r is not real"
+                          % (kind, complex(lams[i])))
     c, s, zero = stages._pairs(vecs[:, i:i + 1], 0, Kh, 0)
     h = np.empty((len(vecs), 1), dtype=complex)
     hp, hm, h0 = stages._pairs(h, 0, Kh, 0)
@@ -328,4 +336,4 @@ def bundle_guess(cfg, sol: stages.OrbitSolution, kind: str, k0: int,
     S = coeffs[:, K - k0:K + k0 - 1].sum(axis=1)
     scale = np.sqrt(complex(xi0) / np.sum(S * S))
     coeffs *= scale
-    return complex(lams[i]), coeffs
+    return float(lams[i].real), coeffs

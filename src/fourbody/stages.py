@@ -31,18 +31,17 @@ they read the context, the shift s and the stage's scalar rows and columns
 only.  Y, the data parts pre_Y and pre_Z1, and Z2 are the stage's own
 (`_certify`), and its report carries all of them.
 
-The basis A is formed in depends on s.  For a real s (order 0, and order 1
-and every jet when lambda_bar is real) J commutes, up to rounding, with the
-conjugate reflection R, (R h)_k = conj(h_-k), because the orbit is real.  So
-T^H J T is real for the T that takes each pair of modes (k, -k) to
-(cos, sin), and A = T inv(M) T^H with M the real part of the float T^H J T:
-one float64 inverse and one real Z0 product (`_cos_sin_inverse`).  Z0 is then
-the sum of three terms: the real product's |I - inv(M) M| carried back by
-|T| and |T^-1|, ||A|| times what M misses of T^H J T (its imaginary part and
-the rounding of forming it), and the rounding of forming A times ||J||.  A
-complex s inverts J itself and bounds Z0 by one complex product
-(`_complex_inverse`).  Either way A is the complex Jhat, and the bounds and
-the jets' step read Jhat and |Jhat|.
+Every shift s is real: 0 for order 0, the real Floquet exponent
+lambda_bar for order 1 and p lambda_bar for a jet of order p.  So J
+commutes, up to rounding, with the conjugate reflection R,
+(R h)_k = conj(h_-k), because the orbit is real.  T^H J T is then real for
+the T that takes each pair of modes (k, -k) to (cos, sin), and
+A = T inv(M) T^H with M the real part of the float T^H J T: one float64
+inverse and one real Z0 product (`_cos_sin_inverse`).  Z0 is the sum of
+three terms: the real product's |I - inv(M) M| carried back by |T| and
+|T^-1|, ||A|| times what M misses of T^H J T (its imaginary part and the
+rounding of forming it), and the rounding of forming A times ||J||.  A is
+the complex Jhat, and the bounds and the jets' step read Jhat and |Jhat|.
 
 Stages:
 
@@ -54,8 +53,9 @@ Stages:
   component 6+j (sq_j the square of a_(6+j)), enter Z1 through
   pre_Z1 = max(|y0|, 3 |y_j| ||sq_j||).
 * order 1: the Floquet bundle (lambda, a_1) normalized by the quadratic
-  phase scalar xi; resonances are excluded by checking that the enclosure
-  of Re(lambda) omits zero.
+  phase scalar xi, with lambda real and a_1 fixed by R; resonances are
+  excluded by checking that the enclosure of Re(lambda) omits zero, and the
+  kind by checking its sign.
 * orders 2..N_t: the jets a_alpha, affine problems (Z2 = 0) whose data
   uncertainty (radii of all lower orders) is folded into Y and Z1.  Only
   the jets with m >= n are solved; a_(n,m) is the conjugate reflection of
@@ -93,12 +93,12 @@ operators of all stages share: the kernel part of the window defect and the
 kernels' tail tables (`kmags`, `kprofiles`, `knorms`, `const`).  It is not
 changed once built and holds no N x N array: a stage builds its float
 window block J (`_StageContext.window_block`) and its operator where it
-needs them, and lets them go when it returns.  With a real lambda_bar every
-jet of order p has s = p lambda_bar, and the jets come level by level, so
-`_level_parallel` makes one inverse, one Z0 product and one Z1 per level.
+needs them, and lets them go when it returns.  Every jet of order p has
+s = p lambda_bar, and the jets come level by level, so `_level_parallel`
+makes one inverse, one Z0 product and one Z1 per level.
 
 Every jet runs in the calling process, level by level in a fixed order.
-The jets of one level are independent, but each shift's inverse and its
+The jets of one level are independent, but each level's inverse and its
 N^3 products already keep a threaded BLAS busy on every core, so a process
 pool only added a fork, a pickled N x N operator per task and BLAS threads
 competing for the same cores: on 2 cores it made the jets slower, not
@@ -417,7 +417,7 @@ class _StageContext:
         return numerics.base_block(self.fconst, self.fkers, self.K,
                                    -1j * self.omega * numerics.kvals(self.K) - s)
 
-    def jet_operator_data(self, s: complex) -> "_OperatorData":
+    def jet_operator_data(self, s: float) -> "_OperatorData":
         """What `_operator` reads for the jets with shift s."""
         J = self.window_block(s)
         return _OperatorData(ns=0, s=s, J=J, window_defect=_window_defect(self, J, 0, s),
@@ -561,12 +561,6 @@ def bundle_problem(jet: "JetTable", cfg):
     return residual, lambda z: _bundle_jacobian(base, z, K, k0)
 
 
-def _jet_shift(alpha, lam: complex) -> complex:
-    """The float diagonal shift <alpha, lambda> of jet alpha."""
-    m_, n_ = alpha
-    return complex((m_ + n_) * lam.real, (m_ - n_) * lam.imag)
-
-
 def jet_problem(alpha, jet: "JetTable", cfg):
     """Homological stage for a single alpha with |alpha| >= 2 (linear).
 
@@ -576,7 +570,7 @@ def jet_problem(alpha, jet: "JetTable", cfg):
     alpha = _solved_jet(alpha)
     ctx = _context_for(jet, cfg)
     rhs, _ = _jet_rhs(_level_fields(jet, cfg, sum(alpha)), alpha)
-    base = ctx.window_block(_jet_shift(alpha, jet.lambda_bar))
+    base = ctx.window_block(sum(alpha) * jet.lambda_bar)
     Rwin = _rhs_window(rhs, ctx.K)
     return (lambda z: base @ z + Rwin), (lambda z: base)
 
@@ -602,7 +596,7 @@ class _OperatorData:
     context's, the same for every stage."""
 
     ns: int
-    s: complex
+    s: float
     J: np.ndarray
     window_defect: np.ndarray
     scalar_tail_sup: np.ndarray
@@ -618,7 +612,7 @@ class _Operator(NamedTuple):
     K: int
     nu: float
     omega: float
-    s: complex
+    s: float
     Jhat: np.ndarray
     Z0: float
     normA: float
@@ -789,16 +783,6 @@ def _cos_sin_inverse(J: np.ndarray, ns: int, K: int, nu: float):
     return Jhat, z0, per
 
 
-def _complex_inverse(J: np.ndarray, ns: int, K: int, nu: float):
-    """(Jhat, Z0, 0.0) for a complex shift: Jhat = inv(J) and Z0 from one
-    complex midpoint-radius product J^-1 J."""
-    layout = SpaceLayout(ns, K)
-    Jhat = np.linalg.inv(J)
-    cm, cr = cmm(Jhat, None, J, None)
-    cm[np.diag_indices(layout.n)] -= 1.0
-    return Jhat, opnorm_upper(block_norms(cmat_abs_up(cm, cr), layout, nu)), 0.0
-
-
 def _group_max(v: np.ndarray, ns: int, tail) -> float:
     """max over the groups of X of a per-group bound v: the ns scalar
     entries as they are, each window's entry plus its tail term, rounded up."""
@@ -808,19 +792,17 @@ def _group_max(v: np.ndarray, ns: int, tail) -> float:
 def _operator(ctx: _StageContext, d: _OperatorData) -> _Operator:
     """The operator part of a stage's certificate.
 
-    A real shift (s.imag == 0) makes its inverse in the cos/sin basis
+    The real shift s makes the inverse in the cos/sin basis
     (`_cos_sin_inverse`), and Z0 sums three terms there: the real product
     |I - inv(M) M| carried back by |T| and |T^-1|, ||A|| times what M misses
-    of T^H J T, and the rounding of forming A times ||J||.  Any other shift
-    inverts J in the Fourier basis and bounds Z0 by one complex product
-    (`_complex_inverse`).  Both give the complex Jhat; ||A||, Z1_window and
-    Z1_tail read Jhat and |Jhat|, taken once from Jhat's moduli, rounded up."""
+    of T^H J T, and the rounding of forming A times ||J||.  ||A||, Z1_window
+    and Z1_tail read the complex Jhat and |Jhat|, taken once from Jhat's
+    moduli, rounded up."""
     K, nu, omega, ns, s = ctx.K, ctx.nu, ctx.omega, d.ns, d.s
     layout = SpaceLayout(ns, K)
     N = layout.n
     ngroups = ns + 9
-    inverse = _cos_sin_inverse if s.imag == 0 else _complex_inverse
-    Jhat, z0, z0_per_normA = inverse(d.J, ns, K, nu)
+    Jhat, z0, z0_per_normA = _cos_sin_inverse(d.J, ns, K, nu)
     # np.abs rounds a modulus to nearest, down about half the time
     absJ = cmat_abs_up(Jhat, None)
 
@@ -969,7 +951,7 @@ def _assemble_orbit(sol: "OrbitSolution", ctx: _StageContext, ar):
 
     J = _orbit_jacobian(_pack(y, sol.coeffs), omega, anchor, K, ctx.ms, ctx.pos,
                         kernels=(ctx.fconst, ctx.fkers))
-    Nw = _window_defect(ctx, J, ns, 0j)
+    Nw = _window_defect(ctx, J, ns, 0.0)
     # J's y0 column (a_1) is DF's, exactly; its y_j column holds the float cube
     cubes = []
     pre_Z1 = ymag[0]
@@ -1017,7 +999,7 @@ def _assemble_orbit(sol: "OrbitSolution", ctx: _StageContext, ar):
         monos.append((("seq", 6 + j), 1.0, (ymag[1 + j], wn, wn, wn)))
 
     data = _OperatorData(
-        ns=ns, s=0.0 + 0.0j, J=J, window_defect=Nw,
+        ns=ns, s=0.0, J=J, window_defect=Nw,
         scalar_tail_sup=_up(eta_consts * nuinvK),
         ycol_tail_seqs=[(1 + j, 6 + j, cubes[j]) for j in range(3)],
     )
@@ -1029,7 +1011,7 @@ def _assemble_bundle(sol: "BundleSolution", ctx: _StageContext, r0: float):
     K, nu, omega = ctx.K, ctx.nu, ctx.omega
     n = 2 * K - 1
     ns = 1
-    lam = complex(sol.lam)
+    lam = sol.lam
     a1 = [FourierSeq.point(row, nu) for row in sol.coeffs]
 
     z = np.concatenate([[lam], np.asarray(sol.coeffs, dtype=complex).ravel()])
@@ -1073,7 +1055,7 @@ def _certify_jet(jet: "JetTable", ctx: _StageContext, alpha, rhs, rho: float,
     m_, n_ = alpha
     p = m_ + n_
     lam = jet.lambda_bar
-    s = _jet_shift(alpha, lam)
+    s = p * lam
 
     for row in centers:
         if not row.is_point():
@@ -1090,9 +1072,7 @@ def _certify_jet(jet: "JetTable", ctx: _StageContext, alpha, rhs, rho: float,
         resid_seqs.append(r)
 
     # uncertainty of the chosen diagonal shift versus <alpha, lambda>
-    lre = Interval.point(lam.real) * float(p)
-    lim = Interval.point(lam.imag) * float(m_ - n_)
-    ds = ComplexInterval(lre - s.real, lim - s.imag).mag()
+    ds = (Interval.point(lam) * float(p) - s).mag()
     dd = ctx.field_dd(jet.radii[(0, 0)])
     shift_err = float(_up(dd + _up(p * jet.radii[(1, 0)] + ds)))
     maxn = max(sq.norm_upper() for sq in aset)
@@ -1353,7 +1333,7 @@ class OrbitSolution:
 @dataclass
 class BundleSolution:
     kind: str
-    lam: complex
+    lam: float
     coeffs: np.ndarray
     k0: int
     xi0: float
@@ -1465,13 +1445,14 @@ def validate_order1(solution: BundleSolution, jet: "JetTable", cfg) -> Order1Res
         (solution.lam, solution.k0, solution.xi0))
     cert, report = _certify(_operator(ctx, data), asm, digest)
     r1 = cert.r0
-    lam = complex(solution.lam)
-    if abs(lam.real) <= r1:
+    lam = solution.lam
+    if abs(lam) <= r1:
         raise ResonantExponents(
-            "Re(lambda) enclosure [%g, %g] contains zero"
-            % (lam.real - r1, lam.real + r1)
-        )
-    return Order1Result(_civ_ball(lam, r1), r1, cert, report)
+            "Re(lambda) enclosure [%g, %g] contains zero" % (lam - r1, lam + r1))
+    if (lam < 0.0) != (solution.kind == "stable"):
+        raise ValueError("Re(lambda) enclosure [%g, %g] is not %s"
+                         % (lam - r1, lam + r1, solution.kind))
+    return Order1Result(_civ_ball(complex(lam), r1), r1, cert, report)
 
 
 def validate_jet(alpha, jet: "JetTable", cfg) -> JetResult:
@@ -1479,7 +1460,7 @@ def validate_jet(alpha, jet: "JetTable", cfg) -> JetResult:
     alpha = _solved_jet(alpha)
     rhs, rho = _jet_rhs(_level_fields(jet, cfg, sum(alpha)), alpha)
     ctx = _context_for(jet, cfg)
-    op = _operator(ctx, ctx.jet_operator_data(_jet_shift(alpha, jet.lambda_bar)))
+    op = _operator(ctx, ctx.jet_operator_data(sum(alpha) * jet.lambda_bar))
     return _certify_jet(jet, ctx, alpha, rhs, rho, jet.orders[alpha], op)
 
 
@@ -1500,7 +1481,7 @@ class JetTable:
     xi0: float
     anchor: model.PhaseAnchor
     y_bar: tuple
-    lambda_bar: complex
+    lambda_bar: float
     lambda1: ComplexInterval | None = None
     gamma_scale: float = 1.0
     orders: dict = field(default_factory=dict)
@@ -1535,8 +1516,7 @@ class JetTable:
             "anchor": [[float(t).hex() for t in self.anchor.u0],
                        [float(t).hex() for t in self.anchor.u1]],
             "y_bar": [[float(t.real).hex(), float(t.imag).hex()] for t in self.y_bar],
-            "lambda_bar": [float(self.lambda_bar.real).hex(),
-                           float(self.lambda_bar.imag).hex()],
+            "lambda_bar": [float(self.lambda_bar).hex(), (0.0).hex()],
             "lambda1": None if self.lambda1 is None else list(self.lambda1.hex_quad()),
             "gamma_scale": float(self.gamma_scale).hex(),
             "orders": {"%d,%d" % a: [s.to_json_obj() for s in seqs]
@@ -1553,6 +1533,9 @@ class JetTable:
             m, n = sk.split(",")
             return (int(m), int(n))
         lam1 = obj["lambda1"]
+        lam_re, lam_im = (float.fromhex(t) for t in obj["lambda_bar"])
+        if lam_im != 0.0:
+            raise ValueError("lambda_bar %r is not real" % obj["lambda_bar"])
         return cls(
             kind=obj["kind"],
             omega=float.fromhex(obj["omega"]),
@@ -1566,8 +1549,7 @@ class JetTable:
                 tuple(float.fromhex(t) for t in obj["anchor"][1])),
             y_bar=tuple(complex(float.fromhex(a), float.fromhex(b))
                         for a, b in obj["y_bar"]),
-            lambda_bar=complex(float.fromhex(obj["lambda_bar"][0]),
-                               float.fromhex(obj["lambda_bar"][1])),
+            lambda_bar=lam_re,
             lambda1=None if lam1 is None else ComplexInterval.from_hex_quad(lam1),
             gamma_scale=float.fromhex(obj["gamma_scale"]),
             orders={key(sk): tuple(FourierSeq.from_json_obj(s) for s in seqs)
@@ -1612,14 +1594,21 @@ def rescale_jets(jet: JetTable, gamma: float) -> JetTable:
 # orchestration
 
 
+def _check_kind(kind: str):
+    """ValueError unless kind names a bundle: "stable" or "unstable"."""
+    if kind not in ("stable", "unstable"):
+        raise ValueError("bundle kind %r is neither 'stable' nor 'unstable'" % (kind,))
+
+
 def start_jet_table(kind: str, sol: OrbitSolution, res: Order0Result, cfg,
-                    lam_guess: complex, v_guess: np.ndarray, k0: int,
+                    lam_guess: float, v_guess: np.ndarray, k0: int,
                     xi0: float, N_t: int) -> JetTable:
     """Solve/certify one Floquet bundle on top of a certified orbit."""
+    _check_kind(kind)
     jet = JetTable(
         kind=kind, omega=sol.omega, K=sol.K, nu=sol.nu, N_t=N_t, k0=k0,
         xi0=xi0, anchor=sol.anchor, y_bar=tuple(complex(t) for t in sol.y),
-        lambda_bar=complex(lam_guess),
+        lambda_bar=float(lam_guess),
     )
     jet.orders[(0, 0)] = sol.seqs()
     jet.radii[(0, 0)] = res.r0
@@ -1633,13 +1622,11 @@ def start_jet_table(kind: str, sol: OrbitSolution, res: Order0Result, cfg,
     # the problem, and with it Newton's N x N block, goes before order 1's
     # operator is made
     z = newton_stage(bundle_problem(jet, cfg), guess)
-    lam, a1 = complex(z[0]), z[1:].reshape(9, 2 * sol.K - 1)
-    if complex(lam_guess).imag == 0.0:
-        # keep lambda real and a_1 fixed by (R a)_k = conj(a_-k), as the
-        # complex solve does only up to rounding; a fixed a_1 stays put
-        lam = complex(lam.real)
-        a1 = 0.5 * (a1 + np.conj(a1[:, ::-1]))
-    bsol = BundleSolution(kind, lam, a1, k0, xi0)
+    # keep lambda real and a_1 fixed by (R a)_k = conj(a_-k), as the complex
+    # solve does only up to rounding; a fixed a_1 stays put
+    a1 = z[1:].reshape(9, 2 * sol.K - 1)
+    a1 = 0.5 * (a1 + np.conj(a1[:, ::-1]))
+    bsol = BundleSolution(kind, float(z[0].real), a1, k0, xi0)
     jet.lambda_bar = bsol.lam
     r1 = validate_order1(bsol, jet, cfg)
     a1 = tuple(FourierSeq.point(row, sol.nu) for row in bsol.coeffs)
@@ -1663,20 +1650,16 @@ def _level_parallel(jet: "JetTable", cfg, alphas, fields):
     level's `_level_fields`: each center is the step z = -Jhat R.
 
     The operator part of a jet's certificate reads only the context and the
-    jet's shift, so one operator serves the jets that share a shift: with a
-    real lambda_bar, every jet of the level.  It is made when the shift
-    changes, after the last one is let go, and goes with the level.  The
-    benchmark's tracer wraps this function by name as `stages.pool` and
-    reads the table and the jets from its first three arguments.
+    jet's shift p lambda_bar, which every jet of the level shares, so one
+    operator serves the level and goes with it.  The benchmark's tracer
+    wraps this function by name as `stages.pool` and reads the table and the
+    jets from its first three arguments.
     """
     ctx = _context_for(jet, cfg)
     n = 2 * ctx.K - 1
-    op, out = None, []
+    op = _operator(ctx, ctx.jet_operator_data(sum(alphas[0]) * jet.lambda_bar))
+    out = []
     for alpha in alphas:
-        s = _jet_shift(alpha, jet.lambda_bar)
-        if op is None or op.s != s:
-            op = None  # the old inverse goes before the new one is made
-            op = _operator(ctx, ctx.jet_operator_data(s))
         rhs, rho = _jet_rhs(fields, alpha)
         z = -(op.Jhat @ _rhs_window(rhs, ctx.K))
         centers = tuple(FourierSeq.point(row, ctx.nu) for row in z.reshape(9, n))
@@ -1711,7 +1694,7 @@ def extend_with_jets(jet: JetTable, cfg, *, gamma: float = 0.7,
     """Solve and certify all jets through order N_t (one rescale retry).
 
     Every jet runs in this process, whatever `jobs` is: the value changes
-    nothing.  Each shift's inverse and N^3 products keep a threaded BLAS
+    nothing.  Each level's inverse and N^3 products keep a threaded BLAS
     busy on every core already, and a process pool for the independent jets
     of a level made them slower, not faster.  `jobs` stays because the
     benchmark's `pool` workload (perfbench/pipeline.py) still passes it.

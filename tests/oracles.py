@@ -20,9 +20,11 @@ tests check against each other, and `unfold_orbit_G` is the orbit's
 unfolding term that order 0 assembles from its cubes.  `orbit_enclosure`,
 `bundle_enclosure` and `base_enclosure` enclose the window block of
 DF(x_bar) of a stage entry by entry, in endpoint lanes, the reference for
-the window defect of `stages`.  `monodromy_exponents` integrates the
-six-dimensional variational flow over one period, the reference for the
-Floquet exponents that seeding reads off the Hill matrix.  The builders at
+the window defect of `stages`; `complex_inverse` inverts a window block in
+complex arithmetic, the reference for the cos/sin inverse of `stages`.
+`monodromy_exponents` integrates the six-dimensional variational flow over
+one period, the reference for the Floquet exponents that seeding reads off
+the Hill matrix.  The builders at
 the end make interval inputs: an interval from midpoint and radius, an
 array widened by a radius, and a Fourier sequence from a dict of modes;
 `width` reads the size of an interval.
@@ -38,9 +40,10 @@ from scipy.integrate import solve_ivp
 from fourbody import model, numerics
 from fourbody.interval import ZERO, ComplexInterval, Interval, _as_iv, add_down, add_up
 from fourbody.ivarray import (
-    CArr, ri_add, up_sum, _ETA, _U, _dn, _gemm_gamma, _up, _up_factor,
+    CArr, cmat_abs_up, cmm, ri_add, up_sum, _ETA, _U, _dn, _gemm_gamma, _up, _up_factor,
 )
 from fourbody.model import _const_seq, _mode_sum, embedded_field, eta_terms
+from fourbody.opbound import SpaceLayout, block_norms, opnorm_upper
 from fourbody.seqspace import FourierSeq, WeightMismatch, conv, project
 
 
@@ -585,6 +588,17 @@ def bundle_enclosure(sol, ctx) -> EnclMat:
         cols = ns + i * n + (K - 1) + np.arange(-(sol.k0 - 1), sol.k0)
         E.add_row(0, cols, _mode_sum(project(a1, sol.k0)) * 2.0)
     return E
+
+
+def complex_inverse(J: np.ndarray, ns: int, K: int, nu: float):
+    """(Jhat, Z0, 0.0) in the shape of `stages._cos_sin_inverse`, made in the
+    Fourier basis: Jhat = inv(J) and Z0 from one complex midpoint-radius
+    product J^-1 J."""
+    layout = SpaceLayout(ns, K)
+    Jhat = np.linalg.inv(J)
+    cm, cr = cmm(Jhat, None, J, None)
+    cm[np.diag_indices(layout.n)] -= 1.0
+    return Jhat, opnorm_upper(block_norms(cmat_abs_up(cm, cr), layout, nu)), 0.0
 
 
 # ---------------------------------------------------------------------------

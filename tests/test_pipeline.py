@@ -192,8 +192,32 @@ def test_bundle_certifies_at_k64_nu_1_5(run):
     lam, v = seeding.bundle_guess(cfg, sol, KIND, K0, XI0)
     res0 = stages.validate_order0(sol, cfg)
     start = stages.start_jet_table(KIND, sol, res0, cfg, lam, v, K0, XI0, N_T)
-    assert start.lambda_bar.imag == 0.0
+    assert isinstance(start.lambda_bar, float)
     assert start.radii[(1, 0)] <= 1e-6
+
+
+def test_a_bundle_kind_is_stable_or_unstable(run):
+    # any other kind, a typo say, is refused before any work: it would
+    # otherwise seed and label the unstable bundle
+    cfg, res0, _, _ = run
+    sol = res0.context[0]
+    with pytest.raises(ValueError, match="unstabel"):
+        seeding.bundle_guess(cfg, sol, "unstabel", K0, XI0)
+    lam, v = seeding.bundle_guess(cfg, sol, KIND, K0, XI0)
+    with pytest.raises(ValueError, match="unstabel"):
+        stages.start_jet_table("unstabel", sol, res0, cfg, lam, v, K0, XI0, N_T)
+
+
+@pytest.mark.parametrize("kind", ["stable", "unstable"])
+def test_order1_refuses_an_exponent_of_the_other_sign(run, kind):
+    # the guess of the other bundle, labelled kind: order 1 certifies its
+    # lambda, whose enclosure has the other kind's sign
+    cfg, res0, _, _ = run
+    sol = res0.context[0]
+    other = {"stable": "unstable", "unstable": "stable"}[kind]
+    lam, v = seeding.bundle_guess(cfg, sol, other, K0, XI0)
+    with pytest.raises(ValueError, match="is not %s$" % kind):
+        stages.start_jet_table(kind, sol, res0, cfg, lam, v, K0, XI0, N_T)
 
 
 def _block_defect(E, J, N, ctx) -> float:
@@ -258,7 +282,7 @@ def test_window_defect_dominates_the_entrywise_defect(run, monkeypatch, moved):
     data, _ = stages._assemble_bundle(bsol, ctx, table.radii[(0, 0)])
     seen = _block_defect(oracles.bundle_enclosure(bsol, ctx), data.J, data.window_defect, ctx)
     assert (seen >= 1e-9) == moved
-    s = stages._jet_shift((2, 1), table.lambda_bar)
+    s = 3 * table.lambda_bar
     J = ctx.window_block(s)
     seen = _block_defect(oracles.base_enclosure(ctx, 0, s), J,
                          stages._window_defect(ctx, J, 0, s), ctx)
@@ -334,7 +358,7 @@ def _real_shift_operators(run, ctx):
     coeffs = np.array([a.c.mid() for a in table.orders[(1, 0)]])
     bsol = stages.BundleSolution(KIND, table.lambda_bar, coeffs, K0, XI0)
     yield stages._assemble_bundle(bsol, ctx, table.radii[(0, 0)])[0]
-    yield ctx.jet_operator_data(stages._jet_shift((2, 1), table.lambda_bar))
+    yield ctx.jet_operator_data(3 * table.lambda_bar)
 
 
 def _residual_seen(Jhat, J, ns, ctx) -> float:
@@ -348,16 +372,16 @@ def _residual_seen(Jhat, J, ns, ctx) -> float:
 
 
 def test_cos_sin_operator_matches_the_complex_one(run, stage_ctx, monkeypatch):
-    # a real shift inverts in the cos/sin basis; the complex path at the same
-    # shift gives ||A||, Z1_window and Z1_tail within 1e-12 relative, and the
-    # real form's Z0 is small and covers what an independent complex product
-    # of its Jhat with J shows (order 0's Z0 is about 8e-9 on either path,
-    # hence the bound relative to ||A||)
+    # a real shift inverts in the cos/sin basis; the oracle's complex inverse
+    # at the same shift gives ||A||, Z1_window and Z1_tail within 1e-12
+    # relative, and the real form's Z0 is small and covers what an
+    # independent complex product of its Jhat with J shows (order 0's Z0 is
+    # about 8e-9 on either path, hence the bound relative to ||A||)
     for data in _real_shift_operators(run, stage_ctx):
-        assert data.s.imag == 0.0
+        assert isinstance(data.s, float)
         real = stages._operator(stage_ctx, data)
         with monkeypatch.context() as m:
-            m.setattr(stages, "_cos_sin_inverse", stages._complex_inverse)
+            m.setattr(stages, "_cos_sin_inverse", oracles.complex_inverse)
             ref = stages._operator(stage_ctx, data)
         for name in ("normA", "normA_seq", "Z1_window", "Z1_tail"):
             assert getattr(real, name) == pytest.approx(getattr(ref, name), rel=1e-12), name
@@ -383,17 +407,6 @@ def test_cos_sin_z0_covers_a_visible_defect(run, stage_ctx, monkeypatch, defect)
         seen = _residual_seen(op.Jhat, J, data.ns, stage_ctx)
         assert seen >= 1e-9, data.ns
         assert op.Z0 >= seen, data.ns
-
-
-def test_complex_shift_takes_the_complex_inverse(run, stage_ctx, dense_calls):
-    # at s = 2 lambda_bar + 0.5 i, J does not commute with R: the jet
-    # operator inverts J itself, in complex, and its Z0 is as small
-    _, _, _, table = run
-    before = len(dense_calls("inv"))
-    data = stage_ctx.jet_operator_data(2.0 * table.lambda_bar + 0.5j)
-    op = stages._operator(stage_ctx, data)
-    assert [c[2] for c in dense_calls("inv")[before:]] == [np.complex128]
-    assert op.Z0 <= 1e-10
 
 
 def test_report_splits_z1(run):
@@ -504,7 +517,7 @@ def test_no_dense_solve_or_inverse_in_a_worker(run, dense_calls):
     # lambda_bar is real, so every stage's shift is: orders 0 and 1 and
     # every jet invert a float64 matrix, the cos/sin form of their block
     cfg, res0, start, table = run
-    shifts = {stages._jet_shift(a, table.lambda_bar) for a in table.radii if sum(a) >= 2}
+    shifts = {sum(a) * table.lambda_bar for a in table.radii if sum(a) >= 2}
     parent = os.getpid()
     real_inverse = ("inv", parent, np.float64)
     for jobs in (1, 2):
@@ -542,10 +555,9 @@ def test_no_jet_keeps_the_zero_guess(run):
     assert stages.extend_with_jets(arg, cfg, jobs=1).digest() == table.digest()
 
 
-def test_a_level_makes_one_operator_per_shift(run, monkeypatch):
-    # counts, not certificates: the two jets of level 2 share their shift
-    # when lambda_bar is real, and one operator serves both; with a complex
-    # lambda_bar their shifts differ, and each jet gets its own
+def test_a_level_makes_one_operator(run, monkeypatch):
+    # counts, not certificates: the jets of a level share the shift
+    # p lambda_bar, and one operator, made at that shift, serves them all
     cfg, _, _, table = run
     made, tasks = [], []
     N = 9 * (2 * K - 1)
@@ -555,25 +567,17 @@ def test_a_level_makes_one_operator_per_shift(run, monkeypatch):
         return made[-1]
 
     def certify(jet, ctx, alpha, rhs, rho, centers, op):
-        tasks.append((stages._jet_shift(alpha, jet.lambda_bar), id(op)))
+        tasks.append((alpha, id(op)))
 
     monkeypatch.setattr(stages, "_operator", operator)
     monkeypatch.setattr(stages, "_certify_jet", certify)
-    alphas = stages._level_alphas(2)
-    assert alphas == [(2, 0), (1, 1)]
-    fields = stages._level_fields(table, cfg, 2)
-    for lam in (table.lambda_bar, table.lambda_bar + 0.1j):
+    for p in (2, 3):
+        alphas = stages._level_alphas(p)
+        assert len(alphas) == 2
         del made[:], tasks[:]
-        stages._level_parallel(replace(table, lambda_bar=lam), cfg, alphas, fields)
-        shifts = [stages._jet_shift(a, lam) for a in alphas]
-        if lam.imag == 0.0:
-            assert shifts[0] == shifts[1]
-            assert [op.s for op in made] == shifts[:1]
-            assert tasks == [(shifts[0], id(made[0]))] * 2
-        else:
-            assert shifts[0] != shifts[1]
-            assert [op.s for op in made] == shifts
-            assert tasks == [(op.s, id(op)) for op in made]
+        stages._level_parallel(table, cfg, alphas, stages._level_fields(table, cfg, p))
+        assert [op.s for op in made] == [p * table.lambda_bar]
+        assert tasks == [(alpha, id(made[0])) for alpha in alphas]
 
 
 def test_failed_certificate_carries_its_bounds(run, monkeypatch):
@@ -892,10 +896,12 @@ def test_recheck_requires_every_certified_radius(run, tmp_path, capsys, gone):
         "FAIL radius %s  missing for %s" % (key, stage) for key in sorted(gone)]
 
 
-@pytest.mark.parametrize("edit", ["mode -44", "mode 24", "short lambda_bar"])
+@pytest.mark.parametrize("edit", ["mode -44", "mode 24", "short lambda_bar",
+                                  "complex lambda_bar"])
 def test_recheck_rejects_a_malformed_table(run, tmp_path, capsys, edit):
-    # a mode outside the support of its row, or a lambda_bar of one number,
-    # cannot be read as a table: exit 2, no traceback and no stage lines
+    # a mode outside the support of its row, or a lambda_bar of one number
+    # or with an imaginary part, cannot be read as a table: exit 2, no
+    # traceback and no stage lines
     _, _, _, table = run
     obj = table.to_json_obj()
     entry = obj["orders"]["0,0"][0]["entries"][K - 1]
@@ -903,8 +909,10 @@ def test_recheck_rejects_a_malformed_table(run, tmp_path, capsys, edit):
         entry[0] = -44
     elif edit == "mode 24":
         entry[0] = K
-    else:
+    elif edit == "short lambda_bar":
         obj["lambda_bar"] = obj["lambda_bar"][:1]
+    else:
+        obj["lambda_bar"][1] = (0.5).hex()
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(obj))
     assert cli.main(["recheck", str(path)]) == 2

@@ -150,9 +150,9 @@ def test_hill_exponents_match_the_monodromy_oracle(cfg, start, K):
     lam_u, a_u = seeding.bundle_guess(cfg, sol, "unstable", 3, 1e-4)
     lam_s, _ = seeding.bundle_guess(cfg, sol, "stable", 3, 1e-4)
     _, want = oracles.monodromy_exponents(cfg, sol)
-    assert lam_u.imag == 0.0 and lam_s.imag == 0.0
-    assert abs(lam_u.real - want) <= 1e-10
-    assert abs(lam_s.real + lam_u.real) <= 1e-12
+    assert isinstance(lam_u, float) and isinstance(lam_s, float)
+    assert abs(lam_u - want) <= 1e-10
+    assert abs(lam_s + lam_u) <= 1e-12
     # the guess has the window of K and the scale xi0 of its modes |k| < 3
     assert a_u.shape == (9, 2 * K - 1)
     err, tol = scale_error(a_u, K, 3, 1e-4)
@@ -161,6 +161,28 @@ def test_hill_exponents_match_the_monodromy_oracle(cfg, start, K):
     # by 2e-12 xi0 = 2e-16, and tol is about 1e-18 here (R ~ 1.46 xi0)
     assert tol < 1e-17
     assert scale_error(a_u * (1.0 + 1e-12), K, 3, 1e-4)[0] > tol
+
+
+def test_a_complex_exponent_is_a_seed_failure(cfg, start, monkeypatch):
+    # the two rightmost eigenvalues of the strip made a complex pair: the
+    # unstable seed names its exponent and fails, the stable one is real
+    eq, H0 = start
+    sol, _ = seeding.orbit_to_jacobi(cfg, eq, H0 - 0.3, 24, 1.5)
+    eig = np.linalg.eig
+
+    def complex_pair(M):
+        lams, vecs = eig(M)
+        strip = np.abs(lams.imag) < 0.5 * sol.omega
+        i, j = np.argsort(np.where(strip, lams.real, -np.inf))[-2:]
+        lams = lams.astype(complex)
+        lams[[i, j]] = lams[j].real + np.array([0.1j, -0.1j])
+        return lams, vecs
+
+    monkeypatch.setattr(seeding.np.linalg, "eig", complex_pair)
+    with pytest.raises(seeding.SeedFailure,
+                       match=r"unstable Floquet exponent \(.*j\) is not real"):
+        seeding.bundle_guess(cfg, sol, "unstable", 3, 1e-4)
+    assert isinstance(seeding.bundle_guess(cfg, sol, "stable", 3, 1e-4)[0], float)
 
 
 def scale_error(a, K, k0, xi0):
