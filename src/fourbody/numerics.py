@@ -11,9 +11,20 @@ by layer, and it serves every float evaluation of the field: seeding, the
 order-0 residual and kernels, the jets' right-hand sides (through
 `stages`), and `remainder_layer`.  `base_block` assembles the window block
 of the linear operator that every stage shares.
+
+`one_blas_thread` runs the dense algebra of a public stage call on one
+OpenBLAS thread.  A jet operator's N^3 work is two half-size blocks
+(`stages._operator`), too little to keep a second BLAS thread busy; that
+thread would spin between calls and take a core from whatever else runs.
+One thread also makes every float result, and so every digest, the same
+whatever OPENBLAS_NUM_THREADS is.
 """
 
 from __future__ import annotations
+
+import contextlib
+import ctypes
+import functools
 
 import numpy as np
 
@@ -33,11 +44,59 @@ __all__ = [
     "field_grid",
     "remainder_layer",
     "newton_polish",
+    "one_blas_thread",
 ]
 
 
 class NewtonDivergence(RuntimeError):
     """Newton iteration failed to reach the residual tolerance."""
+
+
+# (get, set) of the thread count, by the names of numpy's OpenBLAS builds:
+# the scipy-openblas wheels (ILP64 and LP64), older 64-bit builds, the rest
+_OPENBLAS_THREADS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy loaded, or
+    None when numpy's BLAS is not OpenBLAS.  The library is the one that
+    numpy's linear algebra extension links: a handle to the extension finds
+    the symbols of the libraries it loaded."""
+    from numpy.linalg import _umath_linalg
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return None
+    for get_name, set_name in _OPENBLAS_THREADS:
+        if hasattr(lib, get_name) and hasattr(lib, set_name):
+            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+            get.restype, get.argtypes = ctypes.c_int, []
+            set_.restype, set_.argtypes = None, [ctypes.c_int]
+            return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block, or the decorated function, on one OpenBLAS thread and
+    restore the count it found on exit.  The count is the process's, so
+    nested uses are fine and concurrent ones from several Python threads
+    are not; without OpenBLAS it does nothing."""
+    api = _openblas_threads()
+    before = 1 if api is None else api[0]()
+    if before != 1:
+        api[1](1)
+    try:
+        yield
+    finally:
+        if before != 1:
+            api[1](before)
 
 
 def cfg_floats(cfg):

@@ -22,6 +22,7 @@ from .seqspace import nu_weights
 __all__ = [
     "SpaceLayout",
     "block_norms",
+    "group_col_sums",
     "norm_rows",
     "opnorm_upper",
     "group_vec_norms",
@@ -60,18 +61,46 @@ class SpaceLayout:
         return w_up[self.kabs], _up(_up(1.0 / w_dn))[self.kabs]
 
 
-def block_norms(absU, layout: SpaceLayout, nu: float):
-    """Upper bounds N[r,c] of the block operator norms of |U| on X."""
-    absU = np.asarray(absU, dtype=float)
-    if absU.shape != (layout.n, layout.n):
+def _group_slices(layout: SpaceLayout, part) -> list:
+    """The groups of `layout` restricted to the slots `part`, a sorted
+    index array, as slices of part: one per group, each possibly empty."""
+    edges = np.searchsorted(part, [sl.start for sl in layout.slices] + [layout.n])
+    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+
+
+def group_col_sums(w, X, layout: SpaceLayout, part):
+    """Upper bounds of the weighted column sums sum_k w_k X[k, :] over the
+    rows k of each group of `layout`, one row per group, for a nonnegative X
+    whose rows are the slots `part` (a sorted index array) and their
+    weights w."""
+    out = np.zeros((len(layout.slices), X.shape[1]))
+    for ri, rows in enumerate(_group_slices(layout, part)):
+        out[ri] = _weighted_col_sums(w[rows], X[rows])
+    return out
+
+
+def block_norms(absU, layout: SpaceLayout, nu: float, parts=None):
+    """Upper bounds N[r,c] of the block operator norms of |U| on X.
+
+    With parts, a tuple of sorted index arrays that partition the slots,
+    absU holds the diagonal blocks of |U|: block b the entries whose row and
+    column both lie in parts[b].  Every other entry of |U| is zero, and the
+    column sums skip them."""
+    n = layout.n
+    if parts is None:
+        parts, absU = (np.arange(n),), (np.asarray(absU, dtype=float),)
+    if [a.shape for a in absU] != [(len(p), len(p)) for p in parts] or \
+            sum(len(p) for p in parts) != n:
         raise ValueError("matrix shape does not match layout")
     w_up, winv_up = layout.weights_up(nu)
     ns = layout.ns
+    colsum = np.zeros((ns + 9, n))
+    for part, blk in zip(parts, absU):
+        colsum[:, part] = group_col_sums(w_up[part], blk, layout, part)
+    colsum = _up(colsum * winv_up)
     out = np.zeros((ns + 9, ns + 9))
-    for ri, rs in enumerate(layout.slices):
-        colsum = _up(_weighted_col_sums(w_up[rs], absU[rs, :]) * winv_up)
-        out[ri, :ns] = colsum[:ns]
-        out[ri, ns:] = colsum[ns:].reshape(9, -1).max(axis=1)
+    out[:, :ns] = colsum[:, :ns]
+    out[:, ns:] = colsum[:, ns:].reshape(ns + 9, 9, -1).max(axis=2)
     return out
 
 

@@ -51,12 +51,17 @@ _EQ_GRID = 13
 # the level walk: amplitude of the start guess, growth of the step in
 # sigma = sqrt|H - H_eq| per converged solve (the first step is
 # _SIGMA_GROWTH times the start's sigma); the walk stalls once a halved
-# sigma-step is below _STEP_FLOOR times sigma.  A growth of 3 jumped to
-# another symmetric orbit of the same level for the masses 2/5, 33/100,
-# 27/100 (rest point 5, level H_eq - 1), which steps of 2.5 do not.
+# sigma-step is below _STEP_FLOOR times sigma.  A converged solve whose
+# correction is longer than _CORRECTOR_RATIO times its predictor step left
+# the family and counts as diverged: with a growth of 3 the corrector moved
+# 1.08 times the predictor step and landed on another symmetric orbit of the
+# same level (masses 2/5, 33/100, 27/100, rest point 5, level H_eq - 1),
+# where the walk of growth 2.5 moves at most 0.76 times it, and the
+# reference walk at most 0.56 times.
 _AMP0 = 4e-3
 _SIGMA_GROWTH = 2.5
 _STEP_FLOOR = 1e-4
+_CORRECTOR_RATIO = 0.9
 # the walk's K; a larger K zero-pads the walk's orbit and polishes it once
 _K_WALK = 12
 # signs of the squares in the Jacobi integral of (x, vx, y, vy, z, vz)
@@ -219,8 +224,10 @@ def _walk_level(cfg, eq_xy, H_target: float, K: int):
     extended by the sigma-step; the first secant starts at the equilibrium,
     the guess at amplitude 0 and sigma 0.  The step grows _SIGMA_GROWTH
     times after a converged solve and is halved after a diverged one; the
-    step that would pass the target lands on H_target itself.  Every solve
-    is to NEWTON_TOL.  On the reference level H_eq - 0.3 sigma goes 0.010
+    step that would pass the target lands on H_target itself.  A solve that
+    converges farther from its guess than _CORRECTOR_RATIO times the
+    predictor step (guess minus the last orbit) jumped off the family and
+    counts as diverged.  Every solve is to NEWTON_TOL.  On the reference level H_eq - 0.3 sigma goes 0.010
     (the start), 0.036, 0.100, 0.261 and 0.548 (the level), with 2, 3, 3, 3
     and 4 Newton steps: 15 Jacobians.
     """
@@ -240,8 +247,13 @@ def _walk_level(cfg, eq_xy, H_target: float, K: int):
     sigma = step = np.sqrt(abs(H - H_eq))
     while True:
         anchor = phase_anchor(cfg, z[5:].reshape(9, n).sum(axis=1).real)
+        guess = z
         try:
             z = stages.newton_stage(_level_problem(cfg, K, level, anchor), z)
+            # the start solve has no predictor step
+            if cur[0] != 0.0 and (np.linalg.norm(z - guess)
+                                  > _CORRECTOR_RATIO * np.linalg.norm(guess - cur[1])):
+                raise numerics.NewtonDivergence("the corrector left the family")
         except numerics.NewtonDivergence:
             step *= 0.5
             if cur[0] == 0.0 or step < _STEP_FLOOR * cur[0]:
@@ -256,6 +268,7 @@ def _walk_level(cfg, eq_xy, H_target: float, K: int):
         z = z1 + (z1 - z0) * ((sigma - s1) / (s1 - s0))
 
 
+@numerics.one_blas_thread()
 def orbit_to_jacobi(cfg, eq_xy, H_target: float, K: int, nu: float):
     """Member of the vertical family on a Jacobi level; returns (sol, H).
 
@@ -292,6 +305,7 @@ def orbit_to_jacobi(cfg, eq_xy, H_target: float, K: int, nu: float):
 # Floquet data from the Hill matrix
 
 
+@numerics.one_blas_thread()
 def bundle_guess(cfg, sol: stages.OrbitSolution, kind: str, k0: int,
                  xi0: float):
     """(lambda, coefficient guess) for the stable or unstable Floquet bundle:

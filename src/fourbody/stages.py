@@ -36,12 +36,27 @@ lambda_bar for order 1 and p lambda_bar for a jet of order p.  So J
 commutes, up to rounding, with the conjugate reflection R,
 (R h)_k = conj(h_-k), because the orbit is real.  T^H J T is then real for
 the T that takes each pair of modes (k, -k) to (cos, sin), and
-A = T inv(M) T^H with M the real part of the float T^H J T: one float64
-inverse and one real Z0 product (`_cos_sin_inverse`).  Z0 is the sum of
-three terms: the real product's |I - inv(M) M| carried back by |T| and
-|T^-1|, ||A|| times what M misses of T^H J T (its imaginary part and the
-rounding of forming it), and the rounding of forming A times ||J||.  A is
-the complex Jhat, and the bounds and the jets' step read Jhat and |Jhat|.
+A = T B T^H with B a float64 inverse of M, the real part of the float
+T^H J T (`_cos_sin_inverse`).  Z0 is the sum of three terms: |I - B M|
+carried back by |T| and |T^-1|, ||A|| times what M misses of T^H J T (its
+imaginary part and the rounding of forming it), and the rounding of
+forming A times ||J||.  Of |I - B M| the bound reads only the weighted
+column sums per row group, so the gemm error gamma |B| |M| enters as
+(W |B|) |M|, with W the (ns + 9) x N group weights: the only N^3 products
+are the inverse and B M.  A is the complex Jhat, and the bounds and the
+jets' step read Jhat and |Jhat|.
+
+A jet's J (ns = 0) also commutes, up to rounding, with the half-period
+reflection Q, (Q h)_(c,k) = sigma_c (-1)^k h_(c,k) with sigma = -1 on z
+and vz: the vertical family is Q-fixed.  T maps each class of Q to itself,
+so a jet's M is, up to rounding, block diagonal on the two classes
+(`_parity_parts`).  Its B inverts the two diagonal blocks, each of about
+N/2, and Jhat is zero off them: the inverses and B M cost a quarter, and
+|Jhat|, its block norms, the Z1 tail product and the jets' step z = -Jhat R
+half, of the whole.  What M holds off the blocks, at most |B| |M_off|
+after B, goes into Z0's first term, so a J that does not commute with Q
+is still covered, only less tightly.  Orders 0 and 1 stay whole: their eta
+and xi rows couple the two classes.
 
 Stages:
 
@@ -95,15 +110,17 @@ changed once built and holds no N x N array: a stage builds its float
 window block J (`_StageContext.window_block`) and its operator where it
 needs them, and lets them go when it returns.  Every jet of order p has
 s = p lambda_bar, and the jets come level by level, so `_level_parallel`
-makes one inverse, one Z0 product and one Z1 per level.
+makes one operator (inverse, Z0 and Z1) per level.
 
 Every jet runs in the calling process, level by level in a fixed order.
-The jets of one level are independent, but each level's inverse and its
-N^3 products already keep a threaded BLAS busy on every core, so a process
-pool only added a fork, a pickled N x N operator per task and BLAS threads
-competing for the same cores: on 2 cores it made the jets slower, not
-faster.  The dense inverses are threaded BLAS calls, so the digests depend
-on the BLAS thread count as well as on the code.
+The jets of one level are independent, but a process pool only added a
+fork, a pickled N x N operator per task and BLAS threads competing for the
+same cores: on 2 cores it made the jets slower, not faster.  The public
+stage calls run their dense algebra on one BLAS thread
+(`numerics.one_blas_thread`): after the split above a second thread found
+too little N^3 work to pay for its spinning between calls, which took a
+core from whatever else ran.  So one certified table costs one core, and
+its digests do not depend on the BLAS thread count.
 
 The jet table collects centers, radii, eigenvalue enclosures, and the
 certificates with a digest chain binding each stage to its predecessors.
@@ -133,8 +150,8 @@ from .ivarray import (
 )
 from .opbound import (
     SpaceLayout,
-    _weighted_col_sums,
     block_norms,
+    group_col_sums,
     group_vec_norms,
     norm_rows,
     opnorm_upper,
@@ -606,14 +623,16 @@ class _OperatorData:
 class _Operator(NamedTuple):
     """The operator part of a stage certificate: A = Jhat, a float inverse of
     J on the window (the exact reciprocal diagonal on the tail), and the
-    bounds that read A but not the stage's residual."""
+    bounds that read A but not the stage's residual.  Jhat is held as its
+    diagonal blocks on `parts` (`_parity_parts`), zero off them."""
 
     layout: SpaceLayout
     K: int
     nu: float
     omega: float
     s: float
-    Jhat: np.ndarray
+    parts: tuple
+    Jhat: list
     Z0: float
     normA: float
     normA_seq: float
@@ -648,18 +667,41 @@ def _resid_mid_rad(asm: _Assembled, K: int):
     return np.concatenate(parts_m), np.concatenate(parts_r)
 
 
-def _pairs(X: np.ndarray, ns: int, K: int, axis: int):
-    """Views (plus, minus, zero) of the sequence entries of X along axis 0
-    (rows) or 1 (columns), made by reshaping to the (9, n) layout: entry j
-    of plus and of minus are the modes k = j + 1 and k = -(j + 1) of one
-    component, zero its mode 0.  The first ns entries, the scalars, are in
-    none of them."""
-    n = 2 * K - 1
+def _run_pairs(X: np.ndarray, start: int, count: int, L: int, axis: int):
+    """Views (plus, minus, zero) of `count` windows of L entries of X from
+    entry start on, along axis 0 (rows) or 1 (columns), made by reshaping
+    to (count, L): each window holds the modes of one component in
+    ascending order, the same |k| on both sides, so entry j of plus and of
+    minus are the j-th smallest k > 0 and its -k, and zero is mode 0 (None
+    when the window holds none)."""
+    h, odd = divmod(L, 2)
     if axis == 0:
-        v = X[ns:].reshape(9, n, -1)
-        return v[:, K:], v[:, :K - 1][:, ::-1], v[:, K - 1]
-    v = X[:, ns:].reshape(-1, 9, n)
-    return v[..., K:], v[..., :K - 1][..., ::-1], v[..., K - 1]
+        v = X[start:start + count * L].reshape(count, L, -1)
+        return v[:, h + odd:], v[:, :h][:, ::-1], (v[:, h] if odd else None)
+    v = X[:, start:start + count * L].reshape(-1, count, L)
+    return v[..., h + odd:], v[..., :h][..., ::-1], (v[..., h] if odd else None)
+
+
+def _pairs(X: np.ndarray, ns: int, K: int, axis: int):
+    """`_run_pairs` of the nine windows of 2K - 1 modes after the ns scalars:
+    entry j of plus and of minus are the modes k = j + 1 and k = -(j + 1)
+    of one component, zero its mode 0."""
+    return _run_pairs(X, ns, 9, 2 * K - 1, axis)
+
+
+def _window_runs(part: np.ndarray, ns: int, K: int) -> list:
+    """The windows of the slots part (sorted, the ns scalars first) as runs
+    (start, count, L) for `_run_pairs`: count neighbouring components whose
+    windows in part have L slots each, from position start of part on."""
+    L = np.bincount((part[ns:] - ns) // (2 * K - 1), minlength=9)
+    runs, start = [], ns
+    for c in range(9):
+        if runs and runs[-1][2] == L[c]:
+            runs[-1][1] += 1
+        else:
+            runs.append([start, 1, int(L[c])])
+        start += int(L[c])
+    return runs
 
 
 def _cos_sin_form(J: np.ndarray, ns: int, K: int):
@@ -689,66 +731,103 @@ def _cos_sin_form(J: np.ndarray, ns: int, K: int):
     return yr, yi
 
 
-def _from_cos_sin(B: np.ndarray, ns: int, K: int, zr: np.ndarray, zi: np.ndarray) -> np.ndarray:
-    """T B T^H for a real B, as a complex array; zr and zi are N x N work
-    arrays.  B T^H only moves entries and flips signs; T then makes each part
-    of an entry one rounded sum."""
+def _from_cos_sin(B: np.ndarray, ns: int, runs: list, zr: np.ndarray,
+                  zi: np.ndarray) -> np.ndarray:
+    """T B T^H for a real B, as a complex array, on the scalars and the
+    windows `runs` (`_window_runs`); zr and zi are work arrays of B's shape.
+    B T^H only moves entries and flips signs; T then makes each part of an
+    entry one rounded sum."""
     N = B.shape[0]
     zr[:, :ns], zi[:, :ns] = B[:, :ns], 0.0
-    bp, bm, b0 = _pairs(B, ns, K, 1)
-    (rp, rm, r0), (ip, im, i0) = _pairs(zr, ns, K, 1), _pairs(zi, ns, K, 1)
-    rp[...], rm[...], r0[...] = bp, bp, b0
-    np.negative(bm, out=ip)
-    im[...], i0[...] = bm, 0.0
+    for run in runs:
+        bp, bm, b0 = _run_pairs(B, *run, 1)
+        (rp, rm, r0), (ip, im, i0) = _run_pairs(zr, *run, 1), _run_pairs(zi, *run, 1)
+        rp[...], rm[...] = bp, bp
+        np.negative(bm, out=ip)
+        im[...] = bm
+        if b0 is not None:
+            r0[...], i0[...] = b0, 0.0
     A = np.empty((N, N), dtype=complex)
     ar, ai = A.real, A.imag
     ar[:ns], ai[:ns] = zr[:ns], zi[:ns]
-    (rp, rm, r0), (ip, im, i0) = _pairs(zr, ns, K, 0), _pairs(zi, ns, K, 0)
-    (arp, arm, ar0), (aip, aim, ai0) = _pairs(ar, ns, K, 0), _pairs(ai, ns, K, 0)
-    np.subtract(rp, im, out=arp)
-    np.add(ip, rm, out=aip)
-    np.add(rp, im, out=arm)
-    np.subtract(ip, rm, out=aim)
-    ar0[...], ai0[...] = r0, i0
+    for run in runs:
+        (rp, rm, r0), (ip, im, i0) = _run_pairs(zr, *run, 0), _run_pairs(zi, *run, 0)
+        (arp, arm, ar0), (aip, aim, ai0) = _run_pairs(ar, *run, 0), _run_pairs(ai, *run, 0)
+        np.subtract(rp, im, out=arp)
+        np.add(ip, rm, out=aip)
+        np.add(rp, im, out=arm)
+        np.subtract(ip, rm, out=aim)
+        if r0 is not None:
+            ar0[...], ai0[...] = r0, i0
     return A
 
 
-def _cos_sin_block_norms(E: np.ndarray, ns: int, K: int, nu: float) -> np.ndarray:
-    """`block_norms` of |T| E |T^-1| for a nonnegative E, from weighted
-    column sums of E alone: a row of |T| E is the sum of the rows c_k and
-    s_k, which carry the weight of k, and a column of E |T^-1| is half the
-    sum of the columns c_l and s_l (T is the identity on the scalars and on
-    mode 0)."""
+def _parity_parts(ns: int, K: int) -> tuple:
+    """The slots of X by the class of the half-period reflection Q,
+    (Q h)_(c,k) = sigma_c (-1)^k h_(c,k) with sigma = -1 on z and vz and +1
+    on the other components: for the jets (ns = 0) the sorted slots where
+    Q = +1 and those where Q = -1; for orders 0 and 1, whose eta and xi rows
+    couple the two classes, one part of every slot.  T maps each class to
+    itself, as the slots k and -k of a pair share it."""
+    if ns:
+        return (np.arange(ns + 9 * (2 * K - 1)),)
+    sigma = np.array([1, 1, 1, 1, -1, -1, 1, 1, 1])
+    q = (sigma[:, None] * (1 - 2 * (numerics.kvals(K) % 2))).ravel()
+    return np.flatnonzero(q > 0), np.flatnonzero(q < 0)
+
+
+def _cos_sin_weights(layout: SpaceLayout, nu: float) -> np.ndarray:
+    """The weight of each slot in a row of |T| E: that row is the sum of the
+    rows c_k and s_k, which carry the weight of k, so a slot of k != 0
+    weighs 2 nu^|k| (T is the identity on the scalars and on mode 0)."""
+    w_up, _ = layout.weights_up(nu)
+    return np.where(layout.kabs > 0, 2.0 * w_up, w_up)
+
+
+def _cos_sin_block_norms(S: np.ndarray, ns: int, K: int, nu: float) -> np.ndarray:
+    """`block_norms` of |T| E |T^-1| for a nonnegative E, from S, an upper
+    bound of W E, the column sums of E over each row group weighted by
+    `_cos_sin_weights`: a column of E |T^-1| is half the sum of the columns
+    c_l and s_l."""
     layout = SpaceLayout(ns, K)
-    w_up, winv_up = layout.weights_up(nu)
-    w = np.where(layout.kabs > 0, 2.0 * w_up, w_up)
+    _, winv_up = layout.weights_up(nu)
     winv = winv_up[ns + K:ns + 2 * K - 1]
+    plus, minus, zero = _pairs(S, ns, K, 1)
+    pairs = _up(_up(plus + minus) * 0.5 * winv)
     out = np.zeros((ns + 9, ns + 9))
-    for ri, rs in enumerate(layout.slices):
-        v = _weighted_col_sums(w[rs], E[rs])[None, :]
-        plus, minus, zero = _pairs(v, ns, K, 1)
-        pairs = _up(_up(plus[0] + minus[0]) * 0.5 * winv)
-        out[ri, :ns] = v[0, :ns]
-        out[ri, ns:] = np.maximum(pairs.max(axis=1), _up(zero[0] * winv_up[ns + K - 1]))
+    out[:, :ns] = S[:, :ns]
+    out[:, ns:] = np.maximum(pairs.max(axis=2), _up(zero * winv_up[ns + K - 1]))
     return out
 
 
-def _cos_sin_inverse(J: np.ndarray, ns: int, K: int, nu: float):
-    """(Jhat, z0, z0_per_normA) for a real shift, made in the cos/sin basis.
+def _cos_sin_inverse(J: np.ndarray, ns: int, K: int, nu: float, parts: tuple):
+    """(Jhat, z0, z0_per_normA) for a real shift, made in the cos/sin basis;
+    Jhat is the list of the diagonal blocks of A on the `_parity_parts`
+    parts, zero off them.
 
     T is the identity on the scalars and on mode 0 and takes the slots
     (k, -k) of a pair to (cos, sin), h_k = c + i s and h_-k = c - i s; so
     T^H = 2 T^-1 on the pairs, and both have entries 1 and +-i only.  When J
     commutes with the conjugate reflection R, (R h)_k = conj(h_-k), T^H J T
-    is real.  M is the real part of its float value and B = inv(M) is a
-    float64 inverse; Jhat = T B T^H, formed in O(N^2), is the approximate
-    inverse A that every bound and the jets' step read.
+    is real.  M is the real part of its float value.  B is block diagonal
+    on the parts, B_a = inv(M_aa) in float64 for the block M_aa of M on
+    part a, and Jhat = T B T^H, formed block by block in O(N^2), is the
+    approximate inverse A that every bound and the jets' step read.  The
+    two parts of a jet are the classes of Q, which T maps to themselves:
+    J commutes with Q up to rounding, so the blocks M_ab (a != b) are
+    rounding too, and the inverses cost a quarter of one whole inverse.
 
     With A' = T B T^H exact and norms of the real slots weighted as their
     modes, ||I - Jhat J|| <= z0 + z0_per_normA ||Jhat|| from three terms:
 
     * ||T (I - B M) T^-1||, the block-norm bound of |T| |I - B M| |T^-1|
-      from one real midpoint-radius product (`ivarray.cmm`);
+      (`_cos_sin_block_norms`), which reads only W |I - B M|: the column
+      sums over each row group, weighted by `_cos_sin_weights`.  On a
+      diagonal block, |I - B_a M_aa| is at most the float product's
+      |I - fl(B_a M_aa)| plus the gemm error gamma |B_a| |M_aa|; off them,
+      I - B M is -B_a M_ab, at most |B_a| |M_ab| (M off the blocks, M_off).
+      Both enter as (W_a |B_a|) |M_ab|, two products of ns + 9 rows, so
+      the only N^3 products are the inverses and B_a M_aa;
     * ||A'|| ||(T^H)^-1 (T^H J T - M) T^-1||, where (T^H)^-1 is T / 2 on
       the pairs and it and T^-1 have norm 1.  T^H J T - M is the imaginary
       part of the float value plus the rounding of its two sums, at most
@@ -767,20 +846,49 @@ def _cos_sin_inverse(J: np.ndarray, ns: int, K: int, nu: float):
     # np.abs of a complex entry is within 1 + 4u of its modulus
     norm_J = float(_up(opnorm_upper(block_norms(np.abs(J, out=Im), layout, nu))
                        * (1.0 + 4.0 * _U)))
-    del Im
-    B = np.linalg.inv(M)
-    E, G = cmm(B, None, M, None)
-    del M
-    # E = |I - B M| in place: two roundings an entry (the diagonal's - 1
-    # too, if cm_ii is far from 1), which 1 + 4u covers
-    E[np.diag_indices(N)] -= 1.0
-    np.abs(E, out=E)
-    E += G
-    z0 = float(_up(opnorm_upper(_cos_sin_block_norms(E, ns, K, nu)) * (1.0 + 4.0 * _U)))
-    Jhat = _from_cos_sin(B, ns, K, E, G)
+    # Mq[a][b]: the rows of parts[a] and the columns of parts[b], views of
+    # M in the order of the parts
+    perm = np.concatenate(parts)
+    Mp = M if len(parts) == 1 else np.take(np.take(M, perm, axis=0), perm, axis=1)
+    cut = np.cumsum([0] + [len(p) for p in parts])
+    Mq = [[Mp[cut[a]:cut[a + 1], cut[b]:cut[b + 1]] for b in range(len(parts))]
+          for a in range(len(parts))]
+    w = _cos_sin_weights(layout, nu)
+    S = np.zeros((ns + 9, N))
+    Bs = []
+    for a, pa in enumerate(parts):
+        Maa = Mq[a][a]
+        Bs.append(np.linalg.inv(Maa))
+        # |I - fl(B_a M_aa)|: the diagonal's - 1 rounds once, which the
+        # 1 + 4u below covers
+        E = Bs[a] @ Maa
+        E[np.diag_indices(len(pa))] -= 1.0
+        Sa = group_col_sums(w[pa], np.abs(E, out=E), layout, pa)
+        Va = group_col_sums(w[pa], np.abs(Bs[a], out=E), layout, pa)
+        del E
+        gemm = _up(_gemm_gamma(len(pa)) * mm_up_nonneg(Va, np.abs(Maa, out=Maa)))
+        S[:, pa] = _up(S[:, pa] + _up(Sa + gemm))
+        for b, pb in enumerate(parts):
+            if b != a:
+                Mab = Mq[a][b]
+                S[:, pb] = _up(S[:, pb] + mm_up_nonneg(Va, np.abs(Mab, out=Mab)))
+    del Mq, Mp
+    z0 = float(_up(opnorm_upper(_cos_sin_block_norms(S, ns, K, nu)) * (1.0 + 4.0 * _U)))
     inner = _up(norm_im + _up(9.0 * _U * norm_J))
     per = float(_up(_up(inner * (1.0 + 4.0 * _U)) + _up(4.0 * _U * norm_J)))
+    # M and Im are spent: their memory holds the work arrays of each block
+    Jhat = [_from_cos_sin(Ba, ns, _window_runs(pa, ns, K),
+                          *(w.reshape(-1)[:Ba.size].reshape(Ba.shape) for w in (M, Im)))
+            for pa, Ba in zip(parts, Bs)]
     return Jhat, z0, per
+
+
+def _inverse_times(op: "_Operator", v: np.ndarray) -> np.ndarray:
+    """Jhat v, one diagonal block of Jhat at a time."""
+    out = np.empty(len(v), dtype=complex)
+    for part, blk in zip(op.parts, op.Jhat):
+        out[part] = blk @ v[part]
+    return out
 
 
 def _group_max(v: np.ndarray, ns: int, tail) -> float:
@@ -794,19 +902,22 @@ def _operator(ctx: _StageContext, d: _OperatorData) -> _Operator:
 
     The real shift s makes the inverse in the cos/sin basis
     (`_cos_sin_inverse`), and Z0 sums three terms there: the real product
-    |I - inv(M) M| carried back by |T| and |T^-1|, ||A|| times what M misses
-    of T^H J T, and the rounding of forming A times ||J||.  ||A||, Z1_window
-    and Z1_tail read the complex Jhat and |Jhat|, taken once from Jhat's
-    moduli, rounded up."""
+    |I - B M| carried back by |T| and |T^-1|, ||A|| times what M misses of
+    T^H J T, and the rounding of forming A times ||J||.  A jet's B inverts
+    the two diagonal blocks of M on the classes of Q (`_parity_parts`), so
+    its Jhat is zero off them.  ||A||, Z1_window and Z1_tail read the
+    complex Jhat and |Jhat|, taken once from Jhat's moduli, rounded up,
+    block by block: the zero blocks add nothing."""
     K, nu, omega, ns, s = ctx.K, ctx.nu, ctx.omega, d.ns, d.s
     layout = SpaceLayout(ns, K)
     N = layout.n
     ngroups = ns + 9
-    Jhat, z0, z0_per_normA = _cos_sin_inverse(d.J, ns, K, nu)
+    parts = _parity_parts(ns, K)
+    Jhat, z0, z0_per_normA = _cos_sin_inverse(d.J, ns, K, nu, parts)
     # np.abs rounds a modulus to nearest, down about half the time
-    absJ = cmat_abs_up(Jhat, None)
+    absJ = [cmat_abs_up(blk, None) for blk in Jhat]
 
-    Bmat = block_norms(absJ, layout, nu)
+    Bmat = block_norms(absJ, layout, nu, parts)
     rowsJ = norm_rows(Bmat)
     Z0 = float(_up(z0 + _up(z0_per_normA * float(rowsJ.max()))))
     dtK = float(_inv_dist_up(np.array([float(K)]), omega, s)[0])
@@ -827,7 +938,10 @@ def _operator(ctx: _StageContext, d: _OperatorData) -> _Operator:
         for i in range(9):
             if ctx.kmags[i][j] is not None:
                 U[layout.slices[ns + i], ns + j] = ctx.kprofiles[i][j]
-    Wmat = mm_up_nonneg(absJ, U)
+    Wmat = np.empty((N, ngroups))
+    for part, blk in zip(parts, absJ):
+        Wmat[part] = mm_up_nonneg(blk, U[part])
+    del absJ
     Np = np.zeros((ngroups, ngroups))
     for ci in range(ngroups):
         Np[:, ci] = group_vec_norms(Wmat[:, ci], layout, nu)
@@ -852,7 +966,7 @@ def _operator(ctx: _StageContext, d: _OperatorData) -> _Operator:
                 t = _seq_tail_weighted(seq, K, nu, omega, s)
                 Np[R, col] = _up(Np[R, col] + t)
     Z1_tail = max(up_sum(Np[R]) for R in range(ngroups))
-    return _Operator(layout, K, nu, omega, s, Jhat, Z0, normA, normA_seq,
+    return _Operator(layout, K, nu, omega, s, parts, Jhat, Z0, normA, normA_seq,
                      Z1_window, Z1_tail)
 
 
@@ -862,7 +976,9 @@ def _certify(op: _Operator, asm: _Assembled, digest: str):
     layout, K, nu, omega, s = op.layout, op.K, op.nu, op.omega, op.s
     ns = len(asm.resid_scalars)
     vm, vr = _resid_mid_rad(asm, K)
-    ym, yr = cmm(op.Jhat, None, vm, vr)
+    ym, yr = np.empty(len(vm), dtype=complex), np.empty(len(vm))
+    for part, blk in zip(op.parts, op.Jhat):
+        ym[part], yr[part] = cmm(blk, None, vm[part], vr[part])
     gY = group_vec_norms(cmat_abs_up(ym, yr), layout, nu)
     tails = np.array([_seq_tail_weighted(seq, K, nu, omega, s) for seq in asm.resid_seqs])
     Y0 = _group_max(gY, ns, tails)
@@ -1390,6 +1506,7 @@ def inputs_digest(alpha, kind: str, prev: str, centers, bundle=()) -> str:
     return content_digest(obj)
 
 
+@numerics.one_blas_thread()
 def validate_order0(solution: OrbitSolution, cfg) -> Order0Result:
     """Certify the periodic orbit; the unfolding enclosure must contain zero."""
     # one product table serves dF0, the field and the cubes; it is dropped
@@ -1455,6 +1572,7 @@ def validate_order1(solution: BundleSolution, jet: "JetTable", cfg) -> Order1Res
     return Order1Result(_civ_ball(complex(lam), r1), r1, cert, report)
 
 
+@numerics.one_blas_thread()
 def validate_jet(alpha, jet: "JetTable", cfg) -> JetResult:
     """Certify one homological jet whose center is staged in the table."""
     alpha = _solved_jet(alpha)
@@ -1600,6 +1718,7 @@ def _check_kind(kind: str):
         raise ValueError("bundle kind %r is neither 'stable' nor 'unstable'" % (kind,))
 
 
+@numerics.one_blas_thread()
 def start_jet_table(kind: str, sol: OrbitSolution, res: Order0Result, cfg,
                     lam_guess: float, v_guess: np.ndarray, k0: int,
                     xi0: float, N_t: int) -> JetTable:
@@ -1661,7 +1780,7 @@ def _level_parallel(jet: "JetTable", cfg, alphas, fields):
     out = []
     for alpha in alphas:
         rhs, rho = _jet_rhs(fields, alpha)
-        z = -(op.Jhat @ _rhs_window(rhs, ctx.K))
+        z = -_inverse_times(op, _rhs_window(rhs, ctx.K))
         centers = tuple(FourierSeq.point(row, ctx.nu) for row in z.reshape(9, n))
         out.append(_certify_jet(jet, ctx, alpha, rhs, rho, centers, op))
     return out
@@ -1689,15 +1808,17 @@ def _extend(jet: JetTable, cfg) -> JetTable:
     return jet
 
 
+@numerics.one_blas_thread()
 def extend_with_jets(jet: JetTable, cfg, *, gamma: float = 0.7,
                      jobs: int = 1) -> JetTable:
     """Solve and certify all jets through order N_t (one rescale retry).
 
-    Every jet runs in this process, whatever `jobs` is: the value changes
-    nothing.  Each level's inverse and N^3 products keep a threaded BLAS
-    busy on every core already, and a process pool for the independent jets
-    of a level made them slower, not faster.  `jobs` stays because the
-    benchmark's `pool` workload (perfbench/pipeline.py) still passes it.
+    Every jet runs in this process, on one BLAS thread, whatever `jobs` is:
+    the value changes nothing.  A process pool for the independent jets of
+    a level made them slower, not faster, and the level's operator, split
+    by the classes of Q, leaves a second BLAS thread too little to do.
+    `jobs` stays because the benchmark's `pool` workload
+    (perfbench/pipeline.py) still passes it.
     The argument is left as it was: the jets go into a copy, which keeps
     the context and no operator of its levels."""
     jet = _strip_unvalidated(jet)

@@ -590,15 +590,19 @@ def bundle_enclosure(sol, ctx) -> EnclMat:
     return E
 
 
-def complex_inverse(J: np.ndarray, ns: int, K: int, nu: float):
+def complex_inverse(J: np.ndarray, ns: int, K: int, nu: float, parts):
     """(Jhat, Z0, 0.0) in the shape of `stages._cos_sin_inverse`, made in the
-    Fourier basis: Jhat = inv(J) and Z0 from one complex midpoint-radius
-    product J^-1 J."""
+    Fourier basis: Jhat = inv(J), cut to its diagonal blocks on parts, and
+    Z0 from one complex midpoint-radius product of that cut Jhat with J."""
     layout = SpaceLayout(ns, K)
-    Jhat = np.linalg.inv(J)
-    cm, cr = cmm(Jhat, None, J, None)
+    full = np.linalg.inv(J)
+    cut = np.zeros_like(full)
+    for p in parts:
+        cut[np.ix_(p, p)] = full[np.ix_(p, p)]
+    cm, cr = cmm(cut, None, J, None)
     cm[np.diag_indices(layout.n)] -= 1.0
-    return Jhat, opnorm_upper(block_norms(cmat_abs_up(cm, cr), layout, nu)), 0.0
+    Z0 = opnorm_upper(block_norms(cmat_abs_up(cm, cr), layout, nu))
+    return [full[np.ix_(p, p)] for p in parts], Z0, 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import pytest
 
 import oracles
 from fourbody import cli, ivarray, model, numerics, seeding, seqspace, stages
-from fourbody.opbound import SpaceLayout, block_norms, opnorm_upper
+from fourbody.opbound import SpaceLayout, block_norms, group_col_sums, opnorm_upper
 from fourbody.radii import NoNegativeRadius, content_digest
 
 K = 24
@@ -331,12 +331,27 @@ def test_cos_sin_transforms_match_dense_t():
     assert np.allclose(M + 1j * Im, T.conj().T @ J @ T, rtol=0, atol=1e-13)
     B = rng.standard_normal((N, N))
     work = np.empty((N, N)), np.empty((N, N))
-    assert np.allclose(stages._from_cos_sin(B, ns, K, *work), T @ B @ T.conj().T,
+    runs = stages._window_runs(np.arange(N), ns, K)
+    assert np.allclose(stages._from_cos_sin(B, ns, runs, *work), T @ B @ T.conj().T,
                        rtol=0, atol=1e-13)
+    # a jet's B is block diagonal on the classes of Q, which T maps to
+    # themselves: each block of T B T^H comes from its block of B alone
+    T0 = _dense_T(0, K)
+    B0 = np.zeros(T0.shape)
+    parts = stages._parity_parts(0, K)
+    for p in parts:
+        B0[np.ix_(p, p)] = rng.standard_normal((len(p), len(p)))
+    want = T0 @ B0 @ T0.conj().T
+    for p in parts:
+        Bp = B0[np.ix_(p, p)]
+        got = stages._from_cos_sin(Bp, 0, stages._window_runs(p, 0, K),
+                                   np.empty_like(Bp), np.empty_like(Bp))
+        assert np.allclose(got, want[np.ix_(p, p)], rtol=0, atol=1e-13)
     E = np.abs(rng.standard_normal((N, N)))
     layout = SpaceLayout(ns, K)
     want = block_norms(np.abs(T) @ E @ np.abs(np.linalg.inv(T)), layout, nu)
-    got = stages._cos_sin_block_norms(E, ns, K, nu)
+    S = group_col_sums(stages._cos_sin_weights(layout, nu), E, layout, np.arange(N))
+    got = stages._cos_sin_block_norms(S, ns, K, nu)
     assert np.allclose(got, want, rtol=1e-13, atol=0)
     assert (got >= want * (1.0 - 1e-14)).all()
 
@@ -361,6 +376,22 @@ def _real_shift_operators(run, ctx):
     yield ctx.jet_operator_data(3 * table.lambda_bar)
 
 
+def _dense_inverse(op) -> np.ndarray:
+    """An operator's Jhat as one N x N matrix, zero off its blocks."""
+    N = op.layout.n
+    out = np.zeros((N, N), dtype=complex)
+    for part, blk in zip(op.parts, op.Jhat):
+        out[np.ix_(part, part)] = blk
+    return out
+
+
+def _reflection_signs(K: int) -> np.ndarray:
+    """The diagonal of the half-period reflection Q on the jets' slots:
+    sigma_c (-1)^k, with sigma = -1 on z and vz."""
+    sigma = np.array([1, 1, 1, 1, -1, -1, 1, 1, 1])
+    return (sigma[:, None] * (-1) ** np.abs(numerics.kvals(K))).ravel()
+
+
 def _residual_seen(Jhat, J, ns, ctx) -> float:
     """What an independent complex `ivarray.cmm` product shows of
     ||I - Jhat J||: the largest block norm of the lower end of its enclosure,
@@ -372,40 +403,63 @@ def _residual_seen(Jhat, J, ns, ctx) -> float:
 
 
 def test_cos_sin_operator_matches_the_complex_one(run, stage_ctx, monkeypatch):
-    # a real shift inverts in the cos/sin basis; the oracle's complex inverse
+    # a real shift inverts in the cos/sin basis; a jet's operator (ns = 0)
+    # inverts the two classes of Q apart, so its Jhat is exactly zero across
+    # them, and orders 0 and 1 invert whole.  The oracle's complex inverse
     # at the same shift gives ||A||, Z1_window and Z1_tail within 1e-12
     # relative, and the real form's Z0 is small and covers what an
     # independent complex product of its Jhat with J shows (order 0's Z0 is
-    # about 8e-9 on either path, hence the bound relative to ||A||)
+    # about 8e-9 on either path, hence the bound relative to ||A||).  The
+    # oracle's own Z0, of the complex inverse cut to the classes, is as
+    # small: what the cut drops is rounding.
     for data in _real_shift_operators(run, stage_ctx):
         assert isinstance(data.s, float)
         real = stages._operator(stage_ctx, data)
+        dense = _dense_inverse(real)
+        assert sorted(np.concatenate(real.parts)) == list(range(real.layout.n))
+        if data.ns == 0:
+            q = _reflection_signs(stage_ctx.K)
+            assert [set(q[p]) for p in real.parts] == [{1}, {-1}]
+            assert not dense[np.not_equal.outer(q, q)].any()
+        else:
+            assert len(real.parts) == 1
         with monkeypatch.context() as m:
             m.setattr(stages, "_cos_sin_inverse", oracles.complex_inverse)
             ref = stages._operator(stage_ctx, data)
         for name in ("normA", "normA_seq", "Z1_window", "Z1_tail"):
             assert getattr(real, name) == pytest.approx(getattr(ref, name), rel=1e-12), name
-        assert real.Z0 <= 1e-10 * max(1.0, real.normA), data.ns
-        assert real.Z0 >= _residual_seen(real.Jhat, data.J, data.ns, stage_ctx), data.ns
+        for op in (real, ref):
+            assert op.Z0 <= 1e-10 * max(1.0, op.normA), data.ns
+        assert real.Z0 >= _residual_seen(dense, data.J, data.ns, stage_ctx), data.ns
 
 
-@pytest.mark.parametrize("defect", ["J not R-symmetric", "inverse inexact"])
+@pytest.mark.parametrize("defect", ["J not R-symmetric", "J not Q-symmetric",
+                                    "inverse inexact"])
 def test_cos_sin_z0_covers_a_visible_defect(run, stage_ctx, monkeypatch, defect):
     # Z0 must cover the ||I - Jhat J|| that an independent complex product
     # shows when it is far above rounding: for J + 1e-8 i I, whose added part
-    # anticommutes with R and so is left out of M, and for an inverse of M
-    # that is 1e-6 too large
+    # anticommutes with R and so is left out of M; for J plus 1e-8 on the
+    # first off-diagonals of every window, which commutes with R but
+    # couples the classes of Q, so a jet's blocks leave it out and only
+    # |B||M_off| covers it (orders 0 and 1 invert it whole); and for an
+    # inverse of M that is 1e-6 too large
     if defect == "inverse inexact":
         inv = np.linalg.inv
         monkeypatch.setattr(np.linalg, "inv", lambda a: inv(a) * (1.0 + 1e-6))
     for data in _real_shift_operators(run, stage_ctx):
-        J = data.J
+        J = data.J.copy()
         if defect == "J not R-symmetric":
-            J = J.copy()
             J[np.diag_indices_from(J)] += 1e-8j
+        elif defect == "J not Q-symmetric":
+            n = 2 * stage_ctx.K - 1
+            for c in range(9):
+                i = data.ns + c * n + np.arange(n - 1)
+                J[i, i + 1] += 1e-8
+                J[i + 1, i] += 1e-8
         op = stages._operator(stage_ctx, replace(data, J=J))
-        seen = _residual_seen(op.Jhat, J, data.ns, stage_ctx)
-        assert seen >= 1e-9, data.ns
+        seen = _residual_seen(_dense_inverse(op), J, data.ns, stage_ctx)
+        if defect != "J not Q-symmetric" or data.ns == 0:
+            assert seen >= 1e-9, data.ns
         assert op.Z0 >= seen, data.ns
 
 
@@ -513,9 +567,10 @@ def test_jets_leave_the_operator_work_to_the_context(run, monkeypatch):
 def test_no_dense_solve_or_inverse_in_a_worker(run, dense_calls):
     # counts, not timings: a jet takes its step with its certificate's
     # inverse, so the jets make no solve, and this process makes the one
-    # inverse of each distinct shift (2 for the 4 jets), whatever jobs is.
-    # lambda_bar is real, so every stage's shift is: orders 0 and 1 and
-    # every jet invert a float64 matrix, the cos/sin form of their block
+    # operator of each distinct shift (2 for the 4 jets), whatever jobs is,
+    # with two inverses, one per class of Q.  lambda_bar is real, so every
+    # stage's shift is: orders 0 and 1 and every jet invert float64
+    # matrices, made from the cos/sin form of their block
     cfg, res0, start, table = run
     shifts = {sum(a) * table.lambda_bar for a in table.radii if sum(a) >= 2}
     parent = os.getpid()
@@ -524,7 +579,7 @@ def test_no_dense_solve_or_inverse_in_a_worker(run, dense_calls):
         before = len(dense_calls())
         again = stages.extend_with_jets(stages.rescale_jets(start, 1.0), cfg, jobs=jobs)
         assert again.digest() == table.digest()
-        assert dense_calls()[before:] == [real_inverse] * len(shifts), jobs
+        assert dense_calls()[before:] == [real_inverse] * (2 * len(shifts)), jobs
     assert len(shifts) == 2
     sol = res0.context[0]
     lam, v = seeding.bundle_guess(cfg, sol, KIND, K0, XI0)
@@ -563,7 +618,8 @@ def test_a_level_makes_one_operator(run, monkeypatch):
     N = 9 * (2 * K - 1)
 
     def operator(ctx, data):
-        made.append(SimpleNamespace(s=data.s, Jhat=np.zeros((N, N))))
+        made.append(SimpleNamespace(s=data.s, parts=(np.arange(N),),
+                                    Jhat=[np.zeros((N, N))]))
         return made[-1]
 
     def certify(jet, ctx, alpha, rhs, rho, centers, op):
@@ -594,6 +650,76 @@ def test_failed_certificate_carries_its_bounds(run, monkeypatch):
     assert "'order0'" in message
     for name in ("Y", "Z0", "Z1"):
         assert "%s = %.3e" % (name, want[name]) in message
+
+
+# the module fixture's run in a fresh interpreter; prints the table's digest
+RUN_CHILD = """
+from fourbody import model, seeding, stages
+cfg = model.primaries(model.MassTriple.of("1/2", "3/10", "1/5"))
+eq = seeding.planar_equilibria(cfg)[3]
+H0 = seeding.jacobi_mid(cfg, seeding.embed_point(cfg, [eq[0], 0.0, eq[1], 0.0, 0.0, 0.0]))
+sol, _ = seeding.orbit_to_jacobi(cfg, eq, H0 - 0.3, %d, %r)
+lam, v = seeding.bundle_guess(cfg, sol, %r, %d, %r)
+res0 = stages.validate_order0(sol, cfg)
+start = stages.start_jet_table(%r, sol, res0, cfg, lam, v, %d, %r, %d)
+print(stages.extend_with_jets(start, cfg).digest())
+""" % (K, NU, KIND, K0, XI0, KIND, K0, XI0, N_T)
+
+
+def openblas_threads():
+    """(get, set) of the thread count of numpy's OpenBLAS; skips without it."""
+    api = numerics._openblas_threads()
+    if api is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS, so there is no thread count to pin")
+    return api
+
+
+def test_digests_do_not_depend_on_the_blas_thread_count(run):
+    # the stages run on one BLAS thread, so a run started with one or with
+    # two OpenBLAS threads gives this process's table, bit for bit
+    openblas_threads()
+    _, _, _, table = run
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    for threads in ("1", "2"):
+        out = subprocess.run([sys.executable, "-c", RUN_CHILD], capture_output=True,
+                             text=True, timeout=300, cwd=ROOT,
+                             env=dict(env, OPENBLAS_NUM_THREADS=threads))
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split()[-1] == table.digest(), threads
+
+
+def test_public_calls_pin_one_blas_thread_and_restore_the_count(run, monkeypatch):
+    # two threads going in: one inside the jets, two again after each public
+    # call that pins, a failing one included
+    get, set_ = openblas_threads()
+    cfg, res0, start, table = run
+    sol = res0.context[0]
+    inside = []
+    extend = stages._extend
+
+    def spy(jet, cfg):
+        inside.append(get())
+        return extend(jet, cfg)
+
+    monkeypatch.setattr(stages, "_extend", spy)
+    before = get()
+    set_(2)
+    try:
+        again = stages.extend_with_jets(stages.rescale_jets(start, 1.0), cfg)
+        after = [get()]
+        stages.validate_jet((2, 0), again, cfg)
+        after.append(get())
+        lam, v = seeding.bundle_guess(cfg, sol, KIND, K0, XI0)
+        after.append(get())
+        with pytest.raises(ValueError, match="unstabel"):
+            stages.start_jet_table("unstabel", sol, res0, cfg, lam, v, K0, XI0, N_T)
+        after.append(get())
+    finally:
+        set_(before)
+    assert inside == [1]
+    assert after == [2] * 4
+    assert again.digest() == table.digest()
 
 
 def project_scripts(text):

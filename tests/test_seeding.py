@@ -109,7 +109,27 @@ def test_reference_seeding_builds_few_jacobians(cfg, start, monkeypatch):
     sizes = counted_jacobians(monkeypatch)
     seeding.orbit_to_jacobi(cfg, eq, H0 - 0.3, 24, 1.5)
     assert len(sizes) <= 20
+    assert sizes.count(12) == 15
     assert 1 <= sizes.count(24) <= 3
+
+
+def test_a_corrector_that_leaves_the_family_is_refused(monkeypatch):
+    # masses 2/5, 33/100, 27/100, rest point 5, level H_eq - 1: with sigma
+    # growing 3 times per solve, a corrector once moved 1.08 times its
+    # predictor step and converged on another symmetric orbit of the level
+    # (omega 1.5045 against 1.4916); the walk now refuses that solve and
+    # halves the step, so it finds the orbit of the 2.5 walk or fails
+    cfg = model.primaries(model.MassTriple.of("2/5", "33/100", "27/100"))
+    eq = seeding.planar_equilibria(cfg)[5]
+    H_eq = seeding.jacobi_mid(
+        cfg, seeding.embed_point(cfg, [eq[0], 0.0, eq[1], 0.0, 0.0, 0.0]))
+    want, _ = seeding.orbit_to_jacobi(cfg, eq, H_eq - 1.0, 12, 1.5)
+    monkeypatch.setattr(seeding, "_SIGMA_GROWTH", 3.0)
+    try:
+        sol, _ = seeding.orbit_to_jacobi(cfg, eq, H_eq - 1.0, 12, 1.5)
+    except seeding.SeedFailure:
+        return
+    assert abs(sol.omega - want.omega) <= 1e-8
 
 
 def test_seeding_at_a_large_k_walks_at_a_small_one(cfg, start, monkeypatch):
