@@ -333,10 +333,6 @@ class ComplexInterval:
     def __reduce__(self):
         return (ComplexInterval, (self.re, self.im))
 
-    @staticmethod
-    def point(z: complex) -> "ComplexInterval":
-        return ComplexInterval(Interval(z.real), Interval(z.imag))
-
     def __add__(self, other):
         o = _as_civ(other)
         if o is NotImplemented:
@@ -404,7 +400,7 @@ def _as_civ(x):
     if isinstance(x, (int, float)):
         return ComplexInterval(Interval(float(x)), ZERO)
     if isinstance(x, complex):
-        return ComplexInterval.point(x)
+        return ComplexInterval(x)
     return NotImplemented
 
 

@@ -22,9 +22,10 @@ Two representations are used:
   the error (disc enclosure).  Products use the standard
   floating-point gemm error bound; the inflation constants below are
   deliberately generous.  cconv_mr, one convolution with one or two real
-  convolutions for the radius, and mr_add carry `model.DF0.apply`;
-  CArr.from_disc turns its discs back into endpoint boxes.  The jets'
-  remainder fields are floats with norm bounds, not discs (`stages`).
+  convolutions for the radius, and mr_add carry `model.DF0.apply` and the
+  residuals of order 1 and of the jets, which stay discs up to `cmm` in
+  the certificate.  The jets' remainder fields are floats with norm
+  bounds, not discs (`stages`).
 
 The scalar module (interval.py) is the reference semantics; tests compare
 these kernels against it entry by entry.
@@ -143,18 +144,6 @@ class CArr:
     def point(cls, z):
         z = np.asarray(z, dtype=complex)
         return cls(z.real.copy(), z.real.copy(), z.imag.copy(), z.imag.copy())
-
-    @classmethod
-    def from_disc(cls, m, r):
-        """Endpoint boxes of the discs |z - m_k| <= r_k, rounded outward; a
-        disc with r_k = 0 is the point m_k, without widening."""
-        m = np.asarray(m, dtype=complex)
-        r = np.asarray(r, dtype=float)
-        exact = r == 0.0
-        return cls(np.where(exact, m.real, _dn(m.real - r)),
-                   np.where(exact, m.real, _up(m.real + r)),
-                   np.where(exact, m.imag, _dn(m.imag - r)),
-                   np.where(exact, m.imag, _up(m.imag + r)))
 
     @classmethod
     def zeros(cls, n: int):
@@ -529,9 +518,10 @@ def cconv_mr(am, ar, bm, br):
 def mr_add(qm, qr, vm, vr):
     """Centered midpoint-radius sum of two odd-length disc arrays.
 
-    The radius takes both radii and the rounding of the midpoint sum: a
-    complex addition errs by at most u |z| in modulus, and 2^-52 |z| covers
-    it with the rounding of |z| itself.
+    The radius takes both radii and the rounding of the midpoint sum: each
+    part of a complex addition rounds once, to nearest, by at most u times
+    the part's computed value (exactly, when it is subnormal), so the sum
+    errs by at most u |z| in modulus, with |z| read rounded up.
     """
     nlen = max(len(qm), len(vm))
     zm = np.zeros(nlen, dtype=complex)
@@ -540,4 +530,4 @@ def mr_add(qm, qr, vm, vr):
         off = (nlen - len(sm)) // 2
         zm[off:off + len(sm)] += sm
         zr[off:off + len(sr)] = _up(zr[off:off + len(sr)] + sr)
-    return [zm, _up(zr + _up(np.abs(zm) * (2.0 ** -52)))]
+    return [zm, _up(zr + _up(cmat_abs_up(zm, None) * _U))]

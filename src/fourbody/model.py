@@ -20,11 +20,12 @@ arithmetic.  Here it is `IntervalArith`: order 0 in endpoint intervals, one
 grids of the jets are evaluated in floats by `numerics.FloatArith` and
 bounded by the norm/radius lane of `stages`.  On top of the interval
 arithmetic sit the order-0 field map on nine sequences (`field_F_grid`)
-and its derivative table (`dF0`).  The scalar phase/initialization
-conditions and their gradient are written once, in `eta_terms`, over any
-scalars with +, - and *: complex floats for seeding's Newton, intervals for
-the certificate.  The orbit's unfolding term is assembled by `stages` from
-the cubes it already has.
+and its derivative table (`DF0`), which holds the kernels as discs and
+applies them to point arrays in midpoint-radius form.  The scalar
+phase/initialization conditions and their gradient are written once, in
+`eta_terms`, over any scalars with +, - and *: complex floats for
+seeding's Newton, intervals for the certificate.  The orbit's unfolding
+term is assembled by `stages` from the cubes it already has.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ __all__ = [
     "field_derivative",
     "field_F_grid",
     "DF0",
-    "dF0",
     "eta_terms",
     "xi_phase",
 ]
@@ -371,47 +371,35 @@ def field_F_grid(a, ar: IntervalArith):
 class DF0:
     """Derivative of the order-zero field map at a fixed 9-vector of sequences.
 
-    Every entry is (constant multiple) + (convolution against a stored
-    sequence); rows and columns are indexed 0..8.  The same table later
-    feeds both the sequence-space application and finite matrix blocks.
-    Besides the endpoint kernels it holds each kernel as discs (midpoint,
-    radius), converted once here, which `apply` convolves with.
+    Entry (i, j) acts as const[i][j] h_j plus the convolution of h_j with
+    kernel (i, j) of `field_derivative`; rows and columns are indexed 0..8.
+    It holds each kernel as discs (midpoint, radius) of its endpoint
+    enclosure, converted once here, which `apply` convolves with.
     """
 
-    __slots__ = ("const", "kernels", "discs", "nu")
+    __slots__ = ("const", "discs")
 
-    def __init__(self, const, kernels, nu: float):
+    def __init__(self, const, kernels):
         # the constants are 1, 2 and -2 (`_DF_CONST`): their multiples are exact
         if any(c != 0.0 and abs(math.frexp(c)[0]) != 0.5 for row in const for c in row):
             raise ValueError("DF0 constants must be powers of two")
         self.const = const
-        self.kernels = kernels
         self.discs = [[None if k is None else (k.c.mid(), k.c.rad()) for k in row]
                       for row in kernels]
-        self.nu = nu
 
     def apply(self, h):
-        """DF0 h as nine endpoint sequences, made in midpoint-radius form.
+        """DF0 h for nine point arrays h_j (odd lengths, modes in ascending
+        order), as nine discs (mid, rad).
 
         Each kernel product is a `cconv_mr` of the kernel's discs with h_j,
         and each row sums its entries with `mr_add` in the order (constant,
-        kernel) per column j; the row then becomes endpoint boxes.  A
-        point-zero h_j contributes nothing, and a point h_j enters with radius
-        zero, so a row of exact multiples stays exact.  Each row keeps the
-        length of its longest entry, a skipped one included.
+        kernel) per column j.  An all-zero h_j contributes nothing, and a
+        constant multiple is exact, so a row of one such multiple has
+        radius zero.  Each row keeps the length of its longest entry, a
+        skipped one included.
         """
-        h = _nine(h, "sequence")
-        if h[0].nu != self.nu:
-            raise WeightMismatch("argument nu differs from derivative nu")
-        hd = []
-        for s in h:
-            c = s.c
-            if not s.is_point():
-                hd.append((c.mid(), c.rad()))
-            elif c.rl.any() or c.il.any():
-                hd.append((c.mid(), None))
-            else:
-                hd.append(None)
+        if len(h) != 9:
+            raise ValueError("expected 9 coefficient arrays")
         out = []
         for i in range(9):
             acc = None
@@ -419,36 +407,26 @@ class DF0:
             for j in range(9):
                 c = self.const[i][j]
                 ker = self.discs[i][j]
-                nh = len(h[j].c)
+                hj = h[j]
+                nh = len(hj)
                 if c != 0.0:
                     nlen = max(nlen, nh)
                 if ker is not None:
                     nlen = max(nlen, len(ker[0]) + nh - 1)
-                if hd[j] is None:
+                if not np.any(hj):
                     continue
-                hm, hr = hd[j]
                 terms = []
                 if c != 0.0:
-                    terms.append((c * hm, np.zeros(nh) if hr is None else abs(c) * hr))
+                    terms.append((c * hj, np.zeros(nh)))
                 if ker is not None:
-                    terms.append(cconv_mr(ker[0], ker[1], hm, hr))
+                    terms.append(cconv_mr(ker[0], ker[1], hj, None))
                 for tm, tr in terms:
                     acc = [tm, tr] if acc is None else mr_add(*acc, tm, tr)
             if acc is None:
                 acc = [np.zeros(1, dtype=complex), np.zeros(1)]
             pad = (nlen - len(acc[0])) // 2
-            m = np.pad(acc[0], pad)
-            r = np.pad(acc[1], pad)
-            out.append(FourierSeq(CArr.from_disc(m, r), self.nu))
-        return tuple(out)
-
-
-def dF0(a0, ar: IntervalArith) -> DF0:
-    """Assemble the derivative table of the order-zero field map at a0 in
-    the IntervalArith ar, whose products the call shares."""
-    a0 = _nine(a0, "sequence")
-    const, kernels = field_derivative(ar, a0)
-    return DF0(const, kernels, a0[0].nu)
+            out.append((np.pad(acc[0], pad), np.pad(acc[1], pad)))
+        return out
 
 
 # ---------------------------------------------------------------------------

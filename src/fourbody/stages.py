@@ -29,7 +29,12 @@ tail coupling are made once per context.  Of the bounds, A, Z0, ||A|| and
 Z1 less its data part are the operator part of a certificate (`_operator`):
 they read the context, the shift s and the stage's scalar rows and columns
 only.  Y, the data parts pre_Y and pre_Z1, and Z2 are the stage's own
-(`_certify`), and its report carries all of them.
+(`_certify`), and its report carries all of them, with Y0, the residual
+part of Y, and Y_group, the row group that sets it.  `_certify` reads the
+residual as discs.  Order 1 and the jets build theirs,
+(-omega d_theta - s + DF0) a + R, in discs from end to end
+(`_affine_residual`); order 0 makes its own in endpoint intervals, whose
+widths set its radius, and converts the finished boxes once.
 
 Every shift s is real: 0 for order 0, the real Floquet exponent
 lambda_bar for order 1 and p lambda_bar for a jet of order p.  So J
@@ -88,7 +93,7 @@ The right-hand side of a jet of order p is layer alpha of the field on the
 orders below p, evaluated in two lanes.  The float lane
 (`numerics.FloatArith`, the one float fold of the field) gives the float
 right-hand side: the jet's step reads it, and so does the residual of
-its certificate, as point data.  The norm lane (`_NormRad`) gives, per
+its certificate, as exact discs.  The norm lane (`_NormRad`) gives, per
 layer, a bound N of the float value's nu-norm and a bound r of its distance
 from the field at the true lower orders.  r takes in the radii of the lower
 orders and the rounding of every float operation, so the jet's budget rho
@@ -104,8 +109,10 @@ A jet takes its right-hand side and rho from its level's fields
 (`_jet_rhs`), and lambda_bar, the kind, the radii of orders 0 and 1 and the
 order-1 digest from its table; `_certify_jet` assembles and certifies it,
 in the level loop and in `validate_jet` alike.  The context holds what the
-operators of all stages share: the kernel part of the window defect and the
-kernels' tail tables (`kmags`, `kprofiles`, `knorms`, `const`).  It is not
+stages share: the kernel part of the window defect, the kernels' tail
+tables (`kmags`, `kprofiles`, `knorms`, `const`) and DF0 as discs (`df0`),
+all made from the endpoint kernels of `model.field_derivative`, which it
+does not keep.  It is not
 changed once built and holds no N x N array: a stage builds its float
 window block J (`_StageContext.window_block`) and its operator where it
 needs them, and lets them go when it returns.  Every jet of order p has
@@ -141,6 +148,7 @@ from .ivarray import (
     cmm,
     conv_up_nonneg,
     mm_up_nonneg,
+    mr_add,
     up_sum,
     _ETA,
     _dn,
@@ -228,17 +236,16 @@ def _nu_pow_up(nu: float, kabs) -> np.ndarray:
     return w_up[kabs]
 
 
-def _inv_dist_up(kabs, omega: float, s: complex) -> np.ndarray:
-    """Upper bounds of 1 / |-i omega k - s| over |k| in kabs.
+def _inv_dist_up(kabs, omega: float, s: float) -> np.ndarray:
+    """Upper bounds of 1 / |-i omega k - s| over |k| in kabs, for a real s.
 
-    Valid for both signs of k: |omega k + Im s| >= max(omega |k| - |Im s|, 0)
-    and the real part contributes |Re s| exactly (s is a chosen float).
+    Valid for both signs of k: |-i omega k - s|^2 = (omega k)^2 + s^2, and
+    s is a chosen float.
     """
     kabs = np.asarray(kabs, dtype=float)
     t = _dn(omega * kabs)
-    b = np.maximum(_dn(t - abs(s.imag)), 0.0)
-    sr = abs(s.real)
-    den2 = _dn(_dn(sr * sr) + _dn(b * b))
+    sr = abs(s)
+    den2 = _dn(_dn(sr * sr) + _dn(t * t))
     den = _dn(np.sqrt(np.maximum(den2, 0.0)))
     if np.any(den <= 0.0):
         raise ResonantExponents(
@@ -248,14 +255,15 @@ def _inv_dist_up(kabs, omega: float, s: complex) -> np.ndarray:
     return _up(1.0 / den)
 
 
-def _seq_tail_weighted(seq: FourierSeq, K: int, nu: float, omega: float, s: complex) -> float:
-    """Upper bound of sum_{|k| >= K} nu^|k| |seq_k| / |-i omega k - s|."""
-    kv = seq.k_values()
-    kabs = np.abs(kv)
+def _seq_tail_weighted(mags: np.ndarray, K: int, nu: float, omega: float, s: float) -> float:
+    """Upper bound of sum_{|k| >= K} nu^|k| |r_k| / |-i omega k - s| for a
+    sequence r whose moduli are at most mags, its modes in ascending order."""
+    h = (len(mags) - 1) // 2
+    kabs = np.abs(np.arange(-h, h + 1))
     mask = kabs >= K
     if not mask.any():
         return 0.0
-    mags = seq.c.mag()[mask]
+    mags = mags[mask]
     if not mags.any():
         return 0.0
     ka = kabs[mask]
@@ -283,7 +291,7 @@ def _tail_col_profile(gabs: np.ndarray, K: int, nu: float) -> np.ndarray:
     return out
 
 
-def _tail_weights(W: int, K: int, nu: float, omega: float, s: complex):
+def _tail_weights(W: int, K: int, nu: float, omega: float, s: float):
     """What `_tail_row_bound` reads of K, nu, omega and s for a kernel of
     half-width W: the tail weights u_k = nu^|k| / |-i omega k - s| (zero on
     the window), the columns |l| <= K-1+2W it correlates exactly with their
@@ -394,7 +402,7 @@ class _StageContext:
     """Derivative kernels and monomial tables at a fixed order-zero center."""
 
     def __init__(self, a0_seqs, cfg, omega: float, K: int, nu: float, arith):
-        # arith: the IntervalArith of cfg that makes dF0; not kept
+        # arith: the IntervalArith of cfg; neither it nor the kernels are kept
         self.cfg = cfg
         self.omega = float(omega)
         self.K = int(K)
@@ -403,7 +411,8 @@ class _StageContext:
         self.A0 = np.array([s.c.mid() for s in self.a0])
         self.ms, self.pos = numerics.cfg_floats(cfg)
         self.fconst, self.fkers = numerics.derivative_kernels(self.A0, self.ms, self.pos)
-        self.df0 = model.dF0(self.a0, arith)
+        const, kernels = model.field_derivative(arith, self.a0)
+        self.df0 = model.DF0(const, kernels)
         self.kmags = [[None] * 9 for _ in range(9)]
         # `_tail_col_profile` of each of kmags: it reads only the kernel, K
         # and nu, so one serves every operator of the context
@@ -415,7 +424,7 @@ class _StageContext:
         centre = np.zeros((4, 9, 9))
         for i in range(9):
             for j in range(9):
-                ker = self.df0.kernels[i][j]
+                ker = kernels[i][j]
                 if ker is not None:
                     self.kmags[i][j] = ker.c.mag()
                     self.kprofiles[i][j] = _tail_col_profile(self.kmags[i][j], self.K, self.nu)
@@ -425,11 +434,11 @@ class _StageContext:
                     W = (len(ker.c) - 1) // 2
                     c = ker.c
                     centre[:, i, j] = c.rl[W], c.rh[W], c.il[W], c.ih[W]
-        self.const = np.array(self.df0.const)
+        self.const = np.array(const)
         self.dconst = CArr.point(self.const.astype(complex)).add(CArr(*centre))
         self._build_monomials()
 
-    def window_block(self, s: complex) -> np.ndarray:
+    def window_block(self, s: float) -> np.ndarray:
         """Float window block of h -> DF0 h - i omega k h - s h, built afresh."""
         return numerics.base_block(self.fconst, self.fkers, self.K,
                                    -1j * self.omega * numerics.kvals(self.K) - s)
@@ -438,7 +447,7 @@ class _StageContext:
         """What `_operator` reads for the jets with shift s."""
         J = self.window_block(s)
         return _OperatorData(ns=0, s=s, J=J, window_defect=_window_defect(self, J, 0, s),
-                             scalar_tail_sup=np.zeros((0, 9)), ycol_tail_seqs=[])
+                             scalar_tail_sup=np.zeros((0, 9)), ycol_tail_mags=[])
 
     def _build_monomials(self):
         a0n = [s.norm_upper() for s in self.a0]
@@ -566,7 +575,7 @@ def bundle_problem(jet: "JetTable", cfg):
     """Floquet bundle stage: unknowns (lambda, a_1) at the table's orbit center."""
     K, k0, xi0 = jet.K, jet.k0, jet.xi0
     n = 2 * K - 1
-    base = _context_for(jet, cfg).window_block(0j)
+    base = _context_for(jet, cfg).window_block(0.0)
 
     def residual(z):
         lam, A = z[0], z[1:].reshape(9, n)
@@ -609,15 +618,15 @@ class _OperatorData:
     """What the operator part of a stage certificate reads besides its
     context: the shift s, the float window block J, the window defect, and
     the parts of DF(x_bar) - A_dag that reach the tail from the scalars (the
-    eta rows and y columns of order 0).  The kernels' tail coupling is the
-    context's, the same for every stage."""
+    eta rows of order 0, and its y columns as (column, component, moduli)).
+    The kernels' tail coupling is the context's, the same for every stage."""
 
     ns: int
     s: float
     J: np.ndarray
     window_defect: np.ndarray
     scalar_tail_sup: np.ndarray
-    ycol_tail_seqs: list
+    ycol_tail_mags: list
 
 
 class _Operator(NamedTuple):
@@ -642,29 +651,56 @@ class _Operator(NamedTuple):
 
 @dataclass
 class _Assembled:
-    """The stage's own part of its certificate: the residual, the monomials
-    of Z2 and the data uncertainty pre_Y, pre_Z1."""
+    """The stage's own part of its certificate: the residual as discs, (mid,
+    rad) of the scalars and (mid, rad, moduli) of each component's whole
+    sequence, the monomials of Z2 and the data uncertainty pre_Y, pre_Z1."""
 
     tag: str
-    resid_scalars: list
+    resid_scalars: tuple
     resid_seqs: list
     monomials: list
     pre_Y: float = 0.0
     pre_Z1: float = 0.0
 
 
-def _resid_mid_rad(asm: _Assembled, K: int):
-    parts_m = []
-    parts_r = []
-    if asm.resid_scalars:
-        carr = CArr.from_civ_list(asm.resid_scalars)
-        parts_m.append(carr.mid())
-        parts_r.append(carr.rad())
-    for seq in asm.resid_seqs:
-        c = project(seq, K).c
-        parts_m.append(c.mid())
-        parts_r.append(c.rad())
-    return np.concatenate(parts_m), np.concatenate(parts_r)
+def _diagonal_term(a: np.ndarray, omega: float, s: float):
+    """(mid, rad), discs of (-s - i omega k) a_k for a point window a of
+    modes k = -(K-1)..K-1 and a real s.
+
+    With t = fl(omega k), mid is (-s a_re + t a_im) + i (-s a_im - t a_re),
+    each product and sum rounded to nearest; -s is exact.  A product errs
+    by at most half the spacing of the floats at its result, underflow
+    included, and the error of a sum is found exactly (Knuth's two-sum).
+    t's own error adds half the spacing at t times |a_im| and |a_re|.  rad
+    is the modulus of the two parts' error bounds, rounded up."""
+    def half(x):  # at least half the spacing of the floats at |x|
+        return _up(0.5 * np.spacing(np.abs(x)))
+
+    t = omega * numerics.kvals((len(a) + 1) // 2)
+    ar, ai = a.real, a.imag
+    parts, err = [], []
+    for x, y, other in ((-s * ar, t * ai, ai), (-s * ai, -(t * ar), ar)):
+        part = x + y
+        yv = part - x
+        e = _up(_up(half(x) + half(y)) + np.abs((x - (part - yv)) + (y - yv)))
+        err.append(_up(e + _up(half(t) * np.abs(other))))
+        parts.append(part)
+    return parts[0] + 1j * parts[1], _up(cmat_abs_up(err[0] + 1j * err[1], None))
+
+
+def _affine_residual(ctx: "_StageContext", rows, s: float, rhs=None) -> list:
+    """The residual (-omega d_theta - s + DF0) a + R of order 1 or of a jet
+    as nine (mid, rad, moduli): a is nine point window arrays, s the real
+    shift and R the float right-hand side, nine arrays or None (zero).  Each
+    component sums DF0 a (`model.DF0.apply`), the `_diagonal_term` and the
+    exact R, in that order, with `mr_add`."""
+    out = []
+    for i, (m, r) in enumerate(ctx.df0.apply(rows)):
+        m, r = mr_add(m, r, *_diagonal_term(rows[i], ctx.omega, s))
+        if rhs is not None and rhs[i] is not None:
+            m, r = mr_add(m, r, rhs[i], np.zeros(len(rhs[i])))
+        out.append((m, r, cmat_abs_up(m, r)))
+    return out
 
 
 def _run_pairs(X: np.ndarray, start: int, count: int, L: int, axis: int):
@@ -961,9 +997,9 @@ def _operator(ctx: _StageContext, d: _OperatorData) -> _Operator:
                 add = float(_up(add + _up(cconst * dtK)))
             if add:
                 Np[R, ns + j] = _up(Np[R, ns + j] + add)
-        for col, slot, seq in d.ycol_tail_seqs:
+        for col, slot, mags in d.ycol_tail_mags:
             if slot == i:
-                t = _seq_tail_weighted(seq, K, nu, omega, s)
+                t = _seq_tail_weighted(mags, K, nu, omega, s)
                 Np[R, col] = _up(Np[R, col] + t)
     Z1_tail = max(up_sum(Np[R]) for R in range(ngroups))
     return _Operator(layout, K, nu, omega, s, parts, Jhat, Z0, normA, normA_seq,
@@ -974,14 +1010,20 @@ def _certify(op: _Operator, asm: _Assembled, digest: str):
     """The stage's certificate and report; on failure the NoNegativeRadius
     raised carries the report's bounds as `bounds`."""
     layout, K, nu, omega, s = op.layout, op.K, op.nu, op.omega, op.s
-    ns = len(asm.resid_scalars)
-    vm, vr = _resid_mid_rad(asm, K)
+    ns = layout.ns
+    windows = [(numerics.crop(m, K), numerics.crop(r, K)) for m, r, _ in asm.resid_seqs]
+    vm = np.concatenate([asm.resid_scalars[0]] + [m for m, _ in windows])
+    vr = np.concatenate([asm.resid_scalars[1]] + [r for _, r in windows])
     ym, yr = np.empty(len(vm), dtype=complex), np.empty(len(vm))
     for part, blk in zip(op.parts, op.Jhat):
         ym[part], yr[part] = cmm(blk, None, vm[part], vr[part])
     gY = group_vec_norms(cmat_abs_up(ym, yr), layout, nu)
-    tails = np.array([_seq_tail_weighted(seq, K, nu, omega, s) for seq in asm.resid_seqs])
-    Y0 = _group_max(gY, ns, tails)
+    tails = np.array([_seq_tail_weighted(g, K, nu, omega, s) for _, _, g in asm.resid_seqs])
+    # the residual part of Y per row group, and the group that sets it
+    per_group = np.concatenate([gY[:ns], _up(gY[ns:] + tails)])
+    g = int(np.argmax(per_group))
+    Y0 = float(per_group[g])
+    Y_group = "scalar %d" % g if g < ns else "seq %d" % (g - ns)
     Y = float(_up(Y0 + _up(op.normA_seq * asm.pre_Y)))
     Z1 = float(_up(_up(op.Z1_tail + op.Z1_window) + _up(op.normA_seq * asm.pre_Z1)))
 
@@ -991,17 +1033,19 @@ def _certify(op: _Operator, asm: _Assembled, digest: str):
 
     bounds = NKBounds(Y=Y, Z0=op.Z0, Z1=Z1, Z2=Z2, r_star=R_STAR)
     report = {
-        "Y": Y, "Z0": op.Z0, "Z1": Z1, "Z1_window": op.Z1_window,
-        "Z1_tail": op.Z1_tail, "pre_Y": asm.pre_Y, "pre_Z1": asm.pre_Z1,
-        "Z2": list(Z2), "normA": op.normA,
+        "Y": Y, "Y0": Y0, "Y_group": Y_group, "Z0": op.Z0, "Z1": Z1,
+        "Z1_window": op.Z1_window, "Z1_tail": op.Z1_tail, "pre_Y": asm.pre_Y,
+        "pre_Z1": asm.pre_Z1, "Z2": list(Z2), "normA": op.normA,
     }
     try:
         cert = radii_newton(bounds, stage=asm.tag, inputs_digest=digest)
     except NoNegativeRadius as exc:
         raise NoNegativeRadius(
-            "no verified radius below r_star = %.3e for stage %r: Y = %.3e, "
-            "Z0 = %.3e, Z1 = %.3e (window %.3e, tail %.3e), ||A|| = %.3e"
-            % (R_STAR, asm.tag, Y, op.Z0, Z1, op.Z1_window, op.Z1_tail, op.normA),
+            "no verified radius below r_star = %.3e for stage %r: Y = %.3e "
+            "(residual %.3e, set by row group %s), Z0 = %.3e, Z1 = %.3e "
+            "(window %.3e, tail %.3e), ||A|| = %.3e"
+            % (R_STAR, asm.tag, Y, Y0, Y_group, op.Z0, Z1, op.Z1_window,
+               op.Z1_tail, op.normA),
             poly=exc.poly, bounds=report) from exc
     report.update(r0=cert.r0, r_max=cert.r_max)
     return cert, report
@@ -1016,7 +1060,7 @@ def _gap(c: ComplexInterval, z) -> float:
     return float(CArr.from_civ_list([c]).sub(CArr.point(z)).mag().max())
 
 
-def _window_defect(ctx: _StageContext, J: np.ndarray, ns: int, s: complex) -> np.ndarray:
+def _window_defect(ctx: _StageContext, J: np.ndarray, ns: int, s: float) -> np.ndarray:
     """Block norms, over the groups of `SpaceLayout(ns, K)`, of
     pi (DF0 - i omega k - s - J) pi on the sequence blocks of J.
 
@@ -1038,8 +1082,8 @@ def _window_defect(ctx: _StageContext, J: np.ndarray, ns: int, s: complex) -> np
     # on the diagonal blocks: -i omega k - s (s an exact float) as a column,
     # then c + ker(0)
     m = ctx.omega * numerics.kvals(ctx.K).astype(float)[:, None]
-    re = np.full((n, 1), -s.real)
-    box = CArr(re, re, _dn(-_up(m) - s.imag), _up(-_dn(m) - s.imag))
+    re = np.full((n, 1), -s)
+    box = CArr(re, re, -_up(m), -_dn(m))
     ii = np.arange(9)
     box = box.add(ctx.dconst.slice((ii, ii)))
     gap[ii, ii] = box.sub(CArr.point(Jd[:, ii, ii])).mag().max(axis=0)
@@ -1102,10 +1146,9 @@ def _assemble_orbit(sol: "OrbitSolution", ctx: _StageContext, ar):
     G[1] = ctx.a0[1].scale(complex(y[0]))
     for j in range(3):
         G[6 + j] = cubes[j].scale(complex(y[1 + j]))
-    resid_seqs = []
-    for i in range(9):
-        r = ctx.a0[i].dtheta().scale(-omega).add(F[i]).add(G[i])
-        resid_seqs.append(r)
+    # the endpoint chain sets order 0's radius; its boxes become discs once
+    boxes = [ctx.a0[i].dtheta().scale(-omega).add(F[i]).add(G[i]).c for i in range(9)]
+    etas = CArr.from_civ_list(eta)
 
     nuinvK = float(_nu_inv_up(nu, np.array([K]))[0])
     monos = list(ctx.field_monos) + eta_monos
@@ -1117,21 +1160,24 @@ def _assemble_orbit(sol: "OrbitSolution", ctx: _StageContext, ar):
     data = _OperatorData(
         ns=ns, s=0.0, J=J, window_defect=Nw,
         scalar_tail_sup=_up(eta_consts * nuinvK),
-        ycol_tail_seqs=[(1 + j, 6 + j, cubes[j]) for j in range(3)],
+        ycol_tail_mags=[(1 + j, 6 + j, cubes[j].c.mag()) for j in range(3)],
     )
-    return data, _Assembled("order0", eta, resid_seqs, monos, pre_Z1=pre_Z1)
+    return data, _Assembled("order0", (etas.mid(), etas.rad()),
+                            [(c.mid(), c.rad(), c.mag()) for c in boxes], monos,
+                            pre_Z1=pre_Z1)
 
 
 def _assemble_bundle(sol: "BundleSolution", ctx: _StageContext, r0: float):
     """(`_OperatorData`, `_Assembled`) of the order-1 certificate."""
-    K, nu, omega = ctx.K, ctx.nu, ctx.omega
+    K, nu = ctx.K, ctx.nu
     n = 2 * K - 1
     ns = 1
     lam = sol.lam
-    a1 = [FourierSeq.point(row, nu) for row in sol.coeffs]
+    rows = np.asarray(sol.coeffs, dtype=complex)
+    a1 = [FourierSeq.point(row, nu) for row in rows]
 
-    z = np.concatenate([[lam], np.asarray(sol.coeffs, dtype=complex).ravel()])
-    J = _bundle_jacobian(ctx.window_block(0j), z, K, sol.k0)
+    z = np.concatenate([[lam], rows.ravel()])
+    J = _bundle_jacobian(ctx.window_block(0.0), z, K, sol.k0)
 
     # J's -a_1 column is DF's, exactly; its xi row holds fl(2 S_i)
     Nw = _window_defect(ctx, J, ns, lam)
@@ -1144,12 +1190,7 @@ def _assemble_bundle(sol: "BundleSolution", ctx: _StageContext, r0: float):
         cols = ns + i * n + (K - 1) + np.arange(-(k0 - 1), k0)
         Nw[0, ns + i] = _gap(Si * 2.0, J[0, cols])
 
-    resid_seqs = []
-    Dapp = ctx.df0.apply(a1)
-    for i in range(9):
-        r = a1[i].dtheta().scale(-omega).add(Dapp[i]).add(a1[i].scale(-lam))
-        resid_seqs.append(r)
-    resid_scalars = [model.xi_phase(a1, sol.k0, sol.xi0)]
+    xi = CArr.from_civ_list([model.xi_phase(a1, sol.k0, sol.xi0)])
 
     a1n = [sq.norm_upper() for sq in a1]
     monos = [(("seq", i), 1.0, (_up(abs(lam)), a1n[i])) for i in range(9)]
@@ -1157,8 +1198,9 @@ def _assemble_bundle(sol: "BundleSolution", ctx: _StageContext, r0: float):
 
     dd = ctx.field_dd(r0)
     data = _OperatorData(ns=ns, s=lam, J=J, window_defect=Nw,
-                         scalar_tail_sup=np.zeros((ns, 9)), ycol_tail_seqs=[])
-    return data, _Assembled("order1:%s" % sol.kind, resid_scalars, resid_seqs, monos,
+                         scalar_tail_sup=np.zeros((ns, 9)), ycol_tail_mags=[])
+    return data, _Assembled("order1:%s" % sol.kind, (xi.mid(), xi.rad()),
+                            _affine_residual(ctx, rows, lam), monos,
                             pre_Y=float(_up(dd * max(a1n))), pre_Z1=dd)
 
 
@@ -1167,7 +1209,6 @@ def _certify_jet(jet: "JetTable", ctx: _StageContext, alpha, rhs, rho: float,
     """Assemble and certify jet alpha at centers; rhs and rho are its
     `_jet_rhs`, and op the operator part of its certificate, made from the
     context and the jet's shift (`_StageContext.jet_operator_data`)."""
-    nu, omega = ctx.nu, ctx.omega
     m_, n_ = alpha
     p = m_ + n_
     lam = jet.lambda_bar
@@ -1176,23 +1217,15 @@ def _certify_jet(jet: "JetTable", ctx: _StageContext, alpha, rhs, rho: float,
     for row in centers:
         if not row.is_point():
             raise ValueError("jet centers must be point sequences")
-    aset = list(centers)
-    Dapp = ctx.df0.apply(aset)
-    Rpts = [FourierSeq.zeros(1, nu) if f is None else FourierSeq.point(f, nu)
-            for f in rhs]
-    lam_shift = ComplexInterval.point(-s)
-    resid_seqs = []
-    for i in range(9):
-        r = aset[i].dtheta().scale(-omega).add(aset[i].scale(lam_shift))
-        r = r.add(Dapp[i]).add(Rpts[i])
-        resid_seqs.append(r)
+    resid = _affine_residual(ctx, [row.c.mid() for row in centers], s, rhs)
 
     # uncertainty of the chosen diagonal shift versus <alpha, lambda>
     ds = (Interval.point(lam) * float(p) - s).mag()
     dd = ctx.field_dd(jet.radii[(0, 0)])
     shift_err = float(_up(dd + _up(p * jet.radii[(1, 0)] + ds)))
-    maxn = max(sq.norm_upper() for sq in aset)
-    asm = _Assembled("jet:%d,%d:%s" % (m_, n_, jet.kind), [], resid_seqs, [],
+    maxn = max(sq.norm_upper() for sq in centers)
+    asm = _Assembled("jet:%d,%d:%s" % (m_, n_, jet.kind),
+                     (np.zeros(0, dtype=complex), np.zeros(0)), resid, [],
                      pre_Y=float(_up(_up(shift_err * maxn) + rho)), pre_Z1=shift_err)
     cert, report = _certify(op, asm, inputs_digest(alpha, jet.kind, jet.digests["order1"],
                                                    centers))

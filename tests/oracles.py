@@ -16,8 +16,11 @@ coordinates, in intervals.
 interval reference: Fourier-Taylor grids in endpoint intervals, of which
 order 0 of `model` is layer (0, 0).  `field_F_seq`, `dF0_apply` and
 `remainder_Ralpha` are per-layer views of that field map that the model
-tests check against each other, and `unfold_orbit_G` is the orbit's
-unfolding term that order 0 assembles from its cubes.  `orbit_enclosure`,
+tests check against each other (`dF0_apply` reads `model.DF0.apply`'s
+discs as boxes, `disc_boxes`), and `unfold_orbit_G` is the orbit's
+unfolding term that order 0 assembles from its cubes.
+`endpoint_residual` is the residual of order 1 or of a jet in endpoint
+arithmetic, the reference for the disc residual of `stages`.  `orbit_enclosure`,
 `bundle_enclosure` and `base_enclosure` enclose the window block of
 DF(x_bar) of a stage entry by entry, in endpoint lanes, the reference for
 the window defect of `stages`; `complex_inverse` inverts a window block in
@@ -425,9 +428,44 @@ def field_F_seq(a, alpha, cfg):
     return tuple(g.layer(*alpha) for g in field_F_ft(a, cfg, order))
 
 
+def disc_boxes(m, r) -> CArr:
+    """Endpoint boxes of the discs |z - m_k| <= r_k, rounded outward; a
+    disc with r_k = 0 is the point m_k, without widening."""
+    m = np.asarray(m, dtype=complex)
+    r = np.asarray(r, dtype=float)
+    exact = r == 0.0
+    return CArr(np.where(exact, m.real, _dn(m.real - r)),
+                np.where(exact, m.real, _up(m.real + r)),
+                np.where(exact, m.imag, _dn(m.imag - r)),
+                np.where(exact, m.imag, _up(m.imag + r)))
+
+
 def dF0_apply(a0, h, cfg):
-    """Derivative of the order-zero field map at a0 applied to h."""
-    return model.dF0(a0, model.IntervalArith(cfg)).apply(h)
+    """Derivative of the order-zero field map at a0 applied to the point
+    sequences h, as the endpoint boxes of `model.DF0.apply`'s discs."""
+    assert all(s.is_point() for s in h)
+    D = model.DF0(*model.field_derivative(model.IntervalArith(cfg), a0))
+    return [FourierSeq(disc_boxes(m, r), h[0].nu) for m, r in D.apply([s.c.mid() for s in h])]
+
+
+def endpoint_residual(ctx, centers, s: float, rhs=None):
+    """The residual (-omega d_theta - s + DF0) a + R of order 1 (rhs None)
+    or of a jet at its point centers, in endpoint arithmetic: DF0 a as the
+    boxes of `model.DF0.apply`'s discs, and every other term and sum in
+    intervals, in the order each stage once took."""
+    nu = ctx.nu
+    D = [FourierSeq(disc_boxes(m, r), nu) for m, r in ctx.df0.apply([a.c.mid() for a in centers])]
+    out = []
+    for i, a in enumerate(centers):
+        r = a.dtheta().scale(-ctx.omega)
+        if rhs is None:
+            r = r.add(D[i]).add(a.scale(-s))
+        else:
+            r = r.add(a.scale(ComplexInterval(complex(-s)))).add(D[i])
+            if rhs[i] is not None:
+                r = r.add(FourierSeq.point(rhs[i], nu))
+        out.append(r)
+    return out
 
 
 def remainder_Ralpha(a, alpha, cfg):
@@ -522,15 +560,16 @@ def _point(c: ComplexInterval, n: int):
     return (np.full(n, c.re.lo), np.full(n, c.re.hi), np.full(n, c.im.lo), np.full(n, c.im.hi))
 
 
-def base_enclosure(ctx, ns: int, s: complex) -> EnclMat:
+def base_enclosure(ctx, ns: int, s: float) -> EnclMat:
     """The window block of DF0 - i omega k - s at the context's centre,
     after ns scalar rows and columns; per block the diagonal -i omega k - s
     (when i = j), then the constant, then the kernel."""
     K, n = ctx.K, 2 * ctx.K - 1
+    _, kernels = model.field_derivative(model.IntervalArith(ctx.cfg), ctx.a0)
     E = EnclMat((ns + 9 * n, ns + 9 * n))
     m = ctx.omega * numerics.kvals(K).astype(float)
-    re = np.full(n, -s.real)
-    iomega = (re, re, _dn(-_up(m) - s.imag), _up(-_dn(m) - s.imag))
+    re = np.full(n, -s)
+    iomega = (re, re, -_up(m), -_dn(m))
     for i in range(9):
         rs = slice(ns + i * n, ns + (i + 1) * n)
         for j in range(9):
@@ -539,8 +578,8 @@ def base_enclosure(ctx, ns: int, s: complex) -> EnclMat:
                 E.add_diag(rs, cs, *iomega)
             c = ctx.const[i, j]
             if c != 0.0:
-                E.add_diag(rs, cs, *_point(ComplexInterval.point(complex(c)), n))
-            ker = ctx.df0.kernels[i][j]
+                E.add_diag(rs, cs, *_point(ComplexInterval(complex(c)), n))
+            ker = kernels[i][j]
             if ker is not None:
                 E.add_toeplitz(rs, cs, ker, K)
     return E
@@ -551,20 +590,20 @@ def orbit_enclosure(sol, ctx) -> EnclMat:
     y_j 3 sq_j on the diagonal blocks, the y columns and the eta rows."""
     K, n, ns = ctx.K, 2 * ctx.K - 1, 4
     y = np.asarray(sol.y, dtype=complex)
-    E = base_enclosure(ctx, ns, 0j)
+    E = base_enclosure(ctx, ns, 0.0)
     b1 = slice(ns + n, ns + 2 * n)
-    E.add_diag(b1, b1, *_point(ComplexInterval.point(complex(y[0])), n))
+    E.add_diag(b1, b1, *_point(ComplexInterval(complex(y[0])), n))
     E.add_col(b1, 0, ctx.a0[1].c)
     for j in range(3):
         w = ctx.a0[6 + j]
         sq = conv(w, w)
         bj = slice(ns + (6 + j) * n, ns + (7 + j) * n)
-        E.add_toeplitz(bj, bj, sq.scale(ComplexInterval.point(complex(y[1 + j])) * 3.0), K)
+        E.add_toeplitz(bj, bj, sq.scale(ComplexInterval(complex(y[1 + j])) * 3.0), K)
         E.add_col(bj, 1 + j, project(conv(sq, w), K).c)
     gs = [_mode_sum(a) for a in ctx.a0]
     for i in range(9):
         E.add_row(0, slice(ns + i * n, ns + (i + 1) * n),
-                  ComplexInterval.point(complex(-sol.anchor.u1[i])))
+                  ComplexInterval(complex(-sol.anchor.u1[i])))
     for j in range(3):
         px, py, pz = ctx.cfg.position(j)
         dxg, dyg, dzg = gs[0] - px, gs[2] - py, gs[4] - pz
@@ -581,7 +620,7 @@ def bundle_enclosure(sol, ctx) -> EnclMat:
     """The window block of DF(x_bar) of order 1: the base block at the shift
     lambda, the -a_1 column and the xi row."""
     K, n, ns = ctx.K, 2 * ctx.K - 1, 1
-    E = base_enclosure(ctx, ns, complex(sol.lam))
+    E = base_enclosure(ctx, ns, sol.lam)
     for i in range(9):
         a1 = FourierSeq.point(sol.coeffs[i], ctx.nu)
         E.add_col(slice(ns + i * n, ns + (i + 1) * n), 0, a1.c.neg())
@@ -690,7 +729,7 @@ def seq_from_entries(entries, nu: float, K: int | None = None) -> FourierSeq:
         if not 0 <= i < 2 * K - 1:
             raise ValueError("entry outside window")
         if not isinstance(v, ComplexInterval):
-            v = ComplexInterval.point(complex(v))
+            v = ComplexInterval(complex(v))
         out.c.rl[i], out.c.rh[i] = v.re.lo, v.re.hi
         out.c.il[i], out.c.ih[i] = v.im.lo, v.im.hi
     return out

@@ -17,6 +17,7 @@ from fourbody.ivarray import (
     cmat_abs_up,
     cmm,
     mm_up_nonneg,
+    mr_add,
     up_sum,
 )
 from fourbody.seqspace import FourierSeq
@@ -140,6 +141,27 @@ def test_cconv_mr_against_five_convolutions():
         assert [v.tobytes() for v in again] == [zm.tobytes(), zr.tobytes()]
         for corner in (None, (1, 1), (1, -1), (-1, 1), (-1, -1)):
             exact = conv_exact(disc_point(am, ar, corner), disc_point(bm, br, corner))
+            for k, (re, im) in enumerate(exact):
+                dre, dim = re - Fraction(zm[k].real), im - Fraction(zm[k].imag)
+                assert dre * dre + dim * dim <= Fraction(zr[k]) ** 2, (trial, corner, k)
+
+
+def test_mr_add_encloses_the_exact_sum():
+    # the sum of two centred disc arrays of different lengths holds the
+    # exact sum at points of both discs, with terms that cancel to a few
+    # ulps, terms near underflow and exact zeros among random ones
+    for trial in range(24):
+        (qm, qr), (vm, vr) = random_disc(7), random_disc(5)
+        qr, vr = (np.zeros(len(m)) if r is None else r for m, r in ((qm, qr), (vm, vr)))
+        vm[1] = -qm[2] * (1.0 + 2.0 ** -50)
+        vm[2], qm[3] = 1e-310 + 3e-320j, -2e-310 + 0j
+        qm[6] = vm[3] = 0j
+        zm, zr = mr_add(qm, qr, vm, vr)
+        for corner in (None, (1, 1), (1, -1), (-1, 1), (-1, -1)):
+            a, b = disc_point(qm, qr, corner), disc_point(vm, vr, corner)
+            exact = list(a)
+            for k, (re, im) in enumerate(b):
+                exact[k + 1] = (exact[k + 1][0] + re, exact[k + 1][1] + im)
             for k, (re, im) in enumerate(exact):
                 dre, dim = re - Fraction(zm[k].real), im - Fraction(zm[k].imag)
                 assert dre * dre + dim * dim <= Fraction(zr[k]) ** 2, (trial, corner, k)

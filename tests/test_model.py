@@ -14,9 +14,10 @@ from fourbody.model import (
     IntervalArith,
     MassTriple,
     PhaseAnchor,
+    DF0,
     PrimaryConfig,
-    dF0,
     field_F_grid,
+    field_derivative,
     interval_from_rational,
     mass_combination,
     primaries,
@@ -35,6 +36,7 @@ from oracles import (
     conv_exact,
     cq,
     dF0_apply,
+    disc_boxes,
     embed_R,
     eta_phase,
     field_F_seq,
@@ -47,7 +49,6 @@ from oracles import (
     remainder_Ralpha,
     seq_from_entries,
     unfold_orbit_G,
-    widen,
 )
 
 EQUAL = MassTriple.of("1/3", "1/3", "1/3")
@@ -572,7 +573,8 @@ def test_dF0_zero_and_linearity():
     out = dF0_apply(a0, zero, cfg)
     assert all(s.norm_upper() == 0.0 for s in out)
     h = rand_seq9(rng, nu, K=2, scale=0.5)
-    twice = dF0_apply(a0, [s.scale(2.0) for s in h], cfg)
+    # doubling a point is exact
+    twice = dF0_apply(a0, [FourierSeq.point(2.0 * s.c.mid(), nu) for s in h], cfg)
     base = dF0_apply(a0, h, cfg)
     for a, b in zip(twice, base):
         for k in a.k_values():
@@ -584,16 +586,16 @@ def test_dF0_zero_and_linearity():
             assert abs(cmid(got) - cmid(want)) < 1e-13
 
 
-def endpoint_chain(D, h, nu):
+def endpoint_chain(const, kernels, h, nu):
     """DF0 h by the endpoint kernels: constant multiples and carr_conv_reference."""
     out = []
     for i in range(9):
         acc = FourierSeq.zeros(1, nu)
         for j in range(9):
-            c = D.const[i][j]
+            c = const[i][j]
             if c != 0.0:
                 acc = acc.add(h[j].scale(c))
-            ker = D.kernels[i][j]
+            ker = kernels[i][j]
             if ker is not None:
                 acc = acc.add(FourierSeq(carr_conv_reference(ker.c, h[j].c), nu))
         out.append(acc)
@@ -612,51 +614,47 @@ def pick(c, which):
 
 
 def test_dF0_apply_encloses_exact_products_and_stays_tight():
-    # the midpoint-radius DF0 h contains the exact value for kernels (and a
-    # widened h) taken at their corners and midpoints, and no coefficient is
+    # the midpoint-radius DF0 h, read as boxes, contains the exact value for
+    # kernels taken at their corners and midpoints, and no coefficient is
     # more than 4x wider than the endpoint chain of carr_conv_reference
     rng = np.random.default_rng(43)
     cfg = primaries(MassTriple.of("1/2", "3/10", "1/5"))
     nu = 1.5
     K = 5
     a0 = rand_seq9(rng, nu, K=K, scale=0.2, offset=[0.1, 0, -0.2, 0, 0.05, 0, 1.2, 0.8, 1.0])
-    D = dF0(a0, IntervalArith(cfg))
-    point = rand_seq9(rng, nu, K=K, scale=0.5)
-    point[3] = FourierSeq.zeros(K, nu)
-    wide = list(point)
-    wide[2] = wide[2].add(FourierSeq.point(np.full(2 * K - 1, 1e-9 + 0j), nu))
-    wide[7] = FourierSeq(widen(wide[7].c, 1e-12), nu)
-    wide[5] = FourierSeq(widen(wide[5].c, 1e-12), nu)
-    for h in (point, wide):
-        got = D.apply(h)
-        chain = endpoint_chain(D, h, nu)
-        for g, w in zip(got, chain):
-            assert len(g.c) == len(w.c)
-            for lo, hi in (("rl", "rh"), ("il", "ih")):
-                gw = getattr(g.c, hi) - getattr(g.c, lo)
-                ww = getattr(w.c, hi) - getattr(w.c, lo)
-                assert (gw <= 4.0 * ww + 1e-300).all(), (lo, gw / ww)
-        for which in ("ll", "lh", "hl", "hh", "mid"):
-            hq = [pick(s.c, which) for s in h]
-            for i in range(9):
-                L = len(got[i].c)
-                acc = [(Fraction(0), Fraction(0))] * L
-                for j in range(9):
-                    terms = []
-                    c = D.const[i][j]
-                    if c != 0.0:
-                        terms.append([(Fraction(c) * re, Fraction(c) * im) for re, im in hq[j]])
-                    ker = D.kernels[i][j]
-                    if ker is not None:
-                        terms.append(conv_exact(pick(ker.c, which), hq[j]))
-                    for t in terms:
-                        off = (L - len(t)) // 2
-                        for k, v in enumerate(t):
-                            acc[off + k] = (acc[off + k][0] + v[0], acc[off + k][1] + v[1])
-                c = got[i].c
-                for k, (re, im) in enumerate(acc):
-                    assert Fraction(c.rl[k]) <= re <= Fraction(c.rh[k]), (which, i, k)
-                    assert Fraction(c.il[k]) <= im <= Fraction(c.ih[k]), (which, i, k)
+    const, kernels = field_derivative(IntervalArith(cfg), a0)
+    D = DF0(const, kernels)
+    h = rand_seq9(rng, nu, K=K, scale=0.5)
+    h[3] = FourierSeq.zeros(K, nu)
+    got = [disc_boxes(m, r) for m, r in D.apply([s.c.mid() for s in h])]
+    chain = endpoint_chain(const, kernels, h, nu)
+    for g, w in zip(got, chain):
+        assert len(g) == len(w.c)
+        for lo, hi in (("rl", "rh"), ("il", "ih")):
+            gw = getattr(g, hi) - getattr(g, lo)
+            ww = getattr(w.c, hi) - getattr(w.c, lo)
+            assert (gw <= 4.0 * ww + 1e-300).all(), (lo, gw / ww)
+    hq = [pick(s.c, "mid") for s in h]
+    for which in ("ll", "lh", "hl", "hh", "mid"):
+        for i in range(9):
+            L = len(got[i])
+            acc = [(Fraction(0), Fraction(0))] * L
+            for j in range(9):
+                terms = []
+                c = const[i][j]
+                if c != 0.0:
+                    terms.append([(Fraction(c) * re, Fraction(c) * im) for re, im in hq[j]])
+                ker = kernels[i][j]
+                if ker is not None:
+                    terms.append(conv_exact(pick(ker.c, which), hq[j]))
+                for t in terms:
+                    off = (L - len(t)) // 2
+                    for k, v in enumerate(t):
+                        acc[off + k] = (acc[off + k][0] + v[0], acc[off + k][1] + v[1])
+            c = got[i]
+            for k, (re, im) in enumerate(acc):
+                assert Fraction(c.rl[k]) <= re <= Fraction(c.rh[k]), (which, i, k)
+                assert Fraction(c.il[k]) <= im <= Fraction(c.ih[k]), (which, i, k)
 
 
 # ---------------------------------------------------------------------------

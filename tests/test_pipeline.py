@@ -87,15 +87,17 @@ def lane_bytes(seq):
 
 def test_order0_residual_takes_the_reference_unfolding(run):
     # order 0 builds G(y, a) from the cubes it already has; its residual is
-    # the one the reference unfolding term gives, bit for bit
+    # the one the reference unfolding term gives, and the certificate reads
+    # its midpoints, radii and moduli, bit for bit
     cfg, res0, _, table = run
     sol, _, ctx = res0.context
     _, asm = stages._assemble_orbit(sol, ctx, model.IntervalArith(cfg))
     F = model.field_F_grid(ctx.a0, model.IntervalArith(cfg))
     G = oracles.unfold_orbit_G([complex(t) for t in sol.y], ctx.a0)
     for i, got in enumerate(asm.resid_seqs):
-        want = ctx.a0[i].dtheta().scale(-ctx.omega).add(F[i]).add(G[i])
-        assert got.to_json_obj() == want.to_json_obj(), i
+        c = ctx.a0[i].dtheta().scale(-ctx.omega).add(F[i]).add(G[i]).c
+        want = (c.mid(), c.rad(), c.mag())
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want], i
     # order 0's field and kernels, interval and float, are layer (0, 0) of
     # the multi-layer arithmetics on the table's orders, byte for byte
     layers = [{**{b: seqs[i] for b, seqs in table.orders.items()}, (0, 0): ctx.a0[i]}
@@ -107,19 +109,68 @@ def test_order0_residual_takes_the_reference_unfolding(run):
     _, fkers = model.field_derivative(numerics.FloatArith(ctx.ms, ctx.pos),
                                       [{b: s.c.mid() for b, s in g.items()} for g in layers])
     fconst, got_fkers = numerics.derivative_kernels(ctx.A0, ctx.ms, ctx.pos)
-    df = model.dF0(ctx.a0, model.IntervalArith(cfg))
-    assert fconst == df.const
+    const, kernels = model.field_derivative(model.IntervalArith(cfg), ctx.a0)
+    assert fconst == const
     for i in range(9):
         for j in range(9):
-            for got, want, as_bytes in ((df.kernels[i][j], ikers[i][j], lane_bytes),
+            for got, want, as_bytes in ((kernels[i][j], ikers[i][j], lane_bytes),
                                         (got_fkers[i][j], fkers[i][j], np.ndarray.tobytes)):
                 assert (got is None) == (want is None), (i, j)
                 if got is not None:
                     assert as_bytes(got) == as_bytes(want), (i, j)
 
 
+@pytest.mark.parametrize("s", [0.0, 2.7245102915, -8.17])
+def test_diagonal_term_encloses_the_exact_product(s):
+    # every disc of _diagonal_term holds (-s - i omega k) a_k, computed in
+    # exact rationals, on the whole window |k| <= K - 1, with coefficients
+    # near and below the underflow threshold among random ones
+    gen = np.random.default_rng(17)
+    K = 24
+    omega = float(gen.uniform(1.0, 3.0))
+    a = gen.uniform(-1.0, 1.0, 2 * K - 1) + 1j * gen.uniform(-1.0, 1.0, 2 * K - 1)
+    a[0] = 1e-300 - 3e-300j
+    a[-1] = 3e-310 + 1e-305j
+    a[K - 2] = 5e-324 - 7e-320j
+    a[K] = 1e-160j
+    mid, rad = stages._diagonal_term(a, omega, s)
+    for k, ak, m, r in zip(numerics.kvals(K), a, mid, rad):
+        exact = oracles.cq_mul((oracles.q(-s), -oracles.q(omega) * int(k)), oracles.cq(ak))
+        dre, dim = oracles.q(m.real) - exact[0], oracles.q(m.imag) - exact[1]
+        assert dre * dre + dim * dim <= oracles.q(r) ** 2, k
+
+
+def _disc_meets_box(m, r, box, k) -> bool:
+    """Whether the disc |z - m| <= r meets box entry k, in exact rationals."""
+    q = oracles.q
+    dx = max(q(box.rl[k]) - q(m.real), q(m.real) - q(box.rh[k]), 0)
+    dy = max(q(box.il[k]) - q(m.imag), q(m.imag) - q(box.ih[k]), 0)
+    return dx * dx + dy * dy <= q(r) ** 2
+
+
+def test_disc_residual_meets_the_endpoint_chain(run):
+    # order 1 and two jets: each coefficient of the disc residual meets the
+    # box of the endpoint chain the stages once took, and its radius is no
+    # larger than the box's circumscribed radius
+    cfg, _, _, table = run
+    ctx = stages._context_for(table, cfg)
+    lam = table.lambda_bar
+    cases = [(table.orders[(1, 0)], lam, None)]
+    fields = stages._level_fields(table, cfg, 2)
+    for alpha in ((2, 0), (1, 1)):
+        cases.append((table.orders[alpha], 2 * lam, stages._jet_rhs(fields, alpha)[0]))
+    for centers, s, rhs in cases:
+        got = stages._affine_residual(ctx, [c.c.mid() for c in centers], s, rhs)
+        want = oracles.endpoint_residual(ctx, centers, s, rhs)
+        for i, ((m, r, mags), w) in enumerate(zip(got, want)):
+            box = w.c
+            assert len(m) == len(r) == len(mags) == len(box), i
+            assert (r <= box.rad()).all(), i
+            assert all(_disc_meets_box(m[k], r[k], box, k) for k in range(len(m))), i
+
+
 def test_order0_makes_each_product_once(run, monkeypatch):
-    # counts, not timings: dF0, the field and the cubes of order 0 share one
+    # counts, not timings: DF0, the field and the cubes of order 0 share one
     # IntervalArith, so its endpoint convolutions run 52 times (75 with one
     # table each), and the table goes when validate_order0 returns
     cfg, res0, start, _ = run
@@ -475,13 +526,19 @@ def test_report_carries_the_data_parts(run):
     # pre_Y and pre_Z1 enter Y and Z1 times ||A||_seq, and the report
     # carries them: order 0's pre_Z1 bounds the y terms its J leaves out, so
     # it is at least |y0_bar|; a jet's carry the lower orders' radii and its
-    # shift error
+    # shift error.  Y0, the residual part of Y, is named with its row group:
+    # order 0's is its Y but for rounding, and a jet's is far below its
+    # data part
     cfg, res0, _, table = run
     y0 = abs(complex(res0.context[0].y[0]))
     assert res0.bounds["pre_Z1"] >= y0 > 0.0
     assert res0.bounds["pre_Y"] == 0.0
+    assert res0.bounds["Y0"] <= res0.bounds["Y"] <= res0.bounds["Y0"] * (1.0 + 1e-15)
     bounds = stages.validate_jet((2, 0), table, cfg).bounds
     assert bounds["pre_Y"] > 0.0 and bounds["pre_Z1"] > 0.0
+    assert 0.0 < bounds["Y0"] <= 1e-6 * bounds["Y"]
+    groups = ["scalar %d" % g for g in range(4)] + ["seq %d" % i for i in range(9)]
+    assert res0.bounds["Y_group"] in groups and bounds["Y_group"] in groups[4:]
 
 
 @pytest.fixture
@@ -650,6 +707,7 @@ def test_failed_certificate_carries_its_bounds(run, monkeypatch):
     assert "'order0'" in message
     for name in ("Y", "Z0", "Z1"):
         assert "%s = %.3e" % (name, want[name]) in message
+    assert "residual %.3e, set by row group %s" % (want["Y0"], want["Y_group"]) in message
 
 
 # the module fixture's run in a fresh interpreter; prints the table's digest
