@@ -11,7 +11,10 @@ Two representations are used:
   `seqspace.conv` (order 0 and the tests): it forms the products of a
   block of shifts at once and adds them into each output coefficient in
   increasing shift order, so the result is bit for bit that of a loop over
-  one coefficient at a time.  It holds products and sums in one direction,
+  one coefficient at a time.  It skips the point-zero products, which
+  leave every sum as it is: on the operands of order 0, which lie in one
+  class of the half-period reflection Q (`stages`), three in four.  It
+  holds products and sums in one direction,
   as [-lo, hi], so that dn(x + y) is -up((-x) + (-y)) and every rounding is
   one upward step, taken as an integer step on the int64 view:
   nextafter's result, bit for bit.  Its temporaries are bounded by a fixed
@@ -331,7 +334,10 @@ def carr_conv(a: CArr, b: CArr) -> CArr:
     ri_add: a point-zero product leaves the sum as it is, a point-zero sum
     takes the product, and otherwise lo = dn(lo + p_lo) and hi = up(hi +
     p_hi).  So every output coefficient is bit for bit that of a loop over
-    i; a point-zero a_i gives point-zero products.
+    i.  A point-zero factor gives a point-zero product, finite and never
+    inverted, so the shifts of a point-zero a_i are skipped, and so are the
+    point-zero entries of b when the others lie on one stride, as on an
+    operand in one class of Q: a shift's row is then that view of b.
 
     Products and sums are held in one direction, as [-lo, hi]: dn(x + y)
     equals -up((-x) + (-y)) exactly, so each shift is one add, one upward
@@ -363,14 +369,24 @@ def carr_conv(a: CArr, b: CArr) -> CArr:
     acc[0] = -0.0
     acc[1] = 0.0
     zero = np.ones((2, n + m - 1), dtype=bool)
+    # the entries of b that are not the point zero: j0 + d t for t < m when
+    # they lie on one stride d, else all of b
+    j = np.flatnonzero(~(pz_b[0] & pz_b[1]))
+    j0, d = int(j[0]), (int(j[1] - j[0]) if len(j) > 1 else 1)
+    if len(j) < m and np.all(np.diff(j) == d):
+        m = len(j)
+        B, pz_b = B[:, j0::d][:, :m], pz_b[:, j0::d][:, :m]
+    else:
+        j0, d = 0, 1
+    shifts = np.flatnonzero(~(pz_a[0] & pz_a[1]))
     new = np.empty((2, 2, m))
     bits = new.view(np.int64)
     inc = np.empty_like(bits)
     step = max(1, _CONV_BLOCK // m)
-    for i0 in range(0, n, step):
-        i1 = min(n, i0 + step)
+    for b0 in range(0, len(shifts), step):
+        block = shifts[b0:b0 + step]
         prod, pzero = _shift_products(
-            B[:, None, :], A[:, i0:i1, None], pz_b[:, None, :], pz_a[:, i0:i1, None])
+            B[:, None, :], A[:, block, None], pz_b[:, None, :], pz_a[:, block, None])
         if not np.isfinite(prod).all():
             raise IntervalDomainError("non-finite product in carr_conv")
         if (np.add(prod[0], prod[1]) < 0.0).any():  # hi - lo, sign exact
@@ -379,8 +395,8 @@ def carr_conv(a: CArr, b: CArr) -> CArr:
         # the products as addends, -0.0 made +0.0: then no sum is -0.0, as
         # the integer step needs; a sum that takes a product takes its bits
         addend = prod + 0.0
-        for t in range(i1 - i0):
-            seg = slice(i0 + t, i0 + t + m)
+        for t, i in enumerate(block):
+            seg = slice(i + j0, i + j0 + d * (m - 1) + 1, d)
             sums = acc[:, :, seg]
             np.add(sums, addend[:, :, t], out=new)
             _step_up_in_place(bits, inc)

@@ -10,10 +10,11 @@ float arithmetic `FloatArith`.  Its Cauchy product is one fold, made layer
 by layer, and it serves every float evaluation of the field: seeding, the
 order-0 residual and kernels, the jets' right-hand sides (through
 `stages`), and `remainder_layer`.  `base_block` assembles the window block
-of the linear operator that every stage shares.
+of the linear operator that every stage shares, whole or on one class of
+the half-period reflection Q.
 
 `one_blas_thread` runs the dense algebra of a public stage call on one
-OpenBLAS thread.  A jet operator's N^3 work is two half-size blocks
+OpenBLAS thread.  An operator's N^3 work is one block on a class of Q
 (`stages._operator`), too little to keep a second BLAS thread busy; that
 thread would spin between calls and take a core from whatever else runs.
 One thread also makes every float result, and so every digest, the same
@@ -141,12 +142,14 @@ def _delta(value: complex, n: int):
     return out
 
 
-def toeplitz_window(ker, K: int):
-    """Matrix of h -> (ker * h) restricted to the window on both sides."""
+def toeplitz_window(ker, K: int, rows=None, cols=None):
+    """Matrix of h -> (ker * h) restricted to the window on both sides, or
+    to the window positions rows and cols (index arrays into 0..2K-2)."""
     n = 2 * K - 1
+    rows = np.arange(n) if rows is None else rows
+    cols = np.arange(n) if cols is None else cols
     W = (len(ker) - 1) // 2
-    i = np.arange(n)
-    D = i[:, None] - i[None, :]
+    D = rows[:, None] - cols[None, :]
     inside = np.abs(D) <= W
     idx = np.clip(D + W, 0, len(ker) - 1)
     return np.where(inside, np.asarray(ker)[idx], 0.0)
@@ -161,24 +164,27 @@ def derivative_kernels(A, ms, pos):
     return model.field_derivative(FloatArith(ms, pos), [{(0, 0): a} for a in A])
 
 
-def base_block(const, kernels, K: int, diag, out=None):
-    """Window block (9n x 9n) of h -> diag h + const h + kernels * h.
+def base_block(const, kernels, K: int, diag, out=None, slots=None):
+    """Window block of h -> diag h + const h + kernels * h.
 
     diag is the diagonal of one component (length n = 2K-1), shared by all
     nine; const and kernels are the tables of `derivative_kernels`.  The
-    block is added into out (a zero 9n x 9n view) when one is given.
+    block is 9n x 9n, or only the rows and columns of slots, a sorted index
+    array into the nine windows (`opbound.class_slots`), made directly.  It
+    is added into out (a zero view of its shape) when one is given.
     """
     n = 2 * K - 1
-    base = np.zeros((9 * n, 9 * n), dtype=complex) if out is None else out
-    for i in range(9):
-        rs = slice(i * n, (i + 1) * n)
-        base[rs, rs] += np.diag(diag)
-        for j in range(9):
-            cs = slice(j * n, (j + 1) * n)
+    slots = np.arange(9 * n) if slots is None else slots
+    pos, ends = slots % n, np.searchsorted(slots, n * np.arange(10))
+    blocks = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
+    base = np.zeros((len(slots),) * 2, dtype=complex) if out is None else out
+    for i, rs in enumerate(blocks):
+        base[rs, rs] += np.diag(diag[pos[rs]])
+        for j, cs in enumerate(blocks):
             if const[i][j] != 0.0:
-                base[rs, cs] += const[i][j] * np.eye(n)
+                base[rs, cs] += const[i][j] * np.equal.outer(pos[rs], pos[cs])
             if kernels[i][j] is not None:
-                base[rs, cs] += toeplitz_window(kernels[i][j], K)
+                base[rs, cs] += toeplitz_window(kernels[i][j], K, pos[rs], pos[cs])
     return base
 
 

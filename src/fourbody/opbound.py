@@ -9,7 +9,8 @@ scalar and one per window; its norm is bounded by
 
 with w the nu-power weight (1 on scalar positions).  Everything here returns
 float upper bounds computed with outward nudges; midpoint-radius matrix
-products come from ivarray.
+products come from ivarray.  A layout may hold one class of the
+half-period reflection Q (`SpaceLayout`).
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from .ivarray import _up, up_sum
 from .seqspace import nu_weights
 
 __all__ = [
+    "Q_SIGMA",
+    "class_slots",
     "SpaceLayout",
     "block_norms",
     "group_col_sums",
@@ -38,22 +41,37 @@ def _weighted_col_sums(w, a):
     return _up((w @ a) * fac + _ETA * n)
 
 
+# sigma_c of the half-period reflection Q, (Q h)_(c,k) = sigma_c (-1)^k h_(c,k)
+Q_SIGMA = np.array([1, 1, 1, 1, -1, -1, 1, 1, 1])
+
+
+def class_slots(K: int, cls: int) -> np.ndarray:
+    """The sorted slots of nine windows of 2K-1 modes where Q = cls."""
+    k = np.arange(-(K - 1), K)
+    q = Q_SIGMA[:, None] * (1 - 2 * (k % 2))
+    return np.flatnonzero(q.ravel() == cls)
+
+
 class SpaceLayout:
     """The slots of X = C^ns x (l^1_nu)^9 at window K: ns scalars, then nine
-    windows of 2K-1 slots each, ordered k = -(K-1)..K-1.  `slices` holds
-    one group per scalar, then one per window; `kabs` is |k| per slot (0 on
+    windows, each its component's modes in ascending order: all 2K-1 modes
+    k = -(K-1)..K-1, or with cls the K or K-1 of that class of Q.  `slots`
+    maps the window slots into the nine whole windows, `slices` holds one
+    group per scalar, then one per window, and `kabs` is |k| per slot (0 on
     the scalars)."""
 
-    def __init__(self, ns: int, K: int):
+    def __init__(self, ns: int, K: int, cls: int | None = None):
         if K < 1:
             raise ValueError("seq window must be >= 1")
         n = 2 * K - 1
-        self.ns = ns
-        self.n = ns + 9 * n
+        self.ns, self.K, self.cls = ns, K, cls
+        self.slots = np.arange(9 * n) if cls is None else class_slots(K, cls)
+        self.n = ns + len(self.slots)
+        ends = ns + np.searchsorted(self.slots, n * np.arange(10))
         self.slices = ([slice(i, i + 1) for i in range(ns)]
-                       + [slice(ns + j * n, ns + (j + 1) * n) for j in range(9)])
-        window = np.abs(np.arange(-(K - 1), K))
-        self.kabs = np.concatenate([np.zeros(ns, dtype=int), np.tile(window, 9)])
+                       + [slice(a, b) for a, b in zip(ends[:-1], ends[1:])])
+        window = np.abs(self.slots % n - (K - 1))
+        self.kabs = np.concatenate([np.zeros(ns, dtype=int), window])
 
     def weights_up(self, nu: float):
         """(w_up, winv_up): upper bounds of nu^|k| and nu^-|k| per slot."""
@@ -61,47 +79,25 @@ class SpaceLayout:
         return w_up[self.kabs], _up(_up(1.0 / w_dn))[self.kabs]
 
 
-def _group_slices(layout: SpaceLayout, part) -> list:
-    """The groups of `layout` restricted to the slots `part`, a sorted
-    index array, as slices of part: one per group, each possibly empty."""
-    edges = np.searchsorted(part, [sl.start for sl in layout.slices] + [layout.n])
-    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
-
-
-def group_col_sums(w, X, layout: SpaceLayout, part):
+def group_col_sums(w, X, layout: SpaceLayout):
     """Upper bounds of the weighted column sums sum_k w_k X[k, :] over the
     rows k of each group of `layout`, one row per group, for a nonnegative X
-    whose rows are the slots `part` (a sorted index array) and their
-    weights w."""
+    whose rows are the slots of the layout and their weights w."""
     out = np.zeros((len(layout.slices), X.shape[1]))
-    for ri, rows in enumerate(_group_slices(layout, part)):
+    for ri, rows in enumerate(layout.slices):
         out[ri] = _weighted_col_sums(w[rows], X[rows])
     return out
 
 
-def block_norms(absU, layout: SpaceLayout, nu: float, parts=None):
-    """Upper bounds N[r,c] of the block operator norms of |U| on X.
-
-    With parts, a tuple of sorted index arrays that partition the slots,
-    absU holds the diagonal blocks of |U|: block b the entries whose row and
-    column both lie in parts[b].  Every other entry of |U| is zero, and the
-    column sums skip them."""
-    n = layout.n
-    if parts is None:
-        parts, absU = (np.arange(n),), (np.asarray(absU, dtype=float),)
-    if [a.shape for a in absU] != [(len(p), len(p)) for p in parts] or \
-            sum(len(p) for p in parts) != n:
+def block_norms(absU, layout: SpaceLayout, nu: float):
+    """Upper bounds N[r,c] of the block operator norms of |U| on X."""
+    absU = np.asarray(absU, dtype=float)
+    if absU.shape != (layout.n, layout.n):
         raise ValueError("matrix shape does not match layout")
     w_up, winv_up = layout.weights_up(nu)
-    ns = layout.ns
-    colsum = np.zeros((ns + 9, n))
-    for part, blk in zip(parts, absU):
-        colsum[:, part] = group_col_sums(w_up[part], blk, layout, part)
-    colsum = _up(colsum * winv_up)
-    out = np.zeros((ns + 9, ns + 9))
-    out[:, :ns] = colsum[:, :ns]
-    out[:, ns:] = colsum[:, ns:].reshape(ns + 9, 9, -1).max(axis=2)
-    return out
+    colsum = _up(group_col_sums(w_up, absU, layout) * winv_up)
+    return np.array([colsum[:, sl].max(axis=1, initial=0.0)
+                     for sl in layout.slices]).T
 
 
 def norm_rows(N):

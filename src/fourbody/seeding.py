@@ -31,6 +31,7 @@ import numpy as np
 from scipy import optimize
 
 from . import model, numerics, stages
+from .opbound import SpaceLayout, class_slots
 
 __all__ = [
     "planar_equilibria",
@@ -158,7 +159,8 @@ def phase_anchor(cfg, u0) -> model.PhaseAnchor:
 
 
 def orbit_guess_vector(cfg, eq_xy, amp: float, omega: float, K: int):
-    """Packed (y, coefficients) guess for a small vertical oscillation."""
+    """Packed (y, coefficients) guess for a small vertical oscillation, in
+    class +1 of the half-period reflection Q: the modes off it are zero."""
     _, pos = numerics.cfg_floats(cfg)
     N = max(8 * K, 64)
     t = np.arange(N) * (2.0 * np.pi / N)
@@ -173,7 +175,9 @@ def orbit_guess_vector(cfg, eq_xy, amp: float, omega: float, K: int):
         rows.append(1.0 / r)
     # the window of the samples' Fourier coefficients, N >= 2K - 1 of them
     coeffs = np.fft.fft(np.array(rows), axis=-1)[:, numerics.kvals(K) % N] / N
-    return np.concatenate([np.zeros(4, dtype=complex), coeffs.ravel()])
+    slots = class_slots(K, 1)
+    A = stages._unpack(coeffs.ravel()[slots], 0, K, slots)[1]
+    return np.concatenate([np.zeros(4, dtype=complex), A.ravel()])
 
 
 def _level(g, ms) -> complex:
@@ -182,33 +186,40 @@ def _level(g, ms) -> complex:
     return _H_QUAD @ (g[:6] * g[:6]) + 2.0 * (ms @ g[6:])
 
 
+def _orbit_rows(z, K: int) -> np.ndarray:
+    """The nine window rows of a packed (omega, y, A) of `_level_problem`."""
+    return stages._unpack(z, 5, K, class_slots(K, 1))[1]
+
+
 def _level_problem(cfg, K: int, H: float, anchor: model.PhaseAnchor):
     """Square system for the orbit of the family on the Jacobi level H.
 
-    The unknowns are (omega, y, A).  Row 0 is H(g) - H at the angle-zero
-    point g = sum_k A_k; the other rows are the order-0 map of
-    `stages._orbit_residual`, with the frequency free.  The level fixes the
-    spot on the family and the phase row fixes time translation.  H(g) is
-    real when A is real-symmetric, so Newton started on a real orbit stays on
-    the real family.
+    The unknowns are (omega, y, A), A on class +1 of Q, where the orbit lies
+    (`stages`).  Row 0 is H(g) - H at the angle-zero point g = sum_k A_k;
+    the other rows are the order-0 map of `stages._orbit_residual`, with the
+    frequency free.  The level fixes the spot on the family and the phase
+    row fixes time translation.  H(g) is real when A is real-symmetric, so
+    Newton started on a real orbit stays on the real family.
     """
     ms, pos = numerics.cfg_floats(cfg)
     kv = numerics.kvals(K)
     n = 2 * K - 1
+    slots = class_slots(K, 1)
 
     def residual(z):
-        g = z[5:].reshape(9, n).sum(axis=1)
+        g = _orbit_rows(z, K).sum(axis=1)
         return np.concatenate([[_level(g, ms) - H],
-                               stages._orbit_residual(z[1:], z[0], anchor, K, ms, pos)])
+                               stages._orbit_residual(z[1:], z[0], anchor, K, ms, pos,
+                                                      slots)])
 
     def jacobian(z):
-        A = z[5:].reshape(9, n)
+        A = _orbit_rows(z, K)
         g = A.sum(axis=1)
         J = np.zeros((len(z), len(z)), dtype=complex)
         # dH/dA_{i,k} = dH/dg_i for every k of component i
-        J[0, 5:] = np.repeat(np.concatenate([2.0 * _H_QUAD * g[:6], 2.0 * ms]), n)
-        stages._orbit_jacobian(z[1:], z[0], anchor, K, ms, pos, out=J[1:, 1:])
-        J[5:, 0] = (-1j * kv * A).ravel()
+        J[0, 5:] = np.repeat(np.concatenate([2.0 * _H_QUAD * g[:6], 2.0 * ms]), n)[slots]
+        stages._orbit_jacobian(z[1:], z[0], anchor, K, ms, pos, slots, out=J[1:, 1:])
+        J[5:, 0] = (-1j * kv * A).ravel()[slots]
         return J
 
     return residual, jacobian
@@ -232,12 +243,12 @@ def _walk_level(cfg, eq_xy, H_target: float, K: int):
     and 4 Newton steps: 15 Jacobians.
     """
     ms, _ = numerics.cfg_floats(cfg)
-    n = 2 * K - 1
+    slots = np.concatenate([np.arange(5), 5 + class_slots(K, 1)])
     wz = vertical_frequency(cfg, eq_xy)
     z_eq, z = (np.concatenate([[complex(wz)], orbit_guess_vector(cfg, eq_xy, amp, wz, K)])
-               for amp in (0.0, _AMP0))
+               [slots] for amp in (0.0, _AMP0))
     H_eq = _level(embed_point(cfg, [eq_xy[0], 0.0, eq_xy[1], 0.0, 0.0, 0.0]), ms).real
-    H = level = _level(z[5:].reshape(9, n).sum(axis=1), ms).real
+    H = level = _level(_orbit_rows(z, K).sum(axis=1), ms).real
     if (H_target - H) * (H - H_eq) < 0.0:
         raise SeedFailure("level %r is on the far side of the walk's start %r"
                           % (H_target, H))
@@ -246,7 +257,7 @@ def _walk_level(cfg, eq_xy, H_target: float, K: int):
     prev = cur = (0.0, z_eq)
     sigma = step = np.sqrt(abs(H - H_eq))
     while True:
-        anchor = phase_anchor(cfg, z[5:].reshape(9, n).sum(axis=1).real)
+        anchor = phase_anchor(cfg, _orbit_rows(z, K).sum(axis=1).real)
         guess = z
         try:
             z = stages.newton_stage(_level_problem(cfg, K, level, anchor), z)
@@ -287,17 +298,16 @@ def orbit_to_jacobi(cfg, eq_xy, H_target: float, K: int, nu: float):
     z, anchor = _walk_level(cfg, eq_xy, H_target, Kw)
     if K > Kw:
         pad = K - Kw
-        A = np.pad(z[5:].reshape(9, 2 * Kw - 1), ((0, 0), (pad, pad)))
-        z = np.concatenate([z[:5], A.ravel()])
+        A = np.pad(_orbit_rows(z, Kw), ((0, 0), (pad, pad)))
+        z = np.concatenate([z[:5], A.ravel()[class_slots(K, 1)]])
         anchor = phase_anchor(cfg, A.sum(axis=1).real)
         try:
             z = stages.newton_stage(_level_problem(cfg, K, H_target, anchor), z)
         except numerics.NewtonDivergence as exc:
             raise SeedFailure("level polish at K=%d from the K=%d walk diverged: %s"
                               % (K, Kw, exc)) from exc
-    n = 2 * K - 1
     sol = stages.OrbitSolution(float(z[0].real), K, nu, anchor, z[1:5].real + 0j,
-                               z[5:].reshape(9, n).copy())
+                               _orbit_rows(z, K))
     return sol, jacobi_mid(cfg, sol.coeffs.sum(axis=1).real)
 
 
@@ -312,25 +322,35 @@ def bundle_guess(cfg, sol: stages.OrbitSolution, kind: str, k0: int,
     a real eigenpair seeds (lambda, a_1), lambda a float.
 
     The Hill matrix B is the window block of the bundle stage's operator
-    h -> DF(a0) h - i omega k h, cropped to Kh = min(K, _K_WALK) modes.  Its
-    cos/sin form (`stages._cos_sin_form`) with the pair rows halved is
-    T^-1 B T, real for a real orbit, so one real eig gives the spectrum.  It
-    repeats as lambda + i omega j, and truncation spoils the copies far from
-    the strip |Im lambda| < omega / 2: lambda is the eigenvalue in the strip
-    with the largest real part ("unstable") or the smallest ("stable"), and
-    a SeedFailure if it is not real.  Its eigenvector, carried back by T, is
-    zero-padded to K and scaled to xi0; `stages.start_jet_table` polishes
-    both at K.
+    h -> DF(a0) h - i omega k h, cropped to Kh = min(K, _K_WALK) modes.  B
+    maps each class of Q to itself (`stages`), and the cos/sin form of a
+    class block (`stages._cos_sin_form`) with the pair rows halved is
+    T^-1 B T, real for a real orbit: two real eigs of half the size give the
+    spectrum.  It repeats as lambda + i omega j, and truncation spoils the
+    copies far from the strip |Im lambda| < omega / 2: lambda is the
+    eigenvalue in the strip, of either class, with the largest real part
+    ("unstable") or the smallest ("stable"), and a SeedFailure if it is not
+    real.  Its eigenvector, carried back by T, lies in its class; it is
+    zero-padded to K and scaled to xi0, and `stages.start_jet_table`
+    polishes both at K.
     """
     stages._check_kind(kind)
     K, Kh = sol.K, min(sol.K, _K_WALK)
     ms, pos = numerics.cfg_floats(cfg)
     const, kers = numerics.derivative_kernels(sol.coeffs, ms, pos)
-    B = numerics.base_block(const, kers, Kh, -1j * sol.omega * numerics.kvals(Kh))
-    M, _ = stages._cos_sin_form(B, 0, Kh)
-    for rows in stages._pairs(M, 0, Kh, 0)[:2]:
-        rows *= 0.5
-    lams, vecs = np.linalg.eig(M)
+    diag = -1j * sol.omega * numerics.kvals(Kh)
+    spectra = []
+    for cls in (1, -1):
+        layout = SpaceLayout(0, Kh, cls)
+        runs = stages._window_runs(layout)
+        M, _ = stages._cos_sin_form(
+            numerics.base_block(const, kers, Kh, diag, slots=layout.slots), 0, runs)
+        for run in runs:
+            for rows in stages._run_pairs(M, *run, 0)[:2]:
+                rows *= 0.5
+        lams, vecs = np.linalg.eig(M)
+        spectra += [(lam, layout, runs, vecs[:, j]) for j, lam in enumerate(lams)]
+    lams = np.array([t[0] for t in spectra])
     strip = np.flatnonzero(np.abs(lams.imag) < 0.5 * sol.omega)
     i_s = strip[np.argmin(lams.real[strip])]
     i_u = strip[np.argmax(lams.real[strip])]
@@ -342,11 +362,14 @@ def bundle_guess(cfg, sol: stages.OrbitSolution, kind: str, k0: int,
     if lams[i].imag != 0.0:
         raise SeedFailure("the %s Floquet exponent %r is not real"
                           % (kind, complex(lams[i])))
-    c, s, zero = stages._pairs(vecs[:, i:i + 1], 0, Kh, 0)
-    h = np.empty((len(vecs), 1), dtype=complex)
-    hp, hm, h0 = stages._pairs(h, 0, Kh, 0)
-    hp[...], hm[...], h0[...] = c + 1j * s, c - 1j * s, zero
-    coeffs = np.pad(h.reshape(9, 2 * Kh - 1), ((0, 0), (K - Kh, K - Kh)))
+    _, layout, runs, vec = spectra[i]
+    h = vec[:, None].astype(complex)  # mode 0 stays
+    for run in runs:
+        c, s, _ = stages._run_pairs(vec[:, None], *run, 0)
+        hp, hm, _ = stages._run_pairs(h, *run, 0)
+        hp[...], hm[...] = c + 1j * s, c - 1j * s
+    coeffs = np.pad(stages._unpack(h[:, 0], 0, Kh, layout.slots)[1],
+                    ((0, 0), (K - Kh, K - Kh)))
     S = coeffs[:, K - k0:K + k0 - 1].sum(axis=1)
     scale = np.sqrt(complex(xi0) / np.sum(S * S))
     coeffs *= scale

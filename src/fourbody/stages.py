@@ -51,17 +51,26 @@ column sums per row group, so the gemm error gamma |B| |M| enters as
 are the inverse and B M.  A is the complex Jhat, and the bounds and the
 jets' step read Jhat and |Jhat|.
 
-A jet's J (ns = 0) also commutes, up to rounding, with the half-period
-reflection Q, (Q h)_(c,k) = sigma_c (-1)^k h_(c,k) with sigma = -1 on z
-and vz: the vertical family is Q-fixed.  T maps each class of Q to itself,
-so a jet's M is, up to rounding, block diagonal on the two classes
-(`_parity_parts`).  Its B inverts the two diagonal blocks, each of about
-N/2, and Jhat is zero off them: the inverses and B M cost a quarter, and
-|Jhat|, its block norms, the Z1 tail product and the jets' step z = -Jhat R
-half, of the whole.  What M holds off the blocks, at most |B| |M_off|
-after B, goes into Z0's first term, so a J that does not commute with Q
-is still covered, only less tightly.  Orders 0 and 1 stay whole: their eta
-and xi rows couple the two classes.
+Every stage is posed on one class c of the half-period reflection Q,
+(Q h)_(c,k) = sigma_c (-1)^k h_(c,k) with sigma = -1 on z and vz: on
+R^ns x X_c, X_c the modes of class c of each component (`SpaceLayout`
+with cls), K or K - 1 of the 2K - 1 per window.  F commutes with Q: the
+field is symmetric under z -> -z, the primaries lie in z = 0 (the context
+checks it), and each w_j is even in z.  So on data of class c a stage maps
+R^ns x X_c into R^ns x Y_c: its eta and xi rows are scalars, and its y
+columns, a_1 and w_j^3, lie in class +1.  a_0 has class +1, a_1 the class
+c1 of its Hill eigenvector (+1 for both kinds on the reference orbit), and
+jet alpha class c1^|alpha|.  A centre lies in its class exactly, and a
+validator refuses one with a nonzero entry off it.  The Newton-Kantorovich
+argument runs in the class: it proves a zero there, which is all the
+manifold needs, and r_max is the radius of uniqueness within the class.
+No bound grows: with a centre in its class, the whole J maps the
+(scalars, class) slots into themselves, so it is block upper triangular in
+((scalars, class), other class) and the class inverse is the (scalars,
+class) block of the whole one; ||A||, Z0, Z1 and Y sum over part of the
+rows and columns of the whole-space bounds.  J, the inverse, the Newton
+solves and the jets' step thus carry about half the slots, and the N^3
+work is an eighth of the whole.
 
 Stages:
 
@@ -73,9 +82,9 @@ Stages:
   component 6+j (sq_j the square of a_(6+j)), enter Z1 through
   pre_Z1 = max(|y0|, 3 |y_j| ||sq_j||).
 * order 1: the Floquet bundle (lambda, a_1) normalized by the quadratic
-  phase scalar xi, with lambda real and a_1 fixed by R; resonances are
-  excluded by checking that the enclosure of Re(lambda) omits zero, and the
-  kind by checking its sign.
+  phase scalar xi, with lambda real and a_1 fixed by R and in one class of
+  Q; resonances are excluded by checking that the enclosure of Re(lambda)
+  omits zero, and the kind by checking its sign.
 * orders 2..N_t: the jets a_alpha, affine problems (Z2 = 0) whose data
   uncertainty (radii of all lower orders) is folded into Y and Z1.  Only
   the jets with m >= n are solved; a_(n,m) is the conjugate reflection of
@@ -124,7 +133,7 @@ The jets of one level are independent, but a process pool only added a
 fork, a pickled N x N operator per task and BLAS threads competing for the
 same cores: on 2 cores it made the jets slower, not faster.  The public
 stage calls run their dense algebra on one BLAS thread
-(`numerics.one_blas_thread`): after the split above a second thread found
+(`numerics.one_blas_thread`): on one class of Q a second thread finds
 too little N^3 work to pay for its spinning between calls, which took a
 core from whatever else ran.  So one certified table costs one core, and
 its digests do not depend on the BLAS thread count.
@@ -157,8 +166,10 @@ from .ivarray import (
     _up,
 )
 from .opbound import (
+    Q_SIGMA,
     SpaceLayout,
     block_norms,
+    class_slots,
     group_col_sums,
     group_vec_norms,
     norm_rows,
@@ -403,6 +414,8 @@ class _StageContext:
 
     def __init__(self, a0_seqs, cfg, omega: float, K: int, nu: float, arith):
         # arith: the IntervalArith of cfg; neither it nor the kernels are kept
+        if any(p[2].lo or p[2].hi for p in map(cfg.position, range(3))):
+            raise ValueError("a primary lies off z = 0, so the field does not commute with Q")
         self.cfg = cfg
         self.omega = float(omega)
         self.K = int(K)
@@ -438,15 +451,19 @@ class _StageContext:
         self.dconst = CArr.point(self.const.astype(complex)).add(CArr(*centre))
         self._build_monomials()
 
-    def window_block(self, s: float) -> np.ndarray:
-        """Float window block of h -> DF0 h - i omega k h - s h, built afresh."""
+    def window_block(self, s: float, slots=None) -> np.ndarray:
+        """Float window block of h -> DF0 h - i omega k h - s h, built afresh:
+        whole, or on the slots of one class of Q."""
         return numerics.base_block(self.fconst, self.fkers, self.K,
-                                   -1j * self.omega * numerics.kvals(self.K) - s)
+                                   -1j * self.omega * numerics.kvals(self.K) - s,
+                                   slots=slots)
 
-    def jet_operator_data(self, s: float) -> "_OperatorData":
-        """What `_operator` reads for the jets with shift s."""
-        J = self.window_block(s)
-        return _OperatorData(ns=0, s=s, J=J, window_defect=_window_defect(self, J, 0, s),
+    def jet_operator_data(self, s: float, cls: int) -> "_OperatorData":
+        """What `_operator` reads for the jets of class cls with shift s."""
+        layout = SpaceLayout(0, self.K, cls)
+        J = self.window_block(s, layout.slots)
+        return _OperatorData(layout=layout, s=s, J=J,
+                             window_defect=_window_defect(self, J, layout, s),
                              scalar_tail_sup=np.zeros((0, 9)), ycol_tail_mags=[])
 
     def _build_monomials(self):
@@ -488,19 +505,42 @@ def newton_stage(problem, guess) -> np.ndarray:
     return numerics.newton_polish(residual, jacobian, guess, tol=NEWTON_TOL)
 
 
-def _pack(scalars, A):
+def _pack(scalars, A, slots):
+    """[scalars, the slots `slots` of the window rows A flattened]."""
     return np.concatenate([np.asarray(scalars, dtype=complex).ravel(),
-                           np.asarray(A, dtype=complex).ravel()])
+                           np.asarray(A, dtype=complex).ravel()[slots]])
 
 
-def _unpack(z, ns: int, K: int):
-    n = 2 * K - 1
-    return z[:ns], z[ns:].reshape(9, n)
+def _unpack(z, ns: int, K: int, slots):
+    """(scalars, the nine window rows) of a z packed by `_pack`, zero off slots."""
+    A = np.zeros(9 * (2 * K - 1), dtype=complex)
+    A[slots] = z[ns:]
+    return z[:ns], A.reshape(9, -1)
 
 
-def _orbit_residual(z, omega, anchor, K: int, ms, pos):
-    """Order-zero residual [eta, F(a) - i omega k a + G(y, a) on the window]."""
-    y, A = _unpack(z, 4, K)
+def _class_of(stage, mags, K: int, cls=None) -> int:
+    """The class of Q of a centre whose moduli are mags (nine windows of
+    2K - 1): cls, or the class of its largest entry.  With a stage, an exact
+    test refuses the centre (ValueError) when an entry off it is not zero."""
+    off = np.ravel(mags).copy()
+    if cls is None:
+        cls = 1 if off[class_slots(K, 1)].max(initial=0.0) >= off.max(initial=0.0) else -1
+    off[class_slots(K, cls)] = 0.0
+    if stage and off.any():
+        raise ValueError("%s: the centre is not in class %+d of Q: an entry off "
+                         "the class has modulus %.3e" % (stage, cls, off.max()))
+    return cls
+
+
+def _jet_class(jet: "JetTable", p: int) -> int:
+    """The class of Q of the jets of order p: c1^p, with c1 that of a_1."""
+    return _class_of("order1", [s.c.mag() for s in jet.orders[(1, 0)]], jet.K) ** p
+
+
+def _orbit_residual(z, omega, anchor, K: int, ms, pos, slots):
+    """Order-zero residual [eta, F(a) - i omega k a + G(y, a) on the window
+    slots `slots`] at z = [y, a on those slots] (`_pack`)."""
+    y, A = _unpack(z, 4, K, slots)
     n = 2 * K - 1
     diag = -1j * omega * numerics.kvals(K)
     F = numerics.field_grid([{(0, 0): a} for a in A], ms, pos, cap=0)
@@ -513,10 +553,10 @@ def _orbit_residual(z, omega, anchor, K: int, ms, pos):
         cube = np.convolve(np.convolve(w, w), w)
         rows[6 + j] += y[1 + j] * numerics.crop(cube, K)
     eta, _ = model.eta_terms(A.sum(axis=1), anchor, pos)
-    return _pack(eta, rows)
+    return _pack(eta, rows, slots)
 
 
-def _orbit_jacobian(z, omega, anchor, K: int, ms, pos, out=None, kernels=None):
+def _orbit_jacobian(z, omega, anchor, K: int, ms, pos, slots, out=None, kernels=None):
     """Jacobian of `_orbit_residual` in (y, a) at fixed omega and y = 0.
 
     It reads no y: the y-terms of the a-derivative, y0 on component 1 and
@@ -526,25 +566,26 @@ def _orbit_jacobian(z, omega, anchor, K: int, ms, pos, out=None, kernels=None):
     terms at y_bar in Z1.  Written into out (a zero square view of the same
     order) when given.  kernels is (const, kers) of
     `numerics.derivative_kernels` at the rows of z, when the caller already
-    has them.
+    has them.  z, the rows and the columns hold the window slots `slots`.
     """
-    _, A = _unpack(z, 4, K)
+    _, A = _unpack(z, 4, K, slots)
     n = 2 * K - 1
-    N = 4 + 9 * n
+    N = 4 + len(slots)
     J = np.zeros((N, N), dtype=complex) if out is None else out
     _, gradient = model.eta_terms(A.sum(axis=1), anchor, pos)
     for r, row in enumerate(gradient):
-        for j, v in row.items():
-            J[r, 4 + j * n:4 + (j + 1) * n] = v
+        J[r, 4:] = np.array([row.get(j, 0.0) for j in range(9)])[slots // n]
     if kernels is None:
         kernels = numerics.derivative_kernels(A, ms, pos)
     const, kers = kernels
-    numerics.base_block(const, kers, K, -1j * omega * numerics.kvals(K), out=J[4:, 4:])
-    J[4 + n:4 + 2 * n, 0] = A[1]
+    numerics.base_block(const, kers, K, -1j * omega * numerics.kvals(K), out=J[4:, 4:],
+                        slots=slots)
+    cols = np.zeros((4, 9, n), dtype=complex)
+    cols[0, 1] = A[1]
     for j in range(3):
         w = A[6 + j]
-        J[4 + (6 + j) * n:4 + (7 + j) * n, 1 + j] = numerics.crop(
-            np.convolve(np.convolve(w, w), w), K)
+        cols[1 + j, 6 + j] = numerics.crop(np.convolve(np.convolve(w, w), w), K)
+    J[4:, :4] = cols.reshape(4, -1)[:, slots].T
     return J
 
 
@@ -555,36 +596,40 @@ def _window_sum(A: np.ndarray, K: int, k0: int) -> np.ndarray:
     return A[:, lo:hi].sum(axis=1)
 
 
-def _bundle_jacobian(base: np.ndarray, z, K: int, k0: int) -> np.ndarray:
-    """Jacobian of the bundle residual in (lambda, a_1) around the base block."""
-    n = 2 * K - 1
-    lam, A = z[0], z[1:].reshape(9, n)
-    N = 1 + 9 * n
+def _xi_cols(layout: SpaceLayout, k0: int) -> list:
+    """Per component, the columns of `layout` of the modes |k| < k0, which
+    the phase scalar xi sums."""
+    return [np.flatnonzero(layout.kabs[sl] < k0) + sl.start
+            for sl in layout.slices[layout.ns:]]
+
+
+def _bundle_jacobian(base: np.ndarray, z, layout: SpaceLayout, k0: int) -> np.ndarray:
+    """Jacobian of the bundle residual in (lambda, a_1) around the base block,
+    on the slots of `layout` (ns = 1)."""
+    lam = z[0]
+    N = layout.n
     J = np.zeros((N, N), dtype=complex)
-    J[1:, 1:] = base - lam * np.eye(9 * n)
-    J[1:, 0] = -A.ravel()
-    S = _window_sum(A, K, k0)
-    lo = max(K - 1 - (k0 - 1), 0)
-    hi = min(K - 1 + k0, n)
-    for i in range(9):
-        J[0, 1 + i * n + lo:1 + i * n + hi] = 2.0 * S[i]
+    J[1:, 1:] = base - lam * np.eye(N - 1)
+    J[1:, 0] = -z[1:]
+    S = _window_sum(_unpack(z, 1, layout.K, layout.slots)[1], layout.K, k0)
+    for i, cols in enumerate(_xi_cols(layout, k0)):
+        J[0, cols] = 2.0 * S[i]
     return J
 
 
-def bundle_problem(jet: "JetTable", cfg):
-    """Floquet bundle stage: unknowns (lambda, a_1) at the table's orbit center."""
+def bundle_problem(jet: "JetTable", cfg, cls: int):
+    """Floquet bundle stage: unknowns (lambda, a_1) at the table's orbit
+    center, a_1 in class cls of Q, packed as [lambda, its slots]."""
     K, k0, xi0 = jet.K, jet.k0, jet.xi0
-    n = 2 * K - 1
-    base = _context_for(jet, cfg).window_block(0.0)
+    layout = SpaceLayout(1, K, cls)
+    base = _context_for(jet, cfg).window_block(0.0, layout.slots)
 
     def residual(z):
-        lam, A = z[0], z[1:].reshape(9, n)
-        rows = (base @ A.ravel()).reshape(9, n) - lam * A
-        S = _window_sum(A, K, k0)
+        S = _window_sum(_unpack(z, 1, K, layout.slots)[1], K, k0)
         xi = np.sum(S * S) - xi0
-        return _pack([xi], rows)
+        return np.concatenate([[xi], base @ z[1:] - z[0] * z[1:]])
 
-    return residual, lambda z: _bundle_jacobian(base, z, K, k0)
+    return residual, lambda z: _bundle_jacobian(base, z, layout, k0)
 
 
 def jet_problem(alpha, jet: "JetTable", cfg):
@@ -616,12 +661,13 @@ def _rhs_window(rhs, K: int) -> np.ndarray:
 @dataclass
 class _OperatorData:
     """What the operator part of a stage certificate reads besides its
-    context: the shift s, the float window block J, the window defect, and
-    the parts of DF(x_bar) - A_dag that reach the tail from the scalars (the
-    eta rows of order 0, and its y columns as (column, component, moduli)).
-    The kernels' tail coupling is the context's, the same for every stage."""
+    context: the layout of the stage's scalars and class of Q, the shift s,
+    the float window block J on that layout, the window defect, and the
+    parts of DF(x_bar) - A_dag that reach the tail from the scalars (the eta
+    rows of order 0, and its y columns as (column, component, moduli)).  The
+    kernels' tail coupling is the context's, the same for every stage."""
 
-    ns: int
+    layout: SpaceLayout
     s: float
     J: np.ndarray
     window_defect: np.ndarray
@@ -631,17 +677,15 @@ class _OperatorData:
 
 class _Operator(NamedTuple):
     """The operator part of a stage certificate: A = Jhat, a float inverse of
-    J on the window (the exact reciprocal diagonal on the tail), and the
-    bounds that read A but not the stage's residual.  Jhat is held as its
-    diagonal blocks on `parts` (`_parity_parts`), zero off them."""
+    J on the window of the layout's class (the exact reciprocal diagonal on
+    the tail), and the bounds that read A but not the stage's residual."""
 
     layout: SpaceLayout
     K: int
     nu: float
     omega: float
     s: float
-    parts: tuple
-    Jhat: list
+    Jhat: np.ndarray
     Z0: float
     normA: float
     normA_seq: float
@@ -718,30 +762,23 @@ def _run_pairs(X: np.ndarray, start: int, count: int, L: int, axis: int):
     return v[..., h + odd:], v[..., :h][..., ::-1], (v[..., h] if odd else None)
 
 
-def _pairs(X: np.ndarray, ns: int, K: int, axis: int):
-    """`_run_pairs` of the nine windows of 2K - 1 modes after the ns scalars:
-    entry j of plus and of minus are the modes k = j + 1 and k = -(j + 1)
-    of one component, zero its mode 0."""
-    return _run_pairs(X, ns, 9, 2 * K - 1, axis)
-
-
-def _window_runs(part: np.ndarray, ns: int, K: int) -> list:
-    """The windows of the slots part (sorted, the ns scalars first) as runs
-    (start, count, L) for `_run_pairs`: count neighbouring components whose
-    windows in part have L slots each, from position start of part on."""
-    L = np.bincount((part[ns:] - ns) // (2 * K - 1), minlength=9)
-    runs, start = [], ns
-    for c in range(9):
-        if runs and runs[-1][2] == L[c]:
+def _window_runs(layout: SpaceLayout) -> list:
+    """The windows of `layout` as runs (start, count, L) for `_run_pairs`:
+    count neighbouring components whose windows have L slots each, from
+    slot start on.  A window of one class of Q has K or K - 1 slots."""
+    runs = []
+    for sl in layout.slices[layout.ns:]:
+        L = sl.stop - sl.start
+        if runs and runs[-1][2] == L:
             runs[-1][1] += 1
-        else:
-            runs.append([start, 1, int(L[c])])
-        start += int(L[c])
+        elif L:
+            runs.append([sl.start, 1, L])
     return runs
 
 
-def _cos_sin_form(J: np.ndarray, ns: int, K: int):
-    """(M, Im), the real and imaginary part of the float T^H J T.
+def _cos_sin_form(J: np.ndarray, ns: int, runs: list):
+    """(M, Im), the real and imaginary part of the float T^H J T, on the ns
+    scalars and the windows `runs` (`_window_runs`).
 
     T^H takes each pair of rows (h_k, h_-k) to (h_k + h_-k, i (h_-k - h_k)),
     T each pair of columns (x_k, x_-k) to (x_k + x_-k, i (x_k - x_-k)); the
@@ -751,19 +788,22 @@ def _cos_sin_form(J: np.ndarray, ns: int, K: int):
     jr, ji = J.real, J.imag
     yr, yi = np.empty((N, N)), np.empty((N, N))
     yr[:ns], yi[:ns] = jr[:ns], ji[:ns]
-    (rp, rm, r0), (ip, im, i0) = _pairs(jr, ns, K, 0), _pairs(ji, ns, K, 0)
-    (yrp, yrm, yr0), (yip, yim, yi0) = _pairs(yr, ns, K, 0), _pairs(yi, ns, K, 0)
-    np.add(rp, rm, out=yrp)
-    np.add(ip, im, out=yip)
-    np.subtract(ip, im, out=yrm)
-    np.subtract(rm, rp, out=yim)
-    yr0[...], yi0[...] = r0, i0
-    (rp, rm, _), (ip, im, _) = _pairs(yr, ns, K, 1), _pairs(yi, ns, K, 1)
-    t = rp - rm
-    rp += rm
-    np.subtract(im, ip, out=rm)
-    ip += im
-    im[...] = t
+    for run in runs:
+        (rp, rm, r0), (ip, im, i0) = _run_pairs(jr, *run, 0), _run_pairs(ji, *run, 0)
+        (yrp, yrm, yr0), (yip, yim, yi0) = _run_pairs(yr, *run, 0), _run_pairs(yi, *run, 0)
+        np.add(rp, rm, out=yrp)
+        np.add(ip, im, out=yip)
+        np.subtract(ip, im, out=yrm)
+        np.subtract(rm, rp, out=yim)
+        if r0 is not None:
+            yr0[...], yi0[...] = r0, i0
+    for run in runs:
+        (rp, rm, _), (ip, im, _) = _run_pairs(yr, *run, 1), _run_pairs(yi, *run, 1)
+        t = rp - rm
+        rp += rm
+        np.subtract(im, ip, out=rm)
+        ip += im
+        im[...] = t
     return yr, yi
 
 
@@ -798,20 +838,6 @@ def _from_cos_sin(B: np.ndarray, ns: int, runs: list, zr: np.ndarray,
     return A
 
 
-def _parity_parts(ns: int, K: int) -> tuple:
-    """The slots of X by the class of the half-period reflection Q,
-    (Q h)_(c,k) = sigma_c (-1)^k h_(c,k) with sigma = -1 on z and vz and +1
-    on the other components: for the jets (ns = 0) the sorted slots where
-    Q = +1 and those where Q = -1; for orders 0 and 1, whose eta and xi rows
-    couple the two classes, one part of every slot.  T maps each class to
-    itself, as the slots k and -k of a pair share it."""
-    if ns:
-        return (np.arange(ns + 9 * (2 * K - 1)),)
-    sigma = np.array([1, 1, 1, 1, -1, -1, 1, 1, 1])
-    q = (sigma[:, None] * (1 - 2 * (numerics.kvals(K) % 2))).ravel()
-    return np.flatnonzero(q > 0), np.flatnonzero(q < 0)
-
-
 def _cos_sin_weights(layout: SpaceLayout, nu: float) -> np.ndarray:
     """The weight of each slot in a row of |T| E: that row is the sum of the
     rows c_k and s_k, which carry the weight of k, so a slot of k != 0
@@ -820,50 +846,42 @@ def _cos_sin_weights(layout: SpaceLayout, nu: float) -> np.ndarray:
     return np.where(layout.kabs > 0, 2.0 * w_up, w_up)
 
 
-def _cos_sin_block_norms(S: np.ndarray, ns: int, K: int, nu: float) -> np.ndarray:
+def _cos_sin_block_norms(S: np.ndarray, layout: SpaceLayout, nu: float) -> np.ndarray:
     """`block_norms` of |T| E |T^-1| for a nonnegative E, from S, an upper
     bound of W E, the column sums of E over each row group weighted by
     `_cos_sin_weights`: a column of E |T^-1| is half the sum of the columns
     c_l and s_l."""
-    layout = SpaceLayout(ns, K)
-    _, winv_up = layout.weights_up(nu)
-    winv = winv_up[ns + K:ns + 2 * K - 1]
-    plus, minus, zero = _pairs(S, ns, K, 1)
-    pairs = _up(_up(plus + minus) * 0.5 * winv)
-    out = np.zeros((ns + 9, ns + 9))
-    out[:, :ns] = S[:, :ns]
-    out[:, ns:] = np.maximum(pairs.max(axis=2), _up(zero * winv_up[ns + K - 1]))
-    return out
+    ns = layout.ns
+    _, winv = layout.weights_up(nu)
+    P = S.copy()
+    for run in _window_runs(layout):
+        (plus, minus, _), (pp, pm, _) = _run_pairs(S, *run, 1), _run_pairs(P, *run, 1)
+        pp[...] = pm[...] = _up(plus + minus) * 0.5
+    P[:, ns:] = _up(P[:, ns:] * winv[ns:])
+    return np.array([P[:, sl].max(axis=1, initial=0.0) for sl in layout.slices]).T
 
 
-def _cos_sin_inverse(J: np.ndarray, ns: int, K: int, nu: float, parts: tuple):
-    """(Jhat, z0, z0_per_normA) for a real shift, made in the cos/sin basis;
-    Jhat is the list of the diagonal blocks of A on the `_parity_parts`
-    parts, zero off them.
+def _cos_sin_inverse(J: np.ndarray, layout: SpaceLayout, nu: float):
+    """(Jhat, z0, z0_per_normA) for a real shift, made in the cos/sin basis.
 
     T is the identity on the scalars and on mode 0 and takes the slots
     (k, -k) of a pair to (cos, sin), h_k = c + i s and h_-k = c - i s; so
-    T^H = 2 T^-1 on the pairs, and both have entries 1 and +-i only.  When J
-    commutes with the conjugate reflection R, (R h)_k = conj(h_-k), T^H J T
-    is real.  M is the real part of its float value.  B is block diagonal
-    on the parts, B_a = inv(M_aa) in float64 for the block M_aa of M on
-    part a, and Jhat = T B T^H, formed block by block in O(N^2), is the
-    approximate inverse A that every bound and the jets' step read.  The
-    two parts of a jet are the classes of Q, which T maps to themselves:
-    J commutes with Q up to rounding, so the blocks M_ab (a != b) are
-    rounding too, and the inverses cost a quarter of one whole inverse.
+    T^H = 2 T^-1 on the pairs, and both have entries 1 and +-i only.  T maps
+    each class of Q to itself, since k and -k share it, so it acts on the
+    layout's class alone.  When J commutes with the conjugate reflection R,
+    (R h)_k = conj(h_-k), T^H J T is real.  M is the real part of its float
+    value, B = inv(M) in float64, and Jhat = T B T^H, formed in O(N^2), is
+    the approximate inverse A that every bound and the jets' step read.
 
     With A' = T B T^H exact and norms of the real slots weighted as their
     modes, ||I - Jhat J|| <= z0 + z0_per_normA ||Jhat|| from three terms:
 
     * ||T (I - B M) T^-1||, the block-norm bound of |T| |I - B M| |T^-1|
       (`_cos_sin_block_norms`), which reads only W |I - B M|: the column
-      sums over each row group, weighted by `_cos_sin_weights`.  On a
-      diagonal block, |I - B_a M_aa| is at most the float product's
-      |I - fl(B_a M_aa)| plus the gemm error gamma |B_a| |M_aa|; off them,
-      I - B M is -B_a M_ab, at most |B_a| |M_ab| (M off the blocks, M_off).
-      Both enter as (W_a |B_a|) |M_ab|, two products of ns + 9 rows, so
-      the only N^3 products are the inverses and B_a M_aa;
+      sums over each row group, weighted by `_cos_sin_weights`.
+      |I - B M| is at most the float product's |I - fl(B M)| plus the gemm
+      error gamma |B| |M|, which enters as (W |B|) |M|, a product of ns + 9
+      rows, so the only N^3 products are the inverse and B M;
     * ||A'|| ||(T^H)^-1 (T^H J T - M) T^-1||, where (T^H)^-1 is T / 2 on
       the pairs and it and T^-1 have norm 1.  T^H J T - M is the imaginary
       part of the float value plus the rounding of its two sums, at most
@@ -875,56 +893,28 @@ def _cos_sin_inverse(J: np.ndarray, ns: int, K: int, nu: float, parts: tuple):
     ||Jhat|| is read from |Jhat| rounded up, so ||A'|| is at most 1 + 4u
     times it and the third term at most 4u ||J|| times it.
     """
-    layout = SpaceLayout(ns, K)
-    N = layout.n
-    M, Im = _cos_sin_form(J, ns, K)
+    ns, N = layout.ns, layout.n
+    runs = _window_runs(layout)
+    M, Im = _cos_sin_form(J, ns, runs)
     norm_im = opnorm_upper(block_norms(np.abs(Im, out=Im), layout, nu))
     # np.abs of a complex entry is within 1 + 4u of its modulus
     norm_J = float(_up(opnorm_upper(block_norms(np.abs(J, out=Im), layout, nu))
                        * (1.0 + 4.0 * _U)))
-    # Mq[a][b]: the rows of parts[a] and the columns of parts[b], views of
-    # M in the order of the parts
-    perm = np.concatenate(parts)
-    Mp = M if len(parts) == 1 else np.take(np.take(M, perm, axis=0), perm, axis=1)
-    cut = np.cumsum([0] + [len(p) for p in parts])
-    Mq = [[Mp[cut[a]:cut[a + 1], cut[b]:cut[b + 1]] for b in range(len(parts))]
-          for a in range(len(parts))]
     w = _cos_sin_weights(layout, nu)
-    S = np.zeros((ns + 9, N))
-    Bs = []
-    for a, pa in enumerate(parts):
-        Maa = Mq[a][a]
-        Bs.append(np.linalg.inv(Maa))
-        # |I - fl(B_a M_aa)|: the diagonal's - 1 rounds once, which the
-        # 1 + 4u below covers
-        E = Bs[a] @ Maa
-        E[np.diag_indices(len(pa))] -= 1.0
-        Sa = group_col_sums(w[pa], np.abs(E, out=E), layout, pa)
-        Va = group_col_sums(w[pa], np.abs(Bs[a], out=E), layout, pa)
-        del E
-        gemm = _up(_gemm_gamma(len(pa)) * mm_up_nonneg(Va, np.abs(Maa, out=Maa)))
-        S[:, pa] = _up(S[:, pa] + _up(Sa + gemm))
-        for b, pb in enumerate(parts):
-            if b != a:
-                Mab = Mq[a][b]
-                S[:, pb] = _up(S[:, pb] + mm_up_nonneg(Va, np.abs(Mab, out=Mab)))
-    del Mq, Mp
-    z0 = float(_up(opnorm_upper(_cos_sin_block_norms(S, ns, K, nu)) * (1.0 + 4.0 * _U)))
+    B = np.linalg.inv(M)
+    # |I - fl(B M)|: the diagonal's - 1 rounds once, which the 1 + 4u below
+    # covers
+    E = B @ M
+    E[np.diag_indices(N)] -= 1.0
+    S = group_col_sums(w, np.abs(E, out=E), layout)
+    V = group_col_sums(w, np.abs(B, out=E), layout)
+    del E
+    S = _up(S + _up(_gemm_gamma(N) * mm_up_nonneg(V, np.abs(M, out=M))))
+    z0 = float(_up(opnorm_upper(_cos_sin_block_norms(S, layout, nu)) * (1.0 + 4.0 * _U)))
     inner = _up(norm_im + _up(9.0 * _U * norm_J))
     per = float(_up(_up(inner * (1.0 + 4.0 * _U)) + _up(4.0 * _U * norm_J)))
-    # M and Im are spent: their memory holds the work arrays of each block
-    Jhat = [_from_cos_sin(Ba, ns, _window_runs(pa, ns, K),
-                          *(w.reshape(-1)[:Ba.size].reshape(Ba.shape) for w in (M, Im)))
-            for pa, Ba in zip(parts, Bs)]
-    return Jhat, z0, per
-
-
-def _inverse_times(op: "_Operator", v: np.ndarray) -> np.ndarray:
-    """Jhat v, one diagonal block of Jhat at a time."""
-    out = np.empty(len(v), dtype=complex)
-    for part, blk in zip(op.parts, op.Jhat):
-        out[part] = blk @ v[part]
-    return out
+    # M and Im are spent: they are the work arrays of Jhat
+    return _from_cos_sin(B, ns, runs, M, Im), z0, per
 
 
 def _group_max(v: np.ndarray, ns: int, tail) -> float:
@@ -934,26 +924,23 @@ def _group_max(v: np.ndarray, ns: int, tail) -> float:
 
 
 def _operator(ctx: _StageContext, d: _OperatorData) -> _Operator:
-    """The operator part of a stage's certificate.
+    """The operator part of a stage's certificate, on the stage's layout:
+    its scalars and its class of Q.
 
     The real shift s makes the inverse in the cos/sin basis
     (`_cos_sin_inverse`), and Z0 sums three terms there: the real product
     |I - B M| carried back by |T| and |T^-1|, ||A|| times what M misses of
-    T^H J T, and the rounding of forming A times ||J||.  A jet's B inverts
-    the two diagonal blocks of M on the classes of Q (`_parity_parts`), so
-    its Jhat is zero off them.  ||A||, Z1_window and Z1_tail read the
-    complex Jhat and |Jhat|, taken once from Jhat's moduli, rounded up,
-    block by block: the zero blocks add nothing."""
-    K, nu, omega, ns, s = ctx.K, ctx.nu, ctx.omega, d.ns, d.s
-    layout = SpaceLayout(ns, K)
-    N = layout.n
+    T^H J T, and the rounding of forming A times ||J||.  ||A||, Z1_window
+    and Z1_tail read the complex Jhat and |Jhat|, taken once from Jhat's
+    moduli, rounded up."""
+    K, nu, omega, s, layout = ctx.K, ctx.nu, ctx.omega, d.s, d.layout
+    ns, N = layout.ns, layout.n
     ngroups = ns + 9
-    parts = _parity_parts(ns, K)
-    Jhat, z0, z0_per_normA = _cos_sin_inverse(d.J, ns, K, nu, parts)
+    Jhat, z0, z0_per_normA = _cos_sin_inverse(d.J, layout, nu)
     # np.abs rounds a modulus to nearest, down about half the time
-    absJ = [cmat_abs_up(blk, None) for blk in Jhat]
+    absJ = cmat_abs_up(Jhat, None)
 
-    Bmat = block_norms(absJ, layout, nu, parts)
+    Bmat = block_norms(absJ, layout, nu)
     rowsJ = norm_rows(Bmat)
     Z0 = float(_up(z0 + _up(z0_per_normA * float(rowsJ.max()))))
     dtK = float(_inv_dist_up(np.array([float(K)]), omega, s)[0])
@@ -967,16 +954,17 @@ def _operator(ctx: _StageContext, d: _OperatorData) -> _Operator:
     # the window part of Z1: J^-1 (pi (DF(x_bar) - J) pi), by norms
     Z1_window = float(_up(rowsJ.max() * opnorm_upper(d.window_defect)))
     # the tail part: U holds, per window row and column group, the sup over
-    # the tail columns l of |DF_kl| nu^-|l|
+    # the tail columns l of |DF_kl| nu^-|l|; a row reads the profile at its
+    # mode, the sup over every tail column, of its class or not
     U = np.zeros((N, ngroups))
+    pos = layout.slots % (2 * K - 1)
     for j in range(9):
         U[:ns, ns + j] = d.scalar_tail_sup[:, j]
         for i in range(9):
             if ctx.kmags[i][j] is not None:
-                U[layout.slices[ns + i], ns + j] = ctx.kprofiles[i][j]
-    Wmat = np.empty((N, ngroups))
-    for part, blk in zip(parts, absJ):
-        Wmat[part] = mm_up_nonneg(blk, U[part])
+                sl = layout.slices[ns + i]
+                U[sl, ns + j] = ctx.kprofiles[i][j][pos[sl.start - ns:sl.stop - ns]]
+    Wmat = mm_up_nonneg(absJ, U)
     del absJ
     Np = np.zeros((ngroups, ngroups))
     for ci in range(ngroups):
@@ -1002,7 +990,7 @@ def _operator(ctx: _StageContext, d: _OperatorData) -> _Operator:
                 t = _seq_tail_weighted(mags, K, nu, omega, s)
                 Np[R, col] = _up(Np[R, col] + t)
     Z1_tail = max(up_sum(Np[R]) for R in range(ngroups))
-    return _Operator(layout, K, nu, omega, s, parts, Jhat, Z0, normA, normA_seq,
+    return _Operator(layout, K, nu, omega, s, Jhat, Z0, normA, normA_seq,
                      Z1_window, Z1_tail)
 
 
@@ -1011,12 +999,12 @@ def _certify(op: _Operator, asm: _Assembled, digest: str):
     raised carries the report's bounds as `bounds`."""
     layout, K, nu, omega, s = op.layout, op.K, op.nu, op.omega, op.s
     ns = layout.ns
-    windows = [(numerics.crop(m, K), numerics.crop(r, K)) for m, r, _ in asm.resid_seqs]
-    vm = np.concatenate([asm.resid_scalars[0]] + [m for m, _ in windows])
-    vr = np.concatenate([asm.resid_scalars[1]] + [r for _, r in windows])
-    ym, yr = np.empty(len(vm), dtype=complex), np.empty(len(vm))
-    for part, blk in zip(op.parts, op.Jhat):
-        ym[part], yr[part] = cmm(blk, None, vm[part], vr[part])
+    # the residual on the class; the exact one has nothing off it
+    vm, vr = (np.concatenate([asm.resid_scalars[t]] + [numerics.crop(seq[t], K)
+                                                       for seq in asm.resid_seqs])
+              for t in (0, 1))
+    keep = np.concatenate([np.arange(ns), ns + layout.slots])
+    ym, yr = cmm(op.Jhat, None, vm[keep], vr[keep])
     gY = group_vec_norms(cmat_abs_up(ym, yr), layout, nu)
     tails = np.array([_seq_tail_weighted(g, K, nu, omega, s) for _, _, g in asm.resid_seqs])
     # the residual part of Y per row group, and the group that sets it
@@ -1036,16 +1024,17 @@ def _certify(op: _Operator, asm: _Assembled, digest: str):
         "Y": Y, "Y0": Y0, "Y_group": Y_group, "Z0": op.Z0, "Z1": Z1,
         "Z1_window": op.Z1_window, "Z1_tail": op.Z1_tail, "pre_Y": asm.pre_Y,
         "pre_Z1": asm.pre_Z1, "Z2": list(Z2), "normA": op.normA,
+        "cls": layout.cls, "N": layout.n,
     }
     try:
         cert = radii_newton(bounds, stage=asm.tag, inputs_digest=digest)
     except NoNegativeRadius as exc:
         raise NoNegativeRadius(
-            "no verified radius below r_star = %.3e for stage %r: Y = %.3e "
-            "(residual %.3e, set by row group %s), Z0 = %.3e, Z1 = %.3e "
-            "(window %.3e, tail %.3e), ||A|| = %.3e"
-            % (R_STAR, asm.tag, Y, Y0, Y_group, op.Z0, Z1, op.Z1_window,
-               op.Z1_tail, op.normA),
+            "no verified radius below r_star = %.3e for stage %r in class %+d "
+            "of Q (N = %d): Y = %.3e (residual %.3e, set by row group %s), "
+            "Z0 = %.3e, Z1 = %.3e (window %.3e, tail %.3e), ||A|| = %.3e"
+            % (R_STAR, asm.tag, layout.cls, layout.n, Y, Y0, Y_group, op.Z0, Z1,
+               op.Z1_window, op.Z1_tail, op.normA),
             poly=exc.poly, bounds=report) from exc
     report.update(r0=cert.r0, r_max=cert.r_max)
     return cert, report
@@ -1060,33 +1049,48 @@ def _gap(c: ComplexInterval, z) -> float:
     return float(CArr.from_civ_list([c]).sub(CArr.point(z)).mag().max())
 
 
-def _window_defect(ctx: _StageContext, J: np.ndarray, ns: int, s: float) -> np.ndarray:
-    """Block norms, over the groups of `SpaceLayout(ns, K)`, of
+def _window_defect(ctx: _StageContext, J: np.ndarray, layout: SpaceLayout,
+                   s: float) -> np.ndarray:
+    """Block norms, over the groups of `layout`, of
     pi (DF0 - i omega k - s - J) pi on the sequence blocks of J.
 
     Every stage's J holds there the context's float block at s: off its
     diagonal, block (i, j) is the float kernel fker_ij as it is, so that
-    part is at most ||ker_ij - fker_ij||_nu (`ctx.kgap`).  On its diagonal J
-    holds a float sum, which is compared entry by entry with the enclosure
-    of DF0's entry: c_ij + ker_ij(0), plus -i omega k - s when i = j.  The
-    assembler adds the blocks of the stage's scalar rows and columns; what
-    else the stage's DF(x_bar) holds on the sequence blocks (order 0's y
-    terms) is not J's to miss and enters Z1 through pre_Z1.
+    part is at most ||ker_ij - fker_ij||_nu (`ctx.kgap`), on the whole
+    window or on a class of Q alike.  On its diagonal J holds a float sum,
+    which is compared entry by entry with the enclosure of DF0's entry:
+    c_ij + ker_ij(0), plus -i omega k - s when i = j.  In a class of Q,
+    blocks (i, j) with sigma_i != sigma_j hold no diagonal: their rows and
+    columns have modes of opposite parity.  The assembler adds the blocks
+    of the stage's scalar rows and columns; what else the stage's DF(x_bar)
+    holds on the sequence blocks (order 0's y terms) is not J's to miss and
+    enters Z1 through pre_Z1.
     """
-    n = 2 * ctx.K - 1
-    # Jd[k, i, j]: entry k of the diagonal of block (i, j)
-    k = np.arange(n)[:, None, None]
-    b = ns + n * np.arange(9)
-    Jd = J[k + b[:, None], k + b]
-    gap = ctx.dconst.sub(CArr.point(Jd)).mag().max(axis=0)
-    # on the diagonal blocks: -i omega k - s (s an exact float) as a column,
-    # then c + ker(0)
-    m = ctx.omega * numerics.kvals(ctx.K).astype(float)[:, None]
-    re = np.full((n, 1), -s)
-    box = CArr(re, re, -_up(m), -_dn(m))
-    ii = np.arange(9)
-    box = box.add(ctx.dconst.slice((ii, ii)))
-    gap[ii, ii] = box.sub(CArr.point(Jd[:, ii, ii])).mag().max(axis=0)
+    ns = layout.ns
+    m = ctx.omega * numerics.kvals(ctx.K).astype(float)
+    pos = layout.slots % len(m)
+    gap = np.zeros((9, 9))
+    groups = ([np.arange(9)] if layout.cls is None else
+              [np.flatnonzero(Q_SIGMA == sg) for sg in (1, -1)])
+    for G in groups:
+        # the windows of G hold the same modes; Jd[k, a, b]: entry k of the
+        # diagonal of block (G[a], G[b])
+        sls = [layout.slices[ns + c] for c in G]
+        L = sls[0].stop - sls[0].start
+        if not L:
+            continue
+        k = np.arange(L)[:, None, None]
+        b = np.array([sl.start for sl in sls])
+        Jd = J[k + b[:, None], k + b]
+        gap[np.ix_(G, G)] = ctx.dconst.slice(np.ix_(G, G)).sub(
+            CArr.point(Jd)).mag().max(axis=0)
+        # on the diagonal blocks: -i omega k - s (s an exact float) as a
+        # column, then c + ker(0)
+        mk = m[pos[sls[0].start - ns:sls[0].stop - ns]][:, None]
+        re = np.full((L, 1), -s)
+        box = CArr(re, re, -_up(mk), -_dn(mk)).add(ctx.dconst.slice((G, G)))
+        ii = np.arange(len(G))
+        gap[G, G] = box.sub(CArr.point(Jd[:, ii, ii])).mag().max(axis=0)
     N = np.zeros((ns + 9, ns + 9))
     N[ns:, ns:] = _up(ctx.kgap + gap)
     return N
@@ -1103,16 +1107,17 @@ def _assemble_orbit(sol: "OrbitSolution", ctx: _StageContext, ar):
     reuse its products."""
     cfg = ctx.cfg
     K, nu, omega = ctx.K, ctx.nu, ctx.omega
-    n = 2 * K - 1
     ns = 4
+    layout = SpaceLayout(ns, K, 1)
     anchor = sol.anchor
     y = np.asarray(sol.y, dtype=complex)
     ymag = [float(_up(abs(complex(t)))) for t in y]
 
-    J = _orbit_jacobian(_pack(y, sol.coeffs), omega, anchor, K, ctx.ms, ctx.pos,
-                        kernels=(ctx.fconst, ctx.fkers))
-    Nw = _window_defect(ctx, J, ns, 0.0)
-    # J's y0 column (a_1) is DF's, exactly; its y_j column holds the float cube
+    J = _orbit_jacobian(_pack(y, sol.coeffs, layout.slots), omega, anchor, K, ctx.ms,
+                        ctx.pos, layout.slots, kernels=(ctx.fconst, ctx.fkers))
+    Nw = _window_defect(ctx, J, layout, 0.0)
+    # J's y0 column (a_1) is DF's, exactly; its y_j column holds the float
+    # cube, on the class, where the cube lies
     cubes = []
     pre_Z1 = ymag[0]
     for j in range(3):
@@ -1121,7 +1126,7 @@ def _assemble_orbit(sol: "OrbitSolution", ctx: _StageContext, ar):
         cube = ar.mul(sq, w, 0)
         cubes.append(cube)
         pre_Z1 = max(pre_Z1, float(_up(_up(3.0 * ymag[1 + j]) * sq.norm_upper())))
-        col = J[ns + (6 + j) * n:ns + (7 + j) * n, 1 + j]
+        col = _unpack(J[:, 1 + j], ns, K, layout.slots)[1][6 + j]
         Nw[ns + 6 + j, 1 + j] = project(cube, K).sub(FourierSeq.point(col, nu)).norm_upper()
 
     # J's eta row 0 (-u1) is DF's, exactly; rows 1..3 hold the float gradient
@@ -1132,7 +1137,7 @@ def _assemble_orbit(sol: "OrbitSolution", ctx: _StageContext, ar):
     eta_consts[0] = np.abs(np.asarray(anchor.u1, dtype=float))
     for r in range(1, ns):
         for slot, c in gradient[r].items():
-            Nw[r, ns + slot] = _gap(c, J[r, ns + slot * n:ns + (slot + 1) * n])
+            Nw[r, ns + slot] = _gap(c, J[r, layout.slices[ns + slot]])
             eta_consts[r, slot] = c.mag()
     eta_monos = []
     for j, (px, py, pz) in enumerate(positions):
@@ -1158,7 +1163,7 @@ def _assemble_orbit(sol: "OrbitSolution", ctx: _StageContext, ar):
         monos.append((("seq", 6 + j), 1.0, (ymag[1 + j], wn, wn, wn)))
 
     data = _OperatorData(
-        ns=ns, s=0.0, J=J, window_defect=Nw,
+        layout=layout, s=0.0, J=J, window_defect=Nw,
         scalar_tail_sup=_up(eta_consts * nuinvK),
         ycol_tail_mags=[(1 + j, 6 + j, cubes[j].c.mag()) for j in range(3)],
     )
@@ -1168,27 +1173,29 @@ def _assemble_orbit(sol: "OrbitSolution", ctx: _StageContext, ar):
 
 
 def _assemble_bundle(sol: "BundleSolution", ctx: _StageContext, r0: float):
-    """(`_OperatorData`, `_Assembled`) of the order-1 certificate."""
+    """(`_OperatorData`, `_Assembled`) of the order-1 certificate, on the
+    class of Q that a_1 lies in; ValueError when a_1 has entries in both."""
     K, nu = ctx.K, ctx.nu
-    n = 2 * K - 1
     ns = 1
     lam = sol.lam
     rows = np.asarray(sol.coeffs, dtype=complex)
+    tag = "order1:%s" % sol.kind
+    layout = SpaceLayout(ns, K, _class_of(tag, np.abs(rows), K))
     a1 = [FourierSeq.point(row, nu) for row in rows]
 
-    z = np.concatenate([[lam], rows.ravel()])
-    J = _bundle_jacobian(ctx.window_block(0.0), z, K, sol.k0)
+    J = _bundle_jacobian(ctx.window_block(0.0, layout.slots),
+                         _pack([lam], rows, layout.slots), layout, sol.k0)
 
     # J's -a_1 column is DF's, exactly; its xi row holds fl(2 S_i)
-    Nw = _window_defect(ctx, J, ns, lam)
+    Nw = _window_defect(ctx, J, layout, lam)
     k0 = sol.k0
     Smags = []
-    for i in range(9):
+    for i, cols in enumerate(_xi_cols(layout, k0)):
         win = project(a1[i], k0)
         Si = model._mode_sum(win)
         Smags.append(Si.mag())
-        cols = ns + i * n + (K - 1) + np.arange(-(k0 - 1), k0)
-        Nw[0, ns + i] = _gap(Si * 2.0, J[0, cols])
+        if cols.size:
+            Nw[0, ns + i] = _gap(Si * 2.0, J[0, cols])
 
     xi = CArr.from_civ_list([model.xi_phase(a1, sol.k0, sol.xi0)])
 
@@ -1197,9 +1204,9 @@ def _assemble_bundle(sol: "BundleSolution", ctx: _StageContext, r0: float):
     monos += [(("scalar", 0), 1.0, (Smags[i], Smags[i])) for i in range(9)]
 
     dd = ctx.field_dd(r0)
-    data = _OperatorData(ns=ns, s=lam, J=J, window_defect=Nw,
+    data = _OperatorData(layout=layout, s=lam, J=J, window_defect=Nw,
                          scalar_tail_sup=np.zeros((ns, 9)), ycol_tail_mags=[])
-    return data, _Assembled("order1:%s" % sol.kind, (xi.mid(), xi.rad()),
+    return data, _Assembled(tag, (xi.mid(), xi.rad()),
                             _affine_residual(ctx, rows, lam), monos,
                             pre_Y=float(_up(dd * max(a1n))), pre_Z1=dd)
 
@@ -1208,24 +1215,27 @@ def _certify_jet(jet: "JetTable", ctx: _StageContext, alpha, rhs, rho: float,
                  centers, op: _Operator) -> "JetResult":
     """Assemble and certify jet alpha at centers; rhs and rho are its
     `_jet_rhs`, and op the operator part of its certificate, made from the
-    context and the jet's shift (`_StageContext.jet_operator_data`)."""
+    context, the jet's shift and its class of Q
+    (`_StageContext.jet_operator_data`)."""
     m_, n_ = alpha
     p = m_ + n_
     lam = jet.lambda_bar
     s = p * lam
+    tag = "jet:%d,%d:%s" % (m_, n_, jet.kind)
 
     for row in centers:
         if not row.is_point():
             raise ValueError("jet centers must be point sequences")
-    resid = _affine_residual(ctx, [row.c.mid() for row in centers], s, rhs)
+    rows = [row.c.mid() for row in centers]
+    _class_of(tag, np.abs(rows), ctx.K, op.layout.cls)
+    resid = _affine_residual(ctx, rows, s, rhs)
 
     # uncertainty of the chosen diagonal shift versus <alpha, lambda>
     ds = (Interval.point(lam) * float(p) - s).mag()
     dd = ctx.field_dd(jet.radii[(0, 0)])
     shift_err = float(_up(dd + _up(p * jet.radii[(1, 0)] + ds)))
     maxn = max(sq.norm_upper() for sq in centers)
-    asm = _Assembled("jet:%d,%d:%s" % (m_, n_, jet.kind),
-                     (np.zeros(0, dtype=complex), np.zeros(0)), resid, [],
+    asm = _Assembled(tag, (np.zeros(0, dtype=complex), np.zeros(0)), resid, [],
                      pre_Y=float(_up(_up(shift_err * maxn) + rho)), pre_Z1=shift_err)
     cert, report = _certify(op, asm, inputs_digest(alpha, jet.kind, jet.digests["order1"],
                                                    centers))
@@ -1541,7 +1551,9 @@ def inputs_digest(alpha, kind: str, prev: str, centers, bundle=()) -> str:
 
 @numerics.one_blas_thread()
 def validate_order0(solution: OrbitSolution, cfg) -> Order0Result:
-    """Certify the periodic orbit; the unfolding enclosure must contain zero."""
+    """Certify the periodic orbit, in class +1 of Q; the unfolding enclosure
+    must contain zero."""
+    _class_of("order0", np.abs(solution.coeffs), solution.K, 1)
     # one product table serves dF0, the field and the cubes; it is dropped
     # once they are made, and the context that the JetTable caches never
     # holds it
@@ -1611,7 +1623,8 @@ def validate_jet(alpha, jet: "JetTable", cfg) -> JetResult:
     alpha = _solved_jet(alpha)
     rhs, rho = _jet_rhs(_level_fields(jet, cfg, sum(alpha)), alpha)
     ctx = _context_for(jet, cfg)
-    op = _operator(ctx, ctx.jet_operator_data(sum(alpha) * jet.lambda_bar))
+    p = sum(alpha)
+    op = _operator(ctx, ctx.jet_operator_data(p * jet.lambda_bar, _jet_class(jet, p)))
     return _certify_jet(jet, ctx, alpha, rhs, rho, jet.orders[alpha], op)
 
 
@@ -1769,14 +1782,16 @@ def start_jet_table(kind: str, sol: OrbitSolution, res: Order0Result, cfg,
     if res.context is not None and res.context[0] is sol and res.context[1] is cfg:
         # the order-0 context of validate_order0 is the one the table needs
         jet.ctx_cache = res.context[1:]
-    guess = np.concatenate([[complex(lam_guess)],
-                            np.asarray(v_guess, dtype=complex).ravel()])
-    # the problem, and with it Newton's N x N block, goes before order 1's
-    # operator is made
-    z = newton_stage(bundle_problem(jet, cfg), guess)
+    # Newton runs on the class of Q that holds the guess (the guess of
+    # `seeding.bundle_guess` lies in one exactly); the problem, and with it
+    # Newton's N x N block, goes before order 1's operator is made
+    v = np.asarray(v_guess, dtype=complex).reshape(9, 2 * sol.K - 1)
+    cls = _class_of(None, np.abs(v), sol.K)
+    slots = class_slots(sol.K, cls)
+    z = newton_stage(bundle_problem(jet, cfg, cls), _pack([lam_guess], v, slots))
     # keep lambda real and a_1 fixed by (R a)_k = conj(a_-k), as the complex
     # solve does only up to rounding; a fixed a_1 stays put
-    a1 = z[1:].reshape(9, 2 * sol.K - 1)
+    a1 = _unpack(z, 1, sol.K, slots)[1]
     a1 = 0.5 * (a1 + np.conj(a1[:, ::-1]))
     bsol = BundleSolution(kind, float(z[0].real), a1, k0, xi0)
     jet.lambda_bar = bsol.lam
@@ -1799,22 +1814,25 @@ def _level_alphas(p: int):
 
 def _level_parallel(jet: "JetTable", cfg, alphas, fields):
     """Solve and certify the jets alphas of one level, in order, from the
-    level's `_level_fields`: each center is the step z = -Jhat R.
+    level's `_level_fields`: each center is the step z = -Jhat R on the
+    level's class of Q, and zero off it.
 
-    The operator part of a jet's certificate reads only the context and the
-    jet's shift p lambda_bar, which every jet of the level shares, so one
-    operator serves the level and goes with it.  The benchmark's tracer
-    wraps this function by name as `stages.pool` and reads the table and the
-    jets from its first three arguments.
+    The operator part of a jet's certificate reads only the context, the
+    jet's shift p lambda_bar and its class, which every jet of the level
+    shares, so one operator serves the level and goes with it.  The
+    benchmark's tracer wraps this function by name as `stages.pool` and
+    reads the table and the jets from its first three arguments.
     """
     ctx = _context_for(jet, cfg)
-    n = 2 * ctx.K - 1
-    op = _operator(ctx, ctx.jet_operator_data(sum(alphas[0]) * jet.lambda_bar))
+    p = sum(alphas[0])
+    op = _operator(ctx, ctx.jet_operator_data(p * jet.lambda_bar, _jet_class(jet, p)))
+    slots = op.layout.slots
     out = []
     for alpha in alphas:
         rhs, rho = _jet_rhs(fields, alpha)
-        z = -_inverse_times(op, _rhs_window(rhs, ctx.K))
-        centers = tuple(FourierSeq.point(row, ctx.nu) for row in z.reshape(9, n))
+        z = -(op.Jhat @ _rhs_window(rhs, ctx.K)[slots])
+        centers = tuple(FourierSeq.point(row, ctx.nu)
+                        for row in _unpack(z, 0, ctx.K, slots)[1])
         out.append(_certify_jet(jet, ctx, alpha, rhs, rho, centers, op))
     return out
 
@@ -1848,8 +1866,8 @@ def extend_with_jets(jet: JetTable, cfg, *, gamma: float = 0.7,
 
     Every jet runs in this process, on one BLAS thread, whatever `jobs` is:
     the value changes nothing.  A process pool for the independent jets of
-    a level made them slower, not faster, and the level's operator, split
-    by the classes of Q, leaves a second BLAS thread too little to do.
+    a level made them slower, not faster, and the level's operator, on one
+    class of Q, leaves a second BLAS thread too little to do.
     `jobs` stays because the benchmark's `pool` workload
     (perfbench/pipeline.py) still passes it.
     The argument is left as it was: the jets go into a copy, which keeps

@@ -42,8 +42,10 @@ from scipy.integrate import solve_ivp
 
 from fourbody import model, numerics
 from fourbody.interval import ZERO, ComplexInterval, Interval, _as_iv, add_down, add_up
+from fourbody.interval import IntervalDomainError
 from fourbody.ivarray import (
-    CArr, cmat_abs_up, cmm, ri_add, up_sum, _ETA, _U, _dn, _gemm_gamma, _up, _up_factor,
+    CArr, cmat_abs_up, cmm, ri_add, up_sum, _CONV_BLOCK, _ETA, _U, _dn, _gemm_gamma,
+    _shift_products, _step_up_in_place, _up, _up_factor,
 )
 from fourbody.model import _const_seq, _mode_sum, embedded_field, eta_terms
 from fourbody.opbound import SpaceLayout, block_norms, opnorm_upper
@@ -188,6 +190,51 @@ def carr_conv_reference(a: CArr, b: CArr) -> CArr:
     # the sums went into out's lanes in place; a new CArr checks them, so an
     # overflowing sum raises IntervalDomainError as in carr_conv
     return CArr(out.rl, out.rh, out.il, out.ih)
+
+
+def carr_conv_blocked(a: CArr, b: CArr) -> CArr:
+    """The blocked endpoint kernel `ivarray.carr_conv` was before it skipped
+    the point-zero products: every shift i and every entry of b, a block of
+    shifts at a time, each added into the output in increasing i."""
+    n, m = len(a), len(b)
+    if n == 0 or m == 0:
+        return CArr.zeros(0)
+    if n > m:
+        a, b = b, a
+        n, m = m, n
+    if not (b.rl.any() or b.rh.any() or b.il.any() or b.ih.any()):
+        return CArr.zeros(n + m - 1)
+    A = np.array((a.rl, a.rh, a.il, a.ih))
+    B = np.array((b.rl, b.rh, b.il, b.ih))
+    pz_a = np.equal(A[0::2], 0.0) & np.equal(A[1::2], 0.0)
+    pz_b = np.equal(B[0::2], 0.0) & np.equal(B[1::2], 0.0)
+    acc = np.empty((2, 2, n + m - 1))
+    acc[0] = -0.0
+    acc[1] = 0.0
+    zero = np.ones((2, n + m - 1), dtype=bool)
+    new = np.empty((2, 2, m))
+    bits = new.view(np.int64)
+    inc = np.empty_like(bits)
+    step = max(1, _CONV_BLOCK // m)
+    for i0 in range(0, n, step):
+        i1 = min(n, i0 + step)
+        prod, pzero = _shift_products(
+            B[:, None, :], A[:, i0:i1, None], pz_b[:, None, :], pz_a[:, i0:i1, None])
+        if not np.isfinite(prod).all():
+            raise IntervalDomainError("non-finite product in carr_conv")
+        if (np.add(prod[0], prod[1]) < 0.0).any():
+            raise IntervalDomainError("inverted product in carr_conv")
+        nonzero = ~pzero
+        addend = prod + 0.0
+        for t in range(i1 - i0):
+            seg = slice(i0 + t, i0 + t + m)
+            sums = acc[:, :, seg]
+            np.add(sums, addend[:, :, t], out=new)
+            _step_up_in_place(bits, inc)
+            np.copyto(new, prod[:, :, t], where=zero[:, seg])
+            np.copyto(sums, new, where=nonzero[:, t])
+            zero[:, seg] &= pzero[:, t]
+    return CArr(-acc[0, 0], acc[1, 0], -acc[0, 1], acc[1, 1])
 
 
 def cconv_mr_pair(am, ar, bm, br):
@@ -545,6 +592,15 @@ class EnclMat:
     def add_col(self, rsl: slice, col: int, c: CArr):
         self._add((rsl, col), c.rl, c.rh, c.il, c.ih)
 
+    def restrict(self, ns: int, slots) -> "EnclMat":
+        """The rows and columns of the ns scalars and of the window slots
+        `slots` (`opbound.SpaceLayout.slots`)."""
+        keep = np.concatenate([np.arange(ns), ns + np.asarray(slots)])
+        out = EnclMat((0, 0))
+        for lane in self.__slots__:
+            setattr(out, lane, getattr(self, lane)[np.ix_(keep, keep)])
+        return out
+
     def corner_abs(self, J: np.ndarray) -> np.ndarray:
         """Entrywise upper bound of sup_{z in box} |z - J| (0 where the box
         is the point J: a float difference is 0 only between equal floats)."""
@@ -629,19 +685,34 @@ def bundle_enclosure(sol, ctx) -> EnclMat:
     return E
 
 
-def complex_inverse(J: np.ndarray, ns: int, K: int, nu: float, parts):
+def complex_inverse(J: np.ndarray, layout, nu: float):
     """(Jhat, Z0, 0.0) in the shape of `stages._cos_sin_inverse`, made in the
-    Fourier basis: Jhat = inv(J), cut to its diagonal blocks on parts, and
-    Z0 from one complex midpoint-radius product of that cut Jhat with J."""
-    layout = SpaceLayout(ns, K)
-    full = np.linalg.inv(J)
-    cut = np.zeros_like(full)
-    for p in parts:
-        cut[np.ix_(p, p)] = full[np.ix_(p, p)]
-    cm, cr = cmm(cut, None, J, None)
+    Fourier basis: Jhat = inv(J), and Z0 from one complex midpoint-radius
+    product of Jhat with J."""
+    Jhat = np.linalg.inv(J)
+    cm, cr = cmm(Jhat, None, J, None)
     cm[np.diag_indices(layout.n)] -= 1.0
     Z0 = opnorm_upper(block_norms(cmat_abs_up(cm, cr), layout, nu))
-    return [full[np.ix_(p, p)] for p in parts], Z0, 0.0
+    return Jhat, Z0, 0.0
+
+
+def hill_exponent_whole(cfg, sol, kind: str, Kh: int = 12) -> float:
+    """The Floquet exponent of the Hill matrix taken whole: one eig of the
+    cos/sin form of the 9 (2 Kh - 1) window block, its pair rows halved, and
+    the eigenvalue of the strip |Im lambda| < omega / 2 with the largest
+    real part ("unstable") or the smallest ("stable")."""
+    from fourbody import stages
+    ms, pos = numerics.cfg_floats(cfg)
+    const, kers = numerics.derivative_kernels(sol.coeffs, ms, pos)
+    B = numerics.base_block(const, kers, Kh, -1j * sol.omega * numerics.kvals(Kh))
+    runs = stages._window_runs(SpaceLayout(0, Kh))
+    M, _ = stages._cos_sin_form(B, 0, runs)
+    for run in runs:
+        for rows in stages._run_pairs(M, *run, 0)[:2]:
+            rows *= 0.5
+    lams = np.linalg.eigvals(M)
+    lams = lams[np.abs(lams.imag) < 0.5 * sol.omega]
+    return float((lams.real.max() if kind == "unstable" else lams.real.min()))
 
 
 # ---------------------------------------------------------------------------

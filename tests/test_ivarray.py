@@ -21,7 +21,8 @@ from fourbody.ivarray import (
     up_sum,
 )
 from fourbody.seqspace import FourierSeq
-from oracles import carr_conv_reference, cconv_mr_pair, conv_exact, widen, width
+from oracles import (carr_conv_blocked, carr_conv_reference, cconv_mr_pair, conv_exact,
+                     widen, width)
 
 rng = np.random.default_rng(20260814)
 
@@ -413,6 +414,58 @@ def test_carr_conv_long_operands():
                CArr.point(np.full(300, tiny + tiny * 1j)))]
     for a, b in pairs:
         assert_same_bits(carr_conv(a, b), carr_conv_reference(a, b))
+
+
+def clean_carr(n, parity, gap=None):
+    """A random operand whose entries of the other parity are the point
+    zero, as the operands of order 0 are in one class of Q; with gap, that
+    entry of the parity is the point zero too."""
+    a = random_carr(n)
+    off = np.arange(n) % 2 != parity
+    if gap is not None:
+        off[gap] = True
+    for lane in (a.rl, a.rh, a.il, a.ih):
+        lane[off] = 0.0
+    return a
+
+
+def test_carr_conv_is_the_blocked_kernel_bit_for_bit():
+    # the kernel skips the products with a point-zero factor, and each
+    # output still adds its other products in increasing shift order: on
+    # operands in one class of Q (either parity, odd and even lengths, the
+    # longer one on either side, with a zero inside the class, which leaves
+    # no stride), on generic operands, on single entries and on all-zero
+    # operands it gives the whole blocked kernel's result, bit for bit
+    cases = []
+    for n, m in ((23, 47), (47, 23), (24, 48), (5, 301), (40, 300)):
+        for pa in (0, 1):
+            for pb in (0, 1):
+                cases.append((clean_carr(n, pa), clean_carr(m, pb)))
+    cases += [(clean_carr(23, 0, gap=4), clean_carr(47, 1, gap=11)),
+              (clean_carr(47, 1), clean_carr(23, 0, gap=0))]
+    cases += [(random_carr(n), random_carr(m)) for n, m in ((1, 1), (3, 17), (40, 300))]
+    one = random_carr(1)
+    single = clean_carr(11, 0, gap=[0, 2, 6, 8, 10])   # only entry 4 is not zero
+    cases += [(one, random_carr(9)), (random_carr(9), one), (one, clean_carr(9, 1)),
+              (single, random_carr(20)), (random_carr(7), single), (single, single)]
+    cases += [(CArr.zeros(5), random_carr(9)), (random_carr(9), CArr.zeros(5)),
+              (CArr.zeros(4), CArr.zeros(4)), (CArr.zeros(4), clean_carr(9, 0))]
+    for a, b in cases:
+        assert_same_bits(carr_conv(a, b), carr_conv_blocked(a, b))
+        assert_same_bits(carr_conv(a, b), carr_conv_reference(a, b))
+
+
+def test_carr_conv_non_finite_cases_match_the_blocked_kernel():
+    # an overflowing product or sum raises in both kernels, on clean operands
+    # too; the point zeros that the kernel skips never overflow
+    big = CArr.point(np.array([1e200, 0.0, -1e200j, 0.0, 3e199]))
+    ones = CArr.point(np.where(np.arange(40) % 2, 0.0, 1.0))
+    sums = CArr.point(np.where(np.arange(300) % 2, 0.0, 1e308 + 5e307j))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for conv in (carr_conv, carr_conv_blocked):
+            for a, b in ((big, big), (ones, sums)):
+                with pytest.raises(IntervalDomainError):
+                    conv(a, b)
 
 
 def test_carr_conv_overflowing_sum_raises():

@@ -23,8 +23,10 @@ import pytest
 
 import oracles
 from fourbody import cli, ivarray, model, numerics, seeding, seqspace, stages
-from fourbody.opbound import SpaceLayout, block_norms, group_col_sums, opnorm_upper
+from fourbody.opbound import (Q_SIGMA, SpaceLayout, block_norms, class_slots,
+                              group_col_sums, opnorm_upper)
 from fourbody.radii import NoNegativeRadius, content_digest
+from fourbody.seqspace import FourierSeq
 
 K = 24
 N_T = 3
@@ -150,8 +152,10 @@ def _disc_meets_box(m, r, box, k) -> bool:
 
 def test_disc_residual_meets_the_endpoint_chain(run):
     # order 1 and two jets: each coefficient of the disc residual meets the
-    # box of the endpoint chain the stages once took, and its radius is no
-    # larger than the box's circumscribed radius
+    # box of the endpoint chain the stages once took, and on the class of Q
+    # that the certificate reads, its radius is no larger than the box's
+    # circumscribed radius.  Off the class the box is the exact zero and the
+    # disc is zero with the underflow slack of the disc kernels.
     cfg, _, _, table = run
     ctx = stages._context_for(table, cfg)
     lam = table.lambda_bar
@@ -165,7 +169,10 @@ def test_disc_residual_meets_the_endpoint_chain(run):
         for i, ((m, r, mags), w) in enumerate(zip(got, want)):
             box = w.c
             assert len(m) == len(r) == len(mags) == len(box), i
-            assert (r <= box.rad()).all(), i
+            k = np.arange(len(m)) - (len(m) - 1) // 2
+            on = Q_SIGMA[i] * (1 - 2 * (k % 2)) == 1
+            assert (r[on] <= box.rad()[on]).all(), i
+            assert not m[~on].any() and (r[~on] <= 1e-300).all(), i
             assert all(_disc_meets_box(m[k], r[k], box, k) for k in range(len(m))), i
 
 
@@ -213,21 +220,118 @@ def test_jet_table_reuses_the_order0_context(run):
 
 
 def test_radii_no_larger_than_reference(run):
-    # the radii of this run, jet by jet; unlike the digest they do not depend
-    # on the BLAS build or its thread count
+    # the radii of this run, jet by jet, with every stage on its class of Q;
+    # unlike the digest they do not depend on the BLAS build or its thread
+    # count
     _, _, _, table = run
     reference = {
         (0, 0): 9.6411088049075e-10,
-        (1, 0): 1.9306977288832455e-06, (0, 1): 1.9306977288832455e-06,
-        (2, 0): 4.99358789347314e-06, (1, 1): 1.2915496650148827e-05,
-        (0, 2): 4.99358789347314e-06,
-        (3, 0): 4.99358789347314e-06, (2, 1): 2.07711392596645e-05,
-        (1, 2): 2.07711392596645e-05, (0, 3): 4.99358789347314e-06,
+        (1, 0): 1.2005080577484066e-06, (0, 1): 1.2005080577484066e-06,
+        (2, 0): 3.10501349512486e-06, (1, 1): 4.99358789347314e-06,
+        (0, 2): 3.10501349512486e-06,
+        (3, 0): 3.10501349512486e-06, (2, 1): 8.030857221391521e-06,
+        (1, 2): 8.030857221391521e-06, (0, 3): 3.10501349512486e-06,
     }
     assert set(table.radii) == set(reference)
     for alpha, r in reference.items():
         assert table.radii[alpha] <= r, alpha
-    assert table.E_total().hi <= 7.829448631201738e-05
+    assert table.E_total().hi <= 3.5877336543132936e-05
+
+
+def _pipeline(cfg, K, N_t, nu):
+    """The reference pipeline at K, N_t and nu: the jet table."""
+    eq = seeding.planar_equilibria(cfg)[3]
+    H0 = seeding.jacobi_mid(
+        cfg, seeding.embed_point(cfg, [eq[0], 0.0, eq[1], 0.0, 0.0, 0.0]))
+    sol, _ = seeding.orbit_to_jacobi(cfg, eq, H0 - 0.3, K, nu)
+    lam, v = seeding.bundle_guess(cfg, sol, KIND, K0, XI0)
+    res0 = stages.validate_order0(sol, cfg)
+    start = stages.start_jet_table(KIND, sol, res0, cfg, lam, v, K0, XI0, N_t)
+    return stages.extend_with_jets(start, cfg)
+
+
+def test_dense_algebra_stays_in_one_class(run, monkeypatch):
+    # the performance invariant: a whole K = 24, N_t = 3 pipeline, seeding
+    # included, inverts and solves nothing larger than a stage's scalars and
+    # one class of Q (209 of the 423 slots at K = 24): 5 + the class at
+    # K = 12 and 24 for seeding's level system, 4 + it for order 0, 1 + it
+    # for order 1 and the class alone for the jets
+    orders = []
+
+    def recorded(fn):
+        def call(*args, **kwargs):
+            orders.append(np.shape(args[0])[-1])
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("inv", "solve"):
+        monkeypatch.setattr(np.linalg, name, recorded(getattr(np.linalg, name)))
+    table = _pipeline(run[0], K, N_T, NU)
+    assert table.digest() == run[3].digest()
+    size = {k: len(class_slots(k, 1)) for k in (12, K)}
+    assert size[K] == 209
+    assert set(orders) == {5 + size[12], 5 + size[K], 4 + size[K], 1 + size[K], size[K]}
+
+
+# the radii of the K = 64, N_t = 6, nu = 1.3 reference run with the
+# whole-space operators, which the ROADMAP's table of reference runs rounds
+K64_RADII = {
+    (0, 0): "0x1.4991e85eed345p-31", (1, 0): "0x1.f26305b896123p-22",
+    (2, 0): "0x1.90c2e2c6c05f5p-21", (1, 1): "0x1.4242491987efcp-20",
+    (3, 0): "0x1.f26305b896123p-22", (2, 1): "0x1.4242491987efcp-20",
+    (4, 0): "0x1.816350011ef52p-23", (3, 1): "0x1.f26305b896123p-22",
+    (2, 2): "0x1.90c2e2c6c05f5p-21", (5, 0): "0x1.729ab5856dbddp-25",
+    (4, 1): "0x1.816350011ef52p-23", (3, 2): "0x1.35e59fd6a0197p-22",
+    (6, 0): "0x1.bb343825939a3p-28", (5, 1): "0x1.729ab5856dbddp-25",
+    (4, 2): "0x1.2a025c521b43fp-24", (3, 3): "0x1.df44be148df73p-24",
+}
+
+
+def test_k64_nu_1_3_certifies_within_the_reference_radii(run):
+    # every stage of the K = 64, N_t = 6, nu = 1.3 reference run certifies
+    # in its class of Q with every radius, alpha by alpha, and E_total no
+    # larger than with the whole-space operators
+    table = _pipeline(run[0], 64, 6, 1.3)
+    assert table.complete() and table.gamma_scale == 1.0
+    for alpha, r in K64_RADII.items():
+        for a in {alpha, alpha[::-1]}:
+            assert table.radii[a] <= float.fromhex(r), a
+    assert table.E_total().hi <= 1.0357413e-05
+
+
+def test_an_unclean_centre_is_refused(run):
+    # each stage is posed on one class of Q, and refuses by an exact test a
+    # centre with an entry off it, here 1e-20 on one mode, naming the stage,
+    # the class and the entry's modulus; a report names its class and the
+    # size of its operator
+    cfg, res0, _, table = run
+    off = np.setdiff1d(np.arange(9 * (2 * K - 1)), class_slots(K, 1))[0]
+    msg = r": the centre is not in class \+1 of Q: an entry off the class has " \
+          r"modulus 1\.000e-20$"
+
+    def nudged(rows):
+        rows = np.array([r.c.mid() if isinstance(r, FourierSeq) else r for r in rows],
+                        dtype=complex)
+        rows.ravel()[off] += 1e-20
+        return rows
+
+    sol = res0.context[0]
+    with pytest.raises(ValueError, match="^order0" + msg):
+        stages.validate_order0(replace(sol, coeffs=nudged(sol.coeffs)), cfg)
+    a1 = nudged(table.orders[(1, 0)])
+    bsol = stages.BundleSolution(KIND, table.lambda_bar, a1, K0, XI0)
+    with pytest.raises(ValueError, match="^order1:%s" % KIND + msg):
+        stages.validate_order1(bsol, table, cfg)
+    jet = stages.rescale_jets(table, 1.0)
+    jet.orders[(2, 0)] = tuple(FourierSeq.point(r, NU) for r in nudged(jet.orders[(2, 0)]))
+    with pytest.raises(ValueError, match="^jet:2,0:%s" % KIND + msg):
+        stages.validate_jet((2, 0), jet, cfg)
+
+    n = len(class_slots(K, 1))
+    bsol = replace(bsol, coeffs=np.array([s.c.mid() for s in table.orders[(1, 0)]]))
+    for ns, bounds in ((4, res0.bounds), (1, stages.validate_order1(bsol, table, cfg).bounds),
+                       (0, stages.validate_jet((2, 1), table, cfg).bounds)):
+        assert (bounds["cls"], bounds["N"]) == (1, ns + n), ns
 
 
 def test_bundle_certifies_at_k64_nu_1_5(run):
@@ -271,14 +375,14 @@ def test_order1_refuses_an_exponent_of_the_other_sign(run, kind):
         stages.start_jet_table(kind, sol, res0, cfg, lam, v, K0, XI0, N_T)
 
 
-def _block_defect(E, J, N, ctx) -> float:
-    """The operator norm of the entrywise bound |E - J| by blocks, after
-    checking that the window defect table N covers it: as an operator norm,
-    and block by block up to what block_norms adds to a column sum
-    ((4n + 64) 2^-50 relative, and subnormal slack)."""
-    ns = N.shape[0] - 9
-    layout = SpaceLayout(ns, ctx.K)
-    entrywise = block_norms(E.corner_abs(J), layout, ctx.nu)
+def _block_defect(E, J, N, ctx, layout) -> float:
+    """The operator norm of the entrywise bound |E - J| by blocks, on the
+    slots of layout (E is whole, J the stage's), after checking that the
+    window defect table N covers it: as an operator norm, and block by
+    block up to what block_norms adds to a column sum ((4n + 64) 2^-50
+    relative, and subnormal slack)."""
+    ns = layout.ns
+    entrywise = block_norms(E.restrict(ns, layout.slots).corner_abs(J), layout, ctx.nu)
     assert opnorm_upper(entrywise) <= opnorm_upper(N), ns
     assert (entrywise <= N * (1.0 + 1e-12) + 1e-300).all(), ns
     return opnorm_upper(entrywise)
@@ -293,16 +397,16 @@ def _orbit_defects(sol, ctx, cfg):
     second.  There the oracle adds each y term to an entry with one outward
     rounding, so those blocks may also take 2^-50 of the block norm of |E|."""
     data, asm = stages._assemble_orbit(sol, ctx, model.IntervalArith(cfg))
-    J, N = data.J, data.window_defect
+    J, N, layout = data.J, data.window_defect, data.layout
     at_zero = _block_defect(oracles.orbit_enclosure(replace(sol, y=np.zeros(4, complex)), ctx),
-                            J, N, ctx)
+                            J, N, ctx, layout)
     E = oracles.orbit_enclosure(sol, ctx)
-    layout = SpaceLayout(4, ctx.K)
-    sums = block_norms(E.corner_abs(np.zeros_like(J)), layout, ctx.nu)
+    sums = block_norms(E.restrict(4, layout.slots).corner_abs(np.zeros_like(J)),
+                       layout, ctx.nu)
     with_y = N.copy()
     for g in (4 + 1, 4 + 6, 4 + 7, 4 + 8):
         with_y[g, g] += asm.pre_Z1 + 2.0 ** -50 * sums[g, g]
-    return at_zero, _block_defect(E, J, with_y, ctx), asm.pre_Z1, opnorm_upper(N)
+    return at_zero, _block_defect(E, J, with_y, ctx, layout), asm.pre_Z1, opnorm_upper(N)
 
 
 @pytest.mark.parametrize("moved", [False, True])
@@ -310,7 +414,7 @@ def test_window_defect_dominates_the_entrywise_defect(run, monkeypatch, moved):
     # delta, the window defect of a stage, bounds its entrywise defect; for
     # order 0, with pre_Z1 at y_bar (`_orbit_defects`).  Moved: one float
     # kernel coefficient off the diagonal is 1e-9 off, so J is built from it
-    # and delta must follow.
+    # and delta must follow; at offset 2, it lies in both classes of Q.
     cfg, res0, _, table = run
     sol = res0.context[0]
     if moved:
@@ -319,7 +423,7 @@ def test_window_defect_dominates_the_entrywise_defect(run, monkeypatch, moved):
         def moved_kernels(A, ms, pos):
             const, kers = kernels(A, ms, pos)
             ker = kers[6][6].copy()
-            ker[(len(ker) + 1) // 2] += 1e-9
+            ker[(len(ker) - 1) // 2 + 2] += 1e-9
             kers[6][6] = ker
             return const, kers
         monkeypatch.setattr(numerics, "derivative_kernels", moved_kernels)
@@ -331,13 +435,17 @@ def test_window_defect_dominates_the_entrywise_defect(run, monkeypatch, moved):
     coeffs = np.array([a.c.mid() for a in table.orders[(1, 0)]])
     bsol = stages.BundleSolution(KIND, table.lambda_bar, coeffs, K0, XI0)
     data, _ = stages._assemble_bundle(bsol, ctx, table.radii[(0, 0)])
-    seen = _block_defect(oracles.bundle_enclosure(bsol, ctx), data.J, data.window_defect, ctx)
+    seen = _block_defect(oracles.bundle_enclosure(bsol, ctx), data.J, data.window_defect,
+                         ctx, data.layout)
     assert (seen >= 1e-9) == moved
     s = 3 * table.lambda_bar
-    J = ctx.window_block(s)
-    seen = _block_defect(oracles.base_enclosure(ctx, 0, s), J,
-                         stages._window_defect(ctx, J, 0, s), ctx)
-    assert (seen >= 1e-9) == moved
+    for cls in (None, 1, -1):
+        # the jets' class and the other one, and the whole window
+        layout = SpaceLayout(0, ctx.K, cls)
+        J = ctx.window_block(s, None if cls is None else layout.slots)
+        seen = _block_defect(oracles.base_enclosure(ctx, 0, s), J,
+                             stages._window_defect(ctx, J, layout, s), ctx, layout)
+        assert (seen >= 1e-9) == moved, cls
 
 
 def test_pre_z1_covers_raised_unfolding_terms(run):
@@ -373,38 +481,30 @@ def _dense_T(ns: int, K: int) -> np.ndarray:
 def test_cos_sin_transforms_match_dense_t():
     # the view-based transforms against T as a matrix, on random data: M and
     # Im are T^H J T, Jhat is T B T^H, and the term-1 block norms are those
-    # of |T| E |T^-1| formed entry by entry
+    # of |T| E |T^-1| formed entry by entry; on the whole windows and on each
+    # class of Q, whose windows hold K or K - 1 slots: T maps each class to
+    # itself, so its block on a class is the class's T
     ns, K, nu = 2, 4, 1.5
-    T = _dense_T(ns, K)
-    N = T.shape[0]
-    J = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-    M, Im = stages._cos_sin_form(J, ns, K)
-    assert np.allclose(M + 1j * Im, T.conj().T @ J @ T, rtol=0, atol=1e-13)
-    B = rng.standard_normal((N, N))
-    work = np.empty((N, N)), np.empty((N, N))
-    runs = stages._window_runs(np.arange(N), ns, K)
-    assert np.allclose(stages._from_cos_sin(B, ns, runs, *work), T @ B @ T.conj().T,
-                       rtol=0, atol=1e-13)
-    # a jet's B is block diagonal on the classes of Q, which T maps to
-    # themselves: each block of T B T^H comes from its block of B alone
-    T0 = _dense_T(0, K)
-    B0 = np.zeros(T0.shape)
-    parts = stages._parity_parts(0, K)
-    for p in parts:
-        B0[np.ix_(p, p)] = rng.standard_normal((len(p), len(p)))
-    want = T0 @ B0 @ T0.conj().T
-    for p in parts:
-        Bp = B0[np.ix_(p, p)]
-        got = stages._from_cos_sin(Bp, 0, stages._window_runs(p, 0, K),
-                                   np.empty_like(Bp), np.empty_like(Bp))
-        assert np.allclose(got, want[np.ix_(p, p)], rtol=0, atol=1e-13)
-    E = np.abs(rng.standard_normal((N, N)))
-    layout = SpaceLayout(ns, K)
-    want = block_norms(np.abs(T) @ E @ np.abs(np.linalg.inv(T)), layout, nu)
-    S = group_col_sums(stages._cos_sin_weights(layout, nu), E, layout, np.arange(N))
-    got = stages._cos_sin_block_norms(S, ns, K, nu)
-    assert np.allclose(got, want, rtol=1e-13, atol=0)
-    assert (got >= want * (1.0 - 1e-14)).all()
+    whole = _dense_T(ns, K)
+    for cls in (None, 1, -1):
+        layout = SpaceLayout(ns, K, cls)
+        keep = np.concatenate([np.arange(ns), ns + layout.slots])
+        T = whole[np.ix_(keep, keep)]
+        N = layout.n
+        runs = stages._window_runs(layout)
+        J = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+        M, Im = stages._cos_sin_form(J, ns, runs)
+        assert np.allclose(M + 1j * Im, T.conj().T @ J @ T, rtol=0, atol=1e-13), cls
+        B = rng.standard_normal((N, N))
+        work = np.empty((N, N)), np.empty((N, N))
+        assert np.allclose(stages._from_cos_sin(B, ns, runs, *work), T @ B @ T.conj().T,
+                           rtol=0, atol=1e-13), cls
+        E = np.abs(rng.standard_normal((N, N)))
+        want = block_norms(np.abs(T) @ E @ np.abs(np.linalg.inv(T)), layout, nu)
+        S = group_col_sums(stages._cos_sin_weights(layout, nu), E, layout)
+        got = stages._cos_sin_block_norms(S, layout, nu)
+        assert np.allclose(got, want, rtol=1e-13, atol=0), cls
+        assert (got >= want * (1.0 - 1e-14)).all(), cls
 
 
 @pytest.fixture(scope="module")
@@ -417,101 +517,100 @@ def stage_ctx(run):
 
 
 def _real_shift_operators(run, ctx):
-    """The `_OperatorData` of order 0, order 1 and the shift of jet (2,1);
-    lambda_bar is real, so all three shifts are."""
+    """(`_OperatorData`, the whole J) of order 0, order 1 and the shift of
+    jet (2,1); lambda_bar is real, so all three shifts are, and every
+    centre lies in class +1 of Q.  Last, the jets' operator on class -1,
+    which a bundle of class -1 would give the jets of odd order."""
     cfg, res0, _, table = run
-    yield stages._assemble_orbit(res0.context[0], ctx, model.IntervalArith(cfg))[0]
+    sol = res0.context[0]
+    whole = np.arange(9 * (2 * ctx.K - 1))
+    yield (stages._assemble_orbit(sol, ctx, model.IntervalArith(cfg))[0],
+           stages._orbit_jacobian(stages._pack(sol.y, sol.coeffs, whole), sol.omega,
+                                  sol.anchor, ctx.K, ctx.ms, ctx.pos, whole,
+                                  kernels=(ctx.fconst, ctx.fkers)))
     coeffs = np.array([a.c.mid() for a in table.orders[(1, 0)]])
     bsol = stages.BundleSolution(KIND, table.lambda_bar, coeffs, K0, XI0)
-    yield stages._assemble_bundle(bsol, ctx, table.radii[(0, 0)])[0]
-    yield ctx.jet_operator_data(3 * table.lambda_bar)
+    yield (stages._assemble_bundle(bsol, ctx, table.radii[(0, 0)])[0],
+           stages._bundle_jacobian(ctx.window_block(0.0),
+                                   stages._pack([table.lambda_bar], coeffs, whole),
+                                   SpaceLayout(1, ctx.K), K0))
+    s = 3 * table.lambda_bar
+    yield ctx.jet_operator_data(s, 1), ctx.window_block(s)
+    yield ctx.jet_operator_data(s, -1), ctx.window_block(s)
 
 
-def _dense_inverse(op) -> np.ndarray:
-    """An operator's Jhat as one N x N matrix, zero off its blocks."""
-    N = op.layout.n
-    out = np.zeros((N, N), dtype=complex)
-    for part, blk in zip(op.parts, op.Jhat):
-        out[np.ix_(part, part)] = blk
-    return out
-
-
-def _reflection_signs(K: int) -> np.ndarray:
-    """The diagonal of the half-period reflection Q on the jets' slots:
-    sigma_c (-1)^k, with sigma = -1 on z and vz."""
-    sigma = np.array([1, 1, 1, 1, -1, -1, 1, 1, 1])
-    return (sigma[:, None] * (-1) ** np.abs(numerics.kvals(K))).ravel()
-
-
-def _residual_seen(Jhat, J, ns, ctx) -> float:
+def _residual_seen(Jhat, J, layout, ctx) -> float:
     """What an independent complex `ivarray.cmm` product shows of
     ||I - Jhat J||: the largest block norm of the lower end of its enclosure,
     which each block of the operator norm bounds from below."""
     cm, cr = ivarray.cmm(Jhat, None, J, None)
     cm[np.diag_indices_from(cm)] -= 1.0
-    layout = SpaceLayout(ns, ctx.K)
     return float(block_norms(np.maximum(np.abs(cm) - cr, 0.0), layout, ctx.nu).max())
 
 
 def test_cos_sin_operator_matches_the_complex_one(run, stage_ctx, monkeypatch):
-    # a real shift inverts in the cos/sin basis; a jet's operator (ns = 0)
-    # inverts the two classes of Q apart, so its Jhat is exactly zero across
-    # them, and orders 0 and 1 invert whole.  The oracle's complex inverse
-    # at the same shift gives ||A||, Z1_window and Z1_tail within 1e-12
-    # relative, and the real form's Z0 is small and covers what an
-    # independent complex product of its Jhat with J shows (order 0's Z0 is
-    # about 8e-9 on either path, hence the bound relative to ||A||).  The
-    # oracle's own Z0, of the complex inverse cut to the classes, is as
-    # small: what the cut drops is rounding.
-    for data in _real_shift_operators(run, stage_ctx):
-        assert isinstance(data.s, float)
+    # every stage inverts the block of J on its scalars and its class of Q,
+    # in the cos/sin basis.  With centres in the class, the whole J maps the
+    # (scalars, class) slots into themselves, exactly: it is block upper
+    # triangular in ((scalars, class), other class), so Jhat is the
+    # (scalars, class) block of the whole inverse.  It equals that block of
+    # the oracle's complex inverse of the whole J within 1e-12, and ||A||,
+    # ||A||_seq, Z1_window and Z1_tail are no larger than the oracle's on the
+    # whole space (its window defect takes the stage's scalar rows and
+    # columns).  The real form's Z0 is small and covers what an independent
+    # complex product of its Jhat with J shows (order 0's Z0 is about 8e-9,
+    # hence the bound relative to ||A||).
+    K = stage_ctx.K
+    for data, J in _real_shift_operators(run, stage_ctx):
+        layout = data.layout
+        ns = layout.ns
+        assert isinstance(data.s, float) and (layout.cls == 1 or ns == 0)
+        assert layout.n == ns + len(class_slots(K, layout.cls)) <= ns + 9 * K
+        keep = np.concatenate([np.arange(ns), ns + layout.slots])
+        other = np.setdiff1d(np.arange(J.shape[0]), keep)
+        assert np.array_equal(data.J, J[np.ix_(keep, keep)]), ns
+        assert not J[np.ix_(other, keep)].any(), ns
         real = stages._operator(stage_ctx, data)
-        dense = _dense_inverse(real)
-        assert sorted(np.concatenate(real.parts)) == list(range(real.layout.n))
-        if data.ns == 0:
-            q = _reflection_signs(stage_ctx.K)
-            assert [set(q[p]) for p in real.parts] == [{1}, {-1}]
-            assert not dense[np.not_equal.outer(q, q)].any()
-        else:
-            assert len(real.parts) == 1
+        whole = SpaceLayout(ns, K)
+        Nw = stages._window_defect(stage_ctx, J, whole, data.s)
+        Nw[:ns], Nw[:, :ns] = data.window_defect[:ns], data.window_defect[:, :ns]
         with monkeypatch.context() as m:
             m.setattr(stages, "_cos_sin_inverse", oracles.complex_inverse)
-            ref = stages._operator(stage_ctx, data)
+            ref = stages._operator(stage_ctx, replace(data, layout=whole, J=J,
+                                                      window_defect=Nw))
+        block = ref.Jhat[np.ix_(keep, keep)]
+        assert np.abs(real.Jhat - block).max() <= 1e-12 * np.abs(block).max(), ns
         for name in ("normA", "normA_seq", "Z1_window", "Z1_tail"):
-            assert getattr(real, name) == pytest.approx(getattr(ref, name), rel=1e-12), name
-        for op in (real, ref):
-            assert op.Z0 <= 1e-10 * max(1.0, op.normA), data.ns
-        assert real.Z0 >= _residual_seen(dense, data.J, data.ns, stage_ctx), data.ns
+            assert getattr(real, name) <= getattr(ref, name) * (1.0 + 1e-12), (name, ns)
+        assert real.Z0 <= 1e-10 * max(1.0, real.normA), ns
+        assert real.Z0 >= _residual_seen(real.Jhat, data.J, layout, stage_ctx), ns
 
 
-@pytest.mark.parametrize("defect", ["J not R-symmetric", "J not Q-symmetric",
+@pytest.mark.parametrize("defect", ["J not R-symmetric", "J skewed in the class",
                                     "inverse inexact"])
 def test_cos_sin_z0_covers_a_visible_defect(run, stage_ctx, monkeypatch, defect):
     # Z0 must cover the ||I - Jhat J|| that an independent complex product
     # shows when it is far above rounding: for J + 1e-8 i I, whose added part
     # anticommutes with R and so is left out of M; for J plus 1e-8 on the
-    # first off-diagonals of every window, which commutes with R but
-    # couples the classes of Q, so a jet's blocks leave it out and only
-    # |B||M_off| covers it (orders 0 and 1 invert it whole); and for an
-    # inverse of M that is 1e-6 too large
+    # first upper off-diagonal of every window of the class (the modes k and
+    # k + 2), which stays in the class but breaks R, so M misses half of it;
+    # and for an inverse of M that is 1e-6 too large
     if defect == "inverse inexact":
         inv = np.linalg.inv
         monkeypatch.setattr(np.linalg, "inv", lambda a: inv(a) * (1.0 + 1e-6))
-    for data in _real_shift_operators(run, stage_ctx):
+    for data, _ in _real_shift_operators(run, stage_ctx):
+        layout = data.layout
         J = data.J.copy()
         if defect == "J not R-symmetric":
             J[np.diag_indices_from(J)] += 1e-8j
-        elif defect == "J not Q-symmetric":
-            n = 2 * stage_ctx.K - 1
-            for c in range(9):
-                i = data.ns + c * n + np.arange(n - 1)
+        elif defect == "J skewed in the class":
+            for sl in layout.slices[layout.ns:]:
+                i = np.arange(sl.start, sl.stop - 1)
                 J[i, i + 1] += 1e-8
-                J[i + 1, i] += 1e-8
         op = stages._operator(stage_ctx, replace(data, J=J))
-        seen = _residual_seen(_dense_inverse(op), J, data.ns, stage_ctx)
-        if defect != "J not Q-symmetric" or data.ns == 0:
-            assert seen >= 1e-9, data.ns
-        assert op.Z0 >= seen, data.ns
+        seen = _residual_seen(op.Jhat, J, layout, stage_ctx)
+        assert seen >= 1e-9, layout.ns
+        assert op.Z0 >= seen, layout.ns
 
 
 def test_report_splits_z1(run):
@@ -625,8 +724,8 @@ def test_no_dense_solve_or_inverse_in_a_worker(run, dense_calls):
     # counts, not timings: a jet takes its step with its certificate's
     # inverse, so the jets make no solve, and this process makes the one
     # operator of each distinct shift (2 for the 4 jets), whatever jobs is,
-    # with two inverses, one per class of Q.  lambda_bar is real, so every
-    # stage's shift is: orders 0 and 1 and every jet invert float64
+    # with one inverse, on the jets' class of Q.  lambda_bar is real, so
+    # every stage's shift is: orders 0 and 1 and every jet invert float64
     # matrices, made from the cos/sin form of their block
     cfg, res0, start, table = run
     shifts = {sum(a) * table.lambda_bar for a in table.radii if sum(a) >= 2}
@@ -636,7 +735,7 @@ def test_no_dense_solve_or_inverse_in_a_worker(run, dense_calls):
         before = len(dense_calls())
         again = stages.extend_with_jets(stages.rescale_jets(start, 1.0), cfg, jobs=jobs)
         assert again.digest() == table.digest()
-        assert dense_calls()[before:] == [real_inverse] * (2 * len(shifts)), jobs
+        assert dense_calls()[before:] == [real_inverse] * len(shifts), jobs
     assert len(shifts) == 2
     sol = res0.context[0]
     lam, v = seeding.bundle_guess(cfg, sol, KIND, K0, XI0)
@@ -672,11 +771,10 @@ def test_a_level_makes_one_operator(run, monkeypatch):
     # p lambda_bar, and one operator, made at that shift, serves them all
     cfg, _, _, table = run
     made, tasks = [], []
-    N = 9 * (2 * K - 1)
 
     def operator(ctx, data):
-        made.append(SimpleNamespace(s=data.s, parts=(np.arange(N),),
-                                    Jhat=[np.zeros((N, N))]))
+        N = data.layout.n
+        made.append(SimpleNamespace(s=data.s, layout=data.layout, Jhat=np.zeros((N, N))))
         return made[-1]
 
     def certify(jet, ctx, alpha, rhs, rho, centers, op):

@@ -13,6 +13,7 @@ import pytest
 
 import oracles
 from fourbody import model, numerics, seeding, stages
+from fourbody.opbound import class_slots
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -93,7 +94,9 @@ def test_diverging_steps_are_halved_down_to_the_floor(cfg, start, monkeypatch):
     # their difference over the first orbit's sigma: the first step is
     # _SIGMA_GROWTH times that sigma, and each failure halves it
     wz = seeding.vertical_frequency(cfg, eq)
+    # the walk's vectors hold the slots of class +1 of Q
     z_eq = np.concatenate([[wz], seeding.orbit_guess_vector(cfg, eq, 0.0, wz, 8)])
+    z_eq = z_eq[np.concatenate([np.arange(5), 5 + class_slots(8, 1)])]
     steps = np.array([np.linalg.norm(g - solved[0]) for g in guesses[1:]])
     assert len(guesses) < 20
     assert abs(steps[0] / np.linalg.norm(solved[0] - z_eq)
@@ -147,14 +150,14 @@ def test_seeding_at_a_large_k_walks_at_a_small_one(cfg, start, monkeypatch):
         A = sol.coeffs
         assert np.max(np.abs(A - np.conj(A[:, ::-1]))) < 1e-13, K
         residual, _ = seeding._level_problem(cfg, K, H0 - 0.3, sol.anchor)
-        z = np.concatenate([[sol.omega], sol.y, A.ravel()])
+        z = np.concatenate([[sol.omega], sol.y, A.ravel()[class_slots(K, 1)]])
         assert np.max(np.abs(residual(z))) < stages.NEWTON_TOL, K
 
 
 def test_diverging_polish_names_both_k(cfg, start, monkeypatch):
     # the walk at K = 12 succeeds; only the polish at K = 24 diverges
     eq, H0 = start
-    counted_solves(monkeypatch, fail_above=5 + 9 * (2 * 12 - 1))
+    counted_solves(monkeypatch, fail_above=5 + len(class_slots(12, 1)))
     with pytest.raises(seeding.SeedFailure,
                        match="level polish at K=24 from the K=12 walk diverged"):
         seeding.orbit_to_jacobi(cfg, eq, H0 - 0.3, 24, 1.5)
@@ -181,6 +184,21 @@ def test_hill_exponents_match_the_monodromy_oracle(cfg, start, K):
     # by 2e-12 xi0 = 2e-16, and tol is about 1e-18 here (R ~ 1.46 xi0)
     assert tol < 1e-17
     assert scale_error(a_u * (1.0 + 1e-12), K, 3, 1e-4)[0] > tol
+
+
+@pytest.mark.parametrize("kind", ["stable", "unstable"])
+def test_hill_spectrum_class_by_class_is_the_whole_one(cfg, start, kind):
+    # the Hill matrix commutes with Q, so the eigs of its two class blocks
+    # give the exponent of one whole eig within 1e-12 relative, and the
+    # eigenvector lies in class +1 exactly, as a_1 of the reference orbit does
+    eq, H0 = start
+    sol, _ = seeding.orbit_to_jacobi(cfg, eq, H0 - 0.3, 24, 1.5)
+    lam, a = seeding.bundle_guess(cfg, sol, kind, 3, 1e-4)
+    want = oracles.hill_exponent_whole(cfg, sol, kind)
+    assert abs(lam - want) <= 1e-12 * abs(want)
+    off = np.ones(a.size, dtype=bool)
+    off[class_slots(24, 1)] = False
+    assert a.ravel()[~off].any() and not a.ravel()[off].any()
 
 
 def test_a_complex_exponent_is_a_seed_failure(cfg, start, monkeypatch):
