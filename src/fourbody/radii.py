@@ -12,7 +12,15 @@ invertibility of the derivative there (hence transversality downstream).
 The candidate radii form a geometric grid below the domain cap r_star.
 
 All evaluations are interval-arithmetic; a radius is accepted only when the
-upper end of the enclosure of P(r0) is strictly negative.
+upper end of the enclosure of P(r0) is strictly negative.  The certificate
+holds the first and the last accepted grid point, r0 and r_max.  The grid
+is searched, not scanned: Y, Z0 + Z1 and the Z2 coefficients are
+nonnegative bounds, so P is convex on r >= 0, its negative set is one
+interval, and the accepted points form one run of the grid.  So the search
+evaluates P where its upper coefficients, in floats, are least, and
+bisects from there for the two ends of the run (`_scan`): about a dozen
+interval evaluations, where a scan takes one per grid point, and the same
+certificate.
 """
 
 from __future__ import annotations
@@ -162,23 +170,55 @@ def _candidate_grid(upper: float):
 
 def _scan(poly, upper: float, cap: float | None, stage: str, kind: str,
           digest: str, invertible: bool) -> Certificate:
+    """The certificate of the first and the last verified point of the grid
+    below the cap, found by bisection.
+
+    P is convex on r >= 0, so its verified grid points form one run.  The
+    point where the float value of P with every coefficient at its upper
+    end is least lies in that run when any point does; from it one
+    bisection finds the first verified point below and one the last above,
+    which are the first and the last of a scan over every point.  If that
+    point is not verified, every point is evaluated, so a polynomial
+    without a verified point raises as a scan does.
+    """
     grid = _candidate_grid(upper)
-    accepted = [
-        float(r)
-        for r in grid
-        if (cap is None or r < cap) and verify_negative(poly, float(r))
-    ]
-    if not accepted:
+    n = len(grid) if cap is None else int(np.searchsorted(grid, cap))
+    verified = {}
+
+    def ok(i: int) -> bool:
+        if i not in verified:
+            verified[i] = verify_negative(poly, float(grid[i]))
+        return verified[i]
+
+    run = []
+    if n:
+        with np.errstate(over="ignore", invalid="ignore"):
+            his = np.polyval([c.hi for c in reversed(poly)], grid[:n])
+        mid = int(np.nanargmin(his)) if not np.isnan(his).all() else 0
+        if ok(mid):
+            lo, hi = 0, mid
+            while lo < hi:
+                k = (lo + hi) // 2
+                lo, hi = (lo, k) if ok(k) else (k + 1, hi)
+            first = lo
+            lo, hi = mid, n - 1
+            while lo < hi:
+                k = (lo + hi + 1) // 2
+                lo, hi = (k, hi) if ok(k) else (lo, k - 1)
+            run = [first, lo]
+        else:
+            run = [i for i in range(n) if ok(i)]
+    if not run:
         raise NoNegativeRadius(
             "no verified radius for stage %r" % stage, poly=poly
         )
     return Certificate(
         stage=stage,
         kind=kind,
-        r0=accepted[0],
+        r0=float(grid[run[0]]),
         poly=tuple(poly),
         r_star=cap,
-        r_max=accepted[-1],
+        r_max=float(grid[run[-1]]),
         derivative_invertible=invertible,
         inputs_digest=digest,
     )

@@ -168,14 +168,10 @@ class FourierSeq:
     # -- serialization ---------------------------------------------------------
 
     def to_json_obj(self):
-        entries = []
-        for i, k in enumerate(self.k_values()):
-            entries.append([
-                int(k),
-                float(self.c.rl[i]).hex(), float(self.c.rh[i]).hex(),
-                float(self.c.il[i]).hex(), float(self.c.ih[i]).hex(),
-            ])
-        return {"nu": float(self.nu).hex(), "support": self.K, "entries": entries}
+        c, K = self.c, self.K
+        lanes = [map(float.hex, lane.tolist()) for lane in (c.rl, c.rh, c.il, c.ih)]
+        entries = [[k, *hexes] for k, hexes in zip(range(1 - K, K), zip(*lanes))]
+        return {"nu": float(self.nu).hex(), "support": K, "entries": entries}
 
     @classmethod
     def from_json_obj(cls, obj) -> "FourierSeq":

@@ -31,6 +31,8 @@ the Hill matrix.  The builders at
 the end make interval inputs: an interval from midpoint and radius, an
 array widened by a radius, and a Fourier sequence from a dict of modes;
 `width` reads the size of an interval.
+`grid_scan` is the radius search that evaluates P at every grid point below
+the cap, the reference for the bisection of `radii`.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from fourbody.ivarray import (
 )
 from fourbody.model import _const_seq, _mode_sum, embedded_field, eta_terms
 from fourbody.opbound import SpaceLayout, block_norms, opnorm_upper
+from fourbody.radii import Certificate, NoNegativeRadius, _candidate_grid, verify_negative
 from fourbody.seqspace import FourierSeq, WeightMismatch, conv, project
 
 
@@ -804,3 +807,16 @@ def seq_from_entries(entries, nu: float, K: int | None = None) -> FourierSeq:
         out.c.rl[i], out.c.rh[i] = v.re.lo, v.re.hi
         out.c.il[i], out.c.ih[i] = v.im.lo, v.im.hi
     return out
+
+
+def grid_scan(poly, upper: float, cap, stage: str, kind: str, digest: str,
+              invertible: bool) -> Certificate:
+    """The certificate of the first and the last grid point below the cap
+    where P verifies negative, every point evaluated."""
+    accepted = [float(r) for r in _candidate_grid(upper)
+                if (cap is None or r < cap) and verify_negative(poly, float(r))]
+    if not accepted:
+        raise NoNegativeRadius("no verified radius for stage %r" % stage, poly=poly)
+    return Certificate(stage=stage, kind=kind, r0=accepted[0], poly=tuple(poly),
+                       r_star=cap, r_max=accepted[-1], derivative_invertible=invertible,
+                       inputs_digest=digest)

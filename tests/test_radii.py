@@ -1,8 +1,9 @@
 """Certification engine tests.
 
 Frozen hand-checkable polynomial instances, soundness of the verified
-sign check against exact rational evaluation, and monotonicity of the
-accepted radius under bound enlargement.
+sign check against exact rational evaluation, monotonicity of the
+accepted radius under bound enlargement, and the bisection of the radius
+grid against a scan of every grid point.
 """
 
 import json
@@ -10,7 +11,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fourbody import radii
 from fourbody.interval import Interval
 from fourbody.radii import (
     Certificate,
@@ -21,6 +25,8 @@ from fourbody.radii import (
     radii_newton,
     verify_negative,
 )
+
+from oracles import grid_scan
 
 
 def quadratic_bounds(Y, Z0, Z1, Z2, r_star=None):
@@ -174,3 +180,28 @@ def test_scan_is_deterministic():
     b = radii_newton(BASIC, stage="unit")
     assert a == b
     assert json.dumps(a.to_json_obj()) == json.dumps(b.to_json_obj())
+
+
+# nonnegative bounds, subnormal ones included, below where P overflows
+bound = st.floats(0.0, 1e100)
+contraction = st.one_of(bound, st.floats(0.0, 1.0))
+
+
+@given(Y=bound, Z0=contraction, Z1=contraction,
+       Z2=st.lists(bound, max_size=2), r_star=st.one_of(st.none(), st.floats(1e-300, 1.0)))
+@settings(max_examples=400, deadline=None)
+def test_bisection_returns_the_scan_certificate(Y, Z0, Z1, Z2, r_star):
+    # P is convex, so its verified grid points are one run, and bisecting
+    # for the ends of that run gives the certificate of a scan over every
+    # point, or fails where the scan does
+    poly = NKBounds(Y=Y, Z0=Z0, Z1=Z1, Z2=tuple(Z2), r_star=r_star).polynomial()
+    upper = 1.0 if r_star is None else r_star
+    args = (poly, upper, r_star, "unit", "newton", "d", True)
+    try:
+        want = grid_scan(*args)
+    except NoNegativeRadius as exc:
+        with pytest.raises(NoNegativeRadius) as got:
+            radii._scan(*args)
+        assert got.value.poly == exc.poly
+        return
+    assert radii._scan(*args) == want
