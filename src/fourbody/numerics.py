@@ -203,19 +203,40 @@ def _product_keys(b, c, cap: int):
 
 
 def _cauchy_plan(b, c, alphas):
-    """(alpha, [(beta, alpha - beta), ...]) for each layer alpha of b*c in
-    alphas: the keys of its factor pairs (b_beta, c_(alpha - beta)).
+    """(alpha, interior, ends) for each layer alpha of b*c in alphas: the
+    keys (beta, alpha - beta) of its factor pairs (b_beta, c_(alpha - beta)).
 
-    beta runs in lexicographic order, so a layer is the same fold whichever
-    other layers are computed with it.  Only the keys of b and c are read,
-    so one plan serves every arithmetic whose grids have those keys: the
-    arrays of `FloatArith` and the (N, r) pairs of the norm lane of `stages`.
+    Every product layer folds its pairs interior first: interior holds the
+    pairs with no factor of order 0, beta in lexicographic order, and ends
+    the pairs beta = 0 and beta = alpha, in that order (one pair for alpha
+    = 0).  An interior pair reads only layers of orders 1..|alpha| - 1, so
+    the interior fold of a layer is the same at every level of the jets that
+    computes it, and `stages._Incremental` carries it from the level that
+    first computes the layer to the level that completes it with the
+    factors of order |alpha|.  The interior keys are those of b and c, and
+    ends are read where both factors are present when the layer is made.
+    Only the keys of b and c are read, so one plan serves every arithmetic
+    whose grids have those keys: the arrays of `FloatArith` and the (N, r)
+    pairs of the norm lane of `stages`.
     """
-    betas = sorted(b)
-    return [((m, n), [(beta, (m - beta[0], n - beta[1])) for beta in betas
-                      if beta[0] <= m and beta[1] <= n
-                      and (m - beta[0], n - beta[1]) in c])
-            for m, n in alphas]
+    zero = (0, 0)
+    out = []
+    for m, n in alphas:
+        interior = [(beta, (m - beta[0], n - beta[1])) for beta in sorted(b)
+                    if beta != zero and beta != (m, n) and beta[0] <= m and beta[1] <= n
+                    and (m - beta[0], n - beta[1]) in c]
+        ends = [(zero, (m, n))] + ([((m, n), zero)] if (m, n) != zero else [])
+        out.append(((m, n), interior, ends))
+    return out
+
+
+def _fold_into(acc, pairs):
+    """acc plus the convolution of each pair, centred, in order, in place."""
+    L = len(acc)
+    for u, v in pairs:
+        off = (L - len(u) - len(v) + 1) // 2
+        acc[off:L - off] += np.convolve(u, v)
+    return acc
 
 
 def _grid_scale(grid, c):
@@ -244,11 +265,12 @@ def _grid_shift(grid, c: complex):
 class FloatArith:
     """Float Fourier-Taylor grids for `model.embedded_field`.
 
-    A Cauchy product is made one layer at a time (`product_layers`), and
-    layer alpha folds its pairs of `_cauchy_plan` in beta order, one
+    A Cauchy product is made one layer at a time (`product_layers`).  Layer
+    alpha folds the pairs of its `_cauchy_plan` interior first, one
     `np.convolve` per pair: a single pair's product as it is, otherwise each
-    added into an accumulator of zeros.  `entry` is the grid value of one
-    lower-order center, whatever its radius.
+    added into an accumulator of zeros, the interior pairs in beta order and
+    then the pairs with a factor of order 0.  `entry` is the grid value of
+    one lower-order center, whatever its radius.
     """
 
     def __init__(self, ms, pos):
@@ -261,24 +283,43 @@ class FloatArith:
     truncate = staticmethod(ft_truncate)
 
     def mul(self, b, c, cap):
-        return self.product_layers(b, c, _cauchy_plan(b, c, _product_keys(b, c, cap)))
+        return self.product_layers(b, c, _cauchy_plan(b, c, _product_keys(b, c, cap)))[0]
 
     @staticmethod
-    def product_layers(b, c, plan):
-        """The layers of b*c that plan (`_cauchy_plan`) names."""
-        out = {}
-        for g, keys in plan:
-            pairs = [(b[x], c[y]) for x, y in keys]
-            if len(pairs) == 1:
-                out[g] = np.convolve(*pairs[0])
-                continue
-            L = max(len(u) + len(v) - 1 for u, v in pairs)
+    def product_layers(b, c, plan, carried=None):
+        """(layers, interiors): the layers of b*c that plan (`_cauchy_plan`)
+        names, and for each layer with interior pairs the fold of those
+        pairs, (accumulator, number of pairs).
+
+        carried maps a layer to the interior fold of an earlier call on
+        factors with the same layers below its order; such a layer folds
+        only its ends onto it, which is the fold of all its pairs byte for
+        byte.  The interior fold starts from zeros, so it holds no -0.0 and
+        placing it into the zeros of a longer accumulator adds nothing to
+        its bytes; the entries that no interior pair reaches stay +0.0."""
+        carried = carried or {}
+        out, interiors = {}, {}
+        for g, interior, ends in plan:
+            tail = [(b[x], c[y]) for x, y in ends if x in b and y in c]
+            inner = carried.get(g) if tail else None
+            if inner is None:
+                pairs = [(b[x], c[y]) for x, y in interior]
+                if len(pairs) + len(tail) == 1:
+                    out[g] = np.convolve(*(pairs + tail)[0])
+                    if pairs:
+                        interiors[g] = (out[g] + 0.0, 1)
+                    continue
+                L = max([len(u) + len(v) - 1 for u, v in pairs] or [0])
+                inner = (_fold_into(np.zeros(L, dtype=complex), pairs), len(pairs))
+            head, n = inner
+            L = max([len(head)] + [len(u) + len(v) - 1 for u, v in tail])
             acc = np.zeros(L, dtype=complex)
-            for u, v in pairs:
-                off = (L - len(u) - len(v) + 1) // 2
-                acc[off:L - off] += np.convolve(u, v)
-            out[g] = acc
-        return out
+            if n:
+                interiors[g] = inner
+                off = (L - len(head)) // 2
+                acc[off:L - off] = head
+            out[g] = _fold_into(acc, tail)
+        return out, interiors
 
     @staticmethod
     def entry(seq, radius):
@@ -307,9 +348,11 @@ def remainder_layer(A, alpha, ms, pos):
 
     It evaluates the whole field afresh.  The jets do not call it: each level
     of `stages` evaluates the field once in `FloatArith` and reuses the
-    product layers of the level below, with the same fold, so their float
-    right-hand side equals this one byte for byte.  The tests compare
-    against it, and the benchmark tracer wraps it.
+    product layers of the level below, and the interior folds of the layers
+    it completes (`_cauchy_plan`: every layer folds its pairs with no factor
+    of order 0 first, the two with one last), so their float right-hand side
+    equals this one byte for byte.  The tests compare against it, and the
+    benchmark tracer wraps it.
     """
     m, n = int(alpha[0]), int(alpha[1])
     order = m + n

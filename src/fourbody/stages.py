@@ -109,8 +109,9 @@ orders and the rounding of every float operation, so the jet's budget rho
 bounds the whole distance and enters Y through pre_Y.  `_level_fields`
 makes both lanes once per level, and `_extend` hands each level's
 evaluation to the next: that level reuses the lower orders' entries and
-every product layer below p - 1, completes layer p - 1 and computes layer p
-only for the jets it solves.  Nothing of it is kept on the table;
+every product layer below p - 1, completes layer p - 1 from the interior
+folds the level below made of it, and computes layer p only for the jets
+it solves (`_Incremental`).  Nothing of it is kept on the table;
 `jet_problem` and `validate_jet`, which take one jet of a table, evaluate
 its level afresh.
 
@@ -1301,20 +1302,35 @@ class _NormRad:
             radius = _next(radius + FourierSeq.point(seq.c.rad(), seq.nu).norm_upper())
         return (seq.norm_upper(), radius)
 
-    def product_layers(self, b, c, plan):
-        out = {}
-        for g, keys in plan:
-            pairs = [(b[x], c[y]) for x, y in keys]
-            Nacc, racc = 0.0, 0.0
-            for (N1, r1), (N2, r2) in pairs:
-                Np = _next(N1 * N2)
-                rp = _next(_next(_next(N1 * r2) + _next(r1 * N2)) + _next(r1 * r2))
-                Nacc, racc = _next(Nacc + Np), _next(racc + rp)
-            P = len(pairs)
+    def product_layers(self, b, c, plan, carried=None):
+        """(layers, interiors) as `numerics.FloatArith.product_layers`: the
+        pairs fold in the same order, and an interior fold, (N sum, r sum,
+        number of pairs), is carried the same way."""
+        carried = carried or {}
+        out, interiors = {}, {}
+        for g, interior, ends in plan:
+            tail = [(b[x], c[y]) for x, y in ends if x in b and y in c]
+            inner = carried.get(g)
+            if inner is None:
+                inner = self._fold(0.0, 0.0, [(b[x], c[y]) for x, y in interior]) + (
+                    len(interior),)
+            if inner[2]:
+                interiors[g] = inner
+            Nacc, racc = self._fold(inner[0], inner[1], tail)
+            P = inner[2] + len(tail)
             e = _next(_next(_next(self.gamma + (P - 1) * _ADD_ROUND) * Nacc)
                       + _next(P * self.eta))
             out[g] = (_next(Nacc + e), _next(racc + e))
-        return out
+        return out, interiors
+
+    @staticmethod
+    def _fold(Nacc, racc, pairs):
+        """(N, r) sums of the products of the pairs, added onto Nacc, racc."""
+        for (N1, r1), (N2, r2) in pairs:
+            Np = _next(N1 * N2)
+            rp = _next(_next(_next(N1 * r2) + _next(r1 * N2)) + _next(r1 * r2))
+            Nacc, racc = _next(Nacc + Np), _next(racc + rp)
+        return Nacc, racc
 
     @staticmethod
     def sum(*grids):
@@ -1362,27 +1378,48 @@ class _NormRad:
         return g
 
 
+class _NodePlan:
+    """The plans of one product node of the field for one table: each
+    layer's `numerics._cauchy_plan`, made once, and the layers the node
+    holds and computes at the level being evaluated, made by the lane that
+    reaches the node first."""
+
+    __slots__ = ("layers", "order", "keys", "made")
+
+    def __init__(self):
+        self.layers = {}
+        self.order = None
+        self.keys = self.made = ()
+
+
 class _Incremental:
     """One evaluation of the field at order `order` in `base`, a
     `numerics.FloatArith` or a `_NormRad`.
 
     `model.embedded_field` makes its products in a fixed sequence, so the
     k-th `mul` of every evaluation is the same product node, and layer gamma
-    of a node reads only the inputs of order <= |gamma|.  The node layers
-    below `keep` are taken from `old` (one dict per node, from an evaluation
-    on the same lower orders), the layers keep..order-1 are computed in
-    full, and of the order-`order` layers only the jets the level solves:
-    layer alpha of a product reads no other layer of its own order.  The
-    layers a node computes go to the base's `product_layers` in one call.
-    `nodes` collects each node's layers below `order`, all complete, and
-    `inputs` keeps the nine input grids, so that the next level adds only
-    the entries of its new order.  Every operation but `mul` is the base
-    arithmetic's.
+    of a node reads only the inputs of order <= |gamma|.  `old` is the
+    evaluation of the level below, on the same lower orders, or None.  The
+    node layers below `keep` are taken from it, the layers keep..order-1
+    are computed in full, and of the order-`order` layers only the jets the
+    level solves: layer alpha of a product reads no other layer of its own
+    order.  The layers a node computes go to the base's `product_layers` in
+    one call.
+
+    Every product layer folds its Cauchy pairs interior first
+    (`numerics._cauchy_plan`): the pairs without a factor of order 0, which
+    read only complete layers of orders 1..|alpha| - 1, and then the two
+    pairs with one.  So the interior fold of a layer of order `order` is
+    final when the layer is first computed, and `carry` keeps it, per node,
+    for the next level, which completes the layer by folding only its two
+    end pairs onto it.  `nodes` collects each node's layers below `order`,
+    all complete, and `inputs` keeps the nine input grids, so that the next
+    level adds only the entries of its new order.  Every operation but
+    `mul` is the base arithmetic's.
 
     The grids of the two lanes have the same keys, node by node, so their
-    evaluations of one level share `plans`: per node, its layer keys and
-    the `numerics._cauchy_plan` of the layers it computes, made by the lane
-    that reaches the node first.
+    evaluations share `plans`, one `_NodePlan` per node, which the levels
+    of a table hand on: a layer's plan is made once for the table.
     """
 
     def __init__(self, base, order: int, old, keep: int, inputs, plans):
@@ -1394,22 +1431,29 @@ class _Incremental:
         self.inputs = inputs
         self.plans = plans
         self.nodes = []
+        self.carry = []
 
     def __getattr__(self, name):
         return getattr(self.base, name)
 
     def mul(self, b, c, cap):
         k = len(self.nodes)
-        old = self.old[k] if self.keep else None
         if k == len(self.plans):
-            keys = numerics._product_keys(b, c, cap)
-            self.plans.append((keys, numerics._cauchy_plan(b, c, [
-                g for g in keys
-                if self.keep <= g[0] + g[1] and (g[0] + g[1] < self.order or g in self.top)])))
-        keys, plan = self.plans[k]
-        made = self.base.product_layers(b, c, plan)
+            self.plans.append(_NodePlan())
+        plan = self.plans[k]
+        if plan.order != self.order:
+            plan.order = self.order
+            plan.keys = numerics._product_keys(b, c, cap)
+            made = [g for g in plan.keys if self.keep <= g[0] + g[1]
+                    and (g[0] + g[1] < self.order or g in self.top)]
+            plan.layers.update((g, (interior, ends)) for g, interior, ends in
+                               numerics._cauchy_plan(b, c, [g for g in made
+                                                            if g not in plan.layers]))
+            plan.made = [(g, *plan.layers[g]) for g in made]
+        old, carried = (self.old.nodes[k], self.old.carry[k]) if self.keep else ({}, {})
+        made, interiors = self.base.product_layers(b, c, plan.made, carried)
         out, done = {}, {}
-        for g in keys:
+        for g in plan.keys:
             p = g[0] + g[1]
             if p < self.keep:
                 out[g] = done[g] = old[g]
@@ -1418,6 +1462,7 @@ class _Incremental:
                 if p < self.order:
                     done[g] = made[g]
         self.nodes.append(done)
+        self.carry.append({g: interiors[g] for g in self.top if g in interiors})
         return out
 
 
@@ -1428,28 +1473,30 @@ def _level_fields(jet: "JetTable", cfg, order: int, prev=None):
 
     The grids of order `order` hold the layers of the jets the level solves.
     prev is the pair of an earlier level on the same lower orders, or None:
-    its input entries and its product layers below its order are taken
-    over, not recomputed.
+    its input entries, its product layers below its order, the interior
+    folds of its top layers and its plans are taken over, not recomputed.
     """
     lower = [(beta, seqs, jet.radii.get(beta))
              for beta, seqs in sorted(jet.orders.items())
              if beta[0] + beta[1] < order]
     L = max(len(s.c) for _, seqs, _ in lower for s in seqs)
     fields = []
-    plans = []
+    plans = [] if prev is None else prev[0][0].plans
     floats = numerics.FloatArith(*numerics.cfg_floats(cfg))
     for k, arith in enumerate((floats, _NormRad(cfg, jet.nu, L))):
         if prev is None:
-            old, keep, grids = (), 0, [{} for _ in range(9)]
+            was, keep, grids = None, 0, [{} for _ in range(9)]
         else:
             was = prev[k][0]
-            old, keep, grids = was.nodes, was.order, [dict(g) for g in was.inputs]
+            keep, grids = was.order, [dict(g) for g in was.inputs]
         for beta, seqs, r in lower:
             if beta not in grids[0]:
                 for i in range(9):
                     grids[i][beta] = arith.entry(seqs[i], r)
-        ar = _Incremental(arith, order, old, keep, grids, plans)
+        ar = _Incremental(arith, order, was, keep, grids, plans)
         fields.append((ar, model.embedded_field(ar, grids, order)))
+        # the level below is spent: a chain of levels would keep every one
+        ar.old = None
     return tuple(fields)
 
 

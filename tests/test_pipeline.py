@@ -948,7 +948,8 @@ def test_jets_evaluate_each_remainder_field_once(run, monkeypatch):
 
 def test_lanes_share_the_cauchy_plans(run, monkeypatch):
     # counts: the float and the norm lane of a level make the same products,
-    # so each node's layer keys and factor pairs are made once, by one lane
+    # and the levels of a table the same nodes, so each layer's factor pairs
+    # are planned once per node and table, by one lane
     cfg, _, _, table = run
     made = []
     plan = numerics._cauchy_plan
@@ -960,16 +961,65 @@ def test_lanes_share_the_cauchy_plans(run, monkeypatch):
     monkeypatch.setattr(numerics, "_cauchy_plan", counted)
     fields = None
     for p in range(2, N_T + 1):
-        made.clear()
-        fields = stages._level_fields(table, cfg, p, fields)
+        prev, fields = fields, stages._level_fields(table, cfg, p, fields)
         (floats, _), (norms, _) = fields
         assert floats.plans is norms.plans
-        assert len(made) == len(floats.nodes) == len(norms.nodes) > 0
+        assert prev is None or floats.plans is prev[0][0].plans
+        assert len(floats.nodes) == len(norms.nodes) == len(floats.plans) > 0
+    assert len(made) <= len(floats.plans) * (N_T - 1)
+    assert sum(made) == sum(len(node.layers) for node in floats.plans)
+
+
+def float_lane_pairs(table, cfg, levels, monkeypatch):
+    """The Cauchy pairs that the float lane of the levels of a table folds,
+    as (level, node, beta, gamma), read from the np.convolve calls made
+    inside each of its products."""
+    folded = []
+    convolve, mul = np.convolve, stages._Incremental.mul
+
+    def traced(self, b, c, cap):
+        if not isinstance(self.base, numerics.FloatArith):
+            return mul(self, b, c, cap)
+        where = {(id(b[x]), id(c[y])): (x, y) for x in b for y in c}
+        k = len(self.nodes)
+
+        def counted(u, v, *args):
+            folded.append((self.order, k) + where[id(u), id(v)])
+            return convolve(u, v, *args)
+
+        monkeypatch.setattr(np, "convolve", counted)
+        try:
+            return mul(self, b, c, cap)
+        finally:
+            monkeypatch.setattr(np, "convolve", convolve)
+
+    monkeypatch.setattr(stages._Incremental, "mul", traced)
+    fields = None
+    for p in levels:
+        fields = stages._level_fields(table, cfg, p, fields)
+    return folded
+
+
+def test_float_lane_folds_no_pair_twice(run, monkeypatch):
+    # counts: across the levels of an N_t = 5 table, a Cauchy pair whose
+    # factors are complete layers is folded once, at the level that first
+    # needs it: a layer's interior pairs are carried to the level that
+    # completes it.  Only a pair with a factor of the level's own order,
+    # which that level holds in part, is folded again once it is complete.
+    cfg, _, start, _ = run
+    table = stages.extend_with_jets(replace(stages.rescale_jets(start, 1.0), N_t=5), cfg)
+    folded = float_lane_pairs(table, cfg, range(2, 6), monkeypatch)
+    complete = [(k, x, y) for p, k, x, y in folded if sum(x) < p and sum(y) < p]
+    assert len(complete) == len(set(complete)) > 0
+    assert len(folded) - len(complete) == sum(max(sum(x), sum(y)) == p
+                                              for p, _, x, y in folded) > 0
 
 
 def test_product_fold_work(run, monkeypatch):
     # counts, not timings: a product layer of the float lane is one
-    # np.convolve per Cauchy pair, and no disc arithmetic (mr_add) runs
+    # np.convolve per Cauchy pair it folds, and no disc arithmetic (mr_add)
+    # runs; a layer completed from a carried interior fold folds its end
+    # pairs only
     cfg, _, _, table = run
     inside = []
     nodes = []
@@ -985,11 +1035,14 @@ def test_product_fold_work(run, monkeypatch):
         nodes.append({"mr_add": 1})
         return mr_add(*args)
 
-    def counted_layers(b, c, plan):
-        pairs = sum(len(keys) for _, keys in plan)
+    def counted_layers(b, c, plan, carried=None):
+        pairs = 0
+        for g, interior, ends in plan:
+            tail = sum(x in b and y in c for x, y in ends)
+            pairs += tail + (0 if tail and g in (carried or {}) else len(interior))
         inside.append({"convolve": 0, "pairs": pairs})
         try:
-            return layers(b, c, plan)
+            return layers(b, c, plan, carried)
         finally:
             nodes.append(inside.pop())
 
