@@ -28,7 +28,11 @@ Two representations are used:
   convolutions for the radius, and mr_add carry `model.DF0.apply` and the
   residuals of order 1 and of the jets, which stay discs up to `cmm` in
   the certificate.  The jets' remainder fields are floats with norm
-  bounds, not discs (`stages`).
+  bounds, not discs (`stages`).  These three take stacks: cconv_mr and
+  mr_add act along the last axis of operands with leading axes, and cmm
+  multiplies each column of a matrix operand on its own.  An entry of a
+  stack gets the bits it would get alone, so the jets of a level are
+  certified as one batch and a jet certified alone reads the same bounds.
 
 The scalar module (interval.py) is the reference semantics; tests compare
 these kernels against it entry by entry.
@@ -426,6 +430,17 @@ def mm_up_nonneg(a, b):
     return p * _up_factor(n) + _ETA * n
 
 
+def matmul_by_column(a, b):
+    """a @ b, for a vector b or, column by column, a matrix b: each column
+    is one matrix-vector product, made from a contiguous copy.  BLAS rounds
+    a matrix-matrix product otherwise than a matrix-vector one, so this
+    gives a column the bits of its product alone, whatever the other
+    columns are."""
+    if b.ndim == 1:
+        return a @ b
+    return np.stack([a @ col for col in np.ascontiguousarray(b.T)], axis=1)
+
+
 def cmm(am, ar, bm, br):
     """Midpoint-radius matrix product enclosure (cm, cr) of (am, ar)(bm, br).
 
@@ -433,7 +448,10 @@ def cmm(am, ar, bm, br):
     real the product stays float64 and takes the real gemm constant
     gamma(n).  Otherwise it is complex and the constant is doubled, because a
     complex multiply is 4 real multiplies and 2 additions; |.| of a complex
-    entry is rounded up by 1 + 4u, of a real one it is exact.
+    entry is rounded up by 1 + 4u, of a real one it is exact.  A matrix bm
+    is multiplied column by column (`matmul_by_column`), so each column of
+    the enclosure is the one of that column alone; the bound holds for any
+    order of summation.
     """
     real = not (np.iscomplexobj(am) or np.iscomplexobj(bm))
     dtype = float if real else complex
@@ -447,19 +465,19 @@ def cmm(am, ar, bm, br):
     if not real:
         absa *= 1.0 + 4.0 * _U
         absb *= 1.0 + 4.0 * _U
-    cr = absa @ absb
+    cr = matmul_by_column(absa, absb)
     cr *= g
     # only the radius lanes that are given: a missing one is zero
     if br is not None:
-        cr += absa @ br
+        cr += matmul_by_column(absa, np.asarray(br, dtype=float))
     if ar is not None:
-        cr += ar @ absb
+        cr += matmul_by_column(ar, absb)
         if br is not None:
-            cr += ar @ br
+            cr += matmul_by_column(ar, np.asarray(br, dtype=float))
     del absa, absb
     cr *= _up_factor(n)
     cr += _ETA * n
-    cm = am @ bm
+    cm = matmul_by_column(am, bm)
     if not (np.isfinite(cm).all() and np.isfinite(cr).all()):
         raise IntervalDomainError("overflow in interval matrix product")
     return cm, cr
@@ -496,10 +514,22 @@ def _lane(g: float, mag, r):
     return zero_masked_up(g * mag + r, mag + r)
 
 
+def _convolve_rows(a, b):
+    """np.convolve of a 1-D a with b, or with each sequence of a stack b
+    along its last axis, one call per sequence."""
+    if b.ndim == 1:
+        return np.convolve(a, b)
+    rows = [np.convolve(a, row) for row in b.reshape(-1, b.shape[-1])]
+    return np.array(rows).reshape(b.shape[:-1] + (len(a) + b.shape[-1] - 1,))
+
+
 def cconv_mr(am, ar, bm, br):
     """Complex disc midpoint-radius enclosure [mid, rad] of the full
     convolution of (am, ar) and (bm, br); a radius lane that is None or all
-    zero is read as exactly zero.
+    zero is read as exactly zero.  (bm, br) may be a stack of sequences
+    along the last axis, each convolved with a, which is one sequence; the
+    elementwise steps run on the whole stack and every convolution on one
+    sequence, so each result has the bits it has alone.
 
     The midpoint is np.convolve(am, bm).  The radius is
     |a|(g |b| + r_b) + r_a (|b| + r_b): the gemm bound g |a||b| (g = 2
@@ -512,19 +542,20 @@ def cconv_mr(am, ar, bm, br):
     """
     am = np.asarray(am, dtype=complex)
     bm = np.asarray(bm, dtype=complex)
-    n = min(len(am), len(bm))
+    n = min(len(am), bm.shape[-1])
     g = 2.0 * _gemm_gamma(n)
     absa = np.abs(am) * (1.0 + 4.0 * _U)
     absb = np.abs(bm) * (1.0 + 4.0 * _U)
     ar = None if ar is None or not np.any(ar) else np.asarray(ar, dtype=float)
     br = None if br is None or not np.any(br) else np.asarray(br, dtype=float)
     if ar is None:
-        zr = np.convolve(absa, _lane(g, absb, br))
+        zr = _convolve_rows(absa, _lane(g, absb, br))
     elif br is None:
-        zr = np.convolve(_lane(g, absa, ar), absb)
+        zr = _convolve_rows(_lane(g, absa, ar), absb)
     else:
-        zr = np.convolve(absa, _lane(g, absb, br)) + np.convolve(ar, _lane(1.0, absb, br))
-    cm = np.convolve(am, bm)
+        zr = (_convolve_rows(absa, _lane(g, absb, br))
+              + _convolve_rows(ar, _lane(1.0, absb, br)))
+    cm = _convolve_rows(am, bm)
     cr = zr * _up_factor(n + 3) + _ETA * n
     if not (np.isfinite(cm).all() and np.isfinite(cr).all()):
         raise IntervalDomainError("overflow in interval convolution")
@@ -532,18 +563,22 @@ def cconv_mr(am, ar, bm, br):
 
 
 def mr_add(qm, qr, vm, vr):
-    """Centered midpoint-radius sum of two odd-length disc arrays.
+    """Centered midpoint-radius sum of two disc arrays of odd length along
+    their last axis; leading axes broadcast, so stacks add entry by entry.
 
     The radius takes both radii and the rounding of the midpoint sum: each
     part of a complex addition rounds once, to nearest, by at most u times
     the part's computed value (exactly, when it is subnormal), so the sum
     errs by at most u |z| in modulus, with |z| read rounded up.
     """
-    nlen = max(len(qm), len(vm))
-    zm = np.zeros(nlen, dtype=complex)
-    zr = np.zeros(nlen)
+    qm, qr, vm, vr = map(np.asarray, (qm, qr, vm, vr))
+    nlen = max(qm.shape[-1], vm.shape[-1])
+    shape = np.broadcast_shapes(qm.shape[:-1], vm.shape[:-1]) + (nlen,)
+    zm = np.zeros(shape, dtype=complex)
+    zr = np.zeros(shape)
     for sm, sr in ((qm, qr), (vm, vr)):
-        off = (nlen - len(sm)) // 2
-        zm[off:off + len(sm)] += sm
-        zr[off:off + len(sr)] = _up(zr[off:off + len(sr)] + sr)
+        off = (nlen - sm.shape[-1]) // 2
+        zm[..., off:off + sm.shape[-1]] += sm
+        part = zr[..., off:off + sr.shape[-1]]
+        part[...] = _up(part + sr)
     return [zm, _up(zr + _up(cmat_abs_up(zm, None) * _U))]

@@ -388,15 +388,21 @@ class DF0:
                       for row in kernels]
 
     def apply(self, h):
-        """DF0 h for nine point arrays h_j (odd lengths, modes in ascending
-        order), as nine discs (mid, rad).
+        """DF0 h for nine point arrays h_j of odd length, modes in ascending
+        order along the last axis, as nine discs (mid, rad).  The h_j may be
+        stacks of sequences, one per stage of a batch, with the same leading
+        axes; the discs then have them too.
 
-        Each kernel product is a `cconv_mr` of the kernel's discs with h_j,
-        and each row sums its entries with `mr_add` in the order (constant,
-        kernel) per column j.  An all-zero h_j contributes nothing, and a
-        constant multiple is exact, so a row of one such multiple has
-        radius zero.  Each row keeps the length of its longest entry, a
-        skipped one included.
+        Each kernel product is one `cconv_mr` of the kernel's discs with
+        h_j, the whole stack at once, and each row sums its entries with
+        `mr_add` in the order (constant, kernel) per column j.  An h_j that
+        is zero in every sequence contributes nothing, and a constant
+        multiple is exact, so a row of one such multiple has radius zero.
+        Each row keeps the length of its longest entry, a skipped one
+        included.  Every step acts on each sequence of a stack as on that
+        sequence alone, so a stage gets the bits it gets in a batch of one
+        when the batch has the same h_j zero throughout, as the jets of a
+        level have: they share their class of Q.
         """
         if len(h) != 9:
             raise ValueError("expected 9 coefficient arrays")
@@ -407,8 +413,8 @@ class DF0:
             for j in range(9):
                 c = self.const[i][j]
                 ker = self.discs[i][j]
-                hj = h[j]
-                nh = len(hj)
+                hj = np.asarray(h[j])
+                nh = hj.shape[-1]
                 if c != 0.0:
                     nlen = max(nlen, nh)
                 if ker is not None:
@@ -417,14 +423,15 @@ class DF0:
                     continue
                 terms = []
                 if c != 0.0:
-                    terms.append((c * hj, np.zeros(nh)))
+                    terms.append((c * hj, np.zeros(hj.shape)))
                 if ker is not None:
                     terms.append(cconv_mr(ker[0], ker[1], hj, None))
                 for tm, tr in terms:
                     acc = [tm, tr] if acc is None else mr_add(*acc, tm, tr)
+            lead = np.shape(h[0])[:-1]
             if acc is None:
-                acc = [np.zeros(1, dtype=complex), np.zeros(1)]
-            pad = (nlen - len(acc[0])) // 2
+                acc = [np.zeros(lead + (1,), dtype=complex), np.zeros(lead + (1,))]
+            pad = [(0, 0)] * len(lead) + [((nlen - acc[0].shape[-1]) // 2,) * 2]
             out.append((np.pad(acc[0], pad), np.pad(acc[1], pad)))
         return out
 

@@ -112,18 +112,20 @@ def kvals(K: int):
 
 
 def crop(arr, K: int):
-    """Central window of 2K-1 coefficients (zero-padded if shorter)."""
+    """Central window of 2K-1 coefficients along the last axis (zero-padded
+    if shorter)."""
     n = 2 * K - 1
     arr = np.asarray(arr)
-    if len(arr) == n:
+    L = arr.shape[-1]
+    if L == n:
         return arr
-    if len(arr) < n:
-        out = np.zeros(n, dtype=arr.dtype)
-        off = (n - len(arr)) // 2
-        out[off:off + len(arr)] = arr
+    if L < n:
+        out = np.zeros(arr.shape[:-1] + (n,), dtype=arr.dtype)
+        off = (n - L) // 2
+        out[..., off:off + L] = arr
         return out
-    off = (len(arr) - n) // 2
-    return arr[off:off + n]
+    off = (L - n) // 2
+    return arr[..., off:off + n]
 
 
 def pad_sum(*arrays):

@@ -117,8 +117,13 @@ its level afresh.
 
 A jet takes its right-hand side and rho from its level's fields
 (`_jet_rhs`), and lambda_bar, the kind, the radii of orders 0 and 1 and the
-order-1 digest from its table; `_certify_jet` assembles and certifies it,
-in the level loop and in `validate_jet` alike.  The context holds what the
+order-1 digest from its table; `_certify_jets` assembles and certifies
+the jets of a level as one batch, and `validate_jet` one jet as a batch of
+one.  A batch stacks its residuals: DF0 runs once per kernel on all the
+centres, A once on all the residual windows, and every stacked step gives
+each jet the bits it gets alone, so `validate_jet` reproduces the level's
+certificate.  Orders 0 and 1 are batches of one too: there is one residual
+path and one certify path (`_certify`).  The context holds what the
 stages share: the kernel part of the window defect, the kernels' tail
 tables (`kmags`, `kprofiles`, `knorms`, `const`) and DF0 as discs (`df0`),
 all made from the endpoint kernels of `model.field_derivative`, which it
@@ -157,6 +162,7 @@ from .ivarray import (
     cmat_abs_up,
     cmm,
     conv_up_nonneg,
+    matmul_by_column,
     mm_up_nonneg,
     mr_add,
     up_sum,
@@ -267,21 +273,19 @@ def _inv_dist_up(kabs, omega: float, s: float) -> np.ndarray:
     return _up(1.0 / den)
 
 
-def _seq_tail_weighted(mags: np.ndarray, K: int, nu: float, omega: float, s: float) -> float:
+def _seq_tail_weighted(mags: np.ndarray, K: int, nu: float, omega: float, s: float):
     """Upper bound of sum_{|k| >= K} nu^|k| |r_k| / |-i omega k - s| for a
-    sequence r whose moduli are at most mags, its modes in ascending order."""
-    h = (len(mags) - 1) // 2
+    sequence r whose moduli are at most mags, its modes in ascending order
+    along the last axis: one bound, or one per sequence of a stack."""
+    h = (mags.shape[-1] - 1) // 2
     kabs = np.abs(np.arange(-h, h + 1))
     mask = kabs >= K
     if not mask.any():
-        return 0.0
-    mags = mags[mask]
-    if not mags.any():
-        return 0.0
+        return np.zeros(mags.shape[:-1])
     ka = kabs[mask]
-    dt = _inv_dist_up(ka, omega, s)
-    w = _nu_pow_up(nu, ka)
-    return up_sum(_up(_up(mags * w) * dt))
+    terms = _up(_up(mags[..., mask] * _nu_pow_up(nu, ka)) * _inv_dist_up(ka, omega, s))
+    sums = [up_sum(row) for row in terms.reshape(-1, terms.shape[-1])]
+    return np.array(sums).reshape(mags.shape[:-1])
 
 
 def _tail_col_profile(gabs: np.ndarray, K: int, nu: float) -> np.ndarray:
@@ -696,21 +700,24 @@ class _Operator(NamedTuple):
 
 @dataclass
 class _Assembled:
-    """The stage's own part of its certificate: the residual as discs, (mid,
-    rad) of the scalars and (mid, rad, moduli) of each component's whole
-    sequence, the monomials of Z2 and the data uncertainty pre_Y, pre_Z1."""
+    """The own part of the certificates of a batch of stages that share one
+    operator (the jets of a level, or one stage): per stage its tag, the
+    monomials of Z2 and the data uncertainty pre_Y, pre_Z1; and the
+    residuals as discs, stacked with one stage per row: (mid, rad) of the
+    scalars and (mid, rad, moduli) of each component's whole sequences."""
 
-    tag: str
+    tags: list
     resid_scalars: tuple
     resid_seqs: list
     monomials: list
-    pre_Y: float = 0.0
-    pre_Z1: float = 0.0
+    pre_Y: list
+    pre_Z1: list
 
 
 def _diagonal_term(a: np.ndarray, omega: float, s: float):
     """(mid, rad), discs of (-s - i omega k) a_k for a point window a of
-    modes k = -(K-1)..K-1 and a real s.
+    modes k = -(K-1)..K-1 along its last axis (or a stack of windows) and a
+    real s.
 
     With t = fl(omega k), mid is (-s a_re + t a_im) + i (-s a_im - t a_re),
     each product and sum rounded to nearest; -s is exact.  A product errs
@@ -721,7 +728,7 @@ def _diagonal_term(a: np.ndarray, omega: float, s: float):
     def half(x):  # at least half the spacing of the floats at |x|
         return _up(0.5 * np.spacing(np.abs(x)))
 
-    t = omega * numerics.kvals((len(a) + 1) // 2)
+    t = omega * numerics.kvals((a.shape[-1] + 1) // 2)
     ar, ai = a.real, a.imag
     parts, err = [], []
     for x, y, other in ((-s * ar, t * ai, ai), (-s * ai, -(t * ar), ar)):
@@ -736,14 +743,15 @@ def _diagonal_term(a: np.ndarray, omega: float, s: float):
 def _affine_residual(ctx: "_StageContext", rows, s: float, rhs=None) -> list:
     """The residual (-omega d_theta - s + DF0) a + R of order 1 or of a jet
     as nine (mid, rad, moduli): a is nine point window arrays, s the real
-    shift and R the float right-hand side, nine arrays or None (zero).  Each
+    shift and R the float right-hand side, nine arrays or None (zero).  The
+    arrays may be stacks, one stage of a batch per row, all at one s.  Each
     component sums DF0 a (`model.DF0.apply`), the `_diagonal_term` and the
     exact R, in that order, with `mr_add`."""
     out = []
     for i, (m, r) in enumerate(ctx.df0.apply(rows)):
         m, r = mr_add(m, r, *_diagonal_term(rows[i], ctx.omega, s))
         if rhs is not None and rhs[i] is not None:
-            m, r = mr_add(m, r, rhs[i], np.zeros(len(rhs[i])))
+            m, r = mr_add(m, r, rhs[i], np.zeros(np.shape(rhs[i])))
         out.append((m, r, cmat_abs_up(m, r)))
     return out
 
@@ -995,50 +1003,60 @@ def _operator(ctx: _StageContext, d: _OperatorData) -> _Operator:
                      Z1_window, Z1_tail)
 
 
-def _certify(op: _Operator, asm: _Assembled, digest: str):
-    """The stage's certificate and report; on failure the NoNegativeRadius
-    raised carries the report's bounds as `bounds`."""
+def _certify(op: _Operator, asm: _Assembled, digests: list) -> list:
+    """The certificate and report of each stage of the batch, in order, with
+    its inputs digest; a failure raises, for the first stage that fails, a
+    NoNegativeRadius that carries its report's bounds as `bounds`.
+
+    The batch shares the operator: A is applied to the residual windows of
+    all its stages in one `cmm`, whose columns are those of each stage
+    alone, and the tail sums of each component run over the stack."""
     layout, K, nu, omega, s = op.layout, op.K, op.nu, op.omega, op.s
     ns = layout.ns
-    # the residual on the class; the exact one has nothing off it
-    vm, vr = (np.concatenate([asm.resid_scalars[t]] + [numerics.crop(seq[t], K)
-                                                       for seq in asm.resid_seqs])
-              for t in (0, 1))
+    # the residuals on the class, one column per stage; the exact ones have
+    # nothing off it
     keep = np.concatenate([np.arange(ns), ns + layout.slots])
-    ym, yr = cmm(op.Jhat, None, vm[keep], vr[keep])
-    gY = group_vec_norms(cmat_abs_up(ym, yr), layout, nu)
+    vm, vr = (np.concatenate([asm.resid_scalars[t]] + [numerics.crop(seq[t], K)
+                                                       for seq in asm.resid_seqs],
+                             axis=-1)[:, keep].T
+              for t in (0, 1))
+    absY = cmat_abs_up(*cmm(op.Jhat, None, vm, vr))
     tails = np.array([_seq_tail_weighted(g, K, nu, omega, s) for _, _, g in asm.resid_seqs])
-    # the residual part of Y per row group, and the group that sets it
-    per_group = np.concatenate([gY[:ns], _up(gY[ns:] + tails)])
-    g = int(np.argmax(per_group))
-    Y0 = float(per_group[g])
-    Y_group = "scalar %d" % g if g < ns else "seq %d" % (g - ns)
-    Y = float(_up(Y0 + _up(op.normA_seq * asm.pre_Y)))
-    Z1 = float(_up(_up(op.Z1_tail + op.Z1_window) + _up(op.normA_seq * asm.pre_Z1)))
+    out = []
+    for b, tag in enumerate(asm.tags):
+        gY = group_vec_norms(absY[:, b], layout, nu)
+        # the residual part of Y per row group, and the group that sets it
+        per_group = np.concatenate([gY[:ns], _up(gY[ns:] + tails[:, b])])
+        g = int(np.argmax(per_group))
+        Y0 = float(per_group[g])
+        Y_group = "scalar %d" % g if g < ns else "seq %d" % (g - ns)
+        pre_Y, pre_Z1 = asm.pre_Y[b], asm.pre_Z1[b]
+        Y = float(_up(Y0 + _up(op.normA_seq * pre_Y)))
+        Z1 = float(_up(_up(op.Z1_tail + op.Z1_window) + _up(op.normA_seq * pre_Z1)))
 
-    rows = _row_polys(asm.monomials)
-    coeffs = _polys_max_coeffs(rows)
-    Z2 = tuple(float(_up(op.normA * c)) for c in coeffs)
+        coeffs = _polys_max_coeffs(_row_polys(asm.monomials[b]))
+        Z2 = tuple(float(_up(op.normA * c)) for c in coeffs)
 
-    bounds = NKBounds(Y=Y, Z0=op.Z0, Z1=Z1, Z2=Z2, r_star=R_STAR)
-    report = {
-        "Y": Y, "Y0": Y0, "Y_group": Y_group, "Z0": op.Z0, "Z1": Z1,
-        "Z1_window": op.Z1_window, "Z1_tail": op.Z1_tail, "pre_Y": asm.pre_Y,
-        "pre_Z1": asm.pre_Z1, "Z2": list(Z2), "normA": op.normA,
-        "cls": layout.cls, "N": layout.n,
-    }
-    try:
-        cert = radii_newton(bounds, stage=asm.tag, inputs_digest=digest)
-    except NoNegativeRadius as exc:
-        raise NoNegativeRadius(
-            "no verified radius below r_star = %.3e for stage %r in class %+d "
-            "of Q (N = %d): Y = %.3e (residual %.3e, set by row group %s), "
-            "Z0 = %.3e, Z1 = %.3e (window %.3e, tail %.3e), ||A|| = %.3e"
-            % (R_STAR, asm.tag, layout.cls, layout.n, Y, Y0, Y_group, op.Z0, Z1,
-               op.Z1_window, op.Z1_tail, op.normA),
-            poly=exc.poly, bounds=report) from exc
-    report.update(r0=cert.r0, r_max=cert.r_max)
-    return cert, report
+        bounds = NKBounds(Y=Y, Z0=op.Z0, Z1=Z1, Z2=Z2, r_star=R_STAR)
+        report = {
+            "Y": Y, "Y0": Y0, "Y_group": Y_group, "Z0": op.Z0, "Z1": Z1,
+            "Z1_window": op.Z1_window, "Z1_tail": op.Z1_tail, "pre_Y": pre_Y,
+            "pre_Z1": pre_Z1, "Z2": list(Z2), "normA": op.normA,
+            "cls": layout.cls, "N": layout.n,
+        }
+        try:
+            cert = radii_newton(bounds, stage=tag, inputs_digest=digests[b])
+        except NoNegativeRadius as exc:
+            raise NoNegativeRadius(
+                "no verified radius below r_star = %.3e for stage %r in class %+d "
+                "of Q (N = %d): Y = %.3e (residual %.3e, set by row group %s), "
+                "Z0 = %.3e, Z1 = %.3e (window %.3e, tail %.3e), ||A|| = %.3e"
+                % (R_STAR, tag, layout.cls, layout.n, Y, Y0, Y_group, op.Z0, Z1,
+                   op.Z1_window, op.Z1_tail, op.normA),
+                poly=exc.poly, bounds=report) from exc
+        report.update(r0=cert.r0, r_max=cert.r_max)
+        out.append((cert, report))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1168,9 +1186,9 @@ def _assemble_orbit(sol: "OrbitSolution", ctx: _StageContext, ar):
         scalar_tail_sup=_up(eta_consts * nuinvK),
         ycol_tail_mags=[(1 + j, 6 + j, cubes[j].c.mag()) for j in range(3)],
     )
-    return data, _Assembled("order0", (etas.mid(), etas.rad()),
-                            [(c.mid(), c.rad(), c.mag()) for c in boxes], monos,
-                            pre_Z1=pre_Z1)
+    return data, _Assembled(["order0"], (etas.mid()[None], etas.rad()[None]),
+                            [(c.mid()[None], c.rad()[None], c.mag()[None]) for c in boxes],
+                            [monos], pre_Y=[0.0], pre_Z1=[pre_Z1])
 
 
 def _assemble_bundle(sol: "BundleSolution", ctx: _StageContext, r0: float):
@@ -1207,40 +1225,44 @@ def _assemble_bundle(sol: "BundleSolution", ctx: _StageContext, r0: float):
     dd = ctx.field_dd(r0)
     data = _OperatorData(layout=layout, s=lam, J=J, window_defect=Nw,
                          scalar_tail_sup=np.zeros((ns, 9)), ycol_tail_mags=[])
-    return data, _Assembled(tag, (xi.mid(), xi.rad()),
-                            _affine_residual(ctx, rows, lam), monos,
-                            pre_Y=float(_up(dd * max(a1n))), pre_Z1=dd)
+    return data, _Assembled([tag], (xi.mid()[None], xi.rad()[None]),
+                            _affine_residual(ctx, rows[:, None], lam), [monos],
+                            pre_Y=[float(_up(dd * max(a1n)))], pre_Z1=[dd])
 
 
-def _certify_jet(jet: "JetTable", ctx: _StageContext, alpha, rhs, rho: float,
-                 centers, op: _Operator) -> "JetResult":
-    """Assemble and certify jet alpha at centers; rhs and rho are its
-    `_jet_rhs`, and op the operator part of its certificate, made from the
-    context, the jet's shift and its class of Q
-    (`_StageContext.jet_operator_data`)."""
-    m_, n_ = alpha
-    p = m_ + n_
+def _certify_jets(jet: "JetTable", ctx: _StageContext, alphas, rhss, rhos, centers,
+                  op: _Operator) -> list:
+    """Assemble and certify the jets alphas of one level at centers, as one
+    batch; rhss and rhos are their `_jet_rhs`, and op the operator part of
+    their certificates, made from the context, the level's shift and its
+    class of Q (`_StageContext.jet_operator_data`).  The residuals of the
+    batch are made as one stack, and each jet's equals the one it has alone
+    (`validate_jet`, a batch of one)."""
+    p = sum(alphas[0])
     lam = jet.lambda_bar
     s = p * lam
-    tag = "jet:%d,%d:%s" % (m_, n_, jet.kind)
-
-    for row in centers:
-        if not row.is_point():
+    tags = ["jet:%d,%d:%s" % (m_, n_, jet.kind) for m_, n_ in alphas]
+    for tag, seqs in zip(tags, centers):
+        if not all(row.is_point() for row in seqs):
             raise ValueError("jet centers must be point sequences")
-    rows = [row.c.mid() for row in centers]
-    _class_of(tag, np.abs(rows), ctx.K, op.layout.cls)
+        _class_of(tag, [np.abs(row.c.mid()) for row in seqs], ctx.K, op.layout.cls)
+    rows = [np.array([seqs[i].c.mid() for seqs in centers]) for i in range(9)]
+    rhs = [None if parts[0] is None else np.stack(parts) for parts in zip(*rhss)]
     resid = _affine_residual(ctx, rows, s, rhs)
 
     # uncertainty of the chosen diagonal shift versus <alpha, lambda>
     ds = (Interval.point(lam) * float(p) - s).mag()
     dd = ctx.field_dd(jet.radii[(0, 0)])
     shift_err = float(_up(dd + _up(p * jet.radii[(1, 0)] + ds)))
-    maxn = max(sq.norm_upper() for sq in centers)
-    asm = _Assembled(tag, (np.zeros(0, dtype=complex), np.zeros(0)), resid, [],
-                     pre_Y=float(_up(_up(shift_err * maxn) + rho)), pre_Z1=shift_err)
-    cert, report = _certify(op, asm, inputs_digest(alpha, jet.kind, jet.digests["order1"],
-                                                   centers))
-    return JetResult(alpha, tuple(centers), cert.r0, cert, report)
+    pre_Y = [float(_up(_up(shift_err * max(sq.norm_upper() for sq in seqs)) + rho))
+             for seqs, rho in zip(centers, rhos)]
+    B = len(alphas)
+    asm = _Assembled(tags, (np.zeros((B, 0), dtype=complex), np.zeros((B, 0))), resid,
+                     [[]] * B, pre_Y=pre_Y, pre_Z1=[shift_err] * B)
+    digests = [inputs_digest(alpha, jet.kind, jet.digests["order1"], seqs)
+               for alpha, seqs in zip(alphas, centers)]
+    return [JetResult(alpha, tuple(seqs), cert.r0, cert, report)
+            for alpha, seqs, (cert, report) in zip(alphas, centers, _certify(op, asm, digests))]
 
 
 # ---------------------------------------------------------------------------
@@ -1620,7 +1642,7 @@ def validate_order0(solution: OrbitSolution, cfg) -> Order0Result:
         "y": [[float(t.real).hex(), float(t.imag).hex()] for t in solution.y],
         "coeffs": _seqs_digest_obj(solution.seqs()),
     })
-    cert, report = _certify(_operator(ctx, data), asm, digest)
+    (cert, report), = _certify(_operator(ctx, data), asm, [digest])
     r0 = cert.r0
     for t in solution.y:
         if abs(complex(t)) > r0:
@@ -1652,7 +1674,7 @@ def validate_order1(solution: BundleSolution, jet: "JetTable", cfg) -> Order1Res
         (1, 0), solution.kind, jet.digests.get("order0", ""),
         [FourierSeq.point(row, jet.nu) for row in solution.coeffs],
         (solution.lam, solution.k0, solution.xi0))
-    cert, report = _certify(_operator(ctx, data), asm, digest)
+    (cert, report), = _certify(_operator(ctx, data), asm, [digest])
     r1 = cert.r0
     lam = solution.lam
     if abs(lam) <= r1:
@@ -1672,7 +1694,7 @@ def validate_jet(alpha, jet: "JetTable", cfg) -> JetResult:
     ctx = _context_for(jet, cfg)
     p = sum(alpha)
     op = _operator(ctx, ctx.jet_operator_data(p * jet.lambda_bar, _jet_class(jet, p)))
-    return _certify_jet(jet, ctx, alpha, rhs, rho, jet.orders[alpha], op)
+    return _certify_jets(jet, ctx, [alpha], [rhs], [rho], [jet.orders[alpha]], op)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1866,22 +1888,23 @@ def _level_parallel(jet: "JetTable", cfg, alphas, fields):
 
     The operator part of a jet's certificate reads only the context, the
     jet's shift p lambda_bar and its class, which every jet of the level
-    shares, so one operator serves the level and goes with it.  The
-    benchmark's tracer wraps this function by name as `stages.pool` and
-    reads the table and the jets from its first three arguments.
+    shares, so one operator serves the level and goes with it.  The steps
+    are one product of Jhat with the right-hand sides of the level, column
+    by column (`ivarray.matmul_by_column`), and the certificates one batch
+    (`_certify_jets`).  The benchmark's tracer wraps this function by name
+    as `stages.pool` and reads the table and the jets from its first three
+    arguments.
     """
     ctx = _context_for(jet, cfg)
     p = sum(alphas[0])
     op = _operator(ctx, ctx.jet_operator_data(p * jet.lambda_bar, _jet_class(jet, p)))
     slots = op.layout.slots
-    out = []
-    for alpha in alphas:
-        rhs, rho = _jet_rhs(fields, alpha)
-        z = -(op.Jhat @ _rhs_window(rhs, ctx.K)[slots])
-        centers = tuple(FourierSeq.point(row, ctx.nu)
-                        for row in _unpack(z, 0, ctx.K, slots)[1])
-        out.append(_certify_jet(jet, ctx, alpha, rhs, rho, centers, op))
-    return out
+    rhss, rhos = zip(*(_jet_rhs(fields, alpha) for alpha in alphas))
+    Z = -matmul_by_column(op.Jhat, np.array([_rhs_window(rhs, ctx.K)[slots]
+                                             for rhs in rhss]).T)
+    centers = [tuple(FourierSeq.point(row, ctx.nu)
+                     for row in _unpack(z, 0, ctx.K, slots)[1]) for z in Z.T]
+    return _certify_jets(jet, ctx, alphas, rhss, rhos, centers, op)
 
 
 def _extend(jet: JetTable, cfg) -> JetTable:

@@ -397,6 +397,7 @@ def _orbit_defects(sol, ctx, cfg):
     second.  There the oracle adds each y term to an entry with one outward
     rounding, so those blocks may also take 2^-50 of the block norm of |E|."""
     data, asm = stages._assemble_orbit(sol, ctx, model.IntervalArith(cfg))
+    (pre_Z1,) = asm.pre_Z1
     J, N, layout = data.J, data.window_defect, data.layout
     at_zero = _block_defect(oracles.orbit_enclosure(replace(sol, y=np.zeros(4, complex)), ctx),
                             J, N, ctx, layout)
@@ -405,8 +406,8 @@ def _orbit_defects(sol, ctx, cfg):
                        layout, ctx.nu)
     with_y = N.copy()
     for g in (4 + 1, 4 + 6, 4 + 7, 4 + 8):
-        with_y[g, g] += asm.pre_Z1 + 2.0 ** -50 * sums[g, g]
-    return at_zero, _block_defect(E, J, with_y, ctx, layout), asm.pre_Z1, opnorm_upper(N)
+        with_y[g, g] += pre_Z1 + 2.0 ** -50 * sums[g, g]
+    return at_zero, _block_defect(E, J, with_y, ctx, layout), pre_Z1, opnorm_upper(N)
 
 
 @pytest.mark.parametrize("moved", [False, True])
@@ -777,18 +778,18 @@ def test_a_level_makes_one_operator(run, monkeypatch):
         made.append(SimpleNamespace(s=data.s, layout=data.layout, Jhat=np.zeros((N, N))))
         return made[-1]
 
-    def certify(jet, ctx, alpha, rhs, rho, centers, op):
-        tasks.append((alpha, id(op)))
+    def certify(jet, ctx, alphas, rhss, rhos, centers, op):
+        tasks.append((tuple(alphas), id(op)))
 
     monkeypatch.setattr(stages, "_operator", operator)
-    monkeypatch.setattr(stages, "_certify_jet", certify)
+    monkeypatch.setattr(stages, "_certify_jets", certify)
     for p in (2, 3):
         alphas = stages._level_alphas(p)
         assert len(alphas) == 2
         del made[:], tasks[:]
         stages._level_parallel(table, cfg, alphas, stages._level_fields(table, cfg, p))
         assert [op.s for op in made] == [p * table.lambda_bar]
-        assert tasks == [(alpha, id(made[0])) for alpha in alphas]
+        assert tasks == [(tuple(alphas), id(made[0]))]
 
 
 def test_failed_certificate_carries_its_bounds(run, monkeypatch):
