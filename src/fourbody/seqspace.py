@@ -169,8 +169,9 @@ class FourierSeq:
 
     def to_json_obj(self):
         c, K = self.c, self.K
-        lanes = [map(float.hex, lane.tolist()) for lane in (c.rl, c.rh, c.il, c.ih)]
-        entries = [[k, *hexes] for k, hexes in zip(range(1 - K, K), zip(*lanes))]
+        rows = np.array([c.rl, c.rh, c.il, c.ih]).T.tolist()
+        entries = [[k, rl.hex(), rh.hex(), il.hex(), ih.hex()]
+                   for k, (rl, rh, il, ih) in zip(range(1 - K, K), rows)]
         return {"nu": float(self.nu).hex(), "support": K, "entries": entries}
 
     @classmethod

@@ -1402,9 +1402,9 @@ class _NormRad:
 
 class _NodePlan:
     """The plans of one product node of the field for one table: each
-    layer's `numerics._cauchy_plan`, made once, and the layers the node
-    holds and computes at the level being evaluated, made by the lane that
-    reaches the node first."""
+    layer's `numerics._cauchy_plan`, made once and dropped once the layer
+    is complete, and the layers the node holds and computes at the level
+    being evaluated, made by the lane that reaches the node first."""
 
     __slots__ = ("layers", "order", "keys", "made")
 
@@ -1465,6 +1465,7 @@ class _Incremental:
         plan = self.plans[k]
         if plan.order != self.order:
             plan.order = self.order
+            plan.layers = {g: v for g, v in plan.layers.items() if g[0] + g[1] >= self.keep}
             plan.keys = numerics._product_keys(b, c, cap)
             made = [g for g in plan.keys if self.keep <= g[0] + g[1]
                     and (g[0] + g[1] < self.order or g in self.top)]
