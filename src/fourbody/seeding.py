@@ -65,6 +65,9 @@ _STEP_FLOOR = 1e-4
 _CORRECTOR_RATIO = 0.9
 # the walk's K; a larger K zero-pads the walk's orbit and polishes it once
 _K_WALK = 12
+# a rest point whose planar Hessian has eigenvalues this close, relative, is
+# isotropic and has no seed
+_ISOTROPY = 1e-9
 # signs of the squares in the Jacobi integral of (x, vx, y, vy, z, vz)
 _H_QUAD = np.array([1.0, -1.0, 1.0, -1.0, 0.0, -1.0])
 
@@ -118,6 +121,17 @@ def planar_equilibria(cfg) -> np.ndarray:
             found.append(p)
     found.sort(key=lambda p: (round(p[0], 9), round(p[1], 9)))
     return np.array(found)
+
+
+def _planar_hessian(p, ms, pos) -> np.ndarray:
+    """The Jacobian of `_grad_planar` at p: the Hessian of the planar
+    potential of the rotating frame."""
+    H = np.eye(2)
+    for j in range(3):
+        d = np.array([p[0] - pos[j][0], p[1] - pos[j][1]])
+        r2 = d @ d
+        H += ms[j] * (3.0 * np.outer(d, d) / r2 ** 2.5 - np.eye(2) / r2 ** 1.5)
+    return H
 
 
 def vertical_frequency(cfg, eq_xy) -> float:
@@ -251,7 +265,7 @@ def _walk_level(cfg, eq_xy, H_target: float, K: int):
     H = level = _level(_orbit_rows(z, K).sum(axis=1), ms).real
     if (H_target - H) * (H - H_eq) < 0.0:
         raise SeedFailure("level %r is on the far side of the walk's start %r"
-                          % (H_target, H))
+                          % (float(H_target), float(H)))
     sign, sigma_target = np.sign(H - H_eq), np.sqrt(abs(H_target - H_eq))
     # the last two solved orbits (sigma, z); the first is the equilibrium
     prev = cur = (0.0, z_eq)
@@ -268,7 +282,7 @@ def _walk_level(cfg, eq_xy, H_target: float, K: int):
         except numerics.NewtonDivergence:
             step *= 0.5
             if cur[0] == 0.0 or step < _STEP_FLOOR * cur[0]:
-                raise SeedFailure("level walk stalled near H = %r" % H)
+                raise SeedFailure("level walk stalled near H = %r" % float(H))
         else:
             if level == H_target:
                 return z, anchor
@@ -293,7 +307,20 @@ def orbit_to_jacobi(cfg, eq_xy, H_target: float, K: int, nu: float):
     and the polish takes two Jacobians at K = 24, 40 and 64.
     The last solve is the orbit; its scalars are real up to rounding, which
     is dropped.
+
+    A rest point whose planar Hessian is isotropic, its two eigenvalues
+    equal to within _ISOTROPY relative (the centroid of equal masses), is
+    refused before the walk: there the start solve of the walk diverges at
+    every amplitude tried.
     """
+    ms, pos = numerics.cfg_floats(cfg)
+    lo, hi = np.linalg.eigvalsh(_planar_hessian(eq_xy, ms, pos))
+    if hi - lo <= _ISOTROPY * max(abs(lo), abs(hi)):
+        raise SeedFailure("the planar Hessian at the rest point (%r, %r) is isotropic: "
+                          "its eigenvalues %r and %r agree to %g relative, and the level "
+                          "walk cannot start there"
+                          % (float(eq_xy[0]), float(eq_xy[1]), float(lo), float(hi),
+                             _ISOTROPY))
     Kw = min(K, _K_WALK)
     z, anchor = _walk_level(cfg, eq_xy, H_target, Kw)
     if K > Kw:

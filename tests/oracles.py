@@ -32,7 +32,9 @@ the end make interval inputs: an interval from midpoint and radius, an
 array widened by a radius, and a Fourier sequence from a dict of modes;
 `width` reads the size of an interval.
 `grid_scan` is the radius search that evaluates P at every grid point below
-the cap, the reference for the bisection of `radii`.
+the cap, the reference for the bisection of `radii`, and
+`certify_jet_alone` certifies one jet on its own, with that scan, the
+reference for the batched certificates of a level in `stages`.
 """
 
 from __future__ import annotations
@@ -820,3 +822,34 @@ def grid_scan(poly, upper: float, cap, stage: str, kind: str, digest: str,
     return Certificate(stage=stage, kind=kind, r0=accepted[0], poly=tuple(poly),
                        r_star=cap, r_max=accepted[-1], derivative_invertible=invertible,
                        inputs_digest=digest)
+
+
+def certify_jet_alone(table, ctx, alpha, rhs, rho, centers, op):
+    """(r0, r_max) of jet alpha certified on its own: its residual from its
+    own windows, A applied to them alone, the tail sum of each component
+    in turn, the bounds of `stages._certify` and the radius of
+    `grid_scan`."""
+    from fourbody import stages
+    from fourbody.opbound import group_vec_norms
+    from fourbody.radii import NKBounds
+    p = sum(alpha)
+    lam = table.lambda_bar
+    s = p * lam
+    layout, K, nu = op.layout, op.K, op.nu
+    resid = stages._affine_residual(ctx, [row.c.mid() for row in centers], s, rhs)
+    ds = (Interval.point(lam) * float(p) - s).mag()
+    dd = ctx.field_dd(table.radii[(0, 0)])
+    shift_err = float(_up(dd + _up(p * table.radii[(1, 0)] + ds)))
+    pre_Y = float(_up(_up(shift_err * max(sq.norm_upper() for sq in centers)) + rho))
+    vm, vr = (np.concatenate([numerics.crop(seq[t], K) for seq in resid])[layout.slots]
+              for t in (0, 1))
+    ym, yr = cmm(op.Jhat, None, vm, vr)
+    gY = group_vec_norms(cmat_abs_up(ym, yr), layout, nu)
+    tails = [float(stages._seq_tail_weighted(g, K, nu, op.omega, s)) for _, _, g in resid]
+    Y0 = float(max(_up(gY + np.array(tails))))
+    Y = float(_up(Y0 + _up(op.normA_seq * pre_Y)))
+    Z1 = float(_up(_up(op.Z1_tail + op.Z1_window) + _up(op.normA_seq * shift_err)))
+    poly = NKBounds(Y=Y, Z0=op.Z0, Z1=Z1, Z2=(float(_up(op.normA * 0.0)),),
+                    r_star=stages.R_STAR).polynomial()
+    cert = grid_scan(poly, stages.R_STAR, stages.R_STAR, "jet", "newton", "", True)
+    return cert.r0, cert.r_max

@@ -792,6 +792,31 @@ def test_a_level_makes_one_operator(run, monkeypatch):
         assert tasks == [(tuple(alphas), id(made[0]))]
 
 
+def test_level_batch_certifies_as_one_jet_at_a_time(run):
+    # the batched certificates of a level give each jet the r0 and r_max of
+    # the jet certified on its own and scanned at every grid point, and, on
+    # the one BLAS thread of the stages, the table's certificate
+    cfg, _, _, table = run
+    ctx = stages._context_for(table, cfg)
+    with numerics.one_blas_thread():
+        check_levels_one_jet_at_a_time(table, cfg, ctx)
+
+
+def check_levels_one_jet_at_a_time(table, cfg, ctx):
+    fields = None
+    for p in range(2, N_T + 1):
+        fields = stages._level_fields(table, cfg, p, fields)
+        op = stages._operator(ctx, ctx.jet_operator_data(p * table.lambda_bar,
+                                                         stages._jet_class(table, p)))
+        done = stages._level_parallel(table, cfg, stages._level_alphas(p), fields)
+        assert [res.alpha for res in done] == stages._level_alphas(p)
+        for res in done:
+            rhs, rho = stages._jet_rhs(fields, res.alpha)
+            want = oracles.certify_jet_alone(table, ctx, res.alpha, rhs, rho, res.centers, op)
+            assert (res.cert.r0, res.cert.r_max) == want, res.alpha
+            assert res.cert == table.certs[res.cert.stage]
+
+
 def test_failed_certificate_carries_its_bounds(run, monkeypatch):
     # a cap below the order-0 radius fails its certificate; the error names
     # the stage and carries the bounds the successful run reported

@@ -84,6 +84,42 @@ def test_level_above_the_equilibrium_fails_at_once(cfg, start, monkeypatch):
     assert len(solves) <= 2
 
 
+def test_seed_failures_name_plain_numbers(cfg, start, monkeypatch):
+    # a level on the far side of the walk's start, and a walk that stalls,
+    # name their levels as floats, not as numpy scalars
+    eq, H0 = start
+    with pytest.raises(seeding.SeedFailure) as far:
+        seeding.orbit_to_jacobi(cfg, eq, np.float64(H0 + 0.1), 8, 1.5)
+    words = str(far.value).split()
+    assert words[:2] == ["level", repr(float(H0 + 0.1))]
+    assert float(words[-1]) < H0 and "np." not in str(far.value)
+    counted_solves(monkeypatch, fail_after=1)
+    with pytest.raises(seeding.SeedFailure) as stalled:
+        seeding.orbit_to_jacobi(cfg, eq, H0 - 0.3, 8, 1.5)
+    assert str(stalled.value).startswith("level walk stalled near H = ")
+    assert float(str(stalled.value).split()[-1]) < H0
+
+
+def test_an_isotropic_rest_point_is_refused_before_the_walk(monkeypatch):
+    # at the centroid of equal masses both eigenvalues of the planar
+    # Hessian are 3.5981: the walk cannot start there, and orbit_to_jacobi
+    # says so before any solve
+    cfg = model.primaries(model.MassTriple.of("1/3", "1/3", "1/3"))
+    eq = seeding.planar_equilibria(cfg)[5]
+    ms, pos = numerics.cfg_floats(cfg)
+    lo, hi = np.linalg.eigvalsh(seeding._planar_hessian(eq, ms, pos))
+    assert abs(lo - 3.5981) < 1e-4 and abs(hi - lo) <= 1e-12 * hi
+    solves, _ = counted_solves(monkeypatch)
+    H0 = seeding.jacobi_mid(cfg, seeding.embed_point(cfg, [eq[0], 0.0, eq[1], 0.0, 0.0, 0.0]))
+    with pytest.raises(seeding.SeedFailure, match="planar Hessian .* is isotropic"):
+        seeding.orbit_to_jacobi(cfg, eq, H0 - 0.1, 24, 1.5)
+    assert solves == []
+    # a rest point with two distinct eigenvalues is not refused for them
+    lo, hi = np.linalg.eigvalsh(seeding._planar_hessian(seeding.planar_equilibria(cfg)[3],
+                                                         ms, pos))
+    assert hi - lo > 1.0
+
+
 def test_diverging_steps_are_halved_down_to_the_floor(cfg, start, monkeypatch):
     eq, H0 = start
     guesses, solved = counted_solves(monkeypatch, fail_after=1)
