@@ -149,8 +149,11 @@ class CArr:
 
     @classmethod
     def point(cls, z):
+        """The point intervals at z: each lower lane and its upper lane are
+        one array, as no lane of a CArr is written in place."""
         z = np.asarray(z, dtype=complex)
-        return cls(z.real.copy(), z.real.copy(), z.imag.copy(), z.imag.copy())
+        re, im = z.real.copy(), z.imag.copy()
+        return cls(re, re, im, im)
 
     @classmethod
     def zeros(cls, n: int):
@@ -190,7 +193,8 @@ class CArr:
         return CArr(-self.rh, -self.rl, -self.ih, -self.il)
 
     def conj(self) -> "CArr":
-        return CArr(self.rl, self.rh, -self.ih, -self.il)
+        il = -self.ih
+        return CArr(self.rl, self.rh, il, il if self.il is self.ih else -self.il)
 
     def reverse(self) -> "CArr":
         return CArr(self.rl[::-1], self.rh[::-1], self.il[::-1], self.ih[::-1])
