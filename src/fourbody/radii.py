@@ -14,13 +14,12 @@ The candidate radii form a geometric grid below the domain cap r_star.
 All evaluations are interval-arithmetic; a radius is accepted only when the
 upper end of the enclosure of P(r0) is strictly negative.  The certificate
 holds the first and the last accepted grid point, r0 and r_max.  The grid
-is searched, not scanned: Y, Z0 + Z1 and the Z2 coefficients are
-nonnegative bounds, so P is convex on r >= 0, its negative set is one
-interval, and the accepted points form one run of the grid.  So the search
-evaluates P where its upper coefficients, in floats, are least, and
-bisects from there for the two ends of the run (`_scan`): about a dozen
-interval evaluations, where a scan takes one per grid point, and the same
-certificate.
+is searched, not scanned: the Z2 coefficients are nonnegative bounds, so P
+is convex on r >= 0, its negative set is one interval, and the accepted
+points form one run of the grid.  So the search evaluates P where its
+upper coefficients, in floats, are least, and bisects from there for the
+two ends of the run (`_scan`): about ten interval evaluations, where a
+scan takes one per grid point, and the same certificate.
 """
 
 from __future__ import annotations
@@ -192,9 +191,11 @@ def _scan(poly, upper: float, cap: float | None, stage: str, kind: str,
 
     run = []
     if n:
-        with np.errstate(over="ignore", invalid="ignore"):
+        # finite coefficients, r > 0 and a linear one above -1: no NaN, and
+        # an overflow to +inf only marks a point as not the least
+        with np.errstate(over="ignore"):
             his = np.polyval([c.hi for c in reversed(poly)], grid[:n])
-        mid = int(np.nanargmin(his)) if not np.isnan(his).all() else 0
+        mid = int(np.argmin(his))
         if ok(mid):
             lo, hi = 0, mid
             while lo < hi:
