@@ -798,23 +798,20 @@ def test_level_batch_certifies_as_one_jet_at_a_time(run):
     # the one BLAS thread of the stages, the table's certificate
     cfg, _, _, table = run
     ctx = stages._context_for(table, cfg)
-    with numerics.one_blas_thread():
-        check_levels_one_jet_at_a_time(table, cfg, ctx)
-
-
-def check_levels_one_jet_at_a_time(table, cfg, ctx):
     fields = None
-    for p in range(2, N_T + 1):
-        fields = stages._level_fields(table, cfg, p, fields)
-        op = stages._operator(ctx, ctx.jet_operator_data(p * table.lambda_bar,
-                                                         stages._jet_class(table, p)))
-        done = stages._level_parallel(table, cfg, stages._level_alphas(p), fields)
-        assert [res.alpha for res in done] == stages._level_alphas(p)
-        for res in done:
-            rhs, rho = stages._jet_rhs(fields, res.alpha)
-            want = oracles.certify_jet_alone(table, ctx, res.alpha, rhs, rho, res.centers, op)
-            assert (res.cert.r0, res.cert.r_max) == want, res.alpha
-            assert res.cert == table.certs[res.cert.stage]
+    with numerics.one_blas_thread():
+        for p in range(2, N_T + 1):
+            fields = stages._level_fields(table, cfg, p, fields)
+            op = stages._operator(ctx, ctx.jet_operator_data(p * table.lambda_bar,
+                                                             stages._jet_class(table, p)))
+            done = stages._level_parallel(table, cfg, stages._level_alphas(p), fields)
+            assert [res.alpha for res in done] == stages._level_alphas(p)
+            for res in done:
+                rhs, rho = stages._jet_rhs(fields, res.alpha)
+                want = oracles.certify_jet_alone(table, ctx, res.alpha, rhs, rho,
+                                                 res.centers, op)
+                assert (res.cert.r0, res.cert.r_max) == want, res.alpha
+                assert res.cert == table.certs[res.cert.stage]
 
 
 def test_failed_certificate_carries_its_bounds(run, monkeypatch):
