@@ -44,7 +44,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from fourbody import model, numerics
+from fourbody import model, numerics, stages
 from fourbody.interval import ZERO, ComplexInterval, Interval, _as_iv, add_down, add_up
 from fourbody.interval import IntervalDomainError
 from fourbody.ivarray import (
@@ -52,8 +52,9 @@ from fourbody.ivarray import (
     _shift_products, _step_up_in_place, _up, _up_factor,
 )
 from fourbody.model import _const_seq, _mode_sum, embedded_field, eta_terms
-from fourbody.opbound import SpaceLayout, block_norms, opnorm_upper
-from fourbody.radii import Certificate, NoNegativeRadius, _candidate_grid, verify_negative
+from fourbody.opbound import SpaceLayout, block_norms, group_vec_norms, opnorm_upper
+from fourbody.radii import (Certificate, NKBounds, NoNegativeRadius, _candidate_grid,
+                            verify_negative)
 from fourbody.seqspace import FourierSeq, WeightMismatch, conv, project
 
 
@@ -829,9 +830,6 @@ def certify_jet_alone(table, ctx, alpha, rhs, rho, centers, op):
     own windows, A applied to them alone, the tail sum of each component
     in turn, the bounds of `stages._certify` and the radius of
     `grid_scan`."""
-    from fourbody import stages
-    from fourbody.opbound import group_vec_norms
-    from fourbody.radii import NKBounds
     p = sum(alpha)
     lam = table.lambda_bar
     s = p * lam
