@@ -166,27 +166,27 @@ def derivative_kernels(A, ms, pos):
     return model.field_derivative(FloatArith(ms, pos), [{(0, 0): a} for a in A])
 
 
-def base_block(const, kernels, K: int, diag, out=None, slots=None):
+def base_block(const, kernels, layout, diag, out=None):
     """Window block of h -> diag h + const h + kernels * h.
 
     diag is the diagonal of one component (length n = 2K-1), shared by all
     nine; const and kernels are the tables of `derivative_kernels`.  The
-    block is 9n x 9n, or only the rows and columns of slots, a sorted index
-    array into the nine windows (`opbound.class_slots`), made directly.  It
-    is added into out (a zero view of its shape) when one is given.
+    block holds the rows and columns of the window slots of layout (an
+    `opbound.SpaceLayout`, whose scalars it leaves out): 9n x 9n, or one
+    class of Q, made directly.  It is added into out (a zero view of its
+    shape) when one is given.
     """
-    n = 2 * K - 1
-    slots = np.arange(9 * n) if slots is None else slots
-    pos, ends = slots % n, np.searchsorted(slots, n * np.arange(10))
-    blocks = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
-    base = np.zeros((len(slots),) * 2, dtype=complex) if out is None else out
+    ns = layout.ns
+    blocks = [slice(sl.start - ns, sl.stop - ns) for sl in layout.slices[ns:]]
+    pos = layout.wpos[ns:]
+    base = np.zeros((layout.n - ns,) * 2, dtype=complex) if out is None else out
     for i, rs in enumerate(blocks):
         base[rs, rs] += np.diag(diag[pos[rs]])
         for j, cs in enumerate(blocks):
             if const[i][j] != 0.0:
                 base[rs, cs] += const[i][j] * np.equal.outer(pos[rs], pos[cs])
             if kernels[i][j] is not None:
-                base[rs, cs] += toeplitz_window(kernels[i][j], K, pos[rs], pos[cs])
+                base[rs, cs] += toeplitz_window(kernels[i][j], layout.K, pos[rs], pos[cs])
     return base
 
 

@@ -31,7 +31,7 @@ import numpy as np
 from scipy import optimize
 
 from . import model, numerics, stages
-from .opbound import SpaceLayout, class_slots
+from .opbound import SpaceLayout, cos_sin_form, from_cos_sin_rows, run_pairs, window_runs
 
 __all__ = [
     "planar_equilibria",
@@ -189,8 +189,8 @@ def orbit_guess_vector(cfg, eq_xy, amp: float, omega: float, K: int):
         rows.append(1.0 / r)
     # the window of the samples' Fourier coefficients, N >= 2K - 1 of them
     coeffs = np.fft.fft(np.array(rows), axis=-1)[:, numerics.kvals(K) % N] / N
-    slots = class_slots(K, 1)
-    A = stages._unpack(coeffs.ravel()[slots], 0, K, slots)[1]
+    layout = SpaceLayout(0, K, 1)
+    A = layout.unpack(layout.pack((), coeffs))[1]
     return np.concatenate([np.zeros(4, dtype=complex), A.ravel()])
 
 
@@ -200,47 +200,42 @@ def _level(g, ms) -> complex:
     return _H_QUAD @ (g[:6] * g[:6]) + 2.0 * (ms @ g[6:])
 
 
-def _orbit_rows(z, K: int) -> np.ndarray:
-    """The nine window rows of a packed (omega, y, A) of `_level_problem`."""
-    return stages._unpack(z, 5, K, class_slots(K, 1))[1]
-
-
-def _level_problem(cfg, K: int, H: float, anchor: model.PhaseAnchor):
+def _level_problem(cfg, layout: SpaceLayout, H: float, anchor: model.PhaseAnchor):
     """Square system for the orbit of the family on the Jacobi level H.
 
-    The unknowns are (omega, y, A), A on class +1 of Q, where the orbit lies
-    (`stages`).  Row 0 is H(g) - H at the angle-zero point g = sum_k A_k;
-    the other rows are the order-0 map of `stages._orbit_residual`, with the
-    frequency free.  The level fixes the spot on the family and the phase
-    row fixes time translation.  H(g) is real when A is real-symmetric, so
-    Newton started on a real orbit stays on the real family.
+    The unknowns are (omega, y, A), packed on `layout`, five scalars and
+    class +1 of Q, where the orbit lies (`stages`).  Row 0 is H(g) - H at
+    the angle-zero point g = sum_k A_k; the other rows are the order-0 map
+    of `stages._orbit_residual`, with the frequency free.  The level fixes
+    the spot on the family and the phase row fixes time translation.  H(g)
+    is real when A is real-symmetric, so Newton started on a real orbit
+    stays on the real family.
     """
     ms, pos = numerics.cfg_floats(cfg)
-    kv = numerics.kvals(K)
-    n = 2 * K - 1
-    slots = class_slots(K, 1)
+    orbit = SpaceLayout(4, layout.K, layout.cls)
 
     def residual(z):
-        g = _orbit_rows(z, K).sum(axis=1)
+        g = layout.unpack(z)[1].sum(axis=1)
         return np.concatenate([[_level(g, ms) - H],
-                               stages._orbit_residual(z[1:], z[0], anchor, K, ms, pos,
-                                                      slots)])
+                               stages._orbit_residual(z[1:], z[0], anchor, orbit, ms, pos)])
 
     def jacobian(z):
-        A = _orbit_rows(z, K)
+        A = layout.unpack(z)[1]
         g = A.sum(axis=1)
         J = np.zeros((len(z), len(z)), dtype=complex)
         # dH/dA_{i,k} = dH/dg_i for every k of component i
-        J[0, 5:] = np.repeat(np.concatenate([2.0 * _H_QUAD * g[:6], 2.0 * ms]), n)[slots]
-        stages._orbit_jacobian(z[1:], z[0], anchor, K, ms, pos, slots, out=J[1:, 1:])
-        J[5:, 0] = (-1j * kv * A).ravel()[slots]
+        for i, dg in enumerate(np.concatenate([2.0 * _H_QUAD * g[:6], 2.0 * ms])):
+            J[0, layout.slices[5 + i]] = dg
+        stages._orbit_jacobian(z[1:], z[0], anchor, orbit, ms, pos, out=J[1:, 1:])
+        J[5:, 0] = layout.pack((), -1j * numerics.kvals(layout.K) * A)
         return J
 
     return residual, jacobian
 
 
-def _walk_level(cfg, eq_xy, H_target: float, K: int):
-    """The level walk at K; returns the last solve's (z, anchor).
+def _walk_level(cfg, eq_xy, H_target: float, layout: SpaceLayout):
+    """The level walk on `layout`, the unknowns of `_level_problem` at the
+    walk's K; returns the last solve's (z, anchor).
 
     It solves the linear guess at amplitude _AMP0 on its own level, then
     walks toward H_target in sigma = sqrt|H - H_eq|, about the orbit's
@@ -257,12 +252,12 @@ def _walk_level(cfg, eq_xy, H_target: float, K: int):
     and 4 Newton steps: 15 Jacobians.
     """
     ms, _ = numerics.cfg_floats(cfg)
-    slots = np.concatenate([np.arange(5), 5 + class_slots(K, 1)])
     wz = vertical_frequency(cfg, eq_xy)
-    z_eq, z = (np.concatenate([[complex(wz)], orbit_guess_vector(cfg, eq_xy, amp, wz, K)])
-               [slots] for amp in (0.0, _AMP0))
+    z_eq, z = (layout.pack(np.concatenate([[complex(wz)], v[:4]]), v[4:].reshape(9, -1))
+               for v in (orbit_guess_vector(cfg, eq_xy, amp, wz, layout.K)
+                         for amp in (0.0, _AMP0)))
     H_eq = _level(embed_point(cfg, [eq_xy[0], 0.0, eq_xy[1], 0.0, 0.0, 0.0]), ms).real
-    H = level = _level(_orbit_rows(z, K).sum(axis=1), ms).real
+    H = level = _level(layout.unpack(z)[1].sum(axis=1), ms).real
     if (H_target - H) * (H - H_eq) < 0.0:
         raise SeedFailure("level %r is on the far side of the walk's start %r"
                           % (float(H_target), float(H)))
@@ -271,10 +266,10 @@ def _walk_level(cfg, eq_xy, H_target: float, K: int):
     prev = cur = (0.0, z_eq)
     sigma = step = np.sqrt(abs(H - H_eq))
     while True:
-        anchor = phase_anchor(cfg, _orbit_rows(z, K).sum(axis=1).real)
+        anchor = phase_anchor(cfg, layout.unpack(z)[1].sum(axis=1).real)
         guess = z
         try:
-            z = stages.newton_stage(_level_problem(cfg, K, level, anchor), z)
+            z = stages.newton_stage(_level_problem(cfg, layout, level, anchor), z)
             # the start solve has no predictor step
             if cur[0] != 0.0 and (np.linalg.norm(z - guess)
                                   > _CORRECTOR_RATIO * np.linalg.norm(guess - cur[1])):
@@ -322,19 +317,20 @@ def orbit_to_jacobi(cfg, eq_xy, H_target: float, K: int, nu: float):
                           % (float(eq_xy[0]), float(eq_xy[1]), float(lo), float(hi),
                              _ISOTROPY))
     Kw = min(K, _K_WALK)
-    z, anchor = _walk_level(cfg, eq_xy, H_target, Kw)
+    walk, layout = SpaceLayout(5, Kw, 1), SpaceLayout(5, K, 1)
+    z, anchor = _walk_level(cfg, eq_xy, H_target, walk)
     if K > Kw:
         pad = K - Kw
-        A = np.pad(_orbit_rows(z, Kw), ((0, 0), (pad, pad)))
-        z = np.concatenate([z[:5], A.ravel()[class_slots(K, 1)]])
+        A = np.pad(walk.unpack(z)[1], ((0, 0), (pad, pad)))
+        z = layout.pack(z[:5], A)
         anchor = phase_anchor(cfg, A.sum(axis=1).real)
         try:
-            z = stages.newton_stage(_level_problem(cfg, K, H_target, anchor), z)
+            z = stages.newton_stage(_level_problem(cfg, layout, H_target, anchor), z)
         except numerics.NewtonDivergence as exc:
             raise SeedFailure("level polish at K=%d from the K=%d walk diverged: %s"
                               % (K, Kw, exc)) from exc
     sol = stages.OrbitSolution(float(z[0].real), K, nu, anchor, z[1:5].real + 0j,
-                               _orbit_rows(z, K))
+                               layout.unpack(z)[1])
     return sol, jacobi_mid(cfg, sol.coeffs.sum(axis=1).real)
 
 
@@ -351,15 +347,15 @@ def bundle_guess(cfg, sol: stages.OrbitSolution, kind: str, k0: int,
     The Hill matrix B is the window block of the bundle stage's operator
     h -> DF(a0) h - i omega k h, cropped to Kh = min(K, _K_WALK) modes.  B
     maps each class of Q to itself (`stages`), and the cos/sin form of a
-    class block (`stages._cos_sin_form`) with the pair rows halved is
+    class block (`opbound.cos_sin_form`) with the pair rows halved is
     T^-1 B T, real for a real orbit: two real eigs of half the size give the
     spectrum.  It repeats as lambda + i omega j, and truncation spoils the
     copies far from the strip |Im lambda| < omega / 2: lambda is the
     eigenvalue in the strip, of either class, with the largest real part
     ("unstable") or the smallest ("stable"), and a SeedFailure if it is not
-    real.  Its eigenvector, carried back by T, lies in its class; it is
-    zero-padded to K and scaled to xi0, and `stages.start_jet_table`
-    polishes both at K.
+    real.  Its eigenvector, carried back by T (`opbound.from_cos_sin_rows`),
+    lies in its class; it is zero-padded to K and scaled to xi0, and
+    `stages.start_jet_table` polishes both at K.
     """
     stages._check_kind(kind)
     K, Kh = sol.K, min(sol.K, _K_WALK)
@@ -369,14 +365,12 @@ def bundle_guess(cfg, sol: stages.OrbitSolution, kind: str, k0: int,
     spectra = []
     for cls in (1, -1):
         layout = SpaceLayout(0, Kh, cls)
-        runs = stages._window_runs(layout)
-        M, _ = stages._cos_sin_form(
-            numerics.base_block(const, kers, Kh, diag, slots=layout.slots), 0, runs)
-        for run in runs:
-            for rows in stages._run_pairs(M, *run, 0)[:2]:
+        M, _ = cos_sin_form(numerics.base_block(const, kers, layout, diag), layout)
+        for run in window_runs(layout):
+            for rows in run_pairs(M, *run, 0)[:2]:
                 rows *= 0.5
         lams, vecs = np.linalg.eig(M)
-        spectra += [(lam, layout, runs, vecs[:, j]) for j, lam in enumerate(lams)]
+        spectra += [(lam, layout, vecs[:, j]) for j, lam in enumerate(lams)]
     lams = np.array([t[0] for t in spectra])
     strip = np.flatnonzero(np.abs(lams.imag) < 0.5 * sol.omega)
     i_s = strip[np.argmin(lams.real[strip])]
@@ -389,15 +383,10 @@ def bundle_guess(cfg, sol: stages.OrbitSolution, kind: str, k0: int,
     if lams[i].imag != 0.0:
         raise SeedFailure("the %s Floquet exponent %r is not real"
                           % (kind, complex(lams[i])))
-    _, layout, runs, vec = spectra[i]
-    h = vec[:, None].astype(complex)  # mode 0 stays
-    for run in runs:
-        c, s, _ = stages._run_pairs(vec[:, None], *run, 0)
-        hp, hm, _ = stages._run_pairs(h, *run, 0)
-        hp[...], hm[...] = c + 1j * s, c - 1j * s
-    coeffs = np.pad(stages._unpack(h[:, 0], 0, Kh, layout.slots)[1],
-                    ((0, 0), (K - Kh, K - Kh)))
-    S = coeffs[:, K - k0:K + k0 - 1].sum(axis=1)
+    _, layout, vec = spectra[i]
+    h = from_cos_sin_rows(vec.real[:, None], vec.imag[:, None], layout)[:, 0]
+    coeffs = np.pad(layout.unpack(h)[1], ((0, 0), (K - Kh, K - Kh)))
+    S = numerics.crop(coeffs, k0).sum(axis=1)
     scale = np.sqrt(complex(xi0) / np.sum(S * S))
     coeffs *= scale
     return float(lams[i].real), coeffs

@@ -42,7 +42,8 @@ commutes, up to rounding, with the conjugate reflection R,
 (R h)_k = conj(h_-k), because the orbit is real.  T^H J T is then real for
 the T that takes each pair of modes (k, -k) to (cos, sin), and
 A = T B T^H with B a float64 inverse of M, the real part of the float
-T^H J T (`_cos_sin_inverse`).  Z0 is the sum of three terms: |I - B M|
+T^H J T (`opbound.cos_sin_inverse`; opbound owns T, the slots of each class
+and the packing of X).  Z0 is the sum of three terms: |I - B M|
 carried back by |T| and |T^-1|, ||A|| times what M misses of T^H J T (its
 imaginary part and the rounding of forming it), and the rounding of
 forming A times ||J||.  Of |I - B M| the bound reads only the weighted
@@ -169,7 +170,6 @@ from .ivarray import (
     _ETA,
     _dn,
     _gemm_gamma,
-    _U,
     _up,
 )
 from .opbound import (
@@ -177,7 +177,7 @@ from .opbound import (
     SpaceLayout,
     block_norms,
     class_slots,
-    group_col_sums,
+    cos_sin_inverse,
     group_vec_norms,
     norm_rows,
     opnorm_upper,
@@ -456,17 +456,16 @@ class _StageContext:
         self.dconst = CArr.point(self.const.astype(complex)).add(CArr(*centre))
         self._build_monomials()
 
-    def window_block(self, s: float, slots=None) -> np.ndarray:
-        """Float window block of h -> DF0 h - i omega k h - s h, built afresh:
-        whole, or on the slots of one class of Q."""
-        return numerics.base_block(self.fconst, self.fkers, self.K,
-                                   -1j * self.omega * numerics.kvals(self.K) - s,
-                                   slots=slots)
+    def window_block(self, s: float, layout: SpaceLayout) -> np.ndarray:
+        """Float window block of h -> DF0 h - i omega k h - s h, built afresh,
+        on the window slots of `layout`: whole, or one class of Q."""
+        return numerics.base_block(self.fconst, self.fkers, layout,
+                                   -1j * self.omega * numerics.kvals(self.K) - s)
 
     def jet_operator_data(self, s: float, cls: int) -> "_OperatorData":
         """What `_operator` reads for the jets of class cls with shift s."""
         layout = SpaceLayout(0, self.K, cls)
-        J = self.window_block(s, layout.slots)
+        J = self.window_block(s, layout)
         return _OperatorData(layout=layout, s=s, J=J,
                              window_defect=_window_defect(self, J, layout, s),
                              scalar_tail_sup=np.zeros((0, 9)), ycol_tail_mags=[])
@@ -510,19 +509,6 @@ def newton_stage(problem, guess) -> np.ndarray:
     return numerics.newton_polish(residual, jacobian, guess, tol=NEWTON_TOL)
 
 
-def _pack(scalars, A, slots):
-    """[scalars, the slots `slots` of the window rows A flattened]."""
-    return np.concatenate([np.asarray(scalars, dtype=complex).ravel(),
-                           np.asarray(A, dtype=complex).ravel()[slots]])
-
-
-def _unpack(z, ns: int, K: int, slots):
-    """(scalars, the nine window rows) of a z packed by `_pack`, zero off slots."""
-    A = np.zeros(9 * (2 * K - 1), dtype=complex)
-    A[slots] = z[ns:]
-    return z[:ns], A.reshape(9, -1)
-
-
 def _class_of(stage, mags, K: int, cls=None) -> int:
     """The class of Q of a centre whose moduli are mags (nine windows of
     2K - 1): cls, or the class of its largest entry.  With a stage, an exact
@@ -542,14 +528,15 @@ def _jet_class(jet: "JetTable", p: int) -> int:
     return _class_of("order1", [s.c.mag() for s in jet.orders[(1, 0)]], jet.K) ** p
 
 
-def _orbit_residual(z, omega, anchor, K: int, ms, pos, slots):
+def _orbit_residual(z, omega, anchor, layout: SpaceLayout, ms, pos):
     """Order-zero residual [eta, F(a) - i omega k a + G(y, a) on the window
-    slots `slots`] at z = [y, a on those slots] (`_pack`)."""
-    y, A = _unpack(z, 4, K, slots)
-    n = 2 * K - 1
+    slots of `layout`] at z = [y, a on those slots] (`SpaceLayout.pack`,
+    ns = 4)."""
+    y, A = layout.unpack(z)
+    K = layout.K
     diag = -1j * omega * numerics.kvals(K)
     F = numerics.field_grid([{(0, 0): a} for a in A], ms, pos, cap=0)
-    rows = np.zeros((9, n), dtype=complex)
+    rows = np.zeros_like(A)
     for i in range(9):
         rows[i] = numerics.crop(F[i][(0, 0)], K) + diag * A[i]
     rows[1] += y[0] * A[1]
@@ -558,10 +545,10 @@ def _orbit_residual(z, omega, anchor, K: int, ms, pos, slots):
         cube = np.convolve(np.convolve(w, w), w)
         rows[6 + j] += y[1 + j] * numerics.crop(cube, K)
     eta, _ = model.eta_terms(A.sum(axis=1), anchor, pos)
-    return _pack(eta, rows, slots)
+    return layout.pack(eta, rows)
 
 
-def _orbit_jacobian(z, omega, anchor, K: int, ms, pos, slots, out=None, kernels=None):
+def _orbit_jacobian(z, omega, anchor, layout: SpaceLayout, ms, pos, out=None, kernels=None):
     """Jacobian of `_orbit_residual` in (y, a) at fixed omega and y = 0.
 
     It reads no y: the y-terms of the a-derivative, y0 on component 1 and
@@ -571,34 +558,26 @@ def _orbit_jacobian(z, omega, anchor, K: int, ms, pos, slots, out=None, kernels=
     terms at y_bar in Z1.  Written into out (a zero square view of the same
     order) when given.  kernels is (const, kers) of
     `numerics.derivative_kernels` at the rows of z, when the caller already
-    has them.  z, the rows and the columns hold the window slots `slots`.
+    has them.  z, the rows and the columns hold the slots of `layout` (ns = 4).
     """
-    _, A = _unpack(z, 4, K, slots)
-    n = 2 * K - 1
-    N = 4 + len(slots)
+    _, A = layout.unpack(z)
+    K, N = layout.K, layout.n
     J = np.zeros((N, N), dtype=complex) if out is None else out
     _, gradient = model.eta_terms(A.sum(axis=1), anchor, pos)
     for r, row in enumerate(gradient):
-        J[r, 4:] = np.array([row.get(j, 0.0) for j in range(9)])[slots // n]
+        for j, c in row.items():
+            J[r, layout.slices[4 + j]] = c
     if kernels is None:
         kernels = numerics.derivative_kernels(A, ms, pos)
     const, kers = kernels
-    numerics.base_block(const, kers, K, -1j * omega * numerics.kvals(K), out=J[4:, 4:],
-                        slots=slots)
-    cols = np.zeros((4, 9, n), dtype=complex)
+    numerics.base_block(const, kers, layout, -1j * omega * numerics.kvals(K), out=J[4:, 4:])
+    cols = np.zeros((4, 9, 2 * K - 1), dtype=complex)
     cols[0, 1] = A[1]
     for j in range(3):
         w = A[6 + j]
         cols[1 + j, 6 + j] = numerics.crop(np.convolve(np.convolve(w, w), w), K)
-    J[4:, :4] = cols.reshape(4, -1)[:, slots].T
+    J[4:, :4] = cols.reshape(4, -1)[:, layout.slots].T
     return J
-
-
-def _window_sum(A: np.ndarray, K: int, k0: int) -> np.ndarray:
-    n = 2 * K - 1
-    lo = max(K - 1 - (k0 - 1), 0)
-    hi = min(K - 1 + k0, n)
-    return A[:, lo:hi].sum(axis=1)
 
 
 def _xi_cols(layout: SpaceLayout, k0: int) -> list:
@@ -616,7 +595,7 @@ def _bundle_jacobian(base: np.ndarray, z, layout: SpaceLayout, k0: int) -> np.nd
     J = np.zeros((N, N), dtype=complex)
     J[1:, 1:] = base - lam * np.eye(N - 1)
     J[1:, 0] = -z[1:]
-    S = _window_sum(_unpack(z, 1, layout.K, layout.slots)[1], layout.K, k0)
+    S = numerics.crop(layout.unpack(z)[1], k0).sum(axis=1)
     for i, cols in enumerate(_xi_cols(layout, k0)):
         J[0, cols] = 2.0 * S[i]
     return J
@@ -627,10 +606,10 @@ def bundle_problem(jet: "JetTable", cfg, cls: int):
     center, a_1 in class cls of Q, packed as [lambda, its slots]."""
     K, k0, xi0 = jet.K, jet.k0, jet.xi0
     layout = SpaceLayout(1, K, cls)
-    base = _context_for(jet, cfg).window_block(0.0, layout.slots)
+    base = _context_for(jet, cfg).window_block(0.0, layout)
 
     def residual(z):
-        S = _window_sum(_unpack(z, 1, K, layout.slots)[1], K, k0)
+        S = numerics.crop(layout.unpack(z)[1], k0).sum(axis=1)
         xi = np.sum(S * S) - xi0
         return np.concatenate([[xi], base @ z[1:] - z[0] * z[1:]])
 
@@ -646,17 +625,17 @@ def jet_problem(alpha, jet: "JetTable", cfg):
     alpha = _solved_jet(alpha)
     ctx = _context_for(jet, cfg)
     rhs, _ = _jet_rhs(_level_fields(jet, cfg, sum(alpha)), alpha)
-    base = ctx.window_block(sum(alpha) * jet.lambda_bar)
-    Rwin = _rhs_window(rhs, ctx.K)
+    base = ctx.window_block(sum(alpha) * jet.lambda_bar, SpaceLayout(0, ctx.K))
+    Rwin = _rhs_window(rhs, ctx.K).ravel()
     return (lambda z: base @ z + Rwin), (lambda z: base)
 
 
 def _rhs_window(rhs, K: int) -> np.ndarray:
-    """The window of a jet's right-hand side, packed: the float lane of its
-    remainder, which the certificate of the jet reads too."""
+    """The window of a jet's right-hand side, nine rows: the float lane of
+    its remainder, which the certificate of the jet reads too."""
     return np.array([np.zeros(2 * K - 1, dtype=complex) if f is None
                      else numerics.crop(f, K)
-                     for f in rhs]).ravel()
+                     for f in rhs])
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +665,6 @@ class _Operator(NamedTuple):
     the tail), and the bounds that read A but not the stage's residual."""
 
     layout: SpaceLayout
-    K: int
     nu: float
     omega: float
     s: float
@@ -756,176 +734,6 @@ def _affine_residual(ctx: "_StageContext", rows, s: float, rhs=None) -> list:
     return out
 
 
-def _run_pairs(X: np.ndarray, start: int, count: int, L: int, axis: int):
-    """Views (plus, minus, zero) of `count` windows of L entries of X from
-    entry start on, along axis 0 (rows) or 1 (columns), made by reshaping
-    to (count, L): each window holds the modes of one component in
-    ascending order, the same |k| on both sides, so entry j of plus and of
-    minus are the j-th smallest k > 0 and its -k, and zero is mode 0 (None
-    when the window holds none)."""
-    h, odd = divmod(L, 2)
-    if axis == 0:
-        v = X[start:start + count * L].reshape(count, L, -1)
-        return v[:, h + odd:], v[:, :h][:, ::-1], (v[:, h] if odd else None)
-    v = X[:, start:start + count * L].reshape(-1, count, L)
-    return v[..., h + odd:], v[..., :h][..., ::-1], (v[..., h] if odd else None)
-
-
-def _window_runs(layout: SpaceLayout) -> list:
-    """The windows of `layout` as runs (start, count, L) for `_run_pairs`:
-    count neighbouring components whose windows have L slots each, from
-    slot start on.  A window of one class of Q has K or K - 1 slots."""
-    runs = []
-    for sl in layout.slices[layout.ns:]:
-        L = sl.stop - sl.start
-        if runs and runs[-1][2] == L:
-            runs[-1][1] += 1
-        elif L:
-            runs.append([sl.start, 1, L])
-    return runs
-
-
-def _cos_sin_form(J: np.ndarray, ns: int, runs: list):
-    """(M, Im), the real and imaginary part of the float T^H J T, on the ns
-    scalars and the windows `runs` (`_window_runs`).
-
-    T^H takes each pair of rows (h_k, h_-k) to (h_k + h_-k, i (h_-k - h_k)),
-    T each pair of columns (x_k, x_-k) to (x_k + x_-k, i (x_k - x_-k)); the
-    scalars and mode 0 stay.  Each entry is two rounded sums, the second
-    step made in place."""
-    N = J.shape[0]
-    jr, ji = J.real, J.imag
-    yr, yi = np.empty((N, N)), np.empty((N, N))
-    yr[:ns], yi[:ns] = jr[:ns], ji[:ns]
-    for run in runs:
-        (rp, rm, r0), (ip, im, i0) = _run_pairs(jr, *run, 0), _run_pairs(ji, *run, 0)
-        (yrp, yrm, yr0), (yip, yim, yi0) = _run_pairs(yr, *run, 0), _run_pairs(yi, *run, 0)
-        np.add(rp, rm, out=yrp)
-        np.add(ip, im, out=yip)
-        np.subtract(ip, im, out=yrm)
-        np.subtract(rm, rp, out=yim)
-        if r0 is not None:
-            yr0[...], yi0[...] = r0, i0
-    for run in runs:
-        (rp, rm, _), (ip, im, _) = _run_pairs(yr, *run, 1), _run_pairs(yi, *run, 1)
-        t = rp - rm
-        rp += rm
-        np.subtract(im, ip, out=rm)
-        ip += im
-        im[...] = t
-    return yr, yi
-
-
-def _from_cos_sin(B: np.ndarray, ns: int, runs: list, zr: np.ndarray,
-                  zi: np.ndarray) -> np.ndarray:
-    """T B T^H for a real B, as a complex array, on the scalars and the
-    windows `runs` (`_window_runs`); zr and zi are work arrays of B's shape.
-    B T^H only moves entries and flips signs; T then makes each part of an
-    entry one rounded sum."""
-    N = B.shape[0]
-    zr[:, :ns], zi[:, :ns] = B[:, :ns], 0.0
-    for run in runs:
-        bp, bm, b0 = _run_pairs(B, *run, 1)
-        (rp, rm, r0), (ip, im, i0) = _run_pairs(zr, *run, 1), _run_pairs(zi, *run, 1)
-        rp[...], rm[...] = bp, bp
-        np.negative(bm, out=ip)
-        im[...] = bm
-        if b0 is not None:
-            r0[...], i0[...] = b0, 0.0
-    A = np.empty((N, N), dtype=complex)
-    ar, ai = A.real, A.imag
-    ar[:ns], ai[:ns] = zr[:ns], zi[:ns]
-    for run in runs:
-        (rp, rm, r0), (ip, im, i0) = _run_pairs(zr, *run, 0), _run_pairs(zi, *run, 0)
-        (arp, arm, ar0), (aip, aim, ai0) = _run_pairs(ar, *run, 0), _run_pairs(ai, *run, 0)
-        np.subtract(rp, im, out=arp)
-        np.add(ip, rm, out=aip)
-        np.add(rp, im, out=arm)
-        np.subtract(ip, rm, out=aim)
-        if r0 is not None:
-            ar0[...], ai0[...] = r0, i0
-    return A
-
-
-def _cos_sin_weights(layout: SpaceLayout, nu: float) -> np.ndarray:
-    """The weight of each slot in a row of |T| E: that row is the sum of the
-    rows c_k and s_k, which carry the weight of k, so a slot of k != 0
-    weighs 2 nu^|k| (T is the identity on the scalars and on mode 0)."""
-    w_up, _ = layout.weights_up(nu)
-    return np.where(layout.kabs > 0, 2.0 * w_up, w_up)
-
-
-def _cos_sin_block_norms(S: np.ndarray, layout: SpaceLayout, nu: float) -> np.ndarray:
-    """`block_norms` of |T| E |T^-1| for a nonnegative E, from S, an upper
-    bound of W E, the column sums of E over each row group weighted by
-    `_cos_sin_weights`: a column of E |T^-1| is half the sum of the columns
-    c_l and s_l."""
-    ns = layout.ns
-    _, winv = layout.weights_up(nu)
-    P = S.copy()
-    for run in _window_runs(layout):
-        (plus, minus, _), (pp, pm, _) = _run_pairs(S, *run, 1), _run_pairs(P, *run, 1)
-        pp[...] = pm[...] = _up(plus + minus) * 0.5
-    P[:, ns:] = _up(P[:, ns:] * winv[ns:])
-    return np.array([P[:, sl].max(axis=1, initial=0.0) for sl in layout.slices]).T
-
-
-def _cos_sin_inverse(J: np.ndarray, layout: SpaceLayout, nu: float):
-    """(Jhat, z0, z0_per_normA) for a real shift, made in the cos/sin basis.
-
-    T is the identity on the scalars and on mode 0 and takes the slots
-    (k, -k) of a pair to (cos, sin), h_k = c + i s and h_-k = c - i s; so
-    T^H = 2 T^-1 on the pairs, and both have entries 1 and +-i only.  T maps
-    each class of Q to itself, since k and -k share it, so it acts on the
-    layout's class alone.  When J commutes with the conjugate reflection R,
-    (R h)_k = conj(h_-k), T^H J T is real.  M is the real part of its float
-    value, B = inv(M) in float64, and Jhat = T B T^H, formed in O(N^2), is
-    the approximate inverse A that every bound and the jets' step read.
-
-    With A' = T B T^H exact and norms of the real slots weighted as their
-    modes, ||I - Jhat J|| <= z0 + z0_per_normA ||Jhat|| from three terms:
-
-    * ||T (I - B M) T^-1||, the block-norm bound of |T| |I - B M| |T^-1|
-      (`_cos_sin_block_norms`), which reads only W |I - B M|: the column
-      sums over each row group, weighted by `_cos_sin_weights`.
-      |I - B M| is at most the float product's |I - fl(B M)| plus the gemm
-      error gamma |B| |M|, which enters as (W |B|) |M|, a product of ns + 9
-      rows, so the only N^3 products are the inverse and B M;
-    * ||A'|| ||(T^H)^-1 (T^H J T - M) T^-1||, where (T^H)^-1 is T / 2 on
-      the pairs and it and T^-1 have norm 1.  T^H J T - M is the imaginary
-      part of the float value plus the rounding of its two sums, at most
-      2.0001 u |T^H| |J| |T|; |T / 2| |T^H| = |T| |T^-1| = P adds the
-      slots k and -k, and ||P|| = 2, so the rounding adds 8.0004 u ||J||;
-    * ||A' - Jhat|| ||J||, where each part of an entry of Jhat is one
-      rounded sum, so |A' - Jhat| <= 1.0001 u |Jhat|.
-
-    ||Jhat|| is read from |Jhat| rounded up, so ||A'|| is at most 1 + 4u
-    times it and the third term at most 4u ||J|| times it.
-    """
-    ns, N = layout.ns, layout.n
-    runs = _window_runs(layout)
-    M, Im = _cos_sin_form(J, ns, runs)
-    norm_im = opnorm_upper(block_norms(np.abs(Im, out=Im), layout, nu))
-    # np.abs of a complex entry is within 1 + 4u of its modulus
-    norm_J = float(_up(opnorm_upper(block_norms(np.abs(J, out=Im), layout, nu))
-                       * (1.0 + 4.0 * _U)))
-    w = _cos_sin_weights(layout, nu)
-    B = np.linalg.inv(M)
-    # |I - fl(B M)|: the diagonal's - 1 rounds once, which the 1 + 4u below
-    # covers
-    E = B @ M
-    E[np.diag_indices(N)] -= 1.0
-    S = group_col_sums(w, np.abs(E, out=E), layout)
-    V = group_col_sums(w, np.abs(B, out=E), layout)
-    del E
-    S = _up(S + _up(_gemm_gamma(N) * mm_up_nonneg(V, np.abs(M, out=M))))
-    z0 = float(_up(opnorm_upper(_cos_sin_block_norms(S, layout, nu)) * (1.0 + 4.0 * _U)))
-    inner = _up(norm_im + _up(9.0 * _U * norm_J))
-    per = float(_up(_up(inner * (1.0 + 4.0 * _U)) + _up(4.0 * _U * norm_J)))
-    # M and Im are spent: they are the work arrays of Jhat
-    return _from_cos_sin(B, ns, runs, M, Im), z0, per
-
-
 def _group_max(v: np.ndarray, ns: int, tail) -> float:
     """max over the groups of X of a per-group bound v: the ns scalar
     entries as they are, each window's entry plus its tail term, rounded up."""
@@ -937,7 +745,7 @@ def _operator(ctx: _StageContext, d: _OperatorData) -> _Operator:
     its scalars and its class of Q.
 
     The real shift s makes the inverse in the cos/sin basis
-    (`_cos_sin_inverse`), and Z0 sums three terms there: the real product
+    (`opbound.cos_sin_inverse`), and Z0 sums three terms there: the real product
     |I - B M| carried back by |T| and |T^-1|, ||A|| times what M misses of
     T^H J T, and the rounding of forming A times ||J||.  ||A||, Z1_window
     and Z1_tail read the complex Jhat and |Jhat|, taken once from Jhat's
@@ -945,7 +753,7 @@ def _operator(ctx: _StageContext, d: _OperatorData) -> _Operator:
     K, nu, omega, s, layout = ctx.K, ctx.nu, ctx.omega, d.s, d.layout
     ns, N = layout.ns, layout.n
     ngroups = ns + 9
-    Jhat, z0, z0_per_normA = _cos_sin_inverse(d.J, layout, nu)
+    Jhat, z0, z0_per_normA = cos_sin_inverse(d.J, layout, nu)
     # np.abs rounds a modulus to nearest, down about half the time
     absJ = cmat_abs_up(Jhat, None)
 
@@ -966,13 +774,12 @@ def _operator(ctx: _StageContext, d: _OperatorData) -> _Operator:
     # the tail columns l of |DF_kl| nu^-|l|; a row reads the profile at its
     # mode, the sup over every tail column, of its class or not
     U = np.zeros((N, ngroups))
-    pos = layout.slots % (2 * K - 1)
     for j in range(9):
         U[:ns, ns + j] = d.scalar_tail_sup[:, j]
         for i in range(9):
             if ctx.kmags[i][j] is not None:
                 sl = layout.slices[ns + i]
-                U[sl, ns + j] = ctx.kprofiles[i][j][pos[sl.start - ns:sl.stop - ns]]
+                U[sl, ns + j] = ctx.kprofiles[i][j][layout.wpos[sl]]
     Wmat = mm_up_nonneg(absJ, U)
     del absJ
     Np = np.zeros((ngroups, ngroups))
@@ -999,8 +806,7 @@ def _operator(ctx: _StageContext, d: _OperatorData) -> _Operator:
                 t = _seq_tail_weighted(mags, K, nu, omega, s)
                 Np[R, col] = _up(Np[R, col] + t)
     Z1_tail = max(up_sum(Np[R]) for R in range(ngroups))
-    return _Operator(layout, K, nu, omega, s, Jhat, Z0, normA, normA_seq,
-                     Z1_window, Z1_tail)
+    return _Operator(layout, nu, omega, s, Jhat, Z0, normA, normA_seq, Z1_window, Z1_tail)
 
 
 def _certify(op: _Operator, asm: _Assembled, digests: list) -> list:
@@ -1011,14 +817,13 @@ def _certify(op: _Operator, asm: _Assembled, digests: list) -> list:
     The batch shares the operator: A is applied to the residual windows of
     all its stages in one `cmm`, whose columns are those of each stage
     alone, and the tail sums of each component run over the stack."""
-    layout, K, nu, omega, s = op.layout, op.K, op.nu, op.omega, op.s
-    ns = layout.ns
+    layout, nu, omega, s = op.layout, op.nu, op.omega, op.s
+    ns, K = layout.ns, layout.K
     # the residuals on the class, one column per stage; the exact ones have
     # nothing off it
-    keep = np.concatenate([np.arange(ns), ns + layout.slots])
-    vm, vr = (np.concatenate([asm.resid_scalars[t]] + [numerics.crop(seq[t], K)
-                                                       for seq in asm.resid_seqs],
-                             axis=-1)[:, keep].T
+    vm, vr = (layout.pack(asm.resid_scalars[t],
+                          np.stack([numerics.crop(seq[t], K) for seq in asm.resid_seqs],
+                                   axis=-2)).T
               for t in (0, 1))
     absY = cmat_abs_up(*cmm(op.Jhat, None, vm, vr))
     tails = np.array([_seq_tail_weighted(g, K, nu, omega, s) for _, _, g in asm.resid_seqs])
@@ -1087,7 +892,6 @@ def _window_defect(ctx: _StageContext, J: np.ndarray, layout: SpaceLayout,
     """
     ns = layout.ns
     m = ctx.omega * numerics.kvals(ctx.K).astype(float)
-    pos = layout.slots % len(m)
     gap = np.zeros((9, 9))
     groups = ([np.arange(9)] if layout.cls is None else
               [np.flatnonzero(Q_SIGMA == sg) for sg in (1, -1)])
@@ -1105,7 +909,7 @@ def _window_defect(ctx: _StageContext, J: np.ndarray, layout: SpaceLayout,
             CArr.point(Jd)).mag().max(axis=0)
         # on the diagonal blocks: -i omega k - s (s an exact float) as a
         # column, then c + ker(0)
-        mk = m[pos[sls[0].start - ns:sls[0].stop - ns]][:, None]
+        mk = m[layout.wpos[sls[0]]][:, None]
         re = np.full((L, 1), -s)
         box = CArr(re, re, -_up(mk), -_dn(mk)).add(ctx.dconst.slice((G, G)))
         ii = np.arange(len(G))
@@ -1132,8 +936,8 @@ def _assemble_orbit(sol: "OrbitSolution", ctx: _StageContext, ar):
     y = np.asarray(sol.y, dtype=complex)
     ymag = [float(_up(abs(complex(t)))) for t in y]
 
-    J = _orbit_jacobian(_pack(y, sol.coeffs, layout.slots), omega, anchor, K, ctx.ms,
-                        ctx.pos, layout.slots, kernels=(ctx.fconst, ctx.fkers))
+    J = _orbit_jacobian(layout.pack(y, sol.coeffs), omega, anchor, layout, ctx.ms,
+                        ctx.pos, kernels=(ctx.fconst, ctx.fkers))
     Nw = _window_defect(ctx, J, layout, 0.0)
     # J's y0 column (a_1) is DF's, exactly; its y_j column holds the float
     # cube, on the class, where the cube lies
@@ -1145,7 +949,7 @@ def _assemble_orbit(sol: "OrbitSolution", ctx: _StageContext, ar):
         cube = ar.mul(sq, w, 0)
         cubes.append(cube)
         pre_Z1 = max(pre_Z1, float(_up(_up(3.0 * ymag[1 + j]) * sq.norm_upper())))
-        col = _unpack(J[:, 1 + j], ns, K, layout.slots)[1][6 + j]
+        col = layout.unpack(J[:, 1 + j])[1][6 + j]
         Nw[ns + 6 + j, 1 + j] = project(cube, K).sub(FourierSeq.point(col, nu)).norm_upper()
 
     # J's eta row 0 (-u1) is DF's, exactly; rows 1..3 hold the float gradient
@@ -1202,8 +1006,8 @@ def _assemble_bundle(sol: "BundleSolution", ctx: _StageContext, r0: float):
     layout = SpaceLayout(ns, K, _class_of(tag, np.abs(rows), K))
     a1 = [FourierSeq.point(row, nu) for row in rows]
 
-    J = _bundle_jacobian(ctx.window_block(0.0, layout.slots),
-                         _pack([lam], rows, layout.slots), layout, sol.k0)
+    J = _bundle_jacobian(ctx.window_block(0.0, layout), layout.pack([lam], rows), layout,
+                         sol.k0)
 
     # J's -a_1 column is DF's, exactly; its xi row holds fl(2 S_i)
     Nw = _window_defect(ctx, J, layout, lam)
@@ -1666,6 +1470,7 @@ def _context_for(jet: "JetTable", cfg) -> _StageContext:
     return ctx
 
 
+@numerics.one_blas_thread()
 def validate_order1(solution: BundleSolution, jet: "JetTable", cfg) -> Order1Result:
     """Certify the Floquet eigenpair at an already-certified orbit."""
     ctx = _context_for(jet, cfg)
@@ -1856,12 +1661,11 @@ def start_jet_table(kind: str, sol: OrbitSolution, res: Order0Result, cfg,
     # `seeding.bundle_guess` lies in one exactly); the problem, and with it
     # Newton's N x N block, goes before order 1's operator is made
     v = np.asarray(v_guess, dtype=complex).reshape(9, 2 * sol.K - 1)
-    cls = _class_of(None, np.abs(v), sol.K)
-    slots = class_slots(sol.K, cls)
-    z = newton_stage(bundle_problem(jet, cfg, cls), _pack([lam_guess], v, slots))
+    layout = SpaceLayout(1, sol.K, _class_of(None, np.abs(v), sol.K))
+    z = newton_stage(bundle_problem(jet, cfg, layout.cls), layout.pack([lam_guess], v))
     # keep lambda real and a_1 fixed by (R a)_k = conj(a_-k), as the complex
     # solve does only up to rounding; a fixed a_1 stays put
-    a1 = _unpack(z, 1, sol.K, slots)[1]
+    a1 = layout.unpack(z)[1]
     a1 = 0.5 * (a1 + np.conj(a1[:, ::-1]))
     bsol = BundleSolution(kind, float(z[0].real), a1, k0, xi0)
     jet.lambda_bar = bsol.lam
@@ -1899,12 +1703,12 @@ def _level_parallel(jet: "JetTable", cfg, alphas, fields):
     ctx = _context_for(jet, cfg)
     p = sum(alphas[0])
     op = _operator(ctx, ctx.jet_operator_data(p * jet.lambda_bar, _jet_class(jet, p)))
-    slots = op.layout.slots
+    layout = op.layout
     rhss, rhos = zip(*(_jet_rhs(fields, alpha) for alpha in alphas))
-    Z = -matmul_by_column(op.Jhat, np.array([_rhs_window(rhs, ctx.K)[slots]
+    Z = -matmul_by_column(op.Jhat, np.array([layout.pack((), _rhs_window(rhs, ctx.K))
                                              for rhs in rhss]).T)
-    centers = [tuple(FourierSeq.point(row, ctx.nu)
-                     for row in _unpack(z, 0, ctx.K, slots)[1]) for z in Z.T]
+    centers = [tuple(FourierSeq.point(row, ctx.nu) for row in layout.unpack(z)[1])
+               for z in Z.T]
     return _certify_jets(jet, ctx, alphas, rhss, rhos, centers, op)
 
 

@@ -52,7 +52,8 @@ from fourbody.ivarray import (
     _shift_products, _step_up_in_place, _up, _up_factor,
 )
 from fourbody.model import _const_seq, _mode_sum, embedded_field, eta_terms
-from fourbody.opbound import SpaceLayout, block_norms, group_vec_norms, opnorm_upper
+from fourbody.opbound import (SpaceLayout, block_norms, cos_sin_form, group_vec_norms,
+                              opnorm_upper, run_pairs, window_runs)
 from fourbody.radii import (Certificate, NKBounds, NoNegativeRadius, _candidate_grid,
                             verify_negative)
 from fourbody.seqspace import FourierSeq, WeightMismatch, conv, project
@@ -692,7 +693,7 @@ def bundle_enclosure(sol, ctx) -> EnclMat:
 
 
 def complex_inverse(J: np.ndarray, layout, nu: float):
-    """(Jhat, Z0, 0.0) in the shape of `stages._cos_sin_inverse`, made in the
+    """(Jhat, Z0, 0.0) in the shape of `opbound.cos_sin_inverse`, made in the
     Fourier basis: Jhat = inv(J), and Z0 from one complex midpoint-radius
     product of Jhat with J."""
     Jhat = np.linalg.inv(J)
@@ -707,14 +708,13 @@ def hill_exponent_whole(cfg, sol, kind: str, Kh: int = 12) -> float:
     cos/sin form of the 9 (2 Kh - 1) window block, its pair rows halved, and
     the eigenvalue of the strip |Im lambda| < omega / 2 with the largest
     real part ("unstable") or the smallest ("stable")."""
-    from fourbody import stages
     ms, pos = numerics.cfg_floats(cfg)
     const, kers = numerics.derivative_kernels(sol.coeffs, ms, pos)
-    B = numerics.base_block(const, kers, Kh, -1j * sol.omega * numerics.kvals(Kh))
-    runs = stages._window_runs(SpaceLayout(0, Kh))
-    M, _ = stages._cos_sin_form(B, 0, runs)
-    for run in runs:
-        for rows in stages._run_pairs(M, *run, 0)[:2]:
+    whole = SpaceLayout(0, Kh)
+    B = numerics.base_block(const, kers, whole, -1j * sol.omega * numerics.kvals(Kh))
+    M, _ = cos_sin_form(B, whole)
+    for run in window_runs(whole):
+        for rows in run_pairs(M, *run, 0)[:2]:
             rows *= 0.5
     lams = np.linalg.eigvals(M)
     lams = lams[np.abs(lams.imag) < 0.5 * sol.omega]
@@ -833,7 +833,8 @@ def certify_jet_alone(table, ctx, alpha, rhs, rho, centers, op):
     p = sum(alpha)
     lam = table.lambda_bar
     s = p * lam
-    layout, K, nu = op.layout, op.K, op.nu
+    layout, nu = op.layout, op.nu
+    K = layout.K
     resid = stages._affine_residual(ctx, [row.c.mid() for row in centers], s, rhs)
     ds = (Interval.point(lam) * float(p) - s).mag()
     dd = ctx.field_dd(table.radii[(0, 0)])

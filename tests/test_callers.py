@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 import fourbody
-from fourbody import cli, stages
+from fourbody import cli, numerics, stages
 from fourbody.radii import NoNegativeRadius
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -88,6 +88,9 @@ def run_program(tmp_path, capsys, monkeypatch):
 
 
 def test_every_definition_has_a_caller(tmp_path, capsys, monkeypatch):
+    # a cached function that an earlier test already called would not be
+    # entered again, so the check would depend on the order of the tests
+    numerics._openblas_threads.cache_clear()
     entered = set()
 
     def profile(frame, event, arg):

@@ -23,8 +23,7 @@ import pytest
 
 import oracles
 from fourbody import cli, ivarray, model, numerics, seeding, seqspace, stages
-from fourbody.opbound import (Q_SIGMA, SpaceLayout, block_norms, class_slots,
-                              group_col_sums, opnorm_upper)
+from fourbody.opbound import Q_SIGMA, SpaceLayout, block_norms, class_slots, opnorm_upper
 from fourbody.radii import NoNegativeRadius, content_digest
 from fourbody.seqspace import FourierSeq
 
@@ -35,7 +34,6 @@ KIND = "unstable"
 K0 = 3
 XI0 = 1e-4
 ROOT = Path(__file__).resolve().parent.parent
-rng = np.random.default_rng(5)
 
 
 @pytest.fixture(scope="module")
@@ -443,7 +441,7 @@ def test_window_defect_dominates_the_entrywise_defect(run, monkeypatch, moved):
     for cls in (None, 1, -1):
         # the jets' class and the other one, and the whole window
         layout = SpaceLayout(0, ctx.K, cls)
-        J = ctx.window_block(s, None if cls is None else layout.slots)
+        J = ctx.window_block(s, layout)
         seen = _block_defect(oracles.base_enclosure(ctx, 0, s), J,
                              stages._window_defect(ctx, J, layout, s), ctx, layout)
         assert (seen >= 1e-9) == moved, cls
@@ -463,51 +461,6 @@ def test_pre_z1_covers_raised_unfolding_terms(run):
     assert pre_Z1 >= 1e-9 >= 1e3 * delta
 
 
-def _dense_T(ns: int, K: int) -> np.ndarray:
-    """T as a matrix: the identity on the scalars and on mode 0; the slots
-    of k and -k hold c_k and s_k, with h_k = c_k + i s_k, h_-k = c_k - i s_k."""
-    n = 2 * K - 1
-    T = np.zeros((ns + 9 * n,) * 2, dtype=complex)
-    T[np.arange(ns), np.arange(ns)] = 1.0
-    for j in range(9):
-        zero = ns + j * n + K - 1
-        T[zero, zero] = 1.0
-        for k in range(1, K):
-            p, m = zero + k, zero - k
-            T[p, p] = T[m, p] = 1.0
-            T[p, m], T[m, m] = 1j, -1j
-    return T
-
-
-def test_cos_sin_transforms_match_dense_t():
-    # the view-based transforms against T as a matrix, on random data: M and
-    # Im are T^H J T, Jhat is T B T^H, and the term-1 block norms are those
-    # of |T| E |T^-1| formed entry by entry; on the whole windows and on each
-    # class of Q, whose windows hold K or K - 1 slots: T maps each class to
-    # itself, so its block on a class is the class's T
-    ns, K, nu = 2, 4, 1.5
-    whole = _dense_T(ns, K)
-    for cls in (None, 1, -1):
-        layout = SpaceLayout(ns, K, cls)
-        keep = np.concatenate([np.arange(ns), ns + layout.slots])
-        T = whole[np.ix_(keep, keep)]
-        N = layout.n
-        runs = stages._window_runs(layout)
-        J = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-        M, Im = stages._cos_sin_form(J, ns, runs)
-        assert np.allclose(M + 1j * Im, T.conj().T @ J @ T, rtol=0, atol=1e-13), cls
-        B = rng.standard_normal((N, N))
-        work = np.empty((N, N)), np.empty((N, N))
-        assert np.allclose(stages._from_cos_sin(B, ns, runs, *work), T @ B @ T.conj().T,
-                           rtol=0, atol=1e-13), cls
-        E = np.abs(rng.standard_normal((N, N)))
-        want = block_norms(np.abs(T) @ E @ np.abs(np.linalg.inv(T)), layout, nu)
-        S = group_col_sums(stages._cos_sin_weights(layout, nu), E, layout)
-        got = stages._cos_sin_block_norms(S, layout, nu)
-        assert np.allclose(got, want, rtol=1e-13, atol=0), cls
-        assert (got >= want * (1.0 - 1e-14)).all(), cls
-
-
 @pytest.fixture(scope="module")
 def stage_ctx(run):
     """A fresh order-0 context of the run, for building operators by hand."""
@@ -524,20 +477,20 @@ def _real_shift_operators(run, ctx):
     which a bundle of class -1 would give the jets of odd order."""
     cfg, res0, _, table = run
     sol = res0.context[0]
-    whole = np.arange(9 * (2 * ctx.K - 1))
+    whole = SpaceLayout(4, ctx.K)
     yield (stages._assemble_orbit(sol, ctx, model.IntervalArith(cfg))[0],
-           stages._orbit_jacobian(stages._pack(sol.y, sol.coeffs, whole), sol.omega,
-                                  sol.anchor, ctx.K, ctx.ms, ctx.pos, whole,
-                                  kernels=(ctx.fconst, ctx.fkers)))
+           stages._orbit_jacobian(whole.pack(sol.y, sol.coeffs), sol.omega, sol.anchor,
+                                  whole, ctx.ms, ctx.pos, kernels=(ctx.fconst, ctx.fkers)))
     coeffs = np.array([a.c.mid() for a in table.orders[(1, 0)]])
     bsol = stages.BundleSolution(KIND, table.lambda_bar, coeffs, K0, XI0)
+    whole = SpaceLayout(1, ctx.K)
     yield (stages._assemble_bundle(bsol, ctx, table.radii[(0, 0)])[0],
-           stages._bundle_jacobian(ctx.window_block(0.0),
-                                   stages._pack([table.lambda_bar], coeffs, whole),
-                                   SpaceLayout(1, ctx.K), K0))
+           stages._bundle_jacobian(ctx.window_block(0.0, whole),
+                                   whole.pack([table.lambda_bar], coeffs), whole, K0))
     s = 3 * table.lambda_bar
-    yield ctx.jet_operator_data(s, 1), ctx.window_block(s)
-    yield ctx.jet_operator_data(s, -1), ctx.window_block(s)
+    whole = SpaceLayout(0, ctx.K)
+    yield ctx.jet_operator_data(s, 1), ctx.window_block(s, whole)
+    yield ctx.jet_operator_data(s, -1), ctx.window_block(s, whole)
 
 
 def _residual_seen(Jhat, J, layout, ctx) -> float:
@@ -576,7 +529,7 @@ def test_cos_sin_operator_matches_the_complex_one(run, stage_ctx, monkeypatch):
         Nw = stages._window_defect(stage_ctx, J, whole, data.s)
         Nw[:ns], Nw[:, :ns] = data.window_defect[:ns], data.window_defect[:, :ns]
         with monkeypatch.context() as m:
-            m.setattr(stages, "_cos_sin_inverse", oracles.complex_inverse)
+            m.setattr(stages, "cos_sin_inverse", oracles.complex_inverse)
             ref = stages._operator(stage_ctx, replace(data, layout=whole, J=J,
                                                       window_defect=Nw))
         block = ref.Jhat[np.ix_(keep, keep)]
@@ -869,19 +822,26 @@ def test_digests_do_not_depend_on_the_blas_thread_count(run):
 
 
 def test_public_calls_pin_one_blas_thread_and_restore_the_count(run, monkeypatch):
-    # two threads going in: one inside the jets, two again after each public
-    # call that pins, a failing one included
+    # two threads going in: one inside the jets and inside order 1's
+    # certificate, two again after each public call that pins, a failing one
+    # included; order 1 certified on its own gives the table's digest
     get, set_ = openblas_threads()
     cfg, res0, start, table = run
     sol = res0.context[0]
     inside = []
-    extend = stages._extend
 
-    def spy(jet, cfg):
-        inside.append(get())
-        return extend(jet, cfg)
+    def spy(name):
+        fn = getattr(stages, name)
 
-    monkeypatch.setattr(stages, "_extend", spy)
+        def call(*args):
+            inside.append((name, get()))
+            return fn(*args)
+        monkeypatch.setattr(stages, name, call)
+
+    spy("_extend")
+    spy("_assemble_bundle")
+    coeffs = np.array([a.c.mid() for a in table.orders[(1, 0)]])
+    bsol = stages.BundleSolution(KIND, table.lambda_bar, coeffs, K0, XI0)
     before = get()
     set_(2)
     try:
@@ -894,11 +854,14 @@ def test_public_calls_pin_one_blas_thread_and_restore_the_count(run, monkeypatch
         with pytest.raises(ValueError, match="unstabel"):
             stages.start_jet_table("unstabel", sol, res0, cfg, lam, v, K0, XI0, N_T)
         after.append(get())
+        order1 = stages.validate_order1(bsol, table, cfg)
+        after.append(get())
     finally:
         set_(before)
-    assert inside == [1]
-    assert after == [2] * 4
+    assert inside == [("_extend", 1), ("_assemble_bundle", 1)]
+    assert after == [2] * 5
     assert again.digest() == table.digest()
+    assert content_digest(order1.cert.to_json_obj()) == table.digests["order1"]
 
 
 def project_scripts(text):

@@ -13,7 +13,7 @@ import pytest
 
 import oracles
 from fourbody import model, numerics, seeding, stages
-from fourbody.opbound import class_slots
+from fourbody.opbound import SpaceLayout, class_slots
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -55,9 +55,9 @@ def counted_jacobians(monkeypatch):
     sizes = []
     jacobian = stages._orbit_jacobian
 
-    def counted(z, omega, anchor, k, *args, **kwargs):
-        sizes.append(k)
-        return jacobian(z, omega, anchor, k, *args, **kwargs)
+    def counted(z, omega, anchor, layout, *args, **kwargs):
+        sizes.append(layout.K)
+        return jacobian(z, omega, anchor, layout, *args, **kwargs)
 
     monkeypatch.setattr(stages, "_orbit_jacobian", counted)
     return sizes
@@ -185,8 +185,9 @@ def test_seeding_at_a_large_k_walks_at_a_small_one(cfg, start, monkeypatch):
         assert abs(H - (H0 - 0.3)) <= 1e-14, K
         A = sol.coeffs
         assert np.max(np.abs(A - np.conj(A[:, ::-1]))) < 1e-13, K
-        residual, _ = seeding._level_problem(cfg, K, H0 - 0.3, sol.anchor)
-        z = np.concatenate([[sol.omega], sol.y, A.ravel()[class_slots(K, 1)]])
+        layout = SpaceLayout(5, K, 1)
+        residual, _ = seeding._level_problem(cfg, layout, H0 - 0.3, sol.anchor)
+        z = layout.pack(np.concatenate([[sol.omega], sol.y]), A)
         assert np.max(np.abs(residual(z))) < stages.NEWTON_TOL, K
 
 
