@@ -1,12 +1,17 @@
-"""The coordinates of X, and verified operator-norm bookkeeping on them.
+"""The coordinates of X and its norm, with verified operator-norm bookkeeping.
 
 Every stage works on one product space X = C^ns x (l^1_nu)^9 at a window K,
 with the norm max(|scalars|, max_i ||seq_i||).  This module owns its
 coordinates: the slots of each class of the half-period reflection Q and the
 packing of a vector (`SpaceLayout`), and the cos/sin basis T in which the
-operator of a real shift is real (`cos_sin_inverse`).  A bounded operator on
-X splits into blocks indexed by (row group, column group), one group per
-scalar and one per window; its norm is bounded by
+operator of a real shift is real (`cos_sin_inverse`).  It owns the norm too:
+the bounds of the weights nu^|k| and nu^-|k| (`nu_bounds`, the one place they
+are rounded), the group and block norms, and the tail of the norm beyond the
+window, where an operator of a stage is the diagonal -i omega k - s: the tail
+weights nu^|k| / |-i omega k - s| of a sequence (`seq_tail_weighted`) and of a
+kernel's rows, with their cap on the far columns (`tail_row_bounds`).  A
+bounded operator on X splits into blocks indexed by (row group, column
+group), one group per scalar and one per window; its norm is bounded by
 
     ||B|| <= max_r sum_c N[r,c],   N[r,c] = sup_{l in c} (1/w_l) sum_{k in r} w_k |B_kl|
 
@@ -19,10 +24,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ivarray import _U, _gemm_gamma, _up, mm_up_nonneg, up_sum
+from .ivarray import _U, _dn, _gemm_gamma, _up, conv_up_nonneg, mm_up_nonneg, up_sum
 from .seqspace import nu_weights
 
 __all__ = [
+    "ResonantExponents",
+    "nu_bounds",
     "Q_SIGMA",
     "class_slots",
     "SpaceLayout",
@@ -31,6 +38,11 @@ __all__ = [
     "norm_rows",
     "opnorm_upper",
     "group_vec_norms",
+    "group_max",
+    "inv_dist_up",
+    "seq_tail_weighted",
+    "tail_col_profile",
+    "tail_row_bounds",
     "run_pairs",
     "window_runs",
     "cos_sin_form",
@@ -41,14 +53,19 @@ __all__ = [
     "cos_sin_inverse",
 ]
 
-_ETA = np.nextafter(0.0, 1.0)
+
+class ResonantExponents(ArithmeticError):
+    """The enclosure of Re(lambda) contains zero, or a tail distance
+    |-i omega k - s| is not bounded away from zero; no spectral gap."""
 
 
-def _weighted_col_sums(w, a):
-    """Upper bound of w @ a for a nonnegative weight vector w and matrix a."""
-    n = a.shape[0]
-    fac = 1.0 + (4.0 * n + 64.0) * 2.0**-50
-    return _up((w @ a) * fac + _ETA * n)
+def nu_bounds(nu: float, kabs):
+    """(w_up, winv_up): upper bounds of nu^|k| and nu^-|k| for an integer
+    array of |k| values.  fl(1 / w_dn) is one of the two floats around
+    1 / w_dn >= nu^-|k|, so one step up bounds it."""
+    kabs = np.asarray(kabs, dtype=int)
+    w_dn, w_up = nu_weights(nu, int(kabs.max()) + 1 if kabs.size else 1)
+    return w_up[kabs], _up(1.0 / w_dn)[kabs]
 
 
 # sigma_c of the half-period reflection Q, (Q h)_(c,k) = sigma_c (-1)^k h_(c,k)
@@ -101,11 +118,6 @@ class SpaceLayout:
         rows[self.slots] = z[self.ns:]
         return z[:self.ns], rows.reshape(9, -1)
 
-    def weights_up(self, nu: float):
-        """(w_up, winv_up): upper bounds of nu^|k| and nu^-|k| per slot."""
-        w_dn, w_up = nu_weights(nu, int(self.kabs.max()) + 1)
-        return w_up[self.kabs], _up(_up(1.0 / w_dn))[self.kabs]
-
 
 def group_col_sums(w, X, layout: SpaceLayout):
     """Upper bounds of the weighted column sums sum_k w_k X[k, :] over the
@@ -113,7 +125,7 @@ def group_col_sums(w, X, layout: SpaceLayout):
     whose rows are the slots of the layout and their weights w."""
     out = np.zeros((len(layout.slices), X.shape[1]))
     for ri, rows in enumerate(layout.slices):
-        out[ri] = _weighted_col_sums(w[rows], X[rows])
+        out[ri] = mm_up_nonneg(w[rows], X[rows])
     return out
 
 
@@ -122,7 +134,7 @@ def block_norms(absU, layout: SpaceLayout, nu: float):
     absU = np.asarray(absU, dtype=float)
     if absU.shape != (layout.n, layout.n):
         raise ValueError("matrix shape does not match layout")
-    w_up, winv_up = layout.weights_up(nu)
+    w_up, winv_up = nu_bounds(nu, layout.kabs)
     colsum = _up(group_col_sums(w_up, absU, layout) * winv_up)
     return np.array([colsum[:, sl].max(axis=1, initial=0.0)
                      for sl in layout.slices]).T
@@ -143,11 +155,105 @@ def group_vec_norms(absv, layout: SpaceLayout, nu: float):
     absv = np.asarray(absv, dtype=float)
     if absv.shape != (layout.n,):
         raise ValueError("vector length does not match layout")
-    w_up, _ = layout.weights_up(nu)
+    w_up, _ = nu_bounds(nu, layout.kabs)
     weighted = _up(absv * w_up)
     ns = layout.ns
     return np.concatenate([weighted[:ns],
                            [up_sum(weighted[sl]) for sl in layout.slices[ns:]]])
+
+
+def group_max(v: np.ndarray, ns: int, tail) -> float:
+    """max over the groups of X of a per-group bound v: the ns scalar
+    entries as they are, each window's entry plus its tail term, rounded up."""
+    return float(max(v[:ns].max(initial=0.0), _up(v[ns:] + tail).max()))
+
+
+def inv_dist_up(kabs, omega: float, s: float) -> np.ndarray:
+    """Upper bounds of 1 / |-i omega k - s| over |k| in kabs, for a real s.
+
+    Valid for both signs of k: |-i omega k - s|^2 = (omega k)^2 + s^2, and
+    s is a chosen float.
+    """
+    kabs = np.asarray(kabs, dtype=float)
+    t = _dn(omega * kabs)
+    sr = abs(s)
+    den2 = _dn(_dn(sr * sr) + _dn(t * t))
+    den = _dn(np.sqrt(np.maximum(den2, 0.0)))
+    if np.any(den <= 0.0):
+        raise ResonantExponents(
+            "diagonal tail is not bounded away from zero (omega=%r, s=%r)"
+            % (omega, s)
+        )
+    return _up(1.0 / den)
+
+
+def seq_tail_weighted(mags: np.ndarray, K: int, nu: float, omega: float, s: float):
+    """Upper bound of sum_{|k| >= K} nu^|k| |r_k| / |-i omega k - s| for a
+    sequence r whose moduli are at most mags, its modes in ascending order
+    along the last axis: one bound, or one per sequence of a stack."""
+    h = (mags.shape[-1] - 1) // 2
+    kabs = np.abs(np.arange(-h, h + 1))
+    mask = kabs >= K
+    if not mask.any():
+        return np.zeros(mags.shape[:-1])
+    ka = kabs[mask]
+    terms = _up(_up(mags[..., mask] * nu_bounds(nu, ka)[0]) * inv_dist_up(ka, omega, s))
+    sums = [up_sum(row) for row in terms.reshape(-1, terms.shape[-1])]
+    return np.array(sums).reshape(mags.shape[:-1])
+
+
+def tail_col_profile(gabs: np.ndarray, K: int, nu: float) -> np.ndarray:
+    """Per window row k: sup over |l| >= K of |g(k-l)| nu^-|l| (kernel column tails)."""
+    W = (len(gabs) - 1) // 2
+    n = 2 * K - 1
+    out = np.zeros(n)
+    if W == 0 or not gabs.any():
+        # width-zero kernels never couple a window row to a tail column
+        return out
+    kwin = np.arange(-(K - 1), K)
+    for sign in (1, -1):
+        ls = sign * np.arange(K, K + W)
+        d = kwin[:, None] - ls[None, :]
+        valid = np.abs(d) <= W
+        vals = np.where(valid, gabs[np.clip(d + W, 0, 2 * W)], 0.0)
+        prof = _up(vals * nu_bounds(nu, np.abs(ls))[1][None, :]).max(axis=1)
+        out = np.maximum(out, prof)
+    return out
+
+
+def tail_row_bounds(kmags, knorms, K: int, nu: float, omega: float, s: float) -> np.ndarray:
+    """The 9 x 9 table of kernel tail rows at shift s: for the kernel g of
+    moduli kmags[i][j] (None for none) and nu-norm at most knorms[i, j], the
+    sup over all columns l of nu^-|l| sum_{|k| >= K} nu^|k| |g(k-l)| / |-i omega k - s|.
+
+    With W the half-width of g, the tail weights u_k = nu^|k| / |-i omega k - s|
+    (zero on the window) are correlated with g exactly on the columns
+    |l| <= K-1+2W; beyond that every contributing k has |k| >= |l| - W, so
+    the column is capped by knorms[i, j] / dist(K + W).  The weights are
+    made once per half-width; the kernels have few widths."""
+    out = np.zeros((9, 9))
+    weights = {}
+    for i, row in enumerate(kmags):
+        for j, g in enumerate(row):
+            if g is None or not g.any():
+                continue
+            W = (len(g) - 1) // 2
+            if W not in weights:
+                Lmax = K - 1 + 2 * W
+                Ku = Lmax + W
+                kabs = np.abs(np.arange(-Ku, Ku + 1))
+                mask = kabs >= K
+                u = np.zeros(kabs.size)
+                u[mask] = _up(nu_bounds(nu, kabs[mask])[0] * inv_dist_up(kabs[mask], omega, s))
+                ls = np.abs(np.arange(2 * (Ku + W) + 1) - (Ku + W))
+                sel = ls <= Lmax
+                far = float(inv_dist_up(np.array([K + W]), omega, s)[0])
+                weights[W] = u, sel, nu_bounds(nu, ls[sel])[1], far
+            u, sel, nu_inv, far = weights[W]
+            S = conv_up_nonneg(u, g[::-1])
+            near = float(_up(S[sel] * nu_inv).max())
+            out[i, j] = max(near, float(_up(knorms[i, j] * far)))
+    return out
 
 
 def run_pairs(X: np.ndarray, start: int, count: int, L: int, axis: int):
@@ -253,7 +359,7 @@ def cos_sin_weights(layout: SpaceLayout, nu: float) -> np.ndarray:
     """The weight of each slot in a row of |T| E: that row is the sum of the
     rows c_k and s_k, which carry the weight of k, so a slot of k != 0
     weighs 2 nu^|k| (T is the identity on the scalars and on mode 0)."""
-    w_up, _ = layout.weights_up(nu)
+    w_up, _ = nu_bounds(nu, layout.kabs)
     return np.where(layout.kabs > 0, 2.0 * w_up, w_up)
 
 
@@ -263,7 +369,7 @@ def cos_sin_block_norms(S: np.ndarray, layout: SpaceLayout, nu: float) -> np.nda
     `cos_sin_weights`: a column of E |T^-1| is half the sum of the columns
     c_l and s_l."""
     ns = layout.ns
-    _, winv = layout.weights_up(nu)
+    _, winv = nu_bounds(nu, layout.kabs)
     P = S.copy()
     for run in window_runs(layout):
         (plus, minus, _), (pp, pm, _) = run_pairs(S, *run, 1), run_pairs(P, *run, 1)

@@ -126,9 +126,9 @@ each jet the bits it gets alone, so `validate_jet` reproduces the level's
 certificate.  Orders 0 and 1 are batches of one too: there is one residual
 path and one certify path (`_certify`).  The context holds what the
 stages share: the kernel part of the window defect, the kernels' tail
-tables (`kmags`, `kprofiles`, `knorms`, `const`) and DF0 as discs (`df0`),
-all made from the endpoint kernels of `model.field_derivative`, which it
-does not keep.  It is not
+tables (`kmags`, `kprofiles`, `knorms`, `const`), which the tail bounds of
+`opbound` read, and DF0 as discs (`df0`), all made from the endpoint
+kernels of `model.field_derivative`, which it does not keep.  It is not
 changed once built and holds no N x N array: a stage builds its float
 window block J (`_StageContext.window_block`) and its operator where it
 needs them, and lets them go when it returns.  Every jet of order p has
@@ -162,7 +162,6 @@ from .ivarray import (
     CArr,
     cmat_abs_up,
     cmm,
-    conv_up_nonneg,
     matmul_by_column,
     mm_up_nonneg,
     mr_add,
@@ -174,16 +173,23 @@ from .ivarray import (
 )
 from .opbound import (
     Q_SIGMA,
+    ResonantExponents,
     SpaceLayout,
     block_norms,
     class_slots,
     cos_sin_inverse,
+    group_max,
     group_vec_norms,
+    inv_dist_up,
     norm_rows,
+    nu_bounds,
     opnorm_upper,
+    seq_tail_weighted,
+    tail_col_profile,
+    tail_row_bounds,
 )
 from .radii import Certificate, NKBounds, NoNegativeRadius, content_digest, radii_newton
-from .seqspace import FourierSeq, nu_weights, project
+from .seqspace import FourierSeq, project
 from . import model
 from . import numerics
 
@@ -215,10 +221,6 @@ R_STAR = 1e-2
 NEWTON_TOL = 1e-13
 
 
-class ResonantExponents(ArithmeticError):
-    """The enclosure of Re(lambda) contains zero; no spectral gap."""
-
-
 class UnfoldingNotZero(RuntimeError):
     """The certified ball around the unfolding parameters misses zero."""
 
@@ -237,106 +239,6 @@ def _civ_ball(z: complex, r: float) -> ComplexInterval:
 def _iv_rad_up(v: Interval) -> float:
     m = v.mid
     return float(max(_up(v.hi - m), _up(m - v.lo), 0.0))
-
-
-def _nu_inv_up(nu: float, kabs) -> np.ndarray:
-    """Upper bounds of nu^-|k| for an integer array of |k| values."""
-    kabs = np.asarray(kabs, dtype=int)
-    top = int(kabs.max()) + 1 if kabs.size else 1
-    w_dn, _ = nu_weights(nu, top)
-    return _up(1.0 / w_dn)[kabs]
-
-
-def _nu_pow_up(nu: float, kabs) -> np.ndarray:
-    kabs = np.asarray(kabs, dtype=int)
-    top = int(kabs.max()) + 1 if kabs.size else 1
-    _, w_up = nu_weights(nu, top)
-    return w_up[kabs]
-
-
-def _inv_dist_up(kabs, omega: float, s: float) -> np.ndarray:
-    """Upper bounds of 1 / |-i omega k - s| over |k| in kabs, for a real s.
-
-    Valid for both signs of k: |-i omega k - s|^2 = (omega k)^2 + s^2, and
-    s is a chosen float.
-    """
-    kabs = np.asarray(kabs, dtype=float)
-    t = _dn(omega * kabs)
-    sr = abs(s)
-    den2 = _dn(_dn(sr * sr) + _dn(t * t))
-    den = _dn(np.sqrt(np.maximum(den2, 0.0)))
-    if np.any(den <= 0.0):
-        raise ResonantExponents(
-            "diagonal tail is not bounded away from zero (omega=%r, s=%r)"
-            % (omega, s)
-        )
-    return _up(1.0 / den)
-
-
-def _seq_tail_weighted(mags: np.ndarray, K: int, nu: float, omega: float, s: float):
-    """Upper bound of sum_{|k| >= K} nu^|k| |r_k| / |-i omega k - s| for a
-    sequence r whose moduli are at most mags, its modes in ascending order
-    along the last axis: one bound, or one per sequence of a stack."""
-    h = (mags.shape[-1] - 1) // 2
-    kabs = np.abs(np.arange(-h, h + 1))
-    mask = kabs >= K
-    if not mask.any():
-        return np.zeros(mags.shape[:-1])
-    ka = kabs[mask]
-    terms = _up(_up(mags[..., mask] * _nu_pow_up(nu, ka)) * _inv_dist_up(ka, omega, s))
-    sums = [up_sum(row) for row in terms.reshape(-1, terms.shape[-1])]
-    return np.array(sums).reshape(mags.shape[:-1])
-
-
-def _tail_col_profile(gabs: np.ndarray, K: int, nu: float) -> np.ndarray:
-    """Per window row k: sup over |l| >= K of |g(k-l)| nu^-|l| (kernel column tails)."""
-    W = (len(gabs) - 1) // 2
-    n = 2 * K - 1
-    out = np.zeros(n)
-    if W == 0 or not gabs.any():
-        # width-zero kernels never couple a window row to a tail column
-        return out
-    kwin = np.arange(-(K - 1), K)
-    for sign in (1, -1):
-        ls = sign * np.arange(K, K + W)
-        d = kwin[:, None] - ls[None, :]
-        valid = np.abs(d) <= W
-        vals = np.where(valid, gabs[np.clip(d + W, 0, 2 * W)], 0.0)
-        prof = _up(vals * _nu_inv_up(nu, np.abs(ls))[None, :]).max(axis=1)
-        out = np.maximum(out, prof)
-    return out
-
-
-def _tail_weights(W: int, K: int, nu: float, omega: float, s: float):
-    """What `_tail_row_bound` reads of K, nu, omega and s for a kernel of
-    half-width W: the tail weights u_k = nu^|k| / |-i omega k - s| (zero on
-    the window), the columns |l| <= K-1+2W it correlates exactly with their
-    nu^-|l|, and 1 / dist(K + W) for the columns beyond."""
-    Lmax = K - 1 + 2 * W
-    Ku = Lmax + W
-    kabs = np.abs(np.arange(-Ku, Ku + 1))
-    mask = kabs >= K
-    u = np.zeros(kabs.size)
-    u[mask] = _up(_nu_pow_up(nu, kabs[mask]) * _inv_dist_up(kabs[mask], omega, s))
-    ls = np.abs(np.arange(2 * (Ku + W) + 1) - (Ku + W))
-    sel = ls <= Lmax
-    far = float(_inv_dist_up(np.array([K + W]), omega, s)[0])
-    return u, sel, _nu_inv_up(nu, ls[sel]), far
-
-
-def _tail_row_bound(gabs: np.ndarray, gnorm: float, weights) -> float:
-    """sup over all columns l of nu^-|l| sum_{|k| >= K} nu^|k| |g(k-l)| / |-i omega k - s|,
-    with weights the `_tail_weights` of g's half-width.
-
-    Exact correlation on |l| <= K-1+2W; beyond that every contributing k has
-    |k| >= |l| - W, so the column is capped by gnorm / dist(K + W).
-    """
-    if not gabs.any():
-        return 0.0
-    u, sel, nu_inv, far = weights
-    S = conv_up_nonneg(u, gabs[::-1])
-    near = float(_up(S[sel] * nu_inv).max())
-    return max(near, float(_up(gnorm * far)))
 
 
 def _up_horner(coeffs, r: float) -> float:
@@ -432,7 +334,7 @@ class _StageContext:
         const, kernels = model.field_derivative(arith, self.a0)
         self.df0 = model.DF0(const, kernels)
         self.kmags = [[None] * 9 for _ in range(9)]
-        # `_tail_col_profile` of each of kmags: it reads only the kernel, K
+        # `tail_col_profile` of each of kmags: it reads only the kernel, K
         # and nu, so one serves every operator of the context
         self.kprofiles = [[None] * 9 for _ in range(9)]
         self.knorms = np.zeros((9, 9))
@@ -445,7 +347,7 @@ class _StageContext:
                 ker = kernels[i][j]
                 if ker is not None:
                     self.kmags[i][j] = ker.c.mag()
-                    self.kprofiles[i][j] = _tail_col_profile(self.kmags[i][j], self.K, self.nu)
+                    self.kprofiles[i][j] = tail_col_profile(self.kmags[i][j], self.K, self.nu)
                     self.knorms[i, j] = ker.norm_upper()
                     fker = FourierSeq.point(self.fkers[i][j], self.nu)
                     self.kgap[i, j] = ker.sub(fker).norm_upper()
@@ -734,12 +636,6 @@ def _affine_residual(ctx: "_StageContext", rows, s: float, rhs=None) -> list:
     return out
 
 
-def _group_max(v: np.ndarray, ns: int, tail) -> float:
-    """max over the groups of X of a per-group bound v: the ns scalar
-    entries as they are, each window's entry plus its tail term, rounded up."""
-    return float(max(v[:ns].max(initial=0.0), _up(v[ns:] + tail).max()))
-
-
 def _operator(ctx: _StageContext, d: _OperatorData) -> _Operator:
     """The operator part of a stage's certificate, on the stage's layout:
     its scalars and its class of Q.
@@ -760,13 +656,13 @@ def _operator(ctx: _StageContext, d: _OperatorData) -> _Operator:
     Bmat = block_norms(absJ, layout, nu)
     rowsJ = norm_rows(Bmat)
     Z0 = float(_up(z0 + _up(z0_per_normA * float(rowsJ.max()))))
-    dtK = float(_inv_dist_up(np.array([float(K)]), omega, s)[0])
-    normA = _group_max(rowsJ, ns, dtK)
+    dtK = float(inv_dist_up(np.array([float(K)]), omega, s)[0])
+    normA = group_max(rowsJ, ns, dtK)
     # pre_Y / pre_Z1 bound perturbations supported on the sequence block only
     # (no scalar components), so their amplification constant may drop the
     # scalar columns of A.  The quadratic terms keep the full norm: their
     # difference operators can involve the scalar directions.
-    normA_seq = _group_max(norm_rows(Bmat[:, ns:]), ns, dtK)
+    normA_seq = group_max(norm_rows(Bmat[:, ns:]), ns, dtK)
 
     # the window part of Z1: J^-1 (pi (DF(x_bar) - J) pi), by norms
     Z1_window = float(_up(rowsJ.max() * opnorm_upper(d.window_defect)))
@@ -785,17 +681,11 @@ def _operator(ctx: _StageContext, d: _OperatorData) -> _Operator:
     Np = np.zeros((ngroups, ngroups))
     for ci in range(ngroups):
         Np[:, ci] = group_vec_norms(Wmat[:, ci], layout, nu)
-    tail_weights = {}  # per kernel half-width; the kernels have few widths
+    kernel_tails = tail_row_bounds(ctx.kmags, ctx.knorms, K, nu, omega, s)
     for i in range(9):
         R = ns + i
         for j in range(9):
-            add = 0.0
-            g = ctx.kmags[i][j]
-            if g is not None:
-                W = (len(g) - 1) // 2
-                if W not in tail_weights:
-                    tail_weights[W] = _tail_weights(W, K, nu, omega, s)
-                add = _tail_row_bound(g, ctx.knorms[i, j], tail_weights[W])
+            add = float(kernel_tails[i, j])
             cconst = abs(ctx.const[i, j])
             if cconst:
                 add = float(_up(add + _up(cconst * dtK)))
@@ -803,7 +693,7 @@ def _operator(ctx: _StageContext, d: _OperatorData) -> _Operator:
                 Np[R, ns + j] = _up(Np[R, ns + j] + add)
         for col, slot, mags in d.ycol_tail_mags:
             if slot == i:
-                t = _seq_tail_weighted(mags, K, nu, omega, s)
+                t = seq_tail_weighted(mags, K, nu, omega, s)
                 Np[R, col] = _up(Np[R, col] + t)
     Z1_tail = max(up_sum(Np[R]) for R in range(ngroups))
     return _Operator(layout, nu, omega, s, Jhat, Z0, normA, normA_seq, Z1_window, Z1_tail)
@@ -826,7 +716,7 @@ def _certify(op: _Operator, asm: _Assembled, digests: list) -> list:
                                    axis=-2)).T
               for t in (0, 1))
     absY = cmat_abs_up(*cmm(op.Jhat, None, vm, vr))
-    tails = np.array([_seq_tail_weighted(g, K, nu, omega, s) for _, _, g in asm.resid_seqs])
+    tails = np.array([seq_tail_weighted(g, K, nu, omega, s) for _, _, g in asm.resid_seqs])
     out = []
     for b, tag in enumerate(asm.tags):
         gY = group_vec_norms(absY[:, b], layout, nu)
@@ -978,7 +868,7 @@ def _assemble_orbit(sol: "OrbitSolution", ctx: _StageContext, ar):
     boxes = [ctx.a0[i].dtheta().scale(-omega).add(F[i]).add(G[i]).c for i in range(9)]
     etas = CArr.from_civ_list(eta)
 
-    nuinvK = float(_nu_inv_up(nu, np.array([K]))[0])
+    nuinvK = float(nu_bounds(nu, [K])[1][0])
     monos = list(ctx.field_monos) + eta_monos
     monos.append((("seq", 1), 1.0, (ymag[0], ctx.a0_norms[1])))
     for j in range(3):
@@ -1114,8 +1004,8 @@ class _NormRad:
         self.zero = {}
         n = 5 * L
         self.gamma = 2.0 * _gemm_gamma(n)
-        _, w_up = nu_weights(nu, n)
-        self.eta = _next(_next(_ETA * n) * _next(n * float(w_up[n // 2])))
+        w_up = float(nu_bounds(nu, [n // 2])[0][0])
+        self.eta = _next(_next(_ETA * n) * _next(n * w_up))
 
     truncate = staticmethod(numerics.ft_truncate)
 

@@ -53,7 +53,7 @@ from fourbody.ivarray import (
 )
 from fourbody.model import _const_seq, _mode_sum, embedded_field, eta_terms
 from fourbody.opbound import (SpaceLayout, block_norms, cos_sin_form, group_vec_norms,
-                              opnorm_upper, run_pairs, window_runs)
+                              opnorm_upper, run_pairs, seq_tail_weighted, window_runs)
 from fourbody.radii import (Certificate, NKBounds, NoNegativeRadius, _candidate_grid,
                             verify_negative)
 from fourbody.seqspace import FourierSeq, WeightMismatch, conv, project
@@ -844,7 +844,7 @@ def certify_jet_alone(table, ctx, alpha, rhs, rho, centers, op):
               for t in (0, 1))
     ym, yr = cmm(op.Jhat, None, vm, vr)
     gY = group_vec_norms(cmat_abs_up(ym, yr), layout, nu)
-    tails = [float(stages._seq_tail_weighted(g, K, nu, op.omega, s)) for _, _, g in resid]
+    tails = [float(seq_tail_weighted(g, K, nu, op.omega, s)) for _, _, g in resid]
     Y0 = float(max(_up(gY + np.array(tails))))
     Y = float(_up(Y0 + _up(op.normA_seq * pre_Y)))
     Z1 = float(_up(_up(op.Z1_tail + op.Z1_window) + _up(op.normA_seq * shift_err)))

@@ -18,6 +18,9 @@ and the one name in ALLOWED: `numerics.remainder_layer`, an entry point
 that only the benchmark's tracer (`perfbench/tracing.py`) patches and
 names.  A definition is matched to the code entered by its file, the first
 line of its code object and its name.
+
+A second check reads the sources alone: every name that a module of
+src/fourbody imports is read in that module or listed in its `__all__`.
 """
 
 import ast
@@ -113,3 +116,29 @@ def test_every_definition_has_a_caller(tmp_path, capsys, monkeypatch):
                 continue
             missed.append(qualname)
     assert missed == [], "\n".join(missed)
+
+
+def imported_names(tree):
+    """The names that the imports of a tree bind, __future__ left out."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (a.asname or a.name for a in node.names)
+
+
+def test_every_import_is_read():
+    # a name a module imports is read in that module or exported by its
+    # __all__, so a definition that moves takes its imports with it
+    unread = []
+    for path in SRC:
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                used |= set(ast.literal_eval(node.value))
+        unread += [path.stem + "." + name for name in imported_names(tree)
+                   if name not in used]
+    assert unread == [], "\n".join(unread)

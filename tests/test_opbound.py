@@ -1,15 +1,19 @@
-"""The coordinates of X: block operator norms against exact rational
-arithmetic, the packing of a layout, the cos/sin basis T against T as a
-matrix, and the window block of a class against the whole one."""
+"""The coordinates of X and its norm: block operator norms and the tail of
+the norm against exact rational arithmetic, the packing of a layout, the
+cos/sin basis T against T as a matrix, and the window block of a class
+against the whole one."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fourbody import numerics
-from fourbody.opbound import (SpaceLayout, block_norms, class_slots, cos_sin_block_norms,
-                              cos_sin_form, cos_sin_weights, from_cos_sin, group_col_sums)
+from fourbody import numerics, stages
+from fourbody.opbound import (ResonantExponents, SpaceLayout, block_norms, class_slots,
+                              cos_sin_block_norms, cos_sin_form, cos_sin_weights,
+                              from_cos_sin, group_col_sums, inv_dist_up, nu_bounds,
+                              seq_tail_weighted, tail_col_profile, tail_row_bounds)
 
 rng = np.random.default_rng(11)
 
@@ -31,6 +35,145 @@ def test_block_norms_bound_the_exact_block_norms():
                         / weight[l] for l in range(cs.start, cs.stop))
             assert Fraction(float(got[r, c])) >= exact, (r, c)
             assert got[r, c] <= float(exact) * (1.0 + 1e-12), (r, c)
+
+
+# The tail of the norm, at nu = 3/2 and a float omega, both read as
+# Fractions.  At s = 0, |-i omega k| = omega |k| is rational; at s != 0,
+# 1 / |-i omega k - s| is enclosed in rationals by math.isqrt.
+NU = Fraction(3, 2)
+OMEGA = 2.316
+# rounding an exact zero up gives the least subnormal
+TINY = Fraction(float(np.nextafter(0.0, 1.0)))
+
+
+def inv_dist(k: int, s: float):
+    """Rational bounds (lo, hi) of 1 / |-i OMEGA k - s|."""
+    if s == 0.0:
+        exact = 1 / (Fraction(OMEGA) * abs(k))
+        return exact, exact
+    d2 = (Fraction(OMEGA) * k) ** 2 + Fraction(s) ** 2
+    bits = 80
+    # sqrt(d2) lies in [r, r + 1] / 2^bits
+    r = math.isqrt(d2.numerator * 4**bits // d2.denominator)
+    return Fraction(2**bits, r + 1), Fraction(2**bits, r)
+
+
+def assert_bounds(got, lo, hi):
+    """got >= hi, an upper bound of the value the code claims, and within
+    1e-12 relative of lo, a lower bound of it."""
+    assert Fraction(float(got)) >= hi, (float(got), float(hi))
+    assert Fraction(float(got)) <= lo * (1 + Fraction(1, 10**12)) + TINY, \
+        (float(got), float(lo))
+
+
+def test_nu_bounds_bound_the_powers_of_three_halves():
+    k = np.arange(61)
+    w_up, winv_up = nu_bounds(1.5, k)
+    for kk in k:
+        assert_bounds(w_up[kk], NU ** int(kk), NU ** int(kk))
+        assert_bounds(winv_up[kk], NU ** -int(kk), NU ** -int(kk))
+    # any order of |k|, repeats included, reads the same table
+    ks = np.array([7, 0, 60, 7])
+    assert np.array_equal(np.stack(nu_bounds(1.5, ks)), np.stack([w_up[ks], winv_up[ks]]))
+
+
+@pytest.mark.parametrize("W", [0, 3, 8])
+def test_tail_col_profile_is_the_exact_sup(W):
+    # per window row k of K = 5: the sup over the columns |l| >= K of
+    # |g(k - l)| nu^-|l|, exact up to one rounding of each product; heavy
+    # ends make the farthest columns, |l| = K - 1 + W, set the edge rows
+    K = 5
+    g = 10.0 ** rng.uniform(-6, 0, 2 * W + 1)
+    g[[0, -1]] = 1e3
+    got = tail_col_profile(g, K, 1.5)
+    assert got.shape == (2 * K - 1,)
+    for i, k in enumerate(range(-(K - 1), K)):
+        terms = [Fraction(float(g[k - l + W])) * NU ** -abs(l)
+                 for l in range(-(K + 2 * W), K + 2 * W + 1)
+                 if abs(l) >= K and abs(k - l) <= W]
+        exact = max(terms, default=Fraction(0))
+        if W == 0:
+            assert got[i] == 0.0
+        else:
+            assert_bounds(got[i], exact, exact)
+
+
+@pytest.mark.parametrize("s", [0.0, -1.3])
+def test_tail_row_bounds_bound_every_column(s):
+    # each kernel g's tail row: nu^-|l| sum_{|k| >= K} nu^|k| |g(k - l)| / |-i omega k - s|
+    # on every column |l| <= K + 4W, which covers both the exactly correlated
+    # band |l| <= K - 1 + 2W and the cap gnorm / dist(K + W) beyond it; the
+    # bound is within 1e-12 of the larger of the exact band and the cap
+    K = 6
+    kmags = [[None] * 9 for _ in range(9)]
+    kmags[0][1] = 10.0 ** rng.uniform(-6, 0, 2 * 2 + 1)
+    kmags[3][3] = 10.0 ** rng.uniform(-6, 0, 2 * 7 + 1)
+    kmags[3][3][7] = 2.0  # a heavy centre: the band beats the cap
+    kmags[8][2] = np.array([0.75])
+    kmags[5][4] = np.zeros(5)
+    knorms = np.zeros((9, 9))
+    norms = {}
+    for i, j in ((0, 1), (3, 3), (8, 2)):
+        g = kmags[i][j]
+        W = (len(g) - 1) // 2
+        norms[i, j] = sum(Fraction(float(x)) * NU ** abs(m - W) for m, x in enumerate(g))
+        knorms[i, j] = float(norms[i, j])
+        if Fraction(knorms[i, j]) < norms[i, j]:
+            knorms[i, j] = np.nextafter(knorms[i, j], np.inf)
+    got = tail_row_bounds(kmags, knorms, K, 1.5, OMEGA, s)
+    assert got.shape == (9, 9)
+    assert np.count_nonzero(got) == 3
+    band_wins = 0
+    for (i, j), gnorm in norms.items():
+        g = kmags[i][j]
+        W = (len(g) - 1) // 2
+        cols = {}
+        for l in range(-(K + 4 * W), K + 4 * W + 1):
+            lo = hi = Fraction(0)
+            for k in range(l - W, l + W + 1):
+                if abs(k) >= K:
+                    term = NU ** (abs(k) - abs(l)) * Fraction(float(g[k - l + W]))
+                    dlo, dhi = inv_dist(k, s)
+                    lo, hi = lo + term * dlo, hi + term * dhi
+            cols[l] = lo, hi
+        band_lo = max(lo for l, (lo, _) in cols.items() if abs(l) <= K - 1 + 2 * W)
+        cap_lo, cap_hi = (Fraction(float(knorms[i, j])) * d for d in inv_dist(K + W, s))
+        assert_bounds(got[i, j], max(band_lo, cap_lo), max(hi for _, hi in cols.values()))
+        assert Fraction(float(got[i, j])) >= cap_hi
+        band_wins += band_lo > cap_hi
+    assert band_wins
+
+
+@pytest.mark.parametrize("s", [0.0, 0.7])
+def test_seq_tail_weighted_is_the_exact_sum(s):
+    # sum_{|k| >= K} nu^|k| |r_k| / |-i omega k - s| for a sequence of 2h + 1
+    # modes, and each sequence of a stack gets the bits it gets alone
+    K, h = 6, 14
+    mags = 10.0 ** rng.uniform(-12, 0, (3, 2 * h + 1))
+    got = seq_tail_weighted(mags, K, 1.5, OMEGA, s)
+    assert got.shape == (3,)
+    for b in range(3):
+        assert seq_tail_weighted(mags[b], K, 1.5, OMEGA, s) == got[b]
+        lo = hi = Fraction(0)
+        for k in range(-h, h + 1):
+            if abs(k) >= K:
+                term = NU ** abs(k) * Fraction(float(mags[b, k + h]))
+                dlo, dhi = inv_dist(k, s)
+                lo, hi = lo + term * dlo, hi + term * dhi
+        assert_bounds(got[b], lo, hi)
+    # a sequence that fits in the window has no tail
+    assert np.array_equal(seq_tail_weighted(mags[:, h - K + 1:h + K], K, 1.5, OMEGA, s),
+                          np.zeros(3))
+
+
+def test_inv_dist_up_refuses_a_zero_distance():
+    ks = np.array([0, 1, 5])
+    with pytest.raises(ResonantExponents):
+        inv_dist_up(ks, 0.0, 0.0)
+    for k, got in zip(ks[1:], inv_dist_up(ks[1:], OMEGA, 0.0)):
+        assert_bounds(got, *inv_dist(int(k), 0.0))
+    # the stages re-export the one exception the pipeline catches
+    assert stages.ResonantExponents is ResonantExponents
 
 
 @pytest.mark.parametrize("cls", [None, 1, -1])

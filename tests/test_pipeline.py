@@ -297,6 +297,28 @@ def test_k64_nu_1_3_certifies_within_the_reference_radii(run):
     assert table.E_total().hi <= 1.0357413e-05
 
 
+# the radii of the benchmark's wide run, K = 40, N_t = 4, nu = 1.5, with
+# every stage on its class of Q
+WIDE_RADII = {
+    (0, 0): "0x1.3ced7352f000bp-33", (1, 0): "0x1.816350011ef52p-23",
+    (2, 0): "0x1.35e59fd6a0197p-22", (1, 1): "0x1.90c2e2c6c05f5p-21",
+    (3, 0): "0x1.816350011ef52p-23", (2, 1): "0x1.90c2e2c6c05f5p-21",
+    (4, 0): "0x1.2a025c521b43fp-24", (3, 1): "0x1.f26305b896123p-22",
+    (2, 2): "0x1.90c2e2c6c05f5p-21",
+}
+
+
+def test_wide_certifies_within_the_reference_radii(run):
+    # every stage of the benchmark's wide run certifies with every radius,
+    # alpha by alpha, and E_total no larger than the reference's
+    table = _pipeline(run[0], 40, 4, NU)
+    assert table.complete() and table.gamma_scale == 1.0
+    for alpha, r in WIDE_RADII.items():
+        for a in {alpha, alpha[::-1]}:
+            assert table.radii[a] <= float.fromhex(r), a
+    assert table.E_total().hi <= 5.348206474028754e-06
+
+
 def test_an_unclean_centre_is_refused(run):
     # each stage is posed on one class of Q, and refuses by an exact test a
     # centre with an entry off it, here 1e-20 on one mode, naming the stage,
