@@ -5,13 +5,14 @@ with the norm max(|scalars|, max_i ||seq_i||).  This module owns its
 coordinates: the slots of each class of the half-period reflection Q and the
 packing of a vector (`SpaceLayout`), and the cos/sin basis T in which the
 operator of a real shift is real (`cos_sin_inverse`).  It owns the norm too:
-the bounds of the weights nu^|k| and nu^-|k| (`nu_bounds`, the one place they
-are rounded), the group and block norms, and the tail of the norm beyond the
-window, where an operator of a stage is the diagonal -i omega k - s: the tail
-weights nu^|k| / |-i omega k - s| of a sequence (`seq_tail_weighted`) and of a
-kernel's rows, with their cap on the far columns (`tail_row_bounds`).  A
-bounded operator on X splits into blocks indexed by (row group, column
-group), one group per scalar and one per window; its norm is bounded by
+the bounds of the weights nu^|k| and nu^-|k| (`nu_bounds`, from the table of
+`seqspace.nu_weights`), the group and block norms, and the tail of the norm
+beyond the window, where an operator of a stage is the diagonal
+-i omega k - s: the tail weights nu^|k| / |-i omega k - s| of a sequence
+(`seq_tail_weighted`) and of a kernel's rows, with their cap on the far
+columns (`tail_row_bounds`).  A bounded operator on X splits into blocks
+indexed by (row group, column group), one group per scalar and one per
+window; its norm is bounded by
 
     ||B|| <= max_r sum_c N[r,c],   N[r,c] = sup_{l in c} (1/w_l) sum_{k in r} w_k |B_kl|
 

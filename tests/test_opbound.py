@@ -111,20 +111,21 @@ def test_tail_row_bounds_bound_every_column(s):
     kmags[3][3][7] = 2.0  # a heavy centre: the band beats the cap
     kmags[8][2] = np.array([0.75])
     kmags[5][4] = np.zeros(5)
+    live = ((0, 1), (3, 3), (8, 2))
     knorms = np.zeros((9, 9))
-    norms = {}
-    for i, j in ((0, 1), (3, 3), (8, 2)):
+    for i, j in live:
+        # the nu-norm of g, rounded up
         g = kmags[i][j]
         W = (len(g) - 1) // 2
-        norms[i, j] = sum(Fraction(float(x)) * NU ** abs(m - W) for m, x in enumerate(g))
-        knorms[i, j] = float(norms[i, j])
-        if Fraction(knorms[i, j]) < norms[i, j]:
+        norm = sum(Fraction(float(x)) * NU ** abs(m - W) for m, x in enumerate(g))
+        knorms[i, j] = float(norm)
+        if Fraction(knorms[i, j]) < norm:
             knorms[i, j] = np.nextafter(knorms[i, j], np.inf)
     got = tail_row_bounds(kmags, knorms, K, 1.5, OMEGA, s)
     assert got.shape == (9, 9)
     assert np.count_nonzero(got) == 3
     band_wins = 0
-    for (i, j), gnorm in norms.items():
+    for i, j in live:
         g = kmags[i][j]
         W = (len(g) - 1) // 2
         cols = {}
