@@ -14,12 +14,16 @@ table does not record which jets were certified before a rescale, so this
 is a necessary condition only.
 
 The centers of order 1 and of each jet (m,n) must have the certificate's
-`stages.inputs_digest`, and the mirror (n,m) must be their conjugate
+`table.inputs_digest`, and the mirror (n,m) must be their conjugate
 reflection with the same radius ("centers" or "mirror" on the stage's line
 if not).  Centers that are not points fail, except in a rescaled table,
 which scaled them after certification (a note line).  Order 0 is not tied
 to its centers: that needs cfg, which the table does not hold.  The command
 exits with 1 when any check fails, 2 when the file cannot be read as a table.
+
+The `table` module owns the stage names and the mirror rule.  A stage
+whose name is not one that the table's writer gives a stage of its kind
+names no centers, and fails "centers".
 """
 
 from __future__ import annotations
@@ -28,11 +32,9 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .interval import Interval, mul_down
 from .radii import content_digest
-from .stages import JetTable, inputs_digest
+from .table import JetTable, inputs_digest, mirror, stage_alpha, stage_key
 
 __all__ = ["main", "recheck"]
 
@@ -71,40 +73,19 @@ def _center_checks(table, stage: str, cert) -> list:
     """("centers", ok) and ("mirror", ok) of an order-1 or jet stage (m,n):
     its centers are the ones certified (ok is None if a rescale scaled them
     since), and (n,m) is their conjugate reflection with the same radius."""
-    if stage == "order0":
-        return []
     try:
-        m, n = _stage_alpha(stage)
+        alpha = stage_alpha(stage, table.kind)
     except ValueError:
         return [("centers", False)]
-    centers = table.orders.get((m, n), ())
-    mirror = m == n or (
-        _same_seqs([s.conj_reflect() for s in centers], table.orders.get((n, m), ()))
-        and table.radii.get((m, n)) == table.radii.get((n, m)))
+    if alpha == (0, 0):
+        return []
+    centers = table.orders.get(alpha, ())
     ok = None if centers and table.gamma_scale != 1.0 else False
     if centers and all(s.is_point() for s in centers):
-        bundle = (table.lambda_bar, table.k0, table.xi0) if stage == "order1" else ()
-        prev = table.digests.get("order0" if bundle else "order1", "")
-        ok = inputs_digest((m, n), table.kind, prev, centers, bundle) == cert.inputs_digest
-    return [("centers", ok), ("mirror", mirror)]
-
-
-def _stage_alpha(stage: str) -> tuple:
-    """The (m, n) a stage certifies: (0,0) for order0, (1,0) for order1 and
-    (m,n) for jet:m,n:kind; ValueError for a name that gives none."""
-    if stage in ("order0", "order1"):
-        return (int(stage[-1]), 0)
-    m, n = map(int, stage[4:].split(":")[0].split(","))
-    return (m, n)
-
-
-def _same_seqs(a, b) -> bool:
-    """Equal interval sequences, as numbers: the reflection of a mode 0 with
-    imaginary part 0.0 has -0.0, which a rescale of the mirror makes 0.0."""
-    return len(a) == len(b) and all(
-        x.nu == y.nu and np.array_equal([x.c.rl, x.c.rh, x.c.il, x.c.ih],
-                                        [y.c.rl, y.c.rh, y.c.il, y.c.ih])
-        for x, y in zip(a, b))
+        bundle = (table.lambda_bar, table.k0, table.xi0) if sum(alpha) == 1 else ()
+        ok = inputs_digest(alpha, table.kind, table.prev_digest(alpha), centers,
+                           bundle) == cert.inputs_digest
+    return [("centers", ok), ("mirror", table.mirrored(alpha))]
 
 
 def _radius_misses(table) -> list:
@@ -114,15 +95,14 @@ def _radius_misses(table) -> list:
     lines = []
     for stage in sorted(table.certs):
         try:
-            m, n = _stage_alpha(stage)
+            alpha = stage_alpha(stage, table.kind)
         except ValueError:
             continue  # the stage's own line fails it
-        lines += ["FAIL radius %d,%d  missing for %s" % (*alpha, stage)
-                  for alpha in sorted({(m, n), (n, m)}) if alpha not in table.radii]
+        lines += ["FAIL radius %d,%d  missing for %s" % (*beta, stage)
+                  for beta in sorted({alpha, mirror(alpha)}) if beta not in table.radii]
     for alpha, r in sorted(table.radii.items()):
-        m, n = max(alpha), min(alpha)
-        p = m + n
-        stage = "jet:%d,%d:%s" % (m, n, table.kind) if p >= 2 else "order%d" % p
+        p = sum(alpha)
+        stage = stage_key(alpha, table.kind)
         cert = table.certs.get(stage)
         if cert is None:
             lines.append("FAIL radius %d,%d  no certificate %s" % (*alpha, stage))

@@ -8,10 +8,16 @@ full support; equations project back to the window when assembled.  The
 embedded field and its derivative are the ones of `model`, evaluated in the
 float arithmetic `FloatArith`.  Its Cauchy product is one fold, made layer
 by layer, and it serves every float evaluation of the field: seeding, the
-order-0 residual and kernels, the jets' right-hand sides (through
-`stages`), and `remainder_layer`.  `base_block` assembles the window block
-of the linear operator that every stage shares, whole or on one class of
-the half-period reflection Q.
+order-0 residual and kernels, the jets' right-hand sides, and
+`remainder_layer`.  `base_block` assembles the window block of the linear
+operator that every stage shares, whole or on one class of the half-period
+reflection Q.
+
+It holds both lanes of a jet's right-hand side, `FloatArith` and the norm
+lane `_NormRad`, which bounds the float value's distance from the exact
+field, and the fold they share: `_product_layers` walks the pairs of each
+product layer for both, which differ only in `fold` and `close`.
+`_level_fields` evaluates both lanes for one level of jets.
 
 `one_blas_thread` runs the dense algebra of a public stage call on one
 OpenBLAS thread.  An operator's N^3 work is one block on a class of Q
@@ -26,9 +32,15 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import math
 
 import numpy as np
 
+from .interval import Interval, _as_iv, _next
+from .ivarray import _ETA, _gemm_gamma, _up
+from .opbound import nu_bounds
+from .seqspace import FourierSeq
+from .table import solved
 from . import model
 
 __all__ = [
@@ -138,12 +150,6 @@ def pad_sum(*arrays):
     return out
 
 
-def _delta(value: complex, n: int):
-    out = np.zeros(n, dtype=complex)
-    out[(n - 1) // 2] = value
-    return out
-
-
 def toeplitz_window(ker, K: int, rows=None, cols=None):
     """Matrix of h -> (ker * h) restricted to the window on both sides, or
     to the window positions rows and cols (index arrays into 0..2K-2)."""
@@ -213,13 +219,13 @@ def _cauchy_plan(b, c, alphas):
     the pairs beta = 0 and beta = alpha, in that order (one pair for alpha
     = 0).  An interior pair reads only layers of orders 1..|alpha| - 1, so
     the interior fold of a layer is the same at every level of the jets that
-    computes it, and `stages._Incremental` carries it from the level that
+    computes it, and `_Incremental` carries it from the level that
     first computes the layer to the level that completes it with the
     factors of order |alpha|.  The interior keys are those of b and c, and
     ends are read where both factors are present when the layer is made.
     Only the keys of b and c are read, so one plan serves every arithmetic
     whose grids have those keys: the arrays of `FloatArith` and the (N, r)
-    pairs of the norm lane of `stages`.
+    pairs of `_NormRad`.
     """
     zero = (0, 0)
     out = []
@@ -230,15 +236,6 @@ def _cauchy_plan(b, c, alphas):
         ends = [(zero, (m, n))] + ([((m, n), zero)] if (m, n) != zero else [])
         out.append(((m, n), interior, ends))
     return out
-
-
-def _fold_into(acc, pairs):
-    """acc plus the convolution of each pair, centred, in order, in place."""
-    L = len(acc)
-    for u, v in pairs:
-        off = (L - len(u) - len(v) + 1) // 2
-        acc[off:L - off] += np.convolve(u, v)
-    return acc
 
 
 def _grid_scale(grid, c):
@@ -254,14 +251,27 @@ def _grid_sum(*grids):
     return out
 
 
-def _grid_shift(grid, c: complex):
-    out = {a: v.copy() for a, v in grid.items()}
-    base = out.get((0, 0))
-    if base is None:
-        out[(0, 0)] = _delta(c, 1)
-    else:
-        out[(0, 0)] = pad_sum(base, _delta(c, 1))
-    return out
+def _product_layers(lane, b, c, plan, carried=None):
+    """(layers, interiors): the layers of b*c that plan (`_cauchy_plan`)
+    names, in the arithmetic of lane (`FloatArith` or `_NormRad`), and the
+    interior fold, (accumulator, number of pairs), of each that has interior
+    pairs.  `lane.fold` folds a layer's interior pairs and then its end
+    pairs onto them, in the order of the plan, and `lane.close` makes the
+    layer from the fold and its number of pairs.  carried maps a layer to
+    its interior fold from an earlier call on factors with the same layers
+    below its order; a layer with end pairs folds only those onto it, and so
+    is the layer that folding all its pairs makes, bit for bit."""
+    carried = carried or {}
+    out, interiors = {}, {}
+    for g, interior, ends in plan:
+        tail = [(b[x], c[y]) for x, y in ends if x in b and y in c]
+        inner = carried.get(g) if tail else None
+        if inner is None:
+            inner = (lane.fold(None, [(b[x], c[y]) for x, y in interior]), len(interior))
+        if inner[1]:
+            interiors[g] = inner
+        out[g] = lane.close(lane.fold(inner[0], tail), inner[1] + len(tail))
+    return out, interiors
 
 
 class FloatArith:
@@ -287,41 +297,27 @@ class FloatArith:
     def mul(self, b, c, cap):
         return self.product_layers(b, c, _cauchy_plan(b, c, _product_keys(b, c, cap)))[0]
 
-    @staticmethod
-    def product_layers(b, c, plan, carried=None):
-        """(layers, interiors): the layers of b*c that plan (`_cauchy_plan`)
-        names, and for each layer with interior pairs the fold of those
-        pairs, (accumulator, number of pairs).
+    product_layers = classmethod(_product_layers)
 
-        carried maps a layer to the interior fold of an earlier call on
-        factors with the same layers below its order; such a layer folds
-        only its ends onto it, which is the fold of all its pairs byte for
-        byte.  The interior fold starts from zeros, so it holds no -0.0 and
-        placing it into the zeros of a longer accumulator adds nothing to
-        its bytes; the entries that no interior pair reaches stay +0.0."""
-        carried = carried or {}
-        out, interiors = {}, {}
-        for g, interior, ends in plan:
-            tail = [(b[x], c[y]) for x, y in ends if x in b and y in c]
-            inner = carried.get(g) if tail else None
-            if inner is None:
-                pairs = [(b[x], c[y]) for x, y in interior]
-                if len(pairs) + len(tail) == 1:
-                    out[g] = np.convolve(*(pairs + tail)[0])
-                    if pairs:
-                        interiors[g] = (out[g] + 0.0, 1)
-                    continue
-                L = max([len(u) + len(v) - 1 for u, v in pairs] or [0])
-                inner = (_fold_into(np.zeros(L, dtype=complex), pairs), len(pairs))
-            head, n = inner
-            L = max([len(head)] + [len(u) + len(v) - 1 for u, v in tail])
-            acc = np.zeros(L, dtype=complex)
-            if n:
-                interiors[g] = inner
-                off = (L - len(head)) // 2
-                acc[off:L - off] = head
-            out[g] = _fold_into(acc, tail)
-        return out, interiors
+    @staticmethod
+    def fold(head, pairs):
+        """head, an accumulator or None, plus the convolution of each pair,
+        centred, in order: head as it is without pairs, a lone pair's product
+        as it is without head, and otherwise a new accumulator of zeros into
+        which head and the products are added."""
+        if not pairs:
+            return head
+        if head is None and len(pairs) == 1:
+            return np.convolve(*pairs[0])
+        parts = ([] if head is None else [head]) + [np.convolve(u, v) for u, v in pairs]
+        L = max(len(x) for x in parts)
+        acc = np.zeros(L, dtype=complex)
+        for x in parts:
+            off = (L - len(x)) // 2
+            acc[off:L - off] += x
+        return acc
+
+    close = staticmethod(lambda acc, P: acc)
 
     @staticmethod
     def entry(seq, radius):
@@ -329,7 +325,7 @@ class FloatArith:
 
     @staticmethod
     def shift(grid, p):
-        return _grid_shift(grid, -p)
+        return _grid_sum(grid, {(0, 0): np.full(1, -p, dtype=complex)})
 
     @staticmethod
     def neg(grid):
@@ -349,7 +345,7 @@ def remainder_layer(A, alpha, ms, pos):
     """Layer alpha of the field applied to the orders-below-|alpha| data.
 
     It evaluates the whole field afresh.  The jets do not call it: each level
-    of `stages` evaluates the field once in `FloatArith` and reuses the
+    (`_level_fields`) evaluates the field once in `FloatArith` and reuses the
     product layers of the level below, and the interior folds of the layers
     it completes (`_cauchy_plan`: every layer folds its pairs with no factor
     of order 0 first, the two with one last), so their float right-hand side
@@ -362,6 +358,255 @@ def remainder_layer(A, alpha, ms, pos):
     grid = field_grid(low, ms, pos, cap=order)
     zero = np.zeros(1, dtype=complex)
     return [g.get((m, n), zero) for g in grid]
+
+
+# ---------------------------------------------------------------------------
+# the norm lane: bounds of the float lane's field on the lower orders, by layer
+
+
+# a complex addition, or a scaling by a real, errs by at most u times the
+# modulus of the exact result; 2u leaves room
+_ADD_ROUND = 2.0 ** -52
+
+
+def _iv_rad_up(v: Interval) -> float:
+    m = v.mid
+    return float(max(_up(v.hi - m), _up(m - v.lo), 0.0))
+
+
+class _NormRad:
+    """Grids (m, n) -> (N, r) for `model.embedded_field`, the bounds of the
+    `FloatArith` evaluation on the same lower orders.  It has no `mul`: its
+    products are made by `_Incremental`, through `product_layers`.
+
+    N bounds the nu-norm of the float value of the layer, and r its
+    distance from the exact value of the layer at any inputs within the
+    radii of the lower orders, with the true masses and positions.  So r
+    takes in the radii, the widths of the constants and every rounding of
+    the float lane:
+
+    * a product layer of P pairs: (gamma + (P - 1) 2^-52) sum N_b N_c + P
+      eta, with gamma = 2 gamma_gemm(n) the bound of a complex inner
+      product of at most n terms and 2^-52 |partial sum| the rounding of
+      each addition of the fold;
+    * a sum: 2^-52 N per addition;
+    * scaling by c: rad(c) (N + r) + 2^-52 |mid c| N + eta, and nothing
+      when c is a point power of two of modulus at least 1; negation is
+      exact;
+    * a shift by p: rad(p) and the rounding of the k = 0 entry.
+
+    The field has degree five, so on inputs of at most L coefficients every
+    array it forms has fewer than n = 5L, and no inner product has more
+    terms.  eta bounds the nu-norm of the underflow slack _ETA n of each of
+    fewer than n coefficients of one product or scaling (an addition does
+    not underflow).  Every value is a Python float, rounded up by
+    `interval._next` (the IEEE nextafter of `_up`, without its numpy call).
+    """
+
+    def __init__(self, cfg, nu: float, L: int):
+        self.masses = tuple(cfg.masses)
+        self.positions = tuple(cfg.position(j) for j in range(3))
+        self.zero = {}
+        n = 5 * L
+        self.gamma = 2.0 * _gemm_gamma(n)
+        w_up = float(nu_bounds(nu, [n // 2])[0][0])
+        self.eta = _next(_next(_ETA * n) * _next(n * w_up))
+
+    truncate = staticmethod(ft_truncate)
+
+    @staticmethod
+    def entry(seq, radius):
+        """A center's norm and radius; a center that is a box (a rescaled
+        table's) adds the norm of its width about the midpoint, the float
+        lane's value."""
+        if not seq.is_point():
+            radius = _next(radius + FourierSeq.point(seq.c.rad(), seq.nu).norm_upper())
+        return (seq.norm_upper(), radius)
+
+    product_layers = _product_layers
+
+    @staticmethod
+    def fold(head, pairs):
+        """The (N, r) sums of the products of the pairs, added onto head, an
+        (N, r) pair, or onto zeros when head is None."""
+        Nacc, racc = head or (0.0, 0.0)
+        for (N1, r1), (N2, r2) in pairs:
+            Np = _next(N1 * N2)
+            rp = _next(_next(_next(N1 * r2) + _next(r1 * N2)) + _next(r1 * r2))
+            Nacc, racc = _next(Nacc + Np), _next(racc + rp)
+        return Nacc, racc
+
+    def close(self, acc, P: int):
+        """The (N, r) of a layer of P pairs whose sums are acc."""
+        Nacc, racc = acc
+        e = _next(_next(_next(self.gamma + (P - 1) * _ADD_ROUND) * Nacc) + _next(P * self.eta))
+        return (_next(Nacc + e), _next(racc + e))
+
+    @staticmethod
+    def sum(*grids):
+        out = {}
+        for g in grids:
+            for a, v in g.items():
+                prev = out.get(a)
+                if prev is None:
+                    out[a] = v
+                    continue
+                Ns = _next(prev[0] + v[0])
+                e = _next(Ns * _ADD_ROUND)
+                out[a] = (_next(Ns + e), _next(_next(prev[1] + v[1]) + e))
+        return out
+
+    def scale(self, g, c):
+        c = _as_iv(c)
+        m, rad = abs(c.mid), (0.0 if c.lo == c.hi else _iv_rad_up(c))
+        exact = rad == 0.0 and m >= 1.0 and math.frexp(m)[0] == 0.5
+        out = {}
+        for a, (Nv, rv) in g.items():
+            r2 = _next(m * rv) if rv else 0.0
+            if rad:
+                r2 = _next(r2 + _next(rad * _next(Nv + rv)))
+            e = 0.0 if exact else _next(_next(m * _ADD_ROUND * Nv) + self.eta)
+            out[a] = (_next(_next(m * Nv) + e), _next(r2 + e) if e else r2)
+        return out
+
+    @classmethod
+    def shift(cls, g, p: Interval):
+        c = -p
+        return cls.sum(g, {(0, 0): (abs(c.mid), _iv_rad_up(c))})
+
+    @staticmethod
+    def neg(g):
+        return g
+
+
+class _NodePlan:
+    """The plans of one product node of the field for one table: each
+    layer's `_cauchy_plan`, made once and dropped once the layer
+    is complete, and the layers the node holds and computes at the level
+    being evaluated, made by the lane that reaches the node first."""
+
+    __slots__ = ("layers", "order", "keys", "made")
+
+    def __init__(self):
+        self.layers = {}
+        self.order = None
+        self.keys = self.made = ()
+
+
+class _Incremental:
+    """One evaluation of the field at order `order` in `base`, a
+    `FloatArith` or a `_NormRad`.
+
+    `model.embedded_field` makes its products in a fixed sequence, so the
+    k-th `mul` of every evaluation is the same product node, and layer gamma
+    of a node reads only the inputs of order <= |gamma|.  `old` is the
+    evaluation of the level below, on the same lower orders, or None.  The
+    node layers below `keep` are taken from it, the layers keep..order-1
+    are computed in full, and of the order-`order` layers only the jets the
+    level solves: layer alpha of a product reads no other layer of its own
+    order.  The layers a node computes go to the base's `product_layers` in
+    one call.
+
+    Every product layer folds its Cauchy pairs interior first
+    (`_cauchy_plan`): the pairs without a factor of order 0, which
+    read only complete layers of orders 1..|alpha| - 1, and then the two
+    pairs with one.  So the interior fold of a layer of order `order` is
+    final when the layer is first computed, and `carry` keeps it, per node,
+    for the next level, which completes the layer by folding only its two
+    end pairs onto it.  `nodes` collects each node's layers below `order`,
+    all complete, and `inputs` keeps the nine input grids, so that the next
+    level adds only the entries of its new order.  Every operation but
+    `mul` is the base arithmetic's.
+
+    The grids of the two lanes have the same keys, node by node, so their
+    evaluations share `plans`, one `_NodePlan` per node, which the levels
+    of a table hand on: a layer's plan is made once for the table.
+    """
+
+    def __init__(self, base, order: int, old, keep: int, inputs, plans):
+        self.base = base
+        self.order = order
+        self.top = set(solved(order))
+        self.old = old
+        self.keep = keep
+        self.inputs = inputs
+        self.plans = plans
+        self.nodes = []
+        self.carry = []
+
+    def __getattr__(self, name):
+        return getattr(self.base, name)
+
+    def mul(self, b, c, cap):
+        k = len(self.nodes)
+        if k == len(self.plans):
+            self.plans.append(_NodePlan())
+        plan = self.plans[k]
+        if plan.order != self.order:
+            plan.order = self.order
+            plan.layers = {g: v for g, v in plan.layers.items() if g[0] + g[1] >= self.keep}
+            plan.keys = _product_keys(b, c, cap)
+            made = [g for g in plan.keys if self.keep <= g[0] + g[1]
+                    and (g[0] + g[1] < self.order or g in self.top)]
+            plan.layers.update((g, (interior, ends)) for g, interior, ends in
+                               _cauchy_plan(b, c, [g for g in made if g not in plan.layers]))
+            plan.made = [(g, *plan.layers[g]) for g in made]
+        old, carried = (self.old.nodes[k], self.old.carry[k]) if self.keep else ({}, {})
+        made, interiors = self.base.product_layers(b, c, plan.made, carried)
+        out, done = {}, {}
+        for g in plan.keys:
+            p = g[0] + g[1]
+            if p < self.keep:
+                out[g] = done[g] = old[g]
+            elif g in made:
+                out[g] = made[g]
+                if p < self.order:
+                    done[g] = made[g]
+        self.nodes.append(done)
+        self.carry.append({g: interiors[g] for g in self.top if g in interiors})
+        return out
+
+
+def _level_fields(jet, cfg, order: int, prev=None):
+    """`model.embedded_field` on the orders of the table jet (a
+    `table.JetTable`) below `order`, as one (`_Incremental`, nine grids)
+    pair per lane, `FloatArith` first and `_NormRad` second.
+
+    The grids of order `order` hold the layers of the jets the level solves.
+    prev is the pair of an earlier level on the same lower orders, or None:
+    its input entries, its product layers below its order, the interior
+    folds of its top layers and its plans are taken over, not recomputed.
+    """
+    lower = [(beta, seqs, jet.radii.get(beta))
+             for beta, seqs in sorted(jet.orders.items())
+             if beta[0] + beta[1] < order]
+    L = max(len(s.c) for _, seqs, _ in lower for s in seqs)
+    fields = []
+    plans = [] if prev is None else prev[0][0].plans
+    for k, arith in enumerate((FloatArith(*cfg_floats(cfg)), _NormRad(cfg, jet.nu, L))):
+        if prev is None:
+            was, keep, grids = None, 0, [{} for _ in range(9)]
+        else:
+            was = prev[k][0]
+            keep, grids = was.order, [dict(g) for g in was.inputs]
+        for beta, seqs, r in lower:
+            if beta not in grids[0]:
+                for i in range(9):
+                    grids[i][beta] = arith.entry(seqs[i], r)
+        ar = _Incremental(arith, order, was, keep, grids, plans)
+        fields.append((ar, model.embedded_field(ar, grids, order)))
+        # the level below is spent: a chain of levels would keep every one
+        ar.old = None
+    return tuple(fields)
+
+
+def _jet_rhs(fields, alpha):
+    """(rhs, rho) of jet alpha from its level's `_level_fields`: layer alpha
+    of the float field, nine arrays or None, and a bound of its distance
+    from the exact layer (the `_NormRad` field)."""
+    (_, floats), (_, norms) = fields
+    return ([f.get(alpha) for f in floats],
+            max(r.get(alpha, (0.0, 0.0))[1] for r in norms))
 
 
 # ---------------------------------------------------------------------------

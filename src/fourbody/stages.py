@@ -88,8 +88,8 @@ Stages:
   omits zero, and the kind by checking its sign.
 * orders 2..N_t: the jets a_alpha, affine problems (Z2 = 0) whose data
   uncertainty (radii of all lower orders) is folded into Y and Z1.  Only
-  the jets with m >= n are solved; a_(n,m) is the conjugate reflection of
-  a_(m,n) with the same radius.
+  the jets with m >= n are solved (`table.solved`); a_(n,m) is the
+  conjugate reflection of a_(m,n) with the same radius.
 
 Orders 0 and 1 solve their truncated maps by Newton's method to the
 residual tolerance NEWTON_TOL (order 0 in `seeding`).  A jet's map is affine,
@@ -100,27 +100,27 @@ dense factorization.  Every stage looks for its radius r below the cap
 R_STAR.
 
 The right-hand side of a jet of order p is layer alpha of the field on the
-orders below p, evaluated in two lanes.  The float lane
+orders below p, evaluated in two lanes, both in `numerics`.  The float lane
 (`numerics.FloatArith`, the one float fold of the field) gives the float
 right-hand side: the jet's step reads it, and so does the residual of
-its certificate, as exact discs.  The norm lane (`_NormRad`) gives, per
-layer, a bound N of the float value's nu-norm and a bound r of its distance
-from the field at the true lower orders.  r takes in the radii of the lower
-orders and the rounding of every float operation, so the jet's budget rho
-bounds the whole distance and enters Y through pre_Y.  `_level_fields`
-makes both lanes once per level, and `_extend` hands each level's
-evaluation to the next: that level reuses the lower orders' entries and
-every product layer below p - 1, completes layer p - 1 from the interior
-folds the level below made of it, and computes layer p only for the jets
-it solves (`_Incremental`).  Nothing of it is kept on the table;
-`jet_problem` and `validate_jet`, which take one jet of a table, evaluate
-its level afresh.
+its certificate, as exact discs.  The norm lane (`numerics._NormRad`)
+gives, per layer, a bound N of the float value's nu-norm and a bound r of
+its distance from the field at the true lower orders.  r takes in the radii
+of the lower orders and the rounding of every float operation, so the
+jet's budget rho bounds the whole distance and enters Y through pre_Y.
+`numerics._level_fields` makes both lanes once per level, and `_extend`
+hands each level's evaluation to the next: that level reuses the lower
+orders' entries and every product layer below p - 1, completes layer p - 1
+from the interior folds the level below made of it, and computes layer p
+only for the jets it solves (`numerics._Incremental`).  Nothing of it is
+kept on the table; `jet_problem` and `validate_jet`, which take one jet of
+a table, evaluate its level afresh.
 
 A jet takes its right-hand side and rho from its level's fields
-(`_jet_rhs`), and lambda_bar, the kind, the radii of orders 0 and 1 and the
-order-1 digest from its table; `_certify_jets` assembles and certifies
-the jets of a level as one batch, and `validate_jet` one jet as a batch of
-one.  A batch stacks its residuals: DF0 runs once per kernel on all the
+(`numerics._jet_rhs`), and lambda_bar, the kind, the radii of orders 0
+and 1 and the order-1 digest from its table; `_certify_jets` assembles and
+certifies the jets of a level as one batch, and `validate_jet` one jet as a
+batch of one.  A batch stacks its residuals: DF0 runs once per kernel on all the
 centres, A once on all the residual windows, and every stacked step gives
 each jet the bits it gets alone, so `validate_jet` reproduces the level's
 certificate.  Orders 0 and 1 are batches of one too: there is one residual
@@ -145,19 +145,21 @@ too little N^3 work to pay for its spinning between calls, which took a
 core from whatever else ran.  So one certified table costs one core, and
 its digests do not depend on the BLAS thread count.
 
-The jet table collects centers, radii, eigenvalue enclosures, and the
-certificates with a digest chain binding each stage to its predecessors.
+The jet table (`table.JetTable`) collects centers, radii, eigenvalue
+enclosures, and the certificates with a digest chain binding each stage to
+its predecessors.  The `table` module owns which (m, n) a table holds, the
+names of its stages and their digests; a stage's result goes in through
+`JetTable.write`, which writes its mirror too.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .interval import ComplexInterval, Interval, _as_iv, _next
+from .interval import ComplexInterval, Interval
 from .ivarray import (
     CArr,
     cmat_abs_up,
@@ -166,9 +168,7 @@ from .ivarray import (
     mm_up_nonneg,
     mr_add,
     up_sum,
-    _ETA,
     _dn,
-    _gemm_gamma,
     _up,
 )
 from .opbound import (
@@ -188,10 +188,12 @@ from .opbound import (
     tail_col_profile,
     tail_row_bounds,
 )
-from .radii import Certificate, NKBounds, NoNegativeRadius, content_digest, radii_newton
+from .radii import Certificate, NKBounds, NoNegativeRadius, radii_newton
 from .seqspace import FourierSeq, project
+from .table import JetTable, _strip_unvalidated, rescale_jets
 from . import model
 from . import numerics
+from . import table
 
 __all__ = [
     "ResonantExponents",
@@ -201,15 +203,12 @@ __all__ = [
     "Order0Result",
     "Order1Result",
     "JetResult",
-    "JetTable",
     "newton_stage",
     "bundle_problem",
     "jet_problem",
     "validate_order0",
     "validate_order1",
     "validate_jet",
-    "inputs_digest",
-    "rescale_jets",
     "start_jet_table",
     "extend_with_jets",
 ]
@@ -234,11 +233,6 @@ def _civ_ball(z: complex, r: float) -> ComplexInterval:
         Interval(_dn(z.real - r), _up(z.real + r)),
         Interval(_dn(z.imag - r), _up(z.imag + r)),
     )
-
-
-def _iv_rad_up(v: Interval) -> float:
-    m = v.mid
-    return float(max(_up(v.hi - m), _up(m - v.lo), 0.0))
 
 
 def _up_horner(coeffs, r: float) -> float:
@@ -427,7 +421,8 @@ def _class_of(stage, mags, K: int, cls=None) -> int:
 
 def _jet_class(jet: "JetTable", p: int) -> int:
     """The class of Q of the jets of order p: c1^p, with c1 that of a_1."""
-    return _class_of("order1", [s.c.mag() for s in jet.orders[(1, 0)]], jet.K) ** p
+    return _class_of(table.stage_key((1, 0), jet.kind),
+                     [s.c.mag() for s in jet.orders[(1, 0)]], jet.K) ** p
 
 
 def _orbit_residual(z, omega, anchor, layout: SpaceLayout, ms, pos):
@@ -526,7 +521,7 @@ def jet_problem(alpha, jet: "JetTable", cfg):
     measures the step."""
     alpha = _solved_jet(alpha)
     ctx = _context_for(jet, cfg)
-    rhs, _ = _jet_rhs(_level_fields(jet, cfg, sum(alpha)), alpha)
+    rhs, _ = numerics._jet_rhs(numerics._level_fields(jet, cfg, sum(alpha)), alpha)
     base = ctx.window_block(sum(alpha) * jet.lambda_bar, SpaceLayout(0, ctx.K))
     Rwin = _rhs_window(rhs, ctx.K).ravel()
     return (lambda z: base @ z + Rwin), (lambda z: base)
@@ -880,7 +875,7 @@ def _assemble_orbit(sol: "OrbitSolution", ctx: _StageContext, ar):
         scalar_tail_sup=_up(eta_consts * nuinvK),
         ycol_tail_mags=[(1 + j, 6 + j, cubes[j].c.mag()) for j in range(3)],
     )
-    return data, _Assembled(["order0"], (etas.mid()[None], etas.rad()[None]),
+    return data, _Assembled([table.cert_tag((0, 0), "")], (etas.mid()[None], etas.rad()[None]),
                             [(c.mid()[None], c.rad()[None], c.mag()[None]) for c in boxes],
                             [monos], pre_Y=[0.0], pre_Z1=[pre_Z1])
 
@@ -892,7 +887,7 @@ def _assemble_bundle(sol: "BundleSolution", ctx: _StageContext, r0: float):
     ns = 1
     lam = sol.lam
     rows = np.asarray(sol.coeffs, dtype=complex)
-    tag = "order1:%s" % sol.kind
+    tag = table.cert_tag((1, 0), sol.kind)
     layout = SpaceLayout(ns, K, _class_of(tag, np.abs(rows), K))
     a1 = [FourierSeq.point(row, nu) for row in rows]
 
@@ -935,7 +930,7 @@ def _certify_jets(jet: "JetTable", ctx: _StageContext, alphas, rhss, rhos, cente
     p = sum(alphas[0])
     lam = jet.lambda_bar
     s = p * lam
-    tags = ["jet:%d,%d:%s" % (m_, n_, jet.kind) for m_, n_ in alphas]
+    tags = [table.cert_tag(alpha, jet.kind) for alpha in alphas]
     for tag, seqs in zip(tags, centers):
         if not all(row.is_point() for row in seqs):
             raise ValueError("jet centers must be point sequences")
@@ -953,287 +948,20 @@ def _certify_jets(jet: "JetTable", ctx: _StageContext, alphas, rhss, rhos, cente
     B = len(alphas)
     asm = _Assembled(tags, (np.zeros((B, 0), dtype=complex), np.zeros((B, 0))), resid,
                      [[]] * B, pre_Y=pre_Y, pre_Z1=[shift_err] * B)
-    digests = [inputs_digest(alpha, jet.kind, jet.digests["order1"], seqs)
+    digests = [table.inputs_digest(alpha, jet.kind, jet.prev_digest(alpha), seqs)
                for alpha, seqs in zip(alphas, centers)]
     return [JetResult(alpha, tuple(seqs), cert.r0, cert, report)
             for alpha, seqs, (cert, report) in zip(alphas, centers, _certify(op, asm, digests))]
 
 
-# ---------------------------------------------------------------------------
-# verified remainder enclosures: the field on the lower orders, by layer
-
-
-# a complex addition, or a scaling by a real, errs by at most u times the
-# modulus of the exact result; 2u leaves room
-_ADD_ROUND = 2.0 ** -52
-
-
-class _NormRad:
-    """Grids (m, n) -> (N, r) for `model.embedded_field`, the bounds of the
-    `numerics.FloatArith` evaluation on the same lower orders.  It has no
-    `mul`: its products are made by `_Incremental`, through
-    `product_layers`.
-
-    N bounds the nu-norm of the float value of the layer, and r its
-    distance from the exact value of the layer at any inputs within the
-    radii of the lower orders, with the true masses and positions.  So r
-    takes in the radii, the widths of the constants and every rounding of
-    the float lane:
-
-    * a product layer of P pairs: (gamma + (P - 1) 2^-52) sum N_b N_c + P
-      eta, with gamma = 2 gamma_gemm(n) the bound of a complex inner
-      product of at most n terms and 2^-52 |partial sum| the rounding of
-      each addition of the fold;
-    * a sum: 2^-52 N per addition;
-    * scaling by c: rad(c) (N + r) + 2^-52 |mid c| N + eta, and nothing
-      when c is a point power of two of modulus at least 1; negation is
-      exact;
-    * a shift by p: rad(p) and the rounding of the k = 0 entry.
-
-    The field has degree five, so on inputs of at most L coefficients every
-    array it forms has fewer than n = 5L, and no inner product has more
-    terms.  eta bounds the nu-norm of the underflow slack _ETA n of each of
-    fewer than n coefficients of one product or scaling (an addition does
-    not underflow).  Every value is a Python float, rounded up by
-    `interval._next` (the IEEE nextafter of `_up`, without its numpy call).
-    """
-
-    def __init__(self, cfg, nu: float, L: int):
-        self.masses = tuple(cfg.masses)
-        self.positions = tuple(cfg.position(j) for j in range(3))
-        self.zero = {}
-        n = 5 * L
-        self.gamma = 2.0 * _gemm_gamma(n)
-        w_up = float(nu_bounds(nu, [n // 2])[0][0])
-        self.eta = _next(_next(_ETA * n) * _next(n * w_up))
-
-    truncate = staticmethod(numerics.ft_truncate)
-
-    @staticmethod
-    def entry(seq, radius):
-        """A center's norm and radius; a center that is a box (a rescaled
-        table's) adds the norm of its width about the midpoint, the float
-        lane's value."""
-        if not seq.is_point():
-            radius = _next(radius + FourierSeq.point(seq.c.rad(), seq.nu).norm_upper())
-        return (seq.norm_upper(), radius)
-
-    def product_layers(self, b, c, plan, carried=None):
-        """(layers, interiors) as `numerics.FloatArith.product_layers`: the
-        pairs fold in the same order, and an interior fold, (N sum, r sum,
-        number of pairs), is carried the same way."""
-        carried = carried or {}
-        out, interiors = {}, {}
-        for g, interior, ends in plan:
-            tail = [(b[x], c[y]) for x, y in ends if x in b and y in c]
-            inner = carried.get(g)
-            if inner is None:
-                inner = self._fold(0.0, 0.0, [(b[x], c[y]) for x, y in interior]) + (
-                    len(interior),)
-            if inner[2]:
-                interiors[g] = inner
-            Nacc, racc = self._fold(inner[0], inner[1], tail)
-            P = inner[2] + len(tail)
-            e = _next(_next(_next(self.gamma + (P - 1) * _ADD_ROUND) * Nacc)
-                      + _next(P * self.eta))
-            out[g] = (_next(Nacc + e), _next(racc + e))
-        return out, interiors
-
-    @staticmethod
-    def _fold(Nacc, racc, pairs):
-        """(N, r) sums of the products of the pairs, added onto Nacc, racc."""
-        for (N1, r1), (N2, r2) in pairs:
-            Np = _next(N1 * N2)
-            rp = _next(_next(_next(N1 * r2) + _next(r1 * N2)) + _next(r1 * r2))
-            Nacc, racc = _next(Nacc + Np), _next(racc + rp)
-        return Nacc, racc
-
-    @staticmethod
-    def sum(*grids):
-        out = {}
-        for g in grids:
-            for a, v in g.items():
-                prev = out.get(a)
-                if prev is None:
-                    out[a] = v
-                    continue
-                Ns = _next(prev[0] + v[0])
-                e = _next(Ns * _ADD_ROUND)
-                out[a] = (_next(Ns + e), _next(_next(prev[1] + v[1]) + e))
-        return out
-
-    def scale(self, g, c):
-        c = _as_iv(c)
-        m, rad = abs(c.mid), (0.0 if c.lo == c.hi else _iv_rad_up(c))
-        exact = rad == 0.0 and m >= 1.0 and math.frexp(m)[0] == 0.5
-        out = {}
-        for a, (Nv, rv) in g.items():
-            r2 = _next(m * rv) if rv else 0.0
-            if rad:
-                r2 = _next(r2 + _next(rad * _next(Nv + rv)))
-            e = 0.0 if exact else _next(_next(m * _ADD_ROUND * Nv) + self.eta)
-            out[a] = (_next(_next(m * Nv) + e), _next(r2 + e) if e else r2)
-        return out
-
-    @staticmethod
-    def shift(g, p: Interval):
-        c = -p
-        cm, crad = abs(c.mid), _iv_rad_up(c)
-        out = dict(g)
-        ent = out.get((0, 0))
-        if ent is None:
-            out[(0, 0)] = (cm, crad)
-        else:
-            Ns = _next(ent[0] + cm)
-            e = _next(Ns * _ADD_ROUND)
-            out[(0, 0)] = (_next(Ns + e), _next(_next(ent[1] + crad) + e))
-        return out
-
-    @staticmethod
-    def neg(g):
-        return g
-
-
-class _NodePlan:
-    """The plans of one product node of the field for one table: each
-    layer's `numerics._cauchy_plan`, made once and dropped once the layer
-    is complete, and the layers the node holds and computes at the level
-    being evaluated, made by the lane that reaches the node first."""
-
-    __slots__ = ("layers", "order", "keys", "made")
-
-    def __init__(self):
-        self.layers = {}
-        self.order = None
-        self.keys = self.made = ()
-
-
-class _Incremental:
-    """One evaluation of the field at order `order` in `base`, a
-    `numerics.FloatArith` or a `_NormRad`.
-
-    `model.embedded_field` makes its products in a fixed sequence, so the
-    k-th `mul` of every evaluation is the same product node, and layer gamma
-    of a node reads only the inputs of order <= |gamma|.  `old` is the
-    evaluation of the level below, on the same lower orders, or None.  The
-    node layers below `keep` are taken from it, the layers keep..order-1
-    are computed in full, and of the order-`order` layers only the jets the
-    level solves: layer alpha of a product reads no other layer of its own
-    order.  The layers a node computes go to the base's `product_layers` in
-    one call.
-
-    Every product layer folds its Cauchy pairs interior first
-    (`numerics._cauchy_plan`): the pairs without a factor of order 0, which
-    read only complete layers of orders 1..|alpha| - 1, and then the two
-    pairs with one.  So the interior fold of a layer of order `order` is
-    final when the layer is first computed, and `carry` keeps it, per node,
-    for the next level, which completes the layer by folding only its two
-    end pairs onto it.  `nodes` collects each node's layers below `order`,
-    all complete, and `inputs` keeps the nine input grids, so that the next
-    level adds only the entries of its new order.  Every operation but
-    `mul` is the base arithmetic's.
-
-    The grids of the two lanes have the same keys, node by node, so their
-    evaluations share `plans`, one `_NodePlan` per node, which the levels
-    of a table hand on: a layer's plan is made once for the table.
-    """
-
-    def __init__(self, base, order: int, old, keep: int, inputs, plans):
-        self.base = base
-        self.order = order
-        self.top = set(_level_alphas(order))
-        self.old = old
-        self.keep = keep
-        self.inputs = inputs
-        self.plans = plans
-        self.nodes = []
-        self.carry = []
-
-    def __getattr__(self, name):
-        return getattr(self.base, name)
-
-    def mul(self, b, c, cap):
-        k = len(self.nodes)
-        if k == len(self.plans):
-            self.plans.append(_NodePlan())
-        plan = self.plans[k]
-        if plan.order != self.order:
-            plan.order = self.order
-            plan.layers = {g: v for g, v in plan.layers.items() if g[0] + g[1] >= self.keep}
-            plan.keys = numerics._product_keys(b, c, cap)
-            made = [g for g in plan.keys if self.keep <= g[0] + g[1]
-                    and (g[0] + g[1] < self.order or g in self.top)]
-            plan.layers.update((g, (interior, ends)) for g, interior, ends in
-                               numerics._cauchy_plan(b, c, [g for g in made
-                                                            if g not in plan.layers]))
-            plan.made = [(g, *plan.layers[g]) for g in made]
-        old, carried = (self.old.nodes[k], self.old.carry[k]) if self.keep else ({}, {})
-        made, interiors = self.base.product_layers(b, c, plan.made, carried)
-        out, done = {}, {}
-        for g in plan.keys:
-            p = g[0] + g[1]
-            if p < self.keep:
-                out[g] = done[g] = old[g]
-            elif g in made:
-                out[g] = made[g]
-                if p < self.order:
-                    done[g] = made[g]
-        self.nodes.append(done)
-        self.carry.append({g: interiors[g] for g in self.top if g in interiors})
-        return out
-
-
-def _level_fields(jet: "JetTable", cfg, order: int, prev=None):
-    """`model.embedded_field` on the orders of the table below `order`, as
-    one (`_Incremental`, nine grids) pair per lane, `numerics.FloatArith`
-    first and `_NormRad` second.
-
-    The grids of order `order` hold the layers of the jets the level solves.
-    prev is the pair of an earlier level on the same lower orders, or None:
-    its input entries, its product layers below its order, the interior
-    folds of its top layers and its plans are taken over, not recomputed.
-    """
-    lower = [(beta, seqs, jet.radii.get(beta))
-             for beta, seqs in sorted(jet.orders.items())
-             if beta[0] + beta[1] < order]
-    L = max(len(s.c) for _, seqs, _ in lower for s in seqs)
-    fields = []
-    plans = [] if prev is None else prev[0][0].plans
-    floats = numerics.FloatArith(*numerics.cfg_floats(cfg))
-    for k, arith in enumerate((floats, _NormRad(cfg, jet.nu, L))):
-        if prev is None:
-            was, keep, grids = None, 0, [{} for _ in range(9)]
-        else:
-            was = prev[k][0]
-            keep, grids = was.order, [dict(g) for g in was.inputs]
-        for beta, seqs, r in lower:
-            if beta not in grids[0]:
-                for i in range(9):
-                    grids[i][beta] = arith.entry(seqs[i], r)
-        ar = _Incremental(arith, order, was, keep, grids, plans)
-        fields.append((ar, model.embedded_field(ar, grids, order)))
-        # the level below is spent: a chain of levels would keep every one
-        ar.old = None
-    return tuple(fields)
-
-
 def _solved_jet(alpha):
-    """alpha as a pair of ints; only the jets with m >= n are solved."""
-    m_, n_ = int(alpha[0]), int(alpha[1])
-    if m_ + n_ < 2:
-        raise ValueError("jet stages start at |alpha| = 2")
-    if m_ < n_:
-        raise ValueError("jet (%d,%d) is the reflection of (%d,%d)" % (m_, n_, n_, m_))
-    return (m_, n_)
-
-
-def _jet_rhs(fields, alpha):
-    """(rhs, rho) of jet alpha from its level's `_level_fields`: layer alpha
-    of the float field, nine arrays or None, and a bound of its distance
-    from the exact layer (the `_NormRad` field)."""
-    (_, floats), (_, norms) = fields
-    return ([f.get(alpha) for f in floats],
-            max(r.get(alpha, (0.0, 0.0))[1] for r in norms))
+    """alpha as a pair of ints, if a jet stage certifies it (`table.solved`)."""
+    alpha = (int(alpha[0]), int(alpha[1]))
+    if sum(alpha) < 2 or table.source(alpha) != alpha:
+        raise ValueError("jet stages start at |alpha| = 2" if sum(alpha) < 2 else
+                         "jet (%d,%d) is the reflection of (%d,%d)"
+                         % (*alpha, *table.mirror(alpha)))
+    return alpha
 
 
 # ---------------------------------------------------------------------------
@@ -1289,35 +1017,11 @@ class JetResult:
     bounds: dict
 
 
-def _cfg_digest_obj(cfg):
-    return {
-        "masses": [m.hex_pair() for m in cfg.masses],
-        "positions": [[c.hex_pair() for c in cfg.position(j)] for j in range(3)],
-    }
-
-
-def _seqs_digest_obj(seqs):
-    return [s.to_json_obj() for s in seqs]
-
-
-def inputs_digest(alpha, kind: str, prev: str, centers, bundle=()) -> str:
-    """The inputs_digest of the certificate of order 1 (alpha = (1, 0)) or of
-    jet alpha: its kind, the digest of the stage below it and its centers;
-    for order 1, bundle is (lambda, k0, xi0)."""
-    obj = {"stage": "jet:%d,%d" % alpha, "kind": kind, "prev": prev,
-           "coeffs": _seqs_digest_obj(centers)}
-    if bundle:
-        lam, k0, xi0 = bundle
-        obj.update({"stage": "order1", "k0": k0, "xi0": float(xi0).hex(),
-                    "lambda": [float(lam.real).hex(), float(lam.imag).hex()]})
-    return content_digest(obj)
-
-
 @numerics.one_blas_thread()
 def validate_order0(solution: OrbitSolution, cfg) -> Order0Result:
     """Certify the periodic orbit, in class +1 of Q; the unfolding enclosure
     must contain zero."""
-    _class_of("order0", np.abs(solution.coeffs), solution.K, 1)
+    _class_of(table.cert_tag((0, 0), ""), np.abs(solution.coeffs), solution.K, 1)
     # one product table serves dF0, the field and the cubes; it is dropped
     # once they are made, and the context that the JetTable caches never
     # holds it
@@ -1326,18 +1030,7 @@ def validate_order0(solution: OrbitSolution, cfg) -> Order0Result:
                         solution.nu, ar)
     data, asm = _assemble_orbit(solution, ctx, ar)
     del ar
-    digest = content_digest({
-        "stage": "order0",
-        "omega": float(solution.omega).hex(),
-        "K": solution.K,
-        "nu": float(solution.nu).hex(),
-        "anchor": [[float(t).hex() for t in solution.anchor.u0],
-                   [float(t).hex() for t in solution.anchor.u1]],
-        "cfg": _cfg_digest_obj(cfg),
-        "y": [[float(t.real).hex(), float(t.imag).hex()] for t in solution.y],
-        "coeffs": _seqs_digest_obj(solution.seqs()),
-    })
-    (cert, report), = _certify(_operator(ctx, data), asm, [digest])
+    (cert, report), = _certify(_operator(ctx, data), asm, [table.order0_digest(solution, cfg)])
     r0 = cert.r0
     for t in solution.y:
         if abs(complex(t)) > r0:
@@ -1366,8 +1059,8 @@ def validate_order1(solution: BundleSolution, jet: "JetTable", cfg) -> Order1Res
     ctx = _context_for(jet, cfg)
     r0 = jet.radii[(0, 0)]
     data, asm = _assemble_bundle(solution, ctx, r0)
-    digest = inputs_digest(
-        (1, 0), solution.kind, jet.digests.get("order0", ""),
+    digest = table.inputs_digest(
+        (1, 0), solution.kind, jet.prev_digest((1, 0)),
         [FourierSeq.point(row, jet.nu) for row in solution.coeffs],
         (solution.lam, solution.k0, solution.xi0))
     (cert, report), = _certify(_operator(ctx, data), asm, [digest])
@@ -1386,137 +1079,11 @@ def validate_order1(solution: BundleSolution, jet: "JetTable", cfg) -> Order1Res
 def validate_jet(alpha, jet: "JetTable", cfg) -> JetResult:
     """Certify one homological jet whose center is staged in the table."""
     alpha = _solved_jet(alpha)
-    rhs, rho = _jet_rhs(_level_fields(jet, cfg, sum(alpha)), alpha)
+    rhs, rho = numerics._jet_rhs(numerics._level_fields(jet, cfg, sum(alpha)), alpha)
     ctx = _context_for(jet, cfg)
     p = sum(alpha)
     op = _operator(ctx, ctx.jet_operator_data(p * jet.lambda_bar, _jet_class(jet, p)))
     return _certify_jets(jet, ctx, [alpha], [rhs], [rho], [jet.orders[alpha]], op)[0]
-
-
-# ---------------------------------------------------------------------------
-# the jet table
-
-
-@dataclass
-class JetTable:
-    """Certified Fourier-Taylor data for one invariant manifold."""
-
-    kind: str
-    omega: float
-    K: int
-    nu: float
-    N_t: int
-    k0: int
-    xi0: float
-    anchor: model.PhaseAnchor
-    y_bar: tuple
-    lambda_bar: float
-    lambda1: ComplexInterval | None = None
-    gamma_scale: float = 1.0
-    orders: dict = field(default_factory=dict)
-    radii: dict = field(default_factory=dict)
-    certs: dict = field(default_factory=dict)
-    digests: dict = field(default_factory=dict)
-    ctx_cache: object = field(default=None, repr=False, compare=False)
-
-    def re_lambda_mig(self) -> float:
-        """Lower bound of |Re lambda| over the certified enclosure."""
-        return self.lambda1.re.mig()
-
-    def E_total(self) -> Interval:
-        acc = Interval.point(0.0)
-        for r in sorted(self.radii.values()):
-            acc = acc + Interval.point(float(r))
-        return acc
-
-    def complete(self) -> bool:
-        want = {(m, p - m) for p in range(self.N_t + 1) for m in range(p + 1)}
-        return want <= set(self.orders) and want <= set(self.radii)
-
-    def to_json_obj(self):
-        return {
-            "kind": self.kind,
-            "omega": float(self.omega).hex(),
-            "K": self.K,
-            "nu": float(self.nu).hex(),
-            "N_t": self.N_t,
-            "k0": self.k0,
-            "xi0": float(self.xi0).hex(),
-            "anchor": [[float(t).hex() for t in self.anchor.u0],
-                       [float(t).hex() for t in self.anchor.u1]],
-            "y_bar": [[float(t.real).hex(), float(t.imag).hex()] for t in self.y_bar],
-            "lambda_bar": [float(self.lambda_bar).hex(), (0.0).hex()],
-            "lambda1": None if self.lambda1 is None else list(self.lambda1.hex_quad()),
-            "gamma_scale": float(self.gamma_scale).hex(),
-            "orders": {"%d,%d" % a: [s.to_json_obj() for s in seqs]
-                       for a, seqs in sorted(self.orders.items())},
-            "radii": {"%d,%d" % a: float(r).hex()
-                      for a, r in sorted(self.radii.items())},
-            "certs": {k: v.to_json_obj() for k, v in sorted(self.certs.items())},
-            "digests": dict(sorted(self.digests.items())),
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "JetTable":
-        def key(sk):
-            m, n = sk.split(",")
-            return (int(m), int(n))
-        lam1 = obj["lambda1"]
-        lam_re, lam_im = (float.fromhex(t) for t in obj["lambda_bar"])
-        if lam_im != 0.0:
-            raise ValueError("lambda_bar %r is not real" % obj["lambda_bar"])
-        return cls(
-            kind=obj["kind"],
-            omega=float.fromhex(obj["omega"]),
-            K=int(obj["K"]),
-            nu=float.fromhex(obj["nu"]),
-            N_t=int(obj["N_t"]),
-            k0=int(obj["k0"]),
-            xi0=float.fromhex(obj["xi0"]),
-            anchor=model.PhaseAnchor(
-                tuple(float.fromhex(t) for t in obj["anchor"][0]),
-                tuple(float.fromhex(t) for t in obj["anchor"][1])),
-            y_bar=tuple(complex(float.fromhex(a), float.fromhex(b))
-                        for a, b in obj["y_bar"]),
-            lambda_bar=lam_re,
-            lambda1=None if lam1 is None else ComplexInterval.from_hex_quad(lam1),
-            gamma_scale=float.fromhex(obj["gamma_scale"]),
-            orders={key(sk): tuple(FourierSeq.from_json_obj(s) for s in seqs)
-                    for sk, seqs in obj["orders"].items()},
-            radii={key(sk): float.fromhex(r) for sk, r in obj["radii"].items()},
-            certs={k: Certificate.from_json_obj(v) for k, v in obj["certs"].items()},
-            digests=dict(obj["digests"]),
-        )
-
-    def digest(self) -> str:
-        return content_digest(self.to_json_obj())
-
-
-def rescale_jets(jet: JetTable, gamma: float) -> JetTable:
-    """Scale every order-p layer and radius by gamma^p (eigenfunction rescale)."""
-    gamma = float(gamma)
-    if not (0.0 < gamma <= 1.0):
-        raise ValueError("gamma must lie in (0, 1]")
-    if gamma == 1.0:
-        return replace(jet, orders=dict(jet.orders), radii=dict(jet.radii),
-                       certs=dict(jet.certs), digests=dict(jet.digests))
-    g = Interval.point(gamma)
-    orders = {}
-    radii = {}
-    for alpha, seqs in jet.orders.items():
-        p = alpha[0] + alpha[1]
-        if p == 0:
-            orders[alpha] = seqs
-            if alpha in jet.radii:
-                radii[alpha] = jet.radii[alpha]
-            continue
-        gp = g.pow_int(p)
-        orders[alpha] = tuple(s.scale(gp) for s in seqs)
-        if alpha in jet.radii:
-            radii[alpha] = float(_up(jet.radii[alpha] * gp.hi))
-    return replace(jet, gamma_scale=jet.gamma_scale * gamma,
-                   orders=orders, radii=radii,
-                   certs=dict(jet.certs), digests=dict(jet.digests))
 
 
 # ---------------------------------------------------------------------------
@@ -1540,10 +1107,7 @@ def start_jet_table(kind: str, sol: OrbitSolution, res: Order0Result, cfg,
         xi0=xi0, anchor=sol.anchor, y_bar=tuple(complex(t) for t in sol.y),
         lambda_bar=float(lam_guess),
     )
-    jet.orders[(0, 0)] = sol.seqs()
-    jet.radii[(0, 0)] = res.r0
-    jet.certs["order0"] = res.cert
-    jet.digests["order0"] = content_digest(res.cert.to_json_obj())
+    jet.write((0, 0), sol.seqs(), res.r0, res.cert)
     if res.context is not None and res.context[0] is sol and res.context[1] is cfg:
         # the order-0 context of validate_order0 is the one the table needs
         jet.ctx_cache = res.context[1:]
@@ -1560,20 +1124,9 @@ def start_jet_table(kind: str, sol: OrbitSolution, res: Order0Result, cfg,
     bsol = BundleSolution(kind, float(z[0].real), a1, k0, xi0)
     jet.lambda_bar = bsol.lam
     r1 = validate_order1(bsol, jet, cfg)
-    a1 = tuple(FourierSeq.point(row, sol.nu) for row in bsol.coeffs)
-    jet.orders[(1, 0)] = a1
-    jet.orders[(0, 1)] = tuple(s.conj_reflect() for s in a1)
-    jet.radii[(1, 0)] = r1.r1
-    jet.radii[(0, 1)] = r1.r1
+    jet.write((1, 0), [FourierSeq.point(row, sol.nu) for row in bsol.coeffs], r1.r1, r1.cert)
     jet.lambda1 = r1.lambda1
-    jet.certs["order1"] = r1.cert
-    jet.digests["order1"] = content_digest(r1.cert.to_json_obj())
     return jet
-
-
-def _level_alphas(p: int):
-    """The jets of order p that are solved: (m, p - m) with m >= p - m."""
-    return [(m, p - m) for m in range(p, (p - 1) // 2, -1)]
 
 
 def _level_parallel(jet: "JetTable", cfg, alphas, fields):
@@ -1594,7 +1147,7 @@ def _level_parallel(jet: "JetTable", cfg, alphas, fields):
     p = sum(alphas[0])
     op = _operator(ctx, ctx.jet_operator_data(p * jet.lambda_bar, _jet_class(jet, p)))
     layout = op.layout
-    rhss, rhos = zip(*(_jet_rhs(fields, alpha) for alpha in alphas))
+    rhss, rhos = zip(*(numerics._jet_rhs(fields, alpha) for alpha in alphas))
     Z = -matmul_by_column(op.Jhat, np.array([layout.pack((), _rhs_window(rhs, ctx.K))
                                              for rhs in rhss]).T)
     centers = [tuple(FourierSeq.point(row, ctx.nu) for row in layout.unpack(z)[1])
@@ -1606,21 +1159,12 @@ def _extend(jet: JetTable, cfg) -> JetTable:
     """Solve and certify the jets the table lacks, level by level."""
     fields = None
     for p in range(2, jet.N_t + 1):
-        alphas = [a for a in _level_alphas(p) if a not in jet.radii]
+        alphas = [a for a in table.solved(p) if a not in jet.radii]
         if not alphas:
             continue
-        fields = _level_fields(jet, cfg, p, fields)
+        fields = numerics._level_fields(jet, cfg, p, fields)
         for res in _level_parallel(jet, cfg, alphas, fields):
-            alpha = res.alpha
-            centers = res.centers
-            jet.orders[alpha] = centers
-            jet.radii[alpha] = res.r
-            jet.certs[res.cert.stage] = res.cert
-            jet.digests[res.cert.stage] = content_digest(res.cert.to_json_obj())
-            mirror = (alpha[1], alpha[0])
-            if mirror != alpha:
-                jet.orders[mirror] = tuple(s.conj_reflect() for s in centers)
-                jet.radii[mirror] = res.r
+            jet.write(res.alpha, res.centers, res.r, res.cert)
     return jet
 
 
@@ -1644,8 +1188,3 @@ def extend_with_jets(jet: JetTable, cfg, *, gamma: float = 0.7,
         scaled = rescale_jets(_strip_unvalidated(jet), gamma)
     return _extend(scaled, cfg)
 
-
-def _strip_unvalidated(jet: JetTable) -> JetTable:
-    orders = {a: s for a, s in jet.orders.items() if a in jet.radii}
-    return replace(jet, orders=orders, radii=dict(jet.radii),
-                   certs=dict(jet.certs), digests=dict(jet.digests))

@@ -6,8 +6,8 @@ intervals (the multi-layer reference of the oracles) and norm/radius
 pairs.  The float values must lie in the interval enclosure, the norm
 lane's r must bound their distance from every point of it, and moving the
 float inputs within given radii must move the outputs by no more than r.
-The jet layers of `stages` and the derivative kernels get the same checks.
-The level fields of `stages` are evaluated order by order with product
+The jet layers (`numerics._jet_rhs`) and the derivative kernels get the
+same checks.  The level fields (`numerics._level_fields`) are evaluated order by order with product
 layers carried between orders: each must equal a fresh evaluation byte for
 byte, and their float lane must equal the float remainder.
 """
@@ -18,9 +18,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fourbody import model, numerics, stages
+from fourbody import model, numerics
 from fourbody.interval import Interval
 from fourbody.seqspace import FourierSeq
+from fourbody.table import solved
 
 import oracles
 
@@ -56,9 +57,9 @@ def data():
 
 class WholeProducts:
     """The arithmetic base with a `mul` that makes every layer of a Cauchy
-    product, as `numerics.FloatArith.mul` does.  `stages._NormRad` has no
+    product, as `numerics.FloatArith.mul` does.  `numerics._NormRad` has no
     `mul` of its own: the jets make its products through
-    `stages._Incremental`."""
+    `numerics._Incremental`."""
 
     mul = numerics.FloatArith.mul
 
@@ -146,7 +147,7 @@ def test_float_field_inside_interval_and_norm_lane(cfg, data, constants):
                for comp in grid]
     iv = oracles.field_F_ft(iv_grid, cfg, CAP)
     nr = model.embedded_field(
-        WholeProducts(stages._NormRad(cfg, NU, 2 * K - 1)),
+        WholeProducts(numerics._NormRad(cfg, NU, 2 * K - 1)),
         [{b: (FourierSeq.point(c, NU).norm_upper(), 0.0) for b, c in comp.items()}
          for comp in grid], CAP)
     worst = 0.0
@@ -182,7 +183,7 @@ def test_norm_lane_bounds_each_rounding():
     # exact operation adds nothing
     rng = np.random.default_rng(5)
     cfg = exact_cfg()
-    nr = stages._NormRad(cfg, NU, 2 * K - 1)
+    nr = numerics._NormRad(cfg, NU, 2 * K - 1)
 
     def both(arr):
         return {(0, 0): arr}, {(0, 0): (FourierSeq.point(arr, NU).norm_upper(), 0.0)}
@@ -221,7 +222,7 @@ def test_norm_radius_bounds_the_float_field(cfg, data):
         return weight[i] * radii[beta]
 
     nr = model.embedded_field(
-        WholeProducts(stages._NormRad(cfg, NU, 2 * K - 1)),
+        WholeProducts(numerics._NormRad(cfg, NU, 2 * K - 1)),
         [{b: (FourierSeq.point(c, NU).norm_upper(), radius(i, b)) for b, c in comp.items()}
          for i, comp in enumerate(grid)], CAP)
     base = float_field(cfg, grid)
@@ -249,7 +250,7 @@ def lower_jet(grid, radii, top=CAP - 1):
 
 def jet_rhs(jet, cfg, alpha):
     """(rhs, rho) of jet alpha, its level evaluated afresh."""
-    return stages._jet_rhs(stages._level_fields(jet, cfg, sum(alpha)), alpha)
+    return numerics._jet_rhs(numerics._level_fields(jet, cfg, sum(alpha)), alpha)
 
 
 def test_remainder_wrappers_against_float(cfg, data):
@@ -297,7 +298,7 @@ def test_incremental_field_equals_a_fresh_one(cfg, data, k):
     fields = None
     for p in range(2, CAP + 2):
         prev = fields
-        fields = stages._level_fields(jet, cfg, p, prev)
+        fields = numerics._level_fields(jet, cfg, p, prev)
         ar, got = fields[k]
         assert ar.order == p and ar.keep == (0 if prev is None else p - 1)
         low = [b for b in ORDERS if b[0] + b[1] < p]
@@ -315,7 +316,7 @@ def test_incremental_field_equals_a_fresh_one(cfg, data, k):
         fresh = model.embedded_field(
             WholeProducts(base),
             [{b: base.entry(jet.orders[b][i], jet.radii[b]) for b in low} for i in range(9)], p)
-        level = set(stages._level_alphas(p))
+        level = set(solved(p))
         for i in range(9):
             assert set(got[i]) == {a for a in fresh[i] if a[0] + a[1] < p or a in level}
             for alpha, value in got[i].items():
@@ -331,7 +332,7 @@ def test_midpoint_lane_is_the_float_remainder(cfg, data):
         # the lower orders sorted, as the jets read them from their table
         mids = [{b: jet.orders[b][i].c.mid() for b in sorted(ORDERS) if b[0] + b[1] < p}
                 for i in range(9)]
-        for alpha in stages._level_alphas(p):
+        for alpha in solved(p):
             R = numerics.remainder_layer(mids, alpha, ms, pos)
             rhs, _ = jet_rhs(jet, cfg, alpha)
             for r, f in zip(R, rhs):

@@ -13,7 +13,8 @@ EXPORTING = sorted(
 
 
 def test_exporting_modules_found():
-    assert {"model", "numerics", "opbound", "radii", "seeding", "stages"} <= set(EXPORTING)
+    assert {"model", "numerics", "opbound", "radii", "seeding", "stages", "table"} <= set(
+        EXPORTING)
 
 
 @pytest.mark.parametrize("name", EXPORTING)

@@ -26,6 +26,7 @@ from fourbody import cli, ivarray, model, numerics, seeding, seqspace, stages
 from fourbody.opbound import Q_SIGMA, SpaceLayout, block_norms, class_slots, opnorm_upper
 from fourbody.radii import NoNegativeRadius, content_digest
 from fourbody.seqspace import FourierSeq
+from fourbody.table import solved
 
 K = 24
 N_T = 3
@@ -158,9 +159,9 @@ def test_disc_residual_meets_the_endpoint_chain(run):
     ctx = stages._context_for(table, cfg)
     lam = table.lambda_bar
     cases = [(table.orders[(1, 0)], lam, None)]
-    fields = stages._level_fields(table, cfg, 2)
+    fields = numerics._level_fields(table, cfg, 2)
     for alpha in ((2, 0), (1, 1)):
-        cases.append((table.orders[alpha], 2 * lam, stages._jet_rhs(fields, alpha)[0]))
+        cases.append((table.orders[alpha], 2 * lam, numerics._jet_rhs(fields, alpha)[0]))
     for centers, s, rhs in cases:
         got = stages._affine_residual(ctx, [c.c.mid() for c in centers], s, rhs)
         want = oracles.endpoint_residual(ctx, centers, s, rhs)
@@ -759,10 +760,10 @@ def test_a_level_makes_one_operator(run, monkeypatch):
     monkeypatch.setattr(stages, "_operator", operator)
     monkeypatch.setattr(stages, "_certify_jets", certify)
     for p in (2, 3):
-        alphas = stages._level_alphas(p)
+        alphas = solved(p)
         assert len(alphas) == 2
         del made[:], tasks[:]
-        stages._level_parallel(table, cfg, alphas, stages._level_fields(table, cfg, p))
+        stages._level_parallel(table, cfg, alphas, numerics._level_fields(table, cfg, p))
         assert [op.s for op in made] == [p * table.lambda_bar]
         assert tasks == [(tuple(alphas), id(made[0]))]
 
@@ -776,13 +777,13 @@ def test_level_batch_certifies_as_one_jet_at_a_time(run):
     fields = None
     with numerics.one_blas_thread():
         for p in range(2, N_T + 1):
-            fields = stages._level_fields(table, cfg, p, fields)
+            fields = numerics._level_fields(table, cfg, p, fields)
             op = stages._operator(ctx, ctx.jet_operator_data(p * table.lambda_bar,
                                                              stages._jet_class(table, p)))
-            done = stages._level_parallel(table, cfg, stages._level_alphas(p), fields)
-            assert [res.alpha for res in done] == stages._level_alphas(p)
+            done = stages._level_parallel(table, cfg, solved(p), fields)
+            assert [res.alpha for res in done] == solved(p)
             for res in done:
-                rhs, rho = stages._jet_rhs(fields, res.alpha)
+                rhs, rho = numerics._jet_rhs(fields, res.alpha)
                 want = oracles.certify_jet_alone(table, ctx, res.alpha, rhs, rho,
                                                  res.centers, op)
                 assert (res.cert.r0, res.cert.r_max) == want, res.alpha
@@ -935,14 +936,14 @@ def test_jets_evaluate_each_remainder_field_once(run, monkeypatch):
         raise AssertionError("numerics.remainder_layer on the jet path")
 
     evaluations = []
-    init = stages._Incremental.__init__
+    init = numerics._Incremental.__init__
 
     def counted(self, base, order, old, keep, inputs, plans):
         evaluations.append((type(base).__name__, order, keep))
         init(self, base, order, old, keep, inputs, plans)
 
     monkeypatch.setattr(numerics, "remainder_layer", float_remainder)
-    monkeypatch.setattr(stages._Incremental, "__init__", counted)
+    monkeypatch.setattr(numerics._Incremental, "__init__", counted)
     arg = stages.rescale_jets(start, 1.0)
     before = arg.digest()
     again = stages.extend_with_jets(arg, cfg)
@@ -969,7 +970,7 @@ def test_lanes_share_the_cauchy_plans(run, monkeypatch):
     monkeypatch.setattr(numerics, "_cauchy_plan", counted)
     fields, computed = None, {}
     for p in range(2, N_T + 1):
-        prev, fields = fields, stages._level_fields(table, cfg, p, fields)
+        prev, fields = fields, numerics._level_fields(table, cfg, p, fields)
         (floats, _), (norms, _) = fields
         assert floats.plans is norms.plans
         assert prev is None or floats.plans is prev[0][0].plans
@@ -986,7 +987,7 @@ def float_lane_pairs(table, cfg, levels, monkeypatch):
     as (level, node, beta, gamma), read from the np.convolve calls made
     inside each of its products."""
     folded = []
-    convolve, mul = np.convolve, stages._Incremental.mul
+    convolve, mul = np.convolve, numerics._Incremental.mul
 
     def traced(self, b, c, cap):
         if not isinstance(self.base, numerics.FloatArith):
@@ -1004,10 +1005,10 @@ def float_lane_pairs(table, cfg, levels, monkeypatch):
         finally:
             monkeypatch.setattr(np, "convolve", convolve)
 
-    monkeypatch.setattr(stages._Incremental, "mul", traced)
+    monkeypatch.setattr(numerics._Incremental, "mul", traced)
     fields = None
     for p in levels:
-        fields = stages._level_fields(table, cfg, p, fields)
+        fields = numerics._level_fields(table, cfg, p, fields)
     return folded
 
 
@@ -1063,7 +1064,7 @@ def test_product_fold_work(run, monkeypatch):
     monkeypatch.setattr(numerics.FloatArith, "product_layers", staticmethod(counted_layers))
     fields = None
     for p in range(2, N_T + 1):
-        fields = stages._level_fields(table, cfg, p, fields)
+        fields = numerics._level_fields(table, cfg, p, fields)
     assert nodes and sum(w["pairs"] for w in nodes) > len(nodes)
     for work in nodes:
         assert work.get("convolve") == work["pairs"], work
@@ -1222,6 +1223,25 @@ def test_recheck_command(run, tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[1] for line in lines if line.startswith("note ")] == sorted(
         s for s in table.certs if s != "order0")
+
+
+@pytest.mark.parametrize("name", ["jetx3,0", "foo:3,0:%s" % KIND, "jet:3,0",
+                                  "jet:3,0:%s:x" % KIND, "jet:3,0:stable"])
+def test_recheck_refuses_a_name_no_writer_gives(run, tmp_path, capsys, name):
+    # a certificate and its digest copied under a name that no stage of an
+    # unstable table gets: the name gives no (m,n), so the stage is tied to
+    # no centers and fails, and only it
+    _, _, _, table = run
+    stage = "jet:3,0:%s" % KIND
+    obj = table.to_json_obj()
+    obj["certs"][name] = obj["certs"][stage]
+    obj["digests"][name] = obj["digests"][stage]
+    path = tmp_path / "renamed.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["recheck", str(path)]) == 1
+    assert [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("FAIL")] == [
+        "FAIL %s  r0=%.3e  centers" % (name, table.certs[stage].r0)]
 
 
 @pytest.mark.parametrize("gone", [["0,0"], ["1,1"], ["1,0", "0,1"]],
