@@ -1,13 +1,15 @@
 """Deterministic numeric seeds for the certified stages.
 
-Everything here is plain floating point: planar equilibria of the rotating
-frame, the vertical linear frequency, small-amplitude vertical orbit guesses,
-the phase anchor of an orbit (the embedded field at its angle-zero point, in
-the float lane `numerics.field_grid`), a continuation of that family to a
-Jacobi level (one square Newton system with H - H_target as a row), and
-Floquet data from the Hill matrix: the window block of the operator that
-the bundle stage inverts, cropped to a few modes, whose real eigenpair in
-the strip |Im lambda| < omega / 2 seeds (lambda, a_1); a complex one is a
+Everything here is plain floating point in numpy alone: every planar
+equilibrium of the rotating frame (`planar_equilibria`, one damped Newton
+run on a whole grid of starts), the vertical linear frequency,
+small-amplitude vertical orbit guesses, the phase anchor of an orbit (the
+embedded field at its angle-zero point, in the float lane
+`numerics.field_grid`), a continuation of that family to a Jacobi level
+(one square Newton system with H - H_target as a row), and Floquet data
+from the Hill matrix: the window block of the operator that the bundle
+stage inverts, cropped to a few modes, whose real eigenpair in the strip
+|Im lambda| < omega / 2 seeds (lambda, a_1); a complex one is a
 SeedFailure, since the stages take a real Floquet exponent.  The certified
 stages consume these guesses; nothing in this module is trusted by the
 validators.
@@ -28,7 +30,6 @@ the three reciprocal distances in slots 6..8.
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from . import model, numerics, stages
 from .opbound import SpaceLayout, cos_sin_form, from_cos_sin_rows, run_pairs, window_runs
@@ -46,9 +47,13 @@ __all__ = [
 ]
 
 
-# rest points are searched from a grid of _EQ_GRID^2 starts on [-_EQ_SPAN, _EQ_SPAN]^2
+# rest points are searched from a grid of _EQ_GRID^2 starts on
+# [-_EQ_SPAN, _EQ_SPAN]^2, each by at most _EQ_STEPS Newton steps, of which
+# the first of the fractions _EQ_DAMPING that lowers max|grad| is taken
 _EQ_SPAN = 1.6
 _EQ_GRID = 13
+_EQ_STEPS = 40
+_EQ_DAMPING = 0.5 ** np.arange(30)
 # the level walk: amplitude of the start guess, growth of the step in
 # sigma = sqrt|H - H_eq| per converged solve (the first step is
 # _SIGMA_GROWTH times the start's sigma); the walk stalls once a halved
@@ -56,9 +61,9 @@ _EQ_GRID = 13
 # correction is longer than _CORRECTOR_RATIO times its predictor step left
 # the family and counts as diverged: with a growth of 3 the corrector moved
 # 1.08 times the predictor step and landed on another symmetric orbit of the
-# same level (masses 2/5, 33/100, 27/100, rest point 5, level H_eq - 1),
-# where the walk of growth 2.5 moves at most 0.76 times it, and the
-# reference walk at most 0.56 times.
+# same level (masses 2/5, 33/100, 27/100, rest point ~ (0.2558, 0.0673),
+# level H_eq - 1), where the walk of growth 2.5 moves at most 0.76 times it,
+# and the reference walk at most 0.56 times.
 _AMP0 = 4e-3
 _SIGMA_GROWTH = 2.5
 _STEP_FLOOR = 1e-4
@@ -81,57 +86,99 @@ class SeedFailure(RuntimeError):
 
 
 def _grad_planar(p, ms, pos):
-    x, y = p
-    gx, gy = x, y
+    """The gradient of the planar potential of the rotating frame at a
+    (..., 2) stack of points."""
+    p = np.asarray(p, dtype=float)
+    g = p.copy()
     for j in range(3):
-        dx = x - pos[j][0]
-        dy = y - pos[j][1]
-        r3 = (dx * dx + dy * dy) ** 1.5
-        gx -= ms[j] * dx / r3
-        gy -= ms[j] * dy / r3
-    return np.array([gx, gy])
-
-
-def planar_equilibria(cfg) -> np.ndarray:
-    """In-plane rest points found by hybr solves from a 13 x 13 grid of
-    starts, deduplicated and sorted for determinism.
-
-    The search can miss one: for the masses 1/2, 3/10, 1/5 it misses the
-    rest point near (0.0657, 0.3233), so an index into the result names a
-    rest point of this search, not of the complete set.
-    """
-    ms, pos = numerics.cfg_floats(cfg)
-    found = []
-    grid = np.linspace(-_EQ_SPAN, _EQ_SPAN, _EQ_GRID)
-    for x0 in grid:
-        for y0 in grid:
-            if min((x0 - p[0]) ** 2 + (y0 - p[1]) ** 2 for p in pos) < 1e-4:
-                continue
-            sol = optimize.root(_grad_planar, [x0, y0], args=(ms, pos),
-                                method="hybr", tol=1e-14)
-            if not sol.success:
-                continue
-            p = sol.x
-            if np.max(np.abs(_grad_planar(p, ms, pos))) > 1e-10:
-                continue
-            if min((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 for q in pos) < 1e-6:
-                continue
-            if any(np.hypot(p[0] - f[0], p[1] - f[1]) < 1e-7 for f in found):
-                continue
-            found.append(p)
-    found.sort(key=lambda p: (round(p[0], 9), round(p[1], 9)))
-    return np.array(found)
+        d = p - pos[j, :2]
+        g -= ms[j] * d / (_norm2(d) ** 1.5)[..., None]
+    return g
 
 
 def _planar_hessian(p, ms, pos) -> np.ndarray:
-    """The Jacobian of `_grad_planar` at p: the Hessian of the planar
-    potential of the rotating frame."""
-    H = np.eye(2)
+    """The Jacobian of `_grad_planar` at a (..., 2) stack of points: the
+    Hessian of the planar potential, a (..., 2, 2) stack."""
+    p = np.asarray(p, dtype=float)
+    H = np.broadcast_to(np.eye(2), p.shape + (2,)).copy()
     for j in range(3):
-        d = np.array([p[0] - pos[j][0], p[1] - pos[j][1]])
-        r2 = d @ d
-        H += ms[j] * (3.0 * np.outer(d, d) / r2 ** 2.5 - np.eye(2) / r2 ** 1.5)
+        d = p - pos[j, :2]
+        r2 = _norm2(d)[..., None, None]
+        H += ms[j] * (3.0 * d[..., :, None] * d[..., None, :] / r2 ** 2.5
+                      - np.eye(2) / r2 ** 1.5)
     return H
+
+
+def planar_equilibria(cfg) -> np.ndarray:
+    """Every in-plane rest point, an (n, 2) array, by damped Newton steps
+    on the planar gradient from all starts of a 13 x 13 grid at once.
+
+    A step solves H s = -grad in closed form, H the 2 x 2 `_planar_hessian`,
+    and moves a start by the first of s, s/2, ..., s/2^29 that lowers its
+    max|grad|; a start stops when none does, or after _EQ_STEPS steps.  No
+    BLAS call is made, so the result does not depend on the thread count.
+    A point is kept if max|grad| <= 1e-10 there and it lies at least 1e-3
+    from every primary; of points within 1e-7 of each other the first
+    start's, in x-major grid order, is kept.  The search is complete on the
+    survey's masses: the planar problem has 8, 9 or 10 rest points (Barros
+    and Leandro, SIAM J. Math. Anal. 46, 2014), and it finds 8, 10, 8 and 10
+    for (1/2, 3/10, 1/5), equal masses, (9/10, 1/20, 1/20) and
+    (2/5, 33/100, 27/100).
+
+    The order, descending x, then descending y, both rounded to 9 digits, is
+    a convention: it keeps index 3 of the reference masses on the rest point
+    ~ (0.0793, -0.2016) that the benchmark indexes, where an incomplete
+    hybr search in ascending order had it; ascending order would put the
+    point ~ (0.0657, 0.3233) before it.  Name a rest point by its position
+    where you can.
+    """
+    ms, pos = numerics.cfg_floats(cfg)
+    grid = np.linspace(-_EQ_SPAN, _EQ_SPAN, _EQ_GRID)
+    p = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
+    p = p[_primary_dist2(p, pos) >= 1e-4]
+    # the starts still moving; G is the gradient at every start's point
+    moving = np.arange(len(p))
+    # a step that lands on a primary, or has a singular H, lowers nothing
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        G = _grad_planar(p, ms, pos)
+        for _ in range(_EQ_STEPS):
+            if moving.size == 0:
+                break
+            (gx, gy), H = G[moving].T, _planar_hessian(p[moving], ms, pos)
+            a, b, c = H[:, 0, 0], H[:, 0, 1], H[:, 1, 1]
+            det = a * c - b * b
+            s = np.stack([(b * gy - c * gx) / det, (b * gx - a * gy) / det], axis=-1)
+            trial = p[moving, None, :] + _EQ_DAMPING[:, None] * s[:, None, :]
+            Gt = _grad_planar(trial, ms, pos)
+            lower = _max_abs(Gt) < _max_abs(G[moving])[:, None]
+            moved = lower.any(axis=1)
+            first = lower.argmax(axis=1)[moved]
+            moving = moving[moved]
+            p[moving], G[moving] = trial[moved, first], Gt[moved, first]
+    keep = (_max_abs(G) <= 1e-10) & (_primary_dist2(p, pos) >= 1e-6)
+    found = []
+    for q in p[keep]:
+        if all(np.hypot(q[0] - f[0], q[1] - f[1]) >= 1e-7 for f in found):
+            found.append(q)
+    found.sort(key=lambda q: (-round(q[0], 9), -round(q[1], 9)))
+    return np.array(found)
+
+
+def _norm2(d):
+    """|d|^2 of a (..., 2) stack, written out: numpy's reduction over an
+    axis of two costs more than the arithmetic."""
+    return d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+
+
+def _max_abs(g):
+    """max|g| of a (..., 2) stack."""
+    return np.maximum(np.abs(g[..., 0]), np.abs(g[..., 1]))
+
+
+def _primary_dist2(p, pos):
+    """The squared distance from each point of an (n, 2) stack to its
+    nearest primary."""
+    return _norm2(p[:, None, :] - pos[None, :, :2]).min(axis=1)
 
 
 def vertical_frequency(cfg, eq_xy) -> float:

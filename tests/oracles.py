@@ -27,7 +27,13 @@ the window defect of `stages`; `complex_inverse` inverts a window block in
 complex arithmetic, the reference for the cos/sin inverse of `stages`.
 `monodromy_exponents` integrates the six-dimensional variational flow over
 one period, the reference for the Floquet exponents that seeding reads off
-the Hill matrix.  The builders at
+the Hill matrix.  `planar_equilibria_hybr` is the rest-point search by hybr
+solves (`scipy.optimize.root`) from the grid of starts of
+`seeding.planar_equilibria`, which can miss rest points: the reference for
+the ones it finds.  `rest_point` names a rest point of
+`seeding.planar_equilibria` by its position, not by its index in the list,
+and `REFERENCE_REST_POINT` is the one whose vertical family the reference
+runs continue.  The builders at
 the end make interval inputs: an interval from midpoint and radius, an
 array widened by a radius, and a Fourier sequence from a dict of modes;
 `width` reads the size of an interval.
@@ -43,8 +49,9 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import root
 
-from fourbody import model, numerics, stages
+from fourbody import model, numerics, seeding, stages
 from fourbody.interval import ZERO, ComplexInterval, Interval, _as_iv, add_down, add_up
 from fourbody.interval import IntervalDomainError
 from fourbody.ivarray import (
@@ -719,6 +726,65 @@ def hill_exponent_whole(cfg, sol, kind: str, Kh: int = 12) -> float:
     lams = np.linalg.eigvals(M)
     lams = lams[np.abs(lams.imag) < 0.5 * sol.omega]
     return float((lams.real.max() if kind == "unstable" else lams.real.min()))
+
+
+# ---------------------------------------------------------------------------
+# rest points
+
+# the rest point of the masses 1/2, 3/10, 1/5 whose vertical family the
+# reference runs continue
+REFERENCE_REST_POINT = (0.07934982096518639, -0.20164146994073998)
+
+
+def rest_point(cfg, xy, tol: float = 1e-9) -> np.ndarray:
+    """The one rest point of `seeding.planar_equilibria` within tol of xy;
+    fails if there is none."""
+    eqs = seeding.planar_equilibria(cfg)
+    near = eqs[np.hypot(*(eqs - np.asarray(xy)).T) <= tol]
+    assert len(near) == 1, "no rest point within %g of %r among %r" % (tol, xy, eqs)
+    return near[0]
+
+
+def _grad_planar_point(p, ms, pos):
+    x, y = p
+    gx, gy = x, y
+    for j in range(3):
+        dx = x - pos[j][0]
+        dy = y - pos[j][1]
+        r3 = (dx * dx + dy * dy) ** 1.5
+        gx -= ms[j] * dx / r3
+        gy -= ms[j] * dy / r3
+    return np.array([gx, gy])
+
+
+def planar_equilibria_hybr(cfg) -> np.ndarray:
+    """The rest points that hybr solves find from the 13 x 13 grid of starts
+    on [-1.6, 1.6]^2, one solve per start at least 1e-2 from every primary,
+    with the acceptance tests of `seeding.planar_equilibria` (max|grad| <=
+    1e-10, at least 1e-3 from every primary, points within 1e-7 of an
+    earlier one dropped), in ascending x, then y.  The solves miss rest
+    points: 7 of the 8 for the masses 1/2, 3/10, 1/5."""
+    ms, pos = numerics.cfg_floats(cfg)
+    found = []
+    grid = np.linspace(-1.6, 1.6, 13)
+    for x0 in grid:
+        for y0 in grid:
+            if min((x0 - p[0]) ** 2 + (y0 - p[1]) ** 2 for p in pos) < 1e-4:
+                continue
+            sol = root(_grad_planar_point, [x0, y0], args=(ms, pos), method="hybr",
+                       tol=1e-14)
+            if not sol.success:
+                continue
+            p = sol.x
+            if np.max(np.abs(_grad_planar_point(p, ms, pos))) > 1e-10:
+                continue
+            if min((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 for q in pos) < 1e-6:
+                continue
+            if any(np.hypot(p[0] - f[0], p[1] - f[1]) < 1e-7 for f in found):
+                continue
+            found.append(p)
+    found.sort(key=lambda p: (round(p[0], 9), round(p[1], 9)))
+    return np.array(found)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """End-to-end certified run of the reference configuration.
 
-Masses 1/2, 3/10, 1/5; planar equilibrium 3; the vertical orbit on the
-Jacobi level H0 - 0.3; nu = 1.5; the unstable Floquet bundle with k0 = 3 and
-xi0 = 1e-4.  K = 24 and N_t = 3 keep the run to a few seconds.
+Masses 1/2, 3/10, 1/5; the planar equilibrium ~ (0.0793, -0.2016); the
+vertical orbit on the Jacobi level H0 - 0.3; nu = 1.5; the unstable Floquet
+bundle with k0 = 3 and xi0 = 1e-4.  K = 24 and N_t = 3 keep the run to a few
+seconds.
 """
 
 import concurrent.futures
@@ -40,7 +41,7 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.fixture(scope="module")
 def run():
     cfg = model.primaries(model.MassTriple.of("1/2", "3/10", "1/5"))
-    eq = seeding.planar_equilibria(cfg)[3]
+    eq = oracles.rest_point(cfg, oracles.REFERENCE_REST_POINT)
     H0 = seeding.jacobi_mid(
         cfg, seeding.embed_point(cfg, [eq[0], 0.0, eq[1], 0.0, 0.0, 0.0]))
     sol, _ = seeding.orbit_to_jacobi(cfg, eq, H0 - 0.3, K, NU)
@@ -239,7 +240,7 @@ def test_radii_no_larger_than_reference(run):
 
 def _pipeline(cfg, K, N_t, nu):
     """The reference pipeline at K, N_t and nu: the jet table."""
-    eq = seeding.planar_equilibria(cfg)[3]
+    eq = oracles.rest_point(cfg, oracles.REFERENCE_REST_POINT)
     H0 = seeding.jacobi_mid(
         cfg, seeding.embed_point(cfg, [eq[0], 0.0, eq[1], 0.0, 0.0, 0.0]))
     sol, _ = seeding.orbit_to_jacobi(cfg, eq, H0 - 0.3, K, nu)
@@ -361,7 +362,7 @@ def test_bundle_certifies_at_k64_nu_1_5(run):
     # the orbit's; a guess with a rounding floor there (|a_1,k| ~ 3e-16 for
     # k >= 40, times nu^|k|) gave order 1 a Y of 1.5e-4 and no radius
     cfg = run[0]
-    eq = seeding.planar_equilibria(cfg)[3]
+    eq = oracles.rest_point(cfg, oracles.REFERENCE_REST_POINT)
     H0 = seeding.jacobi_mid(
         cfg, seeding.embed_point(cfg, [eq[0], 0.0, eq[1], 0.0, 0.0, 0.0]))
     sol, _ = seeding.orbit_to_jacobi(cfg, eq, H0 - 0.3, 64, NU)
@@ -809,9 +810,10 @@ def test_failed_certificate_carries_its_bounds(run, monkeypatch):
 
 # the module fixture's run in a fresh interpreter; prints the table's digest
 RUN_CHILD = """
+import oracles
 from fourbody import model, seeding, stages
 cfg = model.primaries(model.MassTriple.of("1/2", "3/10", "1/5"))
-eq = seeding.planar_equilibria(cfg)[3]
+eq = oracles.rest_point(cfg, oracles.REFERENCE_REST_POINT)
 H0 = seeding.jacobi_mid(cfg, seeding.embed_point(cfg, [eq[0], 0.0, eq[1], 0.0, 0.0, 0.0]))
 sol, _ = seeding.orbit_to_jacobi(cfg, eq, H0 - 0.3, %d, %r)
 lam, v = seeding.bundle_guess(cfg, sol, %r, %d, %r)
@@ -835,7 +837,8 @@ def test_digests_do_not_depend_on_the_blas_thread_count(run):
     openblas_threads()
     _, _, _, table = run
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        [str(ROOT / "src"), str(ROOT / "tests")]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     for threads in ("1", "2"):
         out = subprocess.run([sys.executable, "-c", RUN_CHILD], capture_output=True,
                              text=True, timeout=300, cwd=ROOT,

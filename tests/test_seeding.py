@@ -1,11 +1,15 @@
 """The level walk lands on its Jacobi level with a real orbit, in few solves,
 and a larger K costs one polish at that K on top of the walk at a small K.
 The Floquet exponents of the Hill matrix agree with the monodromy matrix of
-the variational flow, and seeding imports no ODE integrator."""
+the variational flow.  The rest-point search finds every rest point, agrees
+with hybr solves where those find one and keeps the index the benchmark
+reads, and the certified path runs with no scipy at all.  Rest points are
+named by position (`oracles.rest_point`), not by index."""
 
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +29,7 @@ def cfg():
 
 @pytest.fixture(scope="module")
 def start(cfg):
-    eq = seeding.planar_equilibria(cfg)[3]
+    eq = oracles.rest_point(cfg, oracles.REFERENCE_REST_POINT)
     H0 = seeding.jacobi_mid(
         cfg, seeding.embed_point(cfg, [eq[0], 0.0, eq[1], 0.0, 0.0, 0.0]))
     return eq, H0
@@ -105,7 +109,7 @@ def test_an_isotropic_rest_point_is_refused_before_the_walk(monkeypatch):
     # Hessian are 3.5981: the walk cannot start there, and orbit_to_jacobi
     # says so before any solve
     cfg = model.primaries(model.MassTriple.of("1/3", "1/3", "1/3"))
-    eq = seeding.planar_equilibria(cfg)[5]
+    eq = oracles.rest_point(cfg, (3.3e-17, 0.0))
     ms, pos = numerics.cfg_floats(cfg)
     lo, hi = np.linalg.eigvalsh(seeding._planar_hessian(eq, ms, pos))
     assert abs(lo - 3.5981) < 1e-4 and abs(hi - lo) <= 1e-12 * hi
@@ -115,8 +119,8 @@ def test_an_isotropic_rest_point_is_refused_before_the_walk(monkeypatch):
         seeding.orbit_to_jacobi(cfg, eq, H0 - 0.1, 24, 1.5)
     assert solves == []
     # a rest point with two distinct eigenvalues is not refused for them
-    lo, hi = np.linalg.eigvalsh(seeding._planar_hessian(seeding.planar_equilibria(cfg)[3],
-                                                         ms, pos))
+    other = oracles.rest_point(cfg, (-0.11947915459767472, -0.2069439662085493))
+    lo, hi = np.linalg.eigvalsh(seeding._planar_hessian(other, ms, pos))
     assert hi - lo > 1.0
 
 
@@ -153,13 +157,14 @@ def test_reference_seeding_builds_few_jacobians(cfg, start, monkeypatch):
 
 
 def test_a_corrector_that_leaves_the_family_is_refused(monkeypatch):
-    # masses 2/5, 33/100, 27/100, rest point 5, level H_eq - 1: with sigma
-    # growing 3 times per solve, a corrector once moved 1.08 times its
-    # predictor step and converged on another symmetric orbit of the level
-    # (omega 1.5045 against 1.4916); the walk now refuses that solve and
-    # halves the step, so it finds the orbit of the 2.5 walk or fails
+    # masses 2/5, 33/100, 27/100, rest point ~ (0.2558, 0.0673), level
+    # H_eq - 1: with sigma growing 3 times per solve, a corrector once moved
+    # 1.08 times its predictor step and converged on another symmetric orbit
+    # of the level (omega 1.5045 against 1.4916); the walk now refuses that
+    # solve and halves the step, so it finds the orbit of the 2.5 walk or
+    # fails
     cfg = model.primaries(model.MassTriple.of("2/5", "33/100", "27/100"))
-    eq = seeding.planar_equilibria(cfg)[5]
+    eq = oracles.rest_point(cfg, (0.2557723300270063, 0.06726141156260214))
     H_eq = seeding.jacobi_mid(
         cfg, seeding.embed_point(cfg, [eq[0], 0.0, eq[1], 0.0, 0.0, 0.0]))
     want, _ = seeding.orbit_to_jacobi(cfg, eq, H_eq - 1.0, 12, 1.5)
@@ -290,27 +295,96 @@ def scale_error(a, K, k0, xi0):
     return abs(np.sum(S * S) - xi0), 64 * 2.0 ** -53 * R
 
 
-def test_importing_seeding_loads_no_integrator():
+# the reference run at K = 24 and N_t = 2 in a fresh interpreter in which
+# every import of scipy raises; prints whether the table is complete and
+# rechecks, and the scipy modules loaded
+SCIPY_FREE_CHILD = """
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+from fourbody import cli, model, seeding, stages
+cfg = model.primaries(model.MassTriple.of("1/2", "3/10", "1/5"))
+eqs = seeding.planar_equilibria(cfg)
+eq, = eqs[np.hypot(*(eqs - np.array(%r)).T) <= 1e-9]
+H0 = seeding.jacobi_mid(cfg, seeding.embed_point(cfg, [eq[0], 0.0, eq[1], 0.0, 0.0, 0.0]))
+sol, _ = seeding.orbit_to_jacobi(cfg, eq, H0 - 0.3, 24, 1.5)
+lam, v = seeding.bundle_guess(cfg, sol, "unstable", 3, 1e-4)
+res0 = stages.validate_order0(sol, cfg)
+start = stages.start_jet_table("unstable", sol, res0, cfg, lam, v, 3, 1e-4, 2)
+table = stages.extend_with_jets(start, cfg)
+print(table.complete() and all(c.recheck() for c in table.certs.values()))
+print(sorted(m for m in sys.modules if m.startswith("scipy.")))
+""" % (oracles.REFERENCE_REST_POINT,)
+
+
+def test_the_certified_path_runs_without_scipy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    done = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, fourbody.seeding; print('scipy.integrate' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=300)
+    done = subprocess.run([sys.executable, "-c", SCIPY_FREE_CHILD], env=env,
+                          capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.split("\n")[:2] == ["True", "[]"], done.stdout
 
 
-# a rest point of the reference masses, refined by a damped Newton on the
-# planar gradient from the same grid of starts; |grad| there is 5.6e-16
-MISSED_REST_POINT = (0.065727383, 0.323312069)
+# (masses, rest points that hybr solves from the grid of starts miss, each
+# refined by the damped Newton search; |grad| at each is below 5e-9)
+MISSED_REST_POINTS = [
+    (("1/2", "3/10", "1/5"), [(0.065727383, 0.323312069)]),
+    (("9/10", "1/20", "1/20"), [(1.017788981, 0.648728956), (1.017788981, -0.648728956)]),
+]
 
 
-@pytest.mark.xfail(strict=True, reason="the hybr solves from the 13 x 13 grid "
-                   "miss this rest point; finding it would move the index "
-                   "of the reference equilibrium")
-def test_planar_equilibria_finds_every_rest_point(cfg):
+def masses_id(masses):
+    return "-".join(m.replace("/", "_") for m in masses)
+
+
+@pytest.mark.parametrize("masses, points", MISSED_REST_POINTS,
+                         ids=[masses_id(m) for m, _ in MISSED_REST_POINTS])
+def test_planar_equilibria_finds_every_rest_point(masses, points):
+    cfg = model.primaries(model.MassTriple.of(*masses))
     ms, pos = numerics.cfg_floats(cfg)
-    assert np.max(np.abs(seeding._grad_planar(MISSED_REST_POINT, ms, pos))) < 1e-8
     eqs = seeding.planar_equilibria(cfg)
-    assert min(np.hypot(*(p - MISSED_REST_POINT)) for p in eqs) < 1e-8
+    for p in points:
+        assert np.max(np.abs(seeding._grad_planar(p, ms, pos))) < 1e-8
+        assert min(np.hypot(*(q - p)) for q in eqs) < 1e-8
+
+
+def best_time(fn, cfg, repeat=3):
+    """fn(cfg) and the least wall time of repeat calls."""
+    times = []
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        out = fn(cfg)
+        times.append(time.perf_counter() - t0)
+    return out, min(times)
+
+
+# the survey's masses and their number of rest points; the planar problem
+# has 8, 9 or 10 (Barros and Leandro, SIAM J. Math. Anal. 46, 2014)
+SURVEY_REST_POINTS = [
+    (("1/2", "3/10", "1/5"), 8),
+    (("1/3", "1/3", "1/3"), 10),
+    (("9/10", "1/20", "1/20"), 8),
+    (("2/5", "33/100", "27/100"), 10),
+]
+
+
+@pytest.mark.parametrize("masses, count", SURVEY_REST_POINTS,
+                         ids=[masses_id(m) for m, _ in SURVEY_REST_POINTS])
+def test_rest_point_search_is_complete_agrees_with_hybr_and_is_no_slower(masses, count):
+    # hybr misses 1, 0, 2 and 1 of them; every one it finds the Newton
+    # search finds too, to 1e-12, in no more time than hybr's 169 solves
+    cfg = model.primaries(model.MassTriple.of(*masses))
+    eqs, t_new = best_time(seeding.planar_equilibria, cfg)
+    hybr, t_hybr = best_time(oracles.planar_equilibria_hybr, cfg)
+    assert len(eqs) == count
+    for p in hybr:
+        assert np.min(np.hypot(*(eqs - p).T)) <= 1e-12, p
+    assert t_new <= t_hybr
+
+
+def test_the_benchmark_rest_point_keeps_its_index(cfg):
+    # perfbench/pipeline.py indexes the reference rest point as
+    # planar_equilibria(cfg)[3]; the descending sort keeps it there
+    eq = seeding.planar_equilibria(cfg)[3]
+    assert np.max(np.abs(eq - oracles.REFERENCE_REST_POINT)) <= 1e-12
