@@ -99,13 +99,12 @@ def _grad_planar(p, ms, pos):
 def _planar_hessian(p, ms, pos) -> np.ndarray:
     """The Jacobian of `_grad_planar` at a (..., 2) stack of points: the
     Hessian of the planar potential, a (..., 2, 2) stack."""
-    p = np.asarray(p, dtype=float)
-    H = np.broadcast_to(np.eye(2), p.shape + (2,)).copy()
+    p, eye = np.asarray(p, dtype=float), np.eye(2)
+    H = np.broadcast_to(eye, p.shape + (2,)).copy()
     for j in range(3):
         d = p - pos[j, :2]
         r2 = _norm2(d)[..., None, None]
-        H += ms[j] * (3.0 * d[..., :, None] * d[..., None, :] / r2 ** 2.5
-                      - np.eye(2) / r2 ** 1.5)
+        H += ms[j] * (3.0 * d[..., :, None] * d[..., None, :] / r2 ** 2.5 - eye / r2 ** 1.5)
     return H
 
 

@@ -297,7 +297,8 @@ def scale_error(a, K, k0, xi0):
 
 # the reference run at K = 24 and N_t = 2 in a fresh interpreter in which
 # every import of scipy raises; prints whether the table is complete and
-# rechecks, and the scipy modules loaded
+# rechecks, and the scipy modules loaded.  It finds the rest point by
+# position itself, since `oracles` imports scipy
 SCIPY_FREE_CHILD = """
 import sys
 sys.modules["scipy"] = None
