@@ -16,16 +16,18 @@ takes the field at its phase anchor from the float lane
 The embedded field is written once, in `embedded_field`, and its order-zero
 derivative once, in `field_derivative`.  Both run over a pluggable
 arithmetic.  Here it is `IntervalArith`: order 0 in endpoint intervals, one
-`FourierSeq` per component, with no Taylor layers.  The Fourier-Taylor
-grids of the jets are evaluated in floats by `numerics.FloatArith` and
-bounded by the norm/radius lane of `stages`.  On top of the interval
-arithmetic sit the order-0 field map on nine sequences (`field_F_grid`)
-and its derivative table (`DF0`), which holds the kernels as discs and
-applies them to point arrays in midpoint-radius form.  The scalar
-phase/initialization conditions and their gradient are written once, in
-`eta_terms`, over any scalars with +, - and *: complex floats for
-seeding's Newton, intervals for the certificate.  The orbit's unfolding
-term is assembled by `stages` from the cubes it already has.
+`FourierSeq` per component, with no Taylor layers, in which order 0 makes
+its residual: the order-0 field map on nine sequences (`field_F_grid`).
+The derivative kernels and the Fourier-Taylor grids of the jets are
+evaluated in floats by `numerics.FloatArith` and bounded by the norm/radius
+lane `numerics._NormRad`.  The derivative table (`DF0`) holds the kernels
+as the discs it is given, a float kernel and the radius its bound allows
+each coefficient (`stages._StageContext` makes them), and applies them to
+point arrays in midpoint-radius form.  The scalar phase/initialization
+conditions and their gradient are written once, in `eta_terms`, over any
+scalars with +, - and *: complex floats for seeding's Newton, intervals for
+the certificate.  The orbit's unfolding term is assembled by `stages` from
+the cubes it already has.
 """
 
 from __future__ import annotations
@@ -230,15 +232,9 @@ class IntervalArith:
 
     Products are `seqspace.conv`, and order 0 has no layer above cap = 0,
     so `truncate` and `layer` return their argument.  `zero` is a sentinel
-    that `sum` skips, so a sum that starts from it adds nothing.
-
-    Each instance keeps a table of its `mul` and `shift` results, keyed by
-    the identity of the operands.  An entry holds its operands as well, so
-    no id in a key is reused while the table lives.  The field and its
-    derivative at one point share w^2, w^3, d_j = (x, y, z) - p_j and
-    d_j w^3, so code that needs both passes one instance to each and then
-    drops it.  Sequences are never changed in place, so a result served
-    again is the value a fresh product would give, bit for bit.
+    that `sum` skips, so a sum that starts from it adds nothing.  It holds
+    the masses and positions and nothing else: every call makes its result
+    afresh.
     """
 
     zero = None
@@ -246,18 +242,8 @@ class IntervalArith:
     def __init__(self, cfg: PrimaryConfig):
         self.masses = tuple(cfg.masses)
         self.positions = tuple(cfg.position(j) for j in range(3))
-        self._table = {}
 
-    def _kept(self, make, *operands):
-        """make(*operands), made once per table and operand identities."""
-        key = (make, *map(id, operands))
-        hit = self._table.get(key)
-        if hit is None:
-            hit = self._table[key] = (make(*operands), operands)
-        return hit[0]
-
-    def mul(self, b, c, cap):
-        return self._kept(conv, b, c)
+    mul = staticmethod(lambda b, c, cap: conv(b, c))
 
     @staticmethod
     def sum(*seqs):
@@ -267,26 +253,19 @@ class IntervalArith:
                 out = g if out is None else out.add(g)
         return out
 
-    @staticmethod
-    def scale(g, c):
-        return g.scale(c)
-
-    def shift(self, g, p):
-        return self._kept(_minus_const, g, p)
+    scale = staticmethod(FourierSeq.scale)
 
     @staticmethod
-    def neg(g):
-        return g.neg()
+    def shift(g, p):
+        return g.sub(_const_seq(p, g.nu))
+
+    neg = staticmethod(FourierSeq.neg)
 
     @staticmethod
     def truncate(g, cap):
         return g
 
     layer = truncate
-
-
-def _minus_const(g: FourierSeq, p: Interval) -> FourierSeq:
-    return g.sub(_const_seq(p, g.nu))
 
 
 def embedded_field(ar, a, cap: int):
@@ -364,7 +343,7 @@ def field_derivative(ar, a0):
 
 def field_F_grid(a, ar: IntervalArith):
     """The embedded field map on nine order-zero sequences, as nine sequences,
-    in the IntervalArith ar, whose products the call shares."""
+    in the IntervalArith ar."""
     return embedded_field(ar, _nine(a, "sequence"), 0)
 
 
@@ -373,19 +352,19 @@ class DF0:
 
     Entry (i, j) acts as const[i][j] h_j plus the convolution of h_j with
     kernel (i, j) of `field_derivative`; rows and columns are indexed 0..8.
-    It holds each kernel as discs (midpoint, radius) of its endpoint
-    enclosure, converted once here, which `apply` convolves with.
+    discs[i][j] is that kernel as discs (midpoint array, radius array), or
+    None, which `apply` convolves with: each disc must hold its coefficient
+    of the kernel.
     """
 
     __slots__ = ("const", "discs")
 
-    def __init__(self, const, kernels):
+    def __init__(self, const, discs):
         # the constants are 1, 2 and -2 (`_DF_CONST`): their multiples are exact
         if any(c != 0.0 and abs(math.frexp(c)[0]) != 0.5 for row in const for c in row):
             raise ValueError("DF0 constants must be powers of two")
         self.const = const
-        self.discs = [[None if k is None else (k.c.mid(), k.c.rad()) for k in row]
-                      for row in kernels]
+        self.discs = discs
 
     def apply(self, h):
         """DF0 h for nine point arrays h_j of odd length, modes in ascending

@@ -17,7 +17,9 @@ It holds both lanes of a jet's right-hand side, `FloatArith` and the norm
 lane `_NormRad`, which bounds the float value's distance from the exact
 field, and the fold they share: `_product_layers` walks the pairs of each
 product layer for both, which differ only in `fold` and `close`.
-`_level_fields` evaluates both lanes for one level of jets.
+`_level_fields` evaluates both lanes for one level of jets.  The norm lane
+also bounds the float derivative kernels at order 0's centre, for the
+stage context (`stages._StageContext`).
 
 `one_blas_thread` runs the dense algebra of a public stage call on one
 OpenBLAS thread.  An operator's N^3 work is one block on a class of Q
@@ -375,9 +377,12 @@ def _iv_rad_up(v: Interval) -> float:
 
 
 class _NormRad:
-    """Grids (m, n) -> (N, r) for `model.embedded_field`, the bounds of the
-    `FloatArith` evaluation on the same lower orders.  It has no `mul`: its
-    products are made by `_Incremental`, through `product_layers`.
+    """Grids (m, n) -> (N, r) for `model.embedded_field` and
+    `model.field_derivative`, the bounds of the `FloatArith` evaluation on
+    the same lower orders.  Its `mul` is `FloatArith`'s, one
+    `product_layers` call per product, which the derivative kernels of
+    `stages._StageContext` take; the jets make its products through
+    `_Incremental`.
 
     N bounds the nu-norm of the float value of the layer, and r its
     distance from the exact value of the layer at any inputs within the
@@ -390,9 +395,11 @@ class _NormRad:
       product of at most n terms and 2^-52 |partial sum| the rounding of
       each addition of the fold;
     * a sum: 2^-52 N per addition;
-    * scaling by c: rad(c) (N + r) + 2^-52 |mid c| N + eta, and nothing
-      when c is a point power of two of modulus at least 1; negation is
-      exact;
+    * scaling by c, of which the float lane takes one float (a mass's
+      midpoint, or its product with a float constant, rounded):
+      |c| r + w(c) (N + r) + 2^-52 |c| N + eta, with |c| the largest
+      modulus in c and w(c) its width, and nothing when c is a point power
+      of two of modulus at least 1; negation is exact;
     * a shift by p: rad(p) and the rounding of the k = 0 entry.
 
     The field has degree five, so on inputs of at most L coefficients every
@@ -424,6 +431,8 @@ class _NormRad:
         return (seq.norm_upper(), radius)
 
     product_layers = _product_layers
+    mul = FloatArith.mul
+    layer = staticmethod(lambda grid, alpha: grid.get(alpha, (0.0, 0.0)))
 
     @staticmethod
     def fold(head, pairs):
@@ -458,13 +467,13 @@ class _NormRad:
 
     def scale(self, g, c):
         c = _as_iv(c)
-        m, rad = abs(c.mid), (0.0 if c.lo == c.hi else _iv_rad_up(c))
-        exact = rad == 0.0 and m >= 1.0 and math.frexp(m)[0] == 0.5
+        m, w = c.mag(), (0.0 if c.lo == c.hi else _next(c.hi - c.lo))
+        exact = w == 0.0 and m >= 1.0 and math.frexp(m)[0] == 0.5
         out = {}
         for a, (Nv, rv) in g.items():
             r2 = _next(m * rv) if rv else 0.0
-            if rad:
-                r2 = _next(r2 + _next(rad * _next(Nv + rv)))
+            if w:
+                r2 = _next(r2 + _next(w * _next(Nv + rv)))
             e = 0.0 if exact else _next(_next(m * _ADD_ROUND * Nv) + self.eta)
             out[a] = (_next(_next(m * Nv) + e), _next(r2 + e) if e else r2)
         return out

@@ -127,13 +127,16 @@ certificate.  Orders 0 and 1 are batches of one too: there is one residual
 path and one certify path (`_certify`).  The context holds what the
 stages share: the kernel part of the window defect, the kernels' tail
 tables (`kmags`, `kprofiles`, `knorms`, `const`), which the tail bounds of
-`opbound` read, and DF0 as discs (`df0`), all made from the endpoint
-kernels of `model.field_derivative`, which it does not keep.  It is not
-changed once built and holds no N x N array: a stage builds its float
-window block J (`_StageContext.window_block`) and its operator where it
-needs them, and lets them go when it returns.  Every jet of order p has
-s = p lambda_bar, and the jets come level by level, so `_level_parallel`
-makes one operator (inverse, Z0 and Z1) per level.
+`opbound` read, and DF0 as discs (`df0`), all made from the float kernels
+fker that J holds (`numerics.derivative_kernels`) and the norm lane's bound
+r of each (`numerics._NormRad` at the exact centre): the kernel at a0 lies
+within r of fker in the nu-norm, so coefficient k within r nu^-|k|, the
+radius of DF0's discs about fker and of kmags; kgap is r and knorms
+||fker|| + r.  It is not changed once built and holds no N x N array: a
+stage builds its float window block J (`_StageContext.window_block`) and
+its operator where it needs them, and lets them go when it returns.  Every
+jet of order p has s = p lambda_bar, and the jets come level by level, so
+`_level_parallel` makes one operator (inverse, Z0 and Z1) per level.
 
 Every jet runs in the calling process, level by level in a fixed order.
 The jets of one level are independent, but a process pool only added a
@@ -313,8 +316,7 @@ def _polys_eval_max(rows, r: float) -> float:
 class _StageContext:
     """Derivative kernels and monomial tables at a fixed order-zero center."""
 
-    def __init__(self, a0_seqs, cfg, omega: float, K: int, nu: float, arith):
-        # arith: the IntervalArith of cfg; neither it nor the kernels are kept
+    def __init__(self, a0_seqs, cfg, omega: float, K: int, nu: float):
         if any(p[2].lo or p[2].hi for p in map(cfg.position, range(3))):
             raise ValueError("a primary lies off z = 0, so the field does not commute with Q")
         self.cfg = cfg
@@ -325,8 +327,11 @@ class _StageContext:
         self.A0 = np.array([s.c.mid() for s in self.a0])
         self.ms, self.pos = numerics.cfg_floats(cfg)
         self.fconst, self.fkers = numerics.derivative_kernels(self.A0, self.ms, self.pos)
-        const, kernels = model.field_derivative(arith, self.a0)
-        self.df0 = model.DF0(const, kernels)
+        # the norm lane at the exact centre: r bounds the nu-norm of
+        # ker - fker, ker the kernel at a0 with the true masses and positions
+        lane = numerics._NormRad(cfg, self.nu, self.A0.shape[-1])
+        _, bounds = model.field_derivative(lane, [{(0, 0): lane.entry(s, 0.0)} for s in self.a0])
+        discs = [[None] * 9 for _ in range(9)]
         self.kmags = [[None] * 9 for _ in range(9)]
         # `tail_col_profile` of each of kmags: it reads only the kernel, K
         # and nu, so one serves every operator of the context
@@ -338,17 +343,22 @@ class _StageContext:
         centre = np.zeros((4, 9, 9))
         for i in range(9):
             for j in range(9):
-                ker = kernels[i][j]
-                if ker is not None:
-                    self.kmags[i][j] = ker.c.mag()
+                fker = self.fkers[i][j]
+                if fker is not None:
+                    r = bounds[i][j][1]
+                    W = (len(fker) - 1) // 2
+                    # |ker_k - fker_k| <= r nu^-|k|
+                    rad = _up(r * nu_bounds(self.nu, np.abs(np.arange(-W, W + 1)))[1])
+                    discs[i][j] = (fker, rad)
+                    self.kmags[i][j] = cmat_abs_up(fker, rad)
                     self.kprofiles[i][j] = tail_col_profile(self.kmags[i][j], self.K, self.nu)
-                    self.knorms[i, j] = ker.norm_upper()
-                    fker = FourierSeq.point(self.fkers[i][j], self.nu)
-                    self.kgap[i, j] = ker.sub(fker).norm_upper()
-                    W = (len(ker.c) - 1) // 2
-                    c = ker.c
-                    centre[:, i, j] = c.rl[W], c.rh[W], c.il[W], c.ih[W]
-        self.const = np.array(const)
+                    self.knorms[i, j] = _up(FourierSeq.point(fker, self.nu).norm_upper() + r)
+                    self.kgap[i, j] = r
+                    z = fker[W]
+                    centre[:, i, j] = (_dn(z.real - r), _up(z.real + r),
+                                       _dn(z.imag - r), _up(z.imag + r))
+        self.df0 = model.DF0(self.fconst, discs)
+        self.const = np.array(self.fconst)
         self.dconst = CArr.point(self.const.astype(complex)).add(CArr(*centre))
         self._build_monomials()
 
@@ -804,16 +814,17 @@ def _window_defect(ctx: _StageContext, J: np.ndarray, layout: SpaceLayout,
     return N
 
 
-def _assemble_orbit(sol: "OrbitSolution", ctx: _StageContext, ar):
+def _assemble_orbit(sol: "OrbitSolution", ctx: _StageContext):
     """(`_OperatorData`, `_Assembled`) of the order-0 certificate.
 
     J is DF at y = 0 (`_orbit_jacobian`).  What it leaves out of DF(x_bar),
     E_y = y0 on component 1 and y_j 3 sq_j * on component 6+j, maps
     sequences to sequences, on the window and on the tail alike, with norm
-    at most max(|y0|, 3 |y_j| ||sq_j||): that is the stage's pre_Z1.  ar is
-    the IntervalArith that made the context's dF0: the field and the cubes
-    reuse its products."""
+    at most max(|y0|, 3 |y_j| ||sq_j||): that is the stage's pre_Z1.  The
+    field and the cubes are order 0's endpoint products, from one
+    IntervalArith, which goes when the call returns."""
     cfg = ctx.cfg
+    ar = model.IntervalArith(cfg)
     K, nu, omega = ctx.K, ctx.nu, ctx.omega
     ns = 4
     layout = SpaceLayout(ns, K, 1)
@@ -1022,14 +1033,8 @@ def validate_order0(solution: OrbitSolution, cfg) -> Order0Result:
     """Certify the periodic orbit, in class +1 of Q; the unfolding enclosure
     must contain zero."""
     _class_of(table.cert_tag((0, 0), ""), np.abs(solution.coeffs), solution.K, 1)
-    # one product table serves dF0, the field and the cubes; it is dropped
-    # once they are made, and the context that the JetTable caches never
-    # holds it
-    ar = model.IntervalArith(cfg)
-    ctx = _StageContext(solution.seqs(), cfg, solution.omega, solution.K,
-                        solution.nu, ar)
-    data, asm = _assemble_orbit(solution, ctx, ar)
-    del ar
+    ctx = _StageContext(solution.seqs(), cfg, solution.omega, solution.K, solution.nu)
+    data, asm = _assemble_orbit(solution, ctx)
     (cert, report), = _certify(_operator(ctx, data), asm, [table.order0_digest(solution, cfg)])
     r0 = cert.r0
     for t in solution.y:
@@ -1047,8 +1052,7 @@ def _context_for(jet: "JetTable", cfg) -> _StageContext:
     cached = jet.ctx_cache
     if cached is not None and cached[0] is cfg:
         return cached[1]
-    ctx = _StageContext(jet.orders[(0, 0)], cfg, jet.omega, jet.K, jet.nu,
-                        model.IntervalArith(cfg))
+    ctx = _StageContext(jet.orders[(0, 0)], cfg, jet.omega, jet.K, jet.nu)
     jet.ctx_cache = (cfg, ctx)
     return ctx
 

@@ -17,7 +17,8 @@ interval reference: Fourier-Taylor grids in endpoint intervals, of which
 order 0 of `model` is layer (0, 0).  `field_F_seq`, `dF0_apply` and
 `remainder_Ralpha` are per-layer views of that field map that the model
 tests check against each other (`dF0_apply` reads `model.DF0.apply`'s
-discs as boxes, `disc_boxes`), and `unfold_orbit_G` is the orbit's
+discs as boxes, `disc_boxes`, with DF0 made from the discs of the endpoint
+kernels, `endpoint_discs`), and `unfold_orbit_G` is the orbit's
 unfolding term that order 0 assembles from its cubes.
 `endpoint_residual` is the residual of order 1 or of a jet in endpoint
 arithmetic, the reference for the disc residual of `stages`.  `orbit_enclosure`,
@@ -27,7 +28,10 @@ the window defect of `stages`; `complex_inverse` inverts a window block in
 complex arithmetic, the reference for the cos/sin inverse of `stages`.
 `monodromy_exponents` integrates the six-dimensional variational flow over
 one period, the reference for the Floquet exponents that seeding reads off
-the Hill matrix.  `planar_equilibria_hybr` is the rest-point search by hybr
+the Hill matrix, and `flow_defect` integrates the six-dimensional flow from
+points of a table's parameterization, the check that a finished table
+conjugates the flow, which reads neither its certificates nor the embedded
+field.  `planar_equilibria_hybr` is the rest-point search by hybr
 solves (`scipy.optimize.root`) from the grid of starts of
 `seeding.planar_equilibria`, which can miss rest points: the reference for
 the ones it finds.  `rest_point` names a rest point of
@@ -501,11 +505,19 @@ def disc_boxes(m, r) -> CArr:
                 np.where(exact, m.imag, _up(m.imag + r)))
 
 
+def endpoint_discs(kernels):
+    """The kernels of `model.field_derivative` in endpoint intervals as the
+    discs (mid, rad) that hold their boxes, as `model.DF0` takes them."""
+    return [[None if k is None else (k.c.mid(), k.c.rad()) for k in row] for row in kernels]
+
+
 def dF0_apply(a0, h, cfg):
     """Derivative of the order-zero field map at a0 applied to the point
-    sequences h, as the endpoint boxes of `model.DF0.apply`'s discs."""
+    sequences h, as the endpoint boxes of `model.DF0.apply`'s discs, with
+    DF0 made from the discs of the endpoint kernels (`endpoint_discs`)."""
     assert all(s.is_point() for s in h)
-    D = model.DF0(*model.field_derivative(model.IntervalArith(cfg), a0))
+    const, kernels = model.field_derivative(model.IntervalArith(cfg), a0)
+    D = model.DF0(const, endpoint_discs(kernels))
     return [FourierSeq(disc_boxes(m, r), h[0].nu) for m, r in D.apply([s.c.mid() for s in h])]
 
 
@@ -839,6 +851,51 @@ def monodromy_exponents(cfg, sol):
     assert out.success, out.message
     mus = np.abs(np.linalg.eigvals(out.y[6:, -1].reshape(6, 6)))
     return np.log(mus.min()) / T, np.log(mus.max()) / T
+
+
+def flow_defect(table, cfg, sigmas, times, thetas) -> float:
+    """The largest |phi_t(P(theta, sigma)) - P(theta + omega t, e^(lambda t) sigma)|
+    over theta in thetas, sigma in sigmas, t in times and the six
+    coordinates (x, x', y, y', z, z'): how far the table's parameterization
+    P is from conjugating the flow phi_t of the classical field (`_field6`)
+    to the rotation and the linear flow of its exponent lambda_bar.
+
+    P reads the table's centres, omega and lambda_bar, and nothing of the
+    certificates or the embedded field: P(theta, sigma_1, sigma_2) is the
+    sum over the table's (m, n) of a_(m,n)(theta) sigma_1^m sigma_2^n, with
+    a(theta) = sum_k a_k e^(i k theta), at sigma_1 = sigma_2 = sigma, as both
+    variables of a real lambda_bar have that exponent.  phi_t runs from the
+    real parts of P at all the starts at once, by DOP853 at rtol 1e-13, one
+    integration for the negative times and one for the positive; a P that
+    is not real counts in the defect."""
+    ms, pos = numerics.cfg_floats(cfg)
+    kv = numerics.kvals(table.K)
+    terms = [(m + n, np.array([s.c.mid() for s in seqs[:6]]))
+             for (m, n), seqs in sorted(table.orders.items())]
+
+    def P(theta, sigma):
+        e = np.exp(1j * kv * theta)
+        return sum(sigma ** p * (rows @ e) for p, rows in terms)
+
+    starts = [(theta, sigma) for theta in thetas for sigma in sigmas]
+    u0 = np.concatenate([P(theta, sigma).real for theta, sigma in starts])
+
+    def rhs(t, y):
+        return np.concatenate([_field6(u, ms, pos) for u in y.reshape(-1, 6)])
+
+    worst = 0.0
+    for side in (-1.0, 1.0):
+        ts = sorted((t for t in times if side * t > 0.0), key=abs)
+        if not ts:
+            continue
+        out = solve_ivp(rhs, (0.0, ts[-1]), u0, method="DOP853", rtol=1e-13, atol=1e-15,
+                        t_eval=ts)
+        assert out.success, out.message
+        for t, y in zip(ts, out.y.T):
+            for (theta, sigma), u in zip(starts, y.reshape(-1, 6)):
+                want = P(theta + table.omega * t, np.exp(table.lambda_bar * t) * sigma)
+                worst = max(worst, float(np.abs(u - want).max()))
+    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -55,21 +55,6 @@ def data():
     return grid, radii
 
 
-class WholeProducts:
-    """The arithmetic base with a `mul` that makes every layer of a Cauchy
-    product, as `numerics.FloatArith.mul` does.  `numerics._NormRad` has no
-    `mul` of its own: the jets make its products through
-    `numerics._Incremental`."""
-
-    mul = numerics.FloatArith.mul
-
-    def __init__(self, base):
-        self.base = base
-
-    def __getattr__(self, name):
-        return getattr(self.base, name)
-
-
 def nu_norm(arr) -> float:
     arr = np.asarray(arr)
     W = (len(arr) - 1) // 2
@@ -147,7 +132,7 @@ def test_float_field_inside_interval_and_norm_lane(cfg, data, constants):
                for comp in grid]
     iv = oracles.field_F_ft(iv_grid, cfg, CAP)
     nr = model.embedded_field(
-        WholeProducts(numerics._NormRad(cfg, NU, 2 * K - 1)),
+        numerics._NormRad(cfg, NU, 2 * K - 1),
         [{b: (FourierSeq.point(c, NU).norm_upper(), 0.0) for b, c in comp.items()}
          for comp in grid], CAP)
     worst = 0.0
@@ -222,7 +207,7 @@ def test_norm_radius_bounds_the_float_field(cfg, data):
         return weight[i] * radii[beta]
 
     nr = model.embedded_field(
-        WholeProducts(numerics._NormRad(cfg, NU, 2 * K - 1)),
+        numerics._NormRad(cfg, NU, 2 * K - 1),
         [{b: (FourierSeq.point(c, NU).norm_upper(), radius(i, b)) for b, c in comp.items()}
          for i, comp in enumerate(grid)], CAP)
     base = float_field(cfg, grid)
@@ -314,7 +299,7 @@ def test_incremental_field_equals_a_fresh_one(cfg, data, k):
                 assert all(new[g] is old[g] for g in old if g[0] + g[1] < p - 1)
         base = ar.base
         fresh = model.embedded_field(
-            WholeProducts(base),
+            base,
             [{b: base.entry(jet.orders[b][i], jet.radii[b]) for b in low} for i in range(9)], p)
         level = set(solved(p))
         for i in range(9):
@@ -353,6 +338,36 @@ def test_float_kernels_inside_interval_kernels(cfg, data):
             assert (fkers[i][j] is None) == (kernels[i][j] is None)
             if fkers[i][j] is not None:
                 assert_in_interval(kernels[i][j], fkers[i][j])
+
+
+@pytest.mark.parametrize("constants", ["reference", "exact"])
+def test_norm_lane_bounds_the_float_kernels(cfg, data, constants):
+    # the derivative kernels in the norm lane at the exact centre, as the
+    # stage context takes them: r bounds the distance from each float kernel
+    # to every point of its endpoint enclosure, and N its norm, tightly
+    grid, _ = data
+    if constants == "exact":
+        cfg = exact_cfg()
+    A0 = np.array([comp[(0, 0)] for comp in grid])
+    _, fkers = numerics.derivative_kernels(A0, *numerics.cfg_floats(cfg))
+    _, kernels = model.field_derivative(model.IntervalArith(cfg),
+                                        [FourierSeq.point(a, NU) for a in A0])
+    lane = numerics._NormRad(cfg, NU, 2 * K - 1)
+    _, bounds = model.field_derivative(
+        lane, [{(0, 0): lane.entry(FourierSeq.point(a, NU), 0.0)} for a in A0])
+    worst = 0.0
+    for i in range(9):
+        for j in range(9):
+            assert (bounds[i][j] is None) == (fkers[i][j] is None)
+            if fkers[i][j] is None:
+                continue
+            N, r = bounds[i][j]
+            assert nu_norm(fkers[i][j]) <= N
+            dist = sup_distance(kernels[i][j], fkers[i][j])
+            assert dist <= r, (i, j, dist, r)
+            assert r <= 1e-12 * (1.0 + N)
+            worst = max(worst, dist / r)
+    assert worst > 1e-3
 
 
 def test_float_order0_field_is_layer_zero(cfg, data):

@@ -38,6 +38,7 @@ from oracles import (
     dF0_apply,
     disc_boxes,
     embed_R,
+    endpoint_discs,
     eta_phase,
     field_F_seq,
     field_f,
@@ -623,7 +624,7 @@ def test_dF0_apply_encloses_exact_products_and_stays_tight():
     K = 5
     a0 = rand_seq9(rng, nu, K=K, scale=0.2, offset=[0.1, 0, -0.2, 0, 0.05, 0, 1.2, 0.8, 1.0])
     const, kernels = field_derivative(IntervalArith(cfg), a0)
-    D = DF0(const, kernels)
+    D = DF0(const, endpoint_discs(kernels))
     h = rand_seq9(rng, nu, K=K, scale=0.5)
     h[3] = FourierSeq.zeros(K, nu)
     got = [disc_boxes(m, r) for m, r in D.apply([s.c.mid() for s in h])]
