@@ -18,12 +18,13 @@ derivative once, in `field_derivative`.  Both run over a pluggable
 arithmetic.  Here it is `IntervalArith`: order 0 in endpoint intervals, one
 `FourierSeq` per component, with no Taylor layers, in which order 0 makes
 its residual: the order-0 field map on nine sequences (`field_F_grid`).
-The derivative kernels and the Fourier-Taylor grids of the jets are
-evaluated in floats by `numerics.FloatArith` and bounded by the norm/radius
-lane `numerics._NormRad`.  The derivative table (`DF0`) holds the kernels
-as the discs it is given, a float kernel and the radius its bound allows
-each coefficient (`stages._StageContext` makes them), and applies them to
-point arrays in midpoint-radius form.  The scalar phase/initialization
+The Fourier-Taylor grids of the jets are evaluated in floats by
+`numerics.FloatArith` and bounded by the norm/radius lane
+`numerics._NormRad`, and the derivative kernels in the discs of
+`numerics._DiscArith`, a float kernel and a radius for each coefficient.
+The derivative table (`DF0`) holds the kernels as the discs it is given
+(`stages._StageContext` makes them), and applies them to point arrays in
+midpoint-radius form.  The scalar phase/initialization
 conditions and their gradient are written once, in `eta_terms`, over any
 scalars with +, - and *: complex floats for seeding's Newton, intervals for
 the certificate.  The orbit's unfolding term is assembled by `stages` from

@@ -8,7 +8,7 @@ full support; equations project back to the window when assembled.  The
 embedded field and its derivative are the ones of `model`, evaluated in the
 float arithmetic `FloatArith`.  Its Cauchy product is one fold, made layer
 by layer, and it serves every float evaluation of the field: seeding, the
-order-0 residual and kernels, the jets' right-hand sides, and
+order-0 residual and seeding's kernels, the jets' right-hand sides, and
 `remainder_layer`.  `base_block` assembles the window block of the linear
 operator that every stage shares, whole or on one class of the half-period
 reflection Q.
@@ -17,9 +17,11 @@ It holds both lanes of a jet's right-hand side, `FloatArith` and the norm
 lane `_NormRad`, which bounds the float value's distance from the exact
 field, and the fold they share: `_product_layers` walks the pairs of each
 product layer for both, which differ only in `fold` and `close`.
-`_level_fields` evaluates both lanes for one level of jets.  The norm lane
-also bounds the float derivative kernels at order 0's centre, for the
-stage context (`stages._StageContext`).
+`_level_fields` evaluates both lanes for one level of jets.  The
+derivative kernels at order 0's centre take a third arithmetic, the discs
+of `_DiscArith`: their midpoints are the float kernels that the stages'
+window blocks hold, and their radii bound them coefficient by coefficient,
+for the stage context (`stages._StageContext`).
 
 `one_blas_thread` runs the dense algebra of a public stage call on one
 OpenBLAS thread.  An operator's N^3 work is one block on a class of Q
@@ -39,7 +41,7 @@ import math
 import numpy as np
 
 from .interval import Interval, _as_iv, _next
-from .ivarray import _ETA, _gemm_gamma, _up
+from .ivarray import _ETA, _gemm_gamma, _up, _up_factor, cmat_abs_up, mr_add
 from .opbound import nu_bounds
 from .seqspace import FourierSeq
 from .table import solved
@@ -377,12 +379,9 @@ def _iv_rad_up(v: Interval) -> float:
 
 
 class _NormRad:
-    """Grids (m, n) -> (N, r) for `model.embedded_field` and
-    `model.field_derivative`, the bounds of the `FloatArith` evaluation on
-    the same lower orders.  Its `mul` is `FloatArith`'s, one
-    `product_layers` call per product, which the derivative kernels of
-    `stages._StageContext` take; the jets make its products through
-    `_Incremental`.
+    """Grids (m, n) -> (N, r) for `model.embedded_field`, the bounds of the
+    `FloatArith` evaluation on the same lower orders.  It has no `mul`: its
+    products are made by `_Incremental`, through `product_layers`.
 
     N bounds the nu-norm of the float value of the layer, and r its
     distance from the exact value of the layer at any inputs within the
@@ -395,11 +394,9 @@ class _NormRad:
       product of at most n terms and 2^-52 |partial sum| the rounding of
       each addition of the fold;
     * a sum: 2^-52 N per addition;
-    * scaling by c, of which the float lane takes one float (a mass's
-      midpoint, or its product with a float constant, rounded):
-      |c| r + w(c) (N + r) + 2^-52 |c| N + eta, with |c| the largest
-      modulus in c and w(c) its width, and nothing when c is a point power
-      of two of modulus at least 1; negation is exact;
+    * scaling by c: rad(c) (N + r) + 2^-52 |mid c| N + eta, and nothing
+      when c is a point power of two of modulus at least 1; negation is
+      exact;
     * a shift by p: rad(p) and the rounding of the k = 0 entry.
 
     The field has degree five, so on inputs of at most L coefficients every
@@ -431,8 +428,6 @@ class _NormRad:
         return (seq.norm_upper(), radius)
 
     product_layers = _product_layers
-    mul = FloatArith.mul
-    layer = staticmethod(lambda grid, alpha: grid.get(alpha, (0.0, 0.0)))
 
     @staticmethod
     def fold(head, pairs):
@@ -467,13 +462,13 @@ class _NormRad:
 
     def scale(self, g, c):
         c = _as_iv(c)
-        m, w = c.mag(), (0.0 if c.lo == c.hi else _next(c.hi - c.lo))
-        exact = w == 0.0 and m >= 1.0 and math.frexp(m)[0] == 0.5
+        m, rad = abs(c.mid), (0.0 if c.lo == c.hi else _iv_rad_up(c))
+        exact = rad == 0.0 and m >= 1.0 and math.frexp(m)[0] == 0.5
         out = {}
         for a, (Nv, rv) in g.items():
             r2 = _next(m * rv) if rv else 0.0
-            if w:
-                r2 = _next(r2 + _next(w * _next(Nv + rv)))
+            if rad:
+                r2 = _next(r2 + _next(rad * _next(Nv + rv)))
             e = 0.0 if exact else _next(_next(m * _ADD_ROUND * Nv) + self.eta)
             out[a] = (_next(_next(m * Nv) + e), _next(r2 + e) if e else r2)
         return out
@@ -486,6 +481,74 @@ class _NormRad:
     @staticmethod
     def neg(g):
         return g
+
+
+class _DiscArith:
+    """Order-zero discs (midpoint array, radius array) for
+    `model.field_derivative` at a centre of radius zero: a float evaluation
+    and its bound in one.  The midpoints are made as `FloatArith` makes
+    them, from the midpoints of the masses and positions (and of the
+    interval m_j * -3), and radius k bounds the distance of coefficient k
+    from the exact value with the true masses and positions.
+
+    A product's radius is that of `ivarray.cconv_mr`, but with g_k = 2
+    gamma_gemm(n_k) and underflow slack _ETA n_k for coefficient k, n_k the
+    number of its terms b_i c_(k-i) with no factor an exact zero disc: the
+    others are exact zeros, and adding them rounds nothing.  A sum, and a
+    shift by p with rad(p) on the centre, is `ivarray.mr_add`.  Scaling by
+    c, m its midpoint, takes |m| r + rad(c) (|x| + r), the rounding
+    2^-52 |m x| and _ETA; negation is exact.  An exact zero disc stays one
+    through each of these, so a coefficient that no product reaches, as
+    those off a class of Q, has midpoint and radius zero: a subnormal slack
+    there would slow every convolution of the kernels' tail bounds.
+    """
+
+    zero = None
+    neg = staticmethod(lambda g: (-g[0], g[1]))
+    layer = staticmethod(lambda g, alpha: g)
+
+    def __init__(self, cfg):
+        self.masses = tuple(cfg.masses)
+        self.positions = tuple(cfg.position(j) for j in range(3))
+
+    @staticmethod
+    def mul(b, c, cap):
+        (bm, br), (cm, cr) = b, c
+        n = min(len(bm), len(cm))
+        nk = np.convolve(((bm != 0) | (br != 0)).astype(float), ((cm != 0) | (cr != 0)).astype(float))
+        B, C = cmat_abs_up(bm, None), cmat_abs_up(cm, None)
+        rad = 2.0 * _gemm_gamma(nk) * np.convolve(B, C) + np.convolve(B, cr)
+        if br.any():
+            rad += np.convolve(br, C + cr)
+        return (np.convolve(bm, cm), rad * _up_factor(n + 3) + _ETA * nk)
+
+    @staticmethod
+    def _add(u, v):
+        zm, zr = mr_add(*u, *v)
+        # radii zero and a midpoint sum of zero: the sum is exact
+        zr[(zm == 0) & (pad_sum(u[1], v[1]) == 0)] = 0.0
+        return (zm, zr)
+
+    @classmethod
+    def sum(cls, *discs):
+        discs = [d for d in discs if d is not None]
+        return functools.reduce(cls._add, discs) if discs else None
+
+    @staticmethod
+    def scale(g, c):
+        c = _as_iv(c)
+        (gm, gr), m = g, c.mid
+        x = m * gm
+        rc = 0.0 if c.lo == c.hi else _iv_rad_up(c)
+        rad = _up(_up(abs(m) * gr) + _up(rc * cmat_abs_up(gm, gr)))
+        rad = _up(_up(rad + _ADD_ROUND * cmat_abs_up(x, None)) + _ETA)
+        rad[(gm == 0) & (gr == 0)] = 0.0
+        return (x, rad)
+
+    @classmethod
+    def shift(cls, g, p: Interval):
+        rp = 0.0 if p.lo == p.hi else _iv_rad_up(p)
+        return cls._add(g, (np.full(1, -p.mid, dtype=complex), np.full(1, rp)))
 
 
 class _NodePlan:

@@ -127,16 +127,16 @@ certificate.  Orders 0 and 1 are batches of one too: there is one residual
 path and one certify path (`_certify`).  The context holds what the
 stages share: the kernel part of the window defect, the kernels' tail
 tables (`kmags`, `kprofiles`, `knorms`, `const`), which the tail bounds of
-`opbound` read, and DF0 as discs (`df0`), all made from the float kernels
-fker that J holds (`numerics.derivative_kernels`) and the norm lane's bound
-r of each (`numerics._NormRad` at the exact centre): the kernel at a0 lies
-within r of fker in the nu-norm, so coefficient k within r nu^-|k|, the
-radius of DF0's discs about fker and of kmags; kgap is r and knorms
-||fker|| + r.  It is not changed once built and holds no N x N array: a
-stage builds its float window block J (`_StageContext.window_block`) and
-its operator where it needs them, and lets them go when it returns.  Every
-jet of order p has s = p lambda_bar, and the jets come level by level, so
-`_level_parallel` makes one operator (inverse, Z0 and Z1) per level.
+`opbound` read, and DF0 as discs (`df0`), all made from one evaluation of
+the kernels in the discs of `numerics._DiscArith`: their midpoints are the
+float kernels fker that J holds, and radius k bounds the distance of
+coefficient k of fker from that of the kernel at a0.  kgap is the nu-norm
+of the radii and knorms that of kmags.  It is not changed once built and
+holds no N x N array: a stage builds its float window block J
+(`_StageContext.window_block`) and its operator where it needs them, and
+lets them go when it returns.  Every jet of order p has s = p lambda_bar,
+and the jets come level by level, so `_level_parallel` makes one operator
+(inverse, Z0 and Z1) per level.
 
 Every jet runs in the calling process, level by level in a fixed order.
 The jets of one level are independent, but a process pool only added a
@@ -171,6 +171,7 @@ from .ivarray import (
     mm_up_nonneg,
     mr_add,
     up_sum,
+    zero_masked_up,
     _dn,
     _up,
 )
@@ -326,12 +327,12 @@ class _StageContext:
         self.a0 = tuple(a0_seqs)
         self.A0 = np.array([s.c.mid() for s in self.a0])
         self.ms, self.pos = numerics.cfg_floats(cfg)
-        self.fconst, self.fkers = numerics.derivative_kernels(self.A0, self.ms, self.pos)
-        # the norm lane at the exact centre: r bounds the nu-norm of
-        # ker - fker, ker the kernel at a0 with the true masses and positions
-        lane = numerics._NormRad(cfg, self.nu, self.A0.shape[-1])
-        _, bounds = model.field_derivative(lane, [{(0, 0): lane.entry(s, 0.0)} for s in self.a0])
-        discs = [[None] * 9 for _ in range(9)]
+        # the kernels at a0 as discs: one float evaluation, the kernels J
+        # holds, and per coefficient its distance from the kernel with the
+        # true masses and positions
+        self.fconst, discs = model.field_derivative(
+            numerics._DiscArith(cfg), [(a, np.zeros(len(a))) for a in self.A0])
+        self.fkers = [[None if d is None else d[0] for d in row] for row in discs]
         self.kmags = [[None] * 9 for _ in range(9)]
         # `tail_col_profile` of each of kmags: it reads only the kernel, K
         # and nu, so one serves every operator of the context
@@ -343,18 +344,16 @@ class _StageContext:
         centre = np.zeros((4, 9, 9))
         for i in range(9):
             for j in range(9):
-                fker = self.fkers[i][j]
-                if fker is not None:
-                    r = bounds[i][j][1]
-                    W = (len(fker) - 1) // 2
-                    # |ker_k - fker_k| <= r nu^-|k|
-                    rad = _up(r * nu_bounds(self.nu, np.abs(np.arange(-W, W + 1)))[1])
-                    discs[i][j] = (fker, rad)
-                    self.kmags[i][j] = cmat_abs_up(fker, rad)
+                if discs[i][j] is not None:
+                    fker, rad = discs[i][j]
+                    # exact zeros where the disc is one: no subnormal moduli
+                    mags = cmat_abs_up(fker, None) + rad
+                    self.kmags[i][j] = zero_masked_up(mags, mags)
                     self.kprofiles[i][j] = tail_col_profile(self.kmags[i][j], self.K, self.nu)
-                    self.knorms[i, j] = _up(FourierSeq.point(fker, self.nu).norm_upper() + r)
-                    self.kgap[i, j] = r
-                    z = fker[W]
+                    self.knorms[i, j] = FourierSeq.point(self.kmags[i][j], self.nu).norm_upper()
+                    self.kgap[i, j] = FourierSeq.point(rad, self.nu).norm_upper()
+                    W = (len(fker) - 1) // 2
+                    z, r = fker[W], rad[W]
                     centre[:, i, j] = (_dn(z.real - r), _up(z.real + r),
                                        _dn(z.imag - r), _up(z.imag + r))
         self.df0 = model.DF0(self.fconst, discs)
@@ -463,9 +462,10 @@ def _orbit_jacobian(z, omega, anchor, layout: SpaceLayout, ms, pos, out=None, ke
     So it is the exact Jacobian there, seeding's Newton takes it, and order
     0's certificate takes it as its J; `_assemble_orbit` bounds the dropped
     terms at y_bar in Z1.  Written into out (a zero square view of the same
-    order) when given.  kernels is (const, kers) of
-    `numerics.derivative_kernels` at the rows of z, when the caller already
-    has them.  z, the rows and the columns hold the slots of `layout` (ns = 4).
+    order) when given.  kernels is (const, kers) at the rows of z, of
+    `numerics.derivative_kernels` or the stage context's, when the caller
+    already has them.  z, the rows and the columns hold the slots of
+    `layout` (ns = 4).
     """
     _, A = layout.unpack(z)
     K, N = layout.K, layout.n

@@ -155,10 +155,8 @@ def test_disc_residual_meets_the_endpoint_chain(run):
     # order 1 and two jets: each coefficient of the disc residual meets the
     # box of the endpoint chain the stages once took, and on the class of Q
     # that the certificate reads, its radius is no larger than the box's
-    # circumscribed radius.  Off the class the kernels' float coefficients
-    # and the centres are zero, so the disc's midpoint is zero and its
-    # radius is what the kernel discs' radii, r nu^-|k| <= kgap, make on the
-    # centres: at most sum_j kgap_ij ||a_j||_1, with gemm and underflow slack.
+    # circumscribed radius.  Off the class the box is the exact zero and the
+    # disc is zero with the underflow slack of the disc kernels.
     cfg, _, _, table = run
     ctx = stages._context_for(table, cfg)
     lam = table.lambda_bar
@@ -167,8 +165,7 @@ def test_disc_residual_meets_the_endpoint_chain(run):
     for alpha in ((2, 0), (1, 1)):
         cases.append((table.orders[alpha], 2 * lam, numerics._jet_rhs(fields, alpha)[0]))
     for centers, s, rhs in cases:
-        rows = [c.c.mid() for c in centers]
-        got = stages._affine_residual(ctx, rows, s, rhs)
+        got = stages._affine_residual(ctx, [c.c.mid() for c in centers], s, rhs)
         want = oracles.endpoint_residual(ctx, centers, s, rhs)
         for i, ((m, r, mags), w) in enumerate(zip(got, want)):
             box = w.c
@@ -176,8 +173,7 @@ def test_disc_residual_meets_the_endpoint_chain(run):
             k = np.arange(len(m)) - (len(m) - 1) // 2
             on = Q_SIGMA[i] * (1 - 2 * (k % 2)) == 1
             assert (r[on] <= box.rad()[on]).all(), i
-            off = sum(ctx.kgap[i, j] * np.abs(rows[j]).sum() for j in range(9))
-            assert not m[~on].any() and (r[~on] <= off * (1 + 1e-12) + 1e-300).all(), i
+            assert not m[~on].any() and (r[~on] <= 1e-300).all(), i
             assert all(_disc_meets_box(m[k], r[k], box, k) for k in range(len(m))), i
 
 
@@ -185,7 +181,7 @@ def test_order0_makes_each_product_once(run, monkeypatch):
     # counts, not timings: order 0's field (24 products) and its cubes (6)
     # are its only endpoint convolutions, 30 in all, made in one
     # IntervalArith that goes when validate_order0 returns; the context
-    # bounds the float kernels of DF0 in the norm lane instead
+    # takes the kernels of DF0 as discs from `numerics._DiscArith` instead
     cfg, res0, start, _ = run
     sol = res0.context[0]
     calls, made = [], []
@@ -249,10 +245,11 @@ def _reference_context(run, K):
 
 @pytest.mark.parametrize("K", [24, 40])
 def test_context_discs_hold_the_endpoint_kernels(run, K):
-    # the context takes DF(a0) from the float kernels and the norm lane's
-    # bound r of each; the endpoint kernels at a0 are the reference: every
-    # box lies in its disc of DF0, in exact rationals, and kgap, knorms,
-    # kmags and the diagonal's centre enclosure bound the boxes
+    # the context takes DF(a0) as the discs of `numerics._DiscArith`, float
+    # kernels and a radius per coefficient; the endpoint kernels at a0 are
+    # the reference: every box lies in its disc of DF0, in exact rationals,
+    # and kgap, knorms, kmags and the diagonal's centre enclosure bound the
+    # boxes
     ctx = _reference_context(run, K)
     assert ctx.K == K
     q = oracles.q
@@ -566,7 +563,7 @@ def test_window_defect_dominates_the_entrywise_defect(run, moved):
     # order 0, with pre_Z1 at y_bar (`_orbit_defects`).  Moved: each mass is
     # an interval of radius 1e-9 about its midpoint, so the exact kernels lie
     # up to about 1e-9 from the float ones, which J holds, in every block and
-    # in both classes of Q, and delta must follow through the norm lane.
+    # in both classes of Q, and delta must follow through the discs' radii.
     cfg, res0, _, table = run
     sol = res0.context[0]
     if moved:
@@ -593,16 +590,16 @@ def test_window_defect_dominates_the_entrywise_defect(run, moved):
 
 
 def test_pre_z1_covers_raised_unfolding_terms(run):
-    # a copy of the solution with every y at 1e-7, assembled and not
+    # a copy of the solution with every y at 1e-9, assembled and not
     # validated: the y terms that J leaves out are far above delta, and
     # only pre_Z1 covers them
     cfg, res0, _, _ = run
-    sol = replace(res0.context[0], y=np.full(4, 1e-7 + 0j))
+    sol = replace(res0.context[0], y=np.full(4, 1e-9 + 0j))
     ctx = stages._StageContext(sol.seqs(), cfg, sol.omega, sol.K, sol.nu)
     at_zero, with_y, pre_Z1, delta = _orbit_defects(sol, ctx)
     assert at_zero < 1e-12
-    assert with_y >= 1e-7
-    assert pre_Z1 >= 1e-7 >= 1e3 * delta
+    assert with_y >= 1e-9
+    assert pre_Z1 >= 1e-9 >= 1e3 * delta
 
 
 @pytest.fixture(scope="module")
