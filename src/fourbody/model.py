@@ -28,7 +28,7 @@ midpoint-radius form.  The scalar phase/initialization
 conditions and their gradient are written once, in `eta_terms`, over any
 scalars with +, - and *: complex floats for seeding's Newton, intervals for
 the certificate.  The orbit's unfolding term is assembled by `stages` from
-the cubes it already has.
+the cubes that its field made (`embedded_field`'s powers).
 """
 
 from __future__ import annotations
@@ -269,13 +269,14 @@ class IntervalArith:
     layer = truncate
 
 
-def embedded_field(ar, a, cap: int):
+def embedded_field(ar, a, cap: int, powers=None):
     """All Taylor layers through total order cap of the embedded field map.
 
     a is a 9-tuple of grids of the arithmetic ar.  With u = (x, x', y, y',
     z, z', w_1, w_2, w_3), d_j = (x, y, z) - p_j and s = sum_j m_j d_j w_j^3
     the field is (x', x + 2 y' - s_x, y', y - 2 x' - s_y, z', -s_z, t_1,
-    t_2, t_3) with t_j = -(d_j . (x', y', z')) w_j^3.
+    t_2, t_3) with t_j = -(d_j . (x', y', z')) w_j^3.  powers, a list when
+    given, gets the pair (w_j^2, w_j^3) of each j that the field makes.
     """
     s2 = s4 = s6 = ar.zero
     tails = []
@@ -283,7 +284,10 @@ def embedded_field(ar, a, cap: int):
         px, py, pz = ar.positions[j]
         mj = ar.masses[j]
         w = a[6 + j]
-        w3 = ar.mul(ar.mul(w, w, cap), w, cap)
+        sq = ar.mul(w, w, cap)
+        w3 = ar.mul(sq, w, cap)
+        if powers is not None:
+            powers.append((sq, w3))
         qx = ar.mul(ar.shift(a[0], px), w3, cap)
         qy = ar.mul(ar.shift(a[2], py), w3, cap)
         qz = ar.mul(ar.shift(a[4], pz), w3, cap)
@@ -342,10 +346,10 @@ def field_derivative(ar, a0):
     return const, kernels
 
 
-def field_F_grid(a, ar: IntervalArith):
+def field_F_grid(a, ar: IntervalArith, powers=None):
     """The embedded field map on nine order-zero sequences, as nine sequences,
-    in the IntervalArith ar."""
-    return embedded_field(ar, _nine(a, "sequence"), 0)
+    in the IntervalArith ar; powers as in `embedded_field`."""
+    return embedded_field(ar, _nine(a, "sequence"), 0, powers)
 
 
 class DF0:

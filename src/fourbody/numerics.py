@@ -9,14 +9,17 @@ embedded field and its derivative are the ones of `model`, evaluated in the
 float arithmetic `FloatArith`.  Its Cauchy product is one fold, made layer
 by layer, and it serves every float evaluation of the field: seeding, the
 order-0 residual and seeding's kernels, the jets' right-hand sides, and
-`remainder_layer`.  `base_block` assembles the window block of the linear
-operator that every stage shares, whole or on one class of the half-period
-reflection Q.
+`remainder_layer`.  A product folds only its solved layers (m, n), m >= n;
+its mirror layer (n, m) is the conjugate reflection of layer (m, n), which
+the inputs' mirror rule makes exact (`_NormRad`).  Order 0 has no mirror
+layer, so seeding, order 0 and the kernels fold every layer.  `base_block`
+assembles the window block of the linear operator that every stage shares,
+whole or on one class of the half-period reflection Q.
 
 It holds both lanes of a jet's right-hand side, `FloatArith` and the norm
 lane `_NormRad`, which bounds the float value's distance from the exact
 field, and the fold they share: `_product_layers` walks the pairs of each
-product layer for both, which differ only in `fold` and `close`.
+product layer for both, which differ only in `fold`, `close` and `mirror`.
 `_level_fields` evaluates both lanes for one level of jets.  The
 derivative kernels at order 0's centre take a third arithmetic, the discs
 of `_DiscArith`: their midpoints are the float kernels that the stages'
@@ -44,7 +47,7 @@ from .interval import Interval, _as_iv, _next
 from .ivarray import _ETA, _gemm_gamma, _up, _up_factor, cmat_abs_up, mr_add
 from .opbound import nu_bounds
 from .seqspace import FourierSeq
-from .table import solved
+from .table import mirror, solved, source
 from . import model
 
 __all__ = [
@@ -214,9 +217,17 @@ def _product_keys(b, c, cap: int):
                    if m1 + n1 + m2 + n2 <= cap})
 
 
+def _split_mirrors(layers):
+    """(solved, mirrors): the layers alpha = (m, n) with m >= n, which a
+    product folds, and the others, each made from its source (m < n)."""
+    return ([g for g in layers if source(g) == g], [g for g in layers if source(g) != g])
+
+
 def _cauchy_plan(b, c, alphas):
-    """(alpha, interior, ends) for each layer alpha of b*c in alphas: the
-    keys (beta, alpha - beta) of its factor pairs (b_beta, c_(alpha - beta)).
+    """(alpha, interior, ends) for each solved layer alpha = (m, n), m >= n,
+    of b*c in alphas: the keys (beta, alpha - beta) of its factor pairs
+    (b_beta, c_(alpha - beta)).  A mirror layer (m < n) has no plan: it is
+    the lane's mirror of its source (`_product_layers`).
 
     Every product layer folds its pairs interior first: interior holds the
     pairs with no factor of order 0, beta in lexicographic order, and ends
@@ -255,16 +266,19 @@ def _grid_sum(*grids):
     return out
 
 
-def _product_layers(lane, b, c, plan, carried=None):
+def _product_layers(lane, b, c, plan, mirrors, carried=None):
     """(layers, interiors): the layers of b*c that plan (`_cauchy_plan`)
-    names, in the arithmetic of lane (`FloatArith` or `_NormRad`), and the
-    interior fold, (accumulator, number of pairs), of each that has interior
-    pairs.  `lane.fold` folds a layer's interior pairs and then its end
-    pairs onto them, in the order of the plan, and `lane.close` makes the
-    layer from the fold and its number of pairs.  carried maps a layer to
-    its interior fold from an earlier call on factors with the same layers
-    below its order; a layer with end pairs folds only those onto it, and so
-    is the layer that folding all its pairs makes, bit for bit."""
+    and mirrors name, in the arithmetic of lane (`FloatArith` or
+    `_NormRad`), and the interior fold, (accumulator, number of pairs), of
+    each planned layer that has interior pairs.  `lane.fold` folds a layer's
+    interior pairs and then its end pairs onto them, in the order of the
+    plan, and `lane.close` makes the layer from the fold and its number of
+    pairs.  carried maps a layer to its interior fold from an earlier call
+    on factors with the same layers below its order; a layer with end pairs
+    folds only those onto it, and so is the layer that folding all its
+    pairs makes, bit for bit.  Each mirror layer (n, m) is then
+    `lane.mirror` of its source (m, n), which plan makes: the factors keep
+    the mirror rule (`_NormRad`), and so does their product."""
     carried = carried or {}
     out, interiors = {}, {}
     for g, interior, ends in plan:
@@ -275,18 +289,22 @@ def _product_layers(lane, b, c, plan, carried=None):
         if inner[1]:
             interiors[g] = inner
         out[g] = lane.close(lane.fold(inner[0], tail), inner[1] + len(tail))
+    for g in mirrors:
+        out[g] = lane.mirror(out[mirror(g)])
     return out, interiors
 
 
 class FloatArith:
     """Float Fourier-Taylor grids for `model.embedded_field`.
 
-    A Cauchy product is made one layer at a time (`product_layers`).  Layer
-    alpha folds the pairs of its `_cauchy_plan` interior first, one
-    `np.convolve` per pair: a single pair's product as it is, otherwise each
-    added into an accumulator of zeros, the interior pairs in beta order and
-    then the pairs with a factor of order 0.  `entry` is the grid value of
-    one lower-order center, whatever its radius.
+    A Cauchy product is made one layer at a time (`product_layers`).  A
+    solved layer alpha folds the pairs of its `_cauchy_plan` interior first,
+    one `np.convolve` per pair: a single pair's product as it is, otherwise
+    each added into an accumulator of zeros, the interior pairs in beta
+    order and then the pairs with a factor of order 0.  A mirror layer is
+    the conjugate reflection of its source (`mirror`), which is exact.
+    `entry` is the grid value of one lower-order center, whatever its
+    radius.
     """
 
     def __init__(self, ms, pos):
@@ -299,9 +317,15 @@ class FloatArith:
     truncate = staticmethod(ft_truncate)
 
     def mul(self, b, c, cap):
-        return self.product_layers(b, c, _cauchy_plan(b, c, _product_keys(b, c, cap)))[0]
+        folds, mirrors = _split_mirrors(_product_keys(b, c, cap))
+        return self.product_layers(b, c, _cauchy_plan(b, c, folds), mirrors)[0]
 
     product_layers = classmethod(_product_layers)
+
+    @staticmethod
+    def mirror(x):
+        """(R x)_k = conj(x_-k)."""
+        return np.conj(x[::-1])
 
     @staticmethod
     def fold(head, pairs):
@@ -352,8 +376,11 @@ def remainder_layer(A, alpha, ms, pos):
     (`_level_fields`) evaluates the field once in `FloatArith` and reuses the
     product layers of the level below, and the interior folds of the layers
     it completes (`_cauchy_plan`: every layer folds its pairs with no factor
-    of order 0 first, the two with one last), so their float right-hand side
-    equals this one byte for byte.  The tests compare against it, and the
+    of order 0 first, the two with one last).  Both make each mirror layer
+    of a product as the conjugate reflection of its source and fold the
+    solved layers alone, so their float right-hand side equals this one byte
+    for byte.  A contains mirrors as a table does: layer (n, m) the
+    reflection of layer (m, n).  The tests compare against it, and the
     benchmark tracer wraps it.
     """
     m, n = int(alpha[0]), int(alpha[1])
@@ -385,9 +412,23 @@ class _NormRad:
 
     N bounds the nu-norm of the float value of the layer, and r its
     distance from the exact value of the layer at any inputs within the
-    radii of the lower orders, with the true masses and positions.  So r
-    takes in the radii, the widths of the constants and every rounding of
-    the float lane:
+    radii of the lower orders that keep the mirror rule, with the true
+    masses and positions.  The mirror rule: layer (n, m) of each input is
+    the conjugate reflection R of layer (m, n), (R h)_k = conj(h_-k), and
+    each diagonal layer (m, m) is R-fixed.  The field's constants are real,
+    so it commutes with R: every product, sum, real scaling and shift of
+    such inputs keeps the rule, and a product's mirror layer (n, m), m > n,
+    is R of its source (m, n).  The float lane makes it so, exactly
+    (`FloatArith.mirror`), and R is an isometry of the nu-norm, so the
+    mirror layer takes its source's (N, r) (`mirror`) and folds no pair.
+    The rule asks nothing beyond what the table asserts of its mirrors
+    (`table.JetTable.write`): the true orbit is R-fixed, because R maps the
+    zero of order 0's map to a zero within r_max of its centre, which is
+    R-fixed up to rounding, and that zero is unique there; and each true jet
+    is the unique zero of an affine problem that R maps onto the problem of
+    its mirror, so the true jet (n, m) is R of the true (m, n), and a
+    diagonal one is R-fixed.  So r takes in the radii, the widths of the
+    constants and every rounding of the float lane:
 
     * a product layer of P pairs: (gamma + (P - 1) 2^-52) sum N_b N_c + P
       eta, with gamma = 2 gamma_gemm(n) the bound of a complex inner
@@ -428,6 +469,7 @@ class _NormRad:
         return (seq.norm_upper(), radius)
 
     product_layers = _product_layers
+    mirror = staticmethod(lambda x: x)
 
     @staticmethod
     def fold(head, pairs):
@@ -553,16 +595,17 @@ class _DiscArith:
 
 class _NodePlan:
     """The plans of one product node of the field for one table: each
-    layer's `_cauchy_plan`, made once and dropped once the layer
-    is complete, and the layers the node holds and computes at the level
-    being evaluated, made by the lane that reaches the node first."""
+    solved layer's `_cauchy_plan`, made once and dropped once the layer is
+    complete, and the layers the node holds and computes at the level being
+    evaluated, the folded ones and the mirrors, made by the lane that
+    reaches the node first."""
 
-    __slots__ = ("layers", "order", "keys", "made")
+    __slots__ = ("layers", "order", "keys", "made", "mirrors")
 
     def __init__(self):
         self.layers = {}
         self.order = None
-        self.keys = self.made = ()
+        self.keys = self.made = self.mirrors = ()
 
 
 class _Incremental:
@@ -577,7 +620,8 @@ class _Incremental:
     are computed in full, and of the order-`order` layers only the jets the
     level solves: layer alpha of a product reads no other layer of its own
     order.  The layers a node computes go to the base's `product_layers` in
-    one call.
+    one call, which folds the solved ones (m >= n) and makes each mirror
+    layer of orders keep..order-1 as the lane's mirror of its source.
 
     Every product layer folds its Cauchy pairs interior first
     (`_cauchy_plan`): the pairs without a factor of order 0, which
@@ -592,7 +636,9 @@ class _Incremental:
 
     The grids of the two lanes have the same keys, node by node, so their
     evaluations share `plans`, one `_NodePlan` per node, which the levels
-    of a table hand on: a layer's plan is made once for the table.
+    of a table hand on: a layer's plan is made once for the table.  The
+    nodes of one level have few key sets (the three masses' nodes have the
+    same), and `_product_keys` runs once for each, in `keysets`.
     """
 
     def __init__(self, base, order: int, old, keep: int, inputs, plans):
@@ -605,6 +651,7 @@ class _Incremental:
         self.plans = plans
         self.nodes = []
         self.carry = []
+        self.keysets = {}
 
     def __getattr__(self, name):
         return getattr(self.base, name)
@@ -617,14 +664,18 @@ class _Incremental:
         if plan.order != self.order:
             plan.order = self.order
             plan.layers = {g: v for g, v in plan.layers.items() if g[0] + g[1] >= self.keep}
-            plan.keys = _product_keys(b, c, cap)
-            made = [g for g in plan.keys if self.keep <= g[0] + g[1]
-                    and (g[0] + g[1] < self.order or g in self.top)]
+            keyset = (frozenset(b), frozenset(c))
+            if keyset not in self.keysets:
+                self.keysets[keyset] = _product_keys(b, c, cap)
+            plan.keys = self.keysets[keyset]
+            folds, plan.mirrors = _split_mirrors(
+                [g for g in plan.keys if self.keep <= g[0] + g[1]
+                 and (g[0] + g[1] < self.order or g in self.top)])
             plan.layers.update((g, (interior, ends)) for g, interior, ends in
-                               _cauchy_plan(b, c, [g for g in made if g not in plan.layers]))
-            plan.made = [(g, *plan.layers[g]) for g in made]
+                               _cauchy_plan(b, c, [g for g in folds if g not in plan.layers]))
+            plan.made = [(g, *plan.layers[g]) for g in folds]
         old, carried = (self.old.nodes[k], self.old.carry[k]) if self.keep else ({}, {})
-        made, interiors = self.base.product_layers(b, c, plan.made, carried)
+        made, interiors = self.base.product_layers(b, c, plan.made, plan.mirrors, carried)
         out, done = {}, {}
         for g in plan.keys:
             p = g[0] + g[1]
@@ -648,6 +699,17 @@ def _level_fields(jet, cfg, order: int, prev=None):
     prev is the pair of an earlier level on the same lower orders, or None:
     its input entries, its product layers below its order, the interior
     folds of its top layers and its plans are taken over, not recomputed.
+
+    Each product folds only its solved layers (m >= n), and each mirror
+    layer below `order` is R of its source in the float lane and the
+    source's (N, r) in the norm lane, as the table's mirror (n, m) holds
+    the conjugate reflection R of (m, n) with the same radius.  The norm
+    lane's bound holds at the true lower orders because they keep the
+    mirror rule of `_NormRad`: the field has real coefficients, so it
+    commutes with R; the true orbit is R-fixed, by uniqueness within r_max
+    about a centre that is R-fixed up to rounding; and each true jet is the
+    unique zero of an R-equivariant affine problem, so the true (n, m) is R
+    of the true (m, n).
     """
     lower = [(beta, seqs, jet.radii.get(beta))
              for beta, seqs in sorted(jet.orders.items())

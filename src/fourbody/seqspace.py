@@ -168,10 +168,18 @@ class FourierSeq:
     # -- serialization ---------------------------------------------------------
 
     def to_json_obj(self):
+        """nu, support and entries [k, rl, rh, il, ih], each float as hex.  A
+        point sequence, whose lanes agree bit for bit (-0.0 is not 0.0),
+        formats each float once."""
         c, K = self.c, self.K
-        rows = np.array([c.rl, c.rh, c.il, c.ih]).T.tolist()
-        entries = [[k, rl.hex(), rh.hex(), il.hex(), ih.hex()]
-                   for k, (rl, rh, il, ih) in zip(range(1 - K, K), rows)]
+        ks = range(1 - K, K)
+        if c.rl.tobytes() == c.rh.tobytes() and c.il.tobytes() == c.ih.tobytes():
+            re, im = ([x.hex() for x in lane.tolist()] for lane in (c.rl, c.il))
+            entries = [[k, r, r, i, i] for k, r, i in zip(ks, re, im)]
+        else:
+            rows = np.array([c.rl, c.rh, c.il, c.ih]).T.tolist()
+            entries = [[k, rl.hex(), rh.hex(), il.hex(), ih.hex()]
+                       for k, (rl, rh, il, ih) in zip(ks, rows)]
         return {"nu": float(self.nu).hex(), "support": K, "entries": entries}
 
     @classmethod

@@ -108,6 +108,10 @@ gives, per layer, a bound N of the float value's nu-norm and a bound r of
 its distance from the field at the true lower orders.  r takes in the radii
 of the lower orders and the rounding of every float operation, so the
 jet's budget rho bounds the whole distance and enters Y through pre_Y.
+Both lanes fold only the solved layers (m >= n) of each product: as the
+table's mirrors are, a mirror layer (n, m) is the conjugate reflection of
+layer (m, n), exactly, with its (N, r), because the field is real and the
+true lower orders keep the same rule (`numerics._NormRad`).
 `numerics._level_fields` makes both lanes once per level, and `_extend`
 hands each level's evaluation to the next: that level reuses the lower
 orders' entries and every product layer below p - 1, completes layer p - 1
@@ -821,10 +825,10 @@ def _assemble_orbit(sol: "OrbitSolution", ctx: _StageContext):
     E_y = y0 on component 1 and y_j 3 sq_j * on component 6+j, maps
     sequences to sequences, on the window and on the tail alike, with norm
     at most max(|y0|, 3 |y_j| ||sq_j||): that is the stage's pre_Z1.  The
-    field and the cubes are order 0's endpoint products, from one
-    IntervalArith, which goes when the call returns."""
+    field is order 0's endpoint products, from one IntervalArith, which
+    goes when the call returns; the squares and cubes of w_j are the
+    field's own."""
     cfg = ctx.cfg
-    ar = model.IntervalArith(cfg)
     K, nu, omega = ctx.K, ctx.nu, ctx.omega
     ns = 4
     layout = SpaceLayout(ns, K, 1)
@@ -835,15 +839,13 @@ def _assemble_orbit(sol: "OrbitSolution", ctx: _StageContext):
     J = _orbit_jacobian(layout.pack(y, sol.coeffs), omega, anchor, layout, ctx.ms,
                         ctx.pos, kernels=(ctx.fconst, ctx.fkers))
     Nw = _window_defect(ctx, J, layout, 0.0)
+    powers = []
+    F = model.field_F_grid(ctx.a0, model.IntervalArith(cfg), powers)
     # J's y0 column (a_1) is DF's, exactly; its y_j column holds the float
     # cube, on the class, where the cube lies
-    cubes = []
+    cubes = [cube for _, cube in powers]
     pre_Z1 = ymag[0]
-    for j in range(3):
-        w = ctx.a0[6 + j]
-        sq = ar.mul(w, w, 0)
-        cube = ar.mul(sq, w, 0)
-        cubes.append(cube)
+    for j, (sq, cube) in enumerate(powers):
         pre_Z1 = max(pre_Z1, float(_up(_up(3.0 * ymag[1 + j]) * sq.norm_upper())))
         col = layout.unpack(J[:, 1 + j])[1][6 + j]
         Nw[ns + 6 + j, 1 + j] = project(cube, K).sub(FourierSeq.point(col, nu)).norm_upper()
@@ -864,7 +866,6 @@ def _assemble_orbit(sol: "OrbitSolution", ctx: _StageContext):
         for fv in (gs[0] - px, gs[2] - py, gs[4] - pz):
             eta_monos.append((("scalar", 1 + j), 1.0, (fv.mag(), fv.mag(), gw, gw)))
 
-    F = model.field_F_grid(ctx.a0, ar)
     # the unfolding G(y, a): y0 a_1 in row 1 and y_j times the cubes in row 6+j
     G = [FourierSeq.zeros(1, nu)] * 9
     G[1] = ctx.a0[1].scale(complex(y[0]))

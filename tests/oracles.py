@@ -40,7 +40,11 @@ and `REFERENCE_REST_POINT` is the one whose vertical family the reference
 runs continue.  The builders at
 the end make interval inputs: an interval from midpoint and radius, an
 array widened by a radius, and a Fourier sequence from a dict of modes;
-`width` reads the size of an interval.
+`width` reads the size of an interval.  `seq_json_reference` is the JSON
+form of a sequence with every lane formatted, the reference for the point
+path of `FourierSeq.to_json_obj`, and `CauchySums` the float field with
+every product layer a plain Cauchy sum, mirror layers too, the reference
+for the mirror rule of the jets' lanes.
 `grid_scan` is the radius search that evaluates P at every grid point below
 the cap, the reference for the bisection of `radii`, and
 `certify_jet_alone` certifies one jet on its own, with that scan, the
@@ -933,6 +937,33 @@ def seq_from_entries(entries, nu: float, K: int | None = None) -> FourierSeq:
         out.c.rl[i], out.c.rh[i] = v.re.lo, v.re.hi
         out.c.il[i], out.c.ih[i] = v.im.lo, v.im.hi
     return out
+
+
+def seq_json_reference(seq: FourierSeq):
+    """The JSON object of a sequence as `FourierSeq.to_json_obj` made it
+    before it had a path for point sequences: all four lanes of every
+    entry formatted."""
+    c, K = seq.c, seq.K
+    rows = np.array([c.rl, c.rh, c.il, c.ih]).T.tolist()
+    entries = [[k, rl.hex(), rh.hex(), il.hex(), ih.hex()]
+               for k, (rl, rh, il, ih) in zip(range(1 - K, K), rows)]
+    return {"nu": float(seq.nu).hex(), "support": K, "entries": entries}
+
+
+class CauchySums(numerics.FloatArith):
+    """`numerics.FloatArith` with the plain Cauchy product: every layer of
+    b*c, mirror layers too, a sum of np.convolve over all its factor pairs
+    in key order.  The reference of the lanes' mirror rule."""
+
+    def mul(self, b, c, cap):
+        out = {}
+        for x in b:
+            for y in c:
+                g = (x[0] + y[0], x[1] + y[1])
+                if g[0] + g[1] <= cap:
+                    p = np.convolve(b[x], c[y])
+                    out[g] = p if g not in out else numerics.pad_sum(out[g], p)
+        return out
 
 
 def grid_scan(poly, upper: float, cap, stage: str, kind: str, digest: str,

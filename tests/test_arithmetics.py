@@ -3,9 +3,13 @@
 One random Fourier-Taylor grid (K = 5, orders <= 3) goes through
 `model.embedded_field` as floats (`numerics.FloatArith`), endpoint
 intervals (the multi-layer reference of the oracles) and norm/radius
-pairs.  The float values must lie in the interval enclosure, the norm
-lane's r must bound their distance from every point of it, and moving the
-float inputs within given radii must move the outputs by no more than r.
+pairs.  The grid keeps the mirror rule of a table, layer (n, m) the
+conjugate reflection of layer (m, n) and each diagonal layer fixed by it,
+and so do the moves of its inputs: the lanes make every mirror layer of a
+product from its source.  The float values must lie in the interval
+enclosure, the norm lane's r must bound their distance from every point of
+it, and moving the float inputs within given radii must move the outputs
+by no more than r.
 The jet layers (`numerics._jet_rhs`) get the same checks, and the
 derivative kernels the interval check and that of their discs in
 `numerics._DiscArith`.  The level fields (`numerics._level_fields`) are evaluated order by order with product
@@ -22,7 +26,7 @@ import pytest
 from fourbody import model, numerics
 from fourbody.interval import Interval
 from fourbody.seqspace import FourierSeq
-from fourbody.table import solved
+from fourbody.table import solved, source
 
 import oracles
 
@@ -40,8 +44,28 @@ def cfg():
     return model.primaries(model.MassTriple.of("1/2", "3/10", "1/5"))
 
 
+def reflect(arr):
+    """(R h)_k = conj(h_-k)."""
+    return np.conj(np.asarray(arr)[::-1])
+
+
+def mirrored(layers):
+    """The layers of one component, alpha -> array, keeping the mirror rule
+    of a table: each layer (m, n), m > n, as given, (n, m) its reflection,
+    and a diagonal layer made R-fixed, 0.5 (h + R h), which R maps onto
+    itself exactly."""
+    out = {}
+    for (m, n), c in layers.items():
+        if m > n:
+            out[(m, n)], out[(n, m)] = c, reflect(c)
+        elif m == n:
+            out[(m, n)] = 0.5 * (c + reflect(c))
+    return out
+
+
 @pytest.fixture(scope="module")
 def data():
+    # the jets' grids keep the mirror rule, and so does this one
     rng = np.random.default_rng(2212)
     grid = [{} for _ in range(9)]
     for beta in ORDERS:
@@ -52,6 +76,7 @@ def data():
             if beta == (0, 0):
                 c[K - 1] += OFFSET[i]
             grid[i][beta] = c
+    grid = [mirrored(comp) for comp in grid]
     radii = {beta: 1e-7 * 0.5 ** (beta[0] + beta[1]) for beta in ORDERS}
     return grid, radii
 
@@ -95,14 +120,20 @@ def float_field(cfg, grid, cap=CAP):
 
 def perturbed(grid, radius, rng):
     """Layer beta of component i moved by a random sequence of nu-norm
-    0.99 * radius(i, beta)."""
+    0.99 * radius(i, beta), keeping the mirror rule: a diagonal layer by an
+    R-fixed sequence, and layer (n, m) by the reflection of the move of
+    (m, n)."""
     out = []
     for i, comp in enumerate(grid):
         d = {}
         for beta, c in comp.items():
+            if beta[0] < beta[1]:
+                continue
             e = rng.uniform(-1, 1, len(c)) + 1j * rng.uniform(-1, 1, len(c))
+            if beta[0] == beta[1]:
+                e = 0.5 * (e + reflect(e))
             d[beta] = c + e * (0.99 * radius(i, beta) / nu_norm(e))
-        out.append(d)
+        out.append(mirrored(d))
     return out
 
 
@@ -339,6 +370,37 @@ def test_midpoint_lane_is_the_float_remainder(cfg, data):
             for r, f in zip(R, rhs):
                 f = np.zeros(1, dtype=complex) if f is None else f
                 assert f.tobytes() == r.tobytes(), (alpha,)
+
+
+@pytest.mark.parametrize("moved", [False, True], ids=["centres", "moved"])
+def test_mirror_layers_within_r_of_plain_cauchy_sums(cfg, data, moved):
+    # on the R-symmetric grid the level fields make each mirror layer below
+    # their order as R of its source; the field of plain Cauchy sums
+    # (`oracles.CauchySums`), which folds every pair of every layer, lies
+    # within the norm lane's r of it, at the centres with radii zero and at
+    # inputs moved within the radii, keeping the mirror rule
+    grid, radii = data
+    jet = lower_jet(grid, radii if moved else dict.fromkeys(radii, 0.0), top=CAP)
+    oracle = oracles.CauchySums(*numerics.cfg_floats(cfg))
+    rng = np.random.default_rng(13)
+    inputs = perturbed(grid, lambda i, beta: radii[beta], rng) if moved else grid
+    fields, worst = None, 0.0
+    for p in range(2, CAP + 2):
+        fields = numerics._level_fields(jet, cfg, p, fields)
+        (_, floats), (_, norms) = fields
+        want = model.embedded_field(
+            oracle, [{b: c for b, c in comp.items() if sum(b) < p} for comp in inputs], p - 1)
+        for i in range(9):
+            for g, arr in floats[i].items():
+                if source(g) == g or sum(g) >= p:
+                    continue
+                assert np.array_equal(arr, reflect(floats[i][source(g)]))
+                n = max(len(arr), len(want[i][g]))
+                dist = nu_norm(centered(want[i][g], n) - centered(arr, n))
+                assert dist <= norms[i][g][1], (p, i, g)
+                if dist:
+                    worst = max(worst, dist / norms[i][g][1])
+    assert worst > (1e-3 if moved else 0.0)
 
 
 def test_float_kernels_inside_interval_kernels(cfg, data):

@@ -28,7 +28,7 @@ from fourbody import cli, ivarray, model, numerics, seeding, seqspace, stages
 from fourbody.opbound import Q_SIGMA, SpaceLayout, block_norms, class_slots, opnorm_upper
 from fourbody.radii import NoNegativeRadius, content_digest
 from fourbody.seqspace import FourierSeq
-from fourbody.table import JetTable, solved
+from fourbody.table import JetTable, solved, source
 
 K = 24
 N_T = 3
@@ -178,10 +178,11 @@ def test_disc_residual_meets_the_endpoint_chain(run):
 
 
 def test_order0_makes_each_product_once(run, monkeypatch):
-    # counts, not timings: order 0's field (24 products) and its cubes (6)
-    # are its only endpoint convolutions, 30 in all, made in one
-    # IntervalArith that goes when validate_order0 returns; the context
-    # takes the kernels of DF0 as discs from `numerics._DiscArith` instead
+    # counts, not timings: order 0's field makes its only endpoint
+    # convolutions, 24, eight per primary, in one IntervalArith that goes
+    # when validate_order0 returns; the unfolding term and pre_Z1 read the
+    # field's squares and cubes of w_j, and the context takes the kernels
+    # of DF0 as discs from `numerics._DiscArith`
     cfg, res0, start, _ = run
     sol = res0.context[0]
     calls, made = [], []
@@ -199,7 +200,7 @@ def test_order0_makes_each_product_once(run, monkeypatch):
     monkeypatch.setattr(model.IntervalArith, "__init__", tracked)
     res = stages.validate_order0(sol, cfg)
     assert res.cert.to_json_obj() == res0.cert.to_json_obj()
-    assert len(calls) == 30
+    assert len(calls) == 24
     gc.collect()
     assert len(made) == 1 and made[0]() is None
     # neither the returned context nor the one the JetTable caches holds one
@@ -1076,18 +1077,26 @@ def test_jets_evaluate_each_remainder_field_once(run, monkeypatch):
 
 def test_lanes_share_the_cauchy_plans(run, monkeypatch):
     # counts: the float and the norm lane of a level make the same products,
-    # and the levels of a table the same nodes, so each layer's factor pairs
-    # are planned once per node and table, by one lane
+    # and the levels of a table the same nodes, so each solved layer's factor
+    # pairs are planned once per node and table, by one lane; a mirror layer
+    # is planned never, and a level lists the layers of each key set of its
+    # nodes once
     cfg, _, _, table = run
-    made = []
-    plan = numerics._cauchy_plan
+    made, keysets = [], []
+    plan, keys = numerics._cauchy_plan, numerics._product_keys
 
     def counted(b, c, alphas):
         made.append(len(alphas))
+        assert all(source(g) == g for g in alphas), alphas
         return plan(b, c, alphas)
 
+    def counted_keys(b, c, cap):
+        keysets.append((cap, frozenset(b), frozenset(c)))
+        return keys(b, c, cap)
+
     monkeypatch.setattr(numerics, "_cauchy_plan", counted)
-    fields, computed = None, {}
+    monkeypatch.setattr(numerics, "_product_keys", counted_keys)
+    fields, computed, mirrors = None, {}, 0
     for p in range(2, N_T + 1):
         prev, fields = fields, numerics._level_fields(table, cfg, p, fields)
         (floats, _), (norms, _) = fields
@@ -1096,9 +1105,39 @@ def test_lanes_share_the_cauchy_plans(run, monkeypatch):
         assert len(floats.nodes) == len(norms.nodes) == len(floats.plans) > 0
         for k, node in enumerate(floats.plans):
             computed.setdefault(k, set()).update(g for g, _, _ in node.made)
-    # every layer a node computes at some level was planned exactly once
+            mirrors += len(node.mirrors)
+            assert all(source(g) != g for g in node.mirrors)
+        level = [ks for ks in keysets if ks[0] == p]
+        assert len(level) == len(set(level)) < len(floats.plans)
+    # every layer a node folds at some level was planned exactly once
     assert len(made) <= len(floats.plans) * (N_T - 1)
     assert sum(made) == sum(len(layers) for layers in computed.values())
+    assert mirrors > 0
+
+
+def test_mirror_layers_are_reflections_of_their_sources(run):
+    # at every level and node each mirror layer (n, m) is the conjugate
+    # reflection of (m, n) bit for bit in the float lane, and (m, n)'s
+    # (N, r) in the norm lane; so is each one of the nine grids of the
+    # field, as numbers in the float lane: a table's mirror centre has 0.0
+    # where the reflection of its source has -0.0
+    cfg, _, _, table = run
+    fields, seen = None, 0
+    for p in range(2, N_T + 1):
+        fields = numerics._level_fields(table, cfg, p, fields)
+        (floats, fgrids), (norms, ngrids) = fields
+        for bits, fgrid, ngrid in ([(True, f, n) for f, n in zip(floats.nodes, norms.nodes)]
+                                   + [(False, f, n) for f, n in zip(fgrids, ngrids)]):
+            assert set(fgrid) == set(ngrid)
+            for g in fgrid:
+                if source(g) == g or sum(g) >= p:
+                    continue
+                seen += 1
+                want = np.conj(fgrid[source(g)][::-1])
+                assert (fgrid[g].tobytes() == want.tobytes() if bits
+                        else np.array_equal(fgrid[g], want)), (p, g)
+                assert ngrid[g] == ngrid[source(g)], (p, g)
+    assert seen > 0
 
 
 def float_lane_pairs(table, cfg, levels, monkeypatch):
@@ -1137,9 +1176,13 @@ def test_float_lane_folds_no_pair_twice(run, monkeypatch):
     # needs it: a layer's interior pairs are carried to the level that
     # completes it.  Only a pair with a factor of the level's own order,
     # which that level holds in part, is folded again once it is complete.
+    # No pair of a mirror layer is folded: the layer is its source's
+    # reflection.
     cfg, _, start, _ = run
     table = stages.extend_with_jets(replace(stages.rescale_jets(start, 1.0), N_t=5), cfg)
     folded = float_lane_pairs(table, cfg, range(2, 6), monkeypatch)
+    layers = {(x[0] + y[0], x[1] + y[1]) for _, _, x, y in folded}
+    assert all(source(g) == g for g in layers)
     complete = [(k, x, y) for p, k, x, y in folded if sum(x) < p and sum(y) < p]
     assert len(complete) == len(set(complete)) > 0
     assert len(folded) - len(complete) == sum(max(sum(x), sum(y)) == p
@@ -1150,7 +1193,7 @@ def test_product_fold_work(run, monkeypatch):
     # counts, not timings: a product layer of the float lane is one
     # np.convolve per Cauchy pair it folds, and no disc arithmetic (mr_add)
     # runs; a layer completed from a carried interior fold folds its end
-    # pairs only
+    # pairs only, and a mirror layer none
     cfg, _, _, table = run
     inside = []
     nodes = []
@@ -1166,14 +1209,16 @@ def test_product_fold_work(run, monkeypatch):
         nodes.append({"mr_add": 1})
         return mr_add(*args)
 
-    def counted_layers(b, c, plan, carried=None):
+    def counted_layers(b, c, plan, mirrors, carried=None):
         pairs = 0
+        assert all(source(g) != g for g in mirrors)
         for g, interior, ends in plan:
+            assert source(g) == g, g
             tail = sum(x in b and y in c for x, y in ends)
             pairs += tail + (0 if tail and g in (carried or {}) else len(interior))
-        inside.append({"convolve": 0, "pairs": pairs})
+        inside.append({"convolve": 0, "pairs": pairs, "mirrors": len(mirrors)})
         try:
-            return layers(b, c, plan, carried)
+            return layers(b, c, plan, mirrors, carried)
         finally:
             nodes.append(inside.pop())
 
@@ -1185,6 +1230,7 @@ def test_product_fold_work(run, monkeypatch):
     for p in range(2, N_T + 1):
         fields = numerics._level_fields(table, cfg, p, fields)
     assert nodes and sum(w["pairs"] for w in nodes) > len(nodes)
+    assert sum(w.get("mirrors", 0) for w in nodes) > 0
     for work in nodes:
         assert work.get("convolve") == work["pairs"], work
 

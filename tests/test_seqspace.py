@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fourbody.ivarray import CArr
 from fourbody.seqspace import (
     FourierSeq,
     WeightMismatch,
@@ -23,6 +24,7 @@ from oracles import (
     ft_conv_exact,
     l1nu_norm_exact,
     seq_from_entries,
+    seq_json_reference,
 )
 
 rng = np.random.default_rng(20260814)
@@ -274,6 +276,22 @@ def test_fourier_roundtrip():
     assert np.array_equal(back.c.rh, a.c.rh)
     assert np.array_equal(back.c.il, a.c.il)
     assert np.array_equal(back.c.ih, a.c.ih)
+
+
+def test_json_bytes_equal_the_reference_formatter():
+    # points, boxes and signed zeros: -0.0 equals 0.0 as a number, so a lane
+    # pair that differs only in the sign of a zero is a box, not a point
+    point = seq_of(rand_table(9), 1.5)
+    boxed = point.scale(0.7 + 0.0j).add(seq_of(rand_table(9), 1.5))
+    zeros = FourierSeq.point(np.array([0.0, -0.0, complex(-0.0, -0.0), complex(0.0, -0.0), 2.5]),
+                             1.5)
+    signed = FourierSeq(CArr(np.array([0.0, 1.0, 0.0]), np.array([-0.0, 1.0, 0.0]),
+                             np.zeros(3), np.array([0.0, 0.0, -0.0])), 1.5)
+    assert point.is_point() and not boxed.is_point() and signed.is_point()
+    for seq in (point, boxed, zeros, zeros.conj_reflect(), signed, FourierSeq.zeros(3, 1.2)):
+        got = json.dumps(seq.to_json_obj())
+        assert got == json.dumps(seq_json_reference(seq))
+        assert FourierSeq.from_json_obj(json.loads(got)).to_json_obj() == seq.to_json_obj()
 
 
 # -- hypothesis sweeps ---------------------------------------------------------------
